@@ -1,0 +1,104 @@
+"""Golden files: the exact bytes every subcommand and script prints.
+
+Each case runs in-process and must reproduce the recorded stdout byte for
+byte (``golden/<case>.out``) and the recorded exit code and stderr
+(``golden/results.json``).  Re-record on purpose, after a change that is
+meant to alter output, with ``python tests/golden/record.py``.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from ccyclic.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+RESULTS = GOLDEN / "results.json"
+
+#: case name -> argv; an argv starting with ``scripts/`` runs that script's main()
+CASES = {
+    "extremal-text": ["extremal", "--n", "8", "--c", "3"],
+    "extremal-csv": ["extremal", "--n", "7", "--c", "6", "--format", "csv"],
+    "extremal-json": ["extremal", "--n", "7", "--c", "6", "--format", "json"],
+    "bounds-text-refined-verify": [
+        "bounds", "--n", "9", "--c", "3..6", "--index", "inverse-degree",
+        "--refined", "--verify",
+    ],
+    "bounds-csv-refined-verify": [
+        "bounds", "--n", "9", "--c", "3..6", "--index", "inverse-degree",
+        "--refined", "--verify", "--format", "csv",
+    ],
+    "bounds-json-refined-verify": [
+        "bounds", "--n", "9", "--c", "3..6", "--index", "inverse-degree",
+        "--refined", "--verify", "--format", "json",
+    ],
+    "bounds-csv": ["bounds", "--n", "10", "--alpha", "2", "--c", "1..6", "--format", "csv"],
+    "bounds-json": ["bounds", "--n", "10", "--alpha", "3", "--c", "1..6", "--format", "json"],
+    "bounds-alpha-half": ["bounds", "--n", "9", "--c", "1..6", "--alpha", "1/2", "--verify"],
+    "bounds-alpha-minus-half": ["bounds", "--n", "9", "--c", "1..6", "--alpha=-1/2", "--verify"],
+    "bounds-mult-zagreb-log": [
+        "bounds", "--n", "8", "--c", "0..6", "--index", "mult-zagreb-log", "--verify",
+    ],
+    "bounds-cap-exceeded": [
+        "bounds", "--n", "14", "--c", "1", "--index", "inverse-degree", "--verify",
+        "--cap", "12",
+    ],
+    "verify-n-max-8": ["verify", "--n-max", "8"],
+    "verify-equivalence-only": ["verify", "--n-max", "10", "--equivalence-only"],
+    "verify-conjecture": ["verify", "--conjecture", "--n-max", "11", "--c", "7..8"],
+    "verify-conjecture-cap-skip": ["verify", "--conjecture", "--n-max", "10", "--c", "7", "--cap", "9"],
+    "verify-cap-skip": ["verify", "--n-max", "9", "--c", "2..3", "--cap", "8"],
+    "verify-c7-usage-error": ["verify", "--n", "10", "--c", "7"],
+    "realize-check-c": ["realize", "--seq", "7,3,3,3,1,1,1,1", "--check-c", "3"],
+    "realize-label": ["realize", "--seq", "3,3,2,2,2", "--label", "house"],
+    "realize-non-graphical": ["realize", "--seq", "3,1,1"],
+    "realize-check-c-mismatch": ["realize", "--seq", "2,2,2", "--check-c", "2"],
+    "script-reproduce-tables": ["scripts/reproduce_tables.py", "--n", "9", "--verify"],
+    "script-conjecture-scan": ["scripts/conjecture_scan.py", "--c-max", "8", "--n-max", "11"],
+}
+
+
+def _script_main(relpath: str):
+    spec = importlib.util.spec_from_file_location(Path(relpath).stem, ROOT / relpath)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def run_case(argv: list) -> tuple:
+    """(exit code, stdout, stderr) of one in-process run."""
+    entry = cli_main
+    if argv[0].startswith("scripts/"):
+        entry, argv = _script_main(argv[0]), argv[1:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = entry(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _recorded() -> dict:
+    return json.loads(RESULTS.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    code, out, err = run_case(CASES[name])
+    assert {"argv": CASES[name], "exit": code, "stderr": err} == _recorded()[name]
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_every_golden_file_has_a_case():
+    assert set(_recorded()) == set(CASES)
+    assert {path.stem for path in GOLDEN.glob("*.out")} == set(CASES)
+
+
+def test_output_file_equals_stdout(tmp_path):
+    target = tmp_path / "bounds.csv"
+    code, out, err = run_case(CASES["bounds-csv"] + ["--output", str(target)])
+    assert (code, out, err) == (0, "", "")
+    assert target.read_bytes() == (GOLDEN / "bounds-csv.out").read_bytes()

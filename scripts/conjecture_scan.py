@@ -14,9 +14,12 @@ theorems; beyond that the scan reports conjecture status.
 import argparse
 import sys
 
-from ccyclic.degree_sequences import check_pattern_extremality, min_order
+from ccyclic.degree_sequences import (
+    check_pattern_extremality,
+    min_order,
+    parametric_extremal_family,
+)
 from ccyclic.formatting import format_sequence
-from ccyclic.degree_sequences import parametric_extremal_family
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ from ccyclic.bounds import (
     bounds,
     closed_form_inverse_degree,
     refined_inverse_degree_upper,
-    verify_bounds,
+    with_verification,
 )
 from ccyclic.degree_sequences import CyclomaticClass, extremal_family
 from ccyclic.formatting import format_index_value, format_sequence
@@ -43,7 +43,6 @@ def main(argv=None) -> int:
         print(f"c={c}  maximal: {tops}")
         print(f"      minimal: {format_sequence(family.minimal)}")
 
-    rho = IndexSpec.inverse_degree()
     print()
     print(f"inverse-degree bounds at n={args.n}")
     print("-" * 72)
@@ -58,7 +57,7 @@ def main(argv=None) -> int:
             refined = refined_inverse_degree_upper(klass)
             line += f"  [refined upper {format_index_value(refined)}]"
         if args.verify:
-            line += f"  ({verify_bounds(klass, rho, args.cap).status})"
+            line += f"  ({with_verification(closed, args.cap).verified})"
         print(line)
 
     index = IndexSpec.general_zagreb(args.alpha)
@@ -74,7 +73,7 @@ def main(argv=None) -> int:
             f"{format_index_value(row.upper)} at {format_sequence(row.upper_attainer)}"
         )
         if args.verify:
-            line += f"  ({verify_bounds(klass, index, args.cap).status})"
+            line += f"  ({with_verification(row, args.cap).verified})"
         print(line)
         for note in row.notes:
             print(f"      note: {note}")

@@ -209,33 +209,20 @@ def refined_inverse_degree_upper(klass: CyclomaticClass) -> IndexValue:
 class OracleOutcome:
     """Exhaustive min/max of an index over a class, compared to the engine."""
 
-    status: str  # exact-match | mismatch | skipped
-    minimum: Optional[IndexValue] = None
-    maximum: Optional[IndexValue] = None
-    minimizers: tuple = ()
-    maximizers: tuple = ()
+    status: str  # exact-match | mismatch
+    minimum: IndexValue
+    maximum: IndexValue
+    minimizers: tuple
+    maximizers: tuple
 
 
-def verify_bounds(
-    klass: CyclomaticClass, index: IndexSpec, cap: int = DEFAULT_ENUMERATION_CAP
-) -> OracleOutcome:
-    """Enumerate the whole class and compare its true extrema with :func:`bounds`."""
-    try:
-        population = enumerate_sequences(klass, cap)
-    except EnumerationCapError:
-        return OracleOutcome(status=SKIPPED)
+def verify_bounds(klass: CyclomaticClass, index: IndexSpec, population) -> OracleOutcome:
+    """Compare the true extrema over ``population``, the enumerated class, with :func:`bounds`."""
     values = [(seq, evaluate(index, seq)) for seq in population]
-    low = min(v.value for _, v in values)
-    high = max(v.value for _, v in values)
-    if index.exact:
-        minimizers = tuple(s for s, v in values if v.value == low)
-        maximizers = tuple(s for s, v in values if v.value == high)
-    else:
-        tol = 1e-12
-        minimizers = tuple(s for s, v in values if abs(v.value - low) <= tol)
-        maximizers = tuple(s for s, v in values if abs(v.value - high) <= tol)
-    minimum = IndexValue(low, exact=index.exact)
-    maximum = IndexValue(high, exact=index.exact)
+    minimum = IndexValue(min(v.value for _, v in values), exact=index.exact)
+    maximum = IndexValue(max(v.value for _, v in values), exact=index.exact)
+    minimizers = tuple(s for s, v in values if v.matches(minimum))
+    maximizers = tuple(s for s, v in values if v.matches(maximum))
     report = bounds(klass, index)
     ok = (
         report.lower.matches(minimum)
@@ -255,8 +242,12 @@ def verify_bounds(
 def with_verification(
     report: BoundsReport, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> BoundsReport:
-    """Attach an oracle verdict to a bounds report."""
-    outcome = verify_bounds(report.klass, report.index, cap)
+    """Attach an oracle verdict to a bounds report; ``skipped`` above the enumeration cap."""
+    try:
+        population = enumerate_sequences(report.klass, cap)
+    except EnumerationCapError:
+        return replace(report, verified=SKIPPED)
+    outcome = verify_bounds(report.klass, report.index, population)
     return replace(report, verified=outcome.status)
 
 

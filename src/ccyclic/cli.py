@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +49,8 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_CAP = 3
 
+OK = "ok"
+
 VERIFY_INDICES = (
     IndexSpec.inverse_degree(),
     IndexSpec.general_zagreb(2),
@@ -75,6 +78,12 @@ def _parse_range(text: str) -> list:
     return [int(text)]
 
 
+def _checked_cap(cap: int) -> int:
+    if cap < 0:
+        raise _UsageError(f"--cap must be nonnegative, got {cap}")
+    return cap
+
+
 def _parse_sequence(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -100,9 +109,22 @@ def _index_from_args(args) -> IndexSpec:
 
 def _emit(text: str, output) -> None:
     if output:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
+
+
+def _exit_code(statuses) -> int:
+    """Mismatch outranks a cap skip; any other status is success."""
+    statuses = set(statuses)
+    if MISMATCH in statuses:
+        return EXIT_MISMATCH
+    if SKIPPED in statuses:
+        return EXIT_CAP
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +198,7 @@ def _render_bounds_text(report, refined) -> list:
 
 def cmd_bounds(args) -> int:
     index = _index_from_args(args)
-    cap = args.cap
+    cap = _checked_cap(args.cap)
     reports = []
     refined_values = []
     for c in _parse_range(args.c):
@@ -217,12 +239,7 @@ def cmd_bounds(args) -> int:
             lines.extend(_render_bounds_text(report, refined))
         _emit("\n".join(lines) + "\n", args.output)
 
-    statuses = [report.verified for report in reports]
-    if MISMATCH in statuses:
-        return EXIT_MISMATCH
-    if SKIPPED in statuses:
-        return EXIT_CAP
-    return EXIT_OK
+    return _exit_code(report.verified for report in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +248,13 @@ def cmd_bounds(args) -> int:
 
 
 def _equivalence_check(klass) -> tuple:
-    """Compare the three membership tests on every candidate with the right sum."""
+    """Compare the three membership tests on every candidate with the right sum.
+
+    Also returns the candidates the counting form accepts: the class
+    population that every later check of the class reuses.
+    """
     failures = []
+    members = []
     count = 0
     for seq in candidate_sequences(klass.n, klass.degree_total):
         count += 1
@@ -241,7 +263,9 @@ def _equivalence_check(klass) -> tuple:
         graphical = is_graphical(seq)
         if not (counting == inequalities == graphical):
             failures.append((seq, counting, inequalities, graphical))
-    return count, failures
+        if counting:
+            members.append(seq)
+    return count, failures, members
 
 
 def _verify_orders(args, c: int) -> list:
@@ -252,15 +276,26 @@ def _verify_orders(args, c: int) -> list:
     return [n for n in orders if n >= min_order(c)]
 
 
+@dataclass(frozen=True)
+class CheckRecord:
+    """One verification check over a class and its outcome."""
+
+    check: str  # equivalence | extremality | conjecture | an index label
+    c: int
+    n: int
+    status: str  # ok | mismatch | skipped; holds | fails for a conjecture
+    sequences: int  # candidates for equivalence, class members otherwise
+
+
 def cmd_verify(args) -> int:
     if args.n is None and args.n_max is None:
         raise _UsageError("verify needs --n or --n-max")
     if args.n is not None and args.n_max is not None:
         raise _UsageError("give either --n or --n-max, not both")
-    cap = args.cap
+    cap = _checked_cap(args.cap)
     classes = _parse_range(args.c)
     lines = []
-    mismatch = skipped = False
+    records = []
 
     if args.conjecture:
         for c in classes:
@@ -269,77 +304,70 @@ def cmd_verify(args) -> int:
                     report = check_pattern_extremality(c, n, cap)
                 except EnumerationCapError:
                     lines.append(f"CONJECTURE c={c} n={n}: skipped (enumeration cap {cap})")
-                    skipped = True
+                    records.append(CheckRecord("conjecture", c, n, SKIPPED, 0))
                     continue
                 status = "holds" if report.ok else "FAILS"
                 lines.append(
                     f"CONJECTURE c={c} n={n}: closed-form patterns extremal over "
                     f"{report.sequence_count} sequences: {status}"
                 )
+                records.append(
+                    CheckRecord("conjecture", c, n, status.lower(), report.sequence_count)
+                )
         _emit("\n".join(lines) + "\n", args.output)
-        return EXIT_CAP if skipped else EXIT_OK
+        return _exit_code(record.status for record in records)
 
-    checks = ok_count = 0
     for c in classes:
         if c > 6:
             raise _UsageError(f"c={c} has no proven characterization; use --conjecture")
         for n in _verify_orders(args, c):
-            klass = CyclomaticClass(c=c, n=n)
             if n > cap:
                 lines.append(f"equivalence c={c} n={n}: skipped (enumeration cap {cap})")
-                skipped = True
+                records.append(CheckRecord("equivalence", c, n, SKIPPED, 0))
                 continue
-            checks += 1
-            count, failures = _equivalence_check(klass)
+            klass = CyclomaticClass(c=c, n=n)
+            count, failures, population = _equivalence_check(klass)
             if failures:
-                mismatch = True
-                seq = failures[0][0]
+                seq, counting, inequalities, graphical = failures[0]
                 lines.append(
                     f"equivalence c={c} n={n}: MISMATCH on {format_sequence(seq)} "
-                    f"(counting={failures[0][1]} inequalities={failures[0][2]} "
-                    f"graphical={failures[0][3]})"
+                    f"(counting={counting} inequalities={inequalities} "
+                    f"graphical={graphical})"
                 )
             else:
-                ok_count += 1
                 lines.append(f"equivalence c={c} n={n}: ok ({count} candidates)")
+            records.append(
+                CheckRecord("equivalence", c, n, MISMATCH if failures else OK, count)
+            )
             if args.equivalence_only:
                 continue
 
-            checks += 1
-            coverage = check_family_extremality(klass, cap)
-            if coverage.ok:
-                ok_count += 1
-                lines.append(
-                    f"extremality c={c} n={n}: ok ({coverage.sequence_count} sequences)"
-                )
+            report = check_family_extremality(klass, population)
+            if report.complete:
+                lines.append(f"extremality c={c} n={n}: ok ({report.sequence_count} sequences)")
             else:
-                mismatch = True
                 lines.append(f"extremality c={c} n={n}: MISMATCH")
+            status = OK if report.complete else MISMATCH
+            records.append(CheckRecord("extremality", c, n, status, report.sequence_count))
 
             for index in VERIFY_INDICES:
-                checks += 1
-                outcome = verify_bounds(klass, index, cap)
-                if outcome.status == EXACT_MATCH:
-                    ok_count += 1
-                    lines.append(f"bounds c={c} n={n} {index.label}: exact-match")
-                elif outcome.status == SKIPPED:
-                    checks -= 1
-                    skipped = True
-                    lines.append(f"bounds c={c} n={n} {index.label}: skipped")
-                else:
-                    mismatch = True
-                    lines.append(f"bounds c={c} n={n} {index.label}: MISMATCH")
+                matched = verify_bounds(klass, index, population).status == EXACT_MATCH
+                lines.append(
+                    f"bounds c={c} n={n} {index.label}: "
+                    f"{EXACT_MATCH if matched else 'MISMATCH'}"
+                )
+                records.append(
+                    CheckRecord(index.label, c, n, OK if matched else MISMATCH, len(population))
+                )
 
+    run = [record for record in records if record.status != SKIPPED]
+    ok_count = sum(record.status == OK for record in run)
     lines.append(
-        f"summary: {checks} checks, {ok_count} ok, "
-        f"{checks - ok_count} mismatched, skipped={'yes' if skipped else 'no'}"
+        f"summary: {len(run)} checks, {ok_count} ok, {len(run) - ok_count} mismatched, "
+        f"skipped={'yes' if len(run) < len(records) else 'no'}"
     )
     _emit("\n".join(lines) + "\n", args.output)
-    if mismatch:
-        return EXIT_MISMATCH
-    if skipped:
-        return EXIT_CAP
-    return EXIT_OK
+    return _exit_code(record.status for record in records)
 
 
 # ---------------------------------------------------------------------------

@@ -419,81 +419,20 @@ def parametric_extremal_family(c: int, n: int) -> PatternFamily:
 
 
 # ---------------------------------------------------------------------------
-# Coverage checks against exhaustive enumeration
+# Extremality checks against exhaustive enumeration
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class CoverageReport:
-    """Result of checking extremal candidates against an enumerated class."""
+class ExtremalityReport:
+    """Whether candidate extremal sequences are extremal within an enumerated class.
 
-    c: int
-    n: int
-    sequence_count: int
-    members_valid: bool
-    pairwise_incomparable: bool
-    not_below_any_maximal: tuple
-    not_above_minimal: tuple
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.members_valid
-            and self.pairwise_incomparable
-            and not self.not_below_any_maximal
-            and not self.not_above_minimal
-        )
-
-
-def _coverage(c, n, maximals, minimal, population) -> CoverageReport:
-    pop = set(population)
-    members_valid = all(seq in pop for seq in maximals) and (
-        minimal is None or minimal in pop
-    )
-    incomparable = all(
-        compare(a, b) is Relation.INCOMPARABLE
-        for i, a in enumerate(maximals)
-        for b in maximals[i + 1 :]
-    )
-    uncovered = tuple(
-        seq
-        for seq in population
-        if not any(is_majorized_by(seq, top) for top in maximals)
-    )
-    below = (
-        tuple(seq for seq in population if not is_majorized_by(minimal, seq))
-        if minimal is not None
-        else ()
-    )
-    return CoverageReport(
-        c=c,
-        n=n,
-        sequence_count=len(population),
-        members_valid=members_valid,
-        pairwise_incomparable=incomparable,
-        not_below_any_maximal=uncovered,
-        not_above_minimal=below,
-    )
-
-
-def check_family_extremality(
-    klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP
-) -> CoverageReport:
-    """Verify the extremal family against the full enumeration of its class."""
-    family = extremal_family(klass)
-    population = enumerate_sequences(klass, cap)
-    return _coverage(klass.c, klass.n, family.maximals, family.minimal, population)
-
-
-@dataclass(frozen=True)
-class PatternCheck:
-    """Whether the closed-form patterns stay extremal within an enumerated class.
-
-    The maximal patterns need not cover the whole class (already for c = 6 a
-    fourth maximal exists beyond the three closed forms); what is checked is
-    that they are genuine extremal elements: no enumerated sequence strictly
-    majorizes any maximal pattern, and the minimal pattern, when defined,
-    minorizes every enumerated sequence.
+    ``ok`` says the candidates are genuine extremal elements: members of the
+    class, pairwise incomparable maximals, no enumerated sequence strictly
+    majorizing any maximal, and the minimal (when defined) minorizing every
+    enumerated sequence.  ``complete`` also asks every enumerated sequence to
+    lie below some maximal, which the closed-form patterns need not achieve
+    (already for c = 6 a fourth maximal exists beyond the three closed forms).
     """
 
     c: int
@@ -501,7 +440,8 @@ class PatternCheck:
     sequence_count: int
     members_valid: bool
     pairwise_incomparable: bool
-    dominated_patterns: tuple  # (pattern, strictly majorizing witness) pairs
+    not_below_any_maximal: tuple
+    dominated_patterns: tuple  # (maximal, first strictly majorizing witness) pairs
     not_above_minimal: tuple
 
     @property
@@ -513,43 +453,67 @@ class PatternCheck:
             and not self.not_above_minimal
         )
 
+    @property
+    def complete(self) -> bool:
+        return self.ok and not self.not_below_any_maximal
 
-def check_pattern_extremality(
-    c: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> PatternCheck:
-    """Check the closed-form patterns against graphical enumeration (any c >= 0)."""
-    patterns = parametric_extremal_family(c, n)
-    population = graphical_class_sequences(CyclomaticClass(c=c, n=n), cap)
+
+def _extremality_report(klass, maximals, minimal, population) -> ExtremalityReport:
     pop = set(population)
-    members_valid = all(seq in pop for seq in patterns.maximals) and (
-        patterns.minimal is None or patterns.minimal in pop
+    members_valid = all(seq in pop for seq in maximals) and (
+        minimal is None or minimal in pop
     )
     incomparable = all(
         compare(a, b) is Relation.INCOMPARABLE
-        for i, a in enumerate(patterns.maximals)
-        for b in patterns.maximals[i + 1 :]
+        for i, a in enumerate(maximals)
+        for b in maximals[i + 1 :]
     )
-    dominated = []
-    for pattern in patterns.maximals:
-        for seq in population:
-            if seq != pattern and is_majorized_by(pattern, seq):
-                dominated.append((pattern, seq))
-                break
+    uncovered = []
+    witnesses = {}
+    for seq in population:
+        covered = False
+        for top in maximals:
+            rel = compare(seq, top)
+            if rel is Relation.GREATER_OR_EQUAL:
+                witnesses.setdefault(top, seq)
+            elif rel is not Relation.INCOMPARABLE:
+                covered = True
+                # Below one of pairwise incomparable maximals, seq cannot
+                # strictly majorize another: that one would lie below this one.
+                if incomparable:
+                    break
+        if not covered:
+            uncovered.append(seq)
     below = (
-        tuple(
-            seq
-            for seq in population
-            if not is_majorized_by(patterns.minimal, seq)
-        )
-        if patterns.minimal is not None
+        tuple(seq for seq in population if not is_majorized_by(minimal, seq))
+        if minimal is not None
         else ()
     )
-    return PatternCheck(
-        c=c,
-        n=n,
+    return ExtremalityReport(
+        c=klass.c,
+        n=klass.n,
         sequence_count=len(population),
         members_valid=members_valid,
         pairwise_incomparable=incomparable,
-        dominated_patterns=tuple(dominated),
+        not_below_any_maximal=tuple(uncovered),
+        dominated_patterns=tuple(
+            (top, witnesses[top]) for top in maximals if top in witnesses
+        ),
         not_above_minimal=below,
     )
+
+
+def check_family_extremality(klass: CyclomaticClass, population) -> ExtremalityReport:
+    """Check the extremal family against ``population``, the enumerated class."""
+    family = extremal_family(klass)
+    return _extremality_report(klass, family.maximals, family.minimal, population)
+
+
+def check_pattern_extremality(
+    c: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> ExtremalityReport:
+    """Check the closed-form patterns against graphical enumeration (any c >= 0)."""
+    patterns = parametric_extremal_family(c, n)
+    klass = CyclomaticClass(c=c, n=n)
+    population = graphical_class_sequences(klass, cap)
+    return _extremality_report(klass, patterns.maximals, patterns.minimal, population)

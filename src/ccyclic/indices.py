@@ -122,7 +122,3 @@ def evaluate(index: IndexSpec, seq) -> IndexValue:
     exponent = float(index.alpha)
     return IndexValue(sum(d**exponent for d in degrees), exact=False)
 
-
-def schur_class(index: IndexSpec) -> SchurClass:
-    """Schur classification of the index (convexity along the majorization order)."""
-    return index.schur_class

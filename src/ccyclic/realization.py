@@ -193,7 +193,8 @@ def export_dot(graph: SimpleGraph, label: str = "") -> str:
     edges = sorted(_edge(relabel[u], relabel[v]) for u, v in graph.edges)
     lines = ["graph G {"]
     if label:
-        lines.append(f'  label="{label}";')
+        escaped = label.replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  label="{escaped}";')
     for v in range(graph.n):
         lines.append(f"  {v};")
     for u, v in edges:

@@ -18,7 +18,7 @@ from ccyclic.bounds import (
     verify_bounds,
     with_verification,
 )
-from ccyclic.degree_sequences import CyclomaticClass, min_order
+from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, min_order
 from ccyclic.indices import IndexSpec, SchurClass
 
 
@@ -142,21 +142,24 @@ class TestRefinedBound:
 
 class TestVerifyBounds:
     def test_tricyclic_inverse_degree(self):
-        assert verify_bounds(CyclomaticClass(c=3, n=8), RHO).status == EXACT_MATCH
+        klass = CyclomaticClass(c=3, n=8)
+        assert verify_bounds(klass, RHO, enumerate_sequences(klass)).status == EXACT_MATCH
 
     def test_forced_single_sequence(self):
-        outcome = verify_bounds(CyclomaticClass(c=3, n=4), IndexSpec.general_zagreb(2))
+        klass = CyclomaticClass(c=3, n=4)
+        outcome = verify_bounds(klass, IndexSpec.general_zagreb(2), enumerate_sequences(klass))
         assert outcome.status == EXACT_MATCH
         assert outcome.minimum.value == outcome.maximum.value == 36
 
     def test_pentacyclic_first_zagreb(self):
-        outcome = verify_bounds(CyclomaticClass(c=5, n=9), IndexSpec.general_zagreb(2))
+        klass = CyclomaticClass(c=5, n=9)
+        outcome = verify_bounds(klass, IndexSpec.general_zagreb(2), enumerate_sequences(klass))
         assert outcome.status == EXACT_MATCH
         assert outcome.minimizers == ((3, 3, 3, 3, 3, 3, 3, 3, 2),)
 
     def test_cap_yields_skipped(self):
-        outcome = verify_bounds(CyclomaticClass(c=1, n=20), RHO, cap=12)
-        assert outcome.status == SKIPPED
+        report = with_verification(bounds(CyclomaticClass(c=1, n=20), RHO), cap=12)
+        assert report.verified == SKIPPED
 
     def test_with_verification_attaches_status(self):
         report = with_verification(bounds(CyclomaticClass(c=2, n=7), RHO))
@@ -165,8 +168,9 @@ class TestVerifyBounds:
     def test_log_index_small_orders(self):
         for c in range(7):
             for n in range(min_order(c), 9):
+                klass = CyclomaticClass(c=c, n=n)
                 outcome = verify_bounds(
-                    CyclomaticClass(c=c, n=n), IndexSpec.mult_zagreb_log()
+                    klass, IndexSpec.mult_zagreb_log(), enumerate_sequences(klass)
                 )
                 assert outcome.status == EXACT_MATCH, (c, n)
 

@@ -1,9 +1,11 @@
 """CLI behavior: output formats, determinism, and exit codes."""
 
 import json
+import sys
 
 import pytest
 
+from ccyclic import degree_sequences
 from ccyclic.cli import main
 
 
@@ -163,6 +165,34 @@ class TestVerify:
         code, _, err = run(capsys, "verify")
         assert code == 1
 
+    def test_negative_cap_is_a_usage_error(self, capsys):
+        for argv in (
+            ["verify", "--n", "6", "--cap", "-1"],
+            ["bounds", "--n", "6", "--c", "1", "--index", "inverse-degree", "--verify",
+             "--cap", "-1"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err == "error: --cap must be nonnegative, got -1\n"
+
+    def test_enumerates_each_class_once(self, capsys, monkeypatch):
+        original = degree_sequences.candidate_sequences
+        created = []
+
+        def counting(n, total):
+            created.append((n, total))
+            return original(n, total)
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.split(".")[0] == "ccyclic":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        code, out, _ = run(capsys, "verify", "--n", "8", "--c", "0..6")
+        assert code == 0
+        assert "summary: 42 checks, 42 ok, 0 mismatched, skipped=no" in out
+        assert len(created) == len(set(created)) == 7
+
 
 class TestRealize:
     def test_check_c_success(self, capsys):
@@ -181,6 +211,11 @@ class TestRealize:
         code, _, err = run(capsys, "realize", "--seq", "3,1,1")
         assert code == 1
         assert "not graphical" in err
+
+    def test_label_is_escaped(self, capsys):
+        code, out, _ = run(capsys, "realize", "--seq", "2,2,2", "--label", 'a"b\\c')
+        assert code == 0
+        assert out.splitlines()[1] == '  label="a\\"b\\\\c";'
 
     def test_check_c_mismatch_exit(self, capsys):
         code, _, err = run(
@@ -205,6 +240,12 @@ class TestDeterminismAndOutput:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("n,c,index,alpha,")
+
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.txt"
+        code, out, err = run(capsys, "extremal", "--n", "5", "--c", "1", "--output", str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

@@ -238,8 +238,21 @@ class TestExtremalFamily:
     def test_extremality_against_enumeration(self):
         for c in range(7):
             for n in range(min_order(c), 10):
-                report = check_family_extremality(CyclomaticClass(c=c, n=n))
-                assert report.ok, (c, n, report)
+                klass = CyclomaticClass(c=c, n=n)
+                report = check_family_extremality(klass, enumerate_sequences(klass))
+                assert report.ok and report.complete, (c, n, report)
+
+    def test_extremality_catches_a_dominating_intruder(self):
+        klass = CyclomaticClass(c=3, n=8)
+        maximals = extremal_family(klass).maximals
+        assert maximals == ((7, 4, 2, 2, 2, 1, 1, 1), (7, 3, 3, 3, 1, 1, 1, 1))
+        # Neither is a class member; each strictly majorizes both maximals.
+        first, second = (7, 5, 2, 2, 1, 1, 1, 1), (7, 4, 3, 2, 1, 1, 1, 1)
+        population = enumerate_sequences(klass)
+        report = check_family_extremality(klass, population + [first, second])
+        assert report.not_below_any_maximal == (first, second)
+        assert report.dominated_patterns == ((maximals[0], first), (maximals[1], first))
+        assert not report.ok and not report.complete
 
 
 class TestParametricPatterns:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from ccyclic.indices import IndexSpec, SchurClass, evaluate, schur_class
+from ccyclic.indices import IndexSpec, SchurClass, evaluate
 
 from oracles import random_nonincreasing, transfer_down
 from strategies import degree_sequences
@@ -59,11 +59,11 @@ class TestEvaluate:
 
 class TestSchurClass:
     def test_classification_table(self):
-        assert schur_class(IndexSpec.general_zagreb(2)) is SchurClass.CONVEX
-        assert schur_class(IndexSpec.general_zagreb(-1)) is SchurClass.CONVEX
-        assert schur_class(IndexSpec.general_zagreb(Fraction(1, 2))) is SchurClass.CONCAVE
-        assert schur_class(IndexSpec.inverse_degree()) is SchurClass.CONVEX
-        assert schur_class(IndexSpec.mult_zagreb_log()) is SchurClass.CONCAVE
+        assert IndexSpec.general_zagreb(2).schur_class is SchurClass.CONVEX
+        assert IndexSpec.general_zagreb(-1).schur_class is SchurClass.CONVEX
+        assert IndexSpec.general_zagreb(Fraction(1, 2)).schur_class is SchurClass.CONCAVE
+        assert IndexSpec.inverse_degree().schur_class is SchurClass.CONVEX
+        assert IndexSpec.mult_zagreb_log().schur_class is SchurClass.CONCAVE
 
     @pytest.mark.parametrize("alpha", [0, 1])
     def test_excluded_exponents(self, alpha):

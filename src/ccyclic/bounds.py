@@ -29,7 +29,7 @@ from .degree_sequences import (
     enumerate_sequences,
     extremal_family,
 )
-from .formatting import format_decimal, format_fraction, plain_sequence
+from .formatting import format_decimal, format_fraction, format_index_value, plain_sequence
 from .indices import GENERAL_ZAGREB, IndexSpec, IndexValue, SchurClass, evaluate
 
 ORIENTATION_NOTE = (
@@ -58,6 +58,8 @@ class BoundsReport:
     candidates: tuple = ()
     verified: Optional[str] = None
     notes: tuple = ()
+    #: refined inverse-degree upper bound, set only when it was asked for
+    refined_upper: Optional[IndexValue] = None
 
 
 def _pick(pairs, want_max: bool):
@@ -216,14 +218,14 @@ class OracleOutcome:
     maximizers: tuple
 
 
-def verify_bounds(klass: CyclomaticClass, index: IndexSpec, population) -> OracleOutcome:
-    """Compare the true extrema over ``population``, the enumerated class, with :func:`bounds`."""
+def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
+    """Compare the report's bounds and attainers with the extrema over its enumerated class."""
+    index = report.index
     values = [(seq, evaluate(index, seq)) for seq in population]
     minimum = IndexValue(min(v.value for _, v in values), exact=index.exact)
     maximum = IndexValue(max(v.value for _, v in values), exact=index.exact)
     minimizers = tuple(s for s, v in values if v.matches(minimum))
     maximizers = tuple(s for s, v in values if v.matches(maximum))
-    report = bounds(klass, index)
     ok = (
         report.lower.matches(minimum)
         and report.upper.matches(maximum)
@@ -247,7 +249,7 @@ def with_verification(
         population = enumerate_sequences(report.klass, cap)
     except EnumerationCapError:
         return replace(report, verified=SKIPPED)
-    outcome = verify_bounds(report.klass, report.index, population)
+    outcome = verify_bounds(report, population)
     return replace(report, verified=outcome.status)
 
 
@@ -302,7 +304,7 @@ CSV_FIELDS = (
 def report_row(report: BoundsReport) -> dict:
     """Flatten a report into the line-oriented schema (all values strings)."""
     index = report.index
-    return {
+    row = {
         "n": str(report.klass.n),
         "c": str(report.klass.c),
         "index": index.kind,
@@ -315,27 +317,28 @@ def report_row(report: BoundsReport) -> dict:
         "upper_attainer": plain_sequence(report.upper_attainer),
         "verified": report.verified or "",
     }
+    if report.refined_upper is not None:
+        row["refined_upper_exact"] = format_index_value(report.refined_upper)
+    return row
 
 
-def reports_to_csv(reports, extra_fields: dict = None) -> str:
-    """CSV document with a header row; ``extra_fields`` maps field -> per-report value."""
-    extra = extra_fields or {}
-    fields = CSV_FIELDS + tuple(extra)
+def reports_to_csv(reports) -> str:
+    """CSV document with a header row; the refined column appears when any report has it."""
+    rows = [report_row(report) for report in reports]
+    fields = CSV_FIELDS
+    if any("refined_upper_exact" in row for row in rows):
+        fields += ("refined_upper_exact",)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for report in reports:
-        row = report_row(report)
-        for field, getter in extra.items():
-            row[field] = getter(report)
-        writer.writerow(row)
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
 def report_to_json_dict(report: BoundsReport) -> dict:
     """Structured-document form of a report (lists for sequences, strings for numbers)."""
     row = report_row(report)
-    return {
+    doc = {
         "n": report.klass.n,
         "c": report.klass.c,
         "index": report.index.kind,
@@ -353,3 +356,6 @@ def report_to_json_dict(report: BoundsReport) -> dict:
         "verified": report.verified,
         "notes": list(report.notes),
     }
+    if report.refined_upper is not None:
+        doc["refined_upper"] = row["refined_upper_exact"]
+    return doc

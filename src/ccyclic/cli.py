@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,7 +41,7 @@ from .degree_sequences import (
     min_order,
 )
 from .formatting import format_index_value, format_sequence, plain_sequence
-from .indices import IndexSpec, SchurClass
+from .indices import INVERSE_DEGREE, IndexSpec, SchurClass
 from .realization import cyclomatic_number, export_dot, realize
 
 EXIT_OK = 0
@@ -167,7 +167,7 @@ def cmd_extremal(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _render_bounds_text(report, refined) -> list:
+def _render_bounds_text(report) -> list:
     lines = [
         f"n={report.klass.n} c={report.klass.c} index={report.index.label}",
         f"  lower: {format_index_value(report.lower)} at {format_sequence(report.lower_attainer)}",
@@ -184,10 +184,10 @@ def _render_bounds_text(report, refined) -> list:
             mark = " [binding]" if seq == binding else ""
             rendered.append(f"{format_sequence(seq)} -> {format_index_value(val)}{mark}")
         lines.append("  candidates: " + "; ".join(rendered))
-    if refined is not None:
+    if report.refined_upper is not None:
         lines.append(
             "  refined upper (when the (c+2)-th degree is at least 2): "
-            + format_index_value(refined)
+            + format_index_value(report.refined_upper)
         )
     if report.verified:
         lines.append(f"  verified: {report.verified}")
@@ -198,45 +198,26 @@ def _render_bounds_text(report, refined) -> list:
 
 def cmd_bounds(args) -> int:
     index = _index_from_args(args)
+    if args.refined and index.kind != INVERSE_DEGREE:
+        raise _UsageError("--refined applies only to --index inverse-degree")
     cap = _checked_cap(args.cap)
     reports = []
-    refined_values = []
     for c in _parse_range(args.c):
         klass = CyclomaticClass(c=c, n=args.n)
         report = annotate_orientation(bounds(klass, index))
         if args.verify:
             report = with_verification(report, cap)
-        refined = None
         if args.refined:
-            refined = refined_inverse_degree_upper(klass)
+            report = replace(report, refined_upper=refined_inverse_degree_upper(klass))
         reports.append(report)
-        refined_values.append(refined)
 
     if args.format == "json":
-        docs = []
-        for report, refined in zip(reports, refined_values):
-            doc = report_to_json_dict(report)
-            if refined is not None:
-                doc["refined_upper"] = format_index_value(refined)
-            docs.append(doc)
+        docs = [report_to_json_dict(report) for report in reports]
         _emit(json.dumps(docs, indent=2) + "\n", args.output)
     elif args.format == "csv":
-        extra = {}
-        if args.refined:
-            refined_by_c = {
-                report.klass.c: value
-                for report, value in zip(reports, refined_values)
-            }
-            extra["refined_upper_exact"] = lambda r: (
-                format_index_value(refined_by_c[r.klass.c])
-                if refined_by_c[r.klass.c] is not None
-                else ""
-            )
-        _emit(reports_to_csv(reports, extra_fields=extra), args.output)
+        _emit(reports_to_csv(reports), args.output)
     else:
-        lines = []
-        for report, refined in zip(reports, refined_values):
-            lines.extend(_render_bounds_text(report, refined))
+        lines = [line for report in reports for line in _render_bounds_text(report)]
         _emit("\n".join(lines) + "\n", args.output)
 
     return _exit_code(report.verified for report in reports)
@@ -351,7 +332,7 @@ def cmd_verify(args) -> int:
             records.append(CheckRecord("extremality", c, n, status, report.sequence_count))
 
             for index in VERIFY_INDICES:
-                matched = verify_bounds(klass, index, population).status == EXACT_MATCH
+                matched = verify_bounds(bounds(klass, index), population).status == EXACT_MATCH
                 lines.append(
                     f"bounds c={c} n={n} {index.label}: "
                     f"{EXACT_MATCH if matched else 'MISMATCH'}"
@@ -425,7 +406,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--alpha", help="exponent for general-zagreb (rational, not 0 or 1)")
     p.add_argument("--refined", action="store_true",
-                   help="also report the refined inverse-degree upper bound (c >= 3)")
+                   help="also report the refined upper bound (--index inverse-degree, c >= 3)")
     p.add_argument("--verify", action="store_true",
                    help="append the exhaustive-enumeration verdict")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,

@@ -116,6 +116,17 @@ def evaluate(index: IndexSpec, seq) -> IndexValue:
         return IndexValue(sum(Fraction(1, d) for d in degrees), exact=True)
     if index.kind == MULT_ZAGREB_LOG:
         return IndexValue(2.0 * sum(math.log(d) for d in degrees), exact=False)
+    if index.alpha > 0:
+        # Every report prints a float, so a power sum beyond the float range is
+        # rejected, before any exact power: Fraction(9) ** 10**400 never returns.
+        try:
+            exponent = float(index.alpha)
+            bound = len(degrees) * max(degrees) ** exponent
+            finite = bound < math.inf or math.fsum(d**exponent for d in degrees) < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("exponent too large: the power sum overflows a float")
     if index.alpha.denominator == 1:
         power = int(index.alpha)
         return IndexValue(sum(Fraction(d) ** power for d in degrees), exact=True)

@@ -191,7 +191,7 @@ def test_criterion_05_oracle_sharpness():
                 klass = CyclomaticClass(c=c, n=n)
                 population = enumerate_sequences(klass)
                 for index in indices:
-                    outcome = verify_bounds(klass, index, population)
+                    outcome = verify_bounds(bounds(klass, index), population)
                     assert outcome.status == EXACT_MATCH, (c, n, index.label)
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"oracle grid took {elapsed:.1f}s"
@@ -244,8 +244,8 @@ def test_criterion_09_orientation_finding(capsys):
         assert by_c[2].lower.value == 50 and by_c[2].upper.value == 104
         klass_1, klass_2 = CyclomaticClass(c=1, n=10), CyclomaticClass(c=2, n=10)
         zagreb = IndexSpec.general_zagreb(2)
-        oracle_1 = verify_bounds(klass_1, zagreb, enumerate_sequences(klass_1))
-        oracle_2 = verify_bounds(klass_2, zagreb, enumerate_sequences(klass_2))
+        oracle_1 = verify_bounds(bounds(klass_1, zagreb), enumerate_sequences(klass_1))
+        oracle_2 = verify_bounds(bounds(klass_2, zagreb), enumerate_sequences(klass_2))
         assert oracle_1.status == EXACT_MATCH and oracle_2.status == EXACT_MATCH
         assert (oracle_1.minimum.value, oracle_1.maximum.value) == (40, 96)
         assert (oracle_2.minimum.value, oracle_2.maximum.value) == (50, 104)

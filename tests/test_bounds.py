@@ -1,12 +1,14 @@
 """Tests for the bounds engine, closed forms, oracle verification, and serialization."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from ccyclic.bounds import (
     EXACT_MATCH,
+    MISMATCH,
     ORIENTATION_NOTE,
     SKIPPED,
     bounds,
@@ -19,7 +21,7 @@ from ccyclic.bounds import (
     with_verification,
 )
 from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, min_order
-from ccyclic.indices import IndexSpec, SchurClass
+from ccyclic.indices import IndexSpec, IndexValue, SchurClass
 
 
 def F(*args):
@@ -143,17 +145,21 @@ class TestRefinedBound:
 class TestVerifyBounds:
     def test_tricyclic_inverse_degree(self):
         klass = CyclomaticClass(c=3, n=8)
-        assert verify_bounds(klass, RHO, enumerate_sequences(klass)).status == EXACT_MATCH
+        assert verify_bounds(bounds(klass, RHO), enumerate_sequences(klass)).status == EXACT_MATCH
 
     def test_forced_single_sequence(self):
         klass = CyclomaticClass(c=3, n=4)
-        outcome = verify_bounds(klass, IndexSpec.general_zagreb(2), enumerate_sequences(klass))
+        outcome = verify_bounds(
+            bounds(klass, IndexSpec.general_zagreb(2)), enumerate_sequences(klass)
+        )
         assert outcome.status == EXACT_MATCH
         assert outcome.minimum.value == outcome.maximum.value == 36
 
     def test_pentacyclic_first_zagreb(self):
         klass = CyclomaticClass(c=5, n=9)
-        outcome = verify_bounds(klass, IndexSpec.general_zagreb(2), enumerate_sequences(klass))
+        outcome = verify_bounds(
+            bounds(klass, IndexSpec.general_zagreb(2)), enumerate_sequences(klass)
+        )
         assert outcome.status == EXACT_MATCH
         assert outcome.minimizers == ((3, 3, 3, 3, 3, 3, 3, 3, 2),)
 
@@ -170,9 +176,29 @@ class TestVerifyBounds:
             for n in range(min_order(c), 9):
                 klass = CyclomaticClass(c=c, n=n)
                 outcome = verify_bounds(
-                    klass, IndexSpec.mult_zagreb_log(), enumerate_sequences(klass)
+                    bounds(klass, IndexSpec.mult_zagreb_log()), enumerate_sequences(klass)
                 )
                 assert outcome.status == EXACT_MATCH, (c, n)
+
+    def test_tampered_closed_form_upper_is_a_mismatch(self):
+        report = closed_form_inverse_degree(CyclomaticClass(c=3, n=9))
+        assert with_verification(report).verified == EXACT_MATCH
+        tampered = replace(report, upper=IndexValue(F(999), exact=True))
+        assert with_verification(tampered).verified == MISMATCH
+
+    def test_tampered_lower_is_a_mismatch(self):
+        report = bounds(CyclomaticClass(c=2, n=7), IndexSpec.general_zagreb(2))
+        tampered = replace(report, lower=IndexValue(F(-5), exact=True))
+        assert with_verification(tampered).verified == MISMATCH
+
+    def test_non_minimizing_lower_attainer_is_a_mismatch(self):
+        klass = CyclomaticClass(c=2, n=7)
+        report = bounds(klass, RHO)
+        population = enumerate_sequences(klass)
+        minimizers = verify_bounds(report, population).minimizers
+        intruder = next(seq for seq in population if seq not in minimizers)
+        tampered = replace(report, lower_attainer=intruder)
+        assert with_verification(tampered).verified == MISMATCH
 
 
 class TestBoundsTable:
@@ -222,6 +248,19 @@ class TestSerialization:
         assert doc["alpha"] == "2"
         assert doc["lower_attainer"] == [3, 3, 3, 3, 2, 2, 2, 2]
         assert len(doc["candidates"]) == 2
+
+    def test_refined_upper_only_when_set(self):
+        klass = CyclomaticClass(c=3, n=8)
+        plain = bounds(klass, RHO)
+        refined = replace(plain, refined_upper=refined_inverse_degree_upper(klass))
+        assert "refined_upper_exact" not in reports_to_csv([plain])
+        header, row = reports_to_csv([refined]).splitlines()
+        assert header.endswith(",verified,refined_upper_exact")
+        assert row.endswith(",137/28 (4.89285714286)")
+        assert "refined_upper" not in report_to_json_dict(plain)
+        assert list(report_to_json_dict(refined).items())[-1] == (
+            "refined_upper", "137/28 (4.89285714286)"
+        )
 
     def test_inexact_index_blank_exact_columns(self):
         report = bounds(CyclomaticClass(c=1, n=6), IndexSpec.mult_zagreb_log())

@@ -1,7 +1,10 @@
 """CLI behavior: output formats, determinism, and exit codes."""
 
 import json
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +85,13 @@ class TestBounds:
         assert "refined upper" in out
         assert "137/28 (4.89285714286)" in out
 
+    def test_refined_needs_inverse_degree(self, capsys):
+        code, out, err = run(
+            capsys, "bounds", "--n", "10", "--c", "3", "--alpha", "2", "--refined"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --refined applies only to --index inverse-degree\n"
+
     def test_verify_appends_verdict(self, capsys):
         code, out, _ = run(
             capsys,
@@ -124,6 +134,61 @@ class TestBounds:
         docs = json.loads(out)
         assert [d["c"] for d in docs] == [1, 2]
         assert docs[0]["lower_exact"] == "40"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _limit_memory():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def run_isolated(*argv):
+    """Run the CLI in a child process under a memory limit and a time limit.
+
+    A run that never finishes raises ``subprocess.TimeoutExpired`` and fails
+    the test instead of stalling the suite.
+    """
+    return subprocess.run(
+        [sys.executable, "-m", "ccyclic.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_memory,
+        env={"PYTHONPATH": str(SRC)},
+    )
+
+
+class TestExponentOverflow:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "10", "--c", "1", "--alpha", "1000000/3"),
+            ("--n", "10", "--c", "1", "--alpha", "400"),
+            ("--n", "10", "--c", "1", "--alpha", "1e400"),
+            # the largest power fits a float here, but the sum over the
+            # maximal sequence (6, 6, 3, 3, 2, 2, 2) does not
+            ("--n", "7", "--c", "6", "--alpha", "396"),
+        ],
+    )
+    def test_rejected_with_one_line(self, argv):
+        result = run_isolated("bounds", *argv)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: exponent too large: the power sum overflows a float\n"
+
+    def test_large_exponents_within_range_still_print(self, capsys):
+        code, out, _ = run(
+            capsys, "bounds", "--n", "8", "--c", "1..6", "--alpha", "1000/3", "--verify"
+        )
+        assert code == 0
+        assert "upper: 5.00433842115e+281 at [7, 2^2, 1^5]" in out
+        assert out.count("verified: exact-match") == 6
+        code, out, _ = run(capsys, "bounds", "--n", "10", "--c", "1", "--alpha=-400")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[1].endswith(" (3.87259191485e-120) at [2^10]")
+        assert lines[2].endswith(" (7) at [9, 2^2, 1^7]")
 
 
 class TestVerify:

@@ -1,0 +1,99 @@
+"""Bounded fuzz of the CLI: any argv from a small hostile grammar ends cleanly.
+
+Every run must return an exit code in {0, 1, 2, 3} without an exception
+escaping ``main``, and a second run of the same argv must print the same
+stdout.  Orders stay at n <= 9 because the CLI has no work budget yet: the
+enumeration cap bounds the order, not the number of candidates visited, and
+``extremal`` has no bound on n at all (ROADMAP items 4f and 4g).  The bound
+keeps this test under a few seconds; it does not mean larger orders are
+handled well.
+"""
+
+import contextlib
+import io
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from ccyclic.cli import main
+
+ORDERS = st.integers(0, 9).map(str)
+CYCLES = st.integers(-1, 8).map(str)
+HOSTILE_TEXT = st.sampled_from(["", "x", "1..", "..", "3..1", "1..2..3", "1.5", "-"])
+CYCLE_TEXT = st.one_of(
+    st.integers(0, 6).map(str),
+    CYCLES,
+    st.tuples(st.integers(-1, 8), st.integers(-1, 8)).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+    HOSTILE_TEXT,
+)
+ALPHAS = st.sampled_from(["0", "1", "x", "1e400", "1000000/3", "-1/2", "2", "1/2", "-1"])
+CAPS = st.integers(-1, 9).map(str)
+SEQUENCES = st.one_of(
+    st.lists(st.integers(-1, 9), min_size=1, max_size=9).map(
+        lambda ds: ",".join(map(str, sorted(ds, reverse=True)))
+    ),
+    st.lists(st.integers(0, 9), min_size=1, max_size=9).map(lambda ds: ",".join(map(str, ds))),
+    st.sampled_from(["", ",", "3,,1", "a", "2,2,2", "3,3,2,2,2", "7,3,3,3,1,1,1,1"]),
+)
+FORMATS = st.sampled_from(["text", "csv", "json", "text", "csv", "json", "yaml"])
+#: index options: mostly well-formed pairs, then any index with any exponent
+INDEX_OPTIONS = st.one_of(
+    ALPHAS.map(lambda alpha: ["--index=general-zagreb", f"--alpha={alpha}"]),
+    st.just(["--index=inverse-degree"]),
+    st.just(["--index=mult-zagreb-log"]),
+    st.tuples(
+        st.sampled_from(["general-zagreb", "inverse-degree", "mult-zagreb-log", "wiener"]),
+        ALPHAS,
+    ).map(lambda pair: [f"--index={pair[0]}", f"--alpha={pair[1]}"]),
+)
+
+
+def _option(draw, name, values):
+    """``--name=value`` half of the time, otherwise nothing."""
+    return [f"--{name}={draw(values)}"] if draw(st.booleans()) else []
+
+
+def _flag(draw, name):
+    return [f"--{name}"] if draw(st.booleans()) else []
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["extremal", "bounds", "verify", "realize"]))
+    argv = [command]
+    if command == "extremal":
+        argv += [f"--n={draw(ORDERS)}", f"--c={draw(st.one_of(CYCLES, HOSTILE_TEXT))}"]
+        argv += _option(draw, "format", FORMATS)
+    elif command == "bounds":
+        argv += [f"--n={draw(ORDERS)}", f"--c={draw(CYCLE_TEXT)}"]
+        argv += draw(INDEX_OPTIONS)
+        argv += draw(st.sampled_from([[], [], [], ["--refined"]])) + _flag(draw, "verify")
+        argv += _option(draw, "cap", CAPS) + _option(draw, "format", FORMATS)
+    elif command == "verify":
+        argv += _option(draw, "n", ORDERS) + _option(draw, "n-max", ORDERS)
+        argv += _option(draw, "c", CYCLE_TEXT)
+        argv += _flag(draw, "equivalence-only") + _flag(draw, "conjecture")
+        argv += _option(draw, "cap", CAPS)
+    else:
+        argv += [f"--seq={draw(SEQUENCES)}"]
+        argv += _option(draw, "check-c", CYCLES)
+        argv += _option(draw, "label", st.sampled_from(["", 'a"b', "x\\y"]))
+    return [command] + draw(st.permutations(argv[1:]))
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=800)
+@given(argvs())
+def test_any_argv_ends_in_a_documented_exit_code(argv):
+    code, out, err = _run(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert _run(argv)[1] == out, argv

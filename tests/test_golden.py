@@ -48,6 +48,8 @@ CASES = {
         "bounds", "--n", "14", "--c", "1", "--index", "inverse-degree", "--verify",
         "--cap", "12",
     ],
+    "bounds-refined-usage-error": ["bounds", "--n", "10", "--c", "3", "--alpha", "2", "--refined"],
+    "bounds-alpha-overflow": ["bounds", "--n", "10", "--c", "1", "--alpha", "1000000/3"],
     "verify-n-max-8": ["verify", "--n-max", "8"],
     "verify-equivalence-only": ["verify", "--n-max", "10", "--equivalence-only"],
     "verify-conjecture": ["verify", "--conjecture", "--n-max", "11", "--c", "7..8"],

@@ -53,6 +53,7 @@ CASES = {
     "verify-n-max-8": ["verify", "--n-max", "8"],
     "verify-equivalence-only": ["verify", "--n-max", "10", "--equivalence-only"],
     "verify-conjecture": ["verify", "--conjecture", "--n-max", "11", "--c", "7..8"],
+    "verify-conjecture-c5-6": ["verify", "--conjecture", "--c", "5..6", "--n-max", "9"],
     "verify-conjecture-cap-skip": ["verify", "--conjecture", "--n-max", "10", "--c", "7", "--cap", "9"],
     "verify-cap-skip": ["verify", "--n-max", "9", "--c", "2..3", "--cap", "8"],
     "verify-c7-usage-error": ["verify", "--n", "10", "--c", "7"],

@@ -2,20 +2,25 @@
 """Probe whether the closed-form extremal patterns survive beyond six cycles.
 
 Usage:
-    python scripts/conjecture_scan.py [--c-max C] [--n-max N]
+    python scripts/conjecture_scan.py [--c-max C] [--n-max N] [--cap K]
 
 For each c up to C (default 9) and each feasible order up to N (default 12),
 enumerates every graphical degree sequence with sum 2(n + c - 1) and checks
 that no sequence strictly majorizes a closed-form maximal pattern and that
 the balanced minimal pattern minorizes everything.  For c <= 6 these are
-theorems; beyond that the scan reports conjecture status.
+theorems; beyond that the scan reports conjecture status.  Orders above the
+enumeration cap K (default 14) are reported as skipped.
+
+Exit codes: 0 when every order was scanned, 3 when one was skipped.
 """
 
 import argparse
 import sys
 
 from ccyclic.degree_sequences import (
+    CyclomaticClass,
     check_pattern_extremality,
+    enumerate_sequences,
     min_order,
     parametric_extremal_family,
 )
@@ -30,12 +35,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     failures = 0
+    skipped = False
     for c in range(7, args.c_max + 1):
         for n in range(min_order(c), args.n_max + 1):
             patterns = parametric_extremal_family(c, n)
             if not patterns.maximals and patterns.minimal is None:
                 continue
-            report = check_pattern_extremality(c, n, cap=args.cap)
+            if n > args.cap:
+                print(f"c={c} n={n}: skipped (enumeration cap {args.cap})")
+                skipped = True
+                continue
+            klass = CyclomaticClass(c=c, n=n)
+            report = check_pattern_extremality(klass, enumerate_sequences(klass, args.cap))
             status = "holds" if report.ok else "FAILS"
             if not report.ok:
                 failures += 1
@@ -52,7 +63,7 @@ def main(argv=None) -> int:
             for seq in report.not_above_minimal[:3]:
                 print(f"    minimal fails below {format_sequence(seq)}")
     print(f"done; {failures} failing (c, n) pairs")
-    return 0
+    return 3 if skipped else 0
 
 
 if __name__ == "__main__":

@@ -232,13 +232,18 @@ def candidate_sequences(n: int, total: int) -> Iterator[tuple]:
 def enumerate_sequences(
     klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list:
-    """Every degree sequence of the class, in descending lexicographic order."""
+    """Every degree sequence of the class, in descending lexicographic order.
+
+    Membership is the counting form where it is proven (c <= 6) and
+    Erdos-Gallai graphicality beyond that.
+    """
     if klass.n > cap:
         raise EnumerationCapError(f"order {klass.n} exceeds enumeration cap {cap}")
+    graphical = klass.c > MAX_SUPPORTED_CYCLES
     return [
         seq
         for seq in candidate_sequences(klass.n, klass.degree_total)
-        if is_ccyclic_sequence(seq, klass)
+        if (is_graphical(seq) if graphical else is_ccyclic_sequence(seq, klass))
     ]
 
 
@@ -249,8 +254,8 @@ def graphical_class_sequences(
 
     A positive sequence with sum ``2(n + c - 1)`` is the degree sequence of a
     connected graph with c independent cycles iff it is graphical, so this
-    enumeration needs no per-c characterization.  For c <= 6 it agrees with
-    :func:`enumerate_sequences`.
+    enumeration needs no per-c characterization.  It is the independent
+    reference that :func:`enumerate_sequences` is tested against.
     """
     if klass.n > cap:
         raise EnumerationCapError(f"order {klass.n} exceeds enumeration cap {cap}")
@@ -268,11 +273,15 @@ def graphical_class_sequences(
 
 @dataclass(frozen=True)
 class ExtremalFamily:
-    """Maximal degree sequences (pairwise incomparable) and the unique minimal one."""
+    """Maximal degree sequences (pairwise incomparable) and the unique minimal one.
+
+    ``minimal`` is None only for a closed-form pattern family whose minimal
+    pattern is undefined at the order (see :func:`parametric_extremal_family`).
+    """
 
     klass: CyclomaticClass
     maximals: tuple
-    minimal: tuple
+    minimal: Optional[tuple]
 
 
 def class_boxes(klass: CyclomaticClass) -> list:
@@ -365,22 +374,6 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PatternFamily:
-    """Extremal candidates written directly in terms of the cyclomatic number.
-
-    Proven extremal for c <= 6; offered for larger c as a conjecture to be
-    checked against enumeration.  A pattern whose exponents turn negative or
-    whose entries leave [1, n-1] at the given order is omitted, and the
-    minimal pattern additionally needs c >= 1 and 2c - 2 <= n.
-    """
-
-    c: int
-    n: int
-    maximals: tuple
-    minimal: Optional[tuple]
-
-
 def _valid_pattern(seq: tuple, n: int, degree_total: int) -> bool:
     if len(seq) != n or sum(seq) != degree_total:
         return False
@@ -389,13 +382,18 @@ def _valid_pattern(seq: tuple, n: int, degree_total: int) -> bool:
     return 1 <= seq[-1] and seq[0] <= n - 1
 
 
-def parametric_extremal_family(c: int, n: int) -> PatternFamily:
-    """Instantiate the closed-form extremal patterns at (c, n)."""
-    if c < 0:
-        raise ValueError("cyclomatic number must be nonnegative")
-    if n < min_order(c):
-        raise ValueError(f"order {n} below the minimum {min_order(c)} for c={c}")
-    degree_total = 2 * (n + c - 1)
+def parametric_extremal_family(c: int, n: int) -> ExtremalFamily:
+    """Instantiate the closed-form extremal patterns at (c, n).
+
+    The patterns are written directly in terms of the cyclomatic number:
+    proven extremal for c <= 6, offered for larger c as a conjecture to be
+    checked against enumeration.  A pattern whose exponents turn negative or
+    whose entries leave [1, n-1] at the given order is omitted, and the
+    minimal pattern (None when omitted) additionally needs c >= 1 and
+    2c - 2 <= n.
+    """
+    klass = CyclomaticClass(c=c, n=n)
+    degree_total = klass.degree_total
     maximals = []
 
     def push(*parts):
@@ -415,7 +413,7 @@ def parametric_extremal_family(c: int, n: int) -> PatternFamily:
         seq = (3,) * (2 * c - 2) + (2,) * (n - 2 * c + 2)
         if _valid_pattern(seq, n, degree_total):
             minimal = seq
-    return PatternFamily(c=c, n=n, maximals=tuple(maximals), minimal=minimal)
+    return ExtremalFamily(klass=klass, maximals=tuple(maximals), minimal=minimal)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +456,8 @@ class ExtremalityReport:
         return self.ok and not self.not_below_any_maximal
 
 
-def _extremality_report(klass, maximals, minimal, population) -> ExtremalityReport:
+def _extremality_report(family: ExtremalFamily, population) -> ExtremalityReport:
+    maximals, minimal = family.maximals, family.minimal
     pop = set(population)
     members_valid = all(seq in pop for seq in maximals) and (
         minimal is None or minimal in pop
@@ -490,8 +489,8 @@ def _extremality_report(klass, maximals, minimal, population) -> ExtremalityRepo
         else ()
     )
     return ExtremalityReport(
-        c=klass.c,
-        n=klass.n,
+        c=family.klass.c,
+        n=family.klass.n,
         sequence_count=len(population),
         members_valid=members_valid,
         pairwise_incomparable=incomparable,
@@ -505,15 +504,9 @@ def _extremality_report(klass, maximals, minimal, population) -> ExtremalityRepo
 
 def check_family_extremality(klass: CyclomaticClass, population) -> ExtremalityReport:
     """Check the extremal family against ``population``, the enumerated class."""
-    family = extremal_family(klass)
-    return _extremality_report(klass, family.maximals, family.minimal, population)
+    return _extremality_report(extremal_family(klass), population)
 
 
-def check_pattern_extremality(
-    c: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ExtremalityReport:
-    """Check the closed-form patterns against graphical enumeration (any c >= 0)."""
-    patterns = parametric_extremal_family(c, n)
-    klass = CyclomaticClass(c=c, n=n)
-    population = graphical_class_sequences(klass, cap)
-    return _extremality_report(klass, patterns.maximals, patterns.minimal, population)
+def check_pattern_extremality(klass: CyclomaticClass, population) -> ExtremalityReport:
+    """Check the closed-form patterns against ``population``, the enumerated class (any c)."""
+    return _extremality_report(parametric_extremal_family(klass.c, klass.n), population)

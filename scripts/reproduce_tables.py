@@ -8,13 +8,18 @@ Prints, for each cyclomatic number c = 0..6 at order N (default 11):
   * the maximal and minimal degree sequences of the class,
   * the inverse-degree closed-form bounds and the refined upper bound,
   * the general-Zagreb bounds at the chosen exponent (default 2),
-with an optional exhaustive-enumeration verdict per row.
+with an optional exhaustive-enumeration verdict per row.  N must be at
+least 8, so that the closed forms hold for every c.
+
+Exit codes: 0 success, 1 when N is below 8, 3 when --verify skipped a row
+above the enumeration cap.
 """
 
 import argparse
 import sys
 
 from ccyclic.bounds import (
+    SKIPPED,
     annotate_orientation,
     bounds,
     closed_form_inverse_degree,
@@ -34,7 +39,12 @@ def main(argv=None) -> int:
                         help="compare each bound against exhaustive enumeration")
     parser.add_argument("--cap", type=int, default=12)
     args = parser.parse_args(argv)
+    if args.n < 8:
+        print(f"error: --n must be at least 8 (n >= c + 2 for c <= 6), got {args.n}",
+              file=sys.stderr)
+        return 1
 
+    verdicts = []
     print(f"extremal degree sequences at n={args.n}")
     print("-" * 72)
     for c in range(7):
@@ -57,7 +67,8 @@ def main(argv=None) -> int:
             refined = refined_inverse_degree_upper(klass)
             line += f"  [refined upper {format_index_value(refined)}]"
         if args.verify:
-            line += f"  ({with_verification(closed, args.cap).verified})"
+            verdicts.append(with_verification(closed, args.cap).verified)
+            line += f"  ({verdicts[-1]})"
         print(line)
 
     index = IndexSpec.general_zagreb(args.alpha)
@@ -73,11 +84,12 @@ def main(argv=None) -> int:
             f"{format_index_value(row.upper)} at {format_sequence(row.upper_attainer)}"
         )
         if args.verify:
-            line += f"  ({with_verification(row, args.cap).verified})"
+            verdicts.append(with_verification(row, args.cap).verified)
+            line += f"  ({verdicts[-1]})"
         print(line)
         for note in row.notes:
             print(f"      note: {note}")
-    return 0
+    return 3 if SKIPPED in verdicts else 0
 
 
 if __name__ == "__main__":

@@ -219,7 +219,11 @@ class OracleOutcome:
 
 
 def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
-    """Compare the report's bounds and attainers with the extrema over its enumerated class."""
+    """Compare the report's bounds and attainers with the extrema over its enumerated class.
+
+    A report that carries ``refined_upper`` must also equal the largest
+    inverse degree over the members whose (c+2)-th largest degree is >= 2.
+    """
     index = report.index
     values = [(seq, evaluate(index, seq)) for seq in population]
     minimum = IndexValue(min(v.value for _, v in values), exact=index.exact)
@@ -232,6 +236,11 @@ def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
         and report.lower_attainer in minimizers
         and report.upper_attainer in maximizers
     )
+    if report.refined_upper is not None:
+        c, rho = report.klass.c, IndexSpec.inverse_degree()
+        spread = [evaluate(rho, s).value for s in population if len(s) > c + 1 and s[c + 1] >= 2]
+        refined = IndexValue(max(spread), exact=True) if spread else None
+        ok = ok and refined is not None and report.refined_upper.matches(refined)
     return OracleOutcome(
         status=EXACT_MATCH if ok else MISMATCH,
         minimum=minimum,

@@ -205,10 +205,10 @@ def cmd_bounds(args) -> int:
     for c in _parse_range(args.c):
         klass = CyclomaticClass(c=c, n=args.n)
         report = annotate_orientation(bounds(klass, index))
-        if args.verify:
-            report = with_verification(report, cap)
         if args.refined:
             report = replace(report, refined_upper=refined_inverse_degree_upper(klass))
+        if args.verify:
+            report = with_verification(report, cap)
         reports.append(report)
 
     if args.format == "json":

@@ -86,9 +86,7 @@ class CyclomaticClass:
     n: int
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("cyclomatic number must be nonnegative")
-        if self.n < min_order(self.c):
+        if self.n < min_order(self.c):  # min_order rejects a negative c
             raise ValueError(
                 f"no connected graph with {self.c} independent cycles has "
                 f"order {self.n} (need n >= {min_order(self.c)})"

@@ -9,13 +9,14 @@ Supported indices are the ones determined by the degree sequence alone:
 Power sums with convex ``d ** alpha`` (alpha < 0 or alpha > 1) are
 Schur-convex on positive vectors, those with 0 < alpha < 1 Schur-concave,
 and the log form is Schur-concave.  Integer exponents are evaluated in exact
-rational arithmetic; everything else is binary floating point with an
-absolute comparison tolerance of 1e-12.
+rational arithmetic; everything else is binary floating point with a
+relative comparison tolerance of 1e-12.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -101,10 +102,10 @@ class IndexValue:
         return float(self.value)
 
     def matches(self, other: "IndexValue") -> bool:
-        """Equality, exact where possible and within 1e-12 otherwise."""
+        """Equality, exact where possible and within a relative 1e-12 otherwise."""
         if self.exact and other.exact:
             return self.value == other.value
-        return abs(self.as_float() - other.as_float()) <= FLOAT_TOLERANCE
+        return math.isclose(self.as_float(), other.as_float(), rel_tol=FLOAT_TOLERANCE)
 
 
 def evaluate(index: IndexSpec, seq) -> IndexValue:
@@ -129,6 +130,13 @@ def evaluate(index: IndexSpec, seq) -> IndexValue:
             raise ValueError("exponent too large: the power sum overflows a float")
     if index.alpha.denominator == 1:
         power = int(index.alpha)
+        # Every report prints the exact value, so a power too long to print is
+        # rejected before it is taken: Fraction(9) ** -10**400 never returns.
+        # Python before 3.10.7 has no such limit (0 means none).
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        top = max(degrees)
+        if limit and top > 1 and abs(power) > limit / math.log10(top):
+            raise ValueError(f"exponent too large: an exact power would exceed {limit} digits")
         return IndexValue(sum(Fraction(d) ** power for d in degrees), exact=True)
     exponent = float(index.alpha)
     return IndexValue(sum(d**exponent for d in degrees), exact=False)

@@ -21,7 +21,7 @@ from ccyclic.bounds import (
     with_verification,
 )
 from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, min_order
-from ccyclic.indices import IndexSpec, IndexValue, SchurClass
+from ccyclic.indices import IndexSpec, IndexValue, SchurClass, evaluate
 
 
 def F(*args):
@@ -198,6 +198,28 @@ class TestVerifyBounds:
         minimizers = verify_bounds(report, population).minimizers
         intruder = next(seq for seq in population if seq not in minimizers)
         tampered = replace(report, lower_attainer=intruder)
+        assert with_verification(tampered).verified == MISMATCH
+
+    def test_refined_upper_is_checked(self):
+        for c in range(3, 7):
+            for n in range(c + 2, 10):
+                klass = CyclomaticClass(c=c, n=n)
+                refined = refined_inverse_degree_upper(klass)
+                report = replace(bounds(klass, RHO), refined_upper=refined)
+                assert with_verification(report).verified == EXACT_MATCH, (c, n)
+                tampered = replace(report, refined_upper=IndexValue(F(999), exact=True))
+                assert with_verification(tampered).verified == MISMATCH, (c, n)
+
+    def test_tiny_float_bounds_are_matched_relatively(self):
+        # every power sum here is about 1e-100, far below an absolute 1e-12
+        klass = CyclomaticClass(c=3, n=8)
+        index = IndexSpec.general_zagreb(F(-1001, 3))
+        report = bounds(klass, index)
+        assert report.lower_attainer == (3,) * 4 + (2,) * 4
+        assert with_verification(report).verified == EXACT_MATCH
+        wrong = (6,) + (2,) * 7
+        tampered = replace(report, lower=evaluate(index, wrong), lower_attainer=wrong)
+        assert tampered.lower.value > 1.7 * report.lower.value
         assert with_verification(tampered).verified == MISMATCH
 
 

@@ -177,6 +177,14 @@ class TestExponentOverflow:
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == "error: exponent too large: the power sum overflows a float\n"
 
+    @pytest.mark.parametrize("alpha", ["-1e400", "-5000"])
+    def test_exact_power_too_long_to_print_is_rejected(self, alpha):
+        result = run_isolated("bounds", "--n", "10", "--c", "1", f"--alpha={alpha}")
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            "error: exponent too large: an exact power would exceed 4300 digits\n"
+        )
+
     def test_large_exponents_within_range_still_print(self, capsys):
         code, out, _ = run(
             capsys, "bounds", "--n", "8", "--c", "1..6", "--alpha", "1000/3", "--verify"

@@ -62,7 +62,11 @@ CASES = {
     "realize-non-graphical": ["realize", "--seq", "3,1,1"],
     "realize-check-c-mismatch": ["realize", "--seq", "2,2,2", "--check-c", "2"],
     "script-reproduce-tables": ["scripts/reproduce_tables.py", "--n", "9", "--verify"],
+    "script-reproduce-tables-small-n": ["scripts/reproduce_tables.py", "--n", "5"],
     "script-conjecture-scan": ["scripts/conjecture_scan.py", "--c-max", "8", "--n-max", "11"],
+    "script-conjecture-scan-cap-skip": [
+        "scripts/conjecture_scan.py", "--c-max", "7", "--n-max", "15", "--cap", "8",
+    ],
 }
 
 
@@ -105,3 +109,11 @@ def test_output_file_equals_stdout(tmp_path):
     code, out, err = run_case(CASES["bounds-csv"] + ["--output", str(target)])
     assert (code, out, err) == (0, "", "")
     assert target.read_bytes() == (GOLDEN / "bounds-csv.out").read_bytes()
+
+
+def test_reproduce_tables_exits_3_on_a_skipped_row():
+    argv = CASES["script-reproduce-tables"] + ["--cap", "8"]
+    code, out, err = run_case(argv)
+    assert (code, err) == (3, "")
+    verified = (GOLDEN / "script-reproduce-tables.out").read_text()
+    assert out == verified.replace("(exact-match)", "(skipped)")

@@ -20,7 +20,7 @@ import sys
 from ccyclic.degree_sequences import (
     CyclomaticClass,
     check_pattern_extremality,
-    enumerate_sequences,
+    graphical_class_sequences,
     min_order,
     parametric_extremal_family,
 )
@@ -46,7 +46,7 @@ def main(argv=None) -> int:
                 skipped = True
                 continue
             klass = CyclomaticClass(c=c, n=n)
-            report = check_pattern_extremality(klass, enumerate_sequences(klass, args.cap))
+            report = check_pattern_extremality(klass, graphical_class_sequences(klass, args.cap))
             status = "holds" if report.ok else "FAILS"
             if not report.ok:
                 failures += 1

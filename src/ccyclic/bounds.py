@@ -30,7 +30,7 @@ from .degree_sequences import (
     extremal_family,
 )
 from .formatting import format_decimal, format_fraction, format_index_value, plain_sequence
-from .indices import GENERAL_ZAGREB, IndexSpec, IndexValue, SchurClass, evaluate
+from .indices import GENERAL_ZAGREB, INVERSE_DEGREE, IndexSpec, IndexValue, SchurClass, evaluate
 
 ORIENTATION_NOTE = (
     "orientation fixed by Schur-convexity (minimal sequence -> lower bound for "
@@ -216,13 +216,14 @@ class OracleOutcome:
     maximum: IndexValue
     minimizers: tuple
     maximizers: tuple
+    refined_maximum: Optional[IndexValue] = None  # set when refined_upper is checked
 
 
 def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
     """Compare the report's bounds and attainers with the extrema over its enumerated class.
 
-    A report that carries ``refined_upper`` must also equal the largest
-    inverse degree over the members whose (c+2)-th largest degree is >= 2.
+    ``refined_upper``, set only on an inverse-degree report, must equal the
+    largest value over the members whose (c+2)-th largest degree is >= 2.
     """
     index = report.index
     values = [(seq, evaluate(index, seq)) for seq in population]
@@ -236,10 +237,12 @@ def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
         and report.lower_attainer in minimizers
         and report.upper_attainer in maximizers
     )
+    refined = None
     if report.refined_upper is not None:
-        c, rho = report.klass.c, IndexSpec.inverse_degree()
-        spread = [evaluate(rho, s).value for s in population if len(s) > c + 1 and s[c + 1] >= 2]
-        refined = IndexValue(max(spread), exact=True) if spread else None
+        c = report.klass.c
+        spread = [v.value for s, v in values if len(s) > c + 1 and s[c + 1] >= 2]
+        if index.kind == INVERSE_DEGREE and spread:
+            refined = IndexValue(max(spread), exact=True)
         ok = ok and refined is not None and report.refined_upper.matches(refined)
     return OracleOutcome(
         status=EXACT_MATCH if ok else MISMATCH,
@@ -247,6 +250,7 @@ def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
         maximum=maximum,
         minimizers=minimizers,
         maximizers=maximizers,
+        refined_maximum=refined,
     )
 
 

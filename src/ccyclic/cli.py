@@ -33,8 +33,8 @@ from .degree_sequences import (
     candidate_sequences,
     check_family_extremality,
     check_pattern_extremality,
-    enumerate_sequences,
     extremal_family,
+    graphical_class_sequences,
     is_ccyclic_sequence,
     is_ccyclic_sequence_via_inequalities,
     is_graphical,
@@ -268,37 +268,50 @@ class CheckRecord:
     sequences: int  # candidates for equivalence, class members otherwise
 
 
+def _skip_over_cap(lines, records, label, check, c, n, cap) -> None:
+    lines.append(f"{label} c={c} n={n}: skipped (enumeration cap {cap})")
+    records.append(CheckRecord(check, c, n, SKIPPED, 0))
+
+
+def _verify_conjecture(args, cap: int) -> int:
+    lines = []
+    records = []
+    for c in _parse_range(args.c):
+        for n in _verify_orders(args, c):
+            if n > cap:
+                _skip_over_cap(lines, records, "CONJECTURE", "conjecture", c, n, cap)
+                continue
+            klass = CyclomaticClass(c=c, n=n)
+            report = check_pattern_extremality(klass, graphical_class_sequences(klass, cap))
+            status = "holds" if report.ok else "FAILS"
+            lines.append(
+                f"CONJECTURE c={c} n={n}: closed-form patterns extremal over "
+                f"{report.sequence_count} sequences: {status}"
+            )
+            records.append(CheckRecord("conjecture", c, n, status.lower(), report.sequence_count))
+    _emit("\n".join(lines) + "\n", args.output)
+    return _exit_code(record.status for record in records)
+
+
 def cmd_verify(args) -> int:
     if args.n is None and args.n_max is None:
         raise _UsageError("verify needs --n or --n-max")
     if args.n is not None and args.n_max is not None:
         raise _UsageError("give either --n or --n-max, not both")
     cap = _checked_cap(args.cap)
-    first_check = "CONJECTURE" if args.conjecture else "equivalence"
+    if args.conjecture:
+        return _verify_conjecture(args, cap)
     lines = []
     records = []
 
     for c in _parse_range(args.c):
-        if c > 6 and not args.conjecture:
+        if c > 6:
             raise _UsageError(f"c={c} has no proven characterization; use --conjecture")
         for n in _verify_orders(args, c):
             if n > cap:
-                lines.append(f"{first_check} c={c} n={n}: skipped (enumeration cap {cap})")
-                records.append(CheckRecord(first_check.lower(), c, n, SKIPPED, 0))
+                _skip_over_cap(lines, records, "equivalence", "equivalence", c, n, cap)
                 continue
             klass = CyclomaticClass(c=c, n=n)
-            if args.conjecture:
-                report = check_pattern_extremality(klass, enumerate_sequences(klass, cap))
-                status = "holds" if report.ok else "FAILS"
-                lines.append(
-                    f"CONJECTURE c={c} n={n}: closed-form patterns extremal over "
-                    f"{report.sequence_count} sequences: {status}"
-                )
-                records.append(
-                    CheckRecord("conjecture", c, n, status.lower(), report.sequence_count)
-                )
-                continue
-
             count, failures, population = _equivalence_check(klass)
             if failures:
                 seq, counting, inequalities, graphical = failures[0]
@@ -333,13 +346,12 @@ def cmd_verify(args) -> int:
                     CheckRecord(index.label, c, n, OK if matched else MISMATCH, len(population))
                 )
 
-    if not args.conjecture:
-        run = [record for record in records if record.status != SKIPPED]
-        ok_count = sum(record.status == OK for record in run)
-        lines.append(
-            f"summary: {len(run)} checks, {ok_count} ok, {len(run) - ok_count} mismatched, "
-            f"skipped={'yes' if len(run) < len(records) else 'no'}"
-        )
+    run = [record for record in records if record.status != SKIPPED]
+    ok_count = sum(record.status == OK for record in run)
+    lines.append(
+        f"summary: {len(run)} checks, {ok_count} ok, {len(run) - ok_count} mismatched, "
+        f"skipped={'yes' if len(run) < len(records) else 'no'}"
+    )
     _emit("\n".join(lines) + "\n", args.output)
     return _exit_code(record.status for record in records)
 

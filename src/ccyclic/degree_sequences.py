@@ -230,18 +230,13 @@ def candidate_sequences(n: int, total: int) -> Iterator[tuple]:
 def enumerate_sequences(
     klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list:
-    """Every degree sequence of the class, in descending lexicographic order.
-
-    Membership is the counting form where it is proven (c <= 6) and
-    Erdos-Gallai graphicality beyond that.
-    """
+    """Every degree sequence of the class, in descending lexicographic order."""
     if klass.n > cap:
         raise EnumerationCapError(f"order {klass.n} exceeds enumeration cap {cap}")
-    graphical = klass.c > MAX_SUPPORTED_CYCLES
     return [
         seq
         for seq in candidate_sequences(klass.n, klass.degree_total)
-        if (is_graphical(seq) if graphical else is_ccyclic_sequence(seq, klass))
+        if is_ccyclic_sequence(seq, klass)
     ]
 
 
@@ -252,8 +247,8 @@ def graphical_class_sequences(
 
     A positive sequence with sum ``2(n + c - 1)`` is the degree sequence of a
     connected graph with c independent cycles iff it is graphical, so this
-    enumeration needs no per-c characterization.  It is the independent
-    reference that :func:`enumerate_sequences` is tested against.
+    enumeration needs no per-c characterization.  For c <= 6 it agrees with
+    :func:`enumerate_sequences`.
     """
     if klass.n > cap:
         raise EnumerationCapError(f"order {klass.n} exceeds enumeration cap {cap}")
@@ -271,15 +266,11 @@ def graphical_class_sequences(
 
 @dataclass(frozen=True)
 class ExtremalFamily:
-    """Maximal degree sequences (pairwise incomparable) and the unique minimal one.
-
-    ``minimal`` is None only for a closed-form pattern family whose minimal
-    pattern is undefined at the order (see :func:`parametric_extremal_family`).
-    """
+    """Maximal degree sequences (pairwise incomparable) and the unique minimal one."""
 
     klass: CyclomaticClass
     maximals: tuple
-    minimal: Optional[tuple]
+    minimal: Optional[tuple]  # None only where a closed-form minimal pattern is undefined
 
 
 def class_boxes(klass: CyclomaticClass) -> list:
@@ -372,31 +363,27 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
 # ---------------------------------------------------------------------------
 
 
-def _valid_pattern(seq: tuple, n: int, degree_total: int) -> bool:
-    if len(seq) != n or sum(seq) != degree_total:
+def _valid_pattern(seq: tuple, klass: CyclomaticClass) -> bool:
+    if len(seq) != klass.n or sum(seq) != klass.degree_total:
         return False
     if any(a < b for a, b in zip(seq, seq[1:])):
         return False
-    return 1 <= seq[-1] and seq[0] <= n - 1
+    return 1 <= seq[-1] and seq[0] <= klass.n - 1
 
 
 def parametric_extremal_family(c: int, n: int) -> ExtremalFamily:
     """Instantiate the closed-form extremal patterns at (c, n).
 
-    The patterns are written directly in terms of the cyclomatic number:
-    proven extremal for c <= 6, offered for larger c as a conjecture to be
-    checked against enumeration.  A pattern whose exponents turn negative or
-    whose entries leave [1, n-1] at the given order is omitted, and the
-    minimal pattern (None when omitted) additionally needs c >= 1 and
-    2c - 2 <= n.
+    Proven extremal for c <= 6 and a conjecture beyond.  A pattern whose
+    exponents turn negative or whose entries leave [1, n-1] is omitted; the
+    minimal one (else None) also needs c >= 1 and 2c - 2 <= n.
     """
     klass = CyclomaticClass(c=c, n=n)
-    degree_total = klass.degree_total
     maximals = []
 
     def push(*parts):
         seq = tuple(d for d in parts if d > 0)
-        if _valid_pattern(seq, n, degree_total):
+        if _valid_pattern(seq, klass):
             maximals.append(seq)
 
     if n - c - 2 >= 0:
@@ -409,7 +396,7 @@ def parametric_extremal_family(c: int, n: int) -> ExtremalFamily:
     minimal = None
     if c >= 1 and 2 * c - 2 <= n:
         seq = (3,) * (2 * c - 2) + (2,) * (n - 2 * c + 2)
-        if _valid_pattern(seq, n, degree_total):
+        if _valid_pattern(seq, klass):
             minimal = seq
     return ExtremalFamily(klass=klass, maximals=tuple(maximals), minimal=minimal)
 

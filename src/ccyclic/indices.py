@@ -16,13 +16,13 @@ relative comparison tolerance of 1e-12.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
 FLOAT_TOLERANCE = 1e-12
+MAX_EXACT_DIGITS = 4300  # longest exact power evaluated, Python's default int print limit
 
 GENERAL_ZAGREB = "general-zagreb"
 INVERSE_DEGREE = "inverse-degree"
@@ -132,11 +132,11 @@ def evaluate(index: IndexSpec, seq) -> IndexValue:
         power = int(index.alpha)
         # Every report prints the exact value, so a power too long to print is
         # rejected before it is taken: Fraction(9) ** -10**400 never returns.
-        # Python before 3.10.7 has no such limit (0 means none).
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         top = max(degrees)
-        if limit and top > 1 and abs(power) > limit / math.log10(top):
-            raise ValueError(f"exponent too large: an exact power would exceed {limit} digits")
+        if top > 1 and abs(power) > MAX_EXACT_DIGITS / math.log10(top):
+            raise ValueError(
+                f"exponent too large: an exact power would exceed {MAX_EXACT_DIGITS} digits"
+            )
         return IndexValue(sum(Fraction(d) ** power for d in degrees), exact=True)
     exponent = float(index.alpha)
     return IndexValue(sum(d**exponent for d in degrees), exact=False)

@@ -210,6 +210,21 @@ class TestVerifyBounds:
                 tampered = replace(report, refined_upper=IndexValue(F(999), exact=True))
                 assert with_verification(tampered).verified == MISMATCH, (c, n)
 
+    def test_refined_only_mismatch_shows_the_refined_maximum(self):
+        klass = CyclomaticClass(c=3, n=9)
+        population = enumerate_sequences(klass)
+        refined = refined_inverse_degree_upper(klass)
+        report = replace(bounds(klass, RHO), refined_upper=IndexValue(F(999), exact=True))
+        outcome = verify_bounds(report, population)
+        assert outcome.status == MISMATCH
+        assert (outcome.minimum, outcome.maximum) == (report.lower, report.upper)
+        assert outcome.refined_maximum == refined
+        assert verify_bounds(bounds(klass, RHO), population).refined_maximum is None
+        # the refined bound is an inverse-degree bound; no other index carries it
+        other = replace(bounds(klass, IndexSpec.general_zagreb(2)), refined_upper=refined)
+        outcome = verify_bounds(other, population)
+        assert (outcome.status, outcome.refined_maximum) == (MISMATCH, None)
+
     def test_tiny_float_bounds_are_matched_relatively(self):
         # every power sum here is about 1e-100, far below an absolute 1e-12
         klass = CyclomaticClass(c=3, n=8)

@@ -144,11 +144,11 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def run_isolated(*argv):
+def run_isolated(*argv, **env):
     """Run the CLI in a child process under a memory limit and a time limit.
 
     A run that never finishes raises ``subprocess.TimeoutExpired`` and fails
-    the test instead of stalling the suite.
+    the test instead of stalling the suite.  ``env`` adds environment variables.
     """
     return subprocess.run(
         [sys.executable, "-m", "ccyclic.cli", *argv],
@@ -156,7 +156,7 @@ def run_isolated(*argv):
         text=True,
         timeout=10,
         preexec_fn=_limit_memory,
-        env={"PYTHONPATH": str(SRC)},
+        env={"PYTHONPATH": str(SRC), **env},
     )
 
 
@@ -177,9 +177,12 @@ class TestExponentOverflow:
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == "error: exponent too large: the power sum overflows a float\n"
 
+    @pytest.mark.parametrize("digit_limit", [None, "0"])
     @pytest.mark.parametrize("alpha", ["-1e400", "-5000"])
-    def test_exact_power_too_long_to_print_is_rejected(self, alpha):
-        result = run_isolated("bounds", "--n", "10", "--c", "1", f"--alpha={alpha}")
+    def test_exact_power_too_long_to_print_is_rejected(self, alpha, digit_limit):
+        # the check must not lean on Python's own digit limit, which 0 switches off
+        env = {} if digit_limit is None else {"PYTHONINTMAXSTRDIGITS": digit_limit}
+        result = run_isolated("bounds", "--n", "10", "--c", "1", f"--alpha={alpha}", **env)
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == (
             "error: exponent too large: an exact power would exceed 4300 digits\n"

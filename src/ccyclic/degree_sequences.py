@@ -26,6 +26,7 @@ first eight for the widest c=6 set).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from .extremal import BoxSet, integerize_minimal, maximal_box, minimal_box
@@ -188,18 +189,32 @@ def is_ccyclic_sequence_via_inequalities(seq, klass: CyclomaticClass) -> bool:
 
 
 def is_graphical(seq) -> bool:
-    """Erdos-Gallai test: is the sequence realizable by a simple graph?"""
+    """Erdos-Gallai test: is the sequence realizable by a simple graph?
+
+    Linear after the sort.  With the degrees nonincreasing, the entries >= k
+    form a head ``degrees[:above]``, so the right side ``k(k - 1) + sum(min(d_i,
+    k))`` over i > k is ``k(k - 1) + k(above - k)`` plus the sum beyond the
+    head, O(1) from prefix sums.
+
+    Only k with d_k >= k are tested: for d_k < k the k-th inequality follows
+    from the (k-1)-th, since its left side grows by d_k and its right side by
+    at least 2(k - 1) - d_k >= d_k.
+    """
     degrees = sorted((int(d) for d in seq), reverse=True)
     n = len(degrees)
     if n == 0 or degrees[-1] < 0 or degrees[0] > n - 1:
         return False
-    if sum(degrees) % 2:
+    prefix = list(accumulate(degrees, initial=0))
+    total = prefix[n]
+    if total % 2:
         return False
-    prefix = 0
+    above = n
     for k in range(1, n + 1):
-        prefix += degrees[k - 1]
-        slack = k * (k - 1) + sum(min(d, k) for d in degrees[k:])
-        if prefix > slack:
+        if degrees[k - 1] < k:
+            break
+        while degrees[above - 1] < k:  # stops at above >= k, as d_k >= k
+            above -= 1
+        if prefix[k] > k * (above - 1) + total - prefix[above]:
             return False
     return True
 

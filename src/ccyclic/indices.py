@@ -8,14 +8,19 @@ Supported indices are the ones determined by the degree sequence alone:
 
 Power sums with convex ``d ** alpha`` (alpha < 0 or alpha > 1) are
 Schur-convex on positive vectors, those with 0 < alpha < 1 Schur-concave,
-and the log form is Schur-concave.  Integer exponents are evaluated in exact
-rational arithmetic; everything else is binary floating point with a
-relative comparison tolerance of 1e-12.
+and the log form is Schur-concave.  Integer exponents (the inverse degree is
+alpha = -1) are evaluated exactly on (degree, multiplicity) pairs: a positive
+power sum is one int, ``sum(m * d ** alpha)``, and a negative one is one
+``Fraction`` over the common denominator ``lcm(degrees) ** -alpha``, so a
+sequence costs one term per distinct degree and one reduction, not one
+``Fraction`` per entry.  Everything else is binary floating point, summed entry
+by entry, with a relative comparison tolerance of 1e-12.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -114,7 +119,7 @@ def evaluate(index: IndexSpec, seq) -> IndexValue:
     if not degrees or min(degrees) < 1:
         raise ValueError("index evaluation needs positive degrees")
     if index.kind == INVERSE_DEGREE:
-        return IndexValue(sum(Fraction(1, d) for d in degrees), exact=True)
+        return IndexValue(_exact_power_sum(degrees, -1), exact=True)
     if index.kind == MULT_ZAGREB_LOG:
         return IndexValue(2.0 * sum(math.log(d) for d in degrees), exact=False)
     if index.alpha > 0:
@@ -137,7 +142,22 @@ def evaluate(index: IndexSpec, seq) -> IndexValue:
             raise ValueError(
                 f"exponent too large: an exact power would exceed {MAX_EXACT_DIGITS} digits"
             )
-        return IndexValue(sum(Fraction(d) ** power for d in degrees), exact=True)
+        return IndexValue(_exact_power_sum(degrees, power), exact=True)
     exponent = float(index.alpha)
     return IndexValue(sum(d**exponent for d in degrees), exact=False)
+
+
+def _exact_power_sum(degrees, power: int) -> Fraction:
+    """``sum(d ** power)`` over positive integer degrees, exactly.
+
+    Summed per distinct degree, as multiplicity times power.  A negative power
+    goes over the one common denominator ``lcm(degrees) ** -power``, so the
+    whole sum is a single Fraction, reduced once.
+    """
+    counts = Counter(degrees)
+    if power > 0:
+        return Fraction(sum(m * d**power for d, m in counts.items()))
+    common = math.lcm(*counts)
+    numerator = sum(m * (common // d) ** -power for d, m in counts.items())
+    return Fraction(numerator, common**-power)
 

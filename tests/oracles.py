@@ -8,6 +8,7 @@ checked against genuinely separate computations.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 
@@ -23,6 +24,49 @@ def cwr_candidates(n, total, max_part=None):
         if sum(tup) == total:
             out.append(tup)
     return out
+
+
+def textbook_is_graphical(seq):
+    """Erdos-Gallai as stated: every k, each tail sum recomputed, O(n^2).
+
+    Same contract as the library's test: any order, False for an empty
+    sequence or an entry outside [0, n-1].
+    """
+    degrees = sorted((int(d) for d in seq), reverse=True)
+    n = len(degrees)
+    if n == 0 or degrees[-1] < 0 or degrees[0] > n - 1:
+        return False
+    if sum(degrees) % 2:
+        return False
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += degrees[k - 1]
+        slack = k * (k - 1) + sum(min(d, k) for d in degrees[k:])
+        if prefix > slack:
+            return False
+    return True
+
+
+def per_entry_power_sum(seq, alpha):
+    """``sum(d ** alpha)`` with one Fraction power per entry."""
+    return sum(Fraction(d) ** alpha for d in seq)
+
+
+def random_connected_degrees(rng, n, c):
+    """Degree sequence of a random connected graph with n vertices and n - 1 + c edges.
+
+    A random recursive tree plus c random extra edges; c must fit the
+    complete graph.
+    """
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + c:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    degrees = [0] * n
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    return tuple(sorted(degrees, reverse=True))
 
 
 def box_integer_points(lower, upper, total):

@@ -72,3 +72,11 @@ def degree_sequences(draw, min_size=2, max_size=9):
         st.lists(st.integers(1, n - 1), min_size=n, max_size=n)
     )
     return tuple(sorted(values, reverse=True))
+
+
+@st.composite
+def raw_degree_lists(draw, max_size=10):
+    """Unsorted integer lists: half within [0, n-1], half with negatives and entries >= n."""
+    n = draw(st.integers(0, max_size))
+    low, high = draw(st.sampled_from([(0, max(n - 1, 0)), (-2, n + 2)]))
+    return draw(st.lists(st.integers(low, high), min_size=n, max_size=n))

@@ -21,8 +21,8 @@ from ccyclic.degree_sequences import (
 )
 from ccyclic.majorization import Relation, compare, is_majorized_by
 
-from oracles import cwr_candidates
-from strategies import degree_sequences
+from oracles import cwr_candidates, textbook_is_graphical
+from strategies import degree_sequences, raw_degree_lists
 
 
 class TestClassValidation:
@@ -92,6 +92,17 @@ class TestGraphical:
 
     def test_odd_sum(self):
         assert not is_graphical((2, 1))
+
+    def test_matches_textbook_on_every_candidate(self):
+        for n in range(1, 11):
+            for total in range(n * (n - 1) + 1):
+                for seq in candidate_sequences(n, total):
+                    assert is_graphical(seq) == textbook_is_graphical(seq), seq
+
+    @settings(max_examples=500, derandomize=True)
+    @given(raw_degree_lists())
+    def test_matches_textbook_on_raw_lists(self, seq):
+        assert is_graphical(seq) == textbook_is_graphical(seq)
 
 
 def test_characterizations_agree_exhaustively():

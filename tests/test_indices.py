@@ -9,7 +9,12 @@ from hypothesis import given, settings
 
 from ccyclic.indices import IndexSpec, SchurClass, evaluate
 
-from oracles import random_nonincreasing, transfer_down
+from oracles import (
+    per_entry_power_sum,
+    random_connected_degrees,
+    random_nonincreasing,
+    transfer_down,
+)
 from strategies import degree_sequences
 
 
@@ -51,6 +56,21 @@ class TestEvaluate:
         value = evaluate(IndexSpec.general_zagreb(Fraction(1, 2)), (4, 1))
         assert not value.exact
         assert value.value == pytest.approx(3.0)
+
+    @pytest.mark.parametrize(
+        "index,alpha",
+        [(IndexSpec.inverse_degree(), -1)]
+        + [(IndexSpec.general_zagreb(a), a) for a in (*range(-6, 0), *range(2, 7))],
+        ids=lambda value: getattr(value, "label", None),
+    )
+    def test_exact_values_match_per_entry_fractions(self, index, alpha):
+        rng = random.Random(alpha)
+        for _ in range(60):
+            n = rng.randint(2, 30)
+            seq = random_connected_degrees(rng, n, rng.randint(0, min(10, (n - 1) * (n - 2) // 2)))
+            value = evaluate(index, seq)
+            assert value.exact and isinstance(value.value, Fraction)
+            assert value.value == per_entry_power_sum(seq, alpha), seq
 
     def test_rejects_zero_degree(self):
         with pytest.raises(ValueError):

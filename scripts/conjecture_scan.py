@@ -11,12 +11,13 @@ the balanced minimal pattern minorizes everything.  For c <= 6 these are
 theorems; beyond that the scan reports conjecture status.  Orders above the
 enumeration cap K (default 14) are reported as skipped.
 
-Exit codes: 0 when every order was scanned, 3 when one was skipped.
+Exit codes: 0 when every order was scanned, 1 on a usage error, 3 when an
+order was skipped.
 """
 
-import argparse
 import sys
 
+from ccyclic.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, Parser, UsageError, checked_cap
 from ccyclic.degree_sequences import (
     CyclomaticClass,
     check_pattern_extremality,
@@ -28,11 +29,16 @@ from ccyclic.formatting import format_sequence
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--c-max", type=int, default=9)
     parser.add_argument("--n-max", type=int, default=12)
     parser.add_argument("--cap", type=int, default=14)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        checked_cap(args.cap)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     failures = 0
     skipped = False
@@ -63,7 +69,7 @@ def main(argv=None) -> int:
             for seq in report.not_above_minimal[:3]:
                 print(f"    minimal fails below {format_sequence(seq)}")
     print(f"done; {failures} failing (c, n) pairs")
-    return 3 if skipped else 0
+    return EXIT_CAP if skipped else EXIT_OK
 
 
 if __name__ == "__main__":

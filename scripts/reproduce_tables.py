@@ -2,20 +2,20 @@
 """Reproduce the extremal-sequence table and the index-bound tables.
 
 Usage:
-    python scripts/reproduce_tables.py [--n N] [--alpha A] [--verify]
+    python scripts/reproduce_tables.py [--n N] [--alpha A] [--verify] [--cap K]
 
 Prints, for each cyclomatic number c = 0..6 at order N (default 11):
   * the maximal and minimal degree sequences of the class,
   * the inverse-degree closed-form bounds and the refined upper bound,
   * the general-Zagreb bounds at the chosen exponent (default 2),
-with an optional exhaustive-enumeration verdict per row.  N must be at
-least 8, so that the closed forms hold for every c.
+with an optional exhaustive-enumeration verdict per row, enumerating orders
+up to K (default 12).  N must be at least 8, so that the closed forms hold
+for every c, and A an integer other than 0 and 1.
 
-Exit codes: 0 success, 1 when N is below 8, 3 when --verify skipped a row
-above the enumeration cap.
+Exit codes: 0 success, 1 on a usage error (checked before any table is
+printed), 3 when --verify skipped a row above the enumeration cap.
 """
 
-import argparse
 import sys
 
 from ccyclic.bounds import (
@@ -26,23 +26,34 @@ from ccyclic.bounds import (
     refined_inverse_degree_upper,
     with_verification,
 )
+from ccyclic.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, Parser, UsageError, checked_cap
 from ccyclic.degree_sequences import CyclomaticClass, extremal_family
 from ccyclic.formatting import format_index_value, format_sequence
 from ccyclic.indices import IndexSpec
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     parser.add_argument("--n", type=int, default=11)
     parser.add_argument("--alpha", type=int, default=2)
     parser.add_argument("--verify", action="store_true",
                         help="compare each bound against exhaustive enumeration")
     parser.add_argument("--cap", type=int, default=12)
-    args = parser.parse_args(argv)
-    if args.n < 8:
-        print(f"error: --n must be at least 8 (n >= c + 2 for c <= 6), got {args.n}",
-              file=sys.stderr)
-        return 1
+    try:
+        args = parser.parse_args(argv)
+        if args.n < 8:
+            raise UsageError(f"--n must be at least 8 (n >= c + 2 for c <= 6), got {args.n}")
+        checked_cap(args.cap)
+        # The last table comes first, so that an exponent the index rejects
+        # (0, 1, or one whose powers overflow) stops the run before any output.
+        index = IndexSpec.general_zagreb(args.alpha)
+        zagreb_rows = [
+            annotate_orientation(bounds(CyclomaticClass(c=c, n=args.n), index))
+            for c in range(1, 7)
+        ]
+    except (UsageError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     verdicts = []
     print(f"extremal degree sequences at n={args.n}")
@@ -71,13 +82,10 @@ def main(argv=None) -> int:
             line += f"  ({verdicts[-1]})"
         print(line)
 
-    index = IndexSpec.general_zagreb(args.alpha)
     print()
     print(f"general-Zagreb bounds at n={args.n}, alpha={args.alpha}")
     print("-" * 72)
-    for c in range(1, 7):
-        klass = CyclomaticClass(c=c, n=args.n)
-        row = annotate_orientation(bounds(klass, index))
+    for c, row in enumerate(zagreb_rows, 1):
         line = (
             f"c={c}  lower {format_index_value(row.lower)} at "
             f"{format_sequence(row.lower_attainer)}; upper "
@@ -89,7 +97,7 @@ def main(argv=None) -> int:
         print(line)
         for note in row.notes:
             print(f"      note: {note}")
-    return 3 if SKIPPED in verdicts else 0
+    return EXIT_CAP if SKIPPED in verdicts else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -59,13 +59,15 @@ VERIFY_INDICES = (
 )
 
 
-class _UsageError(Exception):
-    pass
+class UsageError(Exception):
+    """A malformed or out-of-range argument: one ``error:`` line, exit code 1."""
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise :class:`UsageError`."""
+
     def error(self, message):  # map argparse's default exit(2) onto exit code 1
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def _parse_range(text: str) -> list:
@@ -73,14 +75,15 @@ def _parse_range(text: str) -> list:
         lo, hi = text.split("..", 1)
         start, stop = int(lo), int(hi)
         if stop < start:
-            raise _UsageError(f"empty range {text!r}")
+            raise UsageError(f"empty range {text!r}")
         return list(range(start, stop + 1))
     return [int(text)]
 
 
-def _checked_cap(cap: int) -> int:
+def checked_cap(cap: int) -> int:
+    """The enumeration cap, or a :class:`UsageError` when it is negative."""
     if cap < 0:
-        raise _UsageError(f"--cap must be nonnegative, got {cap}")
+        raise UsageError(f"--cap must be nonnegative, got {cap}")
     return cap
 
 
@@ -88,20 +91,20 @@ def _parse_sequence(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"could not parse degree sequence {text!r}")
+        raise UsageError(f"could not parse degree sequence {text!r}")
 
 
 def _index_from_args(args) -> IndexSpec:
     if args.index == "general-zagreb":
         if args.alpha is None:
-            raise _UsageError("--alpha is required for --index general-zagreb")
+            raise UsageError("--alpha is required for --index general-zagreb")
         try:
             alpha = Fraction(args.alpha)
         except (ValueError, ZeroDivisionError):
-            raise _UsageError(f"could not parse exponent {args.alpha!r}")
+            raise UsageError(f"could not parse exponent {args.alpha!r}")
         return IndexSpec.general_zagreb(alpha)
     if args.alpha is not None:
-        raise _UsageError("--alpha only applies to --index general-zagreb")
+        raise UsageError("--alpha only applies to --index general-zagreb")
     if args.index == "inverse-degree":
         return IndexSpec.inverse_degree()
     return IndexSpec.mult_zagreb_log()
@@ -112,7 +115,7 @@ def _emit(text: str, output) -> None:
         try:
             Path(output).write_text(text)
         except OSError as exc:
-            raise _UsageError(f"cannot write {output}: {exc.strerror}")
+            raise UsageError(f"cannot write {output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -199,8 +202,8 @@ def _render_bounds_text(report) -> list:
 def cmd_bounds(args) -> int:
     index = _index_from_args(args)
     if args.refined and index.kind != INVERSE_DEGREE:
-        raise _UsageError("--refined applies only to --index inverse-degree")
-    cap = _checked_cap(args.cap)
+        raise UsageError("--refined applies only to --index inverse-degree")
+    cap = checked_cap(args.cap)
     reports = []
     for c in _parse_range(args.c):
         klass = CyclomaticClass(c=c, n=args.n)
@@ -295,10 +298,10 @@ def _verify_conjecture(args, cap: int) -> int:
 
 def cmd_verify(args) -> int:
     if args.n is None and args.n_max is None:
-        raise _UsageError("verify needs --n or --n-max")
+        raise UsageError("verify needs --n or --n-max")
     if args.n is not None and args.n_max is not None:
-        raise _UsageError("give either --n or --n-max, not both")
-    cap = _checked_cap(args.cap)
+        raise UsageError("give either --n or --n-max, not both")
+    cap = checked_cap(args.cap)
     if args.conjecture:
         return _verify_conjecture(args, cap)
     lines = []
@@ -306,7 +309,7 @@ def cmd_verify(args) -> int:
 
     for c in _parse_range(args.c):
         if c > 6:
-            raise _UsageError(f"c={c} has no proven characterization; use --conjecture")
+            raise UsageError(f"c={c} has no proven characterization; use --conjecture")
         for n in _verify_orders(args, c):
             if n > cap:
                 _skip_over_cap(lines, records, "equivalence", "equivalence", c, n, cap)
@@ -383,8 +386,8 @@ def cmd_realize(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> Parser:
+    parser = Parser(
         prog="ccyclic",
         description=(
             "Majorization-extremal degree sequences of connected graphs with a "
@@ -446,12 +449,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -117,3 +117,20 @@ def test_reproduce_tables_exits_3_on_a_skipped_row():
     assert (code, err) == (3, "")
     verified = (GOLDEN / "script-reproduce-tables.out").read_text()
     assert out == verified.replace("(exact-match)", "(skipped)")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["scripts/reproduce_tables.py", "--alpha", "1"], "exponents 0 and 1 are excluded by definition"),
+        (["scripts/reproduce_tables.py", "--alpha", "0"], "exponents 0 and 1 are excluded by definition"),
+        (["scripts/reproduce_tables.py", "--alpha", "400"], "exponent too large: the power sum overflows a float"),
+        (["scripts/reproduce_tables.py", "--cap", "-1", "--verify"], "--cap must be nonnegative, got -1"),
+        (["scripts/conjecture_scan.py", "--cap", "-1"], "--cap must be nonnegative, got -1"),
+        (["scripts/reproduce_tables.py", "--alpha", "1/2"], "argument --alpha: invalid int value: '1/2'"),
+        (["scripts/conjecture_scan.py", "--c-max", "x"], "argument --c-max: invalid int value: 'x'"),
+    ],
+)
+def test_script_usage_error_is_one_line_and_exit_1(argv, message):
+    """A rejected argument prints nothing on stdout: no table is left half done."""
+    assert run_case(argv) == (1, "", f"error: {message}\n")

@@ -12,8 +12,9 @@ with an optional exhaustive-enumeration verdict per row, enumerating orders
 up to K (default 12).  N must be at least 8, so that the closed forms hold
 for every c, and A an integer other than 0 and 1.
 
-Exit codes: 0 success, 1 on a usage error (checked before any table is
-printed), 3 when --verify skipped a row above the enumeration cap.
+Exit codes: 0 success, 1 on a usage error or a value too long to print
+(every table is rendered before the first line is printed), 3 when --verify
+skipped a row above the enumeration cap.
 """
 
 import sys
@@ -32,6 +33,53 @@ from ccyclic.formatting import format_index_value, format_sequence
 from ccyclic.indices import IndexSpec
 
 
+def render_tables(n: int, alpha: int, verify: bool, cap: int) -> tuple:
+    """The three tables as lines, and the verdicts of the verified rows."""
+    # The last table's bounds come first, so that an exponent the index
+    # rejects stops the run before any other work.
+    index = IndexSpec.general_zagreb(alpha)
+    zagreb_rows = [
+        annotate_orientation(bounds(CyclomaticClass(c=c, n=n), index)) for c in range(1, 7)
+    ]
+    lines = [f"extremal degree sequences at n={n}", "-" * 72]
+    verdicts = []
+    for c in range(7):
+        family = extremal_family(CyclomaticClass(c=c, n=n))
+        tops = ", ".join(format_sequence(seq) for seq in family.maximals)
+        lines.append(f"c={c}  maximal: {tops}")
+        lines.append(f"      minimal: {format_sequence(family.minimal)}")
+
+    lines += ["", f"inverse-degree bounds at n={n}", "-" * 72]
+    for c in range(7):
+        klass = CyclomaticClass(c=c, n=n)
+        closed = closed_form_inverse_degree(klass)
+        line = (
+            f"c={c}  {format_index_value(closed.lower)} <= rho <= "
+            f"{format_index_value(closed.upper)}"
+        )
+        if c >= 3:
+            refined = refined_inverse_degree_upper(klass)
+            line += f"  [refined upper {format_index_value(refined)}]"
+        if verify:
+            verdicts.append(with_verification(closed, cap).verified)
+            line += f"  ({verdicts[-1]})"
+        lines.append(line)
+
+    lines += ["", f"general-Zagreb bounds at n={n}, alpha={alpha}", "-" * 72]
+    for c, row in enumerate(zagreb_rows, 1):
+        line = (
+            f"c={c}  lower {format_index_value(row.lower)} at "
+            f"{format_sequence(row.lower_attainer)}; upper "
+            f"{format_index_value(row.upper)} at {format_sequence(row.upper_attainer)}"
+        )
+        if verify:
+            verdicts.append(with_verification(row, cap).verified)
+            line += f"  ({verdicts[-1]})"
+        lines.append(line)
+        lines += [f"      note: {note}" for note in row.notes]
+    return lines, verdicts
+
+
 def main(argv=None) -> int:
     parser = Parser(description=__doc__)
     parser.add_argument("--n", type=int, default=11)
@@ -44,59 +92,14 @@ def main(argv=None) -> int:
         if args.n < 8:
             raise UsageError(f"--n must be at least 8 (n >= c + 2 for c <= 6), got {args.n}")
         checked_cap(args.cap)
-        # The last table comes first, so that an exponent the index rejects
-        # (0, 1, or one whose powers overflow) stops the run before any output.
-        index = IndexSpec.general_zagreb(args.alpha)
-        zagreb_rows = [
-            annotate_orientation(bounds(CyclomaticClass(c=c, n=args.n), index))
-            for c in range(1, 7)
-        ]
+        # Every row is rendered before the first line is printed, so that an
+        # exponent the index rejects, or a value too long to print, stops the
+        # run with nothing on stdout.
+        lines, verdicts = render_tables(args.n, args.alpha, args.verify, args.cap)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    verdicts = []
-    print(f"extremal degree sequences at n={args.n}")
-    print("-" * 72)
-    for c in range(7):
-        family = extremal_family(CyclomaticClass(c=c, n=args.n))
-        tops = ", ".join(format_sequence(seq) for seq in family.maximals)
-        print(f"c={c}  maximal: {tops}")
-        print(f"      minimal: {format_sequence(family.minimal)}")
-
-    print()
-    print(f"inverse-degree bounds at n={args.n}")
-    print("-" * 72)
-    for c in range(7):
-        klass = CyclomaticClass(c=c, n=args.n)
-        closed = closed_form_inverse_degree(klass)
-        line = (
-            f"c={c}  {format_index_value(closed.lower)} <= rho <= "
-            f"{format_index_value(closed.upper)}"
-        )
-        if c >= 3:
-            refined = refined_inverse_degree_upper(klass)
-            line += f"  [refined upper {format_index_value(refined)}]"
-        if args.verify:
-            verdicts.append(with_verification(closed, args.cap).verified)
-            line += f"  ({verdicts[-1]})"
-        print(line)
-
-    print()
-    print(f"general-Zagreb bounds at n={args.n}, alpha={args.alpha}")
-    print("-" * 72)
-    for c, row in enumerate(zagreb_rows, 1):
-        line = (
-            f"c={c}  lower {format_index_value(row.lower)} at "
-            f"{format_sequence(row.lower_attainer)}; upper "
-            f"{format_index_value(row.upper)} at {format_sequence(row.upper_attainer)}"
-        )
-        if args.verify:
-            verdicts.append(with_verification(row, args.cap).verified)
-            line += f"  ({verdicts[-1]})"
-        print(line)
-        for note in row.notes:
-            print(f"      note: {note}")
+    print("\n".join(lines))
     return EXIT_CAP if SKIPPED in verdicts else EXIT_OK
 
 

@@ -309,15 +309,6 @@ def class_boxes(klass: CyclomaticClass) -> list:
     return boxes
 
 
-def _as_int_tuple(vec) -> tuple:
-    out = []
-    for x in vec:
-        if getattr(x, "denominator", 1) != 1:
-            raise AssertionError(f"expected integer components, got {vec}")
-        out.append(int(x))
-    return tuple(out)
-
-
 def _discard_dominated(seqs: list) -> list:
     """Drop sequences majorized by another distinct candidate."""
     unique = sorted(set(seqs), reverse=True)
@@ -344,7 +335,7 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
     max_candidates = []
     min_candidates = []
     for box in boxes:
-        max_candidates.append(_as_int_tuple(maximal_box(box)))
+        max_candidates.append(maximal_box(box))
         min_candidates.append(integerize_minimal(minimal_box(box), box))
     maximals = _discard_dominated(max_candidates)
 

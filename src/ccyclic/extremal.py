@@ -3,21 +3,24 @@
 A :class:`BoxSet` collects the nonincreasing vectors with a fixed component
 sum and per-coordinate bounds ``lower[i] <= x[i] <= upper[i]`` (both bound
 vectors nonincreasing).  Its maximal element packs as much mass as possible
-into the leading coordinates; its minimal element is as flat as the bounds
-allow.  A :class:`TwoBlockSet` is the special case with one bound pair for
-the first ``h`` coordinates and another for the rest; its extremal elements
-admit closed floor formulas which are cross-checked here against the general
-box computation on every call.
+into the leading coordinates; its minimal element clamps one water level
+into every coordinate's bounds.  A :class:`TwoBlockSet` is the special case
+with one bound pair for the first ``h`` coordinates and another for the
+rest; its extremal elements admit closed floor formulas which are
+cross-checked here against the general box computation on every call.
 
-Everything is exact rational arithmetic.  The threshold searches are linear
-scans from zero (dimensions are small in every intended use), validated
-candidate by candidate, so a returned vector is always a member of its set
-with exactly the requested component sum.
+Arithmetic is exact and stays in the numbers it is given: ``int`` and
+``Fraction`` values are kept, and any other number (float, str, ``Decimal``)
+becomes the ``Fraction`` it denotes, so an integer box has an ``int`` maximal
+element.  Each computation is linear in the dimension (the water level adds
+a logarithmic factor), and every returned vector is checked to be a member
+of its set with exactly the requested component sum.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -34,8 +37,9 @@ class UnsupportedCaseError(ValueError):
     """The requested closed form is not available for these parameters."""
 
 
-def _fractions(values: Sequence) -> tuple:
-    return tuple(Fraction(v) for v in values)
+def _exact(value):
+    """``value`` itself when it is an int or a Fraction, else the Fraction it denotes."""
+    return value if type(value) in (int, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,9 @@ class BoxSet:
     upper: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "total", Fraction(self.total))
-        object.__setattr__(self, "lower", _fractions(self.lower))
-        object.__setattr__(self, "upper", _fractions(self.upper))
+        object.__setattr__(self, "total", _exact(self.total))
+        object.__setattr__(self, "lower", tuple(map(_exact, self.lower)))
+        object.__setattr__(self, "upper", tuple(map(_exact, self.upper)))
         if len(self.lower) != len(self.upper):
             raise ValueError("lower and upper bound vectors differ in length")
         check_vector(self.lower)
@@ -147,32 +151,31 @@ def maximal_box(box: BoxSet) -> tuple:
 def minimal_box(box: BoxSet) -> tuple:
     """The element of ``box`` majorized by every other element.
 
-    When the constant vector at the average fits in the box it is the answer.
-    Otherwise some leading coordinates are pinned at lower bounds, some
-    trailing ones at upper bounds, and the middle run is constant; the scan
-    grows the pinned region until the constant level fits its bracket.  The
-    result can have fractional components even when the box is integral; see
-    :func:`integerize_minimal`.
+    Coordinate ``i`` is the water level ``t`` clamped into its bounds,
+    ``min(upper[i], max(lower[i], t))``.  The clamped sum is continuous,
+    nondecreasing and linear between adjacent bound values, so a bisection
+    over the sorted bound values brackets ``t`` and one division places it.
+    The result can have fractional components even when the box is integral;
+    see :func:`integerize_minimal`.
     """
-    lower, upper, total, n = box.lower, box.upper, box.total, box.n
-    flat = Fraction(total, 1) / n
-    if lower[0] <= flat <= upper[-1]:
-        return (flat,) * n
-    for span in range(1, n):
-        for pin_low in range(span + 1):
-            pin_high = span - pin_low
-            middle = n - span
-            level = (
-                total - sum(lower[:pin_low]) - sum(upper[n - pin_high :])
-            ) / middle
-            if not lower[pin_low] <= level <= upper[n - pin_high - 1]:
-                continue
-            vec = lower[:pin_low] + (level,) * middle + upper[n - pin_high :]
-            if any(b > a for a, b in zip(vec, vec[1:])):
-                continue
-            _assert_member(box, vec, "minimal element")
-            return vec
-    raise InfeasibleSetError("minimal element not located; set is degenerate")
+    lower, upper, total = box.lower, box.upper, box.total
+
+    def clamped_sum(level):
+        return sum(min(high, max(low, level)) for low, high in zip(lower, upper))
+
+    # clamped_sum runs from sum(lower) <= total at the least bound value to
+    # sum(upper) >= total at the greatest, so this index exists
+    levels = sorted(set(lower + upper))
+    above = bisect_left(levels, total, key=clamped_sum)
+    level = levels[above]
+    reached = clamped_sum(level)
+    if reached != total:  # interpolate between the two bracketing bound values
+        below = levels[above - 1]
+        base = clamped_sum(below)
+        level = below + Fraction((total - base) * (level - below), reached - base)
+    vec = tuple(min(high, max(low, level)) for low, high in zip(lower, upper))
+    _assert_member(box, vec, "minimal element")
+    return vec
 
 
 def maximal_two_block(blocks: TwoBlockSet) -> tuple:
@@ -250,7 +253,7 @@ def integerize_minimal(vec: Sequence, constraint: AnySet) -> tuple:
         raise UnsupportedCaseError("integer rounding needs an integer component sum")
     if any(b.denominator != 1 for b in box.lower + box.upper):
         raise UnsupportedCaseError("integer rounding needs integer box bounds")
-    values = _fractions(vec)
+    values = tuple(map(_exact, vec))
     check_vector(values)
     out: list = []
     for value, run in groupby(values):

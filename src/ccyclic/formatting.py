@@ -5,12 +5,21 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import groupby
 
-from .indices import IndexValue
+from .indices import MAX_EXACT_DIGITS, IndexValue
+
+_TOO_LONG = 10**MAX_EXACT_DIGITS  # the least int with more than MAX_EXACT_DIGITS digits
 
 
 def format_fraction(value) -> str:
-    """Exact rational as ``p/q`` (or plain ``p`` for integers)."""
+    """Exact rational as ``p/q`` (or plain ``p`` for integers).
+
+    A numerator or denominator longer than ``MAX_EXACT_DIGITS`` digits is
+    refused with a ``ValueError``, whatever the interpreter's own limit on
+    printing ints, so the output never depends on that setting.
+    """
     frac = Fraction(value)
+    if abs(frac.numerator) >= _TOO_LONG or frac.denominator >= _TOO_LONG:
+        raise ValueError(f"exact value too long to print: more than {MAX_EXACT_DIGITS} digits")
     if frac.denominator == 1:
         return str(frac.numerator)
     return f"{frac.numerator}/{frac.denominator}"

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 FLOAT_TOLERANCE = 1e-12
-MAX_EXACT_DIGITS = 4300  # longest exact power evaluated, Python's default int print limit
+MAX_EXACT_DIGITS = 4300  # longest exact power evaluated or value printed (Python's default int print limit)
 
 GENERAL_ZAGREB = "general-zagreb"
 INVERSE_DEGREE = "inverse-degree"

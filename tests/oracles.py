@@ -90,6 +90,38 @@ def box_integer_points(lower, upper, total):
     return points
 
 
+def pinned_split_minimal(lower, upper, total):
+    """The minimal element of a box by search over pinned prefixes and suffixes.
+
+    Tries the flat vector at the average, then every split of ``span``
+    coordinates into a prefix pinned at its lower bounds and a suffix pinned
+    at its upper bounds, with the middle run at the one level that restores
+    the sum; the first split that is a nonincreasing member of the box wins.
+    Quadratic in the dimension, and independent of the library's water-level
+    clamp.
+    """
+    lower = tuple(Fraction(v) for v in lower)
+    upper = tuple(Fraction(v) for v in upper)
+    total = Fraction(total)
+    n = len(lower)
+    flat = total / n
+    if lower[0] <= flat <= upper[-1]:
+        return (flat,) * n
+    for span in range(1, n):
+        for pin_low in range(span + 1):
+            pin_high = span - pin_low
+            middle = n - span
+            level = (total - sum(lower[:pin_low]) - sum(upper[n - pin_high :])) / middle
+            if not lower[pin_low] <= level <= upper[n - pin_high - 1]:
+                continue
+            vec = lower[:pin_low] + (level,) * middle + upper[n - pin_high :]
+            if any(b > a for a, b in zip(vec, vec[1:])):
+                continue
+            if all(low <= x <= high for x, low, high in zip(vec, lower, upper)):
+                return vec
+    raise AssertionError(f"no pinned split of the box {lower}, {upper} sums to {total}")
+
+
 def prefix_dominates(big, small):
     """Plain prefix-sum check that ``small`` is majorized by ``big`` (equal sums)."""
     if sum(big) != sum(small):

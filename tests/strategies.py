@@ -47,6 +47,22 @@ def integer_boxes(draw, max_size=7, high=10):
 
 
 @st.composite
+def fraction_boxes(draw, max_size=6):
+    """A feasible BoxSet with Fraction bounds and a Fraction total."""
+    n = draw(st.integers(1, max_size))
+    fractions = st.fractions(min_value=0, max_value=10, max_denominator=4)
+    upper = sorted((draw(fractions) for _ in range(n)), reverse=True)
+    lower = []
+    for i in range(n):
+        cap = upper[i] if not lower else min(upper[i], lower[-1])
+        lower.append(draw(st.fractions(min_value=0, max_value=cap, max_denominator=4)))
+    total = draw(
+        st.fractions(min_value=sum(lower), max_value=sum(upper), max_denominator=12)
+    )
+    return BoxSet(total=total, lower=tuple(lower), upper=tuple(upper))
+
+
+@st.composite
 def two_block_sets(draw, max_size=8, high=9, overlap_only=False):
     """A feasible TwoBlockSet with integer data."""
     n = draw(st.integers(2, max_size))

@@ -1,5 +1,6 @@
 """CLI behavior: output formats, determinism, and exit codes."""
 
+import hashlib
 import json
 import resource
 import subprocess
@@ -187,6 +188,29 @@ class TestExponentOverflow:
         assert result.stderr == (
             "error: exponent too large: an exact power would exceed 4300 digits\n"
         )
+
+    @pytest.mark.parametrize("digit_limit", [None, "0"])
+    @pytest.mark.parametrize("alpha", ["-3500", "-4000", "-4500"])
+    def test_exact_value_too_long_to_print_is_rejected(self, alpha, digit_limit):
+        # each power fits, but the sum's common denominator is too long to print
+        env = {} if digit_limit is None else {"PYTHONINTMAXSTRDIGITS": digit_limit}
+        result = run_isolated("bounds", "--n", "10", "--c", "1", f"--alpha={alpha}", **env)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: exact value too long to print: more than 4300 digits\n"
+
+    @pytest.mark.parametrize("digit_limit", [None, "0"])
+    @pytest.mark.parametrize(
+        "alpha,digest",
+        [
+            ("-400", "a2f575a5658f81e59d2daf9b4271155e8dd14bc5e18ad53a14f709f5b3247d56"),
+            ("-2000", "51280fe7d379dc06640f10a89fdbcc2c85e38d9719d677d640e26c3c58116b92"),
+        ],
+    )
+    def test_long_exact_values_keep_their_bytes(self, alpha, digest, digit_limit):
+        env = {} if digit_limit is None else {"PYTHONINTMAXSTRDIGITS": digit_limit}
+        result = run_isolated("bounds", "--n", "10", "--c", "1", f"--alpha={alpha}", **env)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
     def test_large_exponents_within_range_still_print(self, capsys):
         code, out, _ = run(

@@ -1,9 +1,11 @@
 """Tests for box and two-block extremal elements, including enumeration oracles."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccyclic.extremal import (
     BoxSet,
@@ -18,8 +20,8 @@ from ccyclic.extremal import (
 )
 from ccyclic.majorization import Relation, compare, is_majorized_by
 
-from oracles import box_integer_points
-from strategies import integer_boxes, two_block_sets
+from oracles import box_integer_points, pinned_split_minimal
+from strategies import fraction_boxes, integer_boxes, two_block_sets
 
 
 def F(*args):
@@ -38,6 +40,11 @@ class TestBoxSetValidation:
     def test_unsorted_bounds(self):
         with pytest.raises(ValueError):
             BoxSet(total=4, lower=(1, 2), upper=(3, 3))
+
+    def test_other_numbers_become_exact_fractions(self):
+        box = BoxSet(total=2.5, lower=(0.5, "1/4"), upper=("3/2", Decimal("1.25")))
+        assert (box.total, box.lower, box.upper) == (F(5, 2), (F(1, 2), F(1, 4)), (F(3, 2), F(5, 4)))
+        assert all(type(x) is Fraction for x in (box.total,) + box.lower + box.upper)
 
 
 class TestMaximalBox:
@@ -198,6 +205,24 @@ def test_minimal_box_membership_and_below_maximal(box):
     assert sum(bottom) == box.total
     rel = compare(bottom, top)
     assert rel in (Relation.LESS_OR_EQUAL, Relation.EQUAL)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(integer_boxes())
+def test_maximal_box_of_integer_box_has_int_components(box):
+    assert all(type(x) is int for x in maximal_box(box))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        integer_boxes(),
+        fraction_boxes(),
+        two_block_sets().map(lambda blocks: blocks.as_box()),
+    )
+)
+def test_minimal_box_matches_pinned_split_search(box):
+    assert minimal_box(box) == pinned_split_minimal(box.lower, box.upper, box.total)
 
 
 @settings(max_examples=150, deadline=None)

@@ -50,6 +50,7 @@ CASES = {
     ],
     "bounds-refined-usage-error": ["bounds", "--n", "10", "--c", "3", "--alpha", "2", "--refined"],
     "bounds-alpha-overflow": ["bounds", "--n", "10", "--c", "1", "--alpha", "1000000/3"],
+    "bounds-exact-too-long": ["bounds", "--n", "10", "--c", "1", "--alpha=-4500"],
     "verify-n-max-8": ["verify", "--n-max", "8"],
     "verify-equivalence-only": ["verify", "--n-max", "10", "--equivalence-only"],
     "verify-conjecture": ["verify", "--conjecture", "--n-max", "11", "--c", "7..8"],
@@ -129,6 +130,7 @@ def test_reproduce_tables_exits_3_on_a_skipped_row():
         (["scripts/conjecture_scan.py", "--cap", "-1"], "--cap must be nonnegative, got -1"),
         (["scripts/reproduce_tables.py", "--alpha", "1/2"], "argument --alpha: invalid int value: '1/2'"),
         (["scripts/conjecture_scan.py", "--c-max", "x"], "argument --c-max: invalid int value: 'x'"),
+        (["scripts/reproduce_tables.py", "--alpha=-3000"], "exact value too long to print: more than 4300 digits"),
     ],
 )
 def test_script_usage_error_is_one_line_and_exit_1(argv, message):

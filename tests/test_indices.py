@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from ccyclic.indices import IndexSpec, SchurClass, evaluate
+from ccyclic.formatting import format_fraction
+from ccyclic.indices import MAX_EXACT_DIGITS, IndexSpec, SchurClass, evaluate
 
 from oracles import (
     per_entry_power_sum,
@@ -119,3 +120,15 @@ def test_exactness_flags(seq):
     assert evaluate(IndexSpec.general_zagreb(3), seq).exact
     assert evaluate(IndexSpec.inverse_degree(), seq).exact
     assert not evaluate(IndexSpec.mult_zagreb_log(), seq).exact
+
+
+def test_format_fraction_refuses_values_too_long_to_print():
+    too_long = 10**MAX_EXACT_DIGITS
+    for value in (too_long, -too_long, Fraction(1, too_long)):
+        with pytest.raises(ValueError, match=f"more than {MAX_EXACT_DIGITS} digits"):
+            format_fraction(value)
+
+
+def test_format_fraction_prints_the_longest_allowed_values():
+    longest = 10**MAX_EXACT_DIGITS - 1
+    assert format_fraction(Fraction(-longest, longest - 1)) == f"-{longest}/{longest - 1}"

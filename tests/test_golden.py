@@ -25,6 +25,9 @@ CASES = {
     "extremal-text": ["extremal", "--n", "8", "--c", "3"],
     "extremal-csv": ["extremal", "--n", "7", "--c", "6", "--format", "csv"],
     "extremal-json": ["extremal", "--n", "7", "--c", "6", "--format", "json"],
+    "extremal-text-large": ["extremal", "--n", "1000", "--c", "6"],
+    "extremal-csv-large": ["extremal", "--n", "1000", "--c", "4", "--format", "csv"],
+    "extremal-json-degenerate": ["extremal", "--n", "5", "--c", "6", "--format", "json"],
     "bounds-text-refined-verify": [
         "bounds", "--n", "9", "--c", "3..6", "--index", "inverse-degree",
         "--refined", "--verify",
@@ -36,6 +39,9 @@ CASES = {
     "bounds-json-refined-verify": [
         "bounds", "--n", "9", "--c", "3..6", "--index", "inverse-degree",
         "--refined", "--verify", "--format", "json",
+    ],
+    "bounds-text-refined-large": [
+        "bounds", "--n", "1000", "--c", "3..6", "--index", "inverse-degree", "--refined",
     ],
     "bounds-csv": ["bounds", "--n", "10", "--alpha", "2", "--c", "1..6", "--format", "csv"],
     "bounds-json": ["bounds", "--n", "10", "--alpha", "3", "--c", "1..6", "--format", "json"],

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import lt
 from typing import Iterator, Optional
 
-from .extremal import BoxSet, integerize_minimal, maximal_box, minimal_box
-from .majorization import Relation, compare, is_majorized_by
+from .extremal import BoxSet, integerize_runs, maximal_runs, minimal_runs
+from .majorization import Relation, compare, compare_runs, expand_runs, is_majorized_by, runs_of
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -104,18 +105,26 @@ class CyclomaticClass:
 
 def validate_degree_sequence(seq, n: int) -> tuple:
     """Check a degree sequence: length n, nonincreasing, entries in [1, n-1]."""
-    seq = tuple(int(d) for d in seq)
+    seq = tuple(map(int, seq))
     if len(seq) != n:
         raise ValueError(f"expected {n} degrees, got {len(seq)}")
-    if any(a < b for a, b in zip(seq, seq[1:])):
+    if any(map(lt, seq, seq[1:])):
         raise ValueError("degrees not sorted nonincreasing")
     if seq[-1] < 1 or seq[0] > n - 1:
         raise ValueError("degrees must lie in [1, n-1]")
     return seq
 
 
-def _count_at_least(seq, threshold: int) -> int:
-    return sum(1 for d in seq if d >= threshold)
+def _counting_form_holds(runs, klass: CyclomaticClass) -> bool:
+    """Counting-form test of a valid degree sequence given as ``(degree, count)`` runs."""
+    if sum(d * count for d, count in runs) != klass.degree_total:
+        return False
+    for needed_order, needs in _COUNT_CONDITIONS[klass.c]:
+        if klass.n < needed_order:
+            continue
+        if all(sum(count for d, count in runs if d >= t) >= j for t, j in needs):
+            return True
+    return False
 
 
 def is_ccyclic_sequence(seq, klass: CyclomaticClass) -> bool:
@@ -125,14 +134,7 @@ def is_ccyclic_sequence(seq, klass: CyclomaticClass) -> bool:
         raise ValueError(
             f"no characterization implemented beyond c={MAX_SUPPORTED_CYCLES}"
         )
-    if sum(seq) != klass.degree_total:
-        return False
-    for needed_order, needs in _COUNT_CONDITIONS[klass.c]:
-        if klass.n < needed_order:
-            continue
-        if all(_count_at_least(seq, t) >= j for t, j in needs):
-            return True
-    return False
+    return _counting_form_holds(runs_of(seq), klass)
 
 
 def is_ccyclic_sequence_via_inequalities(seq, klass: CyclomaticClass) -> bool:
@@ -299,25 +301,25 @@ def class_boxes(klass: CyclomaticClass) -> list:
     for needed_order, needs in _COUNT_CONDITIONS[klass.c]:
         if n < needed_order:
             continue
-        lower = [1] * n
+        head = [1] * max((count for _, count in needs), default=0)
         for threshold, count in needs:
             for i in range(count):
-                lower[i] = max(lower[i], threshold)
-        boxes.append(
-            BoxSet(total=klass.degree_total, lower=tuple(lower), upper=(n - 1,) * n)
-        )
+                head[i] = max(head[i], threshold)
+        segments = [((low, n - 1), 1) for low in head] + [((1, n - 1), n - len(head))]
+        boxes.append(BoxSet(total=klass.degree_total, segments=segments))
     return boxes
 
 
-def _discard_dominated(seqs: list) -> list:
-    """Drop sequences majorized by another distinct candidate."""
-    unique = sorted(set(seqs), reverse=True)
+def _discard_dominated(candidates: list) -> list:
+    """Drop run-length sequences majorized by another distinct candidate.
+
+    Maximal runs sort as the sequences they stand for, so the survivors come
+    out in descending lexicographic order.
+    """
+    unique = sorted(set(candidates), reverse=True)
     kept = []
     for seq in unique:
-        dominated = any(
-            other != seq and is_majorized_by(seq, other) for other in unique
-        )
-        if not dominated:
+        if not any(compare_runs(seq, other) is Relation.LESS_OR_EQUAL for other in unique):
             kept.append(seq)
     return kept
 
@@ -329,39 +331,40 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
     element; maximal candidates dominated by another are discarded, and the
     minimal candidates are totally ordered with the least one minorizing the
     whole class.  The survivors are checked to be class members and pairwise
-    incomparable before they are returned.
+    incomparable before they are returned.  All of it runs on run-length
+    forms, O(runs) per sequence; only the result is expanded into tuples.
     """
     boxes = class_boxes(klass)
-    max_candidates = []
-    min_candidates = []
-    for box in boxes:
-        max_candidates.append(maximal_box(box))
-        min_candidates.append(integerize_minimal(minimal_box(box), box))
-    maximals = _discard_dominated(max_candidates)
+    maximals = _discard_dominated([maximal_runs(box) for box in boxes])
+    min_candidates = [integerize_runs(minimal_runs(box), box) for box in boxes]
 
+    # assertion messages print the (degree, count) runs: a tuple can be huge
     least = min_candidates[0]
     for cand in min_candidates[1:]:
-        rel = compare(cand, least)
+        rel = compare_runs(cand, least)
         if rel is Relation.LESS_OR_EQUAL:
             least = cand
         elif rel is Relation.INCOMPARABLE:
             raise AssertionError(
                 f"incomparable minimal candidates {cand} and {least} for {klass}"
             )
+    below = (Relation.EQUAL, Relation.LESS_OR_EQUAL)
     for cand in min_candidates:
-        if not is_majorized_by(least, cand):
+        if compare_runs(least, cand) not in below:
             raise AssertionError(f"{least} fails to minorize candidate {cand}")
 
-    for seq in list(maximals) + [least]:
-        if not is_ccyclic_sequence(seq, klass):
+    for seq in maximals + [least]:
+        if not _counting_form_holds(seq, klass):
             raise AssertionError(f"extremal sequence {seq} is not in the class")
     for i, a in enumerate(maximals):
-        if not is_majorized_by(least, a):
+        if compare_runs(least, a) not in below:
             raise AssertionError(f"minimal {least} not below maximal {a}")
         for b in maximals[i + 1 :]:
-            if compare(a, b) is not Relation.INCOMPARABLE:
+            if compare_runs(a, b) is not Relation.INCOMPARABLE:
                 raise AssertionError(f"maximal candidates {a} and {b} are comparable")
-    return ExtremalFamily(klass=klass, maximals=tuple(maximals), minimal=least)
+    return ExtremalFamily(
+        klass=klass, maximals=tuple(map(expand_runs, maximals)), minimal=expand_runs(least)
+    )
 
 
 # ---------------------------------------------------------------------------

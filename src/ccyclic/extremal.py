@@ -12,9 +12,16 @@ cross-checked here against the general box computation on every call.
 Arithmetic is exact and stays in the numbers it is given: ``int`` and
 ``Fraction`` values are kept, and any other number (float, str, ``Decimal``)
 becomes the ``Fraction`` it denotes, so an integer box has an ``int`` maximal
-element.  Each computation is linear in the dimension (the water level adds
-a logarithmic factor), and every returned vector is checked to be a member
-of its set with exactly the requested component sum.
+element.  Every returned vector is checked to be a member of its set with
+exactly the requested component sum.
+
+A box is held as segments, the maximal runs of equal ``(lower, upper)``
+pairs (a class box of :mod:`ccyclic.degree_sequences` has at most four), and
+its extremal elements are computed as runs (see :mod:`ccyclic.majorization`).
+Each computation and membership check costs O(segments + runs), plus a
+logarithmic factor for the water level.  Tuples are built only at the edges:
+:attr:`BoxSet.lower` and :attr:`BoxSet.upper`, and the ``*_box`` and
+:func:`integerize_minimal` results.
 """
 
 from __future__ import annotations
@@ -23,10 +30,9 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Sequence, Union
 
-from .majorization import check_vector
+from .majorization import aligned_runs, check_vector, coalesce_runs, expand_runs, runs_of
 
 
 class InfeasibleSetError(ValueError):
@@ -42,43 +48,67 @@ def _exact(value):
     return value if type(value) in (int, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoxSet:
-    """Nonincreasing vectors with component sum ``total`` inside a coordinate box."""
+    """Nonincreasing vectors with component sum ``total`` inside a coordinate box.
+
+    The bounds are given per coordinate (``lower``, ``upper``) or as
+    ``segments``, ``((low, high), length)`` runs; the box keeps maximal runs.
+    """
 
     total: Fraction
-    lower: tuple
-    upper: tuple
+    segments: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "total", _exact(self.total))
-        object.__setattr__(self, "lower", tuple(map(_exact, self.lower)))
-        object.__setattr__(self, "upper", tuple(map(_exact, self.upper)))
-        if len(self.lower) != len(self.upper):
-            raise ValueError("lower and upper bound vectors differ in length")
-        check_vector(self.lower)
-        check_vector(self.upper)
-        for low, high in zip(self.lower, self.upper):
+    def __init__(self, total, lower=(), upper=(), *, segments=None):
+        if segments is None:
+            lower, upper = tuple(map(_exact, lower)), tuple(map(_exact, upper))
+            if len(lower) != len(upper):
+                raise ValueError("lower and upper bound vectors differ in length")
+            segments = runs_of(zip(lower, upper))
+        segments = coalesce_runs(
+            ((_exact(low), _exact(high)), length) for (low, high), length in segments
+        )
+        object.__setattr__(self, "total", _exact(total))
+        object.__setattr__(self, "segments", segments)
+        check_vector([low for (low, _), _ in segments])
+        check_vector([high for (_, high), _ in segments])
+        for (low, high), length in segments:
             if low > high:
                 raise ValueError(f"crossed bounds: {low} > {high}")
-        if not sum(self.lower) <= self.total <= sum(self.upper):
-            raise InfeasibleSetError(
-                f"total {self.total} outside [{sum(self.lower)}, {sum(self.upper)}]"
-            )
+            if length < 1:
+                raise ValueError(f"segment length {length} is not positive")
+        least = sum(low * length for (low, _), length in segments)
+        most = sum(high * length for (_, high), length in segments)
+        if not least <= self.total <= most:
+            raise InfeasibleSetError(f"total {self.total} outside [{least}, {most}]")
 
     @property
     def n(self) -> int:
-        return len(self.lower)
+        return sum(length for _, length in self.segments)
+
+    @property
+    def lower(self) -> tuple:
+        return expand_runs((low, length) for (low, _), length in self.segments)
+
+    @property
+    def upper(self) -> tuple:
+        return expand_runs((high, length) for (_, high), length in self.segments)
 
     def contains(self, vec: Sequence) -> bool:
         """Membership test: right length, nonincreasing, in the box, right sum."""
-        if len(vec) != self.n:
+        return self.contains_runs(runs_of(vec))
+
+    def contains_runs(self, runs: Sequence) -> bool:
+        """:meth:`contains` for a vector in run-length form, in O(runs + segments)."""
+        if sum(length for _, length in runs) != self.n:
             return False
-        if any(b > a for a, b in zip(vec, list(vec)[1:])):
+        values = [value for value, _ in runs]
+        if any(b > a for a, b in zip(values, values[1:])):
             return False
-        if any(not (low <= x <= high) for x, low, high in zip(vec, self.lower, self.upper)):
+        pieces = aligned_runs(runs, self.segments)
+        if any(not low <= x <= high for x, (low, high), _ in pieces):
             return False
-        return sum(vec) == self.total
+        return sum(value * length for value, length in runs) == self.total
 
 
 @dataclass(frozen=True)
@@ -102,54 +132,61 @@ class TwoBlockSet:
             raise ValueError("block bounds must satisfy 0 <= m2 <= m1 and 0 <= M2 <= M1")
         if not (self.m1 < self.M1 and self.m2 < self.M2):
             raise ValueError("each block needs strictly separated bounds (m < M)")
-        low = self.h * self.m1 + (self.n - self.h) * self.m2
-        high = self.h * self.M1 + (self.n - self.h) * self.M2
-        if not low <= self.total <= high:
-            raise InfeasibleSetError(f"total {self.total} outside [{low}, {high}]")
+        self.as_box()  # raises InfeasibleSetError for a total outside the blocks' range
 
     def as_box(self) -> BoxSet:
-        """Expand the two blocks into per-coordinate bounds."""
-        lower = (self.m1,) * self.h + (self.m2,) * (self.n - self.h)
-        upper = (self.M1,) * self.h + (self.M2,) * (self.n - self.h)
-        return BoxSet(total=self.total, lower=lower, upper=upper)
+        """The same set as a box with two segments (one when ``h == n``)."""
+        segments = (((self.m1, self.M1), self.h), ((self.m2, self.M2), self.n - self.h))
+        return BoxSet(total=self.total, segments=segments)
 
 
 AnySet = Union[BoxSet, TwoBlockSet]
 
 
-def _assert_member(box: BoxSet, vec: tuple, what: str) -> None:
-    if not box.contains(vec):
-        raise AssertionError(f"{what} {vec} escaped its constraint set")
+def _assert_member(box: BoxSet, runs: tuple, what: str) -> None:
+    if not box.contains_runs(runs):
+        raise AssertionError(f"{what} with runs {runs} escaped its constraint set")
 
 
-def maximal_box(box: BoxSet) -> tuple:
-    """The element of ``box`` that majorizes every other element.
+def maximal_runs(box: BoxSet) -> tuple:
+    """The element of ``box`` that majorizes every other element, as runs.
 
     The first ``k`` coordinates sit at their upper bounds, coordinates past
     ``k+1`` at their lower bounds, and the single coordinate in between takes
     whatever value restores the component sum.  ``k`` is the smallest index
-    for which that filler fits between its own bounds.
+    for which that filler fits between its own bounds.  Inside a segment each
+    coordinate moved from its lower to its upper bound uses ``high - low`` of
+    the slack, so one floor division finds ``k`` there.
     """
-    lower, upper, total, n = box.lower, box.upper, box.total, box.n
-    if total == sum(upper):
-        return upper
-    top = 0  # running sum of leading upper bounds
-    tail = sum(lower)  # running sum of trailing lower bounds, lower[take:]
-    for take in range(n):
-        tail_next = tail - lower[take]
-        corner_next = top + upper[take] + tail_next
-        if total < corner_next:
-            fill = total - top - tail_next
-            vec = upper[:take] + (fill,) + lower[take + 1 :]
-            _assert_member(box, vec, "maximal element")
-            return vec
-        top += upper[take]
-        tail = tail_next
+    segments, total = box.segments, box.total
+    top = 0  # sum of upper bounds before this segment
+    tail = sum(low * length for (low, _), length in segments)  # lower bounds from it on
+    for at, ((low, high), length) in enumerate(segments):
+        slack = total - top - tail
+        take = slack // (high - low) if high > low else length
+        if take < length:
+            fill = slack + low - take * (high - low)
+            runs = coalesce_runs(
+                [(up, size) for (_, up), size in segments[:at]]
+                + [(high, take), (fill, 1), (low, length - take - 1)]
+                + [(down, size) for (down, _), size in segments[at + 1 :]]
+            )
+            _assert_member(box, runs, "maximal element")
+            return runs
+        top += high * length
+        tail -= low * length
+    if total == top:  # the upper corner
+        return coalesce_runs((high, length) for (_, high), length in segments)
     raise AssertionError("feasible box without a maximal element")
 
 
-def minimal_box(box: BoxSet) -> tuple:
-    """The element of ``box`` majorized by every other element.
+def maximal_box(box: BoxSet) -> tuple:
+    """The element of ``box`` that majorizes every other element; see :func:`maximal_runs`."""
+    return expand_runs(maximal_runs(box))
+
+
+def minimal_runs(box: BoxSet) -> tuple:
+    """The element of ``box`` majorized by every other element, as runs.
 
     Coordinate ``i`` is the water level ``t`` clamped into its bounds,
     ``min(upper[i], max(lower[i], t))``.  The clamped sum is continuous,
@@ -158,14 +195,14 @@ def minimal_box(box: BoxSet) -> tuple:
     The result can have fractional components even when the box is integral;
     see :func:`integerize_minimal`.
     """
-    lower, upper, total = box.lower, box.upper, box.total
+    segments, total = box.segments, box.total
 
     def clamped_sum(level):
-        return sum(min(high, max(low, level)) for low, high in zip(lower, upper))
+        return sum(min(high, max(low, level)) * size for (low, high), size in segments)
 
     # clamped_sum runs from sum(lower) <= total at the least bound value to
     # sum(upper) >= total at the greatest, so this index exists
-    levels = sorted(set(lower + upper))
+    levels = sorted({bound for bounds, _ in segments for bound in bounds})
     above = bisect_left(levels, total, key=clamped_sum)
     level = levels[above]
     reached = clamped_sum(level)
@@ -173,9 +210,14 @@ def minimal_box(box: BoxSet) -> tuple:
         below = levels[above - 1]
         base = clamped_sum(below)
         level = below + Fraction((total - base) * (level - below), reached - base)
-    vec = tuple(min(high, max(low, level)) for low, high in zip(lower, upper))
-    _assert_member(box, vec, "minimal element")
-    return vec
+    runs = coalesce_runs((min(high, max(low, level)), size) for (low, high), size in segments)
+    _assert_member(box, runs, "minimal element")
+    return runs
+
+
+def minimal_box(box: BoxSet) -> tuple:
+    """The element of ``box`` majorized by every other element; see :func:`minimal_runs`."""
+    return expand_runs(minimal_runs(box))
 
 
 def maximal_two_block(blocks: TwoBlockSet) -> tuple:
@@ -201,7 +243,7 @@ def maximal_two_block(blocks: TwoBlockSet) -> tuple:
             fill = total - h * M1 - (take - h) * M2 - (n - take - 1) * m2
             vec = (M1,) * h + (M2,) * (take - h) + (fill,) + (m2,) * (n - take - 1)
     box = blocks.as_box()
-    _assert_member(box, vec, "two-block maximal element")
+    _assert_member(box, runs_of(vec), "two-block maximal element")
     general = maximal_box(box)
     if vec != general:
         raise AssertionError(
@@ -235,32 +277,28 @@ def minimal_two_block(blocks: TwoBlockSet) -> tuple:
     else:
         head = (total - blocks.M2 * (n - h)) / h
         vec = (head,) * h + (blocks.M2,) * (n - h)
-    _assert_member(blocks.as_box(), vec, "two-block minimal element")
+    _assert_member(blocks.as_box(), runs_of(vec), "two-block minimal element")
     return vec
 
 
-def integerize_minimal(vec: Sequence, constraint: AnySet) -> tuple:
-    """Round a (possibly fractional) minimal element to the integer minimal element.
+def integerize_runs(runs: Sequence, constraint: AnySet) -> tuple:
+    """Round a (possibly fractional) minimal element, as runs, to the integer one.
 
-    Within each maximal run of equal fractional components the values are
-    replaced by the two nearest integers, the larger ones first, so that the
-    run keeps its sum.  Runs that are already integer pass through unchanged.
-    Requires integer bounds and an integer component sum; the rounded vector
-    is validated against the constraint set.
+    The runs are merged into maximal runs first.  Within each run the values
+    are replaced by the two nearest integers, the larger ones first, so that
+    the run keeps its sum; integer runs pass through unchanged.  Requires
+    integer bounds and an integer component sum; the rounded vector is
+    validated against the constraint set.
     """
     box = constraint.as_box() if isinstance(constraint, TwoBlockSet) else constraint
     if box.total.denominator != 1:
         raise UnsupportedCaseError("integer rounding needs an integer component sum")
-    if any(b.denominator != 1 for b in box.lower + box.upper):
+    if any(bound.denominator != 1 for bounds, _ in box.segments for bound in bounds):
         raise UnsupportedCaseError("integer rounding needs integer box bounds")
-    values = tuple(map(_exact, vec))
-    check_vector(values)
-    out: list = []
-    for value, run in groupby(values):
-        length = len(list(run))
-        if value.denominator == 1:
-            out.extend([int(value)] * length)
-            continue
+    runs = coalesce_runs((_exact(value), length) for value, length in runs)
+    check_vector([value for value, _ in runs])
+    out = []
+    for value, length in runs:
         run_sum = value * length
         if run_sum.denominator != 1:
             raise InfeasibleSetError(
@@ -268,8 +306,13 @@ def integerize_minimal(vec: Sequence, constraint: AnySet) -> tuple:
             )
         base = math.floor(value)
         bumped = int(run_sum) - base * length
-        out.extend([base + 1] * bumped + [base] * (length - bumped))
-    result = tuple(out)
-    if not box.contains(result):
-        raise InfeasibleSetError(f"rounded vector {result} leaves the constraint set")
+        out += [(base + 1, bumped), (base, length - bumped)]
+    result = coalesce_runs(out)
+    if not box.contains_runs(result):
+        raise InfeasibleSetError(f"rounded vector {expand_runs(result)} leaves the constraint set")
     return result
+
+
+def integerize_minimal(vec: Sequence, constraint: AnySet) -> tuple:
+    """:func:`integerize_runs` for a vector given per coordinate."""
+    return expand_runs(integerize_runs(runs_of(vec), constraint))

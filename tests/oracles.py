@@ -8,6 +8,7 @@ checked against genuinely separate computations.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -185,3 +186,86 @@ def random_nested_boxes(rng, n_max=6, value_max=8):
         outer_lower[i] = min(outer_lower[i], outer_lower[i - 1])
     total = rng.randint(sum(inner_lower), sum(inner_upper))
     return total, tuple(inner_lower), tuple(inner_upper), tuple(outer_lower), tuple(outer_upper)
+
+
+# ---------------------------------------------------------------------------
+# Per-coordinate box computations: the library works on segments and runs,
+# these walk every coordinate of the expanded bound tuples.
+# ---------------------------------------------------------------------------
+
+
+def per_coordinate_contains(lower, upper, total, vec):
+    """Box membership checked entry by entry: length, order, bounds and sum."""
+    if len(vec) != len(lower):
+        return False
+    if any(b > a for a, b in zip(vec, vec[1:])):
+        return False
+    if any(not (low <= x <= high) for x, low, high in zip(vec, lower, upper)):
+        return False
+    return sum(vec) == total
+
+
+def per_coordinate_maximal(lower, upper, total):
+    """The maximal element by one pass over the coordinates.
+
+    The first coordinate whose move to its upper bound would overshoot the
+    total takes the filler; everything before it sits at its upper bound and
+    everything after at its lower bound.
+    """
+    if total == sum(upper):
+        return tuple(upper)
+    top, tail = 0, sum(lower)
+    for take in range(len(lower)):
+        tail_next = tail - lower[take]
+        if total < top + upper[take] + tail_next:
+            return tuple(upper[:take]) + (total - top - tail_next,) + tuple(lower[take + 1 :])
+        top += upper[take]
+        tail = tail_next
+    raise AssertionError("feasible box without a maximal element")
+
+
+def per_coordinate_minimal(lower, upper, total):
+    """The minimal element as one water level clamped into every coordinate's bounds.
+
+    The level is found by bisection over the sorted bound values, with the
+    clamped sum recomputed coordinate by coordinate at each probe.
+    """
+
+    def clamped_sum(level):
+        return sum(min(high, max(low, level)) for low, high in zip(lower, upper))
+
+    levels = sorted(set(lower) | set(upper))
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:  # the least bound value whose clamped sum reaches the total
+        mid = (lo + hi) // 2
+        if clamped_sum(levels[mid]) < total:
+            lo = mid + 1
+        else:
+            hi = mid
+    level = levels[lo]
+    reached = clamped_sum(level)
+    if reached != total:
+        below = levels[lo - 1]
+        base = clamped_sum(below)
+        level = below + Fraction((total - base) * (level - below), reached - base)
+    return tuple(min(high, max(low, level)) for low, high in zip(lower, upper))
+
+
+def per_coordinate_integerize(vec):
+    """Round a minimal element: each run of equal entries becomes its two nearest integers.
+
+    The larger integers come first and the run keeps its sum; runs are found
+    by a scan over the entries.
+    """
+    out = []
+    i = 0
+    while i < len(vec):
+        j = i
+        while j < len(vec) and vec[j] == vec[i]:
+            j += 1
+        value, length = Fraction(vec[i]), j - i
+        base = math.floor(value)
+        bumped = int(value * length) - base * length
+        out += [base + 1] * bumped + [base] * (length - bumped)
+        i = j
+    return tuple(out)

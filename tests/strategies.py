@@ -96,3 +96,39 @@ def raw_degree_lists(draw, max_size=10):
     n = draw(st.integers(0, max_size))
     low, high = draw(st.sampled_from([(0, max(n - 1, 0)), (-2, n + 2)]))
     return draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+
+
+@st.composite
+def run_length_boxes(draw, max_segments=6, max_length=300, top=12):
+    """A feasible BoxSet built from segments: long runs of equal bound pairs.
+
+    Segments run up to ``max_length`` coordinates; some are degenerate
+    (lower == upper) and some repeat their left neighbour's bounds, so the
+    box must merge them.  Bounds and total are ints or, in one draw of four,
+    Fractions.
+    """
+    fractional = draw(st.integers(0, 3)) == 0
+
+    def number(low, high):
+        if fractional:
+            return draw(st.fractions(min_value=low, max_value=high, max_denominator=3))
+        return draw(st.integers(low, high))
+
+    segments = []
+    for _ in range(draw(st.integers(1, max_segments))):
+        length = draw(st.integers(1, max_length))
+        if segments and draw(st.integers(0, 3)) == 0:  # same bounds as the neighbour
+            segments.append((segments[-1][0], length))
+            continue
+        cap_low, cap_high = segments[-1][0] if segments else (top, top)
+        low = number(0, cap_low)
+        degenerate = draw(st.integers(0, 3)) == 0
+        segments.append(((low, low if degenerate else number(low, cap_high)), length))
+    least = sum(low * length for (low, _), length in segments)
+    most = sum(high * length for (_, high), length in segments)
+    total = (
+        draw(st.fractions(min_value=least, max_value=most, max_denominator=12))
+        if fractional
+        else draw(st.integers(least, most))
+    )
+    return BoxSet(total=total, segments=segments)

@@ -226,6 +226,23 @@ class TestExponentOverflow:
         assert lines[2].endswith(" (7) at [9, 2^2, 1^7]")
 
 
+class TestLargeOrder:
+    def test_extremal_at_a_million_vertices(self):
+        # boxes, extremal elements and their checks cost O(runs); only the
+        # output tuples grow with n
+        result = run_isolated("extremal", "--n", "1000000", "--c", "6")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == (
+            "n=1000000 c=6 degree-total=2000010\n"
+            "maximal 1: [999999, 7, 2^6, 1^999992]\n"
+            "maximal 2: [999999, 6, 3^2, 2^3, 1^999993]\n"
+            "maximal 3: [999999, 5, 4, 3^2, 2, 1^999994]\n"
+            "maximal 4: [999999, 4^4, 1^999995]\n"
+            "maximals: pairwise incomparable under majorization\n"
+            "minimal: [3^10, 2^999990]\n"
+        )
+
+
 class TestVerify:
     def test_small_grid_all_match(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "6", "--c", "0..6")

@@ -20,8 +20,15 @@ from ccyclic.extremal import (
 )
 from ccyclic.majorization import Relation, compare, is_majorized_by
 
-from oracles import box_integer_points, pinned_split_minimal
-from strategies import fraction_boxes, integer_boxes, two_block_sets
+from oracles import (
+    box_integer_points,
+    per_coordinate_contains,
+    per_coordinate_integerize,
+    per_coordinate_maximal,
+    per_coordinate_minimal,
+    pinned_split_minimal,
+)
+from strategies import fraction_boxes, integer_boxes, run_length_boxes, two_block_sets
 
 
 def F(*args):
@@ -223,6 +230,37 @@ def test_maximal_box_of_integer_box_has_int_components(box):
 )
 def test_minimal_box_matches_pinned_split_search(box):
     assert minimal_box(box) == pinned_split_minimal(box.lower, box.upper, box.total)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        integer_boxes(),
+        fraction_boxes(),
+        two_block_sets().map(lambda blocks: blocks.as_box()),
+        run_length_boxes(),
+    )
+)
+def test_segment_computations_match_per_coordinate_oracles(box):
+    lower, upper, total = box.lower, box.upper, box.total
+    assert BoxSet(total=total, lower=lower, upper=upper) == box
+    top, bottom = maximal_box(box), minimal_box(box)
+    assert top == per_coordinate_maximal(lower, upper, total)
+    assert bottom == per_coordinate_minimal(lower, upper, total)
+    probes = (top, bottom, top[::-1], bottom[:-1], (top[0] + 1,) + top[1:], top[:-1] + (top[-1] + 1,))
+    for vec in probes:
+        assert box.contains(vec) == per_coordinate_contains(lower, upper, total, vec)
+    if all(x.denominator == 1 for x in (total,) + lower + upper):
+        assert integerize_minimal(bottom, box) == per_coordinate_integerize(bottom)
+
+
+def test_segments_merge_and_expand():
+    box = BoxSet(total=20, segments=(((4, 4), 2), ((4, 4), 3), ((3, 5), 0)))
+    assert box.segments == (((4, 4), 5),)
+    assert (box.n, box.lower, box.upper) == (5, (4,) * 5, (4,) * 5)
+    assert maximal_box(box) == minimal_box(box) == (4,) * 5
+    with pytest.raises(ValueError, match="not positive"):
+        BoxSet(total=0, segments=(((0, 1), -1),))
 
 
 @settings(max_examples=150, deadline=None)

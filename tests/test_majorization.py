@@ -4,8 +4,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccyclic.majorization import Relation, compare, is_majorized_by, partial_sums
+from ccyclic.majorization import (
+    Relation,
+    compare,
+    compare_runs,
+    expand_runs,
+    is_majorized_by,
+    partial_sums,
+    runs_of,
+)
 
 from oracles import prefix_dominates, random_nonincreasing, transfer_down
 from strategies import nonincreasing_fraction_vectors, nonincreasing_int_vectors
@@ -133,3 +142,64 @@ def test_transitivity_on_transfer_chains():
         assert is_majorized_by(mid, top)
         assert is_majorized_by(low, mid)
         assert is_majorized_by(low, top)
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two nonincreasing vectors of one length, int or Fraction, with many repeated entries.
+
+    The second is drawn on its own (totals mostly unequal) or made from the
+    first by a few balancing transfers (equal totals, below the first).
+    """
+    n = draw(st.integers(1, 24))
+    fractional = draw(st.booleans())
+    values = st.sampled_from([Fraction(k, 4) for k in range(25)]) if fractional else st.integers(0, 6)
+
+    def vector():
+        return tuple(sorted(draw(st.lists(values, min_size=n, max_size=n)), reverse=True))
+
+    left = vector()
+    if draw(st.booleans()):
+        right = vector()
+    else:
+        moved = list(left)
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = sorted((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+            gap = moved[i] - moved[j]
+            delta = gap * Fraction(draw(st.integers(0, 4)), 4) if fractional else draw(
+                st.integers(0, gap)
+            )
+            moved[i], moved[j] = moved[i] - delta, moved[j] + delta
+            moved.sort(reverse=True)
+        right = tuple(moved)
+    return (left, right) if draw(st.booleans()) else (right, left)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(vector_pairs())
+def test_run_comparison_agrees_with_compare(pair):
+    left, right = pair
+    assert expand_runs(runs_of(left)) == left
+    assert compare_runs(runs_of(left), runs_of(right)) is compare(left, right)
+    # runs need not be maximal: one run per entry gives the same answer
+    assert compare_runs(tuple((x, 1) for x in left), runs_of(right)) is compare(left, right)
+
+
+class TestCompareRuns:
+    def test_incomparable_maximal_pair(self):
+        left, right = runs_of((7, 4, 2, 2, 2, 1, 1, 1)), runs_of((7, 3, 3, 3, 1, 1, 1, 1))
+        assert compare_runs(left, right) is Relation.INCOMPARABLE
+
+    def test_long_runs(self):
+        spread = ((999, 1), (7, 1), (2, 6), (1, 992))
+        flat = ((3, 10), (2, 990))
+        assert compare_runs(flat, spread) is Relation.LESS_OR_EQUAL
+        assert compare_runs(spread, flat) is Relation.GREATER_OR_EQUAL
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            compare_runs(((2, 3),), ((2, 4),))
+
+    def test_rejects_unsorted(self):
+        with pytest.raises(ValueError, match="nonincreasing"):
+            compare_runs(((1, 1), (2, 1)), ((2, 1), (1, 1)))

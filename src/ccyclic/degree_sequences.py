@@ -25,13 +25,14 @@ first eight for the widest c=6 set).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import lt
 from typing import Iterator, Optional
 
 from .extremal import BoxSet, integerize_runs, maximal_runs, minimal_runs
-from .majorization import Relation, compare, compare_runs, expand_runs, is_majorized_by, runs_of
+from .majorization import Relation, compare, compare_runs, expand_runs, is_majorized_by
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -115,14 +116,14 @@ def validate_degree_sequence(seq, n: int) -> tuple:
     return seq
 
 
-def _counting_form_holds(runs, klass: CyclomaticClass) -> bool:
-    """Counting-form test of a valid degree sequence given as ``(degree, count)`` runs."""
-    if sum(d * count for d, count in runs) != klass.degree_total:
+def _counting_form_holds(counts, klass: CyclomaticClass) -> bool:
+    """Counting-form test of a valid degree sequence given as ``(degree, count)`` pairs."""
+    if sum(d * count for d, count in counts) != klass.degree_total:
         return False
     for needed_order, needs in _COUNT_CONDITIONS[klass.c]:
         if klass.n < needed_order:
             continue
-        if all(sum(count for d, count in runs if d >= t) >= j for t, j in needs):
+        if all(sum(count for d, count in counts if d >= t) >= j for t, j in needs):
             return True
     return False
 
@@ -134,7 +135,7 @@ def is_ccyclic_sequence(seq, klass: CyclomaticClass) -> bool:
         raise ValueError(
             f"no characterization implemented beyond c={MAX_SUPPORTED_CYCLES}"
         )
-    return _counting_form_holds(runs_of(seq), klass)
+    return _counting_form_holds(Counter(seq).items(), klass)
 
 
 def is_ccyclic_sequence_via_inequalities(seq, klass: CyclomaticClass) -> bool:

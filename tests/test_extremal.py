@@ -13,6 +13,7 @@ from ccyclic.extremal import (
     TwoBlockSet,
     UnsupportedCaseError,
     integerize_minimal,
+    integerize_runs,
     maximal_box,
     maximal_two_block,
     minimal_box,
@@ -150,6 +151,11 @@ class TestIntegerize:
         vec = (4,) + (F(14, 5),) * 5
         assert integerize_minimal(vec, box) == (4, 3, 3, 3, 3, 2)
 
+    def test_equal_neighbouring_runs_are_merged_first(self):
+        box = BoxSet(total=5, lower=(1, 1), upper=(4, 4))
+        # rounded one by one, each half-integer run would have a fractional sum
+        assert integerize_runs(((F(5, 2), 1), (F(5, 2), 1)), box) == ((3, 1), (2, 1))
+
     def test_fractional_total_rejected(self):
         box = BoxSet(total=F(9, 2), lower=(1, 1), upper=(4, 4))
         with pytest.raises(UnsupportedCaseError):
@@ -247,7 +253,8 @@ def test_segment_computations_match_per_coordinate_oracles(box):
     top, bottom = maximal_box(box), minimal_box(box)
     assert top == per_coordinate_maximal(lower, upper, total)
     assert bottom == per_coordinate_minimal(lower, upper, total)
-    probes = (top, bottom, top[::-1], bottom[:-1], (top[0] + 1,) + top[1:], top[:-1] + (top[-1] + 1,))
+    flat = (Fraction(total) / len(lower),) * len(lower)  # right sum and order, maybe out of bounds
+    probes = (top, bottom, flat, top[::-1], bottom[:-1], top[:-1] + (top[-1] + 1,))
     for vec in probes:
         assert box.contains(vec) == per_coordinate_contains(lower, upper, total, vec)
     if all(x.denominator == 1 for x in (total,) + lower + upper):

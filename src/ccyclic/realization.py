@@ -5,12 +5,17 @@ ties broken by vertex index) followed by a connectivity repair that trades a
 cycle edge of one component against an edge of another.  Both phases preserve
 the degree multiset, and the repair always terminates because a disconnected
 graph with at least ``n - 1`` edges must own a component containing a cycle.
+
+Attachment keeps the vertices in a heap, so it costs O(m log n) for m edges.
+The repair keeps each component's cycle edges and updates them at each swap;
+a component is searched again only after a swap that leaves it with new
+bridges.  Neither phase rescans the whole graph per step.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .degree_sequences import is_graphical
 
@@ -52,33 +57,17 @@ class SimpleGraph:
         return tuple(sorted(self.vertex_degrees(), reverse=True))
 
 
-def _components(n: int, edges) -> list:
-    """Connected components as sorted vertex lists, ordered by smallest vertex."""
-    adjacency = [[] for _ in range(n)]
+def _adjacency(n: int, edges) -> list:
+    """Neighbour sets of the vertices 0..n-1."""
+    adjacency = [set() for _ in range(n)]
     for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = [False] * n
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        queue = deque([start])
-        seen[start] = True
-        comp = []
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        components.append(sorted(comp))
-    return components
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    return adjacency
 
 
 def is_connected(graph: SimpleGraph) -> bool:
-    return len(_components(graph.n, graph.edges)) == 1
+    return len(_cycle_edges(_adjacency(graph.n, graph.edges), range(graph.n))) == 1
 
 
 def cyclomatic_number(graph: SimpleGraph) -> int:
@@ -88,25 +77,118 @@ def cyclomatic_number(graph: SimpleGraph) -> int:
     return graph.edge_count - graph.n + 1
 
 
-def _is_cycle_edge(n: int, edges: set, edge: tuple) -> bool:
-    """True when removing the edge keeps its endpoints connected."""
-    u, v = edge
-    remaining = edges - {edge}
-    adjacency = [[] for _ in range(n)]
-    for a, b in remaining:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    queue = deque([u])
-    seen = {u}
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            return True
-        for w in adjacency[x]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return False
+def _attach(degrees) -> set:
+    """Greedy attachment: the vertex of largest remaining degree (smallest index
+    among equals) is joined to the next ``need`` vertices in the same order.
+
+    The order is a heap of keys ``v - remaining * n``, so a step pops its
+    center and partners and pushes back the partners still short of degree.
+    """
+    n = len(degrees)
+    heap = [v - d * n for v, d in enumerate(degrees)]  # sorted, so a heap: degrees are nonincreasing
+    edges = set()
+    while heap:
+        key = heappop(heap)
+        center, need = key % n, -(key // n)
+        if len(heap) < need:
+            raise AssertionError("greedy attachment ran out of partners on graphical input")
+        partners = [heappop(heap) for _ in range(need)]
+        for key in partners:
+            edges.add(_edge(center, key % n))
+            if key + n < 0:
+                heappush(heap, key + n)
+    return edges
+
+
+def _cycle_edges(adjacency, roots) -> list:
+    """``(root, cycle edges)`` of the component of each root not reached from an earlier root.
+
+    The cycle edges are all edges but the bridges, found by an iterative
+    depth-first search with low points: a tree edge lies on a cycle exactly
+    when the subtree below it reaches its upper end or above.
+    """
+    index, low, found = {}, {}, []
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        cycle = set()
+        stack = [(root, None, iter(adjacency[root]))]
+        while stack:
+            v, parent, neighbours = stack[-1]
+            for w in neighbours:
+                if w == parent:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append((w, v, iter(adjacency[w])))
+                    break
+                if index[w] < index[v]:  # back edge to an ancestor
+                    cycle.add(_edge(v, w))
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+            else:
+                stack.pop()
+                if parent is not None and low[v] <= index[parent]:
+                    cycle.add(_edge(parent, v))
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+        found.append((root, cycle))
+    return found
+
+
+def _reconnect(n: int, edges: set) -> None:
+    """Join the components in place by edge swaps that keep every degree.
+
+    While components remain, the smallest cycle edge ``(u, v)`` of the first
+    component that has a cycle and the smallest edge ``(x, y)`` of the first
+    other component (components ordered by smallest vertex) are replaced by
+    ``(u, x)`` and ``(v, y)``, which merges the two.  As no vertex is
+    isolated, ``x`` is that component's smallest vertex.  Each component
+    keeps its cycle edges, in a set and a lazily pruned heap.  A swap
+    updates them directly: ``(u, v)`` lies on a cycle, so when ``(x, y)``
+    does too, every other edge keeps its status and the new edges close a
+    cycle.  When ``(x, y)`` is a bridge, the merged component is searched
+    again, and only if a later swap needs it.
+    """
+    adjacency = _adjacency(n, edges)
+    # (smallest vertex, cycle edges or None for not yet searched, heap of them) per component,
+    # ordered by smallest vertex
+    parts = [(root, cycle, sorted(cycle)) for root, cycle in _cycle_edges(adjacency, range(n))]
+    while len(parts) > 1:
+        for donor, (root, cycle, heap) in enumerate(parts):
+            if cycle is None:
+                [(_, cycle)] = _cycle_edges(adjacency, (root,))
+                heap = sorted(cycle)
+                parts[donor] = (root, cycle, heap)
+            while heap and heap[0] not in cycle:
+                heappop(heap)
+            if heap:
+                break
+        else:
+            raise AssertionError("no cycle edge found while reconnecting components")
+        receiver = 1 if donor == 0 else 0
+        x, receiver_cycle, _ = parts[receiver]
+        (u, v), y = heap[0], min(adjacency[x])
+        for a, b in ((u, v), (x, y)):
+            adjacency[a].discard(b)
+            adjacency[b].discard(a)
+            edges.discard((a, b))
+        for a, b in ((u, x), (v, y)):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+            edges.add(_edge(a, b))
+        if (x, y) in receiver_cycle:
+            cycle.discard((u, v))
+            receiver_cycle.discard((x, y))
+            receiver_cycle.update((_edge(u, x), _edge(v, y)))
+            cycle |= receiver_cycle
+            for e in receiver_cycle:
+                heappush(heap, e)
+        else:  # the new edges are bridges, and (u, v) may have closed the donor's last cycles
+            cycle = None
+        parts[0] = (min(root, x), cycle, heap)  # the merge holds the smallest vertex left
+        del parts[max(donor, receiver)]
 
 
 def realize(seq) -> SimpleGraph:
@@ -129,51 +211,8 @@ def realize(seq) -> SimpleGraph:
     if sum(degrees) < 2 * (n - 1):
         raise RealizationError("fewer edge endpoints than any spanning tree needs")
 
-    remaining = list(degrees)
-    edges: set = set()
-    while True:
-        center = max(range(n), key=lambda v: (remaining[v], -v))
-        need = remaining[center]
-        if need == 0:
-            break
-        partners = sorted(
-            (
-                v
-                for v in range(n)
-                if v != center and remaining[v] > 0 and _edge(center, v) not in edges
-            ),
-            key=lambda v: (-remaining[v], v),
-        )
-        if len(partners) < need:
-            raise AssertionError("greedy attachment ran out of partners on graphical input")
-        remaining[center] = 0
-        for v in partners[:need]:
-            edges.add(_edge(center, v))
-            remaining[v] -= 1
-
-    components = _components(n, edges)
-    while len(components) > 1:
-        swap = None
-        for comp in components:
-            comp_set = set(comp)
-            for edge in sorted(e for e in edges if e[0] in comp_set):
-                if _is_cycle_edge(n, edges, edge):
-                    swap = (comp_set, edge)
-                    break
-            if swap:
-                break
-        if swap is None:
-            raise AssertionError("no cycle edge found while reconnecting components")
-        donor_set, (u, v) = swap
-        receiver = next(c for c in components if c[0] not in donor_set)
-        receiver_set = set(receiver)
-        x, y = min(e for e in edges if e[0] in receiver_set)
-        edges.discard((u, v))
-        edges.discard((x, y))
-        edges.add(_edge(u, x))
-        edges.add(_edge(v, y))
-        components = _components(n, edges)
-
+    edges = _attach(degrees)
+    _reconnect(n, edges)
     graph = SimpleGraph(n=n, edges=frozenset(edges))
     if graph.degree_sequence() != degrees:
         raise AssertionError("construction changed the degree multiset")

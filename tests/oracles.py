@@ -9,6 +9,7 @@ checked against genuinely separate computations.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -269,3 +270,88 @@ def per_coordinate_integerize(vec):
         out += [base + 1] * bumped + [base] * (length - bumped)
         i = j
     return tuple(out)
+
+
+def _edge(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def _reach(n, edges, start):
+    """Vertices reachable from ``start``, by a breadth-first search of the whole edge set."""
+    adjacency = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    seen, queue = {start}, deque([start])
+    while queue:
+        for w in adjacency[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def _rescanned_components(n, edges):
+    out, seen = [], set()
+    for start in range(n):
+        if start not in seen:
+            comp = _reach(n, edges, start)
+            seen |= comp
+            out.append(sorted(comp))
+    return out
+
+
+def rescanning_attach(degrees):
+    """Greedy attachment by full rescans: every step scans all vertices for the
+    center (largest remaining degree, smallest index) and sorts its partners afresh.
+    """
+    n = len(degrees)
+    remaining = list(degrees)
+    edges = set()
+    while True:
+        center = max(range(n), key=lambda v: (remaining[v], -v))
+        need = remaining[center]
+        if need == 0:
+            return edges
+        partners = sorted(
+            (v for v in range(n) if v != center and remaining[v] > 0 and _edge(center, v) not in edges),
+            key=lambda v: (-remaining[v], v),
+        )
+        remaining[center] = 0
+        for v in partners[:need]:
+            edges.add(_edge(center, v))
+            remaining[v] -= 1
+
+
+def rescanning_reconnect(n, edges):
+    """The swap repair by full rescans; returns the new edge set.
+
+    Each swap re-finds the components and tests every candidate edge by a
+    breadth-first search of the whole graph without it.  The first component
+    with a cycle gives its smallest cycle edge (u, v), the first other
+    component its smallest edge (x, y); they become (u, x) and (v, y).
+    """
+    edges = set(edges)
+    comps = _rescanned_components(n, edges)
+    while len(comps) > 1:
+        donor, (u, v) = next(
+            (set(comp), e)
+            for comp in comps
+            for e in sorted(f for f in edges if f[0] in comp)
+            if e[1] in _reach(n, edges - {e}, e[0])
+        )
+        receiver = next(set(c) for c in comps if c[0] not in donor)
+        x, y = min(e for e in edges if e[0] in receiver)
+        edges -= {(u, v), (x, y)}
+        edges |= {_edge(u, x), _edge(v, y)}
+        comps = _rescanned_components(n, edges)
+    return edges
+
+
+def rescanning_realization_edges(degrees):
+    """Edges of the greedy attachment and swap repair, both redone by full rescans.
+
+    ``degrees`` must be graphical, nonincreasing and positive, with enough
+    edges for a spanning tree; ``realize`` must return exactly these edges.
+    """
+    return rescanning_reconnect(len(degrees), rescanning_attach(degrees))

@@ -1,16 +1,22 @@
 """Tests for graph construction, cyclomatic counting, and DOT export."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
 
 from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, min_order
 from ccyclic.realization import (
     RealizationError,
     SimpleGraph,
+    _reconnect,
     cyclomatic_number,
     export_dot,
     is_connected,
     realize,
 )
+from oracles import random_connected_degrees, rescanning_realization_edges, rescanning_reconnect
+from strategies import split_graphs
 
 
 class TestRealize:
@@ -102,3 +108,43 @@ def test_roundtrip_all_classes():
                 assert graph.degree_sequence() == seq, (c, n, seq)
                 assert is_connected(graph)
                 assert cyclomatic_number(graph) == c, (c, n, seq)
+
+
+def test_edges_match_rescanning_oracle_on_every_small_class():
+    for c in range(7):
+        for n in range(min_order(c), 11):
+            for seq in enumerate_sequences(CyclomaticClass(c=c, n=n)):
+                assert realize(seq).edges == rescanning_realization_edges(seq), (c, n, seq)
+
+
+def test_edges_match_rescanning_oracle_on_random_graphs():
+    rng = random.Random(7)
+    for _ in range(150):
+        n = rng.randrange(2, 40)
+        c = rng.randrange(0, min(7, (n - 1) * (n - 2) // 2 + 1))
+        seq = random_connected_degrees(rng, n, c)
+        assert realize(seq).edges == rescanning_realization_edges(seq), seq
+
+
+@pytest.mark.parametrize("threes, leaves", [(0, 0), (2, 0), (4, 2), (6, 0), (10, 0), (12, 2)])
+def test_long_path_like_sequences_match_rescanning_oracle(threes, leaves):
+    # a few 3s among 2s: attachment leaves dozens of triangles, or a tree, to join
+    seq = (3,) * threes + (2,) * (150 - threes - leaves) + (1,) * leaves
+    assert realize(seq).edges == rescanning_realization_edges(seq)
+
+
+@pytest.mark.parametrize("twos, ones", [(0, 2), (8, 4), (20, 20)])
+def test_hub_like_sequences_match_rescanning_oracle(twos, ones):
+    n = 120
+    seq = (n - 1,) + (3,) * twos + (2,) * ones + (1,) * (n - 1 - twos - ones)
+    assert realize(seq).edges == rescanning_realization_edges(seq)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(split_graphs())
+def test_reconnect_matches_rescanning_oracle(graph):
+    n, edges = graph
+    joined = set(edges)
+    _reconnect(n, joined)
+    assert joined == rescanning_reconnect(n, edges)
+    assert is_connected(SimpleGraph(n=n, edges=frozenset(joined)))

@@ -21,8 +21,7 @@ import sys
 
 from ccyclic.bounds import (
     SKIPPED,
-    annotate_orientation,
-    bounds,
+    bounds_table,
     closed_form_inverse_degree,
     refined_inverse_degree_upper,
     with_verification,
@@ -30,17 +29,13 @@ from ccyclic.bounds import (
 from ccyclic.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, Parser, UsageError, checked_cap
 from ccyclic.degree_sequences import CyclomaticClass, extremal_family
 from ccyclic.formatting import format_index_value, format_sequence
-from ccyclic.indices import IndexSpec
 
 
 def render_tables(n: int, alpha: int, verify: bool, cap: int) -> tuple:
     """The three tables as lines, and the verdicts of the verified rows."""
     # The last table's bounds come first, so that an exponent the index
     # rejects stops the run before any other work.
-    index = IndexSpec.general_zagreb(alpha)
-    zagreb_rows = [
-        annotate_orientation(bounds(CyclomaticClass(c=c, n=n), index)) for c in range(1, 7)
-    ]
+    zagreb_rows = bounds_table(n, alpha)
     lines = [f"extremal degree sequences at n={n}", "-" * 72]
     verdicts = []
     for c in range(7):

@@ -276,10 +276,10 @@ def _skip_over_cap(lines, records, label, check, c, n, cap) -> None:
     records.append(CheckRecord(check, c, n, SKIPPED, 0))
 
 
-def _verify_conjecture(args, cap: int) -> int:
+def _verify_conjecture(args, cycles: list, cap: int) -> int:
     lines = []
     records = []
-    for c in _parse_range(args.c):
+    for c in cycles:
         for n in _verify_orders(args, c):
             if n > cap:
                 _skip_over_cap(lines, records, "CONJECTURE", "conjecture", c, n, cap)
@@ -292,7 +292,7 @@ def _verify_conjecture(args, cap: int) -> int:
                 f"{report.sequence_count} sequences: {status}"
             )
             records.append(CheckRecord("conjecture", c, n, status.lower(), report.sequence_count))
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit("".join(line + "\n" for line in lines), args.output)  # no orders: empty output
     return _exit_code(record.status for record in records)
 
 
@@ -302,14 +302,17 @@ def cmd_verify(args) -> int:
     if args.n is not None and args.n_max is not None:
         raise UsageError("give either --n or --n-max, not both")
     cap = checked_cap(args.cap)
+    cycles = _parse_range(args.c)
     if args.conjecture:
-        return _verify_conjecture(args, cap)
+        return _verify_conjecture(args, cycles, cap)
+    # Refuse the whole range before enumerating any class of it.
+    unproven = [c for c in cycles if c > 6]
+    if unproven:
+        raise UsageError(f"c={unproven[0]} has no proven characterization; use --conjecture")
     lines = []
     records = []
 
-    for c in _parse_range(args.c):
-        if c > 6:
-            raise UsageError(f"c={c} has no proven characterization; use --conjecture")
+    for c in cycles:
         for n in _verify_orders(args, c):
             if n > cap:
                 _skip_over_cap(lines, records, "equivalence", "equivalence", c, n, cap)

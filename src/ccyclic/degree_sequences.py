@@ -96,10 +96,6 @@ class CyclomaticClass:
             )
 
     @property
-    def edge_count(self) -> int:
-        return self.n + self.c - 1
-
-    @property
     def degree_total(self) -> int:
         return 2 * (self.n + self.c - 1)
 
@@ -245,17 +241,18 @@ def candidate_sequences(n: int, total: int) -> Iterator[tuple]:
     yield from rec(n, total, n - 1)
 
 
+def _members(klass: CyclomaticClass, cap: int, member) -> list:
+    """The candidates of the class's order and degree total that ``member`` accepts."""
+    if klass.n > cap:
+        raise EnumerationCapError(f"order {klass.n} exceeds enumeration cap {cap}")
+    return [seq for seq in candidate_sequences(klass.n, klass.degree_total) if member(seq)]
+
+
 def enumerate_sequences(
     klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list:
     """Every degree sequence of the class, in descending lexicographic order."""
-    if klass.n > cap:
-        raise EnumerationCapError(f"order {klass.n} exceeds enumeration cap {cap}")
-    return [
-        seq
-        for seq in candidate_sequences(klass.n, klass.degree_total)
-        if is_ccyclic_sequence(seq, klass)
-    ]
+    return _members(klass, cap, lambda seq: is_ccyclic_sequence(seq, klass))
 
 
 def graphical_class_sequences(
@@ -268,13 +265,7 @@ def graphical_class_sequences(
     enumeration needs no per-c characterization.  For c <= 6 it agrees with
     :func:`enumerate_sequences`.
     """
-    if klass.n > cap:
-        raise EnumerationCapError(f"order {klass.n} exceeds enumeration cap {cap}")
-    return [
-        seq
-        for seq in candidate_sequences(klass.n, klass.degree_total)
-        if is_graphical(seq)
-    ]
+    return _members(klass, cap, is_graphical)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
 
 from .indices import MAX_EXACT_DIGITS, IndexValue
+from .majorization import runs_of
 
 _TOO_LONG = 10**MAX_EXACT_DIGITS  # the least int with more than MAX_EXACT_DIGITS digits
 
@@ -38,10 +38,7 @@ def format_index_value(value: IndexValue) -> str:
 
 def format_sequence(seq) -> str:
     """Run-length rendering, e.g. (7, 4, 2, 2, 2, 1, 1, 1) -> ``[7, 4, 2^3, 1^3]``."""
-    parts = []
-    for value, run in groupby(seq):
-        count = len(list(run))
-        parts.append(f"{value}^{count}" if count > 1 else f"{value}")
+    parts = (f"{value}^{count}" if count > 1 else f"{value}" for value, count in runs_of(seq))
     return "[" + ", ".join(parts) + "]"
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import accumulate, chain, groupby, repeat
-from operator import itemgetter
+from operator import itemgetter, lt, sub
 from typing import Iterable, Sequence
 
 
@@ -28,27 +28,37 @@ class Relation(Enum):
 
 
 def check_vector(vec: Sequence) -> None:
-    """Reject anything that is not a nonincreasing vector of nonnegatives."""
+    """Reject anything that is not a nonincreasing vector of nonnegatives.
+
+    Sortedness is tested first; a sorted vector is nonnegative when its last
+    entry is.
+    """
     if len(vec) == 0:
         raise ValueError("vector must have at least one component")
-    previous = None
-    for x in vec:
-        if x < 0:
-            raise ValueError(f"negative component {x!r}")
-        if previous is not None and x > previous:
-            raise ValueError("components not sorted nonincreasing")
-        previous = x
+    if any(map(lt, vec, vec[1:])):
+        raise ValueError("components not sorted nonincreasing")
+    if vec[-1] < 0:
+        raise ValueError(f"negative component {vec[-1]!r}")
 
 
 def partial_sums(vec: Sequence) -> list:
     """Prefix sums of a validated nonincreasing vector; the last entry is the total."""
     check_vector(vec)
-    sums = []
-    acc = 0
-    for x in vec:
-        acc = acc + x
-        sums.append(acc)
-    return sums
+    return list(accumulate(vec))
+
+
+def _relation(gaps: list) -> Relation:
+    """The order of two vectors from their prefix-sum gaps, left minus right.
+
+    The last gap is the difference of the totals.
+    """
+    if not any(gaps):
+        return Relation.EQUAL
+    if gaps[-1]:
+        return Relation.INCOMPARABLE
+    if max(gaps) <= 0:
+        return Relation.LESS_OR_EQUAL
+    return Relation.GREATER_OR_EQUAL if min(gaps) >= 0 else Relation.INCOMPARABLE
 
 
 def compare(left: Sequence, right: Sequence) -> Relation:
@@ -61,17 +71,9 @@ def compare(left: Sequence, right: Sequence) -> Relation:
     """
     if len(left) != len(right):
         raise ValueError(f"dimension mismatch: {len(left)} vs {len(right)}")
-    left_sums = partial_sums(left)
-    right_sums = partial_sums(right)
-    if tuple(left) == tuple(right):
-        return Relation.EQUAL
-    if left_sums[-1] != right_sums[-1]:
-        return Relation.INCOMPARABLE
-    if all(a <= b for a, b in zip(left_sums, right_sums)):
-        return Relation.LESS_OR_EQUAL
-    if all(a >= b for a, b in zip(left_sums, right_sums)):
-        return Relation.GREATER_OR_EQUAL
-    return Relation.INCOMPARABLE
+    check_vector(left)
+    check_vector(right)
+    return _relation(list(accumulate(map(sub, left, right))))
 
 
 def runs_of(vec: Iterable) -> tuple:
@@ -117,14 +119,9 @@ def compare_runs(left: Sequence, right: Sequence) -> Relation:
         raise ValueError(f"dimension mismatch: {sizes[0]} vs {sizes[1]}")
     for runs in (left, right):
         check_vector([value for value, _ in runs])
-    gaps = list(accumulate((a - b) * length for a, b, length in aligned_runs(left, right)))
-    if not any(gaps):
-        return Relation.EQUAL
-    if gaps[-1] != 0:
-        return Relation.INCOMPARABLE
-    if all(gap <= 0 for gap in gaps):
-        return Relation.LESS_OR_EQUAL
-    return Relation.GREATER_OR_EQUAL if all(gap >= 0 for gap in gaps) else Relation.INCOMPARABLE
+    return _relation(
+        list(accumulate((a - b) * length for a, b, length in aligned_runs(left, right)))
+    )
 
 
 def is_majorized_by(left: Sequence, right: Sequence) -> bool:

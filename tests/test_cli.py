@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ccyclic import degree_sequences
+from ccyclic import cli, degree_sequences
 from ccyclic.cli import main
 
 
@@ -270,6 +270,19 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--n", "10", "--c", "7")
         assert code == 1
         assert "--conjecture" in err
+
+    def test_unproven_c_refused_before_any_enumeration(self, capsys, monkeypatch):
+        def enumerated(klass):
+            raise AssertionError(f"enumerated {klass} before refusing c=7")
+
+        monkeypatch.setattr(cli, "_equivalence_check", enumerated)
+        code, out, err = run(capsys, "verify", "--c", "0..7", "--n", "20", "--cap", "20")
+        assert (code, out) == (1, "")
+        assert err == "error: c=7 has no proven characterization; use --conjecture\n"
+
+    def test_conjecture_without_orders_prints_nothing(self, capsys):
+        for argv in (["--n", "3", "--c", "7"], ["--c", "7", "--n-max", "4"]):
+            assert run(capsys, "verify", "--conjecture", *argv) == (0, "", "")
 
     def test_cap_exit_code(self, capsys):
         code, out, _ = run(

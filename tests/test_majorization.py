@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ccyclic.majorization import (
     Relation,
+    check_vector,
     compare,
     compare_runs,
     expand_runs,
@@ -47,10 +48,17 @@ class TestPartialSums:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             partial_sums((1, 2))
+        # a negative entry before an increase: sortedness is tested first
+        for check in (check_vector, partial_sums):
+            with pytest.raises(ValueError, match="not sorted nonincreasing"):
+                check((3, -1, 5))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             partial_sums((2, -1))
+        for check in (check_vector, partial_sums):
+            with pytest.raises(ValueError, match="negative component -1"):
+                check((0, -1))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from .bounds import (
 )
 from .degree_sequences import (
     DEFAULT_ENUMERATION_CAP,
+    MAX_SUPPORTED_CYCLES,
     CyclomaticClass,
     candidate_sequences,
     check_family_extremality,
@@ -234,8 +235,9 @@ def cmd_bounds(args) -> int:
 def _equivalence_check(klass) -> tuple:
     """Compare the three membership tests on every candidate with the right sum.
 
-    Also returns the candidates the counting form accepts: the class
-    population that every later check of the class reuses.
+    Also returns the candidates the Erdos-Gallai test accepts: the class
+    population that every later check of the class reuses, independent of
+    the counting conditions that the extremal family is built from.
     """
     failures = []
     members = []
@@ -247,7 +249,7 @@ def _equivalence_check(klass) -> tuple:
         graphical = is_graphical(seq)
         if not (counting == inequalities == graphical):
             failures.append((seq, counting, inequalities, graphical))
-        if counting:
+        if graphical:
             members.append(seq)
     return count, failures, members
 
@@ -306,7 +308,7 @@ def cmd_verify(args) -> int:
     if args.conjecture:
         return _verify_conjecture(args, cycles, cap)
     # Refuse the whole range before enumerating any class of it.
-    unproven = [c for c in cycles if c > 6]
+    unproven = [c for c in cycles if c > MAX_SUPPORTED_CYCLES]
     if unproven:
         raise UsageError(f"c={unproven[0]} has no proven characterization; use --conjecture")
     lines = []

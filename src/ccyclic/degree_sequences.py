@@ -15,7 +15,9 @@ test suite re-checks the equivalence exhaustively at small orders, and both
 are cross-validated against plain graphicality, since for any c >= 0 a
 positive sequence with sum ``2(n + c - 1)`` belongs to the class exactly when
 it is graphical (a graphical sequence with minimum degree >= 1 and at least
-``n - 1`` edges always has a connected realization).
+``n - 1`` edges always has a connected realization).  Enumerated populations
+are filtered by graphicality alone, so they check the counting conditions
+rather than repeat them.
 
 Index-notation caveat: two of the published block descriptions carry
 overlapping subscripts for where the "degree >= 2" block ends; the counting
@@ -241,31 +243,32 @@ def candidate_sequences(n: int, total: int) -> Iterator[tuple]:
     yield from rec(n, total, n - 1)
 
 
-def _members(klass: CyclomaticClass, cap: int, member) -> list:
-    """The candidates of the class's order and degree total that ``member`` accepts."""
+def _members(klass: CyclomaticClass, cap: int) -> list:
+    """The candidates of the class's order and degree total that :func:`is_graphical` accepts."""
     if klass.n > cap:
         raise EnumerationCapError(f"order {klass.n} exceeds enumeration cap {cap}")
-    return [seq for seq in candidate_sequences(klass.n, klass.degree_total) if member(seq)]
+    return [seq for seq in candidate_sequences(klass.n, klass.degree_total) if is_graphical(seq)]
 
 
 def enumerate_sequences(
     klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list:
-    """Every degree sequence of the class, in descending lexicographic order."""
-    return _members(klass, cap, lambda seq: is_ccyclic_sequence(seq, klass))
+    """Every degree sequence of the class, in descending lexicographic order.
+
+    A positive sequence with sum ``2(n + c - 1)`` is the degree sequence of a
+    connected graph with c independent cycles iff it is graphical, so the
+    population comes from the Erdos-Gallai test alone, for any c >= 0, and
+    stays independent of the counting conditions the extremal boxes are
+    built from.
+    """
+    return _members(klass, cap)
 
 
 def graphical_class_sequences(
     klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list:
-    """Degree sequences of the class for arbitrary c >= 0, via graphicality.
-
-    A positive sequence with sum ``2(n + c - 1)`` is the degree sequence of a
-    connected graph with c independent cycles iff it is graphical, so this
-    enumeration needs no per-c characterization.  For c <= 6 it agrees with
-    :func:`enumerate_sequences`.
-    """
-    return _members(klass, cap, is_graphical)
+    """The same population as :func:`enumerate_sequences`, under the name the scan uses."""
+    return _members(klass, cap)
 
 
 # ---------------------------------------------------------------------------

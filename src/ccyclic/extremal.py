@@ -4,9 +4,9 @@ A :class:`BoxSet` collects the nonincreasing vectors with a fixed component
 sum and per-coordinate bounds ``lower[i] <= x[i] <= upper[i]`` (both bound
 vectors nonincreasing).  Its maximal element packs as much mass as possible
 into the leading coordinates; its minimal element clamps one water level
-into every coordinate's bounds.  A :class:`TwoBlockSet` is the special case
-with one bound pair for the first ``h`` coordinates and another for the
-rest; its extremal elements admit closed floor formulas which are
+into every coordinate's bounds.  A two-block set, with one bound pair for
+the first ``h`` coordinates and another for the rest, is a box of two
+segments; its extremal elements admit closed floor formulas which are
 cross-checked here against the general box computation on every call.
 
 Arithmetic is exact and stays in the numbers it is given: ``int`` and
@@ -26,11 +26,10 @@ logarithmic factor for the water level.  Tuples are built only at the edges:
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .majorization import aligned_runs, check_vector, coalesce_runs, expand_runs, runs_of
 
@@ -111,38 +110,6 @@ class BoxSet:
         return sum(value * length for value, length in runs) == self.total
 
 
-@dataclass(frozen=True)
-class TwoBlockSet:
-    """A box set whose first ``h`` coordinates share one bound pair and the rest another."""
-
-    n: int
-    h: int
-    total: Fraction
-    m1: Fraction
-    M1: Fraction
-    m2: Fraction
-    M2: Fraction
-
-    def __post_init__(self):
-        for name in ("total", "m1", "M1", "m2", "M2"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not 1 <= self.h <= self.n:
-            raise ValueError(f"block split h={self.h} outside [1, {self.n}]")
-        if not (0 <= self.m2 <= self.m1 and 0 <= self.M2 <= self.M1):
-            raise ValueError("block bounds must satisfy 0 <= m2 <= m1 and 0 <= M2 <= M1")
-        if not (self.m1 < self.M1 and self.m2 < self.M2):
-            raise ValueError("each block needs strictly separated bounds (m < M)")
-        self.as_box()  # raises InfeasibleSetError for a total outside the blocks' range
-
-    def as_box(self) -> BoxSet:
-        """The same set as a box with two segments (one when ``h == n``)."""
-        segments = (((self.m1, self.M1), self.h), ((self.m2, self.M2), self.n - self.h))
-        return BoxSet(total=self.total, segments=segments)
-
-
-AnySet = Union[BoxSet, TwoBlockSet]
-
-
 def _assert_member(box: BoxSet, runs: tuple, what: str) -> None:
     if not box.contains_runs(runs):
         raise AssertionError(f"{what} with runs {runs} escaped its constraint set")
@@ -220,77 +187,87 @@ def minimal_box(box: BoxSet) -> tuple:
     return expand_runs(minimal_runs(box))
 
 
-def maximal_two_block(blocks: TwoBlockSet) -> tuple:
-    """Closed-form maximal element of a two-block set.
+def _blocks(box: BoxSet) -> tuple:
+    """``(h, m1, M1, m2, M2)``: ``[m1, M1]`` bounds the first ``h`` entries, ``[m2, M2]`` the rest.
+
+    A box of one segment is a single block (``h == n``) that also stands in
+    for the empty second block.  Any other box has no two-block closed form.
+    """
+    segments = box.segments
+    if len(segments) > 2 or any(low == high for (low, high), _ in segments):
+        raise UnsupportedCaseError(
+            "closed forms need at most two segments, each with lower < upper bound"
+        )
+    ((m1, M1), h), ((m2, M2), _) = segments[0], segments[-1]
+    return h, m1, M1, m2, M2
+
+
+def _agree(vec: tuple, general: tuple, what: str) -> tuple:
+    if vec != general:
+        raise AssertionError(
+            f"two-block {what} formula {vec} disagrees with box computation {general}"
+        )
+    return vec
+
+
+def maximal_two_block(box: BoxSet) -> tuple:
+    """Closed-form maximal element of a box with two segments (two blocks).
 
     Uses the floor formulas for the number of coordinates saturated at their
     upper bound, with the single filler coordinate chosen to restore the sum.
     The result is asserted equal to the general box computation, so both
     routes guard each other.
     """
-    n, h, total = blocks.n, blocks.h, blocks.total
-    m1, M1, m2, M2 = blocks.m1, blocks.M1, blocks.m2, blocks.M2
+    n, total = box.n, box.total
+    h, m1, M1, m2, M2 = _blocks(box)
     if total == h * M1 + (n - h) * M2:
         vec = (M1,) * h + (M2,) * (n - h)
+    elif total < h * M1 + (n - h) * m2:
+        take = (total - h * (m1 - m2) - n * m2) // (M1 - m1)
+        fill = total - take * M1 - (h - take - 1) * m1 - (n - h) * m2
+        vec = (M1,) * take + (fill,) + (m1,) * (h - take - 1) + (m2,) * (n - h)
     else:
-        pivot = h * M1 + (n - h) * m2
-        if total < pivot:
-            take = math.floor((total - h * (m1 - m2) - n * m2) / (M1 - m1))
-            fill = total - take * M1 - (h - take - 1) * m1 - (n - h) * m2
-            vec = (M1,) * take + (fill,) + (m1,) * (h - take - 1) + (m2,) * (n - h)
-        else:
-            take = math.floor((total - h * (M1 - M2) - n * m2) / (M2 - m2))
-            fill = total - h * M1 - (take - h) * M2 - (n - take - 1) * m2
-            vec = (M1,) * h + (M2,) * (take - h) + (fill,) + (m2,) * (n - take - 1)
-    box = blocks.as_box()
-    _assert_member(box, runs_of(vec), "two-block maximal element")
-    general = maximal_box(box)
-    if vec != general:
-        raise AssertionError(
-            f"two-block formula {vec} disagrees with box computation {general}"
-        )
-    return vec
+        take = (total - h * (M1 - M2) - n * m2) // (M2 - m2)
+        fill = total - h * M1 - (take - h) * M2 - (n - take - 1) * m2
+        vec = (M1,) * h + (M2,) * (take - h) + (fill,) + (m2,) * (n - take - 1)
+    return _agree(vec, maximal_box(box), "maximal")
 
 
-def minimal_two_block(blocks: TwoBlockSet) -> tuple:
-    """Closed-form minimal element of a two-block set, for overlapping blocks.
+def minimal_two_block(box: BoxSet) -> tuple:
+    """Closed-form minimal element of a two-segment box, for overlapping blocks.
 
     Only the case ``m1 <= M2`` is supported: either the flat average fits
     both blocks, or exactly one block is pinned at the bound that blocks the
     average and the other block absorbs the rest evenly.  For ``m1 > M2``
-    raise :class:`UnsupportedCaseError`; route such sets through
-    :func:`minimal_box` on :meth:`TwoBlockSet.as_box` instead.
+    raise :class:`UnsupportedCaseError`; use :func:`minimal_box` instead.
+    The result is asserted equal to the general box computation.
     """
-    if blocks.m1 > blocks.M2:
+    n, total = box.n, box.total
+    h, m1, M1, m2, M2 = _blocks(box)
+    if m1 > M2:
         raise UnsupportedCaseError(
-            "closed form requires the blocks to overlap (m1 <= M2); "
-            "use minimal_box on the expanded box instead"
+            "closed form requires the blocks to overlap (m1 <= M2); use minimal_box instead"
         )
-    n, h, total = blocks.n, blocks.h, blocks.total
-    flat = Fraction(total, 1) / n
-    if blocks.m1 <= flat <= blocks.M2:
+    flat = Fraction(total, n)
+    if m1 <= flat <= M2:
         vec = (flat,) * n
-    elif flat < blocks.m1:
+    elif flat < m1:
         # feasibility rules this branch out when h == n
-        rest = (total - h * blocks.m1) / (n - h)
-        vec = (blocks.m1,) * h + (rest,) * (n - h)
+        vec = (m1,) * h + (Fraction(total - h * m1, n - h),) * (n - h)
     else:
-        head = (total - blocks.M2 * (n - h)) / h
-        vec = (head,) * h + (blocks.M2,) * (n - h)
-    _assert_member(blocks.as_box(), runs_of(vec), "two-block minimal element")
-    return vec
+        vec = (Fraction(total - M2 * (n - h), h),) * h + (M2,) * (n - h)
+    return _agree(vec, minimal_box(box), "minimal")
 
 
-def integerize_runs(runs: Sequence, constraint: AnySet) -> tuple:
+def integerize_runs(runs: Sequence, box: BoxSet) -> tuple:
     """Round a (possibly fractional) minimal element, as runs, to the integer one.
 
     The runs are merged into maximal runs first.  Within each run the values
     are replaced by the two nearest integers, the larger ones first, so that
     the run keeps its sum; integer runs pass through unchanged.  Requires
     integer bounds and an integer component sum; the rounded vector is
-    validated against the constraint set.
+    validated against the box.
     """
-    box = constraint.as_box() if isinstance(constraint, TwoBlockSet) else constraint
     if box.total.denominator != 1:
         raise UnsupportedCaseError("integer rounding needs an integer component sum")
     if any(bound.denominator != 1 for bounds, _ in box.segments for bound in bounds):
@@ -304,7 +281,7 @@ def integerize_runs(runs: Sequence, constraint: AnySet) -> tuple:
             raise InfeasibleSetError(
                 f"fractional run of {value} x{length} has non-integer sum {run_sum}"
             )
-        base = math.floor(value)
+        base = value // 1
         bumped = int(run_sum) - base * length
         out += [(base + 1, bumped), (base, length - bumped)]
     result = coalesce_runs(out)
@@ -313,6 +290,6 @@ def integerize_runs(runs: Sequence, constraint: AnySet) -> tuple:
     return result
 
 
-def integerize_minimal(vec: Sequence, constraint: AnySet) -> tuple:
+def integerize_minimal(vec: Sequence, box: BoxSet) -> tuple:
     """:func:`integerize_runs` for a vector given per coordinate."""
-    return expand_runs(integerize_runs(runs_of(vec), constraint))
+    return expand_runs(integerize_runs(runs_of(vec), box))

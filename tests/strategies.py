@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from ccyclic.extremal import BoxSet, TwoBlockSet
+from ccyclic.extremal import BoxSet
 
 
 @st.composite
@@ -63,9 +63,14 @@ def fraction_boxes(draw, max_size=6):
     return BoxSet(total=total, lower=tuple(lower), upper=tuple(upper))
 
 
+def two_block_box(n, h, total, m1, M1, m2, M2):
+    """The box with bounds [m1, M1] on the first h coordinates and [m2, M2] on the rest."""
+    return BoxSet(total=total, segments=(((m1, M1), h), ((m2, M2), n - h)))
+
+
 @st.composite
 def two_block_sets(draw, max_size=8, high=9, overlap_only=False):
-    """A feasible TwoBlockSet with integer data."""
+    """A feasible two-block box (two segments, one when h == n) with integer data."""
     n = draw(st.integers(2, max_size))
     h = draw(st.integers(1, n))
     m2 = draw(st.integers(0, high - 1))
@@ -78,7 +83,7 @@ def two_block_sets(draw, max_size=8, high=9, overlap_only=False):
     low = h * m1 + (n - h) * m2
     high_total = h * M1 + (n - h) * M2
     total = draw(st.integers(low, high_total))
-    return TwoBlockSet(n=n, h=h, total=total, m1=m1, M1=M1, m2=m2, M2=M2)
+    return two_block_box(n, h, total, m1, M1, m2, M2)
 
 
 @st.composite

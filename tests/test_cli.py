@@ -9,14 +9,22 @@ from pathlib import Path
 
 import pytest
 
+import ccyclic
 from ccyclic import cli, degree_sequences
+from ccyclic.bounds import MISMATCH, bounds, with_verification
 from ccyclic.cli import main
+from ccyclic.degree_sequences import CyclomaticClass
+from ccyclic.indices import IndexSpec
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in ccyclic.__all__ if not hasattr(ccyclic, name)] == []
 
 
 class TestExtremal:
@@ -322,6 +330,17 @@ class TestVerify:
         assert code == 0
         assert "summary: 42 checks, 42 ok, 0 mismatched, skipped=no" in out
         assert len(created) == len(set(created)) == 7
+
+    def test_population_does_not_trust_the_counting_conditions(self, capsys, monkeypatch):
+        # Asking four degrees >= 4 where five are needed admits the
+        # non-graphical [8, 7, 4^2, 1^5] into the c = 6 boxes at n = 9.
+        loosened = degree_sequences._COUNT_CONDITIONS[6][:-1] + ((5, ((4, 4),)),)
+        monkeypatch.setitem(degree_sequences._COUNT_CONDITIONS, 6, loosened)
+        report = bounds(CyclomaticClass(c=6, n=9), IndexSpec.general_zagreb(2))
+        assert with_verification(report, 12).verified == MISMATCH
+        code, out, _ = run(capsys, "verify", "--n", "9", "--c", "6")
+        assert code == 2
+        assert out.endswith("summary: 6 checks, 0 ok, 6 mismatched, skipped=no\n")
 
 
 class TestRealize:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ccyclic.extremal import (
     BoxSet,
     InfeasibleSetError,
-    TwoBlockSet,
     UnsupportedCaseError,
     integerize_minimal,
     integerize_runs,
@@ -29,7 +28,13 @@ from oracles import (
     per_coordinate_minimal,
     pinned_split_minimal,
 )
-from strategies import fraction_boxes, integer_boxes, run_length_boxes, two_block_sets
+from strategies import (
+    fraction_boxes,
+    integer_boxes,
+    run_length_boxes,
+    two_block_box,
+    two_block_sets,
+)
 
 
 def F(*args):
@@ -99,38 +104,55 @@ class TestMinimalBox:
 
 class TestTwoBlock:
     def test_tricyclic_widest(self):
-        blocks = TwoBlockSet(n=8, h=5, total=20, m1=2, M1=7, m2=1, M2=7)
-        assert maximal_two_block(blocks) == (7, 4, 2, 2, 2, 1, 1, 1)
+        box = two_block_box(n=8, h=5, total=20, m1=2, M1=7, m2=1, M2=7)
+        assert maximal_two_block(box) == (7, 4, 2, 2, 2, 1, 1, 1)
 
     def test_pentacyclic_widest(self):
-        blocks = TwoBlockSet(n=8, h=7, total=24, m1=2, M1=7, m2=1, M2=7)
-        assert maximal_two_block(blocks) == (7, 6, 2, 2, 2, 2, 2, 1)
+        box = two_block_box(n=8, h=7, total=24, m1=2, M1=7, m2=1, M2=7)
+        assert maximal_two_block(box) == (7, 6, 2, 2, 2, 2, 2, 1)
 
     def test_degenerate_single_block_corner(self):
-        blocks = TwoBlockSet(n=4, h=4, total=20, m1=1, M1=5, m2=0, M2=5)
-        assert maximal_two_block(blocks) == (5, 5, 5, 5)
+        box = two_block_box(n=4, h=4, total=20, m1=1, M1=5, m2=0, M2=5)
+        assert maximal_two_block(box) == (5, 5, 5, 5)
 
     def test_minimal_pinned_first_block(self):
-        blocks = TwoBlockSet(n=8, h=4, total=20, m1=3, M1=7, m2=1, M2=7)
-        assert minimal_two_block(blocks) == (3, 3, 3, 3, 2, 2, 2, 2)
+        box = two_block_box(n=8, h=4, total=20, m1=3, M1=7, m2=1, M2=7)
+        assert minimal_two_block(box) == (3, 3, 3, 3, 2, 2, 2, 2)
 
     def test_minimal_forced_constant(self):
-        blocks = TwoBlockSet(n=6, h=3, total=12, m1=2, M1=5, m2=0, M2=4)
-        assert minimal_two_block(blocks) == (2,) * 6
+        box = two_block_box(n=6, h=3, total=12, m1=2, M1=5, m2=0, M2=4)
+        assert minimal_two_block(box) == (2,) * 6
 
     def test_minimal_cycle(self):
         n = 9
-        blocks = TwoBlockSet(n=n, h=3, total=2 * n, m1=2, M1=n - 1, m2=1, M2=n - 1)
-        assert minimal_two_block(blocks) == (2,) * n
+        box = two_block_box(n=n, h=3, total=2 * n, m1=2, M1=n - 1, m2=1, M2=n - 1)
+        assert minimal_two_block(box) == (2,) * n
 
     def test_minimal_pinned_second_block(self):
-        blocks = TwoBlockSet(n=4, h=2, total=14, m1=1, M1=9, m2=0, M2=3)
-        assert minimal_two_block(blocks) == (4, 4, 3, 3)
+        box = two_block_box(n=4, h=2, total=14, m1=1, M1=9, m2=0, M2=3)
+        assert minimal_two_block(box) == (4, 4, 3, 3)
 
     def test_minimal_rejects_disjoint_blocks(self):
-        blocks = TwoBlockSet(n=4, h=2, total=12, m1=5, M1=9, m2=0, M2=3)
+        box = two_block_box(n=4, h=2, total=12, m1=5, M1=9, m2=0, M2=3)
         with pytest.raises(UnsupportedCaseError):
-            minimal_two_block(blocks)
+            minimal_two_block(box)
+
+    def test_fraction_blocks_stay_exact(self):
+        box = two_block_box(n=3, h=1, total=4, m1=F(1, 2), M1=F(5, 2), m2=F(1, 2), M2=F(3, 2))
+        assert maximal_two_block(box) == (F(5, 2), 1, F(1, 2))
+        assert minimal_two_block(box) == (F(4, 3),) * 3
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            BoxSet(total=22, lower=(3, 3, 2, 1), upper=(7,) * 4),  # three segments
+            two_block_box(n=4, h=2, total=10, m1=3, M1=3, m2=1, M2=3),  # pinned first block
+        ],
+    )
+    def test_other_boxes_have_no_closed_form(self, box):
+        for closed_form in (maximal_two_block, minimal_two_block):
+            with pytest.raises(UnsupportedCaseError):
+                closed_form(box)
 
 
 class TestIntegerize:
@@ -231,7 +253,7 @@ def test_maximal_box_of_integer_box_has_int_components(box):
     st.one_of(
         integer_boxes(),
         fraction_boxes(),
-        two_block_sets().map(lambda blocks: blocks.as_box()),
+        two_block_sets(),
     )
 )
 def test_minimal_box_matches_pinned_split_search(box):
@@ -243,7 +265,7 @@ def test_minimal_box_matches_pinned_split_search(box):
     st.one_of(
         integer_boxes(),
         fraction_boxes(),
-        two_block_sets().map(lambda blocks: blocks.as_box()),
+        two_block_sets(),
         run_length_boxes(),
     )
 )
@@ -272,17 +294,16 @@ def test_segments_merge_and_expand():
 
 @settings(max_examples=150, deadline=None)
 @given(two_block_sets())
-def test_two_block_maximal_matches_box(blocks):
+def test_two_block_maximal_matches_box(box):
     # maximal_two_block itself asserts agreement with the general box path
-    vec = maximal_two_block(blocks)
-    assert blocks.as_box().contains(vec)
+    vec = maximal_two_block(box)
+    assert box.contains(vec)
 
 
 @settings(max_examples=150, deadline=None)
 @given(two_block_sets(overlap_only=True))
-def test_two_block_minimal_is_minimal(blocks):
-    vec = minimal_two_block(blocks)
-    box = blocks.as_box()
+def test_two_block_minimal_is_minimal(box):
+    vec = minimal_two_block(box)
     assert box.contains(vec)
     general = minimal_box(box)
     assert vec == general

@@ -24,10 +24,10 @@ from ccyclic.bounds import (
     bounds_table,
     closed_form_inverse_degree,
     refined_inverse_degree_upper,
-    with_verification,
+    verify_bounds,
 )
 from ccyclic.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, Parser, UsageError, checked_cap
-from ccyclic.degree_sequences import CyclomaticClass, extremal_family
+from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, extremal_family
 from ccyclic.formatting import format_index_value, format_sequence
 
 
@@ -36,27 +36,37 @@ def render_tables(n: int, alpha: int, verify: bool, cap: int) -> tuple:
     # The last table's bounds come first, so that an exponent the index
     # rejects stops the run before any other work.
     zagreb_rows = bounds_table(n, alpha)
+    classes = [CyclomaticClass(c=c, n=n) for c in range(7)]
+    # Each class is enumerated once, for both of its verified rows; none is above the cap.
+    populations = None
+    if verify and n <= cap:
+        populations = [enumerate_sequences(klass, cap) for klass in classes]
     lines = [f"extremal degree sequences at n={n}", "-" * 72]
     verdicts = []
-    for c in range(7):
-        family = extremal_family(CyclomaticClass(c=c, n=n))
-        tops = ", ".join(format_sequence(seq) for seq in family.maximals)
-        lines.append(f"c={c}  maximal: {tops}")
-        lines.append(f"      minimal: {format_sequence(family.minimal)}")
+
+    def verdict(report) -> str:
+        if populations is None:
+            return SKIPPED
+        return verify_bounds(report, populations[report.klass.c]).status
+
+    for klass in classes:
+        family = extremal_family(klass)
+        tops = ", ".join(format_sequence(runs) for runs in family.maximal_runs)
+        lines.append(f"c={klass.c}  maximal: {tops}")
+        lines.append(f"      minimal: {format_sequence(family.minimal_runs)}")
 
     lines += ["", f"inverse-degree bounds at n={n}", "-" * 72]
-    for c in range(7):
-        klass = CyclomaticClass(c=c, n=n)
+    for klass in classes:
         closed = closed_form_inverse_degree(klass)
         line = (
-            f"c={c}  {format_index_value(closed.lower)} <= rho <= "
+            f"c={klass.c}  {format_index_value(closed.lower)} <= rho <= "
             f"{format_index_value(closed.upper)}"
         )
-        if c >= 3:
+        if klass.c >= 3:
             refined = refined_inverse_degree_upper(klass)
             line += f"  [refined upper {format_index_value(refined)}]"
         if verify:
-            verdicts.append(with_verification(closed, cap).verified)
+            verdicts.append(verdict(closed))
             line += f"  ({verdicts[-1]})"
         lines.append(line)
 
@@ -68,7 +78,7 @@ def render_tables(n: int, alpha: int, verify: bool, cap: int) -> tuple:
             f"{format_index_value(row.upper)} at {format_sequence(row.upper_attainer)}"
         )
         if verify:
-            verdicts.append(with_verification(row, cap).verified)
+            verdicts.append(verdict(row))
             line += f"  ({verdicts[-1]})"
         lines.append(line)
         lines += [f"      note: {note}" for note in row.notes]

@@ -31,6 +31,7 @@ from .degree_sequences import (
 )
 from .formatting import format_decimal, format_fraction, format_index_value, plain_sequence
 from .indices import GENERAL_ZAGREB, INVERSE_DEGREE, IndexSpec, IndexValue, SchurClass, evaluate
+from .majorization import expand_runs, runs_of
 
 ORIENTATION_NOTE = (
     "orientation fixed by Schur-convexity (minimal sequence -> lower bound for "
@@ -46,7 +47,7 @@ SKIPPED = "skipped"
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Lower/upper bound of an index over a class, with attaining sequences."""
+    """Lower/upper bound of an index over a class, with attaining sequences as maximal runs."""
 
     klass: CyclomaticClass
     index: IndexSpec
@@ -63,7 +64,11 @@ class BoundsReport:
 
 
 def _pick(pairs, want_max: bool):
-    """Extreme of (sequence, value) pairs; ties go to the lexicographically largest sequence."""
+    """Extreme of (runs, value) pairs; ties go to the lexicographically largest sequence.
+
+    Maximal runs of nonincreasing sequences of one length sort as the
+    sequences do.
+    """
     best_seq, best_val = pairs[0]
     for seq, val in pairs[1:]:
         better = val.value > best_val.value if want_max else val.value < best_val.value
@@ -75,14 +80,14 @@ def _pick(pairs, want_max: bool):
 def bounds(klass: CyclomaticClass, index: IndexSpec) -> BoundsReport:
     """Bounds from the extremal family plus the index's Schur classification."""
     family = extremal_family(klass)
-    maximal_values = [(seq, evaluate(index, seq)) for seq in family.maximals]
-    minimal_value = evaluate(index, family.minimal)
+    maximal_values = [(runs, evaluate(index, runs)) for runs in family.maximal_runs]
+    minimal_value = evaluate(index, family.minimal_runs)
     if index.schur_class is SchurClass.CONVEX:
         upper_attainer, upper = _pick(maximal_values, want_max=True)
-        lower_attainer, lower = family.minimal, minimal_value
+        lower_attainer, lower = family.minimal_runs, minimal_value
     else:
         lower_attainer, lower = _pick(maximal_values, want_max=False)
-        upper_attainer, upper = family.minimal, minimal_value
+        upper_attainer, upper = family.minimal_runs, minimal_value
     if lower.value > upper.value:
         raise AssertionError("bound orientation inverted")
     return BoundsReport(
@@ -167,8 +172,8 @@ def closed_form_inverse_degree(klass: CyclomaticClass) -> BoundsReport:
         upper = (n - 4) + F(1, n - 1)
 
     index = IndexSpec.inverse_degree()
-    lower_attainer = _minimal_pattern(c, n)
-    upper_attainer = _binding_upper_pattern(c, n)
+    lower_attainer = runs_of(_minimal_pattern(c, n))
+    upper_attainer = runs_of(_binding_upper_pattern(c, n))
     if evaluate(index, lower_attainer).value != lower:
         raise AssertionError(f"closed-form lower {lower} does not match its attainer")
     if evaluate(index, upper_attainer).value != upper:
@@ -196,7 +201,7 @@ def refined_inverse_degree_upper(klass: CyclomaticClass) -> IndexValue:
     if n < c + 2:
         raise ValueError(f"the refined bound needs n >= c + 2, got n={n}, c={c}")
     value = (n - c) + Fraction(1, n - 1) + Fraction(c * c - 3 * c - 2, 2 * (c + 1))
-    attainer = (n - 1, c + 1) + (2,) * c + (1,) * (n - c - 2)
+    attainer = runs_of((n - 1, c + 1) + (2,) * c + (1,) * (n - c - 2))
     if evaluate(IndexSpec.inverse_degree(), attainer).value != value:
         raise AssertionError("refined bound does not match its attaining sequence")
     return IndexValue(value, exact=True)
@@ -222,11 +227,12 @@ class OracleOutcome:
 def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
     """Compare the report's bounds and attainers with the extrema over its enumerated class.
 
-    ``refined_upper``, set only on an inverse-degree report, must equal the
-    largest value over the members whose (c+2)-th largest degree is >= 2.
+    ``population`` holds the class members as runs.  ``refined_upper``, set
+    only on an inverse-degree report, must equal the largest value over the
+    members whose (c+2)-th largest degree is >= 2.
     """
     index = report.index
-    values = [(seq, evaluate(index, seq)) for seq in population]
+    values = [(runs, evaluate(index, runs)) for runs in population]
     minimum = IndexValue(min(v.value for _, v in values), exact=index.exact)
     maximum = IndexValue(max(v.value for _, v in values), exact=index.exact)
     minimizers = tuple(s for s, v in values if v.matches(minimum))
@@ -240,7 +246,9 @@ def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
     refined = None
     if report.refined_upper is not None:
         c = report.klass.c
-        spread = [v.value for s, v in values if len(s) > c + 1 and s[c + 1] >= 2]
+        spread = [
+            v.value for runs, v in values if sum(m for d, m in runs if d >= 2) >= c + 2
+        ]
         if index.kind == INVERSE_DEGREE and spread:
             refined = IndexValue(max(spread), exact=True)
         ok = ok and refined is not None and report.refined_upper.matches(refined)
@@ -360,11 +368,11 @@ def report_to_json_dict(report: BoundsReport) -> dict:
         "lower_decimal": row["lower_decimal"],
         "upper_exact": row["upper_exact"] or None,
         "upper_decimal": row["upper_decimal"],
-        "lower_attainer": list(report.lower_attainer),
-        "upper_attainer": list(report.upper_attainer),
+        "lower_attainer": list(expand_runs(report.lower_attainer)),
+        "upper_attainer": list(expand_runs(report.upper_attainer)),
         "candidates": [
-            {"sequence": list(seq), "decimal": format_decimal(val.value)}
-            for seq, val in report.candidates
+            {"sequence": list(expand_runs(runs)), "decimal": format_decimal(val.value)}
+            for runs, val in report.candidates
         ],
         "verified": report.verified,
         "notes": list(report.notes),

@@ -43,6 +43,7 @@ from .degree_sequences import (
 )
 from .formatting import format_index_value, format_sequence, plain_sequence
 from .indices import INVERSE_DEGREE, IndexSpec, SchurClass
+from .majorization import runs_of
 from .realization import cyclomatic_number, export_dot, realize
 
 EXIT_OK = 0
@@ -146,22 +147,22 @@ def cmd_extremal(args) -> int:
             "degree_total": klass.degree_total,
             "maximals": [list(seq) for seq in family.maximals],
             "minimal": list(family.minimal),
-            "maximals_pairwise_incomparable": len(family.maximals) > 1,
+            "maximals_pairwise_incomparable": len(family.maximal_runs) > 1,
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
     elif args.format == "csv":
         lines = ["n,c,role,sequence"]
-        for seq in family.maximals:
-            lines.append(f"{klass.n},{klass.c},maximal,{plain_sequence(seq)}")
-        lines.append(f"{klass.n},{klass.c},minimal,{plain_sequence(family.minimal)}")
+        for runs in family.maximal_runs:
+            lines.append(f"{klass.n},{klass.c},maximal,{plain_sequence(runs)}")
+        lines.append(f"{klass.n},{klass.c},minimal,{plain_sequence(family.minimal_runs)}")
         _emit("\n".join(lines) + "\n", args.output)
     else:
         lines = [f"n={klass.n} c={klass.c} degree-total={klass.degree_total}"]
-        for i, seq in enumerate(family.maximals, start=1):
-            lines.append(f"maximal {i}: {format_sequence(seq)}")
-        if len(family.maximals) > 1:
+        for i, runs in enumerate(family.maximal_runs, start=1):
+            lines.append(f"maximal {i}: {format_sequence(runs)}")
+        if len(family.maximal_runs) > 1:
             lines.append("maximals: pairwise incomparable under majorization")
-        lines.append(f"minimal: {format_sequence(family.minimal)}")
+        lines.append(f"minimal: {format_sequence(family.minimal_runs)}")
         _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -184,9 +185,9 @@ def _render_bounds_text(report) -> list:
             else report.lower_attainer
         )
         rendered = []
-        for seq, val in report.candidates:
-            mark = " [binding]" if seq == binding else ""
-            rendered.append(f"{format_sequence(seq)} -> {format_index_value(val)}{mark}")
+        for runs, val in report.candidates:
+            mark = " [binding]" if runs == binding else ""
+            rendered.append(f"{format_sequence(runs)} -> {format_index_value(val)}{mark}")
         lines.append("  candidates: " + "; ".join(rendered))
     if report.refined_upper is not None:
         lines.append(
@@ -235,22 +236,23 @@ def cmd_bounds(args) -> int:
 def _equivalence_check(klass) -> tuple:
     """Compare the three membership tests on every candidate with the right sum.
 
-    Also returns the candidates the Erdos-Gallai test accepts: the class
-    population that every later check of the class reuses, independent of
-    the counting conditions that the extremal family is built from.
+    Also returns the candidates the Erdos-Gallai test accepts, as runs: the
+    class population that every later check of the class reuses,
+    independent of the counting conditions that the extremal family is
+    built from.
     """
     failures = []
     members = []
     count = 0
-    for seq in candidate_sequences(klass.n, klass.degree_total):
+    for runs in candidate_sequences(klass.n, klass.degree_total):
         count += 1
-        counting = is_ccyclic_sequence(seq, klass)
-        inequalities = is_ccyclic_sequence_via_inequalities(seq, klass)
-        graphical = is_graphical(seq)
+        counting = is_ccyclic_sequence(runs, klass)
+        inequalities = is_ccyclic_sequence_via_inequalities(runs, klass)
+        graphical = is_graphical(runs)
         if not (counting == inequalities == graphical):
-            failures.append((seq, counting, inequalities, graphical))
+            failures.append((runs, counting, inequalities, graphical))
         if graphical:
-            members.append(seq)
+            members.append(runs)
     return count, failures, members
 
 
@@ -322,9 +324,9 @@ def cmd_verify(args) -> int:
             klass = CyclomaticClass(c=c, n=n)
             count, failures, population = _equivalence_check(klass)
             if failures:
-                seq, counting, inequalities, graphical = failures[0]
+                runs, counting, inequalities, graphical = failures[0]
                 lines.append(
-                    f"equivalence c={c} n={n}: MISMATCH on {format_sequence(seq)} "
+                    f"equivalence c={c} n={n}: MISMATCH on {format_sequence(runs)} "
                     f"(counting={counting} inequalities={inequalities} "
                     f"graphical={graphical})"
                 )
@@ -381,7 +383,7 @@ def cmd_realize(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_MISMATCH
-    label = args.label if args.label is not None else plain_sequence(seq)
+    label = args.label if args.label is not None else plain_sequence(runs_of(seq))
     _emit(export_dot(graph, label=label), args.output)
     return EXIT_OK
 
@@ -450,10 +452,15 @@ def _build_parser() -> Parser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:  # built on the first call, then reused: parsing leaves it unchanged
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,18 @@ it is graphical (a graphical sequence with minimum degree >= 1 and at least
 are filtered by graphicality alone, so they check the counting conditions
 rather than repeat them.
 
+Run-form contract: a degree sequence travels as its run-length form
+``((degree, count), ...)``, degrees strictly decreasing and counts positive,
+as :func:`~ccyclic.majorization.runs_of` gives it for a nonincreasing tuple.
+:func:`candidate_sequences` yields that form, the enumerations return it, and
+:func:`is_ccyclic_sequence`, :func:`is_ccyclic_sequence_via_inequalities`,
+:func:`is_graphical` and :func:`ccyclic.indices.evaluate` take it, so every
+per-member step costs O(runs), not O(n).  A caller holding a tuple converts it
+once with ``runs_of``.  :func:`is_ccyclic_sequence` validates its input
+(:func:`validate_runs`); the other membership tests take a valid form as given,
+which the generator's output is by construction.  :class:`ExtremalFamily`
+holds runs and expands them into tuples on demand.
+
 Index-notation caveat: two of the published block descriptions carry
 overlapping subscripts for where the "degree >= 2" block ends; the counting
 form is authoritative here (first seven entries >= 2 for the widest c=5 set,
@@ -27,14 +39,12 @@ first eight for the widest c=6 set).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import lt
+from functools import cached_property
 from typing import Iterator, Optional
 
 from .extremal import BoxSet, integerize_runs, maximal_runs, minimal_runs
-from .majorization import Relation, compare, compare_runs, expand_runs, is_majorized_by
+from .majorization import Relation, compare, compare_runs, expand_runs, is_majorized_by, runs_of
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -102,57 +112,74 @@ class CyclomaticClass:
         return 2 * (self.n + self.c - 1)
 
 
-def validate_degree_sequence(seq, n: int) -> tuple:
-    """Check a degree sequence: length n, nonincreasing, entries in [1, n-1]."""
-    seq = tuple(map(int, seq))
-    if len(seq) != n:
-        raise ValueError(f"expected {n} degrees, got {len(seq)}")
-    if any(map(lt, seq, seq[1:])):
-        raise ValueError("degrees not sorted nonincreasing")
-    if seq[-1] < 1 or seq[0] > n - 1:
+def validate_runs(runs, n: int) -> None:
+    """Check a run-length degree sequence: n degrees in [1, n-1], as maximal runs."""
+    size, previous = 0, n
+    for degree, count in runs:
+        if degree >= previous:
+            raise ValueError(
+                "degrees not in decreasing runs" if size else "degrees must lie in [1, n-1]"
+            )
+        if count < 1:
+            raise ValueError("every run needs a positive length")
+        size += count
+        previous = degree
+    if size != n:
+        raise ValueError(f"expected {n} degrees, got {size}")
+    if previous < 1:
         raise ValueError("degrees must lie in [1, n-1]")
-    return seq
 
 
-def _counting_form_holds(counts, klass: CyclomaticClass) -> bool:
-    """Counting-form test of a valid degree sequence given as ``(degree, count)`` pairs."""
-    if sum(d * count for d, count in counts) != klass.degree_total:
+def _counting_form_holds(runs, klass: CyclomaticClass) -> bool:
+    """Counting-form test of a valid run-length degree sequence."""
+    if sum(d * count for d, count in runs) != klass.degree_total:
         return False
     for needed_order, needs in _COUNT_CONDITIONS[klass.c]:
         if klass.n < needed_order:
             continue
-        if all(sum(count for d, count in counts if d >= t) >= j for t, j in needs):
+        if all(sum(count for d, count in runs if d >= t) >= j for t, j in needs):
             return True
     return False
 
 
-def is_ccyclic_sequence(seq, klass: CyclomaticClass) -> bool:
-    """Counting-form membership test for the degree sequences of the class."""
-    seq = validate_degree_sequence(seq, klass.n)
+def is_ccyclic_sequence(runs, klass: CyclomaticClass) -> bool:
+    """Counting-form membership test for the degree sequences of the class.
+
+    ``runs`` is checked by :func:`validate_runs`, the one check a candidate
+    gets: the other membership tests take its validity as given.
+    """
+    validate_runs(runs, klass.n)
     if klass.c > MAX_SUPPORTED_CYCLES:
         raise ValueError(
             f"no characterization implemented beyond c={MAX_SUPPORTED_CYCLES}"
         )
-    return _counting_form_holds(Counter(seq).items(), klass)
+    return _counting_form_holds(runs, klass)
 
 
-def is_ccyclic_sequence_via_inequalities(seq, klass: CyclomaticClass) -> bool:
+def is_ccyclic_sequence_via_inequalities(runs, klass: CyclomaticClass) -> bool:
     """Classic membership test: edge count plus prefix-sum inequalities.
 
     Kept textually independent from the counting form so the two can guard
     each other; missing entries count as zero in the longer inequalities.
+    ``runs`` must be a valid run-length form of order n; the six largest
+    degrees are read from its head runs.
     """
-    seq = validate_degree_sequence(seq, klass.n)
     n, c = klass.n, klass.c
-    total = sum(seq)
+    total = sum(degree * count for degree, count in runs)
     if total % 2:
         return False
     m = total // 2
     if m != n + c - 1:
         return False
+    head = []
+    for degree, count in runs:
+        if len(head) >= 6:
+            break
+        head += [degree] * min(count, 6)
+    head += [0] * 6
 
     def d(i: int) -> int:
-        return seq[i - 1] if i <= n else 0
+        return head[i - 1]
 
     if c == 0:
         return m >= 1
@@ -189,71 +216,98 @@ def is_ccyclic_sequence_via_inequalities(seq, klass: CyclomaticClass) -> bool:
     raise ValueError(f"no inequality characterization implemented for c={c}")
 
 
-def is_graphical(seq) -> bool:
-    """Erdos-Gallai test: is the sequence realizable by a simple graph?
+def is_graphical(runs) -> bool:
+    """Erdos-Gallai test: is the run-length degree sequence realizable by a simple graph?
 
-    Linear after the sort.  With the degrees nonincreasing, the entries >= k
-    form a head ``degrees[:above]``, so the right side ``k(k - 1) + sum(min(d_i,
-    k))`` over i > k is ``k(k - 1) + k(above - k)`` plus the sum beyond the
-    head, O(1) from prefix sums.
+    ``runs`` is the ``(degree, count)`` form of a nonincreasing sequence, as
+    :func:`~ccyclic.majorization.runs_of` gives it; False for an empty
+    sequence, an odd degree sum or a degree outside [0, n-1].
 
-    Only k with d_k >= k are tested: for d_k < k the k-th inequality follows
-    from the (k-1)-th, since its left side grows by d_k and its right side by
-    at least 2(k - 1) - d_k >= d_k.
+    O(runs).  Only k with d_k >= k are tested: for d_k < k the k-th
+    inequality follows from the (k-1)-th, since its right side grows by at
+    least 2(k - 1) - 2 d_k >= 0 more than its left side.  Within one run, on
+    those k, the slack (right side minus left side) is concave in k, so it
+    suffices to test the last such k of each run (Tripathi & Vijay 2003).
+    The right side ``k(k - 1) + sum(min(d_i, k))`` over i > k is ``k(above -
+    1)`` plus the degree sum beyond the entries >= k, which end at ``above``;
+    that end only moves back as k grows, one run at a time.
     """
-    degrees = sorted((int(d) for d in seq), reverse=True)
-    n = len(degrees)
-    if n == 0 or degrees[-1] < 0 or degrees[0] > n - 1:
+    n = total = 0
+    for degree, count in runs:
+        n += count
+        total += degree * count
+    if n == 0 or total % 2 or runs[-1][0] < 0 or runs[0][0] > n - 1:
         return False
-    prefix = list(accumulate(degrees, initial=0))
-    total = prefix[n]
-    if total % 2:
-        return False
-    above = n
-    for k in range(1, n + 1):
-        if degrees[k - 1] < k:
+    last = len(runs) - 1  # the last run of degrees >= k
+    above, tail = n, 0  # entries through that run, and the degree sum after it
+    start = head = 0  # entries and degree sum before the current run
+    for degree, count in runs:
+        if degree <= start:  # d_k < k from k = start + 1 on
             break
-        while degrees[above - 1] < k:  # stops at above >= k, as d_k >= k
-            above -= 1
-        if prefix[k] > k * (above - 1) + total - prefix[above]:
+        k = min(start + count, degree)
+        while runs[last][0] < k:
+            low, size = runs[last]
+            above -= size
+            tail += low * size
+            last -= 1
+        if head + (k - start) * degree > k * (above - 1) + tail:
             return False
+        start += count
+        head += degree * count
     return True
 
 
 def candidate_sequences(n: int, total: int) -> Iterator[tuple]:
-    """All nonincreasing positive length-n sequences with max <= n-1 and the given sum.
+    """Every nonincreasing positive length-n sequence with max <= n-1 and the given sum.
 
-    Yielded in descending lexicographic order; the recursion prunes on the
-    amount of sum the remaining slots can still absorb.
+    Each is yielded as its run-length form ``((degree, count), ...)``, in
+    descending lexicographic order of the sequences.  One shared stack of
+    runs is extended by a value, then its count, then the runs below that
+    value; the bounds on both keep every partial stack completable, so no
+    branch dead-ends, and only the yielded forms are copied.  Each
+    ``(degree, count)`` pair is made once per call and shared by every form
+    that holds it, so a kept form costs one tuple of references.
     """
+    if n >= 1:
+        yield from _runs_below([], {}, n, total, n - 1)
 
-    def rec(slots: int, remaining: int, bound: int) -> Iterator[tuple]:
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        high = min(bound, remaining - (slots - 1))
-        low = -(-remaining // slots)  # ceil: parts below this cannot stay nonincreasing
-        for part in range(high, max(low, 1) - 1, -1):
-            for rest in rec(slots - 1, remaining - part, part):
-                yield (part,) + rest
 
-    if n < 1:
-        return
-    yield from rec(n, total, n - 1)
+def _runs_below(stack: list, pairs: dict, slots: int, remaining: int, bound: int) -> Iterator:
+    """Extend ``stack`` by runs of values <= ``bound``: ``slots`` entries summing to ``remaining``.
+
+    A module-level recursion, not a closure, so a finished enumeration
+    leaves no reference cycle holding ``pairs`` for the garbage collector.
+    """
+    high = min(bound, remaining - slots + 1)  # the rest are at least 1
+    low = max(-(-remaining // slots), 1)  # the rest are at most the next value
+    for value in range(high, low - 1, -1):
+        # After `count` copies of the value, the rest lie in [1, value - 1] or are none.
+        most = slots if value == 1 else min(slots, (remaining - slots) // (value - 1))
+        fewest = max(remaining - slots * (value - 1), 1)
+        for count in range(most, fewest - 1, -1):
+            pair = (value, count)
+            stack.append(pairs.setdefault(pair, pair))
+            if count == slots:
+                yield tuple(stack)
+            else:
+                yield from _runs_below(
+                    stack, pairs, slots - count, remaining - count * value, value - 1
+                )
+            stack.pop()
 
 
 def _members(klass: CyclomaticClass, cap: int) -> list:
     """The candidates of the class's order and degree total that :func:`is_graphical` accepts."""
     if klass.n > cap:
         raise EnumerationCapError(f"order {klass.n} exceeds enumeration cap {cap}")
-    return [seq for seq in candidate_sequences(klass.n, klass.degree_total) if is_graphical(seq)]
+    candidates = candidate_sequences(klass.n, klass.degree_total)
+    return [runs for runs in candidates if is_graphical(runs)]
 
 
 def enumerate_sequences(
     klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list:
-    """Every degree sequence of the class, in descending lexicographic order.
+    """Every degree sequence of the class as runs, in descending lexicographic order.
 
     A positive sequence with sum ``2(n + c - 1)`` is the degree sequence of a
     connected graph with c independent cycles iff it is graphical, so the
@@ -278,11 +332,23 @@ def graphical_class_sequences(
 
 @dataclass(frozen=True)
 class ExtremalFamily:
-    """Maximal degree sequences (pairwise incomparable) and the unique minimal one."""
+    """Maximal degree sequences (pairwise incomparable) and the unique minimal one.
+
+    Held as maximal runs; ``maximals`` and ``minimal`` expand them into
+    tuples on first use.
+    """
 
     klass: CyclomaticClass
-    maximals: tuple
-    minimal: Optional[tuple]  # None only where a closed-form minimal pattern is undefined
+    maximal_runs: tuple
+    minimal_runs: Optional[tuple]  # None only where a closed-form minimal pattern is undefined
+
+    @cached_property
+    def maximals(self) -> tuple:
+        return tuple(map(expand_runs, self.maximal_runs))
+
+    @cached_property
+    def minimal(self) -> Optional[tuple]:
+        return None if self.minimal_runs is None else expand_runs(self.minimal_runs)
 
 
 def class_boxes(klass: CyclomaticClass) -> list:
@@ -327,7 +393,7 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
     minimal candidates are totally ordered with the least one minorizing the
     whole class.  The survivors are checked to be class members and pairwise
     incomparable before they are returned.  All of it runs on run-length
-    forms, O(runs) per sequence; only the result is expanded into tuples.
+    forms, O(runs) per sequence.
     """
     boxes = class_boxes(klass)
     maximals = _discard_dominated([maximal_runs(box) for box in boxes])
@@ -357,9 +423,7 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
         for b in maximals[i + 1 :]:
             if compare_runs(a, b) is not Relation.INCOMPARABLE:
                 raise AssertionError(f"maximal candidates {a} and {b} are comparable")
-    return ExtremalFamily(
-        klass=klass, maximals=tuple(map(expand_runs, maximals)), minimal=expand_runs(least)
-    )
+    return ExtremalFamily(klass=klass, maximal_runs=tuple(maximals), minimal_runs=least)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +466,11 @@ def parametric_extremal_family(c: int, n: int) -> ExtremalFamily:
         seq = (3,) * (2 * c - 2) + (2,) * (n - 2 * c + 2)
         if _valid_pattern(seq, klass):
             minimal = seq
-    return ExtremalFamily(klass=klass, maximals=tuple(maximals), minimal=minimal)
+    return ExtremalFamily(
+        klass=klass,
+        maximal_runs=tuple(map(runs_of, maximals)),
+        minimal_runs=None if minimal is None else runs_of(minimal),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +488,7 @@ class ExtremalityReport:
     enumerated sequence.  ``complete`` also asks every enumerated sequence to
     lie below some maximal, which the closed-form patterns need not achieve
     (already for c = 6 a fourth maximal exists beyond the three closed forms).
+    Sequences in the report are maximal runs.
     """
 
     c: int
@@ -447,23 +516,27 @@ class ExtremalityReport:
 
 def _extremality_report(family: ExtremalFamily, population) -> ExtremalityReport:
     maximals, minimal = family.maximals, family.minimal
-    pop = set(population)
-    members_valid = all(seq in pop for seq in maximals) and (
-        minimal is None or minimal in pop
+    members_valid = all(runs in population for runs in family.maximal_runs) and (
+        minimal is None or family.minimal_runs in population
     )
     incomparable = all(
         compare(a, b) is Relation.INCOMPARABLE
         for i, a in enumerate(maximals)
         for b in maximals[i + 1 :]
     )
+    tops = list(zip(maximals, family.maximal_runs))
     uncovered = []
     witnesses = {}
-    for seq in population:
+    below = []
+    for runs in population:
+        # Expanded once: against a few fixed maximals, comparing tuples is
+        # cheaper than comparing runs pair by pair.
+        seq = expand_runs(runs)
         covered = False
-        for top in maximals:
+        for top, top_runs in tops:
             rel = compare(seq, top)
             if rel is Relation.GREATER_OR_EQUAL:
-                witnesses.setdefault(top, seq)
+                witnesses.setdefault(top_runs, runs)
             elif rel is not Relation.INCOMPARABLE:
                 covered = True
                 # Below one of pairwise incomparable maximals, seq cannot
@@ -471,12 +544,9 @@ def _extremality_report(family: ExtremalFamily, population) -> ExtremalityReport
                 if incomparable:
                     break
         if not covered:
-            uncovered.append(seq)
-    below = (
-        tuple(seq for seq in population if not is_majorized_by(minimal, seq))
-        if minimal is not None
-        else ()
-    )
+            uncovered.append(runs)
+        if minimal is not None and not is_majorized_by(minimal, seq):
+            below.append(runs)
     return ExtremalityReport(
         c=family.klass.c,
         n=family.klass.n,
@@ -485,17 +555,17 @@ def _extremality_report(family: ExtremalFamily, population) -> ExtremalityReport
         pairwise_incomparable=incomparable,
         not_below_any_maximal=tuple(uncovered),
         dominated_patterns=tuple(
-            (top, witnesses[top]) for top in maximals if top in witnesses
+            (top, witnesses[top]) for top in family.maximal_runs if top in witnesses
         ),
-        not_above_minimal=below,
+        not_above_minimal=tuple(below),
     )
 
 
 def check_family_extremality(klass: CyclomaticClass, population) -> ExtremalityReport:
-    """Check the extremal family against ``population``, the enumerated class."""
+    """Check the extremal family against ``population``, a list of the class members as runs."""
     return _extremality_report(extremal_family(klass), population)
 
 
 def check_pattern_extremality(klass: CyclomaticClass, population) -> ExtremalityReport:
-    """Check the closed-form patterns against ``population``, the enumerated class (any c)."""
+    """Check the closed-form patterns against ``population``, the class members as runs (any c)."""
     return _extremality_report(parametric_extremal_family(klass.c, klass.n), population)

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 from .indices import MAX_EXACT_DIGITS, IndexValue
-from .majorization import runs_of
 
 _TOO_LONG = 10**MAX_EXACT_DIGITS  # the least int with more than MAX_EXACT_DIGITS digits
 
@@ -36,12 +36,12 @@ def format_index_value(value: IndexValue) -> str:
     return format_decimal(value.value)
 
 
-def format_sequence(seq) -> str:
-    """Run-length rendering, e.g. (7, 4, 2, 2, 2, 1, 1, 1) -> ``[7, 4, 2^3, 1^3]``."""
-    parts = (f"{value}^{count}" if count > 1 else f"{value}" for value, count in runs_of(seq))
+def format_sequence(runs) -> str:
+    """Rendering of maximal runs: ((7, 1), (4, 1), (2, 3), (1, 3)) -> ``[7, 4, 2^3, 1^3]``."""
+    parts = (f"{value}^{count}" if count > 1 else f"{value}" for value, count in runs)
     return "[" + ", ".join(parts) + "]"
 
 
-def plain_sequence(seq) -> str:
-    """Space-separated rendering used inside CSV fields."""
-    return " ".join(str(d) for d in seq)
+def plain_sequence(runs) -> str:
+    """Space-separated rendering of every entry, used inside CSV fields."""
+    return " ".join(" ".join(repeat(str(value), count)) for value, count in runs)

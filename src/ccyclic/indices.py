@@ -9,18 +9,18 @@ Supported indices are the ones determined by the degree sequence alone:
 Power sums with convex ``d ** alpha`` (alpha < 0 or alpha > 1) are
 Schur-convex on positive vectors, those with 0 < alpha < 1 Schur-concave,
 and the log form is Schur-concave.  Integer exponents (the inverse degree is
-alpha = -1) are evaluated exactly on (degree, multiplicity) pairs: a positive
-power sum is one int, ``sum(m * d ** alpha)``, and a negative one is one
-``Fraction`` over the common denominator ``lcm(degrees) ** -alpha``, so a
-sequence costs one term per distinct degree and one reduction, not one
-``Fraction`` per entry.  Everything else is binary floating point, summed entry
-by entry, with a relative comparison tolerance of 1e-12.
+alpha = -1) are evaluated exactly on the (degree, multiplicity) runs that
+every caller passes: a positive power sum is one int, ``sum(m * d ** alpha)``,
+and a negative one is one ``Fraction`` over the common denominator
+``lcm(degrees) ** -alpha``, so a sequence costs one term per run and one
+reduction, not one ``Fraction`` per entry.  Everything else is binary floating
+point, one ``m * f(d)`` term per run, with a relative comparison tolerance of
+1e-12.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -113,22 +113,29 @@ class IndexValue:
         return math.isclose(self.as_float(), other.as_float(), rel_tol=FLOAT_TOLERANCE)
 
 
-def evaluate(index: IndexSpec, seq) -> IndexValue:
-    """Evaluate the index on a degree sequence (all entries must be >= 1)."""
-    degrees = [int(d) for d in seq]
+def evaluate(index: IndexSpec, runs) -> IndexValue:
+    """Evaluate the index on a degree sequence given as ``(degree, count)`` runs.
+
+    One term per run; every degree must be >= 1.  The runs need be neither
+    maximal nor sorted.
+    """
+    degrees = [degree for degree, _ in runs]
     if not degrees or min(degrees) < 1:
         raise ValueError("index evaluation needs positive degrees")
     if index.kind == INVERSE_DEGREE:
-        return IndexValue(_exact_power_sum(degrees, -1), exact=True)
+        return IndexValue(_exact_power_sum(runs, degrees, -1), exact=True)
     if index.kind == MULT_ZAGREB_LOG:
-        return IndexValue(2.0 * sum(math.log(d) for d in degrees), exact=False)
+        return IndexValue(2.0 * sum(count * math.log(d) for d, count in runs), exact=False)
+    top = max(degrees)
     if index.alpha > 0:
         # Every report prints a float, so a power sum beyond the float range is
         # rejected, before any exact power: Fraction(9) ** 10**400 never returns.
         try:
             exponent = float(index.alpha)
-            bound = len(degrees) * max(degrees) ** exponent
-            finite = bound < math.inf or math.fsum(d**exponent for d in degrees) < math.inf
+            bound = sum(count for _, count in runs) * top**exponent
+            finite = bound < math.inf or math.fsum(
+                count * d**exponent for d, count in runs
+            ) < math.inf
         except OverflowError:
             finite = False
         if not finite:
@@ -137,27 +144,24 @@ def evaluate(index: IndexSpec, seq) -> IndexValue:
         power = int(index.alpha)
         # Every report prints the exact value, so a power too long to print is
         # rejected before it is taken: Fraction(9) ** -10**400 never returns.
-        top = max(degrees)
         if top > 1 and abs(power) > MAX_EXACT_DIGITS / math.log10(top):
             raise ValueError(
                 f"exponent too large: an exact power would exceed {MAX_EXACT_DIGITS} digits"
             )
-        return IndexValue(_exact_power_sum(degrees, power), exact=True)
+        return IndexValue(_exact_power_sum(runs, degrees, power), exact=True)
     exponent = float(index.alpha)
-    return IndexValue(sum(d**exponent for d in degrees), exact=False)
+    return IndexValue(sum(count * d**exponent for d, count in runs), exact=False)
 
 
-def _exact_power_sum(degrees, power: int) -> Fraction:
-    """``sum(d ** power)`` over positive integer degrees, exactly.
+def _exact_power_sum(runs, degrees: list, power: int) -> Fraction:
+    """``sum(count * d ** power)`` over runs of positive integer degrees, exactly.
 
-    Summed per distinct degree, as multiplicity times power.  A negative power
-    goes over the one common denominator ``lcm(degrees) ** -power``, so the
-    whole sum is a single Fraction, reduced once.
+    A negative power goes over the one common denominator
+    ``lcm(degrees) ** -power``, so the whole sum is a single Fraction,
+    reduced once.
     """
-    counts = Counter(degrees)
     if power > 0:
-        return Fraction(sum(m * d**power for d, m in counts.items()))
-    common = math.lcm(*counts)
-    numerator = sum(m * (common // d) ** -power for d, m in counts.items())
+        return Fraction(sum(count * d**power for d, count in runs))
+    common = math.lcm(*degrees)
+    numerator = sum(count * (common // d) ** -power for d, count in runs)
     return Fraction(numerator, common**-power)
-

@@ -13,7 +13,7 @@ maximal runs; a long degree sequence is a short head and two long runs.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, groupby, repeat, starmap
 from operator import itemgetter, lt, sub
 from typing import Iterable, Sequence
 
@@ -89,7 +89,7 @@ def coalesce_runs(runs: Iterable) -> tuple:
 
 def expand_runs(runs: Iterable) -> tuple:
     """The vector a run-length form stands for."""
-    return tuple(chain.from_iterable(repeat(value, length) for value, length in runs))
+    return tuple(chain.from_iterable(starmap(repeat, runs)))
 
 
 def aligned_runs(left: Iterable, right: Iterable):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .degree_sequences import is_graphical
+from .majorization import runs_of
 
 
 class RealizationError(ValueError):
@@ -204,7 +205,7 @@ def realize(seq) -> SimpleGraph:
         raise RealizationError("empty degree sequence")
     if any(a < b for a, b in zip(degrees, degrees[1:])):
         raise RealizationError("degrees must be sorted nonincreasing")
-    if not is_graphical(degrees):
+    if not is_graphical(runs_of(degrees)):
         raise RealizationError(f"{list(degrees)} is not graphical")
     if degrees[-1] < 1:
         raise RealizationError("connected graphs have no isolated vertices")

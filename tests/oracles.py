@@ -1,9 +1,9 @@
 """Independent brute-force oracles and random generators shared by the tests.
 
 Everything here deliberately avoids the library's own algorithms: candidates
-come from itertools, box points from a plain bounded recursion, and
-comparable vectors from explicit mass transfers, so library results can be
-checked against genuinely separate computations.
+come from itertools or a tuple-per-level recursion, box points from a plain
+bounded recursion, and comparable vectors from explicit mass transfers, so
+library results can be checked against genuinely separate computations.
 """
 
 from __future__ import annotations
@@ -26,6 +26,30 @@ def cwr_candidates(n, total, max_part=None):
         if sum(tup) == total:
             out.append(tup)
     return out
+
+
+def tuple_candidates(n, total):
+    """The same candidates as ``candidate_sequences``, as tuples, by a recursion that
+    builds one tuple per level.
+
+    Yielded in descending lexicographic order; the recursion prunes on the
+    amount of sum the remaining slots can still absorb.
+    """
+
+    def rec(slots, remaining, bound):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        high = min(bound, remaining - (slots - 1))
+        low = -(-remaining // slots)  # ceil: parts below this cannot stay nonincreasing
+        for part in range(high, max(low, 1) - 1, -1):
+            for rest in rec(slots - 1, remaining - part, part):
+                yield (part,) + rest
+
+    if n < 1:
+        return
+    yield from rec(n, total, n - 1)
 
 
 def textbook_is_graphical(seq):

@@ -32,7 +32,7 @@ from ccyclic.degree_sequences import (
 )
 from ccyclic.extremal import BoxSet, integerize_minimal, maximal_box, minimal_box
 from ccyclic.indices import IndexSpec, evaluate
-from ccyclic.majorization import Relation, compare, is_majorized_by
+from ccyclic.majorization import Relation, compare, expand_runs, is_majorized_by, runs_of
 from ccyclic.realization import cyclomatic_number, is_connected, realize
 
 from oracles import random_nested_boxes, random_nonincreasing, transfer_down
@@ -217,7 +217,7 @@ def test_criterion_07_majorization_extremality():
                 for i, a in enumerate(family.maximals):
                     for b in family.maximals[i + 1 :]:
                         assert compare(a, b) is Relation.INCOMPARABLE, (c, n)
-                for seq in enumerate_sequences(klass):
+                for seq in map(expand_runs, enumerate_sequences(klass)):
                     assert any(
                         is_majorized_by(seq, top) for top in family.maximals
                     ), (c, n, seq)
@@ -282,8 +282,9 @@ def test_criterion_10_property_suites():
         for _ in range(10_000):
             top = random_nonincreasing(rng, rng.randint(2, 10))
             low = transfer_down(rng, top, steps=rng.randint(1, 4))
-            assert evaluate(inverse, low).value <= evaluate(inverse, top).value
-            assert evaluate(square, low).value <= evaluate(square, top).value
+            low_runs, top_runs = runs_of(low), runs_of(top)
+            assert evaluate(inverse, low_runs).value <= evaluate(inverse, top_runs).value
+            assert evaluate(square, low_runs).value <= evaluate(square, top_runs).value
 
         # inclusion monotonicity on 10^3 nested box pairs
         for _ in range(1_000):

@@ -22,6 +22,7 @@ from ccyclic.bounds import (
 )
 from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, min_order
 from ccyclic.indices import IndexSpec, IndexValue, SchurClass, evaluate
+from ccyclic.majorization import runs_of
 
 
 def F(*args):
@@ -36,8 +37,8 @@ class TestBounds:
         report = bounds(CyclomaticClass(c=1, n=10), RHO)
         assert report.lower.value == 5
         assert report.upper.value == 8 + F(1, 9)
-        assert report.lower_attainer == (2,) * 10
-        assert report.upper_attainer == (9, 2, 2) + (1,) * 7
+        assert report.lower_attainer == runs_of((2,) * 10)
+        assert report.upper_attainer == runs_of((9, 2, 2) + (1,) * 7)
 
     def test_tetracyclic_upper(self):
         report = bounds(CyclomaticClass(c=4, n=8), RHO)
@@ -47,13 +48,13 @@ class TestBounds:
         report = bounds(CyclomaticClass(c=2, n=6), IndexSpec.general_zagreb(2))
         assert report.lower.value == 34
         assert report.upper.value == 44
-        assert report.lower_attainer == (3, 3, 2, 2, 2, 2)
-        assert report.upper_attainer == (5, 3, 2, 2, 1, 1)
+        assert report.lower_attainer == runs_of((3, 3, 2, 2, 2, 2))
+        assert report.upper_attainer == runs_of((5, 3, 2, 2, 1, 1))
 
     def test_concave_orientation_swaps(self):
         report = bounds(CyclomaticClass(c=3, n=8), IndexSpec.mult_zagreb_log())
         # minimal sequence now attains the upper bound
-        assert report.upper_attainer == (3, 3, 3, 3, 2, 2, 2, 2)
+        assert report.upper_attainer == runs_of((3, 3, 3, 3, 2, 2, 2, 2))
         assert report.lower.value <= report.upper.value
 
     def test_schur_orientation_attainers(self):
@@ -161,7 +162,7 @@ class TestVerifyBounds:
             bounds(klass, IndexSpec.general_zagreb(2)), enumerate_sequences(klass)
         )
         assert outcome.status == EXACT_MATCH
-        assert outcome.minimizers == ((3, 3, 3, 3, 3, 3, 3, 3, 2),)
+        assert outcome.minimizers == (runs_of((3, 3, 3, 3, 3, 3, 3, 3, 2)),)
 
     def test_cap_yields_skipped(self):
         report = with_verification(bounds(CyclomaticClass(c=1, n=20), RHO), cap=12)
@@ -230,9 +231,9 @@ class TestVerifyBounds:
         klass = CyclomaticClass(c=3, n=8)
         index = IndexSpec.general_zagreb(F(-1001, 3))
         report = bounds(klass, index)
-        assert report.lower_attainer == (3,) * 4 + (2,) * 4
+        assert report.lower_attainer == runs_of((3,) * 4 + (2,) * 4)
         assert with_verification(report).verified == EXACT_MATCH
-        wrong = (6,) + (2,) * 7
+        wrong = runs_of((6,) + (2,) * 7)
         tampered = replace(report, lower=evaluate(index, wrong), lower_attainer=wrong)
         assert tampered.lower.value > 1.7 * report.lower.value
         assert with_verification(tampered).verified == MISMATCH
@@ -254,8 +255,8 @@ class TestBoundsTable:
         by_c = {row.klass.c: row for row in rows}
         assert len(by_c[3].candidates) == 2
         values = {seq: val.value for seq, val in by_c[3].candidates}
-        assert values[(7, 4, 2, 2, 2, 1, 1, 1)] == 4 + F(25, 28)
-        assert values[(7, 3, 3, 3, 1, 1, 1, 1)] == 5 + F(1, 7)
+        assert values[runs_of((7, 4, 2, 2, 2, 1, 1, 1))] == 4 + F(25, 28)
+        assert values[runs_of((7, 3, 3, 3, 1, 1, 1, 1))] == 5 + F(1, 7)
         assert by_c[3].upper.value == 5 + F(1, 7)
 
     def test_small_order_rejected(self):

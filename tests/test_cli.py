@@ -11,10 +11,12 @@ import pytest
 
 import ccyclic
 from ccyclic import cli, degree_sequences
-from ccyclic.bounds import MISMATCH, bounds, with_verification
+from ccyclic.bounds import MISMATCH, ORIENTATION_NOTE, bounds, with_verification
 from ccyclic.cli import main
 from ccyclic.degree_sequences import CyclomaticClass
 from ccyclic.indices import IndexSpec
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -25,6 +27,27 @@ def run(capsys, *argv):
 
 def test_every_exported_name_resolves():
     assert [name for name in ccyclic.__all__ if not hasattr(ccyclic, name)] == []
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    original = cli._build_parser
+    built = []
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    ok = ("extremal", "--n", "8", "--c", "3")
+    first = run(capsys, *ok)
+    usage = run(capsys, "extremal", "--n", "8")
+    again = run(capsys, *ok)
+    other = run(capsys, "bounds", "--n", "8", "--c", "3", "--index", "inverse-degree")
+    assert len(built) == 1
+    assert first == again == (0, (GOLDEN / "extremal-text.out").read_text(), "")
+    assert usage == (1, "", "error: the following arguments are required: --c\n")
+    assert other[0] == 0 and other[1].startswith("n=8 c=3 index=inverse-degree\n")
 
 
 class TestExtremal:
@@ -249,6 +272,47 @@ class TestLargeOrder:
             "maximals: pairwise incomparable under majorization\n"
             "minimal: [3^10, 2^999990]\n"
         )
+
+
+    def test_bounds_at_a_million_vertices(self):
+        # evaluated on the family's runs: one term per run, no 10**6-entry tuple
+        result = run_isolated("bounds", "--n", "1000000", "--c", "1..6", "--alpha", "2")
+        assert (result.returncode, result.stderr) == (0, "")
+        note = f"  note: {ORIENTATION_NOTE}"
+        top = "[999999, "
+        assert result.stdout.splitlines() == [
+            "n=1000000 c=1 index=general-zagreb(alpha=2)",
+            "  lower: 4000000 (4000000) at [2^1000000]",
+            f"  upper: 999999000006 (999999000006) at {top}2^2, 1^999997]",
+            note,
+            "n=1000000 c=2 index=general-zagreb(alpha=2)",
+            "  lower: 4000010 (4000010) at [3^2, 2^999998]",
+            f"  upper: 999999000014 (999999000014) at {top}3, 2^2, 1^999996]",
+            note,
+            "n=1000000 c=3 index=general-zagreb(alpha=2)",
+            "  lower: 4000020 (4000020) at [3^4, 2^999996]",
+            f"  upper: 999999000024 (999999000024) at {top}4, 2^3, 1^999995]",
+            f"  candidates: {top}4, 2^3, 1^999995] -> 999999000024 (999999000024) [binding]; "
+            f"{top}3^3, 1^999996] -> 999999000024 (999999000024)",
+            "n=1000000 c=4 index=general-zagreb(alpha=2)",
+            "  lower: 4000030 (4000030) at [3^6, 2^999994]",
+            f"  upper: 999999000036 (999999000036) at {top}5, 2^4, 1^999994]",
+            f"  candidates: {top}5, 2^4, 1^999994] -> 999999000036 (999999000036) [binding]; "
+            f"{top}4, 3^2, 2, 1^999995] -> 999999000034 (999999000034)",
+            "n=1000000 c=5 index=general-zagreb(alpha=2)",
+            "  lower: 4000040 (4000040) at [3^8, 2^999992]",
+            f"  upper: 999999000050 (999999000050) at {top}6, 2^5, 1^999993]",
+            f"  candidates: {top}6, 2^5, 1^999993] -> 999999000050 (999999000050) [binding]; "
+            f"{top}5, 3^2, 2^2, 1^999994] -> 999999000046 (999999000046); "
+            f"{top}4^2, 3^2, 1^999995] -> 999999000046 (999999000046)",
+            "n=1000000 c=6 index=general-zagreb(alpha=2)",
+            "  lower: 4000050 (4000050) at [3^10, 2^999990]",
+            f"  upper: 999999000066 (999999000066) at {top}7, 2^6, 1^999992]",
+            f"  candidates: {top}7, 2^6, 1^999992] -> 999999000066 (999999000066) [binding]; "
+            f"{top}6, 3^2, 2^3, 1^999993] -> 999999000060 (999999000060); "
+            f"{top}5, 4, 3^2, 2, 1^999994] -> 999999000058 (999999000058); "
+            f"{top}4^4, 1^999995] -> 999999000060 (999999000060)",
+        ]
 
 
 class TestVerify:

@@ -1,5 +1,7 @@
 """Tests for class membership, enumeration, and extremal families."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,10 +21,14 @@ from ccyclic.degree_sequences import (
     min_order,
     parametric_extremal_family,
 )
-from ccyclic.majorization import Relation, compare, is_majorized_by
+from ccyclic.majorization import Relation, compare, expand_runs, is_majorized_by, runs_of
 
-from oracles import cwr_candidates, textbook_is_graphical
+from oracles import cwr_candidates, textbook_is_graphical, tuple_candidates
 from strategies import degree_sequences, raw_degree_lists
+
+
+def expanded(runs_list):
+    return [expand_runs(runs) for runs in runs_list]
 
 
 class TestClassValidation:
@@ -44,65 +50,78 @@ class TestClassValidation:
 class TestMembership:
     def test_k4_is_tricyclic(self):
         klass = CyclomaticClass(c=3, n=4)
-        assert is_ccyclic_sequence((3, 3, 3, 3), klass)
-        assert is_ccyclic_sequence_via_inequalities((3, 3, 3, 3), klass)
+        assert is_ccyclic_sequence(runs_of((3, 3, 3, 3)), klass)
+        assert is_ccyclic_sequence_via_inequalities(runs_of((3, 3, 3, 3)), klass)
 
     def test_star_is_tree(self):
         klass = CyclomaticClass(c=0, n=5)
-        assert is_ccyclic_sequence((4, 1, 1, 1, 1), klass)
-        assert is_ccyclic_sequence_via_inequalities((4, 1, 1, 1, 1), klass)
+        assert is_ccyclic_sequence(runs_of((4, 1, 1, 1, 1)), klass)
+        assert is_ccyclic_sequence_via_inequalities(runs_of((4, 1, 1, 1, 1)), klass)
 
     def test_bicyclic_rejects_heavy_top(self):
         klass = CyclomaticClass(c=2, n=6)
-        assert not is_ccyclic_sequence((5, 5, 2, 2, 1, 1), klass)
-        assert not is_ccyclic_sequence_via_inequalities((5, 5, 2, 2, 1, 1), klass)
+        assert not is_ccyclic_sequence(runs_of((5, 5, 2, 2, 1, 1)), klass)
+        assert not is_ccyclic_sequence_via_inequalities(runs_of((5, 5, 2, 2, 1, 1)), klass)
 
     def test_unicyclic_needs_three_cycle_degrees(self):
         klass = CyclomaticClass(c=1, n=4)
-        assert not is_ccyclic_sequence((3, 3, 1, 1), klass)
-        assert is_ccyclic_sequence((2, 2, 2, 2), klass)
+        assert not is_ccyclic_sequence(runs_of((3, 3, 1, 1)), klass)
+        assert is_ccyclic_sequence(runs_of((2, 2, 2, 2)), klass)
 
     def test_pentacyclic_k5_minus_edge(self):
         klass = CyclomaticClass(c=5, n=5)
-        assert is_ccyclic_sequence((4, 4, 4, 3, 3), klass)
+        assert is_ccyclic_sequence(runs_of((4, 4, 4, 3, 3)), klass)
 
     def test_wrong_sum_is_rejected(self):
         klass = CyclomaticClass(c=1, n=4)
-        assert not is_ccyclic_sequence((3, 3, 2, 2), klass)
+        assert not is_ccyclic_sequence(runs_of((3, 3, 2, 2)), klass)
 
     def test_malformed_sequences_raise(self):
         klass = CyclomaticClass(c=0, n=3)
         with pytest.raises(ValueError):
-            is_ccyclic_sequence((1, 2, 1), klass)
+            is_ccyclic_sequence(runs_of((1, 2, 1)), klass)
         with pytest.raises(ValueError):
-            is_ccyclic_sequence((3, 1, 1), klass)  # entry above n-1
+            is_ccyclic_sequence(runs_of((3, 1, 1)), klass)  # entry above n-1
         with pytest.raises(ValueError):
-            is_ccyclic_sequence((2, 1), klass)  # wrong length
+            is_ccyclic_sequence(runs_of((2, 1)), klass)  # wrong length
+
+
+    def test_malformed_runs_raise(self):
+        # each form has one fault: an empty run, a zero degree, a run split in two, no run
+        klass = CyclomaticClass(c=0, n=4)
+        for runs in (((3, 1), (2, 0), (1, 3)), ((2, 2), (1, 1), (0, 1)), ((1, 1), (1, 3)), ()):
+            with pytest.raises(ValueError):
+                is_ccyclic_sequence(runs, klass)
 
 
 class TestGraphical:
     def test_k4(self):
-        assert is_graphical((3, 3, 3, 3))
+        assert is_graphical(runs_of((3, 3, 3, 3)))
 
     def test_overloaded_hub(self):
-        assert not is_graphical((3, 1, 1))
+        assert not is_graphical(runs_of((3, 1, 1)))
 
     def test_cycle(self):
-        assert is_graphical((2, 2, 2, 2, 2))
+        assert is_graphical(runs_of((2, 2, 2, 2, 2)))
 
     def test_odd_sum(self):
-        assert not is_graphical((2, 1))
+        assert not is_graphical(runs_of((2, 1)))
 
     def test_matches_textbook_on_every_candidate(self):
         for n in range(1, 11):
             for total in range(n * (n - 1) + 1):
-                for seq in candidate_sequences(n, total):
-                    assert is_graphical(seq) == textbook_is_graphical(seq), seq
+                for runs in candidate_sequences(n, total):
+                    assert is_graphical(runs) == textbook_is_graphical(expand_runs(runs)), runs
+
+    def test_matches_textbook_with_isolated_vertices(self):
+        for n in range(1, 9):
+            for seq in combinations_with_replacement(range(n - 1, -1, -1), n):
+                assert is_graphical(runs_of(seq)) == textbook_is_graphical(seq), seq
 
     @settings(max_examples=500, derandomize=True)
     @given(raw_degree_lists())
     def test_matches_textbook_on_raw_lists(self, seq):
-        assert is_graphical(seq) == textbook_is_graphical(seq)
+        assert is_graphical(runs_of(sorted(seq, reverse=True))) == textbook_is_graphical(seq)
 
 
 def test_characterizations_agree_exhaustively():
@@ -119,19 +138,19 @@ def test_characterizations_agree_exhaustively():
 
 class TestEnumeration:
     def test_small_unicyclic(self):
-        assert enumerate_sequences(CyclomaticClass(c=1, n=4)) == [
+        assert expanded(enumerate_sequences(CyclomaticClass(c=1, n=4))) == [
             (3, 2, 2, 1),
             (2, 2, 2, 2),
         ]
 
     def test_k4_only(self):
-        assert enumerate_sequences(CyclomaticClass(c=3, n=4)) == [(3, 3, 3, 3)]
+        assert expanded(enumerate_sequences(CyclomaticClass(c=3, n=4))) == [(3, 3, 3, 3)]
 
     def test_single_edge(self):
-        assert enumerate_sequences(CyclomaticClass(c=0, n=2)) == [(1, 1)]
+        assert expanded(enumerate_sequences(CyclomaticClass(c=0, n=2))) == [(1, 1)]
 
     def test_descending_lexicographic_order(self):
-        seqs = enumerate_sequences(CyclomaticClass(c=2, n=7))
+        seqs = expanded(enumerate_sequences(CyclomaticClass(c=2, n=7)))
         assert seqs == sorted(seqs, reverse=True)
         assert len(seqs) == len(set(seqs))
 
@@ -140,12 +159,26 @@ class TestEnumeration:
             enumerate_sequences(CyclomaticClass(c=1, n=13), cap=12)
 
     def test_matches_independent_generator(self):
-        for c in range(7):
-            for n in range(min_order(c), 8):
+        for c in range(11):
+            for n in range(min_order(c), 11):
                 klass = CyclomaticClass(c=c, n=n)
-                ours = candidate_sequences(n, klass.degree_total)
+                ours = expanded(candidate_sequences(n, klass.degree_total))
                 theirs = cwr_candidates(n, klass.degree_total)
                 assert sorted(ours, reverse=True) == sorted(theirs, reverse=True)
+
+    def test_runs_match_the_tuple_recursion(self):
+        for c in range(11):
+            for n in range(min_order(c), 15):
+                total = CyclomaticClass(c=c, n=n).degree_total
+                ours = list(candidate_sequences(n, total))
+                assert expanded(ours) == list(tuple_candidates(n, total)), (c, n)
+                assert all(runs == runs_of(expand_runs(runs)) for runs in ours), (c, n)
+
+    def test_runs_match_the_tuple_recursion_at_every_total(self):
+        for n in range(0, 9):
+            for total in range(-1, n * (n - 1) + 2):
+                ours = expanded(candidate_sequences(n, total))
+                assert ours == list(tuple_candidates(n, total)), (n, total)
 
     def test_graphical_enumeration_agrees_for_supported_c(self):
         for c in range(7):
@@ -242,7 +275,7 @@ class TestExtremalFamily:
                 klass = CyclomaticClass(c=c, n=n)
                 family = extremal_family(klass)
                 for seq in family.maximals:
-                    assert is_ccyclic_sequence(seq, klass)
+                    assert is_ccyclic_sequence(runs_of(seq), klass)
                     assert is_majorized_by(family.minimal, seq)
                 for i, a in enumerate(family.maximals):
                     for b in family.maximals[i + 1 :]:
@@ -260,11 +293,12 @@ class TestExtremalFamily:
         maximals = extremal_family(klass).maximals
         assert maximals == ((7, 4, 2, 2, 2, 1, 1, 1), (7, 3, 3, 3, 1, 1, 1, 1))
         # Neither is a class member; each strictly majorizes both maximals.
-        first, second = (7, 5, 2, 2, 1, 1, 1, 1), (7, 4, 3, 2, 1, 1, 1, 1)
+        first, second = runs_of((7, 5, 2, 2, 1, 1, 1, 1)), runs_of((7, 4, 3, 2, 1, 1, 1, 1))
         population = enumerate_sequences(klass)
         report = check_family_extremality(klass, population + [first, second])
         assert report.not_below_any_maximal == (first, second)
-        assert report.dominated_patterns == ((maximals[0], first), (maximals[1], first))
+        tops = tuple(map(runs_of, maximals))
+        assert report.dominated_patterns == ((tops[0], first), (tops[1], first))
         assert not report.ok and not report.complete
 
 
@@ -330,8 +364,8 @@ def test_counting_form_matches_inequality_form(seq):
     if c > 6:
         return
     klass = CyclomaticClass(c=c, n=n)
-    assert is_ccyclic_sequence(seq, klass) == is_ccyclic_sequence_via_inequalities(
-        seq, klass
+    assert is_ccyclic_sequence(runs_of(seq), klass) == is_ccyclic_sequence_via_inequalities(
+        runs_of(seq), klass
     )
 
 

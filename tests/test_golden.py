@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from ccyclic import degree_sequences
 from ccyclic.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,6 +125,21 @@ def test_reproduce_tables_exits_3_on_a_skipped_row():
     assert (code, err) == (3, "")
     verified = (GOLDEN / "script-reproduce-tables.out").read_text()
     assert out == verified.replace("(exact-match)", "(skipped)")
+
+
+def test_reproduce_tables_enumerates_each_class_once(monkeypatch):
+    original = degree_sequences.candidate_sequences
+    created = []
+
+    def counting(n, total):
+        created.append((n, total))
+        return original(n, total)
+
+    monkeypatch.setattr(degree_sequences, "candidate_sequences", counting)
+    code, out, err = run_case(CASES["script-reproduce-tables"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "script-reproduce-tables.out").read_bytes()
+    assert len(created) == len(set(created)) == 7
 
 
 @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ import csv
 import io
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Real
 from typing import Optional
 
 from .degree_sequences import (
@@ -29,8 +30,10 @@ from .degree_sequences import (
     enumerate_sequences,
     extremal_family,
 )
-from .formatting import format_decimal, format_fraction, format_index_value, plain_sequence
-from .indices import GENERAL_ZAGREB, INVERSE_DEGREE, IndexSpec, IndexValue, SchurClass, evaluate
+from .formatting import (
+    format_decimal, format_fraction, format_index_value, plain_sequence, printable
+)
+from .indices import GENERAL_ZAGREB, INVERSE_DEGREE, IndexSpec, SchurClass, evaluate, same_value
 from .majorization import expand_runs, runs_of
 
 ORIENTATION_NOTE = (
@@ -51,8 +54,8 @@ class BoundsReport:
 
     klass: CyclomaticClass
     index: IndexSpec
-    lower: IndexValue
-    upper: IndexValue
+    lower: Real
+    upper: Real
     lower_attainer: tuple
     upper_attainer: tuple
     #: evaluation at every maximal sequence, for reporting the binding one
@@ -60,7 +63,7 @@ class BoundsReport:
     verified: Optional[str] = None
     notes: tuple = ()
     #: refined inverse-degree upper bound, set only when it was asked for
-    refined_upper: Optional[IndexValue] = None
+    refined_upper: Optional[Real] = None
 
 
 def _pick(pairs, want_max: bool):
@@ -69,12 +72,8 @@ def _pick(pairs, want_max: bool):
     Maximal runs of nonincreasing sequences of one length sort as the
     sequences do.
     """
-    best_seq, best_val = pairs[0]
-    for seq, val in pairs[1:]:
-        better = val.value > best_val.value if want_max else val.value < best_val.value
-        if better or (val.value == best_val.value and seq > best_seq):
-            best_seq, best_val = seq, val
-    return best_seq, best_val
+    sign = 1 if want_max else -1
+    return max(pairs, key=lambda pair: (sign * pair[1], pair[0]))
 
 
 def bounds(klass: CyclomaticClass, index: IndexSpec) -> BoundsReport:
@@ -88,7 +87,7 @@ def bounds(klass: CyclomaticClass, index: IndexSpec) -> BoundsReport:
     else:
         lower_attainer, lower = _pick(maximal_values, want_max=False)
         upper_attainer, upper = family.minimal_runs, minimal_value
-    if lower.value > upper.value:
+    if lower > upper:
         raise AssertionError("bound orientation inverted")
     return BoundsReport(
         klass=klass,
@@ -174,21 +173,21 @@ def closed_form_inverse_degree(klass: CyclomaticClass) -> BoundsReport:
     index = IndexSpec.inverse_degree()
     lower_attainer = runs_of(_minimal_pattern(c, n))
     upper_attainer = runs_of(_binding_upper_pattern(c, n))
-    if evaluate(index, lower_attainer).value != lower:
+    if evaluate(index, lower_attainer) != lower:
         raise AssertionError(f"closed-form lower {lower} does not match its attainer")
-    if evaluate(index, upper_attainer).value != upper:
+    if evaluate(index, upper_attainer) != upper:
         raise AssertionError(f"closed-form upper {upper} does not match its attainer")
     return BoundsReport(
         klass=klass,
         index=index,
-        lower=IndexValue(lower, exact=True),
-        upper=IndexValue(upper, exact=True),
+        lower=lower,
+        upper=upper,
         lower_attainer=lower_attainer,
         upper_attainer=upper_attainer,
     )
 
 
-def refined_inverse_degree_upper(klass: CyclomaticClass) -> IndexValue:
+def refined_inverse_degree_upper(klass: CyclomaticClass) -> Fraction:
     """Improved inverse-degree upper bound when the (c+2)-largest degree is >= 2.
 
     Equals ``(n - c) + 1/(n-1) + (c^2 - 3c - 2) / (2(c+1))``, which is the
@@ -202,9 +201,9 @@ def refined_inverse_degree_upper(klass: CyclomaticClass) -> IndexValue:
         raise ValueError(f"the refined bound needs n >= c + 2, got n={n}, c={c}")
     value = (n - c) + Fraction(1, n - 1) + Fraction(c * c - 3 * c - 2, 2 * (c + 1))
     attainer = runs_of((n - 1, c + 1) + (2,) * c + (1,) * (n - c - 2))
-    if evaluate(IndexSpec.inverse_degree(), attainer).value != value:
+    if evaluate(IndexSpec.inverse_degree(), attainer) != value:
         raise AssertionError("refined bound does not match its attaining sequence")
-    return IndexValue(value, exact=True)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +216,11 @@ class OracleOutcome:
     """Exhaustive min/max of an index over a class, compared to the engine."""
 
     status: str  # exact-match | mismatch
-    minimum: IndexValue
-    maximum: IndexValue
+    minimum: Real
+    maximum: Real
     minimizers: tuple
     maximizers: tuple
-    refined_maximum: Optional[IndexValue] = None  # set when refined_upper is checked
+    refined_maximum: Optional[Real] = None  # set when refined_upper is checked
 
 
 def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
@@ -233,25 +232,23 @@ def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
     """
     index = report.index
     values = [(runs, evaluate(index, runs)) for runs in population]
-    minimum = IndexValue(min(v.value for _, v in values), exact=index.exact)
-    maximum = IndexValue(max(v.value for _, v in values), exact=index.exact)
-    minimizers = tuple(s for s, v in values if v.matches(minimum))
-    maximizers = tuple(s for s, v in values if v.matches(maximum))
+    minimum = min(v for _, v in values)
+    maximum = max(v for _, v in values)
+    minimizers = tuple(s for s, v in values if same_value(v, minimum))
+    maximizers = tuple(s for s, v in values if same_value(v, maximum))
     ok = (
-        report.lower.matches(minimum)
-        and report.upper.matches(maximum)
+        same_value(report.lower, minimum)
+        and same_value(report.upper, maximum)
         and report.lower_attainer in minimizers
         and report.upper_attainer in maximizers
     )
     refined = None
     if report.refined_upper is not None:
         c = report.klass.c
-        spread = [
-            v.value for runs, v in values if sum(m for d, m in runs if d >= 2) >= c + 2
-        ]
+        spread = [v for runs, v in values if sum(m for d, m in runs if d >= 2) >= c + 2]
         if index.kind == INVERSE_DEGREE and spread:
-            refined = IndexValue(max(spread), exact=True)
-        ok = ok and refined is not None and report.refined_upper.matches(refined)
+            refined = max(spread)
+        ok = ok and refined is not None and same_value(report.refined_upper, refined)
     return OracleOutcome(
         status=EXACT_MATCH if ok else MISMATCH,
         minimum=minimum,
@@ -330,10 +327,10 @@ def report_row(report: BoundsReport) -> dict:
         "c": str(report.klass.c),
         "index": index.kind,
         "alpha": "" if index.alpha is None else format_fraction(index.alpha),
-        "lower_exact": format_fraction(report.lower.value) if report.lower.exact else "",
-        "lower_decimal": format_decimal(report.lower.value),
-        "upper_exact": format_fraction(report.upper.value) if report.upper.exact else "",
-        "upper_decimal": format_decimal(report.upper.value),
+        "lower_exact": "" if isinstance(report.lower, float) else format_fraction(report.lower),
+        "lower_decimal": format_decimal(report.lower),
+        "upper_exact": "" if isinstance(report.upper, float) else format_fraction(report.upper),
+        "upper_decimal": format_decimal(report.upper),
         "lower_attainer": plain_sequence(report.lower_attainer),
         "upper_attainer": plain_sequence(report.upper_attainer),
         "verified": report.verified or "",
@@ -368,10 +365,10 @@ def report_to_json_dict(report: BoundsReport) -> dict:
         "lower_decimal": row["lower_decimal"],
         "upper_exact": row["upper_exact"] or None,
         "upper_decimal": row["upper_decimal"],
-        "lower_attainer": list(expand_runs(report.lower_attainer)),
-        "upper_attainer": list(expand_runs(report.upper_attainer)),
+        "lower_attainer": list(expand_runs(printable(report.lower_attainer))),
+        "upper_attainer": list(expand_runs(printable(report.upper_attainer))),
         "candidates": [
-            {"sequence": list(expand_runs(runs)), "decimal": format_decimal(val.value)}
+            {"sequence": list(expand_runs(printable(runs))), "decimal": format_decimal(val)}
             for runs, val in report.candidates
         ],
         "verified": report.verified,

@@ -41,9 +41,9 @@ from .degree_sequences import (
     is_graphical,
     min_order,
 )
-from .formatting import format_index_value, format_sequence, plain_sequence
+from .formatting import format_index_value, format_sequence, plain_sequence, printable
 from .indices import INVERSE_DEGREE, IndexSpec, SchurClass
-from .majorization import runs_of
+from .majorization import expand_runs, runs_of
 from .realization import cyclomatic_number, export_dot, realize
 
 EXIT_OK = 0
@@ -72,14 +72,14 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_range(text: str) -> list:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        start, stop = int(lo), int(hi)
-        if stop < start:
-            raise UsageError(f"empty range {text!r}")
-        return list(range(start, stop + 1))
-    return [int(text)]
+def _parse_range(text: str) -> range:
+    """A single value or an inclusive range ``lo..hi``, as a range: nothing is materialized."""
+    lo, dots, hi = text.partition("..")
+    start = int(lo)
+    stop = int(hi) if dots else start
+    if stop < start:
+        raise UsageError(f"empty range {text!r}")
+    return range(start, stop + 1)
 
 
 def checked_cap(cap: int) -> int:
@@ -145,8 +145,8 @@ def cmd_extremal(args) -> int:
             "n": klass.n,
             "c": klass.c,
             "degree_total": klass.degree_total,
-            "maximals": [list(seq) for seq in family.maximals],
-            "minimal": list(family.minimal),
+            "maximals": [list(expand_runs(printable(runs))) for runs in family.maximal_runs],
+            "minimal": list(expand_runs(printable(family.minimal_runs))),
             "maximals_pairwise_incomparable": len(family.maximal_runs) > 1,
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.output)
@@ -256,12 +256,11 @@ def _equivalence_check(klass) -> tuple:
     return count, failures, members
 
 
-def _verify_orders(args, c: int) -> list:
+def _verify_orders(args, c: int) -> range:
+    """The requested orders at which a class with c cycles exists."""
     if args.n is not None:
-        orders = [args.n]
-    else:
-        orders = list(range(2, args.n_max + 1))
-    return [n for n in orders if n >= min_order(c)]
+        return range(max(args.n, min_order(c)), args.n + 1)
+    return range(min_order(c), args.n_max + 1)
 
 
 @dataclass(frozen=True)
@@ -280,11 +279,14 @@ def _skip_over_cap(lines, records, label, check, c, n, cap) -> None:
     records.append(CheckRecord(check, c, n, SKIPPED, 0))
 
 
-def _verify_conjecture(args, cycles: list, cap: int) -> int:
+def _verify_conjecture(args, cycles: range, cap: int) -> int:
     lines = []
     records = []
     for c in cycles:
-        for n in _verify_orders(args, c):
+        orders = _verify_orders(args, c)
+        if not orders:  # min_order is nondecreasing in c: no later c has an order either
+            break
+        for n in orders:
             if n > cap:
                 _skip_over_cap(lines, records, "CONJECTURE", "conjecture", c, n, cap)
                 continue
@@ -310,9 +312,9 @@ def cmd_verify(args) -> int:
     if args.conjecture:
         return _verify_conjecture(args, cycles, cap)
     # Refuse the whole range before enumerating any class of it.
-    unproven = [c for c in cycles if c > MAX_SUPPORTED_CYCLES]
-    if unproven:
-        raise UsageError(f"c={unproven[0]} has no proven characterization; use --conjecture")
+    if cycles[-1] > MAX_SUPPORTED_CYCLES:
+        unproven = max(cycles[0], MAX_SUPPORTED_CYCLES + 1)
+        raise UsageError(f"c={unproven} has no proven characterization; use --conjecture")
     lines = []
     records = []
 

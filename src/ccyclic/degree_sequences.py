@@ -41,10 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, permutations
+from math import isqrt
+from operator import le
 from typing import Iterator, Optional
 
 from .extremal import BoxSet, integerize_runs, maximal_runs, minimal_runs
-from .majorization import Relation, compare, compare_runs, expand_runs, is_majorized_by, runs_of
+from .majorization import Relation, compare_runs, expand_runs, partial_sums, runs_of
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -87,10 +90,8 @@ def min_order(c: int) -> int:
     """Smallest vertex count admitting a connected graph with c independent cycles."""
     if c < 0:
         raise ValueError("cyclomatic number must be nonnegative")
-    n = 2
-    while (n - 1) * (n - 2) // 2 < c:
-        n += 1
-    return n
+    n = (isqrt(8 * c + 1) + 3) // 2  # the least n with (n - 1)(n - 2) / 2 >= c, or one below it
+    return n if (n - 1) * (n - 2) // 2 >= c else n + 1
 
 
 @dataclass(frozen=True)
@@ -514,38 +515,37 @@ class ExtremalityReport:
         return self.ok and not self.not_below_any_maximal
 
 
+def _below(low: list, high: list) -> bool:
+    """Majorization on prefix sums: one length, one total, and no sum of ``low`` larger."""
+    return len(low) == len(high) and low[-1] == high[-1] and all(map(le, low, high))
+
+
 def _extremality_report(family: ExtremalFamily, population) -> ExtremalityReport:
-    maximals, minimal = family.maximals, family.minimal
+    """Each fixed vector validated and summed once, each member summed once; pairs compare sums."""
     members_valid = all(runs in population for runs in family.maximal_runs) and (
-        minimal is None or family.minimal_runs in population
+        family.minimal is None or family.minimal_runs in population
     )
-    incomparable = all(
-        compare(a, b) is Relation.INCOMPARABLE
-        for i, a in enumerate(maximals)
-        for b in maximals[i + 1 :]
-    )
-    tops = list(zip(maximals, family.maximal_runs))
+    tops = [(partial_sums(top), runs) for top, runs in zip(family.maximals, family.maximal_runs)]
+    incomparable = all(not _below(a, b) for (a, _), (b, _) in permutations(tops, 2))
+    least = None if family.minimal is None else partial_sums(family.minimal)
     uncovered = []
     witnesses = {}
     below = []
     for runs in population:
-        # Expanded once: against a few fixed maximals, comparing tuples is
-        # cheaper than comparing runs pair by pair.
-        seq = expand_runs(runs)
+        sums = list(accumulate(expand_runs(runs)))
         covered = False
         for top, top_runs in tops:
-            rel = compare(seq, top)
-            if rel is Relation.GREATER_OR_EQUAL:
-                witnesses.setdefault(top_runs, runs)
-            elif rel is not Relation.INCOMPARABLE:
+            if _below(sums, top):
                 covered = True
-                # Below one of pairwise incomparable maximals, seq cannot
+                # Below one of pairwise incomparable maximals, a member cannot
                 # strictly majorize another: that one would lie below this one.
                 if incomparable:
                     break
+            elif _below(top, sums):
+                witnesses.setdefault(top_runs, runs)
         if not covered:
             uncovered.append(runs)
-        if minimal is not None and not is_majorized_by(minimal, seq):
+        if least is not None and not _below(least, sums):
             below.append(runs)
     return ExtremalityReport(
         c=family.klass.c,

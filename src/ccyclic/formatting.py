@@ -5,9 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 
-from .indices import MAX_EXACT_DIGITS, IndexValue
+from .indices import MAX_EXACT_DIGITS
 
 _TOO_LONG = 10**MAX_EXACT_DIGITS  # the least int with more than MAX_EXACT_DIGITS digits
+MAX_PRINTED_ENTRIES = 10**6  # longest sequence written out entry by entry (CSV and JSON)
 
 
 def format_fraction(value) -> str:
@@ -30,10 +31,11 @@ def format_decimal(value) -> str:
     return f"{float(value):.12g}"
 
 
-def format_index_value(value: IndexValue) -> str:
-    if value.exact:
-        return f"{format_fraction(value.value)} ({format_decimal(value.value)})"
-    return format_decimal(value.value)
+def format_index_value(value) -> str:
+    """A float as its decimal; an exact value as ``p/q`` with its decimal alongside."""
+    if isinstance(value, float):
+        return format_decimal(value)
+    return f"{format_fraction(value)} ({format_decimal(value)})"
 
 
 def format_sequence(runs) -> str:
@@ -42,6 +44,14 @@ def format_sequence(runs) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
+def printable(runs):
+    """The runs, or a ``ValueError`` when they hold more than ``MAX_PRINTED_ENTRIES`` entries."""
+    size = sum(count for _, count in runs)
+    if size > MAX_PRINTED_ENTRIES:
+        raise ValueError(f"sequence too long to print: {size} entries")
+    return runs
+
+
 def plain_sequence(runs) -> str:
     """Space-separated rendering of every entry, used inside CSV fields."""
-    return " ".join(" ".join(repeat(str(value), count)) for value, count in runs)
+    return " ".join(" ".join(repeat(str(value), count)) for value, count in printable(runs))

@@ -14,8 +14,11 @@ every caller passes: a positive power sum is one int, ``sum(m * d ** alpha)``,
 and a negative one is one ``Fraction`` over the common denominator
 ``lcm(degrees) ** -alpha``, so a sequence costs one term per run and one
 reduction, not one ``Fraction`` per entry.  Everything else is binary floating
-point, one ``m * f(d)`` term per run, with a relative comparison tolerance of
-1e-12.
+point, one ``m * f(d)`` term per run.
+
+A value is the plain number, and its type says whether it is exact: an int or
+a ``Fraction`` is, a float is not.  :func:`same_value` compares two values,
+exactly unless one of them is a float, else within a relative 1e-12.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from numbers import Real
+from typing import Optional
 
 FLOAT_TOLERANCE = 1e-12
 MAX_EXACT_DIGITS = 4300  # longest exact power evaluated or value printed (Python's default int print limit)
@@ -81,51 +85,33 @@ class IndexSpec:
         return SchurClass.CONCAVE
 
     @property
-    def exact(self) -> bool:
-        """Whether evaluation stays in exact rational arithmetic."""
-        if self.kind == INVERSE_DEGREE:
-            return True
-        if self.kind == GENERAL_ZAGREB:
-            return self.alpha.denominator == 1
-        return False
-
-    @property
     def label(self) -> str:
         if self.kind == GENERAL_ZAGREB:
             return f"{GENERAL_ZAGREB}(alpha={self.alpha})"
         return self.kind
 
 
-@dataclass(frozen=True)
-class IndexValue:
-    """An index evaluation; exact values are Fractions, the rest floats."""
-
-    value: Union[Fraction, float]
-    exact: bool
-
-    def as_float(self) -> float:
-        return float(self.value)
-
-    def matches(self, other: "IndexValue") -> bool:
-        """Equality, exact where possible and within a relative 1e-12 otherwise."""
-        if self.exact and other.exact:
-            return self.value == other.value
-        return math.isclose(self.as_float(), other.as_float(), rel_tol=FLOAT_TOLERANCE)
+def same_value(a, b) -> bool:
+    """Equality of index values: exact, or within a relative 1e-12 when either is a float."""
+    if isinstance(a, float) or isinstance(b, float):
+        return math.isclose(a, b, rel_tol=FLOAT_TOLERANCE)
+    return a == b
 
 
-def evaluate(index: IndexSpec, runs) -> IndexValue:
+def evaluate(index: IndexSpec, runs) -> Real:
     """Evaluate the index on a degree sequence given as ``(degree, count)`` runs.
 
-    One term per run; every degree must be >= 1.  The runs need be neither
-    maximal nor sorted.
+    An int for a positive integer exponent, a ``Fraction`` for a negative one
+    and for the inverse degree, a float otherwise.  One term per run; every
+    degree must be >= 1.  The runs need be neither maximal nor sorted.
     """
     degrees = [degree for degree, _ in runs]
     if not degrees or min(degrees) < 1:
         raise ValueError("index evaluation needs positive degrees")
     if index.kind == INVERSE_DEGREE:
-        return IndexValue(_exact_power_sum(runs, degrees, -1), exact=True)
+        return _exact_power_sum(runs, degrees, -1)
     if index.kind == MULT_ZAGREB_LOG:
-        return IndexValue(2.0 * sum(count * math.log(d) for d, count in runs), exact=False)
+        return 2.0 * sum(count * math.log(d) for d, count in runs)
     top = max(degrees)
     if index.alpha > 0:
         # Every report prints a float, so a power sum beyond the float range is
@@ -148,20 +134,20 @@ def evaluate(index: IndexSpec, runs) -> IndexValue:
             raise ValueError(
                 f"exponent too large: an exact power would exceed {MAX_EXACT_DIGITS} digits"
             )
-        return IndexValue(_exact_power_sum(runs, degrees, power), exact=True)
+        return _exact_power_sum(runs, degrees, power)
     exponent = float(index.alpha)
-    return IndexValue(sum(count * d**exponent for d, count in runs), exact=False)
+    return sum(count * d**exponent for d, count in runs)
 
 
-def _exact_power_sum(runs, degrees: list, power: int) -> Fraction:
+def _exact_power_sum(runs, degrees: list, power: int) -> Real:
     """``sum(count * d ** power)`` over runs of positive integer degrees, exactly.
 
-    A negative power goes over the one common denominator
-    ``lcm(degrees) ** -power``, so the whole sum is a single Fraction,
-    reduced once.
+    An int for a positive power.  A negative power goes over the one common
+    denominator ``lcm(degrees) ** -power``, so the whole sum is a single
+    Fraction, reduced once.
     """
     if power > 0:
-        return Fraction(sum(count * d**power for d, count in runs))
+        return sum(count * d**power for d, count in runs)
     common = math.lcm(*degrees)
     numerator = sum(count * (common // d) ** -power for d, count in runs)
     return Fraction(numerator, common**-power)

@@ -4,6 +4,8 @@ Everything here deliberately avoids the library's own algorithms: candidates
 come from itertools or a tuple-per-level recursion, box points from a plain
 bounded recursion, and comparable vectors from explicit mass transfers, so
 library results can be checked against genuinely separate computations.
+The one exception is :func:`reference_extremality_report`, the former
+pairwise report kept as a reference, built on the library's ``compare``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import math
 from collections import deque
 from fractions import Fraction
 from itertools import combinations_with_replacement
+
+from ccyclic.degree_sequences import ExtremalityReport
+from ccyclic.majorization import Relation, compare, expand_runs, is_majorized_by
 
 
 def cwr_candidates(n, total, max_part=None):
@@ -379,3 +384,51 @@ def rescanning_realization_edges(degrees):
     edges for a spanning tree; ``realize`` must return exactly these edges.
     """
     return rescanning_reconnect(len(degrees), rescanning_attach(degrees))
+
+
+def reference_extremality_report(family, population):
+    """The extremality report by one ``compare`` per member and maximal, on expanded tuples."""
+    maximals, minimal = family.maximals, family.minimal
+    members_valid = all(runs in population for runs in family.maximal_runs) and (
+        minimal is None or family.minimal_runs in population
+    )
+    incomparable = all(
+        compare(a, b) is Relation.INCOMPARABLE
+        for i, a in enumerate(maximals)
+        for b in maximals[i + 1 :]
+    )
+    tops = list(zip(maximals, family.maximal_runs))
+    uncovered = []
+    witnesses = {}
+    below = []
+    for runs in population:
+        # Expanded once: against a few fixed maximals, comparing tuples is
+        # cheaper than comparing runs pair by pair.
+        seq = expand_runs(runs)
+        covered = False
+        for top, top_runs in tops:
+            rel = compare(seq, top)
+            if rel is Relation.GREATER_OR_EQUAL:
+                witnesses.setdefault(top_runs, runs)
+            elif rel is not Relation.INCOMPARABLE:
+                covered = True
+                # Below one of pairwise incomparable maximals, seq cannot
+                # strictly majorize another: that one would lie below this one.
+                if incomparable:
+                    break
+        if not covered:
+            uncovered.append(runs)
+        if minimal is not None and not is_majorized_by(minimal, seq):
+            below.append(runs)
+    return ExtremalityReport(
+        c=family.klass.c,
+        n=family.klass.n,
+        sequence_count=len(population),
+        members_valid=members_valid,
+        pairwise_incomparable=incomparable,
+        not_below_any_maximal=tuple(uncovered),
+        dominated_patterns=tuple(
+            (top, witnesses[top]) for top in family.maximal_runs if top in witnesses
+        ),
+        not_above_minimal=tuple(below),
+    )

@@ -162,17 +162,17 @@ def test_criterion_03_inverse_degree_closed_forms():
                 klass = CyclomaticClass(c=c, n=n)
                 closed = closed_form_inverse_degree(klass)
                 engine = bounds(klass, rho)
-                assert closed.lower.value == engine.lower.value, (c, n)
-                assert closed.upper.value == engine.upper.value, (c, n)
+                assert closed.lower == engine.lower, (c, n)
+                assert closed.upper == engine.upper, (c, n)
         spot = closed_form_inverse_degree(CyclomaticClass(c=4, n=8))
-        assert spot.upper.value == 3 + F(1, 7) + F(17, 12)
+        assert spot.upper == 3 + F(1, 7) + F(17, 12)
 
 
 def test_criterion_04_refined_bound_identity():
     with criterion(4, "refined upper bound identity, 3 <= c <= 6, n <= 50"):
         for c in range(3, 7):
             for n in range(c + 2, 51):
-                value = refined_inverse_degree_upper(CyclomaticClass(c=c, n=n)).value
+                value = refined_inverse_degree_upper(CyclomaticClass(c=c, n=n))
                 gap = value - (n - c) - F(1, n - 1)
                 assert gap == F(c * c - 3 * c - 2, 2 * (c + 1)), (c, n)
 
@@ -240,15 +240,15 @@ def test_criterion_09_orientation_finding(capsys):
     with criterion(9, "oracle-fixed column orientation for c = 1, 2 is reported"):
         rows = bounds_table(10, 2)
         by_c = {row.klass.c: row for row in rows}
-        assert by_c[1].lower.value == 40 and by_c[1].upper.value == 96
-        assert by_c[2].lower.value == 50 and by_c[2].upper.value == 104
+        assert by_c[1].lower == 40 and by_c[1].upper == 96
+        assert by_c[2].lower == 50 and by_c[2].upper == 104
         klass_1, klass_2 = CyclomaticClass(c=1, n=10), CyclomaticClass(c=2, n=10)
         zagreb = IndexSpec.general_zagreb(2)
         oracle_1 = verify_bounds(bounds(klass_1, zagreb), enumerate_sequences(klass_1))
         oracle_2 = verify_bounds(bounds(klass_2, zagreb), enumerate_sequences(klass_2))
         assert oracle_1.status == EXACT_MATCH and oracle_2.status == EXACT_MATCH
-        assert (oracle_1.minimum.value, oracle_1.maximum.value) == (40, 96)
-        assert (oracle_2.minimum.value, oracle_2.maximum.value) == (50, 104)
+        assert (oracle_1.minimum, oracle_1.maximum) == (40, 96)
+        assert (oracle_2.minimum, oracle_2.maximum) == (50, 104)
         assert ORIENTATION_NOTE in by_c[1].notes
         assert ORIENTATION_NOTE in by_c[2].notes
         assert all(ORIENTATION_NOTE not in by_c[c].notes for c in (3, 4, 5, 6))
@@ -283,8 +283,8 @@ def test_criterion_10_property_suites():
             top = random_nonincreasing(rng, rng.randint(2, 10))
             low = transfer_down(rng, top, steps=rng.randint(1, 4))
             low_runs, top_runs = runs_of(low), runs_of(top)
-            assert evaluate(inverse, low_runs).value <= evaluate(inverse, top_runs).value
-            assert evaluate(square, low_runs).value <= evaluate(square, top_runs).value
+            assert evaluate(inverse, low_runs) <= evaluate(inverse, top_runs)
+            assert evaluate(square, low_runs) <= evaluate(square, top_runs)
 
         # inclusion monotonicity on 10^3 nested box pairs
         for _ in range(1_000):

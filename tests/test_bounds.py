@@ -21,7 +21,7 @@ from ccyclic.bounds import (
     with_verification,
 )
 from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, min_order
-from ccyclic.indices import IndexSpec, IndexValue, SchurClass, evaluate
+from ccyclic.indices import IndexSpec, SchurClass, evaluate
 from ccyclic.majorization import runs_of
 
 
@@ -35,19 +35,19 @@ RHO = IndexSpec.inverse_degree()
 class TestBounds:
     def test_unicyclic_inverse_degree(self):
         report = bounds(CyclomaticClass(c=1, n=10), RHO)
-        assert report.lower.value == 5
-        assert report.upper.value == 8 + F(1, 9)
+        assert report.lower == 5
+        assert report.upper == 8 + F(1, 9)
         assert report.lower_attainer == runs_of((2,) * 10)
         assert report.upper_attainer == runs_of((9, 2, 2) + (1,) * 7)
 
     def test_tetracyclic_upper(self):
         report = bounds(CyclomaticClass(c=4, n=8), RHO)
-        assert report.upper.value == 3 + F(1, 7) + F(17, 12)
+        assert report.upper == 3 + F(1, 7) + F(17, 12)
 
     def test_bicyclic_first_zagreb(self):
         report = bounds(CyclomaticClass(c=2, n=6), IndexSpec.general_zagreb(2))
-        assert report.lower.value == 34
-        assert report.upper.value == 44
+        assert report.lower == 34
+        assert report.upper == 44
         assert report.lower_attainer == runs_of((3, 3, 2, 2, 2, 2))
         assert report.upper_attainer == runs_of((5, 3, 2, 2, 1, 1))
 
@@ -55,7 +55,7 @@ class TestBounds:
         report = bounds(CyclomaticClass(c=3, n=8), IndexSpec.mult_zagreb_log())
         # minimal sequence now attains the upper bound
         assert report.upper_attainer == runs_of((3, 3, 3, 3, 2, 2, 2, 2))
-        assert report.lower.value <= report.upper.value
+        assert report.lower <= report.upper
 
     def test_schur_orientation_attainers(self):
         for c in range(7):
@@ -73,18 +73,18 @@ class TestBounds:
 class TestClosedForms:
     def test_tree(self):
         report = closed_form_inverse_degree(CyclomaticClass(c=0, n=5))
-        assert report.lower.value == F(7, 2)
-        assert report.upper.value == 4 + F(1, 4)
+        assert report.lower == F(7, 2)
+        assert report.upper == 4 + F(1, 4)
 
     def test_hexacyclic(self):
         report = closed_form_inverse_degree(CyclomaticClass(c=6, n=11))
-        assert report.lower.value == F(1, 2) + F(10, 3)
-        assert report.upper.value == 7 + F(1, 10)
+        assert report.lower == F(1, 2) + F(10, 3)
+        assert report.upper == 7 + F(1, 10)
 
     def test_tricyclic(self):
         report = closed_form_inverse_degree(CyclomaticClass(c=3, n=8))
-        assert report.lower.value == 2 + F(4, 3)
-        assert report.upper.value == 5 + F(1, 7)
+        assert report.lower == 2 + F(4, 3)
+        assert report.upper == 5 + F(1, 7)
 
     def test_out_of_regime_rejected(self):
         with pytest.raises(ValueError):
@@ -96,13 +96,13 @@ class TestClosedForms:
                 klass = CyclomaticClass(c=c, n=n)
                 closed = closed_form_inverse_degree(klass)
                 computed = bounds(klass, RHO)
-                assert closed.lower.value == computed.lower.value, (c, n)
-                assert closed.upper.value == computed.upper.value, (c, n)
+                assert closed.lower == computed.lower, (c, n)
+                assert closed.upper == computed.upper, (c, n)
 
     def test_piecewise_small_orders(self):
-        assert closed_form_inverse_degree(CyclomaticClass(c=5, n=7)).lower.value == F(9, 4)
-        assert closed_form_inverse_degree(CyclomaticClass(c=6, n=8)).lower.value == F(5, 2)
-        assert closed_form_inverse_degree(CyclomaticClass(c=6, n=9)).lower.value == F(35, 12)
+        assert closed_form_inverse_degree(CyclomaticClass(c=5, n=7)).lower == F(9, 4)
+        assert closed_form_inverse_degree(CyclomaticClass(c=6, n=8)).lower == F(5, 2)
+        assert closed_form_inverse_degree(CyclomaticClass(c=6, n=9)).lower == F(35, 12)
 
     def test_attainers_are_class_members(self):
         from ccyclic.degree_sequences import is_ccyclic_sequence
@@ -118,24 +118,24 @@ class TestClosedForms:
 class TestRefinedBound:
     def test_tricyclic_example(self):
         value = refined_inverse_degree_upper(CyclomaticClass(c=3, n=8))
-        assert value.value == 4 + F(25, 28)
+        assert value == 4 + F(25, 28)
 
     def test_hexacyclic_example(self):
         value = refined_inverse_degree_upper(CyclomaticClass(c=6, n=11))
-        assert value.value == 6 + F(17, 70)
+        assert value == 6 + F(17, 70)
 
     def test_identity(self):
         for c in range(3, 7):
             for n in range(c + 2, 51):
-                value = refined_inverse_degree_upper(CyclomaticClass(c=c, n=n)).value
+                value = refined_inverse_degree_upper(CyclomaticClass(c=c, n=n))
                 assert value - (n - c) - F(1, n - 1) == F(c * c - 3 * c - 2, 2 * (c + 1))
 
     def test_never_exceeds_plain_upper(self):
         for c in range(3, 7):
             for n in range(c + 2, 31):
                 klass = CyclomaticClass(c=c, n=n)
-                refined = refined_inverse_degree_upper(klass).value
-                plain = bounds(klass, RHO).upper.value
+                refined = refined_inverse_degree_upper(klass)
+                plain = bounds(klass, RHO).upper
                 assert refined <= plain
 
     def test_needs_three_cycles(self):
@@ -154,7 +154,7 @@ class TestVerifyBounds:
             bounds(klass, IndexSpec.general_zagreb(2)), enumerate_sequences(klass)
         )
         assert outcome.status == EXACT_MATCH
-        assert outcome.minimum.value == outcome.maximum.value == 36
+        assert outcome.minimum == outcome.maximum == 36
 
     def test_pentacyclic_first_zagreb(self):
         klass = CyclomaticClass(c=5, n=9)
@@ -184,12 +184,12 @@ class TestVerifyBounds:
     def test_tampered_closed_form_upper_is_a_mismatch(self):
         report = closed_form_inverse_degree(CyclomaticClass(c=3, n=9))
         assert with_verification(report).verified == EXACT_MATCH
-        tampered = replace(report, upper=IndexValue(F(999), exact=True))
+        tampered = replace(report, upper=F(999))
         assert with_verification(tampered).verified == MISMATCH
 
     def test_tampered_lower_is_a_mismatch(self):
         report = bounds(CyclomaticClass(c=2, n=7), IndexSpec.general_zagreb(2))
-        tampered = replace(report, lower=IndexValue(F(-5), exact=True))
+        tampered = replace(report, lower=F(-5))
         assert with_verification(tampered).verified == MISMATCH
 
     def test_non_minimizing_lower_attainer_is_a_mismatch(self):
@@ -208,14 +208,14 @@ class TestVerifyBounds:
                 refined = refined_inverse_degree_upper(klass)
                 report = replace(bounds(klass, RHO), refined_upper=refined)
                 assert with_verification(report).verified == EXACT_MATCH, (c, n)
-                tampered = replace(report, refined_upper=IndexValue(F(999), exact=True))
+                tampered = replace(report, refined_upper=F(999))
                 assert with_verification(tampered).verified == MISMATCH, (c, n)
 
     def test_refined_only_mismatch_shows_the_refined_maximum(self):
         klass = CyclomaticClass(c=3, n=9)
         population = enumerate_sequences(klass)
         refined = refined_inverse_degree_upper(klass)
-        report = replace(bounds(klass, RHO), refined_upper=IndexValue(F(999), exact=True))
+        report = replace(bounds(klass, RHO), refined_upper=F(999))
         outcome = verify_bounds(report, population)
         assert outcome.status == MISMATCH
         assert (outcome.minimum, outcome.maximum) == (report.lower, report.upper)
@@ -235,7 +235,7 @@ class TestVerifyBounds:
         assert with_verification(report).verified == EXACT_MATCH
         wrong = runs_of((6,) + (2,) * 7)
         tampered = replace(report, lower=evaluate(index, wrong), lower_attainer=wrong)
-        assert tampered.lower.value > 1.7 * report.lower.value
+        assert tampered.lower > 1.7 * report.lower
         assert with_verification(tampered).verified == MISMATCH
 
 
@@ -244,8 +244,8 @@ class TestBoundsTable:
         rows = bounds_table(10, 2)
         assert len(rows) == 6
         assert [row.klass.c for row in rows] == [1, 2, 3, 4, 5, 6]
-        assert rows[0].lower.value == 40 and rows[0].upper.value == 96
-        assert rows[1].lower.value == 50 and rows[1].upper.value == 104
+        assert rows[0].lower == 40 and rows[0].upper == 96
+        assert rows[1].lower == 50 and rows[1].upper == 104
         assert ORIENTATION_NOTE in rows[0].notes
         assert ORIENTATION_NOTE in rows[1].notes
         assert all(ORIENTATION_NOTE not in row.notes for row in rows[2:])
@@ -254,10 +254,10 @@ class TestBoundsTable:
         rows = bounds_table(8, -1)
         by_c = {row.klass.c: row for row in rows}
         assert len(by_c[3].candidates) == 2
-        values = {seq: val.value for seq, val in by_c[3].candidates}
+        values = {seq: val for seq, val in by_c[3].candidates}
         assert values[runs_of((7, 4, 2, 2, 2, 1, 1, 1))] == 4 + F(25, 28)
         assert values[runs_of((7, 3, 3, 3, 1, 1, 1, 1))] == 5 + F(1, 7)
-        assert by_c[3].upper.value == 5 + F(1, 7)
+        assert by_c[3].upper == 5 + F(1, 7)
 
     def test_small_order_rejected(self):
         with pytest.raises(ValueError):

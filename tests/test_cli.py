@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ccyclic
-from ccyclic import cli, degree_sequences
+from ccyclic import cli, degree_sequences, formatting
 from ccyclic.bounds import MISMATCH, ORIENTATION_NOTE, bounds, with_verification
 from ccyclic.cli import main
 from ccyclic.degree_sequences import CyclomaticClass
@@ -313,6 +313,69 @@ class TestLargeOrder:
             f"{top}5, 4, 3^2, 2, 1^999994] -> 999999000058 (999999000058); "
             f"{top}4^4, 1^999995] -> 999999000060 (999999000060)",
         ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("extremal", "--c", "6"), ("bounds", "--c", "1..6", "--alpha", "2")],
+        ids=["extremal", "bounds"],
+    )
+    def test_sequence_too_long_to_print_entry_by_entry(self, argv, fmt):
+        # the text format prints runs; CSV and JSON would expand 10**9 entries
+        result = run_isolated(*argv, "--n", "1000000000", "--format", fmt)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: sequence too long to print: 1000000000 entries\n"
+
+    def test_print_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(formatting, "MAX_PRINTED_ENTRIES", 10)
+        runs = ((9, 1), (2, 1), (1, 8))
+        assert formatting.plain_sequence(runs) == "9 2 1 1 1 1 1 1 1 1"
+        assert formatting.printable(runs) is runs
+        for render in (formatting.plain_sequence, formatting.printable):
+            with pytest.raises(ValueError, match="too long to print: 11 entries"):
+                render(runs + ((0, 1),))
+
+
+class TestHugeCycleRanges:
+    """A ``--c`` range is never materialized, however wide."""
+
+    WIDE = "0..1000000000000"
+
+    def test_verify_refuses_the_range(self):
+        result = run_isolated("verify", "--n", "5", "--c", self.WIDE)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: c=7 has no proven characterization; use --conjecture\n"
+
+    def test_bounds_stops_at_the_first_class_that_cannot_exist(self):
+        result = run_isolated("bounds", "--alpha", "2", "--n", "5", "--c", self.WIDE)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            "error: no connected graph with 7 independent cycles has order 5 (need n >= 6)\n"
+        )
+
+    def test_conjecture_stops_past_the_largest_order(self):
+        wide = run_isolated("verify", "--conjecture", "--n-max", "5", "--c", self.WIDE)
+        plain = run_isolated("verify", "--conjecture", "--n-max", "5", "--c", "0..6")
+        assert (wide.returncode, wide.stderr) == (plain.returncode, plain.stderr) == (0, "")
+        assert wide.stdout == plain.stdout
+        assert wide.stdout.count("holds") == 14
+
+    def test_range_starting_past_the_proven_cycles(self):
+        result = run_isolated("verify", "--n", "5", "--c", "9..1000000000000")
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: c=9 has no proven characterization; use --conjecture\n"
+
+    def test_huge_c_is_refused_at_once(self):
+        # the least order is computed in O(1), not by counting up to it
+        huge = str(10**30)
+        result = run_isolated("extremal", "--n", "5", "--c", huge)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            f"error: no connected graph with {huge} independent cycles has order 5 "
+            "(need n >= 1414213562373097)\n"
+        )
+        result = run_isolated("verify", "--conjecture", "--n", "5", "--c", f"{huge}..{huge}5")
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 """Tests for class membership, enumeration, and extremal families."""
 
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from ccyclic.degree_sequences import (
     CyclomaticClass,
     EnumerationCapError,
+    ExtremalFamily,
+    _extremality_report,
     candidate_sequences,
     check_family_extremality,
     check_pattern_extremality,
@@ -23,7 +26,12 @@ from ccyclic.degree_sequences import (
 )
 from ccyclic.majorization import Relation, compare, expand_runs, is_majorized_by, runs_of
 
-from oracles import cwr_candidates, textbook_is_graphical, tuple_candidates
+from oracles import (
+    cwr_candidates,
+    reference_extremality_report,
+    textbook_is_graphical,
+    tuple_candidates,
+)
 from strategies import degree_sequences, raw_degree_lists
 
 
@@ -45,6 +53,14 @@ class TestClassValidation:
         # need (n-1)(n-2)/2 >= c for the complete graph to fit the edges
         assert min_order(7) == 6
         assert min_order(15) == 7
+
+    def test_min_order_is_the_least_fitting_order(self):
+        def fits(n, c):
+            return (n - 1) * (n - 2) // 2 >= c
+
+        for c in (*range(3000), 10**12, 10**12 + 1, 10**100, 10**100 + 1):
+            n = min_order(c)
+            assert fits(n, c) and (n == 2 or not fits(n - 1, c)), c
 
 
 class TestMembership:
@@ -300,6 +316,57 @@ class TestExtremalFamily:
         tops = tuple(map(runs_of, maximals))
         assert report.dominated_patterns == ((tops[0], first), (tops[1], first))
         assert not report.ok and not report.complete
+        family = extremal_family(klass)
+        assert report == reference_extremality_report(family, population + [first, second])
+
+
+class TestExtremalityReportMatchesReference:
+    """The prefix-sum report equals the former pairwise ``compare`` report, field for field."""
+
+    def test_family_reports(self):
+        for c in range(7):
+            for n in range(min_order(c), 13):
+                klass = CyclomaticClass(c=c, n=n)
+                population = graphical_class_sequences(klass)
+                expected = reference_extremality_report(extremal_family(klass), population)
+                assert check_family_extremality(klass, population) == expected, (c, n)
+
+    def test_pattern_reports(self):
+        for c in range(11):
+            for n in range(min_order(c), 13):
+                klass = CyclomaticClass(c=c, n=n)
+                population = graphical_class_sequences(klass)
+                family = parametric_extremal_family(c, n)
+                expected = reference_extremality_report(family, population)
+                assert check_pattern_extremality(klass, population) == expected, (c, n)
+
+    def test_families_of_arbitrary_members(self):
+        # Fixed vectors with a head below n - 1, comparable among themselves,
+        # and a minimal that is not below everything reach every branch.
+        rng = random.Random(5)
+        for c, n in ((3, 8), (6, 9), (8, 10)):
+            klass = CyclomaticClass(c=c, n=n)
+            population = graphical_class_sequences(klass)
+            for _ in range(30):
+                picks = rng.sample(population, rng.randint(2, 5))
+                family = ExtremalFamily(klass, tuple(picks[1:]), picks[0])
+                report = _extremality_report(family, population)
+                assert report == reference_extremality_report(family, population), picks
+
+    def test_family_with_a_wrong_total(self):
+        # A maximal and a minimal two above the class total: incomparable
+        # with every member, so nothing lies below the one or above the other.
+        klass = CyclomaticClass(c=3, n=8)
+        population = enumerate_sequences(klass)
+        wrong_top = runs_of((7, 4, 3, 2, 2, 1, 1, 1))
+        wrong_least = runs_of((3, 3, 3, 3, 3, 3, 2, 2))
+        for maximal_runs in ((wrong_top,), (wrong_top, runs_of((7, 3, 3, 3, 1, 1, 1, 1)))):
+            family = ExtremalFamily(klass, maximal_runs, wrong_least)
+            report = _extremality_report(family, population)
+            assert report == reference_extremality_report(family, population)
+            assert not report.members_valid
+            assert len(report.not_above_minimal) == len(population)
+        assert report.pairwise_incomparable and len(report.not_below_any_maximal) > 0
 
 
 class TestParametricPatterns:

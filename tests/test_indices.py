@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from ccyclic.formatting import format_fraction
-from ccyclic.indices import MAX_EXACT_DIGITS, IndexSpec, SchurClass, evaluate
+from ccyclic.indices import MAX_EXACT_DIGITS, IndexSpec, SchurClass, evaluate, same_value
 from ccyclic.majorization import expand_runs, runs_of
 
 from oracles import (
@@ -23,22 +23,22 @@ from strategies import degree_sequences
 class TestEvaluate:
     def test_inverse_degree_exact(self):
         value = evaluate(IndexSpec.inverse_degree(), runs_of((7, 3, 3, 3, 1, 1, 1, 1)))
-        assert value.exact
-        assert value.value == Fraction(36, 7)
+        assert not isinstance(value, float)
+        assert value == Fraction(36, 7)
 
     def test_first_zagreb_on_cycle(self):
         value = evaluate(IndexSpec.general_zagreb(2), runs_of((2,) * 6))
-        assert value.value == 24
+        assert value == 24
 
     def test_first_zagreb_bicyclic_extremes(self):
-        assert evaluate(IndexSpec.general_zagreb(2), runs_of((3, 3, 2, 2, 2, 2))).value == 34
-        assert evaluate(IndexSpec.general_zagreb(2), runs_of((5, 3, 2, 2, 1, 1))).value == 44
+        assert evaluate(IndexSpec.general_zagreb(2), runs_of((3, 3, 2, 2, 2, 2))) == 34
+        assert evaluate(IndexSpec.general_zagreb(2), runs_of((5, 3, 2, 2, 1, 1))) == 44
 
     def test_negative_exponent_matches_inverse_degree(self):
         seq = runs_of((5, 4, 3, 2, 1, 1))
         assert (
-            evaluate(IndexSpec.general_zagreb(-1), seq).value
-            == evaluate(IndexSpec.inverse_degree(), seq).value
+            evaluate(IndexSpec.general_zagreb(-1), seq)
+            == evaluate(IndexSpec.inverse_degree(), seq)
         )
 
     def test_square_sum_independent(self):
@@ -46,18 +46,18 @@ class TestEvaluate:
         for _ in range(50):
             seq = random_nonincreasing(rng, rng.randint(2, 8))
             expected = sum(d * d for d in seq)
-            assert evaluate(IndexSpec.general_zagreb(2), runs_of(seq)).value == expected
+            assert evaluate(IndexSpec.general_zagreb(2), runs_of(seq)) == expected
 
     def test_log_form(self):
         seq = (4, 3, 2)
         value = evaluate(IndexSpec.mult_zagreb_log(), runs_of(seq))
-        assert not value.exact
-        assert value.value == pytest.approx(2 * (math.log(4) + math.log(3) + math.log(2)))
+        assert isinstance(value, float)
+        assert value == pytest.approx(2 * (math.log(4) + math.log(3) + math.log(2)))
 
     def test_fractional_exponent_is_float(self):
         value = evaluate(IndexSpec.general_zagreb(Fraction(1, 2)), runs_of((4, 1)))
-        assert not value.exact
-        assert value.value == pytest.approx(3.0)
+        assert isinstance(value, float)
+        assert value == pytest.approx(3.0)
 
     @pytest.mark.parametrize(
         "index,alpha",
@@ -71,8 +71,8 @@ class TestEvaluate:
             n = rng.randint(2, 30)
             seq = random_connected_degrees(rng, n, rng.randint(0, min(10, (n - 1) * (n - 2) // 2)))
             value = evaluate(index, runs_of(seq))
-            assert value.exact and isinstance(value.value, Fraction)
-            assert value.value == per_entry_power_sum(seq, alpha), seq
+            assert type(value) is (int if alpha > 0 else Fraction)
+            assert value == per_entry_power_sum(seq, alpha), seq
 
     def test_runs_match_per_entry_values(self):
         # Runs of length 1, long runs, and repeated or unsorted degrees, whose
@@ -89,11 +89,30 @@ class TestEvaluate:
             seq = expand_runs(runs)
             for index, alpha in indices:
                 value = evaluate(index, runs)
-                assert value.exact and value.value == per_entry_power_sum(seq, alpha), runs
-            log_form = evaluate(IndexSpec.mult_zagreb_log(), runs).value
+                assert not isinstance(value, float), runs
+                assert value == per_entry_power_sum(seq, alpha), runs
+            log_form = evaluate(IndexSpec.mult_zagreb_log(), runs)
             assert math.isclose(log_form, 2 * math.fsum(map(math.log, seq)), rel_tol=1e-12)
-            root = evaluate(IndexSpec.general_zagreb(Fraction(1, 2)), runs).value
+            root = evaluate(IndexSpec.general_zagreb(Fraction(1, 2)), runs)
             assert math.isclose(root, math.fsum(d**0.5 for d in seq), rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "index,kind",
+        [(IndexSpec.general_zagreb(a), int) for a in range(2, 7)]
+        + [(IndexSpec.general_zagreb(a), Fraction) for a in range(-6, 0)]
+        + [
+            (IndexSpec.inverse_degree(), Fraction),
+            (IndexSpec.general_zagreb(Fraction(1, 2)), float),
+            (IndexSpec.general_zagreb(Fraction(7, 3)), float),
+            (IndexSpec.general_zagreb(Fraction(-1, 2)), float),
+            (IndexSpec.mult_zagreb_log(), float),
+        ],
+        ids=lambda value: getattr(value, "label", getattr(value, "__name__", None)),
+    )
+    def test_value_type_says_whether_it_is_exact(self, index, kind):
+        # All degrees 1 gives an integral inverse degree: still a Fraction.
+        for seq in ((5, 3, 2, 2, 1, 1), (2,) * 6, (1, 1)):
+            assert type(evaluate(index, runs_of(seq))) is kind, seq
 
     def test_rejects_zero_degree(self):
         with pytest.raises(ValueError):
@@ -127,21 +146,45 @@ def test_order_preservation_random_chains():
         top = random_nonincreasing(rng, rng.randint(2, 9))
         low = transfer_down(rng, top)
         for index in convex:
-            a = evaluate(index, runs_of(low)).value
-            b = evaluate(index, runs_of(top)).value
+            a = evaluate(index, runs_of(low))
+            b = evaluate(index, runs_of(top))
             assert a <= b
         for index in concave:
-            a = evaluate(index, runs_of(low)).as_float()
-            b = evaluate(index, runs_of(top)).as_float()
+            a = float(evaluate(index, runs_of(low)))
+            b = float(evaluate(index, runs_of(top)))
             assert a >= b - 1e-12
+
+
+@pytest.mark.parametrize(
+    "a,b,same",
+    [
+        (34, 34, True),
+        (34, 35, False),
+        (Fraction(68, 2), 34, True),
+        (Fraction(1, 3), Fraction(2, 6), True),
+        (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30), False),
+        (1.0, 1.0 + 1e-13, True),
+        (1.0, 1.0 + 1e-11, False),
+        (1e-100, 1e-100 * (1 + 1e-13), True),
+        (1e-100, 2e-100, False),
+        (0.0, 1e-300, False),
+        (0.5, Fraction(1, 2), True),
+        (Fraction(1, 3), 1 / 3, True),
+        (Fraction(1, 3), 0.3334, False),
+        (3.0, 3, True),
+    ],
+)
+def test_same_value(a, b, same):
+    assert same_value(a, b) is same
+    assert same_value(b, a) is same
 
 
 @settings(max_examples=200)
 @given(degree_sequences())
 def test_exactness_flags(seq):
-    assert evaluate(IndexSpec.general_zagreb(3), runs_of(seq)).exact
-    assert evaluate(IndexSpec.inverse_degree(), runs_of(seq)).exact
-    assert not evaluate(IndexSpec.mult_zagreb_log(), runs_of(seq)).exact
+    assert not isinstance(evaluate(IndexSpec.general_zagreb(3), runs_of(seq)), float)
+    assert not isinstance(evaluate(IndexSpec.inverse_degree(), runs_of(seq)), float)
+    assert isinstance(evaluate(IndexSpec.mult_zagreb_log(), runs_of(seq)), float)
 
 
 def test_format_fraction_refuses_values_too_long_to_print():

@@ -11,15 +11,19 @@ the balanced minimal pattern minorizes everything.  For c <= 6 these are
 theorems; beyond that the scan reports conjecture status.  Orders above the
 enumeration cap K (default 14) are reported as skipped.
 
-Exit codes: 0 when every order was scanned, 1 on a usage error, 3 when an
-order was skipped.
+Exit codes: 0 when every order was scanned and holds, 1 on a usage error, 2
+when an order FAILS, else 3 when an order was skipped: a failure outranks a
+skip.
 """
 
 import sys
 
-from ccyclic.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, Parser, UsageError, checked_cap
+from ccyclic.cli import (
+    EXIT_CAP, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, Parser, UsageError, checked_cap
+)
 from ccyclic.degree_sequences import (
     CyclomaticClass,
+    EnumerationCapError,
     check_pattern_extremality,
     graphical_class_sequences,
     min_order,
@@ -47,12 +51,14 @@ def main(argv=None) -> int:
             patterns = parametric_extremal_family(c, n)
             if not patterns.maximals and patterns.minimal is None:
                 continue
-            if n > args.cap:
+            klass = CyclomaticClass(c=c, n=n)
+            try:
+                population = graphical_class_sequences(klass, args.cap)
+            except EnumerationCapError:
                 print(f"c={c} n={n}: skipped (enumeration cap {args.cap})")
                 skipped = True
                 continue
-            klass = CyclomaticClass(c=c, n=n)
-            report = check_pattern_extremality(klass, graphical_class_sequences(klass, args.cap))
+            report = check_pattern_extremality(klass, population)
             status = "holds" if report.ok else "FAILS"
             if not report.ok:
                 failures += 1
@@ -69,7 +75,7 @@ def main(argv=None) -> int:
             for seq in report.not_above_minimal[:3]:
                 print(f"    minimal fails below {format_sequence(seq)}")
     print(f"done; {failures} failing (c, n) pairs")
-    return EXIT_CAP if skipped else EXIT_OK
+    return EXIT_MISMATCH if failures else EXIT_CAP if skipped else EXIT_OK
 
 
 if __name__ == "__main__":

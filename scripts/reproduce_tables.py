@@ -27,7 +27,9 @@ from ccyclic.bounds import (
     verify_bounds,
 )
 from ccyclic.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, Parser, UsageError, checked_cap
-from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, extremal_family
+from ccyclic.degree_sequences import (
+    CyclomaticClass, EnumerationCapError, enumerate_sequences, extremal_family
+)
 from ccyclic.formatting import format_index_value, format_sequence
 
 
@@ -37,10 +39,14 @@ def render_tables(n: int, alpha: int, verify: bool, cap: int) -> tuple:
     # rejects stops the run before any other work.
     zagreb_rows = bounds_table(n, alpha)
     classes = [CyclomaticClass(c=c, n=n) for c in range(7)]
-    # Each class is enumerated once, for both of its verified rows; none is above the cap.
+    # Each class is enumerated once, for both of its verified rows.  The
+    # classes share one order, so the first is above the cap when all are.
     populations = None
-    if verify and n <= cap:
-        populations = [enumerate_sequences(klass, cap) for klass in classes]
+    if verify:
+        try:
+            populations = [enumerate_sequences(klass, cap) for klass in classes]
+        except EnumerationCapError:
+            pass
     lines = [f"extremal degree sequences at n={n}", "-" * 72]
     verdicts = []
 

@@ -31,9 +31,10 @@ from .degree_sequences import (
     DEFAULT_ENUMERATION_CAP,
     MAX_SUPPORTED_CYCLES,
     CyclomaticClass,
-    candidate_sequences,
+    EnumerationCapError,
     check_family_extremality,
     check_pattern_extremality,
+    class_candidates,
     extremal_family,
     graphical_class_sequences,
     is_ccyclic_sequence,
@@ -233,18 +234,18 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _equivalence_check(klass) -> tuple:
+def _equivalence_check(klass, cap: int) -> tuple:
     """Compare the three membership tests on every candidate with the right sum.
 
     Also returns the candidates the Erdos-Gallai test accepts, as runs: the
     class population that every later check of the class reuses,
     independent of the counting conditions that the extremal family is
-    built from.
+    built from.  Raises :class:`EnumerationCapError` above the cap.
     """
     failures = []
     members = []
     count = 0
-    for runs in candidate_sequences(klass.n, klass.degree_total):
+    for runs in class_candidates(klass, cap):
         count += 1
         counting = is_ccyclic_sequence(runs, klass)
         inequalities = is_ccyclic_sequence_via_inequalities(runs, klass)
@@ -265,41 +266,48 @@ def _verify_orders(args, c: int) -> range:
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One verification check over a class and its outcome."""
+    """One verification check over a class: its report line and its outcome."""
 
-    check: str  # equivalence | extremality | conjecture | an index label
-    c: int
-    n: int
-    status: str  # ok | mismatch | skipped; holds | fails for a conjecture
-    sequences: int  # candidates for equivalence, class members otherwise
+    line: str
+    status: str  # ok | mismatch | skipped
 
 
-def _skip_over_cap(lines, records, label, check, c, n, cap) -> None:
-    lines.append(f"{label} c={c} n={n}: skipped (enumeration cap {cap})")
-    records.append(CheckRecord(check, c, n, SKIPPED, 0))
+def _status(passed: bool) -> str:
+    return OK if passed else MISMATCH
 
 
-def _verify_conjecture(args, cycles: range, cap: int) -> int:
-    lines = []
-    records = []
-    for c in cycles:
-        orders = _verify_orders(args, c)
-        if not orders:  # min_order is nondecreasing in c: no later c has an order either
-            break
-        for n in orders:
-            if n > cap:
-                _skip_over_cap(lines, records, "CONJECTURE", "conjecture", c, n, cap)
-                continue
-            klass = CyclomaticClass(c=c, n=n)
-            report = check_pattern_extremality(klass, graphical_class_sequences(klass, cap))
-            status = "holds" if report.ok else "FAILS"
-            lines.append(
-                f"CONJECTURE c={c} n={n}: closed-form patterns extremal over "
-                f"{report.sequence_count} sequences: {status}"
-            )
-            records.append(CheckRecord("conjecture", c, n, status.lower(), report.sequence_count))
-    _emit("".join(line + "\n" for line in lines), args.output)  # no orders: empty output
-    return _exit_code(record.status for record in records)
+def _proven_checks(klass, args):
+    """The equivalence, extremality and bound checks of a class with c <= 6."""
+    where = f"c={klass.c} n={klass.n}"
+    count, failures, population = _equivalence_check(klass, args.cap)
+    if failures:
+        runs, counting, inequalities, graphical = failures[0]
+        line = (
+            f"MISMATCH on {format_sequence(runs)} (counting={counting} "
+            f"inequalities={inequalities} graphical={graphical})"
+        )
+    else:
+        line = f"ok ({count} candidates)"
+    yield CheckRecord(f"equivalence {where}: {line}", _status(not failures))
+    if args.equivalence_only:
+        return
+    report = check_family_extremality(klass, population)
+    line = f"ok ({report.sequence_count} sequences)" if report.complete else "MISMATCH"
+    yield CheckRecord(f"extremality {where}: {line}", _status(report.complete))
+    for index in VERIFY_INDICES:
+        matched = verify_bounds(bounds(klass, index), population).status == EXACT_MATCH
+        line = EXACT_MATCH if matched else "MISMATCH"
+        yield CheckRecord(f"bounds {where} {index.label}: {line}", _status(matched))
+
+
+def _conjecture_checks(klass, args):
+    """The closed-form patterns against the enumerated class, for any c."""
+    report = check_pattern_extremality(klass, graphical_class_sequences(klass, args.cap))
+    yield CheckRecord(
+        f"CONJECTURE c={klass.c} n={klass.n}: closed-form patterns extremal over "
+        f"{report.sequence_count} sequences: {'holds' if report.ok else 'FAILS'}",
+        _status(report.ok),
+    )
 
 
 def cmd_verify(args) -> int:
@@ -309,62 +317,34 @@ def cmd_verify(args) -> int:
         raise UsageError("give either --n or --n-max, not both")
     cap = checked_cap(args.cap)
     cycles = _parse_range(args.c)
-    if args.conjecture:
-        return _verify_conjecture(args, cycles, cap)
     # Refuse the whole range before enumerating any class of it.
-    if cycles[-1] > MAX_SUPPORTED_CYCLES:
+    if not args.conjecture and cycles[-1] > MAX_SUPPORTED_CYCLES:
         unproven = max(cycles[0], MAX_SUPPORTED_CYCLES + 1)
         raise UsageError(f"c={unproven} has no proven characterization; use --conjecture")
-    lines = []
-    records = []
-
-    for c in cycles:
-        for n in _verify_orders(args, c):
-            if n > cap:
-                _skip_over_cap(lines, records, "equivalence", "equivalence", c, n, cap)
-                continue
-            klass = CyclomaticClass(c=c, n=n)
-            count, failures, population = _equivalence_check(klass)
-            if failures:
-                runs, counting, inequalities, graphical = failures[0]
-                lines.append(
-                    f"equivalence c={c} n={n}: MISMATCH on {format_sequence(runs)} "
-                    f"(counting={counting} inequalities={inequalities} "
-                    f"graphical={graphical})"
-                )
-            else:
-                lines.append(f"equivalence c={c} n={n}: ok ({count} candidates)")
-            records.append(
-                CheckRecord("equivalence", c, n, MISMATCH if failures else OK, count)
-            )
-            if args.equivalence_only:
-                continue
-
-            report = check_family_extremality(klass, population)
-            if report.complete:
-                lines.append(f"extremality c={c} n={n}: ok ({report.sequence_count} sequences)")
-            else:
-                lines.append(f"extremality c={c} n={n}: MISMATCH")
-            status = OK if report.complete else MISMATCH
-            records.append(CheckRecord("extremality", c, n, status, report.sequence_count))
-
-            for index in VERIFY_INDICES:
-                matched = verify_bounds(bounds(klass, index), population).status == EXACT_MATCH
-                lines.append(
-                    f"bounds c={c} n={n} {index.label}: "
-                    f"{EXACT_MATCH if matched else 'MISMATCH'}"
-                )
-                records.append(
-                    CheckRecord(index.label, c, n, OK if matched else MISMATCH, len(population))
-                )
-
-    run = [record for record in records if record.status != SKIPPED]
-    ok_count = sum(record.status == OK for record in run)
-    lines.append(
-        f"summary: {len(run)} checks, {ok_count} ok, {len(run) - ok_count} mismatched, "
-        f"skipped={'yes' if len(run) < len(records) else 'no'}"
+    checks, label = (
+        (_conjecture_checks, "CONJECTURE") if args.conjecture else (_proven_checks, "equivalence")
     )
-    _emit("\n".join(lines) + "\n", args.output)
+    records = []
+    for c in cycles:
+        orders = _verify_orders(args, c)
+        if not orders:  # min_order is nondecreasing in c: no later c has an order either
+            break
+        for n in orders:
+            try:  # a class above the cap raises before its first check
+                records += checks(CyclomaticClass(c=c, n=n), args)
+            except EnumerationCapError:
+                line = f"{label} c={c} n={n}: skipped (enumeration cap {cap})"
+                records.append(CheckRecord(line, SKIPPED))
+
+    lines = [record.line for record in records]
+    if not args.conjecture:
+        run = [record for record in records if record.status != SKIPPED]
+        ok_count = sum(record.status == OK for record in run)
+        lines.append(
+            f"summary: {len(run)} checks, {ok_count} ok, {len(run) - ok_count} mismatched, "
+            f"skipped={'yes' if len(run) < len(records) else 'no'}"
+        )
+    _emit("".join(line + "\n" for line in lines), args.output)  # no orders: empty output
     return _exit_code(record.status for record in records)
 
 

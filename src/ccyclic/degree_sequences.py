@@ -297,12 +297,20 @@ def _runs_below(stack: list, pairs: dict, slots: int, remaining: int, bound: int
             stack.pop()
 
 
-def _members(klass: CyclomaticClass, cap: int) -> list:
-    """The candidates of the class's order and degree total that :func:`is_graphical` accepts."""
+def class_candidates(klass: CyclomaticClass, cap: int) -> Iterator[tuple]:
+    """The candidates of the class's order and degree total, under the enumeration cap.
+
+    The one place the cap is applied: an order above it raises
+    :class:`EnumerationCapError` at the call, before any candidate is made.
+    """
     if klass.n > cap:
         raise EnumerationCapError(f"order {klass.n} exceeds enumeration cap {cap}")
-    candidates = candidate_sequences(klass.n, klass.degree_total)
-    return [runs for runs in candidates if is_graphical(runs)]
+    return candidate_sequences(klass.n, klass.degree_total)
+
+
+def _members(klass: CyclomaticClass, cap: int) -> list:
+    """The candidates of the class that :func:`is_graphical` accepts."""
+    return [runs for runs in class_candidates(klass, cap) if is_graphical(runs)]
 
 
 def enumerate_sequences(

@@ -135,7 +135,10 @@ def evaluate(index: IndexSpec, runs) -> Real:
                 f"exponent too large: an exact power would exceed {MAX_EXACT_DIGITS} digits"
             )
         return _exact_power_sum(runs, degrees, power)
-    exponent = float(index.alpha)
+    try:
+        exponent = float(index.alpha)
+    except OverflowError:
+        raise ValueError("exponent too large: it overflows a float") from None
     return sum(count * d**exponent for d, count in runs)
 
 

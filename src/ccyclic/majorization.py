@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import accumulate, chain, groupby, repeat, starmap
-from operator import itemgetter, lt, sub
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 
@@ -47,33 +47,16 @@ def partial_sums(vec: Sequence) -> list:
     return list(accumulate(vec))
 
 
-def _relation(gaps: list) -> Relation:
-    """The order of two vectors from their prefix-sum gaps, left minus right.
-
-    The last gap is the difference of the totals.
-    """
-    if not any(gaps):
-        return Relation.EQUAL
-    if gaps[-1]:
-        return Relation.INCOMPARABLE
-    if max(gaps) <= 0:
-        return Relation.LESS_OR_EQUAL
-    return Relation.GREATER_OR_EQUAL if min(gaps) >= 0 else Relation.INCOMPARABLE
-
-
 def compare(left: Sequence, right: Sequence) -> Relation:
     """Compare two nonincreasing vectors in the majorization order.
 
     ``LESS_OR_EQUAL`` means every prefix sum of ``left`` is at most the
     corresponding prefix sum of ``right`` with equal totals.  Vectors with
     unequal component sums are incomparable by definition; a length mismatch
-    is a caller error and raises.
+    is a caller error and raises.  Decided on the run-length forms by
+    :func:`compare_runs`.
     """
-    if len(left) != len(right):
-        raise ValueError(f"dimension mismatch: {len(left)} vs {len(right)}")
-    check_vector(left)
-    check_vector(right)
-    return _relation(list(accumulate(map(sub, left, right))))
+    return compare_runs(runs_of(left), runs_of(right))
 
 
 def runs_of(vec: Iterable) -> tuple:
@@ -112,16 +95,22 @@ def compare_runs(left: Sequence, right: Sequence) -> Relation:
     """:func:`compare` on run-length forms, in O(runs) instead of O(n).
 
     Within a piece of :func:`aligned_runs` the difference of the two prefix
-    sums is linear, so its values at the piece ends decide the order exactly.
+    sums is linear, so its values at the piece ends decide the order exactly;
+    the last of them is the difference of the totals.
     """
     sizes = [sum(length for _, length in runs) for runs in (left, right)]
     if sizes[0] != sizes[1]:
         raise ValueError(f"dimension mismatch: {sizes[0]} vs {sizes[1]}")
     for runs in (left, right):
         check_vector([value for value, _ in runs])
-    return _relation(
-        list(accumulate((a - b) * length for a, b, length in aligned_runs(left, right)))
-    )
+    gaps = list(accumulate((a - b) * length for a, b, length in aligned_runs(left, right)))
+    if not any(gaps):
+        return Relation.EQUAL
+    if gaps[-1]:
+        return Relation.INCOMPARABLE
+    if max(gaps) <= 0:
+        return Relation.LESS_OR_EQUAL
+    return Relation.GREATER_OR_EQUAL if min(gaps) >= 0 else Relation.INCOMPARABLE
 
 
 def is_majorized_by(left: Sequence, right: Sequence) -> bool:

@@ -4,19 +4,23 @@ Everything here deliberately avoids the library's own algorithms: candidates
 come from itertools or a tuple-per-level recursion, box points from a plain
 bounded recursion, and comparable vectors from explicit mass transfers, so
 library results can be checked against genuinely separate computations.
-The one exception is :func:`reference_extremality_report`, the former
-pairwise report kept as a reference, built on the library's ``compare``.
+The exceptions are :func:`reference_extremality_report`, the former
+pairwise report kept as a reference, built on the library's ``compare``, and
+:func:`per_coordinate_compare`, the former entry-by-entry ``compare``, which
+validates its input with the library's ``check_vector``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
+from operator import sub
 
 from ccyclic.degree_sequences import ExtremalityReport
-from ccyclic.majorization import Relation, compare, expand_runs, is_majorized_by
+from ccyclic.majorization import Relation, check_vector, compare, expand_runs, is_majorized_by
 
 
 def cwr_candidates(n, total, max_part=None):
@@ -164,6 +168,32 @@ def prefix_dominates(big, small):
         if acc_s > acc_b:
             return False
     return True
+
+
+def per_coordinate_compare(left, right):
+    """The majorization order of two nonincreasing tuples from their prefix-sum gaps.
+
+    One gap per entry, left minus right; the last is the difference of the totals.
+    """
+    if len(left) != len(right):
+        raise ValueError(f"dimension mismatch: {len(left)} vs {len(right)}")
+    check_vector(left)
+    check_vector(right)
+    gaps = list(accumulate(map(sub, left, right)))
+    if not any(gaps):
+        return Relation.EQUAL
+    if gaps[-1]:
+        return Relation.INCOMPARABLE
+    if max(gaps) <= 0:
+        return Relation.LESS_OR_EQUAL
+    return Relation.GREATER_OR_EQUAL if min(gaps) >= 0 else Relation.INCOMPARABLE
+
+
+def with_a_maximal_as_minimal(family):
+    """The family with its first maximal put in as the minimal, which no check can pass."""
+    if not family.maximal_runs:
+        return family
+    return replace(family, minimal_runs=family.maximal_runs[0])
 
 
 def random_nonincreasing(rng, n, low=1, high=9):

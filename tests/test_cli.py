@@ -16,6 +16,8 @@ from ccyclic.cli import main
 from ccyclic.degree_sequences import CyclomaticClass
 from ccyclic.indices import IndexSpec
 
+from oracles import with_a_maximal_as_minimal
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -208,6 +210,14 @@ class TestExponentOverflow:
         result = run_isolated("bounds", *argv)
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == "error: exponent too large: the power sum overflows a float\n"
+
+    def test_fractional_exponent_beyond_a_float_is_rejected(self):
+        # a negative fractional exponent: no power sum is formed, but the
+        # exponent itself has no float
+        result = run_isolated("bounds", "--n", "10", "--c", "1", f"--alpha=-1{'0' * 400}/3")
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("error: exponent too large")
+        assert len(result.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("digit_limit", [None, "0"])
     @pytest.mark.parametrize("alpha", ["-1e400", "-5000"])
@@ -407,13 +417,23 @@ class TestVerify:
         assert "--conjecture" in err
 
     def test_unproven_c_refused_before_any_enumeration(self, capsys, monkeypatch):
-        def enumerated(klass):
+        def enumerated(klass, cap):
             raise AssertionError(f"enumerated {klass} before refusing c=7")
 
         monkeypatch.setattr(cli, "_equivalence_check", enumerated)
         code, out, err = run(capsys, "verify", "--c", "0..7", "--n", "20", "--cap", "20")
         assert (code, out) == (1, "")
         assert err == "error: c=7 has no proven characterization; use --conjecture\n"
+
+    def test_failed_conjecture_exits_2(self, capsys, monkeypatch):
+        original = degree_sequences.parametric_extremal_family
+        monkeypatch.setattr(
+            degree_sequences, "parametric_extremal_family",
+            lambda c, n: with_a_maximal_as_minimal(original(c, n)),
+        )
+        code, out, _ = run(capsys, "verify", "--conjecture", "--n", "9", "--c", "7")
+        assert code == 2
+        assert out == "CONJECTURE c=7 n=9: closed-form patterns extremal over 174 sequences: FAILS\n"
 
     def test_conjecture_without_orders_prints_nothing(self, capsys):
         for argv in (["--n", "3", "--c", "7"], ["--c", "7", "--n-max", "4"]):

@@ -15,6 +15,7 @@ from ccyclic.degree_sequences import (
     check_family_extremality,
     check_pattern_extremality,
     class_boxes,
+    class_candidates,
     enumerate_sequences,
     extremal_family,
     graphical_class_sequences,
@@ -173,6 +174,23 @@ class TestEnumeration:
     def test_cap_enforced(self):
         with pytest.raises(EnumerationCapError):
             enumerate_sequences(CyclomaticClass(c=1, n=13), cap=12)
+
+    def test_cap_refused_before_the_generator_starts(self, monkeypatch):
+        def started(n, total):
+            raise AssertionError(f"candidate generation started at n={n}")
+
+        monkeypatch.setattr("ccyclic.degree_sequences.candidate_sequences", started)
+        klass = CyclomaticClass(c=1, n=13)
+        for enumerate_class in (class_candidates, enumerate_sequences, graphical_class_sequences):
+            with pytest.raises(EnumerationCapError, match="order 13 exceeds enumeration cap 12"):
+                enumerate_class(klass, 12)
+        # at the cap itself the class is enumerated
+        with pytest.raises(AssertionError, match="started at n=13"):
+            class_candidates(klass, 13)
+
+    def test_class_candidates_are_the_candidates_of_the_class(self):
+        klass = CyclomaticClass(c=3, n=8)
+        assert list(class_candidates(klass, 8)) == list(candidate_sequences(8, klass.degree_total))
 
     def test_matches_independent_generator(self):
         for c in range(11):

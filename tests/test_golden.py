@@ -10,12 +10,15 @@ import contextlib
 import importlib.util
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from ccyclic import degree_sequences
 from ccyclic.cli import main as cli_main
+
+from oracles import with_a_maximal_as_minimal
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -140,6 +143,50 @@ def test_reproduce_tables_enumerates_each_class_once(monkeypatch):
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / "script-reproduce-tables.out").read_bytes()
     assert len(created) == len(set(created)) == 7
+
+
+def test_conjecture_scan_exits_2_on_a_failing_order(monkeypatch):
+    original = degree_sequences.parametric_extremal_family
+    monkeypatch.setattr(
+        degree_sequences, "parametric_extremal_family",
+        lambda c, n: with_a_maximal_as_minimal(original(c, n)),
+    )
+    code, out, err = run_case(["scripts/conjecture_scan.py", "--c-max", "7", "--n-max", "8"])
+    assert (code, err) == (2, "")
+    assert out.splitlines()[0] == "c=7 n=7: 1 maximal patterns, minimal yes, 26 sequences: FAILS"
+    assert out.endswith("done; 2 failing (c, n) pairs\n")
+    # a failure outranks a skip
+    code, out, _ = run_case(
+        ["scripts/conjecture_scan.py", "--c-max", "7", "--n-max", "8", "--cap", "7"]
+    )
+    assert code == 2
+    assert "c=7 n=8: skipped (enumeration cap 7)" in out
+
+
+#: every front end of the oracle, run at one order n with ``--cap`` appended
+CAP_FRONT_ENDS = [
+    pytest.param(["verify", "--n", "7", "--c", "1"], 7, id="verify"),
+    pytest.param(["verify", "--conjecture", "--n", "8", "--c", "7"], 8, id="verify-conjecture"),
+    pytest.param(
+        ["bounds", "--n", "7", "--c", "1", "--index", "inverse-degree", "--verify"], 7,
+        id="bounds-verify",
+    ),
+    pytest.param(
+        ["scripts/conjecture_scan.py", "--c-max", "7", "--n-max", "8"], 8, id="conjecture-scan"
+    ),
+    pytest.param(["scripts/reproduce_tables.py", "--n", "8", "--verify"], 8, id="reproduce-tables"),
+]
+
+
+@pytest.mark.parametrize("argv,n", CAP_FRONT_ENDS)
+def test_class_at_the_cap_runs_and_one_above_is_skipped(argv, n):
+    skip = re.compile(r"skipped(?!=no)")  # a skip, not verify's "skipped=no" summary
+    code, out, err = run_case(argv + ["--cap", str(n)])
+    assert (code, err) == (0, "")
+    assert not skip.search(out)
+    code, out, err = run_case(argv + ["--cap", str(n - 1)])
+    assert (code, err) == (3, "")
+    assert skip.search(out)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from ccyclic.majorization import (
     runs_of,
 )
 
-from oracles import prefix_dominates, random_nonincreasing, transfer_down
+from oracles import per_coordinate_compare, prefix_dominates, random_nonincreasing, transfer_down
 from strategies import nonincreasing_fraction_vectors, nonincreasing_int_vectors
 
 import random
@@ -187,10 +187,25 @@ def vector_pairs(draw):
 @given(vector_pairs())
 def test_run_comparison_agrees_with_compare(pair):
     left, right = pair
+    expected = per_coordinate_compare(left, right)
     assert expand_runs(runs_of(left)) == left
-    assert compare_runs(runs_of(left), runs_of(right)) is compare(left, right)
+    assert compare(left, right) is expected
+    assert compare_runs(runs_of(left), runs_of(right)) is expected
     # runs need not be maximal: one run per entry gives the same answer
-    assert compare_runs(tuple((x, 1) for x in left), runs_of(right)) is compare(left, right)
+    assert compare_runs(tuple((x, 1) for x in left), runs_of(right)) is expected
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [((2, 1), (2, 1, 0)), ((1, 2), (2, 1)), ((2, 1), (3, -1)), ((), ())],
+    ids=["dimension", "unsorted", "negative", "empty"],
+)
+def test_compare_rejects_what_the_per_coordinate_form_rejects(left, right):
+    with pytest.raises(ValueError) as reference:
+        per_coordinate_compare(left, right)
+    with pytest.raises(ValueError) as run_native:
+        compare(left, right)
+    assert str(run_native.value) == str(reference.value)
 
 
 class TestCompareRuns:

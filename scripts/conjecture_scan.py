@@ -24,7 +24,7 @@ from ccyclic.cli import (
 from ccyclic.degree_sequences import (
     CyclomaticClass,
     EnumerationCapError,
-    check_pattern_extremality,
+    extremality_report,
     graphical_class_sequences,
     min_order,
     parametric_extremal_family,
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
                 print(f"c={c} n={n}: skipped (enumeration cap {args.cap})")
                 skipped = True
                 continue
-            report = check_pattern_extremality(klass, population)
+            report = extremality_report(patterns, population)
             status = "holds" if report.ok else "FAILS"
             if not report.ok:
                 failures += 1

@@ -105,46 +105,18 @@ def bounds(klass: CyclomaticClass, index: IndexSpec) -> BoundsReport:
 # ---------------------------------------------------------------------------
 
 
-def _minimal_pattern(c: int, n: int) -> tuple:
-    if c == 0:
-        return (2,) * (n - 2) + (1, 1)
-    if c == 5 and n == 7:
-        return (4,) + (3,) * 6
-    if c == 6 and n == 8:
-        return (4, 4) + (3,) * 6
-    if c == 6 and n == 9:
-        return (4,) + (3,) * 8
-    return (3,) * (2 * c - 2) + (2,) * (n - 2 * c + 2)
-
-
-def _binding_upper_pattern(c: int, n: int) -> tuple:
-    if c == 0:
-        return (n - 1,) + (1,) * (n - 1)
-    if c == 1:
-        return (n - 1, 2, 2) + (1,) * (n - 3)
-    if c == 2:
-        return (n - 1, 3, 2, 2) + (1,) * (n - 4)
-    if c == 3:
-        return (n - 1, 3, 3, 3) + (1,) * (n - 4)
-    if c == 4:
-        return (n - 1, 4, 3, 3, 2) + (1,) * (n - 5)
-    if c == 5:
-        return (n - 1, 4, 4, 3, 3) + (1,) * (n - 5)
-    return (n - 1, 4, 4, 4, 4) + (1,) * (n - 5)
-
-
 def closed_form_inverse_degree(klass: CyclomaticClass) -> BoundsReport:
     """Inverse-degree bounds as explicit rational expressions in ``n``.
 
     Valid for ``n >= c + 2``.  The lower bound is piecewise at the orders
     where the minimal sequence changes shape (c=5 at n=7; c=6 at n=8 and 9),
     so that the closed forms agree exactly with :func:`bounds` everywhere in
-    their range.  Each expression is re-checked against evaluation at its
-    attaining sequence before being returned.
+    their range.  Every call checks both expressions against :func:`bounds`,
+    which also supplies the attaining sequences, and raises
+    ``AssertionError`` when either differs.
     """
+    engine = bounds(klass, IndexSpec.inverse_degree())  # no family beyond c = 6
     c, n = klass.c, klass.n
-    if c > 6:
-        raise ValueError("closed forms are established for at most six cycles")
     if n < c + 2:
         raise ValueError(f"closed forms need n >= c + 2, got n={n}, c={c}")
     F = Fraction
@@ -169,22 +141,11 @@ def closed_form_inverse_degree(klass: CyclomaticClass) -> BoundsReport:
         else:
             lower = F(n - 10, 2) + F(10, 3)
         upper = (n - 4) + F(1, n - 1)
-
-    index = IndexSpec.inverse_degree()
-    lower_attainer = runs_of(_minimal_pattern(c, n))
-    upper_attainer = runs_of(_binding_upper_pattern(c, n))
-    if evaluate(index, lower_attainer) != lower:
-        raise AssertionError(f"closed-form lower {lower} does not match its attainer")
-    if evaluate(index, upper_attainer) != upper:
-        raise AssertionError(f"closed-form upper {upper} does not match its attainer")
-    return BoundsReport(
-        klass=klass,
-        index=index,
-        lower=lower,
-        upper=upper,
-        lower_attainer=lower_attainer,
-        upper_attainer=upper_attainer,
-    )
+    if (lower, upper) != (engine.lower, engine.upper):
+        raise AssertionError(
+            f"closed forms {lower}, {upper} differ from bounds() {engine.lower}, {engine.upper}"
+        )
+    return replace(engine, candidates=())
 
 
 def refined_inverse_degree_upper(klass: CyclomaticClass) -> Fraction:

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from pathlib import Path
+from itertools import islice
 
 from .bounds import (
     EXACT_MATCH,
@@ -113,14 +113,30 @@ def _index_from_args(args) -> IndexSpec:
     return IndexSpec.mult_zagreb_log()
 
 
-def _emit(text: str, output) -> None:
-    if output:
-        try:
-            Path(output).write_text(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {output}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
+def _emit(chunks, output) -> None:
+    """Write text chunks, as they come, to the ``output`` file or stdout; a string is one chunk."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
+    if not output:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(output, "w") as stream:
+            stream.writelines(chunks)
+    except OSError as exc:
+        raise UsageError(f"cannot write {output}: {exc.strerror}")
+
+
+def _json_chunks(doc):
+    """The text of ``json.dumps(doc, indent=2)`` and a newline, encoded as it is written.
+
+    The encoder's pieces are joined in blocks of 2**16: the whole text is
+    never held, and there are few writes.
+    """
+    pieces = json.JSONEncoder(indent=2).iterencode(doc)
+    for first in pieces:
+        yield first + "".join(islice(pieces, (1 << 16) - 1))
+    yield "\n"
 
 
 def _exit_code(statuses) -> int:
@@ -150,7 +166,7 @@ def cmd_extremal(args) -> int:
             "minimal": list(expand_runs(printable(family.minimal_runs))),
             "maximals_pairwise_incomparable": len(family.maximal_runs) > 1,
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
+        _emit(_json_chunks(doc), args.output)
     elif args.format == "csv":
         lines = ["n,c,role,sequence"]
         for runs in family.maximal_runs:
@@ -219,7 +235,7 @@ def cmd_bounds(args) -> int:
 
     if args.format == "json":
         docs = [report_to_json_dict(report) for report in reports]
-        _emit(json.dumps(docs, indent=2) + "\n", args.output)
+        _emit(_json_chunks(docs), args.output)
     elif args.format == "csv":
         _emit(reports_to_csv(reports), args.output)
     else:
@@ -315,6 +331,8 @@ def cmd_verify(args) -> int:
         raise UsageError("verify needs --n or --n-max")
     if args.n is not None and args.n_max is not None:
         raise UsageError("give either --n or --n-max, not both")
+    if args.conjecture and args.equivalence_only:
+        raise UsageError("--equivalence-only applies to proven classes, not --conjecture")
     cap = checked_cap(args.cap)
     cycles = _parse_range(args.c)
     # Refuse the whole range before enumerating any class of it.

@@ -8,16 +8,17 @@ condition doubles as a box of the form handled by :mod:`ccyclic.extremal`,
 which yields the majorization-maximal and -minimal degree sequences of the
 whole class.
 
-Two independent characterizations are implemented side by side: the counting
-form used throughout this package, and the classic test via edge count plus
-prefix-sum inequalities.  They are proved equivalent in the literature; the
-test suite re-checks the equivalence exhaustively at small orders, and both
-are cross-validated against plain graphicality, since for any c >= 0 a
-positive sequence with sum ``2(n + c - 1)`` belongs to the class exactly when
-it is graphical (a graphical sequence with minimum degree >= 1 and at least
-``n - 1`` edges always has a connected realization).  Enumerated populations
-are filtered by graphicality alone, so they check the counting conditions
-rather than repeat them.
+Two independent characterizations are implemented side by side, each as a
+table read by one function: the counting form used throughout this package,
+and the classic test via edge count plus prefix-sum inequalities.  They are
+proved equivalent in the literature; the test suite re-checks the equivalence
+exhaustively at small orders, and both are cross-validated against plain
+graphicality, since for any c >= 0 a positive sequence with sum
+``2(n + c - 1)`` belongs to the class exactly when it is graphical (a
+graphical sequence with minimum degree >= 1 and at least ``n - 1`` edges
+always has a connected realization).  Enumerated populations are filtered by
+graphicality alone, so they check the counting conditions rather than repeat
+them.
 
 Run-form contract: a degree sequence travels as its run-length form
 ``((degree, count), ...)``, degrees strictly decreasing and counts positive,
@@ -77,6 +78,19 @@ _COUNT_CONDITIONS = {
         (6, ((3, 6),)),
         (5, ((4, 5),)),
     ),
+}
+
+#: prefix-sum inequalities per cyclomatic number: (least edge count, ((k, j, a, b), ...))
+#: meaning "m >= least edge count, and P_k + P_j <= a n + b", where P_k is the sum
+#: of the k largest degrees and P_0 = 0; (5, 2, 2, 16) is 2d1 + 2d2 + d3 + d4 + d5 <= 2n + 16.
+_INEQUALITIES = {
+    0: (1, ()),
+    1: (3, ((2, 0, 1, 1),)),
+    2: (5, ((2, 0, 1, 2), (3, 0, 1, 4))),
+    3: (6, ((2, 0, 1, 3), (3, 0, 1, 5))),
+    4: (8, ((2, 0, 1, 4), (3, 0, 1, 6), (4, 0, 1, 9))),
+    5: (9, ((2, 0, 1, 5), (3, 0, 1, 7), (4, 0, 1, 10), (5, 2, 2, 16))),
+    6: (10, ((2, 0, 1, 6), (3, 0, 1, 8), (4, 0, 1, 11), (5, 2, 2, 18), (6, 2, 2, 20))),
 }
 
 MAX_SUPPORTED_CYCLES = max(_COUNT_CONDITIONS)
@@ -160,61 +174,27 @@ def is_ccyclic_sequence(runs, klass: CyclomaticClass) -> bool:
 def is_ccyclic_sequence_via_inequalities(runs, klass: CyclomaticClass) -> bool:
     """Classic membership test: edge count plus prefix-sum inequalities.
 
-    Kept textually independent from the counting form so the two can guard
-    each other; missing entries count as zero in the longer inequalities.
+    Kept independent from the counting form so the two can guard each
+    other; missing entries count as zero in the longer inequalities.
     ``runs`` must be a valid run-length form of order n; the six largest
     degrees are read from its head runs.
     """
     n, c = klass.n, klass.c
-    total = sum(degree * count for degree, count in runs)
-    if total % 2:
-        return False
-    m = total // 2
-    if m != n + c - 1:
+    if c not in _INEQUALITIES:
+        raise ValueError(f"no inequality characterization implemented for c={c}")
+    least, rows = _INEQUALITIES[c]
+    if sum(degree * count for degree, count in runs) != klass.degree_total or n + c - 1 < least:
         return False
     head = []
     for degree, count in runs:
         if len(head) >= 6:
             break
         head += [degree] * min(count, 6)
-    head += [0] * 6
-
-    def d(i: int) -> int:
-        return head[i - 1]
-
-    if c == 0:
-        return m >= 1
-    if c == 1:
-        return m >= 3 and d(1) + d(2) <= n + 1
-    if c == 2:
-        return m >= 5 and d(1) + d(2) <= n + 2 and d(1) + d(2) + d(3) <= n + 4
-    if c == 3:
-        return m >= 6 and d(1) + d(2) <= n + 3 and d(1) + d(2) + d(3) <= n + 5
-    if c == 4:
-        return (
-            m >= 8
-            and d(1) + d(2) <= n + 4
-            and d(1) + d(2) + d(3) <= n + 6
-            and d(1) + d(2) + d(3) + d(4) <= n + 9
-        )
-    if c == 5:
-        return (
-            m >= 9
-            and d(1) + d(2) <= n + 5
-            and d(1) + d(2) + d(3) <= n + 7
-            and d(1) + d(2) + d(3) + d(4) <= n + 10
-            and 2 * d(1) + 2 * d(2) + d(3) + d(4) + d(5) <= 2 * n + 16
-        )
-    if c == 6:
-        return (
-            m >= 10
-            and d(1) + d(2) <= n + 6
-            and d(1) + d(2) + d(3) <= n + 8
-            and d(1) + d(2) + d(3) + d(4) <= n + 11
-            and 2 * d(1) + 2 * d(2) + d(3) + d(4) + d(5) <= 2 * n + 18
-            and 2 * d(1) + 2 * d(2) + d(3) + d(4) + d(5) + d(6) <= 2 * n + 20
-        )
-    raise ValueError(f"no inequality characterization implemented for c={c}")
+    prefix = [0, *accumulate(head + [0] * 6)]
+    for k, j, a, b in rows:
+        if prefix[k] + prefix[j] > a * n + b:
+            return False
+    return True
 
 
 def is_graphical(runs) -> bool:
@@ -528,8 +508,11 @@ def _below(low: list, high: list) -> bool:
     return len(low) == len(high) and low[-1] == high[-1] and all(map(le, low, high))
 
 
-def _extremality_report(family: ExtremalFamily, population) -> ExtremalityReport:
-    """Each fixed vector validated and summed once, each member summed once; pairs compare sums."""
+def extremality_report(family: ExtremalFamily, population) -> ExtremalityReport:
+    """Check ``family`` against ``population``, the class members as runs.
+
+    Each fixed vector is validated and summed once, each member once; pairs compare sums.
+    """
     members_valid = all(runs in population for runs in family.maximal_runs) and (
         family.minimal is None or family.minimal_runs in population
     )
@@ -571,9 +554,9 @@ def _extremality_report(family: ExtremalFamily, population) -> ExtremalityReport
 
 def check_family_extremality(klass: CyclomaticClass, population) -> ExtremalityReport:
     """Check the extremal family against ``population``, a list of the class members as runs."""
-    return _extremality_report(extremal_family(klass), population)
+    return extremality_report(extremal_family(klass), population)
 
 
 def check_pattern_extremality(klass: CyclomaticClass, population) -> ExtremalityReport:
     """Check the closed-form patterns against ``population``, the class members as runs (any c)."""
-    return _extremality_report(parametric_extremal_family(klass.c, klass.n), population)
+    return extremality_report(parametric_extremal_family(klass.c, klass.n), population)

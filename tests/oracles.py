@@ -61,6 +61,62 @@ def tuple_candidates(n, total):
     yield from rec(n, total, n - 1)
 
 
+def published_inequalities(runs, klass):
+    """Edge count plus prefix-sum inequalities, each written out as published, for c <= 6.
+
+    The reference for the library's table form; ``runs`` is a valid
+    run-length form of order n, missing entries count as zero.
+    """
+    n, c = klass.n, klass.c
+    total = sum(degree * count for degree, count in runs)
+    if total % 2:
+        return False
+    m = total // 2
+    if m != n + c - 1:
+        return False
+    head = []
+    for degree, count in runs:
+        head += [degree] * min(count, 6)
+    head += [0] * 6
+
+    def d(i):
+        return head[i - 1]
+
+    if c == 0:
+        return m >= 1
+    if c == 1:
+        return m >= 3 and d(1) + d(2) <= n + 1
+    if c == 2:
+        return m >= 5 and d(1) + d(2) <= n + 2 and d(1) + d(2) + d(3) <= n + 4
+    if c == 3:
+        return m >= 6 and d(1) + d(2) <= n + 3 and d(1) + d(2) + d(3) <= n + 5
+    if c == 4:
+        return (
+            m >= 8
+            and d(1) + d(2) <= n + 4
+            and d(1) + d(2) + d(3) <= n + 6
+            and d(1) + d(2) + d(3) + d(4) <= n + 9
+        )
+    if c == 5:
+        return (
+            m >= 9
+            and d(1) + d(2) <= n + 5
+            and d(1) + d(2) + d(3) <= n + 7
+            and d(1) + d(2) + d(3) + d(4) <= n + 10
+            and 2 * d(1) + 2 * d(2) + d(3) + d(4) + d(5) <= 2 * n + 16
+        )
+    if c == 6:
+        return (
+            m >= 10
+            and d(1) + d(2) <= n + 6
+            and d(1) + d(2) + d(3) <= n + 8
+            and d(1) + d(2) + d(3) + d(4) <= n + 11
+            and 2 * d(1) + 2 * d(2) + d(3) + d(4) + d(5) <= 2 * n + 18
+            and 2 * d(1) + 2 * d(2) + d(3) + d(4) + d(5) + d(6) <= 2 * n + 20
+        )
+    raise ValueError(f"no inequality characterization implemented for c={c}")
+
+
 def textbook_is_graphical(seq):
     """Erdos-Gallai as stated: every k, each tail sum recomputed, O(n^2).
 

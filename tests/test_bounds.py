@@ -1,5 +1,6 @@
 """Tests for the bounds engine, closed forms, oracle verification, and serialization."""
 
+import importlib
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -30,6 +31,9 @@ def F(*args):
 
 
 RHO = IndexSpec.inverse_degree()
+
+#: the module: the package's ``bounds`` attribute is the function
+bounds_module = importlib.import_module("ccyclic.bounds")
 
 
 class TestBounds:
@@ -98,6 +102,23 @@ class TestClosedForms:
                 computed = bounds(klass, RHO)
                 assert closed.lower == computed.lower, (c, n)
                 assert closed.upper == computed.upper, (c, n)
+                assert closed.lower_attainer == computed.lower_attainer, (c, n)
+                assert closed.upper_attainer == computed.upper_attainer, (c, n)
+
+    def test_disagreeing_with_the_engine_raises(self, monkeypatch):
+        engine = bounds_module.bounds
+
+        def lower_off_by_one(klass, index):
+            report = engine(klass, index)
+            return replace(report, lower=report.lower + 1)
+
+        monkeypatch.setattr(bounds_module, "bounds", lower_off_by_one)
+        with pytest.raises(AssertionError, match="differ from bounds"):
+            closed_form_inverse_degree(CyclomaticClass(c=3, n=9))
+
+    def test_beyond_six_cycles_rejected(self):
+        with pytest.raises(ValueError, match="only established up to c=6"):
+            closed_form_inverse_degree(CyclomaticClass(c=7, n=12))
 
     def test_piecewise_small_orders(self):
         assert closed_form_inverse_degree(CyclomaticClass(c=5, n=7)).lower == F(9, 4)

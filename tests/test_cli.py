@@ -284,6 +284,22 @@ class TestLargeOrder:
         )
 
 
+    def test_json_at_a_million_vertices_is_written_as_it_is_encoded(self):
+        # the whole text held at once, as json.dumps builds it, peaks near 450 MB
+        limit = 384 << 20
+        result = subprocess.run(
+            [sys.executable, "-m", "ccyclic.cli", "extremal", "--n", "1000000", "--c", "6",
+             "--format", "json"],
+            capture_output=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            env={"PYTHONPATH": str(SRC)},
+        )
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert hashlib.sha256(result.stdout).hexdigest() == (
+            "94e867b12493c846994f9a06a0012e4267ca8615c44a515d73beb2a9dc1cb3c2"
+        )
+
     def test_bounds_at_a_million_vertices(self):
         # evaluated on the family's runs: one term per run, no 10**6-entry tuple
         result = run_isolated("bounds", "--n", "1000000", "--c", "1..6", "--alpha", "2")
@@ -411,6 +427,13 @@ class TestVerify:
         assert "CONJECTURE c=7 n=10" in out
         assert "holds" in out
 
+    def test_equivalence_only_is_refused_with_conjecture(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--conjecture", "--equivalence-only", "--n", "8", "--c", "7"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --equivalence-only applies to proven classes, not --conjecture\n"
+
     def test_c7_without_conjecture_flag_fails(self, capsys):
         code, _, err = run(capsys, "verify", "--n", "10", "--c", "7")
         assert code == 1
@@ -536,6 +559,13 @@ class TestDeterminismAndOutput:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("n,c,index,alpha,")
+
+    def test_json_output_file_equals_stdout(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        argv = ["bounds", "--n", "9", "--c", "1..6", "--alpha", "2", "--format", "json"]
+        _, out, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_text() == out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.txt"

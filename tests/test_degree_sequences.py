@@ -10,7 +10,6 @@ from ccyclic.degree_sequences import (
     CyclomaticClass,
     EnumerationCapError,
     ExtremalFamily,
-    _extremality_report,
     candidate_sequences,
     check_family_extremality,
     check_pattern_extremality,
@@ -18,6 +17,7 @@ from ccyclic.degree_sequences import (
     class_candidates,
     enumerate_sequences,
     extremal_family,
+    extremality_report,
     graphical_class_sequences,
     is_ccyclic_sequence,
     is_ccyclic_sequence_via_inequalities,
@@ -29,6 +29,7 @@ from ccyclic.majorization import Relation, compare, expand_runs, is_majorized_by
 
 from oracles import (
     cwr_candidates,
+    published_inequalities,
     reference_extremality_report,
     textbook_is_graphical,
     tuple_candidates,
@@ -151,6 +152,27 @@ def test_characterizations_agree_exhaustively():
                 inequalities = is_ccyclic_sequence_via_inequalities(seq, klass)
                 graphical = is_graphical(seq)
                 assert counting == inequalities == graphical, (c, n, seq)
+
+
+def test_inequality_table_agrees_with_the_published_chain():
+    """The table form and the written-out inequalities, near and at the class sum, n <= 12."""
+    checked = 0
+    for c in range(7):
+        for n in range(min_order(c), 13):
+            klass = CyclomaticClass(c=c, n=n)
+            for total in (klass.degree_total - 2, klass.degree_total, klass.degree_total + 2):
+                for runs in candidate_sequences(n, total):
+                    expected = published_inequalities(runs, klass)
+                    assert is_ccyclic_sequence_via_inequalities(runs, klass) == expected, runs
+                    checked += 1
+    assert checked == 17816
+
+
+def test_inequality_table_refuses_c_above_six_up_front():
+    klass = CyclomaticClass(c=7, n=6)
+    for runs in (runs_of((5, 5, 4, 4, 4, 2)), runs_of((1,) * 6)):  # the right sum, and not
+        with pytest.raises(ValueError, match="no inequality characterization implemented for c=7"):
+            is_ccyclic_sequence_via_inequalities(runs, klass)
 
 
 class TestEnumeration:
@@ -368,7 +390,7 @@ class TestExtremalityReportMatchesReference:
             for _ in range(30):
                 picks = rng.sample(population, rng.randint(2, 5))
                 family = ExtremalFamily(klass, tuple(picks[1:]), picks[0])
-                report = _extremality_report(family, population)
+                report = extremality_report(family, population)
                 assert report == reference_extremality_report(family, population), picks
 
     def test_family_with_a_wrong_total(self):
@@ -380,7 +402,7 @@ class TestExtremalityReportMatchesReference:
         wrong_least = runs_of((3, 3, 3, 3, 3, 3, 2, 2))
         for maximal_runs in ((wrong_top,), (wrong_top, runs_of((7, 3, 3, 3, 1, 1, 1, 1)))):
             family = ExtremalFamily(klass, maximal_runs, wrong_least)
-            report = _extremality_report(family, population)
+            report = extremality_report(family, population)
             assert report == reference_extremality_report(family, population)
             assert not report.members_valid
             assert len(report.not_above_minimal) == len(population)

@@ -163,6 +163,21 @@ def test_conjecture_scan_exits_2_on_a_failing_order(monkeypatch):
     assert "c=7 n=8: skipped (enumeration cap 7)" in out
 
 
+def test_conjecture_scan_builds_each_pattern_family_once(monkeypatch):
+    original = degree_sequences.parametric_extremal_family
+    built = []
+
+    def counting(c, n):
+        built.append((c, n))
+        return original(c, n)
+
+    monkeypatch.setattr(degree_sequences, "parametric_extremal_family", counting)
+    code, out, err = run_case(CASES["script-conjecture-scan"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "script-conjecture-scan.out").read_bytes()
+    assert len(built) == len(set(built)) == 12
+
+
 #: every front end of the oracle, run at one order n with ``--cap`` appended
 CAP_FRONT_ENDS = [
     pytest.param(["verify", "--n", "7", "--c", "1"], 7, id="verify"),

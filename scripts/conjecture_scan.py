@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     for c in range(7, args.c_max + 1):
         for n in range(min_order(c), args.n_max + 1):
             patterns = parametric_extremal_family(c, n)
-            if not patterns.maximals and patterns.minimal is None:
+            if not patterns.maximal_runs and patterns.minimal_runs is None:
                 continue
             klass = CyclomaticClass(c=c, n=n)
             try:
@@ -63,8 +63,8 @@ def main(argv=None) -> int:
             if not report.ok:
                 failures += 1
             print(
-                f"c={c} n={n}: {len(patterns.maximals)} maximal patterns, "
-                f"minimal {'yes' if patterns.minimal else 'no'}, "
+                f"c={c} n={n}: {len(patterns.maximal_runs)} maximal patterns, "
+                f"minimal {'yes' if patterns.minimal_runs else 'no'}, "
                 f"{report.sequence_count} sequences: {status}"
             )
             for pattern, witness in report.dominated_patterns:

@@ -13,8 +13,9 @@ up to K (default 12).  N must be at least 8, so that the closed forms hold
 for every c, and A an integer other than 0 and 1.
 
 Exit codes: 0 success, 1 on a usage error or a value too long to print
-(every table is rendered before the first line is printed), 3 when --verify
-skipped a row above the enumeration cap.
+(every table is rendered before the first line is printed), 2 when --verify
+found a row that differs from enumeration, else 3 when --verify skipped a row
+above the enumeration cap: a mismatch outranks a skip.
 """
 
 import sys
@@ -26,7 +27,7 @@ from ccyclic.bounds import (
     refined_inverse_degree_upper,
     verify_bounds,
 )
-from ccyclic.cli import EXIT_CAP, EXIT_OK, EXIT_USAGE, Parser, UsageError, checked_cap
+from ccyclic.cli import EXIT_USAGE, Parser, UsageError, checked_cap, exit_code
 from ccyclic.degree_sequences import (
     CyclomaticClass, EnumerationCapError, enumerate_sequences, extremal_family
 )
@@ -111,7 +112,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print("\n".join(lines))
-    return EXIT_CAP if SKIPPED in verdicts else EXIT_OK
+    return exit_code(verdicts)
 
 
 if __name__ == "__main__":

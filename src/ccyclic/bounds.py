@@ -29,12 +29,13 @@ from .degree_sequences import (
     EnumerationCapError,
     enumerate_sequences,
     extremal_family,
+    parametric_extremal_family,
 )
 from .formatting import (
     format_decimal, format_fraction, format_index_value, plain_sequence, printable
 )
 from .indices import GENERAL_ZAGREB, INVERSE_DEGREE, IndexSpec, SchurClass, evaluate, same_value
-from .majorization import expand_runs, runs_of
+from .majorization import expand_runs
 
 ORIENTATION_NOTE = (
     "orientation fixed by Schur-convexity (minimal sequence -> lower bound for "
@@ -151,9 +152,9 @@ def closed_form_inverse_degree(klass: CyclomaticClass) -> BoundsReport:
 def refined_inverse_degree_upper(klass: CyclomaticClass) -> Fraction:
     """Improved inverse-degree upper bound when the (c+2)-largest degree is >= 2.
 
-    Equals ``(n - c) + 1/(n-1) + (c^2 - 3c - 2) / (2(c+1))``, which is the
-    inverse degree of the widest-spread maximal sequence of the class and is
-    attained by its realizations.  Defined for c >= 3 and n >= c + 2.
+    Equals ``(n - c) + 1/(n-1) + (c^2 - 3c - 2) / (2(c+1))``: the inverse degree
+    of the first closed-form pattern ``(n-1, c+1, 2^c, 1^(n-c-2))``, attained by
+    its realizations.  Defined for c >= 3 and n >= c + 2, where that pattern exists.
     """
     c, n = klass.c, klass.n
     if c < 3:
@@ -161,7 +162,7 @@ def refined_inverse_degree_upper(klass: CyclomaticClass) -> Fraction:
     if n < c + 2:
         raise ValueError(f"the refined bound needs n >= c + 2, got n={n}, c={c}")
     value = (n - c) + Fraction(1, n - 1) + Fraction(c * c - 3 * c - 2, 2 * (c + 1))
-    attainer = runs_of((n - 1, c + 1) + (2,) * c + (1,) * (n - c - 2))
+    attainer = parametric_extremal_family(c, n).maximal_runs[0]
     if evaluate(IndexSpec.inverse_degree(), attainer) != value:
         raise AssertionError("refined bound does not match its attaining sequence")
     return value

@@ -76,8 +76,10 @@ class Parser(argparse.ArgumentParser):
 def _parse_range(text: str) -> range:
     """A single value or an inclusive range ``lo..hi``, as a range: nothing is materialized."""
     lo, dots, hi = text.partition("..")
-    start = int(lo)
-    stop = int(hi) if dots else start
+    try:
+        start, stop = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise UsageError(f"argument --c: expected an integer or lo..hi, got {text!r}") from None
     if stop < start:
         raise UsageError(f"empty range {text!r}")
     return range(start, stop + 1)
@@ -139,7 +141,7 @@ def _json_chunks(doc):
     yield "\n"
 
 
-def _exit_code(statuses) -> int:
+def exit_code(statuses) -> int:
     """Mismatch outranks a cap skip; any other status is success."""
     statuses = set(statuses)
     if MISMATCH in statuses:
@@ -242,7 +244,7 @@ def cmd_bounds(args) -> int:
         lines = [line for report in reports for line in _render_bounds_text(report)]
         _emit("\n".join(lines) + "\n", args.output)
 
-    return _exit_code(report.verified for report in reports)
+    return exit_code(report.verified for report in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +365,7 @@ def cmd_verify(args) -> int:
             f"skipped={'yes' if len(run) < len(records) else 'no'}"
         )
     _emit("".join(line + "\n" for line in lines), args.output)  # no orders: empty output
-    return _exit_code(record.status for record in records)
+    return exit_code(record.status for record in records)
 
 
 # ---------------------------------------------------------------------------

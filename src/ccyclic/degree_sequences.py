@@ -48,7 +48,7 @@ from operator import le
 from typing import Iterator, Optional
 
 from .extremal import BoxSet, integerize_runs, maximal_runs, minimal_runs
-from .majorization import Relation, compare_runs, expand_runs, partial_sums, runs_of
+from .majorization import Relation, coalesce_runs, compare_runs, expand_runs
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -293,9 +293,7 @@ def _members(klass: CyclomaticClass, cap: int) -> list:
     return [runs for runs in class_candidates(klass, cap) if is_graphical(runs)]
 
 
-def enumerate_sequences(
-    klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list:
+def enumerate_sequences(klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
     """Every degree sequence of the class as runs, in descending lexicographic order.
 
     A positive sequence with sum ``2(n + c - 1)`` is the degree sequence of a
@@ -307,9 +305,7 @@ def enumerate_sequences(
     return _members(klass, cap)
 
 
-def graphical_class_sequences(
-    klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list:
+def graphical_class_sequences(klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
     """The same population as :func:`enumerate_sequences`, under the name the scan uses."""
     return _members(klass, cap)
 
@@ -323,8 +319,8 @@ def graphical_class_sequences(
 class ExtremalFamily:
     """Maximal degree sequences (pairwise incomparable) and the unique minimal one.
 
-    Held as maximal runs; ``maximals`` and ``minimal`` expand them into
-    tuples on first use.
+    Held as maximal runs, which the package reads; ``maximals`` and
+    ``minimal`` expand them into tuples on first use.
     """
 
     klass: CyclomaticClass
@@ -420,46 +416,34 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
 # ---------------------------------------------------------------------------
 
 
-def _valid_pattern(seq: tuple, klass: CyclomaticClass) -> bool:
-    if len(seq) != klass.n or sum(seq) != klass.degree_total:
-        return False
-    if any(a < b for a, b in zip(seq, seq[1:])):
-        return False
-    return 1 <= seq[-1] and seq[0] <= klass.n - 1
-
-
 def parametric_extremal_family(c: int, n: int) -> ExtremalFamily:
-    """Instantiate the closed-form extremal patterns at (c, n).
+    """Instantiate the closed-form extremal patterns at (c, n), as runs: O(1) in n.
 
     Proven extremal for c <= 6 and a conjecture beyond.  A pattern whose
-    exponents turn negative or whose entries leave [1, n-1] is omitted; the
-    minimal one (else None) also needs c >= 1 and 2c - 2 <= n.
+    exponents turn negative is omitted; the minimal one (else None) also needs
+    c >= 1 and 2c - 2 <= n.  These guards make every pattern a sequence of the
+    class, which each call checks, raising ``AssertionError`` if not.
     """
     klass = CyclomaticClass(c=c, n=n)
     maximals = []
-
-    def push(*parts):
-        seq = tuple(d for d in parts if d > 0)
-        if _valid_pattern(seq, klass):
-            maximals.append(seq)
-
     if n - c - 2 >= 0:
-        push(n - 1, c + 1, *([2] * c), *([1] * (n - c - 2)))
+        maximals.append(((n - 1, 1), (c + 1, 1), (2, c), (1, n - c - 2)))
     if c >= 3 and n - c - 1 >= 0:
-        push(n - 1, c, 3, 3, *([2] * (c - 3)), *([1] * (n - c - 1)))
+        maximals.append(((n - 1, 1), (c, 1), (3, 2), (2, c - 3), (1, n - c - 1)))
     if c >= 5 and n - c >= 0:
-        push(n - 1, c - 1, 4, 3, 3, *([2] * (c - 5)), *([1] * (n - c)))
-
+        maximals.append(((n - 1, 1), (c - 1, 1), (4, 1), (3, 2), (2, c - 5), (1, n - c)))
+    maximals = tuple(map(coalesce_runs, maximals))
     minimal = None
     if c >= 1 and 2 * c - 2 <= n:
-        seq = (3,) * (2 * c - 2) + (2,) * (n - 2 * c + 2)
-        if _valid_pattern(seq, klass):
-            minimal = seq
-    return ExtremalFamily(
-        klass=klass,
-        maximal_runs=tuple(map(runs_of, maximals)),
-        minimal_runs=None if minimal is None else runs_of(minimal),
-    )
+        minimal = coalesce_runs(((3, 2 * c - 2), (2, n - 2 * c + 2)))
+    for runs in maximals + (() if minimal is None else (minimal,)):
+        try:
+            validate_runs(runs, n)
+        except ValueError as exc:
+            raise AssertionError(f"closed-form pattern {runs} at {klass}: {exc}") from None
+        if sum(d * count for d, count in runs) != klass.degree_total:
+            raise AssertionError(f"closed-form pattern {runs} is off the total of {klass}")
+    return ExtremalFamily(klass, maximals, minimal)
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +495,15 @@ def _below(low: list, high: list) -> bool:
 def extremality_report(family: ExtremalFamily, population) -> ExtremalityReport:
     """Check ``family`` against ``population``, the class members as runs.
 
-    Each fixed vector is validated and summed once, each member once; pairs compare sums.
+    Each fixed vector and each member is summed once; pairs compare sums.
     """
+    minimal = family.minimal_runs
     members_valid = all(runs in population for runs in family.maximal_runs) and (
-        family.minimal is None or family.minimal_runs in population
+        minimal is None or minimal in population
     )
-    tops = [(partial_sums(top), runs) for top, runs in zip(family.maximals, family.maximal_runs)]
+    tops = [(list(accumulate(expand_runs(runs))), runs) for runs in family.maximal_runs]
     incomparable = all(not _below(a, b) for (a, _), (b, _) in permutations(tops, 2))
-    least = None if family.minimal is None else partial_sums(family.minimal)
+    least = None if minimal is None else list(accumulate(expand_runs(minimal)))
     uncovered = []
     witnesses = {}
     below = []

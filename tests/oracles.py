@@ -7,7 +7,8 @@ library results can be checked against genuinely separate computations.
 The exceptions are :func:`reference_extremality_report`, the former
 pairwise report kept as a reference, built on the library's ``compare``, and
 :func:`per_coordinate_compare`, the former entry-by-entry ``compare``, which
-validates its input with the library's ``check_vector``.
+validates its input with the library's ``check_vector``.  :func:`tuple_patterns`
+is the former tuple builder of the closed-form patterns, kept as a reference.
 """
 
 from __future__ import annotations
@@ -250,6 +251,46 @@ def with_a_maximal_as_minimal(family):
     if not family.maximal_runs:
         return family
     return replace(family, minimal_runs=family.maximal_runs[0])
+
+
+def tuple_patterns(c, n):
+    """The closed-form patterns at (c, n) as ``(maximals, minimal or None)``, in tuples.
+
+    The former tuple builder of ``parametric_extremal_family``, kept as a
+    reference: each pattern is written entry by entry, its zero entries are
+    dropped, and it is kept only if it is a nonincreasing length-n sequence
+    in [1, n-1] with the class total 2(n + c - 1).
+    """
+    total = 2 * (n + c - 1)
+
+    def valid(seq):
+        return (
+            len(seq) == n
+            and sum(seq) == total
+            and all(a >= b for a, b in zip(seq, seq[1:]))
+            and 1 <= seq[-1]
+            and seq[0] <= n - 1
+        )
+
+    maximals = []
+
+    def push(*parts):
+        seq = tuple(d for d in parts if d > 0)
+        if valid(seq):
+            maximals.append(seq)
+
+    if n - c - 2 >= 0:
+        push(n - 1, c + 1, *([2] * c), *([1] * (n - c - 2)))
+    if c >= 3 and n - c - 1 >= 0:
+        push(n - 1, c, 3, 3, *([2] * (c - 3)), *([1] * (n - c - 1)))
+    if c >= 5 and n - c >= 0:
+        push(n - 1, c - 1, 4, 3, 3, *([2] * (c - 5)), *([1] * (n - c)))
+    minimal = None
+    if c >= 1 and 2 * c - 2 <= n:
+        seq = (3,) * (2 * c - 2) + (2,) * (n - 2 * c + 2)
+        if valid(seq):
+            minimal = seq
+    return tuple(maximals), minimal
 
 
 def random_nonincreasing(rng, n, low=1, high=9):

@@ -5,14 +5,17 @@ import json
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ccyclic
 from ccyclic import cli, degree_sequences, formatting
-from ccyclic.bounds import MISMATCH, ORIENTATION_NOTE, bounds, with_verification
-from ccyclic.cli import main
+from ccyclic.bounds import (
+    EXACT_MATCH, MISMATCH, ORIENTATION_NOTE, SKIPPED, bounds, with_verification
+)
+from ccyclic.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, exit_code, main
 from ccyclic.degree_sequences import CyclomaticClass
 from ccyclic.indices import IndexSpec
 
@@ -170,7 +173,8 @@ class TestBounds:
         assert docs[0]["lower_exact"] == "40"
 
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def _limit_memory():
@@ -191,6 +195,19 @@ def run_isolated(*argv, **env):
         timeout=10,
         preexec_fn=_limit_memory,
         env={"PYTHONPATH": str(SRC), **env},
+    )
+
+
+def run_in_384_mib(*command):
+    """Run ``python *command`` in a child process with 384 MiB of address space."""
+    limit = 384 << 20
+    return subprocess.run(
+        [sys.executable, *command],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        env={"PYTHONPATH": str(SRC)},
     )
 
 
@@ -340,6 +357,31 @@ class TestLargeOrder:
             f"{top}4^4, 1^999995] -> 999999000060 (999999000060)",
         ]
 
+    def test_refined_bound_at_a_billion_vertices(self):
+        # the refined attainer is the first closed-form pattern, built as runs
+        n = 10**9
+        result = run_in_384_mib(
+            "-m", "ccyclic.cli", "bounds", "--n", str(n), "--c", "3..6",
+            "--index", "inverse-degree", "--refined",
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        refined = [
+            line.split(": ", 1)[1]
+            for line in result.stdout.splitlines()
+            if line.startswith("  refined upper")
+        ]
+        assert refined == [
+            formatting.format_index_value(
+                (n - c) + Fraction(1, n - 1) + Fraction(c * c - 3 * c - 2, 2 * (c + 1))
+            )
+            for c in range(3, 7)
+        ]
+
+    def test_reproduce_tables_at_a_billion_vertices(self):
+        result = run_in_384_mib(str(ROOT / "scripts" / "reproduce_tables.py"), "--n", str(10**9))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.count("[refined upper ") == 4
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "argv",
@@ -360,6 +402,28 @@ class TestLargeOrder:
         for render in (formatting.plain_sequence, formatting.printable):
             with pytest.raises(ValueError, match="too long to print: 11 entries"):
                 render(runs + ((0, 1),))
+
+
+@pytest.mark.parametrize(
+    "command", [("verify", "--n", "10"), ("bounds", "--n", "10", "--alpha", "2")]
+)
+@pytest.mark.parametrize("text", ["x", "1..", "..", "1.5", "a..b", "1..2..3"])
+def test_malformed_cycle_range_is_a_usage_error(capsys, command, text):
+    code, out, err = run(capsys, *command, "--c", text)
+    assert (code, out) == (1, "")
+    assert err == f"error: argument --c: expected an integer or lo..hi, got {text!r}\n"
+
+
+def test_empty_cycle_range_keeps_its_message(capsys):
+    assert run(capsys, "verify", "--n", "10", "--c", "3..1") == (
+        1, "", "error: empty range '3..1'\n"
+    )
+
+
+def test_exit_code_ranks_a_mismatch_over_a_skip():
+    assert exit_code([EXACT_MATCH, SKIPPED, MISMATCH, SKIPPED]) == EXIT_MISMATCH
+    assert exit_code([EXACT_MATCH, SKIPPED]) == EXIT_CAP
+    assert exit_code([EXACT_MATCH, "ok"]) == exit_code([]) == EXIT_OK
 
 
 class TestHugeCycleRanges:

@@ -25,7 +25,9 @@ from ccyclic.degree_sequences import (
     min_order,
     parametric_extremal_family,
 )
-from ccyclic.majorization import Relation, compare, expand_runs, is_majorized_by, runs_of
+from ccyclic.majorization import (
+    Relation, coalesce_runs, compare, expand_runs, is_majorized_by, runs_of
+)
 
 from oracles import (
     cwr_candidates,
@@ -33,6 +35,7 @@ from oracles import (
     reference_extremality_report,
     textbook_is_graphical,
     tuple_candidates,
+    tuple_patterns,
 )
 from strategies import degree_sequences, raw_degree_lists
 
@@ -437,6 +440,40 @@ class TestParametricPatterns:
         family = parametric_extremal_family(5, 7)
         assert family.minimal is None
         assert len(family.maximals) == 3
+
+    def test_patterns_equal_the_tuple_reference(self):
+        for c in range(40):
+            for n in range(min_order(c), 120):
+                family = parametric_extremal_family(c, n)
+                assert (family.maximals, family.minimal) == tuple_patterns(c, n), (c, n)
+                assert family.maximal_runs == tuple(map(runs_of, family.maximals)), (c, n)
+                if family.minimal is not None:
+                    assert family.minimal_runs == runs_of(family.minimal), (c, n)
+
+    def test_patterns_cost_no_entry_per_vertex(self):
+        family = parametric_extremal_family(7, 10**12)
+        top = 10**12 - 1
+        assert family.maximal_runs == (
+            ((top, 1), (8, 1), (2, 7), (1, top - 8)),
+            ((top, 1), (7, 1), (3, 2), (2, 4), (1, top - 7)),
+            ((top, 1), (6, 1), (4, 1), (3, 2), (2, 2), (1, top - 6)),
+        )
+        assert family.minimal_runs == ((3, 12), (2, 10**12 - 12))
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda runs: runs[:-1], "expected 16 degrees"),
+            (lambda runs: ((runs[0][0] - 1, 1),) + runs[1:], "off the total"),
+        ],
+        ids=["short", "off-total"],
+    )
+    def test_a_broken_pattern_fails_its_self_check(self, monkeypatch, damage, message):
+        monkeypatch.setattr(
+            "ccyclic.degree_sequences.coalesce_runs", lambda runs: damage(coalesce_runs(runs))
+        )
+        with pytest.raises(AssertionError, match=f"closed-form pattern .*{message}"):
+            parametric_extremal_family(7, 16)
 
     def test_patterns_subset_of_family(self):
         for c in range(7):

@@ -130,6 +130,18 @@ def test_reproduce_tables_exits_3_on_a_skipped_row():
     assert out == verified.replace("(exact-match)", "(skipped)")
 
 
+def test_reproduce_tables_exits_2_on_a_mismatch(monkeypatch):
+    # each class short of its first member: the oracle's extremes move for 9 of 13 rows
+    original = degree_sequences.enumerate_sequences
+    monkeypatch.setattr(
+        degree_sequences, "enumerate_sequences", lambda klass, cap: original(klass, cap)[1:]
+    )
+    code, out, err = run_case(CASES["script-reproduce-tables"])
+    assert (code, err) == (2, "")
+    assert out.count("(mismatch)") == 9
+    assert out.count("(exact-match)") == 4
+
+
 def test_reproduce_tables_enumerates_each_class_once(monkeypatch):
     original = degree_sequences.candidate_sequences
     created = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Real
@@ -31,10 +32,9 @@ from .degree_sequences import (
     extremal_family,
     parametric_extremal_family,
 )
-from .formatting import (
-    format_decimal, format_fraction, format_index_value, plain_sequence, printable
-)
+from .formatting import format_decimal, format_fraction, plain_sequence, printable
 from .indices import GENERAL_ZAGREB, INVERSE_DEGREE, IndexSpec, SchurClass, evaluate, same_value
+from .indices import ranking_keys
 from .majorization import expand_runs
 
 ORIENTATION_NOTE = (
@@ -188,16 +188,17 @@ class OracleOutcome:
 def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
     """Compare the report's bounds and attainers with the extrema over its enumerated class.
 
-    ``population`` holds the class members as runs.  ``refined_upper``, set
-    only on an inverse-degree report, must equal the largest value over the
-    members whose (c+2)-th largest degree is >= 2.
+    ``population`` is a list of members as runs, ranked by ``ranking_keys``.
+    ``refined_upper``, set only on an inverse-degree report, must equal the
+    largest value over the members whose (c+2)-th largest degree is >= 2.
     """
     index = report.index
-    values = [(runs, evaluate(index, runs)) for runs in population]
-    minimum = min(v for _, v in values)
-    maximum = max(v for _, v in values)
-    minimizers = tuple(s for s, v in values if same_value(v, minimum))
-    maximizers = tuple(s for s, v in values if same_value(v, maximum))
+    keys = ranking_keys(index, population)
+    low, high = min(keys), max(keys)
+    tie = same_value if isinstance(low, float) else operator.eq
+    minimizers = tuple(runs for runs, key in zip(population, keys) if tie(key, low))
+    maximizers = tuple(runs for runs, key in zip(population, keys) if tie(key, high))
+    minimum, maximum = (evaluate(index, population[keys.index(x)]) for x in (low, high))
     ok = (
         same_value(report.lower, minimum)
         and same_value(report.upper, maximum)
@@ -207,9 +208,9 @@ def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
     refined = None
     if report.refined_upper is not None:
         c = report.klass.c
-        spread = [v for runs, v in values if sum(m for d, m in runs if d >= 2) >= c + 2]
+        spread = [k for r, k in zip(population, keys) if sum(m for d, m in r if d >= 2) >= c + 2]
         if index.kind == INVERSE_DEGREE and spread:
-            refined = max(spread)
+            refined = evaluate(index, population[keys.index(max(spread))])
         ok = ok and refined is not None and same_value(report.refined_upper, refined)
     return OracleOutcome(
         status=EXACT_MATCH if ok else MISMATCH,
@@ -298,7 +299,8 @@ def report_row(report: BoundsReport) -> dict:
         "verified": report.verified or "",
     }
     if report.refined_upper is not None:
-        row["refined_upper_exact"] = format_index_value(report.refined_upper)
+        row["refined_upper_exact"] = format_fraction(report.refined_upper)
+        row["refined_upper_decimal"] = format_decimal(report.refined_upper)
     return row
 
 
@@ -307,7 +309,7 @@ def reports_to_csv(reports) -> str:
     rows = [report_row(report) for report in reports]
     fields = CSV_FIELDS
     if any("refined_upper_exact" in row for row in rows):
-        fields += ("refined_upper_exact",)
+        fields += ("refined_upper_exact", "refined_upper_decimal")
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
@@ -338,4 +340,5 @@ def report_to_json_dict(report: BoundsReport) -> dict:
     }
     if report.refined_upper is not None:
         doc["refined_upper"] = row["refined_upper_exact"]
+        doc["refined_upper_decimal"] = row["refined_upper_decimal"]
     return doc

@@ -8,13 +8,11 @@ Supported indices are the ones determined by the degree sequence alone:
 
 Power sums with convex ``d ** alpha`` (alpha < 0 or alpha > 1) are
 Schur-convex on positive vectors, those with 0 < alpha < 1 Schur-concave,
-and the log form is Schur-concave.  Integer exponents (the inverse degree is
-alpha = -1) are evaluated exactly on the (degree, multiplicity) runs that
-every caller passes: a positive power sum is one int, ``sum(m * d ** alpha)``,
-and a negative one is one ``Fraction`` over the common denominator
-``lcm(degrees) ** -alpha``, so a sequence costs one term per run and one
-reduction, not one ``Fraction`` per entry.  Everything else is binary floating
-point, one ``m * f(d)`` term per run.
+and the log form is Schur-concave.  :func:`evaluate` takes one term per
+(degree, multiplicity) run: an int for a positive integer exponent, one
+``Fraction`` over ``lcm(degrees) ** -alpha`` for a negative one (the inverse
+degree is alpha = -1), else a float.  :func:`ranking_keys` ranks a population
+by one table: int keys where values are exact, degree products for the log form.
 
 A value is the plain number, and its type says whether it is exact: an int or
 a ``Fraction`` is, a float is not.  :func:`same_value` compares two values,
@@ -154,3 +152,22 @@ def _exact_power_sum(runs, degrees: list, power: int) -> Real:
     common = math.lcm(*degrees)
     numerator = sum(count * (common // d) ** -power for d, count in runs)
     return Fraction(numerator, common**-power)
+
+
+def ranking_keys(index: IndexSpec, population) -> list:
+    """One number per member that orders members as their values do.
+
+    ``sum(m * table[d])`` over its runs: the value, times ``lcm(1..top)**-alpha``
+    (top the largest degree) for an integer alpha < 0; ``prod(d ** m)`` for the log form.
+    """
+    degrees = {d for runs in population for d, _ in runs}
+    evaluate(index, ((min(degrees), 1), (max(degrees), 1)))  # refuses what evaluate would
+    if index.kind == MULT_ZAGREB_LOG:
+        return [math.prod([d**m for d, m in runs]) for runs in population]
+    power, span = -1 if index.kind == INVERSE_DEGREE else index.alpha, range(1, max(degrees) + 1)
+    if power.denominator != 1:
+        table = [0.0] + [d ** float(power) for d in span]
+    else:
+        common = math.lcm(*span)
+        table = [0] + [(d if power > 0 else common // d) ** abs(int(power)) for d in span]
+    return [sum([m * table[d] for d, m in runs]) for runs in population]

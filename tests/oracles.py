@@ -9,6 +9,8 @@ pairwise report kept as a reference, built on the library's ``compare``, and
 :func:`per_coordinate_compare`, the former entry-by-entry ``compare``, which
 validates its input with the library's ``check_vector``.  :func:`tuple_patterns`
 is the former tuple builder of the closed-form patterns, kept as a reference.
+:func:`reference_verify_bounds` is the former oracle index check, one
+``evaluate`` per member, kept as a reference for the ranking keys.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from operator import sub
 
+from ccyclic.bounds import EXACT_MATCH, MISMATCH, OracleOutcome
 from ccyclic.degree_sequences import ExtremalityReport
+from ccyclic.indices import INVERSE_DEGREE, evaluate, same_value
 from ccyclic.majorization import Relation, check_vector, compare, expand_runs, is_majorized_by
 
 
@@ -558,4 +562,39 @@ def reference_extremality_report(family, population):
             (top, witnesses[top]) for top in family.maximal_runs if top in witnesses
         ),
         not_above_minimal=tuple(below),
+    )
+
+
+def reference_verify_bounds(report, population):
+    """The oracle index check by one ``evaluate`` per member, ties by ``same_value``.
+
+    Ranks members by their values, so a multiplicative Zagreb tie is decided
+    by the float log sums, within a relative 1e-12.
+    """
+    index = report.index
+    values = [(runs, evaluate(index, runs)) for runs in population]
+    minimum = min(v for _, v in values)
+    maximum = max(v for _, v in values)
+    minimizers = tuple(s for s, v in values if same_value(v, minimum))
+    maximizers = tuple(s for s, v in values if same_value(v, maximum))
+    ok = (
+        same_value(report.lower, minimum)
+        and same_value(report.upper, maximum)
+        and report.lower_attainer in minimizers
+        and report.upper_attainer in maximizers
+    )
+    refined = None
+    if report.refined_upper is not None:
+        c = report.klass.c
+        spread = [v for runs, v in values if sum(m for d, m in runs if d >= 2) >= c + 2]
+        if index.kind == INVERSE_DEGREE and spread:
+            refined = max(spread)
+        ok = ok and refined is not None and same_value(report.refined_upper, refined)
+    return OracleOutcome(
+        status=EXACT_MATCH if ok else MISMATCH,
+        minimum=minimum,
+        maximum=maximum,
+        minimizers=minimizers,
+        maximizers=maximizers,
+        refined_maximum=refined,
     )

@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import math
+import operator
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,8 +24,13 @@ from ccyclic.bounds import (
     with_verification,
 )
 from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, min_order
-from ccyclic.indices import IndexSpec, SchurClass, evaluate
+from ccyclic.cli import VERIFY_INDICES
+from ccyclic.indices import (
+    INVERSE_DEGREE, MULT_ZAGREB_LOG, IndexSpec, SchurClass, evaluate, ranking_keys, same_value
+)
 from ccyclic.majorization import runs_of
+
+from oracles import reference_verify_bounds
 
 
 def F(*args):
@@ -314,12 +321,12 @@ class TestSerialization:
         refined = replace(plain, refined_upper=refined_inverse_degree_upper(klass))
         assert "refined_upper_exact" not in reports_to_csv([plain])
         header, row = reports_to_csv([refined]).splitlines()
-        assert header.endswith(",verified,refined_upper_exact")
-        assert row.endswith(",137/28 (4.89285714286)")
+        assert header.endswith(",verified,refined_upper_exact,refined_upper_decimal")
+        assert row.endswith(",137/28,4.89285714286")
         assert "refined_upper" not in report_to_json_dict(plain)
-        assert list(report_to_json_dict(refined).items())[-1] == (
-            "refined_upper", "137/28 (4.89285714286)"
-        )
+        assert list(report_to_json_dict(refined).items())[-2:] == [
+            ("refined_upper", "137/28"), ("refined_upper_decimal", "4.89285714286")
+        ]
 
     def test_inexact_index_blank_exact_columns(self):
         report = bounds(CyclomaticClass(c=1, n=6), IndexSpec.mult_zagreb_log())
@@ -327,3 +334,98 @@ class TestSerialization:
         row = text.strip().splitlines()[1].split(",")
         assert row[4] == "" and row[6] == ""
         assert row[5] != "" and row[7] != ""
+
+
+#: the oracle's indices plus exponents of every kind: fractional and integer, both signs
+RANKED_INDICES = VERIFY_INDICES + tuple(
+    IndexSpec.general_zagreb(alpha) for alpha in (F(1, 2), F(-1, 2), -2, F(3, 2), 4)
+)
+
+
+def value_of_key(index, key, top):
+    """The index value a ranking key stands for, by the scale the keys are documented with."""
+    if index.kind == MULT_ZAGREB_LOG:
+        return 2 * math.log(key)
+    power = -1 if index.kind == INVERSE_DEGREE else index.alpha
+    if power.denominator != 1 or power > 0:
+        return key
+    return Fraction(key, math.lcm(*range(1, top + 1)) ** -int(power))
+
+
+def assert_same_outcome(report, population):
+    new, old = verify_bounds(report, population), reference_verify_bounds(report, population)
+    assert new == old
+    for field in ("minimum", "maximum", "refined_maximum"):
+        assert type(getattr(new, field)) is type(getattr(old, field)), field
+    return new
+
+
+class TestRankingKeys:
+    """verify_bounds on ranking keys against the former evaluate-per-member check."""
+
+    @pytest.mark.parametrize("c", range(7))
+    def test_outcomes_match_the_reference(self, c):
+        for n in range(min_order(c), 13):
+            klass = CyclomaticClass(c=c, n=n)
+            population = enumerate_sequences(klass)
+            top = max(runs[0][0] for runs in population)
+            for index in RANKED_INDICES:
+                same = same_value if index.kind == MULT_ZAGREB_LOG else operator.eq
+                for runs, key in zip(population, ranking_keys(index, population)):
+                    assert same(value_of_key(index, key, top), evaluate(index, runs)), (c, n)
+                report = bounds(klass, index)
+                outcome = assert_same_outcome(report, population)
+                assert outcome.status == EXACT_MATCH, (c, n, index)
+                intruder = next((s for s in population if s not in outcome.minimizers), None)
+                damaged = [
+                    replace(report, lower=report.lower + 1),
+                    replace(report, upper=report.upper - 1),
+                    replace(report, refined_upper=F(999)),
+                ]
+                if intruder is not None:
+                    damaged.append(replace(report, lower_attainer=intruder))
+                    damaged.append(replace(report, upper_attainer=intruder))
+                if index.kind == INVERSE_DEGREE and c >= 3 and n >= c + 2:
+                    refined = refined_inverse_degree_upper(klass)
+                    damaged.append(replace(report, refined_upper=refined))
+                    damaged.append(replace(report, refined_upper=refined - F(1, 7)))
+                for tampered in damaged:
+                    assert_same_outcome(tampered, population)
+
+    def test_multiplicative_zagreb_ranks_by_the_exact_product(self):
+        # Log sums equal within 1e-12 whose products (818 digits each) differ.
+        a = ((3, 274), (2, 2282))
+        b = ((7, 208), (5, 57), (2, 2000))
+        index = IndexSpec.mult_zagreb_log()
+        assert same_value(evaluate(index, a), evaluate(index, b))
+        assert math.prod(d**m for d, m in a) > math.prod(d**m for d, m in b)
+        report = bounds(CyclomaticClass(c=3, n=8), index)
+        outcome = verify_bounds(report, [a, b])
+        assert (outcome.minimizers, outcome.maximizers) == ((b,), (a,))
+        assert (outcome.minimum, outcome.maximum) == (evaluate(index, b), evaluate(index, a))
+        assert reference_verify_bounds(report, [a, b]).maximizers == (a, b)
+
+    def test_float_keys_tie_as_same_value_does(self):
+        # 4 * sqrt(2) twice, as floats one unit in the last place apart
+        a, b = ((18, 1), (2, 1)), ((8, 2),)
+        index = IndexSpec.general_zagreb(F(1, 2))
+        assert evaluate(index, a) != evaluate(index, b)
+        outcome = assert_same_outcome(bounds(CyclomaticClass(c=3, n=8), index), [a, b])
+        assert outcome.minimizers == outcome.maximizers == (a, b)
+
+    @pytest.mark.parametrize(
+        "alpha, population",
+        [
+            (2, [runs_of((2, 2, 2)), ((2, 2), (0, 1))]),  # a non-positive degree
+            (F(1000000, 3), [runs_of((7, 2, 2, 1, 1, 1, 1, 1))]),  # a power overflows a float
+            (364, [runs_of((2, 2, 2)), ((7, 5),)]),  # 7 ** 364 fits a float, five of them do not
+            (-10000, [runs_of((7, 2, 2, 1, 1, 1, 1, 1))]),  # over 4300 digits
+        ],
+    )
+    def test_refuses_what_evaluate_refuses(self, alpha, population):
+        index = IndexSpec.general_zagreb(alpha)
+        report = replace(bounds(CyclomaticClass(c=1, n=3), RHO), index=index)
+        with pytest.raises(ValueError):
+            reference_verify_bounds(report, population)
+        with pytest.raises(ValueError):
+            verify_bounds(report, population)

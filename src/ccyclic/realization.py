@@ -1,21 +1,36 @@
 """Deterministic construction of connected simple graphs from degree sequences.
 
-The builder is the classic greedy attachment (largest remaining degree first,
-ties broken by vertex index) followed by a connectivity repair that trades a
-cycle edge of one component against an edge of another.  Both phases preserve
-the degree multiset, and the repair always terminates because a disconnected
-graph with at least ``n - 1`` edges must own a component containing a cycle.
+One pass lays off vertex v = n-1, ..., 1 onto the earlier vertices of largest
+remaining degree, as many as v still needs, taking the highest indices within
+the run of equal degrees where those partners end.  So the remaining degrees
+stay nonincreasing in index order, v has the least positive one, and the run's
+ends are two bisections: the pass costs O(m + n log n) for m edges.
 
-Attachment keeps the vertices in a heap, so it costs O(m log n) for m edges.
-The repair keeps each component's cycle edges and updates them at each swap;
-a component is searched again only after a swap that leaves it with new
-bridges.  Neither phase rescans the whole graph per step.
+Why a graphical, positive, nonincreasing input with sum at least 2(n - 1)
+gives a connected graph with exactly its degrees:
+
+* Laying off any vertex onto the largest remaining degrees keeps the rest
+  graphical (Kleitman & Wang, "Algorithms for constructing graphs and digraphs
+  with given valences and factors", *Discrete Math.* 6, 1973), so no step runs
+  out of partners and every degree is met.
+* Call a vertex live while its remaining degree is positive.  The live degrees
+  keep a sum of at least 2(live - 1), Hakimi's condition for a connected
+  realization ("On realizability of a set of integers as degrees of the
+  vertices of a linear graph I", *J. SIAM* 10, 1962).  Laying off v with
+  remaining degree r lowers the sum by 2r and live by at least one.  If r = 1,
+  the bound holds.  If r >= 2, every live degree is at least r, so the sum
+  was at least r * live and stays at least r(live - 2) >= 2(live - 2).
+* By induction the later steps join the vertices still live after v into one
+  component, and v is adjacent to it unless all of v's partners leave.  That
+  needs every live degree to be 1, which the bound allows only for v and one
+  partner.  Partners that leave are adjacent to v, so the graph is connected.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from itertools import chain
 
 from .degree_sequences import is_graphical
 from .majorization import runs_of
@@ -58,17 +73,21 @@ class SimpleGraph:
         return tuple(sorted(self.vertex_degrees(), reverse=True))
 
 
-def _adjacency(n: int, edges) -> list:
-    """Neighbour sets of the vertices 0..n-1."""
-    adjacency = [set() for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    return adjacency
-
-
 def is_connected(graph: SimpleGraph) -> bool:
-    return len(_cycle_edges(_adjacency(graph.n, graph.edges), range(graph.n))) == 1
+    """Whether a search from vertex 0 reaches every vertex; the empty graph is not connected."""
+    if graph.n == 0:
+        return False
+    adjacency = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == graph.n
 
 
 def cyclomatic_number(graph: SimpleGraph) -> int:
@@ -78,118 +97,22 @@ def cyclomatic_number(graph: SimpleGraph) -> int:
     return graph.edge_count - graph.n + 1
 
 
-def _attach(degrees) -> set:
-    """Greedy attachment: the vertex of largest remaining degree (smallest index
-    among equals) is joined to the next ``need`` vertices in the same order.
-
-    The order is a heap of keys ``v - remaining * n``, so a step pops its
-    center and partners and pushes back the partners still short of degree.
-    """
-    n = len(degrees)
-    heap = [v - d * n for v, d in enumerate(degrees)]  # sorted, so a heap: degrees are nonincreasing
-    edges = set()
-    while heap:
-        key = heappop(heap)
-        center, need = key % n, -(key // n)
-        if len(heap) < need:
-            raise AssertionError("greedy attachment ran out of partners on graphical input")
-        partners = [heappop(heap) for _ in range(need)]
-        for key in partners:
-            edges.add(_edge(center, key % n))
-            if key + n < 0:
-                heappush(heap, key + n)
+def _lay_off(degrees) -> list:
+    """The edges of the one pass.  ``negated`` holds the remaining degrees negated,
+    so its entries before v stay nondecreasing and bisect without a key function."""
+    negated = [-d for d in degrees]
+    edges = []
+    for v in range(len(negated) - 1, 0, -1):
+        need = -negated[v]
+        if need:
+            if need > v or negated[need - 1] == 0:
+                raise AssertionError("laying off ran out of partners on graphical input")
+            low = bisect_left(negated, negated[need - 1], 0, v)
+            high = bisect_right(negated, negated[need - 1], low, v)
+            for u in chain(range(low), range(high - need + low, high)):
+                negated[u] += 1
+                edges.append((u, v))
     return edges
-
-
-def _cycle_edges(adjacency, roots) -> list:
-    """``(root, cycle edges)`` of the component of each root not reached from an earlier root.
-
-    The cycle edges are all edges but the bridges, found by an iterative
-    depth-first search with low points: a tree edge lies on a cycle exactly
-    when the subtree below it reaches its upper end or above.
-    """
-    index, low, found = {}, {}, []
-    for root in roots:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        cycle = set()
-        stack = [(root, None, iter(adjacency[root]))]
-        while stack:
-            v, parent, neighbours = stack[-1]
-            for w in neighbours:
-                if w == parent:
-                    continue
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append((w, v, iter(adjacency[w])))
-                    break
-                if index[w] < index[v]:  # back edge to an ancestor
-                    cycle.add(_edge(v, w))
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            else:
-                stack.pop()
-                if parent is not None and low[v] <= index[parent]:
-                    cycle.add(_edge(parent, v))
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-        found.append((root, cycle))
-    return found
-
-
-def _reconnect(n: int, edges: set) -> None:
-    """Join the components in place by edge swaps that keep every degree.
-
-    While components remain, the smallest cycle edge ``(u, v)`` of the first
-    component that has a cycle and the smallest edge ``(x, y)`` of the first
-    other component (components ordered by smallest vertex) are replaced by
-    ``(u, x)`` and ``(v, y)``, which merges the two.  As no vertex is
-    isolated, ``x`` is that component's smallest vertex.  Each component
-    keeps its cycle edges, in a set and a lazily pruned heap.  A swap
-    updates them directly: ``(u, v)`` lies on a cycle, so when ``(x, y)``
-    does too, every other edge keeps its status and the new edges close a
-    cycle.  When ``(x, y)`` is a bridge, the merged component is searched
-    again, and only if a later swap needs it.
-    """
-    adjacency = _adjacency(n, edges)
-    # (smallest vertex, cycle edges or None for not yet searched, heap of them) per component,
-    # ordered by smallest vertex
-    parts = [(root, cycle, sorted(cycle)) for root, cycle in _cycle_edges(adjacency, range(n))]
-    while len(parts) > 1:
-        for donor, (root, cycle, heap) in enumerate(parts):
-            if cycle is None:
-                [(_, cycle)] = _cycle_edges(adjacency, (root,))
-                heap = sorted(cycle)
-                parts[donor] = (root, cycle, heap)
-            while heap and heap[0] not in cycle:
-                heappop(heap)
-            if heap:
-                break
-        else:
-            raise AssertionError("no cycle edge found while reconnecting components")
-        receiver = 1 if donor == 0 else 0
-        x, receiver_cycle, _ = parts[receiver]
-        (u, v), y = heap[0], min(adjacency[x])
-        for a, b in ((u, v), (x, y)):
-            adjacency[a].discard(b)
-            adjacency[b].discard(a)
-            edges.discard((a, b))
-        for a, b in ((u, x), (v, y)):
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-            edges.add(_edge(a, b))
-        if (x, y) in receiver_cycle:
-            cycle.discard((u, v))
-            receiver_cycle.discard((x, y))
-            receiver_cycle.update((_edge(u, x), _edge(v, y)))
-            cycle |= receiver_cycle
-            for e in receiver_cycle:
-                heappush(heap, e)
-        else:  # the new edges are bridges, and (u, v) may have closed the donor's last cycles
-            cycle = None
-        parts[0] = (min(root, x), cycle, heap)  # the merge holds the smallest vertex left
-        del parts[max(donor, receiver)]
 
 
 def realize(seq) -> SimpleGraph:
@@ -212,11 +135,11 @@ def realize(seq) -> SimpleGraph:
     if sum(degrees) < 2 * (n - 1):
         raise RealizationError("fewer edge endpoints than any spanning tree needs")
 
-    edges = _attach(degrees)
-    _reconnect(n, edges)
-    graph = SimpleGraph(n=n, edges=frozenset(edges))
+    graph = SimpleGraph(n=n, edges=frozenset(_lay_off(degrees)))
     if graph.degree_sequence() != degrees:
         raise AssertionError("construction changed the degree multiset")
+    if not is_connected(graph):
+        raise AssertionError("construction left the graph disconnected")
     return graph
 
 

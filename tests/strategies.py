@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import assume
 from hypothesis import strategies as st
 
 from ccyclic.extremal import BoxSet
@@ -138,27 +137,3 @@ def run_length_boxes(draw, max_segments=6, max_length=300, top=12):
         else draw(st.integers(least, most))
     )
     return BoxSet(total=total, segments=segments)
-
-
-@st.composite
-def split_graphs(draw, max_parts=6, max_size=7):
-    """``(n, edges)``: a graph of several components, none an isolated vertex,
-    with at least ``n - 1`` edges, so that degree-keeping swaps can join it.
-
-    Each component is a random tree plus up to three random chords; vertex
-    labels are shuffled, so the component holding vertex 0 may be a tree.
-    """
-    sizes = draw(st.lists(st.integers(2, max_size), min_size=2, max_size=max_parts))
-    n = sum(sizes)
-    labels = draw(st.permutations(range(n)))
-    edges, first = set(), 0
-    for size in sizes:
-        block = labels[first : first + size]
-        first += size
-        for i in range(1, size):
-            edges.add(tuple(sorted((block[draw(st.integers(0, i - 1))], block[i]))))
-        if size > 2:
-            pairs = [tuple(sorted((a, b))) for i, a in enumerate(block) for b in block[i + 1 :]]
-            edges.update(draw(st.lists(st.sampled_from(pairs), max_size=3)))
-    assume(len(edges) >= n - 1)
-    return n, frozenset(edges)

@@ -4,10 +4,11 @@ Every run must return an exit code in {0, 1, 2, 3} without an exception
 escaping ``main``, and a second run of the same argv must print the same
 stdout.  ``extremal``, and ``bounds`` without ``--verify``, also draw
 n from {100, 1000, 5000}: their cost grows with the runs of the extremal
-sequences, not with n.  ``verify``, ``bounds --verify`` and ``realize`` stay
-at n <= 9 because the CLI has no work budget yet: the enumeration cap bounds
-the order, not the number of candidates visited (ROADMAP item 4f), and
-``realize`` is quadratic in n.  The bound keeps this test under a few
+sequences, not with n.  ``realize`` also draws sequences of those orders:
+path-like, hub-like, all 2s, or two hubs over leaves, which is not graphical.
+``verify`` and ``bounds --verify`` stay at n <= 9 because the CLI has no work
+budget yet: the enumeration cap bounds the order, not the number of
+candidates visited (ROADMAP item 5).  The bound keeps this test under a few
 seconds; it does not mean larger orders are handled well there.
 """
 
@@ -31,12 +32,33 @@ CYCLE_TEXT = st.one_of(
 )
 ALPHAS = st.sampled_from(["0", "1", "x", "1e400", "1000000/3", "-1/2", "2", "1/2", "-1"])
 CAPS = st.integers(-1, 9).map(str)
+
+
+@st.composite
+def long_sequences(draw):
+    """A degree sequence of order 100, 1000 or 5000, as ``--seq`` text."""
+    n = draw(st.sampled_from([100, 1000, 5000]))
+    threes, leaves = draw(st.sampled_from([0, 2, 12])), draw(st.sampled_from([0, 2]))
+    seq = draw(
+        st.sampled_from(
+            [
+                (3,) * threes + (2,) * (n - threes - leaves) + (1,) * leaves,
+                (n - 1,) + (3,) * threes + (2,) * 2 + (1,) * (n - 3 - threes),
+                (2,) * n,
+                (n - 1, n - 1) + (1,) * (n - 2),
+            ]
+        )
+    )
+    return ",".join(map(str, seq))
+
+
 SEQUENCES = st.one_of(
     st.lists(st.integers(-1, 9), min_size=1, max_size=9).map(
         lambda ds: ",".join(map(str, sorted(ds, reverse=True)))
     ),
     st.lists(st.integers(0, 9), min_size=1, max_size=9).map(lambda ds: ",".join(map(str, ds))),
     st.sampled_from(["", ",", "3,,1", "a", "2,2,2", "3,3,2,2,2", "7,3,3,3,1,1,1,1"]),
+    long_sequences(),
 )
 FORMATS = st.sampled_from(["text", "csv", "json", "text", "csv", "json", "yaml"])
 #: index options: mostly well-formed pairs, then any index with any exponent

@@ -66,6 +66,9 @@ CASES = {
     "verify-conjecture": ["verify", "--conjecture", "--n-max", "11", "--c", "7..8"],
     "verify-conjecture-c5-6": ["verify", "--conjecture", "--c", "5..6", "--n-max", "9"],
     "verify-conjecture-cap-skip": ["verify", "--conjecture", "--n-max", "10", "--c", "7", "--cap", "9"],
+    "verify-conjecture-cap-skip-to-15": [
+        "verify", "--conjecture", "--n-max", "15", "--c", "7", "--cap", "8",
+    ],
     "verify-cap-skip": ["verify", "--n-max", "9", "--c", "2..3", "--cap", "8"],
     "verify-c7-usage-error": ["verify", "--n", "10", "--c", "7"],
     "realize-check-c": ["realize", "--seq", "7,3,3,3,1,1,1,1", "--check-c", "3"],

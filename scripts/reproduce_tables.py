@@ -27,7 +27,7 @@ from ccyclic.bounds import (
     refined_inverse_degree_upper,
     verify_bounds,
 )
-from ccyclic.cli import EXIT_USAGE, Parser, UsageError, checked_cap, exit_code
+from ccyclic.cli import EXIT_USAGE, Parser, UsageError, _emit, checked_cap, exit_code
 from ccyclic.degree_sequences import (
     CyclomaticClass, EnumerationCapError, enumerate_sequences, extremal_family
 )
@@ -108,10 +108,10 @@ def main(argv=None) -> int:
         # exponent the index rejects, or a value too long to print, stops the
         # run with nothing on stdout.
         lines, verdicts = render_tables(args.n, args.alpha, args.verify, args.cap)
+        _emit("\n".join(lines) + "\n", None)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print("\n".join(lines))
     return exit_code(verdicts)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -119,14 +120,17 @@ def _emit(chunks, output) -> None:
     """Write text chunks, as they come, to the ``output`` file or stdout; a string is one chunk."""
     if isinstance(chunks, str):
         chunks = (chunks,)
-    if not output:
-        sys.stdout.writelines(chunks)
-        return
     try:
+        if not output:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+            return
         with open(output, "w") as stream:
             stream.writelines(chunks)
     except OSError as exc:
-        raise UsageError(f"cannot write {output}: {exc.strerror}")
+        if not output:  # stdout is closed: leave the rest to the null device, not the exit flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write {output or 'stdout'}: {exc.strerror}")
 
 
 def _json_chunks(doc):
@@ -284,7 +288,7 @@ def _verify_orders(args, c: int) -> range:
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One verification check over a class: its report line and its outcome."""
+    """One verification check over a class: its report lines and its outcome."""
 
     line: str
     status: str  # ok | mismatch | skipped
@@ -292,6 +296,16 @@ class CheckRecord:
 
 def _status(passed: bool) -> str:
     return OK if passed else MISMATCH
+
+
+def _witnesses(report) -> str:
+    """Why an extremality report fails, as indented lines, each after a newline: empty when ok."""
+    lines = [
+        f"{format_sequence(top)} strictly majorized by {format_sequence(witness)}"
+        for top, witness in report.dominated_patterns
+    ]
+    lines += [f"minimal fails below {format_sequence(seq)}" for seq in report.not_above_minimal[:3]]
+    return "".join(f"\n    {line}" for line in lines)
 
 
 def _proven_checks(klass, args):
@@ -311,7 +325,7 @@ def _proven_checks(klass, args):
         return
     report = check_family_extremality(klass, population)
     line = f"ok ({report.sequence_count} sequences)" if report.complete else "MISMATCH"
-    yield CheckRecord(f"extremality {where}: {line}", _status(report.complete))
+    yield CheckRecord(f"extremality {where}: {line}{_witnesses(report)}", _status(report.complete))
     for index in VERIFY_INDICES:
         matched = verify_bounds(bounds(klass, index), population).status == EXACT_MATCH
         line = EXACT_MATCH if matched else "MISMATCH"
@@ -323,7 +337,8 @@ def _conjecture_checks(klass, args):
     report = check_pattern_extremality(klass, graphical_class_sequences(klass, args.cap))
     yield CheckRecord(
         f"CONJECTURE c={klass.c} n={klass.n}: closed-form patterns extremal over "
-        f"{report.sequence_count} sequences: {'holds' if report.ok else 'FAILS'}",
+        f"{report.sequence_count} sequences: {'holds' if report.ok else 'FAILS'}"
+        f"{_witnesses(report)}",
         _status(report.ok),
     )
 

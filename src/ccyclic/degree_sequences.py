@@ -306,7 +306,7 @@ def enumerate_sequences(klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_C
 
 
 def graphical_class_sequences(klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
-    """The same population as :func:`enumerate_sequences`, under the name the scan uses."""
+    """:func:`enumerate_sequences` under the name that ``verify --conjecture`` uses."""
     return _members(klass, cap)
 
 

@@ -41,12 +41,6 @@ def check_vector(vec: Sequence) -> None:
         raise ValueError(f"negative component {vec[-1]!r}")
 
 
-def partial_sums(vec: Sequence) -> list:
-    """Prefix sums of a validated nonincreasing vector; the last entry is the total."""
-    check_vector(vec)
-    return list(accumulate(vec))
-
-
 def compare(left: Sequence, right: Sequence) -> Relation:
     """Compare two nonincreasing vectors in the majorization order.
 

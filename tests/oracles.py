@@ -257,6 +257,13 @@ def with_a_maximal_as_minimal(family):
     return replace(family, minimal_runs=family.maximal_runs[0])
 
 
+def upside_down(family):
+    """The family with its minimal as the only maximal and its first maximal as the minimal."""
+    return replace(
+        family, maximal_runs=(family.minimal_runs,), minimal_runs=family.maximal_runs[0]
+    )
+
+
 def tuple_patterns(c, n):
     """The closed-form patterns at (c, n) as ``(maximals, minimal or None)``, in tuples.
 

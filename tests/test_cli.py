@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from ccyclic.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, exit_code, main
 from ccyclic.degree_sequences import CyclomaticClass
 from ccyclic.indices import IndexSpec
 
-from oracles import with_a_maximal_as_minimal
+from oracles import upside_down, with_a_maximal_as_minimal
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -520,7 +521,28 @@ class TestVerify:
         )
         code, out, _ = run(capsys, "verify", "--conjecture", "--n", "9", "--c", "7")
         assert code == 2
-        assert out == "CONJECTURE c=7 n=9: closed-form patterns extremal over 174 sequences: FAILS\n"
+        assert out == (
+            "CONJECTURE c=7 n=9: closed-form patterns extremal over 174 sequences: FAILS\n"
+            "    minimal fails below [8, 7, 3^2, 2^4, 1]\n"
+            "    minimal fails below [8, 7, 3, 2^6]\n"
+            "    minimal fails below [8, 6, 4, 3^2, 2^2, 1^2]\n"
+        )
+
+    def test_extremality_mismatch_names_its_witnesses(self, capsys, monkeypatch):
+        original = degree_sequences.extremal_family
+        monkeypatch.setattr(
+            degree_sequences, "extremal_family", lambda klass: upside_down(original(klass))
+        )
+        code, out, _ = run(capsys, "verify", "--n", "7", "--c", "3")
+        assert code == 2
+        assert out.splitlines()[1:6] == [
+            "extremality c=3 n=7: MISMATCH",
+            "    [3^4, 2^3] strictly majorized by [6, 4, 2^3, 1^2]",
+            "    minimal fails below [6, 3^3, 1^3]",
+            "    minimal fails below [6, 3^2, 2^2, 1^2]",
+            "    minimal fails below [6, 3, 2^4, 1]",
+        ]
+        assert out.endswith("summary: 6 checks, 5 ok, 1 mismatched, skipped=no\n")
 
     def test_conjecture_without_orders_prints_nothing(self, capsys):
         for argv in (["--n", "3", "--c", "7"], ["--c", "7", "--n-max", "4"]):
@@ -636,6 +658,29 @@ class TestDeterminismAndOutput:
         code, out, err = run(capsys, "extremal", "--n", "5", "--c", "1", "--output", str(target))
         assert (code, out) == (1, "")
         assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["-m", "ccyclic.cli", "extremal", "--n", "100000", "--c", "6", "--format", "json"],
+            [str(ROOT / "scripts" / "reproduce_tables.py")],
+        ],
+        ids=["cli", "reproduce-tables"],
+    )
+    def test_closed_stdout_is_one_error_line(self, command):
+        # the read end is closed before the child starts, so its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, *command], stdout=write_end, stderr=subprocess.PIPE,
+                text=True, timeout=60, env={"PYTHONPATH": str(SRC)},
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: cannot write stdout: ")
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

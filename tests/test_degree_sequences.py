@@ -451,14 +451,35 @@ class TestParametricPatterns:
                     assert family.minimal_runs == runs_of(family.minimal), (c, n)
 
     def test_patterns_cost_no_entry_per_vertex(self):
-        family = parametric_extremal_family(7, 10**12)
-        top = 10**12 - 1
-        assert family.maximal_runs == (
-            ((top, 1), (8, 1), (2, 7), (1, top - 8)),
-            ((top, 1), (7, 1), (3, 2), (2, 4), (1, top - 7)),
-            ((top, 1), (6, 1), (4, 1), (3, 2), (2, 2), (1, top - 6)),
-        )
-        assert family.minimal_runs == ((3, 12), (2, 10**12 - 12))
+        # c = 7 at every order to 20,000, past any enumeration cap, and at 10**12
+        small = {
+            6: ((), None),
+            7: ((((6, 2), (4, 1), (3, 2), (2, 2)),), None),
+            8: (
+                (((7, 2), (3, 2), (2, 4)), ((7, 1), (6, 1), (4, 1), (3, 2), (2, 2), (1, 1))),
+                None,
+            ),
+            9: (
+                (
+                    ((8, 2), (2, 7)),
+                    ((8, 1), (7, 1), (3, 2), (2, 4), (1, 1)),
+                    ((8, 1), (6, 1), (4, 1), (3, 2), (2, 2), (1, 2)),
+                ),
+                None,
+            ),
+        }
+        assert min_order(7) == 6
+        for n in [*range(6, 20_001), 10**12]:
+            family = parametric_extremal_family(7, n)
+            expected = small.get(n) or (
+                (
+                    ((n - 1, 1), (8, 1), (2, 7), (1, n - 9)),
+                    ((n - 1, 1), (7, 1), (3, 2), (2, 4), (1, n - 8)),
+                    ((n - 1, 1), (6, 1), (4, 1), (3, 2), (2, 2), (1, n - 7)),
+                ),
+                None if n < 12 else ((3, 12),) if n == 12 else ((3, 12), (2, n - 12)),
+            )
+            assert (family.maximal_runs, family.minimal_runs) == expected, n
 
     @pytest.mark.parametrize(
         "damage,message",

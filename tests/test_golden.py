@@ -77,10 +77,6 @@ CASES = {
     "realize-check-c-mismatch": ["realize", "--seq", "2,2,2", "--check-c", "2"],
     "script-reproduce-tables": ["scripts/reproduce_tables.py", "--n", "9", "--verify"],
     "script-reproduce-tables-small-n": ["scripts/reproduce_tables.py", "--n", "5"],
-    "script-conjecture-scan": ["scripts/conjecture_scan.py", "--c-max", "8", "--n-max", "11"],
-    "script-conjecture-scan-cap-skip": [
-        "scripts/conjecture_scan.py", "--c-max", "7", "--n-max", "15", "--cap", "8",
-    ],
 }
 
 
@@ -166,16 +162,25 @@ def test_conjecture_scan_exits_2_on_a_failing_order(monkeypatch):
         degree_sequences, "parametric_extremal_family",
         lambda c, n: with_a_maximal_as_minimal(original(c, n)),
     )
-    code, out, err = run_case(["scripts/conjecture_scan.py", "--c-max", "7", "--n-max", "8"])
+    argv = ["verify", "--conjecture", "--c", "7", "--n-max", "8"]
+    code, out, err = run_case(argv)
     assert (code, err) == (2, "")
-    assert out.splitlines()[0] == "c=7 n=7: 1 maximal patterns, minimal yes, 26 sequences: FAILS"
-    assert out.endswith("done; 2 failing (c, n) pairs\n")
+    head = "CONJECTURE c=7 n={}: closed-form patterns extremal over {} sequences: "
+    assert out.splitlines() == [
+        head.format(6, 5) + "holds",  # no closed-form pattern exists at n = 6
+        head.format(7, 26) + "FAILS",
+        "    minimal fails below [6^2, 3^4, 2]",
+        "    minimal fails below [6, 5^2, 3^3, 1]",
+        "    minimal fails below [6, 5^2, 3^2, 2^2]",
+        head.format(8, 81) + "FAILS",
+        "    minimal fails below [7, 6, 4, 3^2, 2^2, 1]",
+        "    minimal fails below [7, 6, 4, 3, 2^4]",
+        "    minimal fails below [7, 6, 3^4, 2, 1]",
+    ]
     # a failure outranks a skip
-    code, out, _ = run_case(
-        ["scripts/conjecture_scan.py", "--c-max", "7", "--n-max", "8", "--cap", "7"]
-    )
+    code, out, _ = run_case(argv + ["--cap", "7"])
     assert code == 2
-    assert "c=7 n=8: skipped (enumeration cap 7)" in out
+    assert out.endswith("CONJECTURE c=7 n=8: skipped (enumeration cap 7)\n")
 
 
 def test_conjecture_scan_builds_each_pattern_family_once(monkeypatch):
@@ -187,10 +192,15 @@ def test_conjecture_scan_builds_each_pattern_family_once(monkeypatch):
         return original(c, n)
 
     monkeypatch.setattr(degree_sequences, "parametric_extremal_family", counting)
-    code, out, err = run_case(CASES["script-conjecture-scan"])
-    assert (code, err) == (0, "")
-    assert out.encode() == (GOLDEN / "script-conjecture-scan.out").read_bytes()
-    assert len(built) == len(set(built)) == 12
+    for name, orders in (("verify-conjecture", 12), ("verify-conjecture-cap-skip-to-15", 3)):
+        built.clear()
+        code, out, err = run_case(CASES[name])
+        assert (code, err) == (_recorded()[name]["exit"], "")
+        assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+        # once per enumerated order, and never for an order above the cap
+        enumerated = re.findall(r"^CONJECTURE c=(\d+) n=(\d+): closed-form", out, re.MULTILINE)
+        assert built == [(int(c), int(n)) for c, n in enumerated]
+        assert len(built) == len(set(built)) == orders
 
 
 #: every front end of the oracle, run at one order n with ``--cap`` appended
@@ -200,9 +210,6 @@ CAP_FRONT_ENDS = [
     pytest.param(
         ["bounds", "--n", "7", "--c", "1", "--index", "inverse-degree", "--verify"], 7,
         id="bounds-verify",
-    ),
-    pytest.param(
-        ["scripts/conjecture_scan.py", "--c-max", "7", "--n-max", "8"], 8, id="conjecture-scan"
     ),
     pytest.param(["scripts/reproduce_tables.py", "--n", "8", "--verify"], 8, id="reproduce-tables"),
 ]
@@ -226,9 +233,7 @@ def test_class_at_the_cap_runs_and_one_above_is_skipped(argv, n):
         (["scripts/reproduce_tables.py", "--alpha", "0"], "exponents 0 and 1 are excluded by definition"),
         (["scripts/reproduce_tables.py", "--alpha", "400"], "exponent too large: the power sum overflows a float"),
         (["scripts/reproduce_tables.py", "--cap", "-1", "--verify"], "--cap must be nonnegative, got -1"),
-        (["scripts/conjecture_scan.py", "--cap", "-1"], "--cap must be nonnegative, got -1"),
         (["scripts/reproduce_tables.py", "--alpha", "1/2"], "argument --alpha: invalid int value: '1/2'"),
-        (["scripts/conjecture_scan.py", "--c-max", "x"], "argument --c-max: invalid int value: 'x'"),
         (["scripts/reproduce_tables.py", "--alpha=-3000"], "exact value too long to print: more than 4300 digits"),
     ],
 )

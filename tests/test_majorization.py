@@ -13,7 +13,6 @@ from ccyclic.majorization import (
     compare_runs,
     expand_runs,
     is_majorized_by,
-    partial_sums,
     runs_of,
 )
 
@@ -23,46 +22,18 @@ from strategies import nonincreasing_fraction_vectors, nonincreasing_int_vectors
 import random
 
 
-class TestPartialSums:
-    def test_simple(self):
-        assert partial_sums((3, 2, 1)) == [3, 5, 6]
-
-    def test_constant(self):
-        assert partial_sums((2, 2, 2)) == [2, 4, 6]
-
-    def test_longer(self):
-        # re-checked by plain accumulation
-        vec = (7, 3, 3, 3, 1, 1, 1, 1)
-        expected = []
-        acc = 0
-        for x in vec:
-            acc += x
-            expected.append(acc)
-        assert expected == [7, 10, 13, 16, 17, 18, 19, 20]
-        assert partial_sums(vec) == expected
-
-    def test_fractions(self):
-        vec = (Fraction(8, 5),) * 5
-        assert partial_sums(vec)[-1] == 8
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            partial_sums((1, 2))
-        # a negative entry before an increase: sortedness is tested first
-        for check in (check_vector, partial_sums):
-            with pytest.raises(ValueError, match="not sorted nonincreasing"):
-                check((3, -1, 5))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            partial_sums((2, -1))
-        for check in (check_vector, partial_sums):
-            with pytest.raises(ValueError, match="negative component -1"):
-                check((0, -1))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            partial_sums(())
+@pytest.mark.parametrize(
+    "vec,message",
+    [
+        ((3, -1, 5), "components not sorted nonincreasing"),  # sortedness is tested first
+        ((2, -1), "negative component -1"),
+        ((), "vector must have at least one component"),
+    ],
+    ids=["unsorted", "negative", "empty"],
+)
+def test_check_vector_rejects(vec, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_vector(vec)
 
 
 class TestCompare:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Real
@@ -34,7 +33,7 @@ from .degree_sequences import (
 )
 from .formatting import format_decimal, format_fraction, plain_sequence, printable
 from .indices import GENERAL_ZAGREB, INVERSE_DEGREE, IndexSpec, SchurClass, evaluate, same_value
-from .indices import ranking_keys
+from .indices import Extremes, ranking_keys
 from .majorization import expand_runs
 
 ORIENTATION_NOTE = (
@@ -77,9 +76,14 @@ def _pick(pairs, want_max: bool):
     return max(pairs, key=lambda pair: (sign * pair[1], pair[0]))
 
 
-def bounds(klass: CyclomaticClass, index: IndexSpec) -> BoundsReport:
-    """Bounds from the extremal family plus the index's Schur classification."""
-    family = extremal_family(klass)
+def bounds(klass: CyclomaticClass, index: IndexSpec, family=None) -> BoundsReport:
+    """Bounds from the extremal family plus the index's Schur classification.
+
+    ``family`` is the class's :func:`extremal_family`, for a caller that
+    already holds it; it is built when not given.
+    """
+    if family is None:
+        family = extremal_family(klass)
     maximal_values = [(runs, evaluate(index, runs)) for runs in family.maximal_runs]
     minimal_value = evaluate(index, family.minimal_runs)
     if index.schur_class is SchurClass.CONVEX:
@@ -192,13 +196,26 @@ def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
     ``refined_upper``, set only on an inverse-degree report, must equal the
     largest value over the members whose (c+2)-th largest degree is >= 2.
     """
+    extremes, spread = Extremes(), Extremes()
+    c = report.klass.c
+    for runs, key in zip(population, ranking_keys(report.index, population)):
+        extremes.add(key, runs)
+        if report.refined_upper is not None and sum(m for d, m in runs if d >= 2) >= c + 2:
+            spread.add(key, runs)
+    return oracle_outcome(report, extremes, spread)
+
+
+def oracle_outcome(report: BoundsReport, extremes: Extremes, spread=None) -> OracleOutcome:
+    """The oracle's verdict on a report, from the extremes of its index's keys over the class.
+
+    ``spread`` holds the keys of the members whose (c+2)-th largest degree
+    is >= 2, which a report with a ``refined_upper`` needs.
+    """
     index = report.index
-    keys = ranking_keys(index, population)
-    low, high = min(keys), max(keys)
-    tie = same_value if isinstance(low, float) else operator.eq
-    minimizers = tuple(runs for runs, key in zip(population, keys) if tie(key, low))
-    maximizers = tuple(runs for runs, key in zip(population, keys) if tie(key, high))
-    minimum, maximum = (evaluate(index, population[keys.index(x)]) for x in (low, high))
+    if report.refined_upper is not None and spread is None:
+        raise ValueError("a refined upper bound is checked against the spread members' extremes")
+    minimizers, maximizers = extremes.holders(largest=False), extremes.holders(largest=True)
+    minimum, maximum = extremes.value(index, largest=False), extremes.value(index, largest=True)
     ok = (
         same_value(report.lower, minimum)
         and same_value(report.upper, maximum)
@@ -207,10 +224,8 @@ def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
     )
     refined = None
     if report.refined_upper is not None:
-        c = report.klass.c
-        spread = [k for r, k in zip(population, keys) if sum(m for d, m in r if d >= 2) >= c + 2]
-        if index.kind == INVERSE_DEGREE and spread:
-            refined = evaluate(index, population[keys.index(max(spread))])
+        if index.kind == INVERSE_DEGREE and spread.high is not None:
+            refined = spread.value(index, largest=True)
         ok = ok and refined is not None and same_value(report.refined_upper, refined)
     return OracleOutcome(
         status=EXACT_MATCH if ok else MISMATCH,

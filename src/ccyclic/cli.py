@@ -22,10 +22,10 @@ from .bounds import (
     SKIPPED,
     annotate_orientation,
     bounds,
+    oracle_outcome,
     refined_inverse_degree_upper,
     report_to_json_dict,
     reports_to_csv,
-    verify_bounds,
     with_verification,
 )
 from .degree_sequences import (
@@ -33,15 +33,12 @@ from .degree_sequences import (
     MAX_SUPPORTED_CYCLES,
     CyclomaticClass,
     EnumerationCapError,
-    check_family_extremality,
+    check_cap,
     check_pattern_extremality,
-    class_candidates,
     extremal_family,
     graphical_class_sequences,
-    is_ccyclic_sequence,
-    is_ccyclic_sequence_via_inequalities,
-    is_graphical,
     min_order,
+    walk_class,
 )
 from .formatting import format_index_value, format_sequence, plain_sequence, printable
 from .indices import INVERSE_DEGREE, IndexSpec, SchurClass
@@ -256,29 +253,6 @@ def cmd_bounds(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _equivalence_check(klass, cap: int) -> tuple:
-    """Compare the three membership tests on every candidate with the right sum.
-
-    Also returns the candidates the Erdos-Gallai test accepts, as runs: the
-    class population that every later check of the class reuses,
-    independent of the counting conditions that the extremal family is
-    built from.  Raises :class:`EnumerationCapError` above the cap.
-    """
-    failures = []
-    members = []
-    count = 0
-    for runs in class_candidates(klass, cap):
-        count += 1
-        counting = is_ccyclic_sequence(runs, klass)
-        inequalities = is_ccyclic_sequence_via_inequalities(runs, klass)
-        graphical = is_graphical(runs)
-        if not (counting == inequalities == graphical):
-            failures.append((runs, counting, inequalities, graphical))
-        if graphical:
-            members.append(runs)
-    return count, failures, members
-
-
 def _verify_orders(args, c: int) -> range:
     """The requested orders at which a class with c cycles exists."""
     if args.n is not None:
@@ -298,36 +272,52 @@ def _status(passed: bool) -> str:
     return OK if passed else MISMATCH
 
 
-def _witnesses(report) -> str:
-    """Why an extremality report fails, as indented lines, each after a newline: empty when ok."""
-    lines = [
+def _witnesses(report, complete: bool = False) -> str:
+    """Why an extremality report fails, as indented lines, each after a newline: empty when ok.
+
+    With ``complete``, also the first members below no maximal.
+    """
+    lines = []
+    if not report.members_valid:
+        lines.append("a family sequence is not a class member")
+    if not report.pairwise_incomparable:
+        lines.append("maximals not pairwise incomparable")
+    lines += [
         f"{format_sequence(top)} strictly majorized by {format_sequence(witness)}"
         for top, witness in report.dominated_patterns
     ]
     lines += [f"minimal fails below {format_sequence(seq)}" for seq in report.not_above_minimal[:3]]
+    if complete:
+        lines += [
+            f"{format_sequence(seq)} below no maximal" for seq in report.not_below_any_maximal[:3]
+        ]
     return "".join(f"\n    {line}" for line in lines)
 
 
 def _proven_checks(klass, args):
-    """The equivalence, extremality and bound checks of a class with c <= 6."""
+    """The equivalence, extremality and bound checks of a class with c <= 6, from one walk."""
     where = f"c={klass.c} n={klass.n}"
-    count, failures, population = _equivalence_check(klass, args.cap)
-    if failures:
-        runs, counting, inequalities, graphical = failures[0]
+    check_cap(klass, args.cap)  # before the family: a class above the cap builds nothing
+    family = None if args.equivalence_only else extremal_family(klass)
+    walk = walk_class(klass, args.cap, family, () if family is None else VERIFY_INDICES)
+    if walk.failures:
+        runs, counting, inequalities, graphical = walk.failures[0]
         line = (
             f"MISMATCH on {format_sequence(runs)} (counting={counting} "
             f"inequalities={inequalities} graphical={graphical})"
         )
     else:
-        line = f"ok ({count} candidates)"
-    yield CheckRecord(f"equivalence {where}: {line}", _status(not failures))
-    if args.equivalence_only:
+        line = f"ok ({walk.candidates} candidates)"
+    yield CheckRecord(f"equivalence {where}: {line}", _status(not walk.failures))
+    if family is None:
         return
-    report = check_family_extremality(klass, population)
+    report = walk.extremality
     line = f"ok ({report.sequence_count} sequences)" if report.complete else "MISMATCH"
-    yield CheckRecord(f"extremality {where}: {line}{_witnesses(report)}", _status(report.complete))
-    for index in VERIFY_INDICES:
-        matched = verify_bounds(bounds(klass, index), population).status == EXACT_MATCH
+    yield CheckRecord(
+        f"extremality {where}: {line}{_witnesses(report, complete=True)}", _status(report.complete)
+    )
+    for index, extremes in zip(VERIFY_INDICES, walk.extremes):
+        matched = oracle_outcome(bounds(klass, index, family), extremes).status == EXACT_MATCH
         line = EXACT_MATCH if matched else "MISMATCH"
         yield CheckRecord(f"bounds {where} {index.label}: {line}", _status(matched))
 

@@ -32,6 +32,24 @@ once with ``runs_of``.  :func:`is_ccyclic_sequence` validates its input
 which the generator's output is by construction.  :class:`ExtremalFamily`
 holds runs and expands them into tuples on demand.
 
+The oracle of ``verify`` is :func:`walk_class`, one walk of the candidate tree
+per class that holds no population.  It pushes one run ``(value, count)`` at
+a time, as the generator does, and each push updates state that its whole
+subtree shares: the head of at most eight entries that the counting
+conditions and the inequality rows read (their verdicts, once it is
+complete); a bitmask of the maximals whose prefix sums still lie above the
+candidate's; whether the minimal's still lie below; and the index keys, the
+sums packed in one int beside the degree product.  At each leaf the
+candidate gets :func:`validate_runs`, both verdicts and :func:`is_graphical`.
+Checking the prefix sums only at run ends is exact.  On a run of the
+candidate its prefix sum grows linearly while a nonincreasing maximal's is
+concave, so the gap to a maximal is concave on the run and least at one of
+its ends; the gap to the minimal is convex instead, so it is also checked at
+the minimal's own run ends inside the run, as :func:`compare_runs` does.  A
+member below no maximal, or any member when the maximals are not pairwise
+incomparable, falls back to the full prefix-sum comparison of
+:func:`extremality_report`, which also finds the witnesses.
+
 Index-notation caveat: two of the published block descriptions carry
 overlapping subscripts for where the "degree >= 2" block ends; the counting
 form is authoritative here (first seven entries >= 2 for the widest c=5 set,
@@ -44,10 +62,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, permutations
 from math import isqrt
-from operator import le
+from operator import ge, le
 from typing import Iterator, Optional
 
 from .extremal import BoxSet, integerize_runs, maximal_runs, minimal_runs
+from .indices import Extremes, key_table
 from .majorization import Relation, coalesce_runs, compare_runs, expand_runs
 
 DEFAULT_ENUMERATION_CAP = 12
@@ -145,16 +164,57 @@ def validate_runs(runs, n: int) -> None:
         raise ValueError("degrees must lie in [1, n-1]")
 
 
+#: the longest head (largest entries) that either table reads
+_HEAD_SIZE = max(
+    [j for conditions in _COUNT_CONDITIONS.values() for _, needs in conditions for _, j in needs]
+    + [k for _, rows in _INEQUALITIES.values() for k, _, _, _ in rows]
+)
+
+
+def _head(runs) -> tuple:
+    """The first ``_HEAD_SIZE`` entries of a run-length sequence (all of them, when fewer)."""
+    head = ()
+    for degree, count in runs:
+        if len(head) >= _HEAD_SIZE:
+            break
+        head += (degree,) * min(count, _HEAD_SIZE - len(head))
+    return head
+
+
+def _conditions_hold(head: tuple, klass: CyclomaticClass) -> bool:
+    """The counting table on a nonincreasing head: at least j entries are >= t when the j-th is."""
+    for needed_order, needs in _COUNT_CONDITIONS[klass.c]:
+        if klass.n < needed_order:
+            continue
+        for t, j in needs:
+            if j > len(head) or head[j - 1] < t:
+                break
+        else:
+            return True
+    return False
+
+
+def _rows_hold(head: tuple, klass: CyclomaticClass) -> bool:
+    """The inequality table on a head: the least edge count, then every prefix-sum row.
+
+    Missing entries count as zero in the longer rows.
+    """
+    least, rows = _INEQUALITIES[klass.c]
+    if klass.n + klass.c - 1 < least:
+        return False
+    prefix = [0, *accumulate(head)]
+    prefix += prefix[-1:] * (_HEAD_SIZE - len(head))
+    for k, j, a, b in rows:
+        if prefix[k] + prefix[j] > a * klass.n + b:
+            return False
+    return True
+
+
 def _counting_form_holds(runs, klass: CyclomaticClass) -> bool:
     """Counting-form test of a valid run-length degree sequence."""
     if sum(d * count for d, count in runs) != klass.degree_total:
         return False
-    for needed_order, needs in _COUNT_CONDITIONS[klass.c]:
-        if klass.n < needed_order:
-            continue
-        if all(sum(count for d, count in runs if d >= t) >= j for t, j in needs):
-            return True
-    return False
+    return _conditions_hold(_head(runs), klass)
 
 
 def is_ccyclic_sequence(runs, klass: CyclomaticClass) -> bool:
@@ -175,26 +235,14 @@ def is_ccyclic_sequence_via_inequalities(runs, klass: CyclomaticClass) -> bool:
     """Classic membership test: edge count plus prefix-sum inequalities.
 
     Kept independent from the counting form so the two can guard each
-    other; missing entries count as zero in the longer inequalities.
-    ``runs`` must be a valid run-length form of order n; the six largest
-    degrees are read from its head runs.
+    other.  ``runs`` must be a valid run-length form of order n; the rows
+    read the largest degrees from its head runs.
     """
-    n, c = klass.n, klass.c
-    if c not in _INEQUALITIES:
-        raise ValueError(f"no inequality characterization implemented for c={c}")
-    least, rows = _INEQUALITIES[c]
-    if sum(degree * count for degree, count in runs) != klass.degree_total or n + c - 1 < least:
+    if klass.c not in _INEQUALITIES:
+        raise ValueError(f"no inequality characterization implemented for c={klass.c}")
+    if sum(degree * count for degree, count in runs) != klass.degree_total:
         return False
-    head = []
-    for degree, count in runs:
-        if len(head) >= 6:
-            break
-        head += [degree] * min(count, 6)
-    prefix = [0, *accumulate(head + [0] * 6)]
-    for k, j, a, b in rows:
-        if prefix[k] + prefix[j] > a * n + b:
-            return False
-    return True
+    return _rows_hold(_head(runs), klass)
 
 
 def is_graphical(runs) -> bool:
@@ -243,48 +291,72 @@ def candidate_sequences(n: int, total: int) -> Iterator[tuple]:
 
     Each is yielded as its run-length form ``((degree, count), ...)``, in
     descending lexicographic order of the sequences.  One shared stack of
-    runs is extended by a value, then its count, then the runs below that
-    value; the bounds on both keep every partial stack completable, so no
-    branch dead-ends, and only the yielded forms are copied.  Each
-    ``(degree, count)`` pair is made once per call and shared by every form
-    that holds it, so a kept form costs one tuple of references.
+    runs is extended by the runs :func:`_run_choices` allows, so no branch
+    dead-ends, and only the yielded forms are copied.  The ``(degree,
+    count)`` pairs are made once per call and rest, and shared by every form
+    that holds them, so a kept form costs one tuple of references.
     """
     if n >= 1:
         yield from _runs_below([], {}, n, total, n - 1)
 
 
-def _runs_below(stack: list, pairs: dict, slots: int, remaining: int, bound: int) -> Iterator:
+def _run_choices(choices: dict, slots: int, remaining: int, bound: int) -> tuple:
+    """Each next run ``(value, count)``, value <= ``bound``, that leaves the rest completable.
+
+    The rest is ``slots`` entries summing to ``remaining``; runs come in
+    descending lexicographic order.  The one copy of this arithmetic, read
+    by :func:`candidate_sequences` and :func:`walk_class`.  Many prefixes
+    share a rest, so each enumeration keeps its answers in ``choices``.
+    """
+    key = (slots, remaining, bound)
+    runs = choices.get(key)
+    if runs is None:
+        high = min(bound, remaining - slots + 1)  # the rest are at least 1
+        low = max(-(-remaining // slots), 1)  # the rest are at most the next value
+        runs = choices[key] = tuple(
+            (value, count)
+            for value in range(high, low - 1, -1)
+            # After `count` copies of the value, the rest lie in [1, value - 1] or are none.
+            for count in range(
+                slots if value == 1 else min(slots, (remaining - slots) // (value - 1)),
+                max(remaining - slots * (value - 1), 1) - 1,
+                -1,
+            )
+        )
+    return runs
+
+
+def _runs_below(stack: list, choices: dict, slots: int, remaining: int, bound: int) -> Iterator:
     """Extend ``stack`` by runs of values <= ``bound``: ``slots`` entries summing to ``remaining``.
 
     A module-level recursion, not a closure, so a finished enumeration
-    leaves no reference cycle holding ``pairs`` for the garbage collector.
+    leaves no reference cycle holding ``choices`` for the garbage collector.
     """
-    high = min(bound, remaining - slots + 1)  # the rest are at least 1
-    low = max(-(-remaining // slots), 1)  # the rest are at most the next value
-    for value in range(high, low - 1, -1):
-        # After `count` copies of the value, the rest lie in [1, value - 1] or are none.
-        most = slots if value == 1 else min(slots, (remaining - slots) // (value - 1))
-        fewest = max(remaining - slots * (value - 1), 1)
-        for count in range(most, fewest - 1, -1):
-            pair = (value, count)
-            stack.append(pairs.setdefault(pair, pair))
-            if count == slots:
-                yield tuple(stack)
-            else:
-                yield from _runs_below(
-                    stack, pairs, slots - count, remaining - count * value, value - 1
-                )
-            stack.pop()
+    for pair in _run_choices(choices, slots, remaining, bound):
+        value, count = pair
+        stack.append(pair)
+        if count == slots:
+            yield tuple(stack)
+        else:
+            yield from _runs_below(
+                stack, choices, slots - count, remaining - count * value, value - 1
+            )
+        stack.pop()
+
+
+def check_cap(klass: CyclomaticClass, cap: int) -> None:
+    """Raise :class:`EnumerationCapError` when the class's order is above the enumeration cap."""
+    if klass.n > cap:
+        raise EnumerationCapError(f"order {klass.n} exceeds enumeration cap {cap}")
 
 
 def class_candidates(klass: CyclomaticClass, cap: int) -> Iterator[tuple]:
     """The candidates of the class's order and degree total, under the enumeration cap.
 
-    The one place the cap is applied: an order above it raises
-    :class:`EnumerationCapError` at the call, before any candidate is made.
+    An order above the cap raises :class:`EnumerationCapError` at the call,
+    before any candidate is made.
     """
-    if klass.n > cap:
-        raise EnumerationCapError(f"order {klass.n} exceeds enumeration cap {cap}")
+    check_cap(klass, cap)
     return candidate_sequences(klass.n, klass.degree_total)
 
 
@@ -492,41 +564,40 @@ def _below(low: list, high: list) -> bool:
     return len(low) == len(high) and low[-1] == high[-1] and all(map(le, low, high))
 
 
-def extremality_report(family: ExtremalFamily, population) -> ExtremalityReport:
-    """Check ``family`` against ``population``, the class members as runs.
-
-    Each fixed vector and each member is summed once; pairs compare sums.
-    """
-    minimal = family.minimal_runs
-    members_valid = all(runs in population for runs in family.maximal_runs) and (
-        minimal is None or minimal in population
-    )
+def _family_sums(family: ExtremalFamily) -> tuple:
+    """The maximals as ``(prefix sums, runs)``, whether they are pairwise incomparable,
+    and the minimal's prefix sums (None without a minimal)."""
     tops = [(list(accumulate(expand_runs(runs))), runs) for runs in family.maximal_runs]
     incomparable = all(not _below(a, b) for (a, _), (b, _) in permutations(tops, 2))
+    minimal = family.minimal_runs
     least = None if minimal is None else list(accumulate(expand_runs(minimal)))
-    uncovered = []
-    witnesses = {}
-    below = []
-    for runs in population:
-        sums = list(accumulate(expand_runs(runs)))
-        covered = False
-        for top, top_runs in tops:
-            if _below(sums, top):
-                covered = True
-                # Below one of pairwise incomparable maximals, a member cannot
-                # strictly majorize another: that one would lie below this one.
-                if incomparable:
-                    break
-            elif _below(top, sums):
-                witnesses.setdefault(top_runs, runs)
-        if not covered:
-            uncovered.append(runs)
-        if least is not None and not _below(least, sums):
-            below.append(runs)
+    return tops, incomparable, least
+
+
+def _place(sums: list, runs, tops: list, incomparable: bool, witnesses: dict) -> bool:
+    """Whether a member, given by its prefix sums and runs, lies below some maximal.
+
+    Records the member in ``witnesses`` for each maximal it strictly
+    majorizes and that has no witness yet.
+    """
+    covered = False
+    for top, top_runs in tops:
+        if _below(sums, top):
+            covered = True
+            # Below one of pairwise incomparable maximals, a member cannot
+            # strictly majorize another: that one would lie below this one.
+            if incomparable:
+                break
+        elif _below(top, sums):
+            witnesses.setdefault(top_runs, runs)
+    return covered
+
+
+def _report(family, count, members_valid, incomparable, uncovered, witnesses, below):
     return ExtremalityReport(
         c=family.klass.c,
         n=family.klass.n,
-        sequence_count=len(population),
+        sequence_count=count,
         members_valid=members_valid,
         pairwise_incomparable=incomparable,
         not_below_any_maximal=tuple(uncovered),
@@ -534,6 +605,31 @@ def extremality_report(family: ExtremalFamily, population) -> ExtremalityReport:
             (top, witnesses[top]) for top in family.maximal_runs if top in witnesses
         ),
         not_above_minimal=tuple(below),
+    )
+
+
+def extremality_report(family: ExtremalFamily, population) -> ExtremalityReport:
+    """Check ``family`` against ``population``, the class members as runs.
+
+    Each fixed vector and each member is summed once; pairs compare sums.
+    :func:`walk_class` makes the same report without holding the population.
+    """
+    minimal = family.minimal_runs
+    members_valid = all(runs in population for runs in family.maximal_runs) and (
+        minimal is None or minimal in population
+    )
+    tops, incomparable, least = _family_sums(family)
+    uncovered = []
+    witnesses = {}
+    below = []
+    for runs in population:
+        sums = list(accumulate(expand_runs(runs)))
+        if not _place(sums, runs, tops, incomparable, witnesses):
+            uncovered.append(runs)
+        if least is not None and not _below(least, sums):
+            below.append(runs)
+    return _report(
+        family, len(population), members_valid, incomparable, uncovered, witnesses, below
     )
 
 
@@ -545,3 +641,191 @@ def check_family_extremality(klass: CyclomaticClass, population) -> ExtremalityR
 def check_pattern_extremality(klass: CyclomaticClass, population) -> ExtremalityReport:
     """Check the closed-form patterns against ``population``, the class members as runs (any c)."""
     return extremality_report(parametric_extremal_family(klass.c, klass.n), population)
+
+
+# ---------------------------------------------------------------------------
+# The oracle as one walk of the candidate tree
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ClassWalk:
+    """What :func:`walk_class` finds over the candidates of a class."""
+
+    candidates: int
+    failures: tuple  # (runs, counting, inequalities, graphical) wherever the three tests disagree
+    members: int
+    extremality: Optional[ExtremalityReport]  # None when no family was given
+    extremes: tuple  # an indices.Extremes per index, over the members
+
+
+def walk_class(
+    klass: CyclomaticClass, cap: int, family: Optional[ExtremalFamily] = None, indices=()
+) -> ClassWalk:
+    """The oracle over a class with c <= 6 in one walk of its candidates, holding no population.
+
+    Each candidate gets :func:`validate_runs`, the counting form, the
+    inequalities and the Erdos-Gallai test, and a disagreement among the
+    three verdicts is recorded; the members are the candidates the Erdos-
+    Gallai test accepts.  With ``family``, the walk makes the
+    :func:`extremality_report` of the family over the members, and for each
+    of ``indices`` it keeps the :class:`~ccyclic.indices.Extremes` of the
+    members' ranking keys.  Raises :class:`EnumerationCapError` above the cap.
+    """
+    check_cap(klass, cap)
+    if klass.c > MAX_SUPPORTED_CYCLES:
+        raise ValueError(f"no characterization implemented beyond c={MAX_SUPPORTED_CYCLES}")
+    walk = _Walk(klass, family, indices)
+    walk.below(klass.n, klass.degree_total, klass.n - 1, (), None, walk.mask, walk.min_ok, 0, 1)
+    return walk.result()
+
+
+class _Walk:
+    """The constants and tallies of one :func:`walk_class`; :meth:`below` is the recursion.
+
+    A push of a run ``(value, count)`` onto the candidate stack moves the
+    run's end from position ``a`` to ``b`` and the prefix sum from ``start``
+    to ``s``, and updates the state its whole subtree shares: the head the
+    two tables read (their verdicts once it is complete), the bitmask of the
+    regular maximals whose prefix sums still lie above, whether the minimal's
+    still lie below, and the index keys.
+    """
+
+    def __init__(self, klass: CyclomaticClass, family, indices):
+        n, total = klass.n, klass.degree_total
+        self.klass, self.n, self.total, self.family = klass, n, total, family
+        self.stack, self.choices = [], {}
+        self.head_size = min(_HEAD_SIZE, n)
+        self.candidates = self.members = 0
+        self.failures, self.uncovered, self.below_minimal, self.witnesses = [], [], [], {}
+        self.extremes = tuple(Extremes() for _ in indices)
+        # The sum keys travel packed in one int, a field of `width` bits each:
+        # a key is at most n times its largest term, so no field carries into
+        # the next.  Product keys share one table (d -> d), so they are one key.
+        tables = [key_table(index, 1, n - 1) for index in indices]
+        sums = [(table, e) for (table, product), e in zip(tables, self.extremes) if not product]
+        if any(isinstance(table[1], float) for table, _ in sums):
+            raise ValueError("the walk ranks exact keys only: no fractional exponent")
+        width = max((n * max(table)).bit_length() for table, _ in sums) if sums else 0
+        self.packed = [
+            sum(table[d] << i * width for i, (table, _) in enumerate(sums)) for d in range(n)
+        ]
+        self.fields = [(i * width, (1 << width) - 1, e) for i, (_, e) in enumerate(sums)]
+        self.product_table = next((table for table, product in tables if product), [1] * n)
+        self.product_extremes = [e for e, (_, product) in zip(self.extremes, tables) if product]
+
+        # A regular maximal is nonincreasing, of order n and on the class total.
+        # On a run of a member its gap to the member's prefix sums is concave,
+        # so the member's run ends decide whether the member lies below it.
+        self.tops, self.incomparable, least = _family_sums(family) if family else ([], True, None)
+        regular = []
+        for sums, runs in self.tops:
+            entries = expand_runs(runs)
+            if len(sums) == n and sums[-1] == total and all(map(ge, entries, entries[1:])):
+                regular.append(sums)
+        # above[b][s]: the regular maximals whose prefix sum at b is at least s
+        self.above = [[0] * (total + 1) for _ in range(n + 1)]
+        for bit, sums in enumerate(regular):
+            for b, top in enumerate(sums, start=1):
+                row = self.above[b]
+                for s in range(min(top, total) + 1):
+                    row[s] |= 1 << bit
+        self.mask = (1 << len(regular)) - 1
+
+        # On a run of a member the gap to the minimal is convex, not concave:
+        # it is checked at the member's run ends and at the minimal's within.
+        self.least = [0] * (n + 1)
+        ends = []
+        self.min_ok = least is None or (len(least) == n and least[-1] == total)
+        if least is not None and self.min_ok:
+            self.least[1:] = least
+            entries = expand_runs(family.minimal_runs)
+            ends = [k for k in range(1, n) if entries[k - 1] != entries[k]]
+        self.least_ends = [tuple(k for k in ends if k > a) for a in range(n + 1)]
+
+    def below(self, slots, remaining, bound, head, verdicts, mask, min_ok, sums, product):
+        """Push every run :func:`_run_choices` allows, then the runs below it, to the leaves."""
+        klass, stack, above, least = self.klass, self.stack, self.above, self.least
+        packed, product_table = self.packed, self.product_table
+        a = self.n - slots
+        start = self.total - remaining
+        ends = self.least_ends[a]
+        room = self.head_size - a  # entries the head still lacks
+        for pair in _run_choices(self.choices, slots, remaining, bound):
+            value, count = pair
+            b = a + count
+            s = start + value * count
+            if verdicts is None:
+                run_head = head + (value,) * (count if count < room else room)
+                run_verdicts = None
+                if count >= room:
+                    run_verdicts = (_conditions_hold(run_head, klass), _rows_hold(run_head, klass))
+            else:
+                run_head, run_verdicts = head, verdicts
+            run_ok = min_ok and s >= least[b]
+            if run_ok and ends:
+                for k in ends:
+                    if k >= b:
+                        break
+                    if start + value * (k - a) < least[k]:
+                        run_ok = False
+                        break
+            run_sums = sums + count * packed[value]
+            run_product = product * product_table[value] ** count
+            stack.append(pair)
+            if count == slots:
+                self.leaf(
+                    tuple(stack), run_verdicts, mask & above[b][s], run_ok, run_sums, run_product
+                )
+            else:
+                self.below(slots - count, remaining - count * value, value - 1, run_head,
+                           run_verdicts, mask & above[b][s], run_ok, run_sums, run_product)
+            stack.pop()
+
+    def leaf(self, runs, verdicts, mask, min_ok, sums, product):
+        """The checks of one candidate; a member also goes into the report and the extremes."""
+        self.candidates += 1
+        validate_runs(runs, self.n)
+        counting, inequalities = verdicts
+        graphical = is_graphical(runs)
+        if not counting == inequalities == graphical:
+            self.failures.append((runs, counting, inequalities, graphical))
+        if not graphical:
+            return
+        self.members += 1
+        if self.family is not None:
+            # Below a regular maximal of an incomparable family, a member is
+            # covered and strictly above no maximal; else the prefix sums decide.
+            if not (mask and self.incomparable):
+                sums_of_runs = list(accumulate(expand_runs(runs)))
+                if not _place(sums_of_runs, runs, self.tops, self.incomparable, self.witnesses):
+                    self.uncovered.append(runs)
+            if not min_ok:
+                self.below_minimal.append(runs)
+        for shift, field, extremes in self.fields:
+            extremes.add(sums >> shift & field, runs)
+        for extremes in self.product_extremes:
+            extremes.add(product, runs)
+
+    def is_member(self, runs) -> bool:
+        """Whether a run-length form is a candidate of the class that Erdos-Gallai accepts."""
+        try:
+            validate_runs(runs, self.n)
+        except ValueError:
+            return False
+        return sum(d * count for d, count in runs) == self.total and is_graphical(runs)
+
+    def result(self) -> ClassWalk:
+        report = None
+        family = self.family
+        if family is not None:
+            members_valid = all(map(self.is_member, family.maximal_runs)) and (
+                family.minimal_runs is None or self.is_member(family.minimal_runs)
+            )
+            report = _report(
+                family, self.members, members_valid, self.incomparable, self.uncovered,
+                self.witnesses, self.below_minimal,
+            )
+        return ClassWalk(
+            self.candidates, tuple(self.failures), self.members, report, self.extremes
+        )

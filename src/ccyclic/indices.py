@@ -12,7 +12,9 @@ and the log form is Schur-concave.  :func:`evaluate` takes one term per
 (degree, multiplicity) run: an int for a positive integer exponent, one
 ``Fraction`` over ``lcm(degrees) ** -alpha`` for a negative one (the inverse
 degree is alpha = -1), else a float.  :func:`ranking_keys` ranks a population
-by one table: int keys where values are exact, degree products for the log form.
+by one table (:func:`key_table`): int keys where values are exact, degree
+products for the log form; :class:`Extremes` keeps the least and largest key
+with the members that hold them.
 
 A value is the plain number, and its type says whether it is exact: an int or
 a ``Fraction`` is, a float is not.  :func:`same_value` compares two values,
@@ -22,9 +24,11 @@ exactly unless one of them is a float, else within a relative 1e-12.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from numbers import Real
 from typing import Optional
 
@@ -154,20 +158,76 @@ def _exact_power_sum(runs, degrees: list, power: int) -> Real:
     return Fraction(numerator, common**-power)
 
 
-def ranking_keys(index: IndexSpec, population) -> list:
-    """One number per member that orders members as their values do.
+def key_table(index: IndexSpec, low: int, top: int) -> tuple:
+    """The ranking term of each degree 0..top, and whether a member's key is their product.
 
-    ``sum(m * table[d])`` over its runs: the value, times ``lcm(1..top)**-alpha``
-    (top the largest degree) for an integer alpha < 0; ``prod(d ** m)`` for the log form.
+    A member's key is ``sum(m * table[d])`` over its runs: the value, times
+    ``lcm(1..top)**-alpha`` for an integer alpha < 0.  For the log form it is
+    ``prod(table[d] ** m)``, the exact degree product.  ``low`` and ``top``
+    bound the degrees to rank; the table refuses what :func:`evaluate` would.
     """
-    degrees = {d for runs in population for d, _ in runs}
-    evaluate(index, ((min(degrees), 1), (max(degrees), 1)))  # refuses what evaluate would
+    evaluate(index, ((low, 1), (top, 1)))
+    span = range(1, top + 1)
     if index.kind == MULT_ZAGREB_LOG:
-        return [math.prod([d**m for d, m in runs]) for runs in population]
-    power, span = -1 if index.kind == INVERSE_DEGREE else index.alpha, range(1, max(degrees) + 1)
+        return [0, *span], True
+    power = -1 if index.kind == INVERSE_DEGREE else index.alpha
     if power.denominator != 1:
-        table = [0.0] + [d ** float(power) for d in span]
-    else:
-        common = math.lcm(*span)
-        table = [0] + [(d if power > 0 else common // d) ** abs(int(power)) for d in span]
+        return [0.0] + [d ** float(power) for d in span], False
+    common = math.lcm(*span)
+    return [0] + [(d if power > 0 else common // d) ** abs(int(power)) for d in span], False
+
+
+def ranking_keys(index: IndexSpec, population) -> list:
+    """One number per member that orders members as their values do, by :func:`key_table`."""
+    degrees = {d for runs in population for d, _ in runs}
+    table, product = key_table(index, min(degrees), max(degrees))
+    if product:
+        return [math.prod([table[d] ** m for d, m in runs]) for runs in population]
     return [sum([m * table[d] for d, m in runs]) for runs in population]
+
+
+class Extremes:
+    """The least and the largest ranking key over members added one at a time.
+
+    Each extreme keeps the members that hold it, in the order added.  Keys
+    tie by :func:`same_value`: exactly, or within a relative 1e-12 when they
+    are floats.  A float extreme may still move, so until it is final each
+    side keeps every member within twice that of its current extreme, a
+    superset of its final holders (ranking keys are positive), and
+    :meth:`holders` filters them.
+    """
+
+    def __init__(self):
+        self.low = self.high = None
+        self._lows, self._highs = [], []
+
+    def add(self, key, runs) -> None:
+        if self.low is None:
+            self._exact = not isinstance(key, float)
+            self._near = (
+                operator.eq if self._exact else partial(math.isclose, rel_tol=2 * FLOAT_TOLERANCE)
+            )
+            self.low = self.high = key
+        elif self._exact and self.low < key < self.high:
+            return
+        near = self._near
+        if key < self.low:
+            self.low = key
+            self._lows = [pair for pair in self._lows if near(pair[0], key)]
+        if near(key, self.low):
+            self._lows.append((key, runs))
+        if key > self.high:
+            self.high = key
+            self._highs = [pair for pair in self._highs if near(pair[0], key)]
+        if near(key, self.high):
+            self._highs.append((key, runs))
+
+    def holders(self, largest: bool) -> tuple:
+        """The members whose key ties the least (or the largest) key."""
+        extreme, pairs = (self.high, self._highs) if largest else (self.low, self._lows)
+        return tuple(runs for key, runs in pairs if same_value(key, extreme))
+
+    def value(self, index: IndexSpec, largest: bool) -> Real:
+        """The index value at the extreme: one evaluation, at the first member with that key."""
+        extreme, pairs = (self.high, self._highs) if largest else (self.low, self._lows)
+        return evaluate(index, next(runs for key, runs in pairs if key == extreme))

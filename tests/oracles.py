@@ -11,6 +11,9 @@ validates its input with the library's ``check_vector``.  :func:`tuple_patterns`
 is the former tuple builder of the closed-form patterns, kept as a reference.
 :func:`reference_verify_bounds` is the former oracle index check, one
 ``evaluate`` per member, kept as a reference for the ranking keys.
+:func:`reference_equivalence_check` is the former first pass of ``verify``,
+the three membership tests per candidate; with the two references above it
+is the separate-pass oracle that ``walk_class`` is checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +26,13 @@ from itertools import accumulate, combinations_with_replacement
 from operator import sub
 
 from ccyclic.bounds import EXACT_MATCH, MISMATCH, OracleOutcome
-from ccyclic.degree_sequences import ExtremalityReport
+from ccyclic.degree_sequences import (
+    ExtremalityReport,
+    class_candidates,
+    is_ccyclic_sequence,
+    is_ccyclic_sequence_via_inequalities,
+    is_graphical,
+)
 from ccyclic.indices import INVERSE_DEGREE, evaluate, same_value
 from ccyclic.majorization import Relation, check_vector, compare, expand_runs, is_majorized_by
 
@@ -561,3 +570,26 @@ def reference_verify_bounds(report, population):
         maximizers=maximizers,
         refined_maximum=refined,
     )
+
+
+def reference_equivalence_check(klass, cap):
+    """Compare the three membership tests on every candidate with the right sum.
+
+    Returns the candidate count, the candidates on which the tests disagree
+    as ``(runs, counting, inequalities, graphical)``, and the candidates the
+    Erdos-Gallai test accepts, as runs: the class population.  Raises
+    ``EnumerationCapError`` above the cap.
+    """
+    failures = []
+    members = []
+    count = 0
+    for runs in class_candidates(klass, cap):
+        count += 1
+        counting = is_ccyclic_sequence(runs, klass)
+        inequalities = is_ccyclic_sequence_via_inequalities(runs, klass)
+        graphical = is_graphical(runs)
+        if not (counting == inequalities == graphical):
+            failures.append((runs, counting, inequalities, graphical))
+        if graphical:
+            members.append(runs)
+    return count, failures, members

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from ccyclic.bounds import (
 from ccyclic.cli import EXIT_CAP, EXIT_MISMATCH, EXIT_OK, exit_code, main
 from ccyclic.degree_sequences import CyclomaticClass
 from ccyclic.indices import IndexSpec
+from ccyclic.majorization import runs_of
 
 from oracles import upside_down, with_a_maximal_as_minimal
 
@@ -505,10 +507,10 @@ class TestVerify:
         assert "--conjecture" in err
 
     def test_unproven_c_refused_before_any_enumeration(self, capsys, monkeypatch):
-        def enumerated(klass, cap):
+        def enumerated(klass, cap, family=None, indices=()):
             raise AssertionError(f"enumerated {klass} before refusing c=7")
 
-        monkeypatch.setattr(cli, "_equivalence_check", enumerated)
+        monkeypatch.setattr(cli, "walk_class", enumerated)
         code, out, err = run(capsys, "verify", "--c", "0..7", "--n", "20", "--cap", "20")
         assert (code, out) == (1, "")
         assert err == "error: c=7 has no proven characterization; use --conjecture\n"
@@ -529,9 +531,11 @@ class TestVerify:
         )
 
     def test_extremality_mismatch_names_its_witnesses(self, capsys, monkeypatch):
-        original = degree_sequences.extremal_family
+        # Only the walk sees the damaged family: the bounds keep the true one.
+        original = cli.walk_class
         monkeypatch.setattr(
-            degree_sequences, "extremal_family", lambda klass: upside_down(original(klass))
+            cli, "walk_class",
+            lambda klass, cap, family, indices: original(klass, cap, upside_down(family), indices),
         )
         code, out, _ = run(capsys, "verify", "--n", "7", "--c", "3")
         assert code == 2
@@ -541,6 +545,49 @@ class TestVerify:
             "    minimal fails below [6, 3^3, 1^3]",
             "    minimal fails below [6, 3^2, 2^2, 1^2]",
             "    minimal fails below [6, 3, 2^4, 1]",
+        ]
+        assert out.endswith("summary: 6 checks, 5 ok, 1 mismatched, skipped=no\n")
+
+    def test_extremality_mismatch_names_uncovered_members(self, capsys, monkeypatch):
+        # The family without its last maximal, wherever it is built.
+        original = degree_sequences.extremal_family
+
+        def dropped(klass):
+            family = original(klass)
+            return replace(family, maximal_runs=family.maximal_runs[:-1])
+
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.split(".")[0] == "ccyclic":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, dropped)
+        code, out, _ = run(capsys, "verify", "--n", "9", "--c", "6")
+        assert code == 2
+        assert out.splitlines()[:5] == [
+            "equivalence c=6 n=9: ok (210 candidates)",
+            "extremality c=6 n=9: MISMATCH",
+            "    [8, 4^4, 1^4] below no maximal",
+            "    [7, 5, 4^3, 1^4] below no maximal",
+            "    [6^2, 4^3, 1^4] below no maximal",
+        ]
+        assert out.splitlines()[5].startswith("bounds c=6 n=9 ")
+
+    def test_extremality_mismatch_names_a_broken_family(self, capsys, monkeypatch):
+        # A non-member maximal that majorizes the others.
+        original = cli.walk_class
+        intruder = runs_of((6, 6, 2, 1, 1, 1, 1))
+
+        def walk(klass, cap, family, indices):
+            family = replace(family, maximal_runs=family.maximal_runs + (intruder,))
+            return original(klass, cap, family, indices)
+
+        monkeypatch.setattr(cli, "walk_class", walk)
+        code, out, _ = run(capsys, "verify", "--n", "7", "--c", "3")
+        assert code == 2
+        assert out.splitlines()[1:4] == [
+            "extremality c=3 n=7: MISMATCH",
+            "    a family sequence is not a class member",
+            "    maximals not pairwise incomparable",
         ]
         assert out.endswith("summary: 6 checks, 5 ok, 1 mismatched, skipped=no\n")
 
@@ -570,18 +617,25 @@ class TestVerify:
             assert err == "error: --cap must be nonnegative, got -1\n"
 
     def test_enumerates_each_class_once(self, capsys, monkeypatch):
-        original = degree_sequences.candidate_sequences
+        # A class is enumerated by the candidate generator or by one walk.
+        generate, walk = degree_sequences.candidate_sequences, degree_sequences.walk_class
         created = []
 
-        def counting(n, total):
+        def counting_generator(n, total):
             created.append((n, total))
-            return original(n, total)
+            return generate(n, total)
+
+        def counting_walk(klass, *args):
+            created.append((klass.n, klass.degree_total))
+            return walk(klass, *args)
 
         for name, module in list(sys.modules.items()):
             if module is not None and name.split(".")[0] == "ccyclic":
                 for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting)
+                    if value is generate:
+                        monkeypatch.setattr(module, attr, counting_generator)
+                    elif value is walk:
+                        monkeypatch.setattr(module, attr, counting_walk)
         code, out, _ = run(capsys, "verify", "--n", "8", "--c", "0..6")
         assert code == 0
         assert "summary: 42 checks, 42 ok, 0 mismatched, skipped=no" in out

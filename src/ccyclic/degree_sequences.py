@@ -300,20 +300,22 @@ def candidate_sequences(n: int, total: int) -> Iterator[tuple]:
         yield from _runs_below([], {}, n, total, n - 1)
 
 
-def _run_choices(choices: dict, slots: int, remaining: int, bound: int) -> tuple:
+def _run_choices(choices: dict, slots: int, remaining: int, bound: int) -> list:
     """Each next run ``(value, count)``, value <= ``bound``, that leaves the rest completable.
 
     The rest is ``slots`` entries summing to ``remaining``; runs come in
     descending lexicographic order.  The one copy of this arithmetic, read
     by :func:`candidate_sequences` and :func:`walk_class`.  Many prefixes
-    share a rest, so each enumeration keeps its answers in ``choices``.
+    share a rest, so each enumeration keeps its answers in ``choices``, as
+    lists: freed tuples of many lengths would fill the interpreter's tuple
+    free lists, which a long-running process keeps.
     """
     key = (slots, remaining, bound)
     runs = choices.get(key)
     if runs is None:
         high = min(bound, remaining - slots + 1)  # the rest are at least 1
         low = max(-(-remaining // slots), 1)  # the rest are at most the next value
-        runs = choices[key] = tuple(
+        runs = choices[key] = [
             (value, count)
             for value in range(high, low - 1, -1)
             # After `count` copies of the value, the rest lie in [1, value - 1] or are none.
@@ -322,7 +324,7 @@ def _run_choices(choices: dict, slots: int, remaining: int, bound: int) -> tuple
                 max(remaining - slots * (value - 1), 1) - 1,
                 -1,
             )
-        )
+        ]
     return runs
 
 

@@ -705,21 +705,23 @@ class _Walk:
         # a key is at most n times its largest term, so no field carries into
         # the next.  Product keys share one table (d -> d), so they are one key.
         tables = [key_table(index, 1, n - 1) for index in indices]
-        sums = [(table, e) for (table, product), e in zip(tables, self.extremes) if not product]
-        if any(isinstance(table[1], float) for table, _ in sums):
+        additive = [(table, e) for (table, product), e in zip(tables, self.extremes) if not product]
+        if any(isinstance(table[1], float) for table, _ in additive):
             raise ValueError("the walk ranks exact keys only: no fractional exponent")
-        width = max((n * max(table)).bit_length() for table, _ in sums) if sums else 0
+        width = max((n * max(table)).bit_length() for table, _ in additive) if additive else 0
         self.packed = [
-            sum(table[d] << i * width for i, (table, _) in enumerate(sums)) for d in range(n)
+            sum(table[d] << i * width for i, (table, _) in enumerate(additive)) for d in range(n)
         ]
-        self.fields = [(i * width, (1 << width) - 1, e) for i, (_, e) in enumerate(sums)]
+        self.fields = [(i * width, (1 << width) - 1, e) for i, (_, e) in enumerate(additive)]
         self.product_table = next((table for table, product in tables if product), [1] * n)
         self.product_extremes = [e for e, (_, product) in zip(self.extremes, tables) if product]
 
         # A regular maximal is nonincreasing, of order n and on the class total.
         # On a run of a member its gap to the member's prefix sums is concave,
         # so the member's run ends decide whether the member lies below it.
-        self.tops, self.incomparable, least = _family_sums(family) if family else ([], True, None)
+        self.tops, self.incomparable, least = (
+            _family_sums(family) if family is not None else ([], True, None)
+        )
         regular = []
         for sums, runs in self.tops:
             entries = expand_runs(runs)
@@ -745,7 +747,7 @@ class _Walk:
             ends = [k for k in range(1, n) if entries[k - 1] != entries[k]]
         self.least_ends = [tuple(k for k in ends if k > a) for a in range(n + 1)]
 
-    def below(self, slots, remaining, bound, head, verdicts, mask, min_ok, sums, product):
+    def below(self, slots, remaining, bound, head, verdicts, mask, min_ok, keys, product):
         """Push every run :func:`_run_choices` allows, then the runs below it, to the leaves."""
         klass, stack, above, least = self.klass, self.stack, self.above, self.least
         packed, product_table = self.packed, self.product_table
@@ -772,19 +774,19 @@ class _Walk:
                     if start + value * (k - a) < least[k]:
                         run_ok = False
                         break
-            run_sums = sums + count * packed[value]
+            run_keys = keys + count * packed[value]
             run_product = product * product_table[value] ** count
             stack.append(pair)
             if count == slots:
                 self.leaf(
-                    tuple(stack), run_verdicts, mask & above[b][s], run_ok, run_sums, run_product
+                    tuple(stack), run_verdicts, mask & above[b][s], run_ok, run_keys, run_product
                 )
             else:
                 self.below(slots - count, remaining - count * value, value - 1, run_head,
-                           run_verdicts, mask & above[b][s], run_ok, run_sums, run_product)
+                           run_verdicts, mask & above[b][s], run_ok, run_keys, run_product)
             stack.pop()
 
-    def leaf(self, runs, verdicts, mask, min_ok, sums, product):
+    def leaf(self, runs, verdicts, mask, min_ok, keys, product):
         """The checks of one candidate; a member also goes into the report and the extremes."""
         self.candidates += 1
         validate_runs(runs, self.n)
@@ -805,7 +807,7 @@ class _Walk:
             if not min_ok:
                 self.below_minimal.append(runs)
         for shift, field, extremes in self.fields:
-            extremes.add(sums >> shift & field, runs)
+            extremes.add(keys >> shift & field, runs)
         for extremes in self.product_extremes:
             extremes.add(product, runs)
 

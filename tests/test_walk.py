@@ -42,7 +42,7 @@ def assert_same_outcomes(walk, reports, population):
 
 
 def damaged(family):
-    """Families no check can pass, each reaching the walk's fallback to prefix sums."""
+    """Damaged families, each reaching the walk's fallback to prefix sums."""
     yield upside_down(family)
     yield with_a_maximal_as_minimal(family)
     yield replace(family, maximal_runs=family.maximal_runs[:-1])  # the last maximal dropped

@@ -30,25 +30,26 @@ per-member step costs O(runs), not O(n).  A caller holding a tuple converts it
 once with ``runs_of``.  :func:`is_ccyclic_sequence` validates its input
 (:func:`validate_runs`); the other membership tests take a valid form as given,
 which the generator's output is by construction.  :class:`ExtremalFamily`
-holds runs and expands them into tuples on demand.
+holds runs only.
 
-The oracle of ``verify`` is :func:`walk_class`, one walk of the candidate tree
-per class that holds no population.  It pushes one run ``(value, count)`` at
-a time, as the generator does, and each push updates state that its whole
-subtree shares: the head of at most eight entries that the counting
-conditions and the inequality rows read (their verdicts, once it is
-complete); a bitmask of the maximals whose prefix sums still lie above the
-candidate's; whether the minimal's still lie below; and the index keys, the
-sums packed in one int beside the degree product.  At each leaf the
-candidate gets :func:`validate_runs`, both verdicts and :func:`is_graphical`.
-Checking the prefix sums only at run ends is exact.  On a run of the
-candidate its prefix sum grows linearly while a nonincreasing maximal's is
-concave, so the gap to a maximal is concave on the run and least at one of
-its ends; the gap to the minimal is convex instead, so it is also checked at
-the minimal's own run ends inside the run, as :func:`compare_runs` does.  A
-member below no maximal, or any member when the maximals are not pairwise
-incomparable, falls back to the full prefix-sum comparison of
-:func:`extremality_report`, which also finds the witnesses.
+The oracle of both ``verify`` modes, and the one extremality check, is
+:func:`walk_class`, one walk of the candidate tree per class that holds no
+population.  It pushes one run ``(value, count)`` at a time, as the
+generator does, and each push updates state that its whole subtree shares:
+the head of at most eight entries that the counting conditions and the
+inequality rows read (their verdicts, once it is complete, where the tables
+have a row for c); a bitmask of the maximals whose prefix sums still lie
+above the candidate's; whether the minimal's still lie below; and the index
+keys, the sums packed in one int beside the degree product.  At each leaf
+the candidate gets :func:`validate_runs`, the verdicts and
+:func:`is_graphical`.  Checking the prefix sums only at run ends is exact.
+On a run of the candidate its prefix sum grows linearly while a
+nonincreasing maximal's is concave, so the gap to a maximal is concave on
+the run and least at one of its ends; the gap to the minimal is convex
+instead, so it is also checked at the minimal's own run ends inside the run,
+as :func:`compare_runs` does.  A member below no maximal, or any member when
+the maximals are not pairwise incomparable, falls back to the full
+prefix-sum comparison of :func:`_place`, which also finds the witnesses.
 
 Index-notation caveat: two of the published block descriptions carry
 overlapping subscripts for where the "degree >= 2" block ends; the counting
@@ -59,7 +60,6 @@ first eight for the widest c=6 set).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, permutations
 from math import isqrt
 from operator import ge, le
@@ -380,7 +380,7 @@ def enumerate_sequences(klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_C
 
 
 def graphical_class_sequences(klass: CyclomaticClass, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
-    """:func:`enumerate_sequences` under the name that ``verify --conjecture`` uses."""
+    """:func:`enumerate_sequences` under its second public name."""
     return _members(klass, cap)
 
 
@@ -391,23 +391,11 @@ def graphical_class_sequences(klass: CyclomaticClass, cap: int = DEFAULT_ENUMERA
 
 @dataclass(frozen=True)
 class ExtremalFamily:
-    """Maximal degree sequences (pairwise incomparable) and the unique minimal one.
-
-    Held as maximal runs, which the package reads; ``maximals`` and
-    ``minimal`` expand them into tuples on first use.
-    """
+    """Maximal degree sequences (pairwise incomparable) and the unique minimal one, as runs."""
 
     klass: CyclomaticClass
     maximal_runs: tuple
     minimal_runs: Optional[tuple]  # None only where a closed-form minimal pattern is undefined
-
-    @cached_property
-    def maximals(self) -> tuple:
-        return tuple(map(expand_runs, self.maximal_runs))
-
-    @cached_property
-    def minimal(self) -> Optional[tuple]:
-        return None if self.minimal_runs is None else expand_runs(self.minimal_runs)
 
 
 def class_boxes(klass: CyclomaticClass) -> list:
@@ -595,54 +583,22 @@ def _place(sums: list, runs, tops: list, incomparable: bool, witnesses: dict) ->
     return covered
 
 
-def _report(family, count, members_valid, incomparable, uncovered, witnesses, below):
-    return ExtremalityReport(
-        c=family.klass.c,
-        n=family.klass.n,
-        sequence_count=count,
-        members_valid=members_valid,
-        pairwise_incomparable=incomparable,
-        not_below_any_maximal=tuple(uncovered),
-        dominated_patterns=tuple(
-            (top, witnesses[top]) for top in family.maximal_runs if top in witnesses
-        ),
-        not_above_minimal=tuple(below),
-    )
+def check_family_extremality(klass: CyclomaticClass, cap: int) -> ExtremalityReport:
+    """Check the extremal family of a class with c <= 6 against its members, in one walk.
 
-
-def extremality_report(family: ExtremalFamily, population) -> ExtremalityReport:
-    """Check ``family`` against ``population``, the class members as runs.
-
-    Each fixed vector and each member is summed once; pairs compare sums.
-    :func:`walk_class` makes the same report without holding the population.
+    An order above ``cap`` raises :class:`EnumerationCapError` before the family is built.
     """
-    minimal = family.minimal_runs
-    members_valid = all(runs in population for runs in family.maximal_runs) and (
-        minimal is None or minimal in population
-    )
-    tops, incomparable, least = _family_sums(family)
-    uncovered = []
-    witnesses = {}
-    below = []
-    for runs in population:
-        sums = list(accumulate(expand_runs(runs)))
-        if not _place(sums, runs, tops, incomparable, witnesses):
-            uncovered.append(runs)
-        if least is not None and not _below(least, sums):
-            below.append(runs)
-    return _report(
-        family, len(population), members_valid, incomparable, uncovered, witnesses, below
-    )
+    check_cap(klass, cap)
+    return walk_class(klass, cap, extremal_family(klass)).extremality
 
 
-def check_family_extremality(klass: CyclomaticClass, population) -> ExtremalityReport:
-    """Check the extremal family against ``population``, a list of the class members as runs."""
-    return extremality_report(extremal_family(klass), population)
+def check_pattern_extremality(klass: CyclomaticClass, cap: int) -> ExtremalityReport:
+    """Check the closed-form patterns against the class members, for any c, in one walk.
 
-
-def check_pattern_extremality(klass: CyclomaticClass, population) -> ExtremalityReport:
-    """Check the closed-form patterns against ``population``, the class members as runs (any c)."""
-    return extremality_report(parametric_extremal_family(klass.c, klass.n), population)
+    An order above ``cap`` raises :class:`EnumerationCapError` before the patterns are built.
+    """
+    check_cap(klass, cap)
+    return walk_class(klass, cap, parametric_extremal_family(klass.c, klass.n)).extremality
 
 
 # ---------------------------------------------------------------------------
@@ -664,21 +620,22 @@ class ClassWalk:
 def walk_class(
     klass: CyclomaticClass, cap: int, family: Optional[ExtremalFamily] = None, indices=()
 ) -> ClassWalk:
-    """The oracle over a class with c <= 6 in one walk of its candidates, holding no population.
+    """The oracle over a class in one walk of its candidates, holding no population.
 
-    Each candidate gets :func:`validate_runs`, the counting form, the
-    inequalities and the Erdos-Gallai test, and a disagreement among the
-    three verdicts is recorded; the members are the candidates the Erdos-
-    Gallai test accepts.  With ``family``, the walk makes the
-    :func:`extremality_report` of the family over the members, and for each
-    of ``indices`` it keeps the :class:`~ccyclic.indices.Extremes` of the
-    members' ranking keys.  Raises :class:`EnumerationCapError` above the cap.
+    Each candidate gets :func:`validate_runs` and the Erdos-Gallai test; the
+    members are the candidates it accepts.  Where the tables have a row for
+    c (c <= 6), each candidate also gets the counting form and the
+    inequalities, and a disagreement among the three verdicts is recorded.
+    With ``family``, the walk makes the :class:`ExtremalityReport` of the
+    family over the members, and for each of ``indices`` it keeps the
+    :class:`~ccyclic.indices.Extremes` of the members' ranking keys.  Raises
+    :class:`EnumerationCapError` above the cap.
     """
     check_cap(klass, cap)
-    if klass.c > MAX_SUPPORTED_CYCLES:
-        raise ValueError(f"no characterization implemented beyond c={MAX_SUPPORTED_CYCLES}")
     walk = _Walk(klass, family, indices)
-    walk.below(klass.n, klass.degree_total, klass.n - 1, (), None, walk.mask, walk.min_ok, 0, 1)
+    # With no table row the verdicts start as (), so no head is built.
+    verdicts = None if klass.c in _COUNT_CONDITIONS else ()
+    walk.below(klass.n, klass.degree_total, klass.n - 1, (), verdicts, walk.mask, walk.min_ok, 0, 1)
     return walk.result()
 
 
@@ -790,10 +747,9 @@ class _Walk:
         """The checks of one candidate; a member also goes into the report and the extremes."""
         self.candidates += 1
         validate_runs(runs, self.n)
-        counting, inequalities = verdicts
         graphical = is_graphical(runs)
-        if not counting == inequalities == graphical:
-            self.failures.append((runs, counting, inequalities, graphical))
+        if verdicts and verdicts != (graphical, graphical):
+            self.failures.append((runs, *verdicts, graphical))
         if not graphical:
             return
         self.members += 1
@@ -821,14 +777,21 @@ class _Walk:
 
     def result(self) -> ClassWalk:
         report = None
-        family = self.family
+        family, witnesses = self.family, self.witnesses
         if family is not None:
-            members_valid = all(map(self.is_member, family.maximal_runs)) and (
-                family.minimal_runs is None or self.is_member(family.minimal_runs)
-            )
-            report = _report(
-                family, self.members, members_valid, self.incomparable, self.uncovered,
-                self.witnesses, self.below_minimal,
+            minimal = family.minimal_runs
+            report = ExtremalityReport(
+                c=self.klass.c,
+                n=self.n,
+                sequence_count=self.members,
+                members_valid=all(map(self.is_member, family.maximal_runs))
+                and (minimal is None or self.is_member(minimal)),
+                pairwise_incomparable=self.incomparable,
+                not_below_any_maximal=tuple(self.uncovered),
+                dominated_patterns=tuple(
+                    (top, witnesses[top]) for top in family.maximal_runs if top in witnesses
+                ),
+                not_above_minimal=tuple(self.below_minimal),
             )
         return ClassWalk(
             self.candidates, tuple(self.failures), self.members, report, self.extremes

@@ -4,10 +4,10 @@ Everything here deliberately avoids the library's own algorithms: candidates
 come from itertools or a tuple-per-level recursion, box points from a plain
 bounded recursion, and comparable vectors from explicit mass transfers, so
 library results can be checked against genuinely separate computations.
-The exceptions are :func:`reference_extremality_report`, the former
-pairwise report kept as a reference, built on the library's ``compare``, and
-:func:`per_coordinate_compare`, the former entry-by-entry ``compare``, which
-validates its input with the library's ``check_vector``.  :func:`tuple_patterns`
+The exception is :func:`per_coordinate_compare`, the former entry-by-entry
+``compare``, which validates its input with the library's ``check_vector``.
+:func:`reference_extremality_report` is the former pairwise report, kept as a
+reference on :func:`prefix_sum_relation`.  :func:`tuple_patterns`
 is the former tuple builder of the closed-form patterns, kept as a reference.
 :func:`reference_verify_bounds` is the former oracle index check, one
 ``evaluate`` per member, kept as a reference for the ranking keys.
@@ -34,7 +34,7 @@ from ccyclic.degree_sequences import (
     is_graphical,
 )
 from ccyclic.indices import INVERSE_DEGREE, evaluate, same_value
-from ccyclic.majorization import Relation, check_vector, compare, expand_runs, is_majorized_by
+from ccyclic.majorization import Relation, check_vector, expand_runs
 
 
 def cwr_candidates(n, total, max_part=None):
@@ -241,14 +241,19 @@ def prefix_dominates(big, small):
 
 
 def per_coordinate_compare(left, right):
-    """The majorization order of two nonincreasing tuples from their prefix-sum gaps.
-
-    One gap per entry, left minus right; the last is the difference of the totals.
-    """
+    """The majorization order of two nonincreasing tuples from their prefix-sum gaps."""
     if len(left) != len(right):
         raise ValueError(f"dimension mismatch: {len(left)} vs {len(right)}")
     check_vector(left)
     check_vector(right)
+    return prefix_sum_relation(left, right)
+
+
+def prefix_sum_relation(left, right):
+    """The order of two equal-length tuples' prefix sums, taken as given, sorted or not.
+
+    One gap per entry, left minus right; the last is the difference of the totals.
+    """
     gaps = list(accumulate(map(sub, left, right)))
     if not any(gaps):
         return Relation.EQUAL
@@ -489,14 +494,27 @@ def rescanning_lay_off(degrees):
     return edges
 
 
+def expanded_family(family):
+    """The family as ``(maximals, minimal or None)``, each sequence expanded into a tuple."""
+    minimal = family.minimal_runs
+    return (
+        tuple(map(expand_runs, family.maximal_runs)),
+        None if minimal is None else expand_runs(minimal),
+    )
+
+
 def reference_extremality_report(family, population):
-    """The extremality report by one ``compare`` per member and maximal, on expanded tuples."""
-    maximals, minimal = family.maximals, family.minimal
+    """The extremality report by one :func:`prefix_sum_relation` per member and maximal.
+
+    On expanded tuples, taken as given: for a family out of order, or off the
+    class total, the prefix sums decide as they do for a sorted one.
+    """
+    maximals, minimal = expanded_family(family)
     members_valid = all(runs in population for runs in family.maximal_runs) and (
         minimal is None or family.minimal_runs in population
     )
     incomparable = all(
-        compare(a, b) is Relation.INCOMPARABLE
+        prefix_sum_relation(a, b) is Relation.INCOMPARABLE
         for i, a in enumerate(maximals)
         for b in maximals[i + 1 :]
     )
@@ -510,7 +528,7 @@ def reference_extremality_report(family, population):
         seq = expand_runs(runs)
         covered = False
         for top, top_runs in tops:
-            rel = compare(seq, top)
+            rel = prefix_sum_relation(seq, top)
             if rel is Relation.GREATER_OR_EQUAL:
                 witnesses.setdefault(top_runs, runs)
             elif rel is not Relation.INCOMPARABLE:
@@ -521,7 +539,9 @@ def reference_extremality_report(family, population):
                     break
         if not covered:
             uncovered.append(runs)
-        if minimal is not None and not is_majorized_by(minimal, seq):
+        if minimal is not None and prefix_sum_relation(minimal, seq) not in (
+            Relation.EQUAL, Relation.LESS_OR_EQUAL
+        ):
             below.append(runs)
     return ExtremalityReport(
         c=family.klass.c,

@@ -35,7 +35,7 @@ from ccyclic.indices import IndexSpec, evaluate
 from ccyclic.majorization import Relation, compare, expand_runs, is_majorized_by, runs_of
 from ccyclic.realization import cyclomatic_number, is_connected, realize
 
-from oracles import random_nested_boxes, random_nonincreasing, transfer_down
+from oracles import expanded_family, random_nested_boxes, random_nonincreasing, transfer_down
 
 
 @contextmanager
@@ -136,10 +136,10 @@ def test_criterion_01_extremal_table_reproduction():
         start = time.perf_counter()
         for c in range(7):
             for n in range(c + 2, 13):
-                family = extremal_family(CyclomaticClass(c=c, n=n))
+                maximals, minimal = expanded_family(extremal_family(CyclomaticClass(c=c, n=n)))
                 expected_max = sorted(table_maximals(c, n), reverse=True)
-                assert sorted(family.maximals, reverse=True) == expected_max, (c, n)
-                assert family.minimal == table_minimal(c, n), (c, n)
+                assert sorted(maximals, reverse=True) == expected_max, (c, n)
+                assert minimal == table_minimal(c, n), (c, n)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"table reproduction took {elapsed:.3f}s"
 
@@ -147,11 +147,9 @@ def test_criterion_01_extremal_table_reproduction():
 def test_criterion_02_small_order_special_cases():
     with criterion(2, "exceptional small-order families match exactly"):
         for (c, n), (expected_max, expected_min) in sorted(EXCEPTIONAL_FAMILIES.items()):
-            family = extremal_family(CyclomaticClass(c=c, n=n))
-            assert sorted(family.maximals, reverse=True) == sorted(
-                expected_max, reverse=True
-            ), (c, n)
-            assert family.minimal == expected_min, (c, n)
+            maximals, minimal = expanded_family(extremal_family(CyclomaticClass(c=c, n=n)))
+            assert sorted(maximals, reverse=True) == sorted(expected_max, reverse=True), (c, n)
+            assert minimal == expected_min, (c, n)
 
 
 def test_criterion_03_inverse_degree_closed_forms():
@@ -213,23 +211,23 @@ def test_criterion_07_majorization_extremality():
         for c in range(7):
             for n in range(min_order(c), 11):
                 klass = CyclomaticClass(c=c, n=n)
-                family = extremal_family(klass)
-                for i, a in enumerate(family.maximals):
-                    for b in family.maximals[i + 1 :]:
+                maximals, minimal = expanded_family(extremal_family(klass))
+                for i, a in enumerate(maximals):
+                    for b in maximals[i + 1 :]:
                         assert compare(a, b) is Relation.INCOMPARABLE, (c, n)
                 for seq in map(expand_runs, enumerate_sequences(klass)):
                     assert any(
-                        is_majorized_by(seq, top) for top in family.maximals
+                        is_majorized_by(seq, top) for top in maximals
                     ), (c, n, seq)
-                    assert is_majorized_by(family.minimal, seq), (c, n, seq)
+                    assert is_majorized_by(minimal, seq), (c, n, seq)
 
 
 def test_criterion_08_realization_soundness():
     with criterion(8, "every extremal sequence realizes connected with the right c"):
         for c in range(7):
             for n in range(min_order(c), 13):
-                family = extremal_family(CyclomaticClass(c=c, n=n))
-                for seq in family.maximals + (family.minimal,):
+                maximals, minimal = expanded_family(extremal_family(CyclomaticClass(c=c, n=n)))
+                for seq in maximals + (minimal,):
                     graph = realize(seq)
                     assert graph.degree_sequence() == seq, (c, n, seq)
                     assert is_connected(graph)

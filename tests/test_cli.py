@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -640,6 +641,36 @@ class TestVerify:
         assert code == 0
         assert "summary: 42 checks, 42 ok, 0 mismatched, skipped=no" in out
         assert len(created) == len(set(created)) == 7
+
+    def test_conjecture_walks_each_order_once_and_builds_no_population(self, capsys, monkeypatch):
+        walk = degree_sequences.walk_class
+        walked = []
+
+        def counting_walk(klass, *args):
+            walked.append((klass.c, klass.n))
+            return walk(klass, *args)
+
+        def refused(*args):
+            raise AssertionError("a population was built")
+
+        replaced = {
+            walk: counting_walk,
+            degree_sequences.graphical_class_sequences: refused,
+            degree_sequences.enumerate_sequences: refused,
+            degree_sequences.candidate_sequences: refused,
+        }
+        for name, module in list(sys.modules.items()):
+            if module is not None and name.split(".")[0] == "ccyclic":
+                for attr, value in list(vars(module).items()):
+                    if callable(value) and value in replaced:
+                        monkeypatch.setattr(module, attr, replaced[value])
+        code, out, _ = run(capsys, "verify", "--conjecture", "--n-max", "10", "--c", "5..8",
+                           "--cap", "9")
+        assert code == 3
+        enumerated = re.findall(r"^CONJECTURE c=(\d+) n=(\d+): closed-form", out, re.MULTILINE)
+        assert walked == [(int(c), int(n)) for c, n in enumerated]
+        assert len(walked) == len(set(walked)) == 18
+        assert out.count(": holds\n") == 18 and out.count("skipped") == 4
 
     def test_population_does_not_trust_the_counting_conditions(self, capsys, monkeypatch):
         # Asking four degrees >= 4 where five are needed admits the

@@ -1,6 +1,7 @@
 """Tests for class membership, enumeration, and extremal families."""
 
 import random
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -17,13 +18,13 @@ from ccyclic.degree_sequences import (
     class_candidates,
     enumerate_sequences,
     extremal_family,
-    extremality_report,
     graphical_class_sequences,
     is_ccyclic_sequence,
     is_ccyclic_sequence_via_inequalities,
     is_graphical,
     min_order,
     parametric_extremal_family,
+    walk_class,
 )
 from ccyclic.majorization import (
     Relation, coalesce_runs, compare, expand_runs, is_majorized_by, runs_of
@@ -31,6 +32,7 @@ from ccyclic.majorization import (
 
 from oracles import (
     cwr_candidates,
+    expanded_family,
     published_inequalities,
     reference_extremality_report,
     textbook_is_graphical,
@@ -293,36 +295,34 @@ SMALL_N_FAMILIES = {
 
 class TestExtremalFamily:
     def test_tricyclic_n8(self):
-        family = extremal_family(CyclomaticClass(c=3, n=8))
-        assert family.maximals == (
+        maximals, minimal = expanded_family(extremal_family(CyclomaticClass(c=3, n=8)))
+        assert maximals == (
             (7, 4, 2, 2, 2, 1, 1, 1),
             (7, 3, 3, 3, 1, 1, 1, 1),
         )
-        assert family.minimal == (3, 3, 3, 3, 2, 2, 2, 2)
+        assert minimal == (3, 3, 3, 3, 2, 2, 2, 2)
 
     def test_tetracyclic_n5(self):
-        family = extremal_family(CyclomaticClass(c=4, n=5))
-        assert family.maximals == ((4, 4, 3, 3, 2),)
-        assert family.minimal == (4, 3, 3, 3, 3)
+        maximals, minimal = expanded_family(extremal_family(CyclomaticClass(c=4, n=5)))
+        assert maximals == ((4, 4, 3, 3, 2),)
+        assert minimal == (4, 3, 3, 3, 3)
 
     def test_hexacyclic_n10_minimal(self):
-        family = extremal_family(CyclomaticClass(c=6, n=10))
-        assert family.minimal == (3,) * 10
+        _, minimal = expanded_family(extremal_family(CyclomaticClass(c=6, n=10)))
+        assert minimal == (3,) * 10
 
     def test_triangle(self):
-        family = extremal_family(CyclomaticClass(c=1, n=3))
-        assert family.maximals == ((2, 2, 2),)
-        assert family.minimal == (2, 2, 2)
+        maximals, minimal = expanded_family(extremal_family(CyclomaticClass(c=1, n=3)))
+        assert maximals == ((2, 2, 2),)
+        assert minimal == (2, 2, 2)
 
     @pytest.mark.parametrize("key", sorted(SMALL_N_FAMILIES))
     def test_small_order_families(self, key):
         c, n = key
         expected_max, expected_min = SMALL_N_FAMILIES[key]
-        family = extremal_family(CyclomaticClass(c=c, n=n))
-        assert sorted(family.maximals, reverse=True) == sorted(
-            expected_max, reverse=True
-        )
-        assert family.minimal == expected_min
+        maximals, minimal = expanded_family(extremal_family(CyclomaticClass(c=c, n=n)))
+        assert sorted(maximals, reverse=True) == sorted(expected_max, reverse=True)
+        assert minimal == expected_min
 
     def test_rejects_unsupported_c(self):
         with pytest.raises(ValueError):
@@ -332,39 +332,40 @@ class TestExtremalFamily:
         for c in range(7):
             for n in range(min_order(c), 11):
                 klass = CyclomaticClass(c=c, n=n)
-                family = extremal_family(klass)
-                for seq in family.maximals:
+                maximals, minimal = expanded_family(extremal_family(klass))
+                for seq in maximals:
                     assert is_ccyclic_sequence(runs_of(seq), klass)
-                    assert is_majorized_by(family.minimal, seq)
-                for i, a in enumerate(family.maximals):
-                    for b in family.maximals[i + 1 :]:
+                    assert is_majorized_by(minimal, seq)
+                for i, a in enumerate(maximals):
+                    for b in maximals[i + 1 :]:
                         assert compare(a, b) is Relation.INCOMPARABLE
 
     def test_extremality_against_enumeration(self):
         for c in range(7):
             for n in range(min_order(c), 10):
                 klass = CyclomaticClass(c=c, n=n)
-                report = check_family_extremality(klass, enumerate_sequences(klass))
+                report = check_family_extremality(klass, n)
                 assert report.ok and report.complete, (c, n, report)
 
-    def test_extremality_catches_a_dominating_intruder(self):
+    def test_extremality_catches_dominated_maximals(self):
+        # Two class members strictly below the true maximals
+        # [7, 4, 2^3, 1^3] and [7, 3^3, 1^4], put in as the maximals.
         klass = CyclomaticClass(c=3, n=8)
-        maximals = extremal_family(klass).maximals
-        assert maximals == ((7, 4, 2, 2, 2, 1, 1, 1), (7, 3, 3, 3, 1, 1, 1, 1))
-        # Neither is a class member; each strictly majorizes both maximals.
-        first, second = runs_of((7, 5, 2, 2, 1, 1, 1, 1)), runs_of((7, 4, 3, 2, 1, 1, 1, 1))
-        population = enumerate_sequences(klass)
-        report = check_family_extremality(klass, population + [first, second])
-        assert report.not_below_any_maximal == (first, second)
-        tops = tuple(map(runs_of, maximals))
-        assert report.dominated_patterns == ((tops[0], first), (tops[1], first))
+        tops = runs_of((6, 5, 2, 2, 2, 1, 1, 1)), runs_of((6, 4, 3, 3, 1, 1, 1, 1))
+        family = replace(extremal_family(klass), maximal_runs=tops)
+        report = walk_class(klass, 8, family).extremality
+        assert report == reference_extremality_report(family, enumerate_sequences(klass))
+        # the first member strictly above each, in descending lexicographic order
+        assert report.dominated_patterns == (
+            (tops[0], runs_of((7, 4, 2, 2, 2, 1, 1, 1))),
+            (tops[1], runs_of((7, 3, 3, 3, 1, 1, 1, 1))),
+        )
+        assert report.members_valid and report.pairwise_incomparable
         assert not report.ok and not report.complete
-        family = extremal_family(klass)
-        assert report == reference_extremality_report(family, population + [first, second])
 
 
 class TestExtremalityReportMatchesReference:
-    """The prefix-sum report equals the former pairwise ``compare`` report, field for field."""
+    """The walk's report equals the former pairwise report, field for field."""
 
     def test_family_reports(self):
         for c in range(7):
@@ -372,7 +373,7 @@ class TestExtremalityReportMatchesReference:
                 klass = CyclomaticClass(c=c, n=n)
                 population = graphical_class_sequences(klass)
                 expected = reference_extremality_report(extremal_family(klass), population)
-                assert check_family_extremality(klass, population) == expected, (c, n)
+                assert check_family_extremality(klass, n) == expected, (c, n)
 
     def test_pattern_reports(self):
         for c in range(11):
@@ -381,7 +382,17 @@ class TestExtremalityReportMatchesReference:
                 population = graphical_class_sequences(klass)
                 family = parametric_extremal_family(c, n)
                 expected = reference_extremality_report(family, population)
-                assert check_pattern_extremality(klass, population) == expected, (c, n)
+                assert check_pattern_extremality(klass, n) == expected, (c, n)
+
+    def test_checks_refuse_an_order_above_the_cap_before_the_family(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("the family was built")
+
+        monkeypatch.setattr("ccyclic.degree_sequences.extremal_family", built)
+        monkeypatch.setattr("ccyclic.degree_sequences.parametric_extremal_family", built)
+        for check in (check_family_extremality, check_pattern_extremality):
+            with pytest.raises(EnumerationCapError, match="order 9 exceeds enumeration cap 8"):
+                check(CyclomaticClass(c=3, n=9), 8)
 
     def test_families_of_arbitrary_members(self):
         # Fixed vectors with a head below n - 1, comparable among themselves,
@@ -393,62 +404,66 @@ class TestExtremalityReportMatchesReference:
             for _ in range(30):
                 picks = rng.sample(population, rng.randint(2, 5))
                 family = ExtremalFamily(klass, tuple(picks[1:]), picks[0])
-                report = extremality_report(family, population)
+                report = walk_class(klass, n, family).extremality
                 assert report == reference_extremality_report(family, population), picks
 
     def test_family_with_a_wrong_total(self):
         # A maximal and a minimal two above the class total: incomparable
         # with every member, so nothing lies below the one or above the other.
-        klass = CyclomaticClass(c=3, n=8)
-        population = enumerate_sequences(klass)
-        wrong_top = runs_of((7, 4, 3, 2, 2, 1, 1, 1))
-        wrong_least = runs_of((3, 3, 3, 3, 3, 3, 2, 2))
-        for maximal_runs in ((wrong_top,), (wrong_top, runs_of((7, 3, 3, 3, 1, 1, 1, 1)))):
-            family = ExtremalFamily(klass, maximal_runs, wrong_least)
-            report = extremality_report(family, population)
-            assert report == reference_extremality_report(family, population)
-            assert not report.members_valid
-            assert len(report.not_above_minimal) == len(population)
-        assert report.pairwise_incomparable and len(report.not_below_any_maximal) > 0
+        # Each case: (c, n), the maximal, the minimal, and a member maximal.
+        cases = [
+            (3, 8, (7, 4, 3, 2, 2, 1, 1, 1), (3, 3, 3, 3, 3, 3, 2, 2), (7, 3, 3, 3, 1, 1, 1, 1)),
+            (8, 10, (9, 9, 3, 3) + (2,) * 6, (4,) * 6 + (3,) * 4, (9, 9) + (2,) * 8),
+        ]
+        for c, n, wrong_top, wrong_least, member in cases:
+            klass = CyclomaticClass(c=c, n=n)
+            population = enumerate_sequences(klass, n)
+            wrong_top, wrong_least = runs_of(wrong_top), runs_of(wrong_least)
+            for maximal_runs in ((wrong_top,), (wrong_top, runs_of(member))):
+                family = ExtremalFamily(klass, maximal_runs, wrong_least)
+                report = walk_class(klass, n, family).extremality
+                assert report == reference_extremality_report(family, population), (c, n)
+                assert not report.members_valid
+                assert len(report.not_above_minimal) == len(population)
+            assert report.pairwise_incomparable and len(report.not_below_any_maximal) > 0
 
 
 class TestParametricPatterns:
     def test_bicyclic_pattern(self):
-        family = parametric_extremal_family(2, 10)
-        assert family.maximals == ((9, 3, 2, 2, 1, 1, 1, 1, 1, 1),)
-        assert family.minimal == (3, 3) + (2,) * 8
+        maximals, minimal = expanded_family(parametric_extremal_family(2, 10))
+        assert maximals == ((9, 3, 2, 2, 1, 1, 1, 1, 1, 1),)
+        assert minimal == (3, 3) + (2,) * 8
 
     def test_hexacyclic_minimal_pattern(self):
-        family = parametric_extremal_family(6, 12)
-        assert family.minimal == (3,) * 10 + (2, 2)
+        _, minimal = expanded_family(parametric_extremal_family(6, 12))
+        assert minimal == (3,) * 10 + (2, 2)
 
     def test_conjectural_c7(self):
-        family = parametric_extremal_family(7, 16)
-        assert family.maximals == (
+        maximals, minimal = expanded_family(parametric_extremal_family(7, 16))
+        assert maximals == (
             (15, 8) + (2,) * 7 + (1,) * 7,
             (15, 7, 3, 3) + (2,) * 4 + (1,) * 8,
             (15, 6, 4, 3, 3) + (2,) * 2 + (1,) * 9,
         )
-        assert family.minimal == (3,) * 12 + (2,) * 4
+        assert minimal == (3,) * 12 + (2,) * 4
 
     def test_tree_pattern(self):
-        family = parametric_extremal_family(0, 6)
-        assert family.maximals == ((5, 1, 1, 1, 1, 1),)
-        assert family.minimal is None  # path pattern is not the 3..2 form
+        maximals, minimal = expanded_family(parametric_extremal_family(0, 6))
+        assert maximals == ((5, 1, 1, 1, 1, 1),)
+        assert minimal is None  # path pattern is not the 3..2 form
 
     def test_minimal_omitted_when_n_small(self):
         family = parametric_extremal_family(5, 7)
-        assert family.minimal is None
-        assert len(family.maximals) == 3
+        assert family.minimal_runs is None
+        assert len(family.maximal_runs) == 3
 
     def test_patterns_equal_the_tuple_reference(self):
         for c in range(40):
             for n in range(min_order(c), 120):
                 family = parametric_extremal_family(c, n)
-                assert (family.maximals, family.minimal) == tuple_patterns(c, n), (c, n)
-                assert family.maximal_runs == tuple(map(runs_of, family.maximals)), (c, n)
-                if family.minimal is not None:
-                    assert family.minimal_runs == runs_of(family.minimal), (c, n)
+                maximals, minimal = tuple_patterns(c, n)
+                assert family.maximal_runs == tuple(map(runs_of, maximals)), (c, n)
+                assert family.minimal_runs == (None if minimal is None else runs_of(minimal)), (c, n)
 
     def test_patterns_cost_no_entry_per_vertex(self):
         # c = 7 at every order to 20,000, past any enumeration cap, and at 10**12
@@ -501,20 +516,18 @@ class TestParametricPatterns:
             for n in range(max(min_order(c), c + 2), 16):
                 patterns = parametric_extremal_family(c, n)
                 family = extremal_family(CyclomaticClass(c=c, n=n))
-                for seq in patterns.maximals:
-                    assert seq in family.maximals, (c, n, seq)
-                if patterns.minimal is not None:
-                    assert patterns.minimal == family.minimal
+                for runs in patterns.maximal_runs:
+                    assert runs in family.maximal_runs, (c, n, runs)
+                if patterns.minimal_runs is not None:
+                    assert patterns.minimal_runs == family.minimal_runs
 
     def test_pattern_extremality_check_holds_for_proven_c(self):
         for c in (5, 6):
-            klass = CyclomaticClass(c=c, n=10)
-            report = check_pattern_extremality(klass, graphical_class_sequences(klass))
+            report = check_pattern_extremality(CyclomaticClass(c=c, n=10), 10)
             assert report.ok
 
     def test_pattern_extremality_conjecture_c7(self):
-        klass = CyclomaticClass(c=7, n=11)
-        report = check_pattern_extremality(klass, graphical_class_sequences(klass))
+        report = check_pattern_extremality(CyclomaticClass(c=7, n=11), 11)
         assert report.ok
 
 

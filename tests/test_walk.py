@@ -1,4 +1,4 @@
-"""The one-walk oracle of ``verify`` against the separate passes it replaced, record for record."""
+"""The one-walk oracle of both ``verify`` modes against the separate passes it replaced."""
 
 from dataclasses import replace
 from fractions import Fraction as F
@@ -12,9 +12,11 @@ from ccyclic.degree_sequences import (
     CyclomaticClass,
     EnumerationCapError,
     ExtremalFamily,
+    class_candidates,
+    enumerate_sequences,
     extremal_family,
-    extremality_report,
     min_order,
+    parametric_extremal_family,
     walk_class,
 )
 from ccyclic.indices import IndexSpec
@@ -73,8 +75,17 @@ class TestWalkMatchesSeparatePasses:
             for family in damaged(extremal_family(klass)):
                 report = walk_class(klass, n, family).extremality
                 assert report == reference_extremality_report(family, population), (c, n, family)
-                assert report == extremality_report(family, population)
                 assert not report.complete or len(population) == 1  # one member: no damage
+
+    @pytest.mark.parametrize("c", [7, 8])
+    def test_damaged_families_past_the_tables(self, c):
+        # From the least order with a minimal pattern, which upside_down needs.
+        for n in range(2 * c - 2, 17):
+            klass = CyclomaticClass(c=c, n=n)
+            population = enumerate_sequences(klass, n)
+            for family in damaged(parametric_extremal_family(c, n)):
+                report = walk_class(klass, n, family).extremality
+                assert report == reference_extremality_report(family, population), (c, n, family)
 
     def test_families_off_the_class(self):
         # Off the total, and out of order: no regular maximal covers a member,
@@ -90,7 +101,7 @@ class TestWalkMatchesSeparatePasses:
         ]
         for family in families:
             report = walk_class(klass, 8, family).extremality
-            assert report == extremality_report(family, population), family
+            assert report == reference_extremality_report(family, population), family
 
     @pytest.mark.parametrize("c", range(7))
     def test_damaged_reports(self, c):
@@ -167,6 +178,23 @@ class TestWalkMatchesSeparatePasses:
         with pytest.raises(AssertionError, match="the walk started"):
             walk_class(klass, 13)
 
-    def test_unproven_class_is_refused(self):
-        with pytest.raises(ValueError, match="beyond c=6"):
-            walk_class(CyclomaticClass(c=7, n=9), 12)
+    def test_past_the_tables_no_failure_is_recorded(self):
+        # No counting or inequality row exists: the walk takes no verdicts,
+        # and its candidates and members are the reference's.
+        for c in (7, 8, 12):
+            for n in range(min_order(c), 14):
+                klass = CyclomaticClass(c=c, n=n)
+                walk = walk_class(klass, n)
+                count = sum(1 for _ in class_candidates(klass, n))
+                assert (walk.candidates, walk.failures, walk.members) == (
+                    count, (), len(enumerate_sequences(klass, n))
+                ), (c, n)
+
+    @pytest.mark.parametrize("c", range(13))
+    def test_pattern_reports_to_14(self, c):
+        for n in range(min_order(c), 15):
+            klass = CyclomaticClass(c=c, n=n)
+            family = parametric_extremal_family(c, n)
+            population = enumerate_sequences(klass, n)
+            report = walk_class(klass, n, family).extremality
+            assert report == reference_extremality_report(family, population), (c, n)

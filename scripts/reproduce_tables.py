@@ -25,12 +25,10 @@ from ccyclic.bounds import (
     bounds_table,
     closed_form_inverse_degree,
     refined_inverse_degree_upper,
-    verify_bounds,
+    verify_class,
 )
 from ccyclic.cli import EXIT_USAGE, Parser, UsageError, _emit, checked_cap, exit_code
-from ccyclic.degree_sequences import (
-    CyclomaticClass, EnumerationCapError, enumerate_sequences, extremal_family
-)
+from ccyclic.degree_sequences import CyclomaticClass, EnumerationCapError, extremal_family
 from ccyclic.formatting import format_index_value, format_sequence
 
 
@@ -40,22 +38,19 @@ def render_tables(n: int, alpha: int, verify: bool, cap: int) -> tuple:
     # rejects stops the run before any other work.
     zagreb_rows = bounds_table(n, alpha)
     classes = [CyclomaticClass(c=c, n=n) for c in range(7)]
-    # Each class is enumerated once, for both of its verified rows.  The
+    closed_rows = [closed_form_inverse_degree(klass) for klass in classes]
+    # The verified rows of each class; c = 0 has no general-Zagreb row.
+    rows = [[closed] + [row for row in zagreb_rows if row.klass.c == c]
+            for c, closed in enumerate(closed_rows)]
+    # Each class is walked once, with the indices of all its rows.  The
     # classes share one order, so the first is above the cap when all are.
-    populations = None
+    statuses = [[SKIPPED] * len(each) for each in rows]
     if verify:
         try:
-            populations = [enumerate_sequences(klass, cap) for klass in classes]
+            statuses = [[outcome.status for outcome in verify_class(each, cap)] for each in rows]
         except EnumerationCapError:
             pass
     lines = [f"extremal degree sequences at n={n}", "-" * 72]
-    verdicts = []
-
-    def verdict(report) -> str:
-        if populations is None:
-            return SKIPPED
-        return verify_bounds(report, populations[report.klass.c]).status
-
     for klass in classes:
         family = extremal_family(klass)
         tops = ", ".join(format_sequence(runs) for runs in family.maximal_runs)
@@ -63,8 +58,7 @@ def render_tables(n: int, alpha: int, verify: bool, cap: int) -> tuple:
         lines.append(f"      minimal: {format_sequence(family.minimal_runs)}")
 
     lines += ["", f"inverse-degree bounds at n={n}", "-" * 72]
-    for klass in classes:
-        closed = closed_form_inverse_degree(klass)
+    for klass, closed in zip(classes, closed_rows):
         line = (
             f"c={klass.c}  {format_index_value(closed.lower)} <= rho <= "
             f"{format_index_value(closed.upper)}"
@@ -73,8 +67,7 @@ def render_tables(n: int, alpha: int, verify: bool, cap: int) -> tuple:
             refined = refined_inverse_degree_upper(klass)
             line += f"  [refined upper {format_index_value(refined)}]"
         if verify:
-            verdicts.append(verdict(closed))
-            line += f"  ({verdicts[-1]})"
+            line += f"  ({statuses[klass.c][0]})"
         lines.append(line)
 
     lines += ["", f"general-Zagreb bounds at n={n}, alpha={alpha}", "-" * 72]
@@ -85,11 +78,10 @@ def render_tables(n: int, alpha: int, verify: bool, cap: int) -> tuple:
             f"{format_index_value(row.upper)} at {format_sequence(row.upper_attainer)}"
         )
         if verify:
-            verdicts.append(verdict(row))
-            line += f"  ({verdicts[-1]})"
+            line += f"  ({statuses[c][1]})"
         lines.append(line)
         lines += [f"      note: {note}" for note in row.notes]
-    return lines, verdicts
+    return lines, [status for each in statuses for status in each] if verify else []
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,8 @@ at one of the maximal sequences; Schur-concave indices swap the roles.  The
 engine always derives the orientation from the Schur classification rather
 than from any published tabulation, because printed tables for the one- and
 two-cycle classes are known to circulate with the two columns swapped; the
-orientation used here is confirmed against exhaustive enumeration.
+orientation used here is confirmed against exhaustive enumeration: every
+``--verify`` checks a report against one walk of its class (:func:`verify_class`).
 
 Inverse-degree bounds additionally come as explicit closed forms in ``n``
 (piecewise at the handful of orders where the minimal sequence changes
@@ -27,13 +28,13 @@ from .degree_sequences import (
     DEFAULT_ENUMERATION_CAP,
     CyclomaticClass,
     EnumerationCapError,
-    enumerate_sequences,
     extremal_family,
     parametric_extremal_family,
+    walk_class,
 )
 from .formatting import format_decimal, format_fraction, plain_sequence, printable
 from .indices import GENERAL_ZAGREB, INVERSE_DEGREE, IndexSpec, SchurClass, evaluate, same_value
-from .indices import Extremes, ranking_keys
+from .indices import Extremes
 from .majorization import expand_runs
 
 ORIENTATION_NOTE = (
@@ -189,20 +190,26 @@ class OracleOutcome:
     refined_maximum: Optional[Real] = None  # set when refined_upper is checked
 
 
-def verify_bounds(report: BoundsReport, population) -> OracleOutcome:
-    """Compare the report's bounds and attainers with the extrema over its enumerated class.
+def verify_class(reports, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+    """The oracle's outcome for each of a class's reports, from one walk of the class.
 
-    ``population`` is a list of members as runs, ranked by ``ranking_keys``.
-    ``refined_upper``, set only on an inverse-degree report, must equal the
-    largest value over the members whose (c+2)-th largest degree is >= 2.
+    A disagreement the walk records among the membership tests makes every
+    outcome a mismatch.  Raises :class:`EnumerationCapError` above the cap.
     """
-    extremes, spread = Extremes(), Extremes()
-    c = report.klass.c
-    for runs, key in zip(population, ranking_keys(report.index, population)):
-        extremes.add(key, runs)
-        if report.refined_upper is not None and sum(m for d, m in runs if d >= 2) >= c + 2:
-            spread.add(key, runs)
-    return oracle_outcome(report, extremes, spread)
+    refined = any(report.refined_upper is not None for report in reports)
+    walk = walk_class(
+        reports[0].klass, cap, indices=[report.index for report in reports], spread=refined
+    )
+    spreads = walk.spread or [None] * len(reports)
+    outcomes = [oracle_outcome(*each) for each in zip(reports, walk.extremes, spreads)]
+    if walk.failures:
+        return [replace(outcome, status=MISMATCH) for outcome in outcomes]
+    return outcomes
+
+
+def verify_bounds(report: BoundsReport, cap: int = DEFAULT_ENUMERATION_CAP) -> OracleOutcome:
+    """Compare the report's bounds and attainers with the extrema over its class, in one walk."""
+    return verify_class([report], cap)[0]
 
 
 def oracle_outcome(report: BoundsReport, extremes: Extremes, spread=None) -> OracleOutcome:
@@ -242,11 +249,9 @@ def with_verification(
 ) -> BoundsReport:
     """Attach an oracle verdict to a bounds report; ``skipped`` above the enumeration cap."""
     try:
-        population = enumerate_sequences(report.klass, cap)
+        return replace(report, verified=verify_bounds(report, cap).status)
     except EnumerationCapError:
         return replace(report, verified=SKIPPED)
-    outcome = verify_bounds(report, population)
-    return replace(report, verified=outcome.status)
 
 
 # ---------------------------------------------------------------------------

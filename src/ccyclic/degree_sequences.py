@@ -32,24 +32,13 @@ once with ``runs_of``.  :func:`is_ccyclic_sequence` validates its input
 which the generator's output is by construction.  :class:`ExtremalFamily`
 holds runs only.
 
-The oracle of both ``verify`` modes, and the one extremality check, is
-:func:`walk_class`, one walk of the candidate tree per class that holds no
-population.  It pushes one run ``(value, count)`` at a time, as the
-generator does, and each push updates state that its whole subtree shares:
-the head of at most eight entries that the counting conditions and the
-inequality rows read (their verdicts, once it is complete, where the tables
-have a row for c); a bitmask of the maximals whose prefix sums still lie
-above the candidate's; whether the minimal's still lie below; and the index
-keys, the sums packed in one int beside the degree product.  At each leaf
-the candidate gets :func:`validate_runs`, the verdicts and
-:func:`is_graphical`.  Checking the prefix sums only at run ends is exact.
-On a run of the candidate its prefix sum grows linearly while a
-nonincreasing maximal's is concave, so the gap to a maximal is concave on
-the run and least at one of its ends; the gap to the minimal is convex
-instead, so it is also checked at the minimal's own run ends inside the run,
-as :func:`compare_runs` does.  A member below no maximal, or any member when
-the maximals are not pairwise incomparable, falls back to the full
-prefix-sum comparison of :func:`_place`, which also finds the witnesses.
+The oracle of every ``--verify``, and the one extremality check, is
+:func:`walk_class`: one walk of the candidate tree per class, holding no
+population, whose every push of a run updates the state its subtree shares
+(:class:`_Walk`).  At each leaf the candidate gets :func:`validate_runs`, the
+table verdicts and :func:`is_graphical`.  Prefix sums are compared only at
+run ends, which is exact; a member below no maximal, or any member when the
+maximals are not pairwise incomparable, falls back to :func:`_place`.
 
 Index-notation caveat: two of the published block descriptions carry
 overlapping subscripts for where the "degree >= 2" block ends; the counting
@@ -615,10 +604,12 @@ class ClassWalk:
     members: int
     extremality: Optional[ExtremalityReport]  # None when no family was given
     extremes: tuple  # an indices.Extremes per index, over the members
+    spread: tuple  # the same over the members with at least c + 2 entries >= 2; () unless asked
 
 
 def walk_class(
-    klass: CyclomaticClass, cap: int, family: Optional[ExtremalFamily] = None, indices=()
+    klass: CyclomaticClass, cap: int, family: Optional[ExtremalFamily] = None, indices=(),
+    spread: bool = False,
 ) -> ClassWalk:
     """The oracle over a class in one walk of its candidates, holding no population.
 
@@ -628,11 +619,12 @@ def walk_class(
     inequalities, and a disagreement among the three verdicts is recorded.
     With ``family``, the walk makes the :class:`ExtremalityReport` of the
     family over the members, and for each of ``indices`` it keeps the
-    :class:`~ccyclic.indices.Extremes` of the members' ranking keys.  Raises
-    :class:`EnumerationCapError` above the cap.
+    :class:`~ccyclic.indices.Extremes` of the members' ranking keys; with
+    ``spread``, also over the members with at least c + 2 entries >= 2, for
+    a refined upper bound.  Raises :class:`EnumerationCapError` above the cap.
     """
     check_cap(klass, cap)
-    walk = _Walk(klass, family, indices)
+    walk = _Walk(klass, family, indices, spread)
     # With no table row the verdicts start as (), so no head is built.
     verdicts = None if klass.c in _COUNT_CONDITIONS else ()
     walk.below(klass.n, klass.degree_total, klass.n - 1, (), verdicts, walk.mask, walk.min_ok, 0, 1)
@@ -650,28 +642,27 @@ class _Walk:
     still lie below, and the index keys.
     """
 
-    def __init__(self, klass: CyclomaticClass, family, indices):
+    def __init__(self, klass: CyclomaticClass, family, indices, spread: bool):
         n, total = klass.n, klass.degree_total
         self.klass, self.n, self.total, self.family = klass, n, total, family
         self.stack, self.choices = [], {}
         self.head_size = min(_HEAD_SIZE, n)
         self.candidates = self.members = 0
         self.failures, self.uncovered, self.below_minimal, self.witnesses = [], [], [], {}
-        self.extremes = tuple(Extremes() for _ in indices)
-        # The sum keys travel packed in one int, a field of `width` bits each:
-        # a key is at most n times its largest term, so no field carries into
-        # the next.  Product keys share one table (d -> d), so they are one key.
-        tables = [key_table(index, 1, n - 1) for index in indices]
-        additive = [(table, e) for (table, product), e in zip(tables, self.extremes) if not product]
-        if any(isinstance(table[1], float) for table, _ in additive):
-            raise ValueError("the walk ranks exact keys only: no fractional exponent")
-        width = max((n * max(table)).bit_length() for table, _ in additive) if additive else 0
-        self.packed = [
-            sum(table[d] << i * width for i, (table, _) in enumerate(additive)) for d in range(n)
-        ]
-        self.fields = [(i * width, (1 << width) - 1, e) for i, (_, e) in enumerate(additive)]
+        # The exact sum keys travel packed in one int, a field of `width` bits
+        # each: a key is at most n times its largest term, so no field carries
+        # into the next.  Product keys share one table (d -> d), so they are
+        # one key.  Float keys are summed at the leaf, as `evaluate` sums them.
+        tables = [key_table(index, n - 1) for index in indices]
+        exact = [t for t, product in tables if not (product or isinstance(t[1], float))]
+        width = max((n * max(table)).bit_length() for table in exact) if exact else 0
+        self.packed = [sum(t[d] << i * width for i, t in enumerate(exact)) for d in range(n)]
         self.product_table = next((table for table, product in tables if product), [1] * n)
-        self.product_extremes = [e for e, (_, product) in zip(self.extremes, tables) if product]
+        self.extremes = tuple(Extremes() for _ in indices)
+        self.ranks = _ranks(tables, self.extremes, width)
+        self.spread = tuple(Extremes() for _ in indices) if spread else ()
+        more = _ranks(tables, self.spread, width)  # a spread member's keys go to both
+        self.spread_ranks = tuple(mine + extra for mine, extra in zip(self.ranks, more))
 
         # A regular maximal is nonincreasing, of order n and on the class total.
         # On a run of a member its gap to the member's prefix sums is concave,
@@ -762,10 +753,16 @@ class _Walk:
                     self.uncovered.append(runs)
             if not min_ok:
                 self.below_minimal.append(runs)
-        for shift, field, extremes in self.fields:
+        fields, products, floats = self.ranks
+        # Entries >= 2 are all but a final run of ones.
+        if self.spread and self.n - (runs[-1][1] if runs[-1][0] == 1 else 0) >= self.klass.c + 2:
+            fields, products, floats = self.spread_ranks
+        for shift, field, extremes in fields:
             extremes.add(keys >> shift & field, runs)
-        for extremes in self.product_extremes:
+        for extremes in products:
             extremes.add(product, runs)
+        for table, extremes in floats:
+            extremes.add(sum([m * table[d] for d, m in runs]), runs)
 
     def is_member(self, runs) -> bool:
         """Whether a run-length form is a candidate of the class that Erdos-Gallai accepts."""
@@ -794,5 +791,18 @@ class _Walk:
                 not_above_minimal=tuple(self.below_minimal),
             )
         return ClassWalk(
-            self.candidates, tuple(self.failures), self.members, report, self.extremes
+            self.candidates, tuple(self.failures), self.members, report, self.extremes, self.spread
         )
+
+
+def _ranks(tables, extremes, width) -> tuple:
+    """Where the key of each index, by its key table, goes: a packed field, the product or a sum."""
+    fields, products, floats = [], [], []
+    for (table, product), each in zip(tables, extremes):
+        if product:
+            products.append(each)
+        elif not isinstance(table[1], float):
+            fields.append((len(fields) * width, (1 << width) - 1, each))
+        else:
+            floats.append((table, each))
+    return fields, products, floats

@@ -11,10 +11,10 @@ Schur-convex on positive vectors, those with 0 < alpha < 1 Schur-concave,
 and the log form is Schur-concave.  :func:`evaluate` takes one term per
 (degree, multiplicity) run: an int for a positive integer exponent, one
 ``Fraction`` over ``lcm(degrees) ** -alpha`` for a negative one (the inverse
-degree is alpha = -1), else a float.  :func:`ranking_keys` ranks a population
-by one table (:func:`key_table`): int keys where values are exact, degree
-products for the log form; :class:`Extremes` keeps the least and largest key
-with the members that hold them.
+degree is alpha = -1), else a float.  The oracle walk ranks members by one
+table (:func:`key_table`): int keys where values are exact, degree products
+for the log form, floats for a fractional exponent; :class:`Extremes` keeps
+the least and largest key with the members that hold them.
 
 A value is the plain number, and its type says whether it is exact: an int or
 a ``Fraction`` is, a float is not.  :func:`same_value` compares two values,
@@ -158,15 +158,15 @@ def _exact_power_sum(runs, degrees: list, power: int) -> Real:
     return Fraction(numerator, common**-power)
 
 
-def key_table(index: IndexSpec, low: int, top: int) -> tuple:
+def key_table(index: IndexSpec, top: int) -> tuple:
     """The ranking term of each degree 0..top, and whether a member's key is their product.
 
     A member's key is ``sum(m * table[d])`` over its runs: the value, times
     ``lcm(1..top)**-alpha`` for an integer alpha < 0.  For the log form it is
-    ``prod(table[d] ** m)``, the exact degree product.  ``low`` and ``top``
-    bound the degrees to rank; the table refuses what :func:`evaluate` would.
+    ``prod(table[d] ** m)``, the exact degree product.  The table refuses
+    what :func:`evaluate` would on the degrees 1 and ``top``.
     """
-    evaluate(index, ((low, 1), (top, 1)))
+    evaluate(index, ((1, 1), (top, 1)))
     span = range(1, top + 1)
     if index.kind == MULT_ZAGREB_LOG:
         return [0, *span], True
@@ -175,15 +175,6 @@ def key_table(index: IndexSpec, low: int, top: int) -> tuple:
         return [0.0] + [d ** float(power) for d in span], False
     common = math.lcm(*span)
     return [0] + [(d if power > 0 else common // d) ** abs(int(power)) for d in span], False
-
-
-def ranking_keys(index: IndexSpec, population) -> list:
-    """One number per member that orders members as their values do, by :func:`key_table`."""
-    degrees = {d for runs in population for d, _ in runs}
-    table, product = key_table(index, min(degrees), max(degrees))
-    if product:
-        return [math.prod([table[d] ** m for d, m in runs]) for runs in population]
-    return [sum([m * table[d] for d, m in runs]) for runs in population]
 
 
 class Extremes:

@@ -14,17 +14,20 @@ is the former tuple builder of the closed-form patterns, kept as a reference.
 :func:`reference_equivalence_check` is the former first pass of ``verify``,
 the three membership tests per candidate; with the two references above it
 is the separate-pass oracle that ``walk_class`` is checked against.
+:func:`walks_without_population` makes a front end prove that it walks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from operator import sub
 
+from ccyclic import degree_sequences
 from ccyclic.bounds import EXACT_MATCH, MISMATCH, OracleOutcome
 from ccyclic.degree_sequences import (
     ExtremalityReport,
@@ -613,3 +616,33 @@ def reference_equivalence_check(klass, cap):
         if graphical:
             members.append(runs)
     return count, failures, members
+
+
+def walks_without_population(monkeypatch):
+    """Record each ``walk_class`` call's (c, n), and make every population builder raise.
+
+    Patches the names in every loaded ``ccyclic`` module; returns the list of
+    walked classes, in call order.
+    """
+    walk = degree_sequences.walk_class
+    walked = []
+
+    def counting_walk(klass, *args, **kwargs):
+        walked.append((klass.c, klass.n))
+        return walk(klass, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a population was built")
+
+    replaced = {
+        walk: counting_walk,
+        degree_sequences.graphical_class_sequences: refused,
+        degree_sequences.enumerate_sequences: refused,
+        degree_sequences.candidate_sequences: refused,
+    }
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "ccyclic":
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in replaced:
+                    monkeypatch.setattr(module, attr, replaced[value])
+    return walked

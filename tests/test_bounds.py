@@ -17,16 +17,19 @@ from ccyclic.bounds import (
     bounds,
     bounds_table,
     closed_form_inverse_degree,
+    oracle_outcome,
     refined_inverse_degree_upper,
     report_to_json_dict,
     reports_to_csv,
     verify_bounds,
     with_verification,
 )
-from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, min_order
+from ccyclic import degree_sequences
+from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, min_order, walk_class
 from ccyclic.cli import VERIFY_INDICES
 from ccyclic.indices import (
-    INVERSE_DEGREE, MULT_ZAGREB_LOG, IndexSpec, SchurClass, evaluate, ranking_keys, same_value
+    INVERSE_DEGREE, MULT_ZAGREB_LOG, Extremes, IndexSpec, SchurClass, evaluate, key_table,
+    same_value,
 )
 from ccyclic.majorization import runs_of
 
@@ -174,21 +177,17 @@ class TestRefinedBound:
 class TestVerifyBounds:
     def test_tricyclic_inverse_degree(self):
         klass = CyclomaticClass(c=3, n=8)
-        assert verify_bounds(bounds(klass, RHO), enumerate_sequences(klass)).status == EXACT_MATCH
+        assert verify_bounds(bounds(klass, RHO)).status == EXACT_MATCH
 
     def test_forced_single_sequence(self):
         klass = CyclomaticClass(c=3, n=4)
-        outcome = verify_bounds(
-            bounds(klass, IndexSpec.general_zagreb(2)), enumerate_sequences(klass)
-        )
+        outcome = verify_bounds(bounds(klass, IndexSpec.general_zagreb(2)))
         assert outcome.status == EXACT_MATCH
         assert outcome.minimum == outcome.maximum == 36
 
     def test_pentacyclic_first_zagreb(self):
         klass = CyclomaticClass(c=5, n=9)
-        outcome = verify_bounds(
-            bounds(klass, IndexSpec.general_zagreb(2)), enumerate_sequences(klass)
-        )
+        outcome = verify_bounds(bounds(klass, IndexSpec.general_zagreb(2)))
         assert outcome.status == EXACT_MATCH
         assert outcome.minimizers == (runs_of((3, 3, 3, 3, 3, 3, 3, 3, 2)),)
 
@@ -204,9 +203,7 @@ class TestVerifyBounds:
         for c in range(7):
             for n in range(min_order(c), 9):
                 klass = CyclomaticClass(c=c, n=n)
-                outcome = verify_bounds(
-                    bounds(klass, IndexSpec.mult_zagreb_log()), enumerate_sequences(klass)
-                )
+                outcome = verify_bounds(bounds(klass, IndexSpec.mult_zagreb_log()))
                 assert outcome.status == EXACT_MATCH, (c, n)
 
     def test_tampered_closed_form_upper_is_a_mismatch(self):
@@ -224,7 +221,7 @@ class TestVerifyBounds:
         klass = CyclomaticClass(c=2, n=7)
         report = bounds(klass, RHO)
         population = enumerate_sequences(klass)
-        minimizers = verify_bounds(report, population).minimizers
+        minimizers = verify_bounds(report).minimizers
         intruder = next(seq for seq in population if seq not in minimizers)
         tampered = replace(report, lower_attainer=intruder)
         assert with_verification(tampered).verified == MISMATCH
@@ -241,18 +238,30 @@ class TestVerifyBounds:
 
     def test_refined_only_mismatch_shows_the_refined_maximum(self):
         klass = CyclomaticClass(c=3, n=9)
-        population = enumerate_sequences(klass)
         refined = refined_inverse_degree_upper(klass)
         report = replace(bounds(klass, RHO), refined_upper=F(999))
-        outcome = verify_bounds(report, population)
+        outcome = verify_bounds(report)
         assert outcome.status == MISMATCH
         assert (outcome.minimum, outcome.maximum) == (report.lower, report.upper)
         assert outcome.refined_maximum == refined
-        assert verify_bounds(bounds(klass, RHO), population).refined_maximum is None
+        assert verify_bounds(bounds(klass, RHO)).refined_maximum is None
         # the refined bound is an inverse-degree bound; no other index carries it
         other = replace(bounds(klass, IndexSpec.general_zagreb(2)), refined_upper=refined)
-        outcome = verify_bounds(other, population)
+        outcome = verify_bounds(other)
         assert (outcome.status, outcome.refined_maximum) == (MISMATCH, None)
+
+    def test_a_membership_disagreement_is_a_mismatch(self, monkeypatch):
+        # A tightened inequality row rejects members that the counting form and
+        # Erdos-Gallai accept; the bounds and their extremes are unchanged.
+        report = bounds(CyclomaticClass(c=5, n=9), RHO)
+        assert with_verification(report).verified == EXACT_MATCH
+        least, rows = degree_sequences._INEQUALITIES[5]
+        tightened = (least, rows[:-1] + ((5, 2, 2, 15),))
+        monkeypatch.setitem(degree_sequences._INEQUALITIES, 5, tightened)
+        outcome = verify_bounds(report)
+        assert (outcome.minimum, outcome.maximum) == (report.lower, report.upper)
+        assert outcome.status == MISMATCH
+        assert with_verification(report).verified == MISMATCH
 
     def test_tiny_float_bounds_are_matched_relatively(self):
         # every power sum here is about 1e-100, far below an absolute 1e-12
@@ -352,29 +361,46 @@ def value_of_key(index, key, top):
     return Fraction(key, math.lcm(*range(1, top + 1)) ** -int(power))
 
 
-def assert_same_outcome(report, population):
-    new, old = verify_bounds(report, population), reference_verify_bounds(report, population)
-    assert new == old
+def keys_of(index, population, top):
+    """Each member's ranking key, from the :func:`key_table` of degrees up to ``top``."""
+    table, product = key_table(index, top)
+    if product:
+        return [math.prod([table[d] ** m for d, m in runs]) for runs in population]
+    return [sum([m * table[d] for d, m in runs]) for runs in population]
+
+
+def keyed_outcome(report, population):
+    """The oracle's outcome over a hand-made population, ranked by :func:`key_table` keys."""
+    top = max(runs[0][0] for runs in population)
+    extremes = Extremes()
+    for runs, key in zip(population, keys_of(report.index, population, top)):
+        extremes.add(key, runs)
+    return oracle_outcome(report, extremes)
+
+
+def assert_same_outcome(report, outcome, population):
+    old = reference_verify_bounds(report, population)
+    assert outcome == old
     for field in ("minimum", "maximum", "refined_maximum"):
-        assert type(getattr(new, field)) is type(getattr(old, field)), field
-    return new
+        assert type(getattr(outcome, field)) is type(getattr(old, field)), field
+    return outcome
 
 
 class TestRankingKeys:
-    """verify_bounds on ranking keys against the former evaluate-per-member check."""
+    """The walk's outcomes on ranking keys against the former evaluate-per-member check."""
 
     @pytest.mark.parametrize("c", range(7))
     def test_outcomes_match_the_reference(self, c):
         for n in range(min_order(c), 13):
             klass = CyclomaticClass(c=c, n=n)
             population = enumerate_sequences(klass)
-            top = max(runs[0][0] for runs in population)
-            for index in RANKED_INDICES:
+            walk = walk_class(klass, n, indices=RANKED_INDICES, spread=True)
+            for index, extremes, spread in zip(RANKED_INDICES, walk.extremes, walk.spread):
                 same = same_value if index.kind == MULT_ZAGREB_LOG else operator.eq
-                for runs, key in zip(population, ranking_keys(index, population)):
-                    assert same(value_of_key(index, key, top), evaluate(index, runs)), (c, n)
+                for runs, key in zip(population, keys_of(index, population, n - 1)):
+                    assert same(value_of_key(index, key, n - 1), evaluate(index, runs)), (c, n)
                 report = bounds(klass, index)
-                outcome = assert_same_outcome(report, population)
+                outcome = assert_same_outcome(report, oracle_outcome(report, extremes), population)
                 assert outcome.status == EXACT_MATCH, (c, n, index)
                 intruder = next((s for s in population if s not in outcome.minimizers), None)
                 damaged = [
@@ -390,7 +416,9 @@ class TestRankingKeys:
                     damaged.append(replace(report, refined_upper=refined))
                     damaged.append(replace(report, refined_upper=refined - F(1, 7)))
                 for tampered in damaged:
-                    assert_same_outcome(tampered, population)
+                    assert_same_outcome(
+                        tampered, oracle_outcome(tampered, extremes, spread), population
+                    )
 
     def test_multiplicative_zagreb_ranks_by_the_exact_product(self):
         # Log sums equal within 1e-12 whose products (818 digits each) differ.
@@ -400,7 +428,7 @@ class TestRankingKeys:
         assert same_value(evaluate(index, a), evaluate(index, b))
         assert math.prod(d**m for d, m in a) > math.prod(d**m for d, m in b)
         report = bounds(CyclomaticClass(c=3, n=8), index)
-        outcome = verify_bounds(report, [a, b])
+        outcome = keyed_outcome(report, [a, b])
         assert (outcome.minimizers, outcome.maximizers) == ((b,), (a,))
         assert (outcome.minimum, outcome.maximum) == (evaluate(index, b), evaluate(index, a))
         assert reference_verify_bounds(report, [a, b]).maximizers == (a, b)
@@ -410,7 +438,8 @@ class TestRankingKeys:
         a, b = ((18, 1), (2, 1)), ((8, 2),)
         index = IndexSpec.general_zagreb(F(1, 2))
         assert evaluate(index, a) != evaluate(index, b)
-        outcome = assert_same_outcome(bounds(CyclomaticClass(c=3, n=8), index), [a, b])
+        report = bounds(CyclomaticClass(c=3, n=8), index)
+        outcome = assert_same_outcome(report, keyed_outcome(report, [a, b]), [a, b])
         assert outcome.minimizers == outcome.maximizers == (a, b)
 
     @pytest.mark.parametrize(
@@ -428,4 +457,4 @@ class TestRankingKeys:
         with pytest.raises(ValueError):
             reference_verify_bounds(report, population)
         with pytest.raises(ValueError):
-            verify_bounds(report, population)
+            keyed_outcome(report, population)

@@ -23,7 +23,7 @@ from ccyclic.degree_sequences import CyclomaticClass
 from ccyclic.indices import IndexSpec
 from ccyclic.majorization import runs_of
 
-from oracles import upside_down, with_a_maximal_as_minimal
+from oracles import upside_down, walks_without_population, with_a_maximal_as_minimal
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -643,27 +643,7 @@ class TestVerify:
         assert len(created) == len(set(created)) == 7
 
     def test_conjecture_walks_each_order_once_and_builds_no_population(self, capsys, monkeypatch):
-        walk = degree_sequences.walk_class
-        walked = []
-
-        def counting_walk(klass, *args):
-            walked.append((klass.c, klass.n))
-            return walk(klass, *args)
-
-        def refused(*args):
-            raise AssertionError("a population was built")
-
-        replaced = {
-            walk: counting_walk,
-            degree_sequences.graphical_class_sequences: refused,
-            degree_sequences.enumerate_sequences: refused,
-            degree_sequences.candidate_sequences: refused,
-        }
-        for name, module in list(sys.modules.items()):
-            if module is not None and name.split(".")[0] == "ccyclic":
-                for attr, value in list(vars(module).items()):
-                    if callable(value) and value in replaced:
-                        monkeypatch.setattr(module, attr, replaced[value])
+        walked = walks_without_population(monkeypatch)
         code, out, _ = run(capsys, "verify", "--conjecture", "--n-max", "10", "--c", "5..8",
                            "--cap", "9")
         assert code == 3

@@ -16,9 +16,11 @@ from pathlib import Path
 import pytest
 
 from ccyclic import degree_sequences
+from ccyclic.cli import _parse_range
 from ccyclic.cli import main as cli_main
+from ccyclic.indices import Extremes
 
-from oracles import with_a_maximal_as_minimal
+from oracles import walks_without_population, with_a_maximal_as_minimal
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -130,30 +132,32 @@ def test_reproduce_tables_exits_3_on_a_skipped_row():
 
 
 def test_reproduce_tables_exits_2_on_a_mismatch(monkeypatch):
-    # each class short of its first member: the oracle's extremes move for 9 of 13 rows
-    original = degree_sequences.enumerate_sequences
-    monkeypatch.setattr(
-        degree_sequences, "enumerate_sequences", lambda klass, cap: original(klass, cap)[1:]
-    )
+    # each index's extremes miss the class's first member: they move for 9 of 13 rows
+    original = Extremes.add
+
+    def add_all_but_the_first(extremes, key, runs):
+        if hasattr(extremes, "skipped_first"):
+            original(extremes, key, runs)
+        extremes.skipped_first = True
+
+    monkeypatch.setattr(Extremes, "add", add_all_but_the_first)
     code, out, err = run_case(CASES["script-reproduce-tables"])
     assert (code, err) == (2, "")
     assert out.count("(mismatch)") == 9
     assert out.count("(exact-match)") == 4
 
 
-def test_reproduce_tables_enumerates_each_class_once(monkeypatch):
-    original = degree_sequences.candidate_sequences
-    created = []
-
-    def counting(n, total):
-        created.append((n, total))
-        return original(n, total)
-
-    monkeypatch.setattr(degree_sequences, "candidate_sequences", counting)
-    code, out, err = run_case(CASES["script-reproduce-tables"])
-    assert (code, err) == (0, "")
-    assert out.encode() == (GOLDEN / "script-reproduce-tables.out").read_bytes()
-    assert len(created) == len(set(created)) == 7
+@pytest.mark.parametrize("name", sorted(name for name, argv in CASES.items() if "--verify" in argv))
+def test_verify_walks_each_class_once_and_builds_no_population(name, monkeypatch):
+    # bounds --verify walks each class of its --c range, the tables script c = 0..6
+    walked = walks_without_population(monkeypatch)
+    argv = CASES[name]
+    code, out, err = run_case(argv)
+    assert {"argv": argv, "exit": code, "stderr": err} == _recorded()[name]
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    n = int(argv[argv.index("--n") + 1])
+    cycles = range(7) if "--c" not in argv else _parse_range(argv[argv.index("--c") + 1])
+    assert walked == [(c, n) for c in cycles]
 
 
 def test_conjecture_scan_exits_2_on_a_failing_order(monkeypatch):

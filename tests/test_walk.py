@@ -1,4 +1,4 @@
-"""The one-walk oracle of both ``verify`` modes against the separate passes it replaced."""
+"""The one-walk oracle of every ``--verify`` against the separate passes it replaced."""
 
 from dataclasses import replace
 from fractions import Fraction as F
@@ -136,10 +136,16 @@ class TestWalkMatchesSeparatePasses:
                 reports = [bounds(klass, i) for i in (index,) + VERIFY_INDICES]
                 assert_same_outcomes(walk, reports, population)
 
-    def test_fractional_exponents_are_refused(self):
-        klass = CyclomaticClass(c=3, n=8)
-        with pytest.raises(ValueError, match="exact keys only"):
-            walk_class(klass, 8, extremal_family(klass), (IndexSpec.general_zagreb(F(1, 2)),))
+    def test_fractional_exponents_are_ranked(self):
+        # Float keys beside packed and product keys, in one walk with a family.
+        indices = (IndexSpec.general_zagreb(F(1, 2)), IndexSpec.general_zagreb(F(-3, 2)))
+        indices += VERIFY_INDICES
+        for c in range(7):
+            for n in range(min_order(c), 13):
+                klass = CyclomaticClass(c=c, n=n)
+                walk = walk_class(klass, n, extremal_family(klass), indices)
+                _, _, population = reference_equivalence_check(klass, n)
+                assert_same_outcomes(walk, [bounds(klass, i) for i in indices], population)
 
     def test_a_refined_bound_needs_the_spread_extremes(self):
         klass = CyclomaticClass(c=3, n=8)

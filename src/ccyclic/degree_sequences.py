@@ -36,9 +36,11 @@ The oracle of every ``--verify``, and the one extremality check, is
 :func:`walk_class`: one walk of the candidate tree per class, holding no
 population, whose every push of a run updates the state its subtree shares
 (:class:`_Walk`).  At each leaf the candidate gets :func:`validate_runs`, the
-table verdicts and :func:`is_graphical`.  Prefix sums are compared only at
-run ends, which is exact; a member below no maximal, or any member when the
-maximals are not pairwise incomparable, falls back to :func:`_place`.
+table verdicts and the Erdos-Gallai core :func:`_erdos_gallai`, which is
+:func:`is_graphical` without the screen no candidate fails.  Prefix sums are
+compared only at run ends, which is exact, and give each member the mask of
+the regular maximals above it; :func:`_place` runs only where that mask
+cannot settle a member (see :class:`_Walk`).
 
 Index-notation caveat: two of the published block descriptions carry
 overlapping subscripts for where the "degree >= 2" block ends; the counting
@@ -239,16 +241,8 @@ def is_graphical(runs) -> bool:
 
     ``runs`` is the ``(degree, count)`` form of a nonincreasing sequence, as
     :func:`~ccyclic.majorization.runs_of` gives it; False for an empty
-    sequence, an odd degree sum or a degree outside [0, n-1].
-
-    O(runs).  Only k with d_k >= k are tested: for d_k < k the k-th
-    inequality follows from the (k-1)-th, since its right side grows by at
-    least 2(k - 1) - 2 d_k >= 0 more than its left side.  Within one run, on
-    those k, the slack (right side minus left side) is concave in k, so it
-    suffices to test the last such k of each run (Tripathi & Vijay 2003).
-    The right side ``k(k - 1) + sum(min(d_i, k))`` over i > k is ``k(above -
-    1)`` plus the degree sum beyond the entries >= k, which end at ``above``;
-    that end only moves back as k grows, one run at a time.
+    sequence, an odd degree sum or a degree outside [0, n-1].  That screen
+    passed, :func:`_erdos_gallai` decides.  O(runs).
     """
     n = total = 0
     for degree, count in runs:
@@ -256,13 +250,32 @@ def is_graphical(runs) -> bool:
         total += degree * count
     if n == 0 or total % 2 or runs[-1][0] < 0 or runs[0][0] > n - 1:
         return False
+    return _erdos_gallai(runs, n)
+
+
+def _erdos_gallai(runs, n: int) -> bool:
+    """The Erdos-Gallai inequalities on nonempty runs of n degrees in [0, n-1], with an even sum.
+
+    The caller vouches for that screen, as :func:`is_graphical` and the
+    leaves of :func:`walk_class` do.  O(runs).  Only k with d_k >= k are
+    tested: for d_k < k the k-th inequality follows from the (k-1)-th, since
+    its right side grows by at least 2(k - 1) - 2 d_k >= 0 more than its left
+    side.  Within one run, on those k, the slack (right side minus left side)
+    is concave in k, so it suffices to test the last such k of each run
+    (Tripathi & Vijay 2003).  The right side ``k(k - 1) + sum(min(d_i, k))``
+    over i > k is ``k(above - 1)`` plus the degree sum beyond the entries
+    >= k, which end at ``above``; that end only moves back as k grows, one
+    run at a time.
+    """
     last = len(runs) - 1  # the last run of degrees >= k
     above, tail = n, 0  # entries through that run, and the degree sum after it
     start = head = 0  # entries and degree sum before the current run
     for degree, count in runs:
         if degree <= start:  # d_k < k from k = start + 1 on
             break
-        k = min(start + count, degree)
+        k = start + count  # min(k, degree), without the cost of a call per run
+        if k > degree:
+            k = degree
         while runs[last][0] < k:
             low, size = runs[last]
             above -= size
@@ -613,15 +626,21 @@ def walk_class(
 ) -> ClassWalk:
     """The oracle over a class in one walk of its candidates, holding no population.
 
-    Each candidate gets :func:`validate_runs` and the Erdos-Gallai test; the
-    members are the candidates it accepts.  Where the tables have a row for
+    Each candidate gets :func:`validate_runs` and the Erdos-Gallai core
+    :func:`_erdos_gallai`, which is exact here: the walk fixes the order and
+    the class total, and :func:`validate_runs` the degree range, so the
+    screen of :func:`is_graphical` would pass every candidate.  The members
+    are the candidates the core accepts.  Where the tables have a row for
     c (c <= 6), each candidate also gets the counting form and the
     inequalities, and a disagreement among the three verdicts is recorded.
     With ``family``, the walk makes the :class:`ExtremalityReport` of the
-    family over the members, and for each of ``indices`` it keeps the
+    family over the members: a member's mask of the regular maximals above
+    it settles its coverage, and :func:`_place` runs only where the mask
+    cannot (see :class:`_Walk`).  For each of ``indices`` it keeps the
     :class:`~ccyclic.indices.Extremes` of the members' ranking keys; with
     ``spread``, also over the members with at least c + 2 entries >= 2, for
-    a refined upper bound.  Raises :class:`EnumerationCapError` above the cap.
+    a refined upper bound.  With no ``indices`` no key is carried or ranked.
+    Raises :class:`EnumerationCapError` above the cap.
     """
     check_cap(klass, cap)
     walk = _Walk(klass, family, indices, spread)
@@ -639,7 +658,12 @@ class _Walk:
     to ``s``, and updates the state its whole subtree shares: the head the
     two tables read (their verdicts once it is complete), the bitmask of the
     regular maximals whose prefix sums still lie above, whether the minimal's
-    still lie below, and the index keys.
+    still lie below, and the index keys (only when an index is ranked).
+    A leaf checks :func:`validate_runs` and :func:`_erdos_gallai`; for a
+    member, a nonzero mask of an incomparable family means covered, and a
+    zero mask with every maximal regular means uncovered.  :func:`_place`
+    runs where the mask cannot settle a member, and for an uncovered one
+    only from a first entry at least some maximal's (``place_from``).
     """
 
     def __init__(self, klass: CyclomaticClass, family, indices, spread: bool):
@@ -663,6 +687,7 @@ class _Walk:
         self.spread = tuple(Extremes() for _ in indices) if spread else ()
         more = _ranks(tables, self.spread, width)  # a spread member's keys go to both
         self.spread_ranks = tuple(mine + extra for mine, extra in zip(self.ranks, more))
+        self.ranked = bool(indices)  # else a push carries no keys and a leaf ranks nothing
 
         # A regular maximal is nonincreasing, of order n and on the class total.
         # On a run of a member its gap to the member's prefix sums is concave,
@@ -683,6 +708,12 @@ class _Walk:
                 for s in range(min(top, total) + 1):
                     row[s] |= 1 << bit
         self.mask = (1 << len(regular)) - 1
+        # With every maximal regular, a zero mask says a member lies below
+        # none; it can still strictly majorize one only from a first entry (its
+        # prefix sum at 1) at least that maximal's, so only then is it placed.
+        self.place_from = 0
+        if len(regular) == len(self.tops):
+            self.place_from = min((sums[0] for sums in regular), default=n)
 
         # On a run of a member the gap to the minimal is convex, not concave:
         # it is checked at the member's run ends and at the minimal's within.
@@ -698,7 +729,7 @@ class _Walk:
     def below(self, slots, remaining, bound, head, verdicts, mask, min_ok, keys, product):
         """Push every run :func:`_run_choices` allows, then the runs below it, to the leaves."""
         klass, stack, above, least = self.klass, self.stack, self.above, self.least
-        packed, product_table = self.packed, self.product_table
+        packed, product_table, ranked = self.packed, self.product_table, self.ranked
         a = self.n - slots
         start = self.total - remaining
         ends = self.least_ends[a]
@@ -722,8 +753,10 @@ class _Walk:
                     if start + value * (k - a) < least[k]:
                         run_ok = False
                         break
-            run_keys = keys + count * packed[value]
-            run_product = product * product_table[value] ** count
+            run_keys, run_product = keys, product
+            if ranked:
+                run_keys += count * packed[value]
+                run_product *= product_table[value] ** count
             stack.append(pair)
             if count == slots:
                 self.leaf(
@@ -738,7 +771,8 @@ class _Walk:
         """The checks of one candidate; a member also goes into the report and the extremes."""
         self.candidates += 1
         validate_runs(runs, self.n)
-        graphical = is_graphical(runs)
+        # The walk keeps to the class total, which is even: only the core is left.
+        graphical = _erdos_gallai(runs, self.n)
         if verdicts and verdicts != (graphical, graphical):
             self.failures.append((runs, *verdicts, graphical))
         if not graphical:
@@ -746,13 +780,20 @@ class _Walk:
         self.members += 1
         if self.family is not None:
             # Below a regular maximal of an incomparable family, a member is
-            # covered and strictly above no maximal; else the prefix sums decide.
+            # covered and strictly above no maximal; below none of all-regular
+            # maximals it is uncovered; else the prefix sums decide.
             if not (mask and self.incomparable):
-                sums_of_runs = list(accumulate(expand_runs(runs)))
-                if not _place(sums_of_runs, runs, self.tops, self.incomparable, self.witnesses):
+                if not mask and runs[0][0] < self.place_from:
+                    self.uncovered.append(runs)
+                elif not _place(
+                    list(accumulate(expand_runs(runs))), runs, self.tops, self.incomparable,
+                    self.witnesses,
+                ):
                     self.uncovered.append(runs)
             if not min_ok:
                 self.below_minimal.append(runs)
+        if not self.ranked:
+            return
         fields, products, floats = self.ranks
         # Entries >= 2 are all but a final run of ones.
         if self.spread and self.n - (runs[-1][1] if runs[-1][0] == 1 else 0) >= self.klass.c + 2:

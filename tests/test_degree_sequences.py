@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from ccyclic.degree_sequences import (
+    _erdos_gallai,
     CyclomaticClass,
     EnumerationCapError,
     ExtremalFamily,
@@ -145,6 +146,21 @@ class TestGraphical:
     @given(raw_degree_lists())
     def test_matches_textbook_on_raw_lists(self, seq):
         assert is_graphical(runs_of(sorted(seq, reverse=True))) == textbook_is_graphical(seq)
+
+    @pytest.mark.parametrize("c", range(16))
+    def test_core_matches_on_every_class_candidate(self, c):
+        # The walk's leaves run the core alone, on candidates of order n and the class total.
+        for n in range(min_order(c), 15):
+            for runs in class_candidates(CyclomaticClass(c=c, n=n), n):
+                expected = textbook_is_graphical(expand_runs(runs))
+                assert _erdos_gallai(runs, n) == is_graphical(runs) == expected, runs
+
+    def test_screen_rejects_what_the_core_is_never_given(self):
+        # An empty sequence, an odd sum, a degree >= n and a negative degree.
+        for runs in ((), ((2, 1), (1, 3)), ((5, 1), (1, 3)), ((1, 2), (0, 1), (-2, 1))):
+            assert not is_graphical(runs), runs
+        # The core alone takes the odd sum: the screen is what rejects it.
+        assert _erdos_gallai(((2, 1), (1, 3)), 4)
 
 
 def test_characterizations_agree_exhaustively():

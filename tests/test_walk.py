@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction as F
+from operator import ge
 
 import pytest
 
@@ -20,7 +21,7 @@ from ccyclic.degree_sequences import (
     walk_class,
 )
 from ccyclic.indices import IndexSpec
-from ccyclic.majorization import runs_of
+from ccyclic.majorization import expand_runs, runs_of
 
 from oracles import (
     reference_equivalence_check,
@@ -49,6 +50,23 @@ def damaged(family):
     yield with_a_maximal_as_minimal(family)
     yield replace(family, maximal_runs=family.maximal_runs[:-1])  # the last maximal dropped
     yield replace(family, maximal_runs=family.maximal_runs + family.maximal_runs[-1:])  # comparable
+
+
+def lowered(runs, i):
+    """A maximal with one unit moved from entry ``i`` to the start of its last run,
+    or None where that is no move, or leaves it out of order."""
+    seq = list(expand_runs(runs))
+    last = len(seq) - runs[-1][1]
+    seq[i] -= 1
+    seq[last] += 1
+    return runs_of(seq) if i < last and all(map(ge, seq, seq[1:])) else None
+
+
+def swapped(runs):
+    """A maximal with its first two entries swapped: on the class total, but out of order."""
+    seq = list(expand_runs(runs))
+    seq[0], seq[1] = seq[1], seq[0]
+    return runs_of(seq)
 
 
 class TestWalkMatchesSeparatePasses:
@@ -102,6 +120,34 @@ class TestWalkMatchesSeparatePasses:
         for family in families:
             report = walk_class(klass, 8, family).extremality
             assert report == reference_extremality_report(family, population), family
+
+    @pytest.mark.parametrize("c", range(3, 9))
+    def test_coverage_from_the_mask(self, c):
+        # Patterns lowered at their first entry (to n - 2) or their second
+        # (keeping n - 1) are regular: a member below none of them is placed
+        # only from a first entry at least one of theirs, and each lowered
+        # pattern is strictly majorized by the pattern it came from.  A
+        # swapped pattern beside them is out of order on the class total,
+        # which leaves every member the mask does not settle to be placed.
+        unplaced = 0  # uncovered members with a first entry below every maximal's
+        for n in range(min_order(c), 15):
+            klass = CyclomaticClass(c=c, n=n)
+            patterns = parametric_extremal_family(c, n)
+            population = enumerate_sequences(klass, n)
+            for i in (0, 1):
+                tops = tuple(filter(None, (lowered(runs, i) for runs in patterns.maximal_runs)))
+                if not tops:
+                    continue
+                family = ExtremalFamily(klass, tops, patterns.minimal_runs)
+                report = walk_class(klass, n, family).extremality
+                assert report == reference_extremality_report(family, population), (c, n, i)
+                assert len(report.dominated_patterns) == len(tops), (c, n, i)
+                first = min(runs[0][0] for runs in tops)
+                unplaced += sum(runs[0][0] < first for runs in report.not_below_any_maximal)
+                family = replace(family, maximal_runs=tops + (swapped(patterns.maximal_runs[0]),))
+                report = walk_class(klass, n, family).extremality
+                assert report == reference_extremality_report(family, population), (c, n, i)
+        assert unplaced
 
     @pytest.mark.parametrize("c", range(7))
     def test_damaged_reports(self, c):

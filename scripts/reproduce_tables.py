@@ -28,7 +28,12 @@ from ccyclic.bounds import (
     verify_class,
 )
 from ccyclic.cli import EXIT_USAGE, Parser, UsageError, _emit, checked_cap, exit_code
-from ccyclic.degree_sequences import CyclomaticClass, EnumerationCapError, extremal_family
+from ccyclic.degree_sequences import (
+    DEFAULT_ENUMERATION_CAP,
+    CyclomaticClass,
+    EnumerationCapError,
+    extremal_family,
+)
 from ccyclic.formatting import format_index_value, format_sequence
 
 
@@ -90,7 +95,7 @@ def main(argv=None) -> int:
     parser.add_argument("--alpha", type=int, default=2)
     parser.add_argument("--verify", action="store_true",
                         help="compare each bound against exhaustive enumeration")
-    parser.add_argument("--cap", type=int, default=12)
+    parser.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     try:
         args = parser.parse_args(argv)
         if args.n < 8:

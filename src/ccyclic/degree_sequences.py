@@ -37,10 +37,10 @@ The oracle of every ``--verify``, and the one extremality check, is
 population, whose every push of a run updates the state its subtree shares
 (:class:`_Walk`).  At each leaf the candidate gets :func:`validate_runs`, the
 table verdicts and the Erdos-Gallai core :func:`_erdos_gallai`, which is
-:func:`is_graphical` without the screen no candidate fails.  Prefix sums are
-compared only at run ends, which is exact, and give each member the mask of
-the regular maximals above it; :func:`_place` runs only where that mask
-cannot settle a member (see :class:`_Walk`).
+:func:`is_graphical` without the screen no candidate fails.  Extremality is
+one prefix-sum rule: each push carries whether the prefix sums of each vector
+of the family still lie above the member's, and whether below, and a
+member's verdicts are read off those bits (see :class:`_Walk`).
 
 Index-notation caveat: two of the published block descriptions carry
 overlapping subscripts for where the "degree >= 2" block ends; the counting
@@ -51,9 +51,9 @@ first eight for the widest c=6 set).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, repeat
 from math import isqrt
-from operator import ge, le
+from operator import le, or_, xor
 from typing import Iterator, Optional
 
 from .extremal import BoxSet, integerize_runs, maximal_runs, minimal_runs
@@ -551,40 +551,6 @@ class ExtremalityReport:
         return self.ok and not self.not_below_any_maximal
 
 
-def _below(low: list, high: list) -> bool:
-    """Majorization on prefix sums: one length, one total, and no sum of ``low`` larger."""
-    return len(low) == len(high) and low[-1] == high[-1] and all(map(le, low, high))
-
-
-def _family_sums(family: ExtremalFamily) -> tuple:
-    """The maximals as ``(prefix sums, runs)``, whether they are pairwise incomparable,
-    and the minimal's prefix sums (None without a minimal)."""
-    tops = [(list(accumulate(expand_runs(runs))), runs) for runs in family.maximal_runs]
-    incomparable = all(not _below(a, b) for (a, _), (b, _) in permutations(tops, 2))
-    minimal = family.minimal_runs
-    least = None if minimal is None else list(accumulate(expand_runs(minimal)))
-    return tops, incomparable, least
-
-
-def _place(sums: list, runs, tops: list, incomparable: bool, witnesses: dict) -> bool:
-    """Whether a member, given by its prefix sums and runs, lies below some maximal.
-
-    Records the member in ``witnesses`` for each maximal it strictly
-    majorizes and that has no witness yet.
-    """
-    covered = False
-    for top, top_runs in tops:
-        if _below(sums, top):
-            covered = True
-            # Below one of pairwise incomparable maximals, a member cannot
-            # strictly majorize another: that one would lie below this one.
-            if incomparable:
-                break
-        elif _below(top, sums):
-            witnesses.setdefault(top_runs, runs)
-    return covered
-
-
 def check_family_extremality(klass: CyclomaticClass, cap: int) -> ExtremalityReport:
     """Check the extremal family of a class with c <= 6 against its members, in one walk.
 
@@ -633,20 +599,18 @@ def walk_class(
     are the candidates the core accepts.  Where the tables have a row for
     c (c <= 6), each candidate also gets the counting form and the
     inequalities, and a disagreement among the three verdicts is recorded.
-    With ``family``, the walk makes the :class:`ExtremalityReport` of the
-    family over the members: a member's mask of the regular maximals above
-    it settles its coverage, and :func:`_place` runs only where the mask
-    cannot (see :class:`_Walk`).  For each of ``indices`` it keeps the
-    :class:`~ccyclic.indices.Extremes` of the members' ranking keys; with
-    ``spread``, also over the members with at least c + 2 entries >= 2, for
-    a refined upper bound.  With no ``indices`` no key is carried or ranked.
-    Raises :class:`EnumerationCapError` above the cap.
+    With ``family``, the walk makes the family's :class:`ExtremalityReport`
+    over the members (see :class:`_Walk`).  For each of ``indices`` it keeps
+    the :class:`~ccyclic.indices.Extremes` of the members' ranking keys;
+    with ``spread``, also over the members with at least c + 2 entries >= 2,
+    for a refined upper bound.  With no ``indices`` no key is carried or
+    ranked.  Raises :class:`EnumerationCapError` above the cap.
     """
     check_cap(klass, cap)
     walk = _Walk(klass, family, indices, spread)
     # With no table row the verdicts start as (), so no head is built.
     verdicts = None if klass.c in _COUNT_CONDITIONS else ()
-    walk.below(klass.n, klass.degree_total, klass.n - 1, (), verdicts, walk.mask, walk.min_ok, 0, 1)
+    walk.below(klass.n, klass.degree_total, klass.n - 1, (), verdicts, walk.held, 0, 1)
     return walk.result()
 
 
@@ -656,14 +620,16 @@ class _Walk:
     A push of a run ``(value, count)`` onto the candidate stack moves the
     run's end from position ``a`` to ``b`` and the prefix sum from ``start``
     to ``s``, and updates the state its whole subtree shares: the head the
-    two tables read (their verdicts once it is complete), the bitmask of the
-    regular maximals whose prefix sums still lie above, whether the minimal's
-    still lie below, and the index keys (only when an index is ranked).
-    A leaf checks :func:`validate_runs` and :func:`_erdos_gallai`; for a
-    member, a nonzero mask of an incomparable family means covered, and a
-    zero mask with every maximal regular means uncovered.  :func:`_place`
-    runs where the mask cannot settle a member, and for an uncovered one
-    only from a first entry at least some maximal's (``place_from``).
+    two tables read (their verdicts once it is complete), the index keys
+    (only when an index is ranked), and one mask of bits of the family's
+    vectors, none for a vector of another order or total: a vector's up bit
+    is held while its prefix sums are at least the member's, its down bit
+    while they are at most.  Both prefix sums are linear between the
+    member's run ends and the vector's kinks, so testing there is exact for
+    any vector: the up bit at the kinks where its entries rise, the down bit
+    where they fall.  A member is covered when a maximal's up bit is held,
+    strictly majorizes each maximal whose down bit alone is held, and lies
+    below the minimal when the minimal's down bit is not held.
     """
 
     def __init__(self, klass: CyclomaticClass, family, indices, spread: bool):
@@ -689,50 +655,59 @@ class _Walk:
         self.spread_ranks = tuple(mine + extra for mine, extra in zip(self.ranks, more))
         self.ranked = bool(indices)  # else a push carries no keys and a leaf ranks nothing
 
-        # A regular maximal is nonincreasing, of order n and on the class total.
-        # On a run of a member its gap to the member's prefix sums is concave,
-        # so the member's run ends decide whether the member lies below it.
-        self.tops, self.incomparable, least = (
-            _family_sums(family) if family is not None else ([], True, None)
-        )
-        regular = []
-        for sums, runs in self.tops:
+        self.tops = () if family is None else family.maximal_runs
+        minimal = () if family is None or family.minimal_runs is None else (family.minimal_runs,)
+        self.vectors = (*self.tops, *minimal)
+        # Bit 0 is the minimal's down bit (its up bit is never read); maximal i
+        # has up bit 1 + i and down bit 1 + m + i.  The bits held most often are
+        # the lowest, so that most masks are small ints, which are not allocated.
+        self.m = m = len(self.tops)
+        self.maximal_up = (1 << m) - 1 << 1
+        self.maximal_down = self.maximal_up << m
+        self.minimal_down = len(minimal)  # 0 without a minimal
+        # prefix[k][s]: the up bits of the vectors whose prefix sum at k is at
+        # least s, and the down bits of those whose is at most s.  Each bit is
+        # spread over the sums below its mark, an up bit's at the prefix sum, a
+        # down bit's one below it, where it says "above s" until it is flipped.
+        marks = [[0] * (total + 2) for _ in range(n + 1)]
+        self.held, sums, kinks = 0, [], {}  # kinks: position -> the bits tested there
+        for i, runs in enumerate(self.vectors):
+            up, down = (2 << i, 2 << m + i) if i < m else (0, 1)
             entries = expand_runs(runs)
-            if len(sums) == n and sums[-1] == total and all(map(ge, entries, entries[1:])):
-                regular.append(sums)
-        # above[b][s]: the regular maximals whose prefix sum at b is at least s
-        self.above = [[0] * (total + 1) for _ in range(n + 1)]
-        for bit, sums in enumerate(regular):
-            for b, top in enumerate(sums, start=1):
-                row = self.above[b]
-                for s in range(min(top, total) + 1):
-                    row[s] |= 1 << bit
-        self.mask = (1 << len(regular)) - 1
-        # With every maximal regular, a zero mask says a member lies below
-        # none; it can still strictly majorize one only from a first entry (its
-        # prefix sum at 1) at least that maximal's, so only then is it placed.
-        self.place_from = 0
-        if len(regular) == len(self.tops):
-            self.place_from = min((sums[0] for sums in regular), default=n)
+            sums.append(list(accumulate(entries)))
+            if len(entries) != n or sums[-1][-1] != total:
+                continue
+            self.held |= up | down
+            for k, top in enumerate(sums[-1], start=1):
+                if top >= 0:
+                    marks[k][min(top, total + 1)] |= up
+                if top >= 1:
+                    marks[k][min(top - 1, total + 1)] |= down
+                if k < n and entries[k - 1] != entries[k]:  # up at a rise, down at a fall
+                    kinks[k] = kinks.get(k, 0) | (down if entries[k - 1] > entries[k] else up)
+        flip = self.maximal_down | self.minimal_down
+        self.prefix = [
+            list(map(xor, accumulate(row[::-1], or_), repeat(flip)))[::-1] for row in marks
+        ]
+        # Past each position: the bits tested at some kink, and each kink with its bits.
+        self.kinks, tested, past = [], 0, ()
+        for a in range(n, -1, -1):
+            self.kinks.append((tested, past))
+            if a in kinks:
+                tested, past = tested | kinks[a], ((a, kinks[a]), *past)
+        self.kinks.reverse()
+        self.incomparable = not any(  # comparable: one order and total, no prefix sum above
+            len(a) == len(b) and a[-1] == b[-1] and all(map(le, a, b))
+            for a, b in permutations(sums[:m], 2)
+        )
 
-        # On a run of a member the gap to the minimal is convex, not concave:
-        # it is checked at the member's run ends and at the minimal's within.
-        self.least = [0] * (n + 1)
-        ends = []
-        self.min_ok = least is None or (len(least) == n and least[-1] == total)
-        if least is not None and self.min_ok:
-            self.least[1:] = least
-            entries = expand_runs(family.minimal_runs)
-            ends = [k for k in range(1, n) if entries[k - 1] != entries[k]]
-        self.least_ends = [tuple(k for k in ends if k > a) for a in range(n + 1)]
-
-    def below(self, slots, remaining, bound, head, verdicts, mask, min_ok, keys, product):
+    def below(self, slots, remaining, bound, head, verdicts, mask, keys, product):
         """Push every run :func:`_run_choices` allows, then the runs below it, to the leaves."""
-        klass, stack, above, least = self.klass, self.stack, self.above, self.least
+        klass, stack, prefix = self.klass, self.stack, self.prefix
         packed, product_table, ranked = self.packed, self.product_table, self.ranked
         a = self.n - slots
         start = self.total - remaining
-        ends = self.least_ends[a]
+        tested, kinks = self.kinks[a]
         room = self.head_size - a  # entries the head still lacks
         for pair in _run_choices(self.choices, slots, remaining, bound):
             value, count = pair
@@ -745,29 +720,26 @@ class _Walk:
                     run_verdicts = (_conditions_hold(run_head, klass), _rows_hold(run_head, klass))
             else:
                 run_head, run_verdicts = head, verdicts
-            run_ok = min_ok and s >= least[b]
-            if run_ok and ends:
-                for k in ends:
+            run_mask = mask & prefix[b][s]
+            if run_mask & tested:
+                for k, bits in kinks:
                     if k >= b:
                         break
-                    if start + value * (k - a) < least[k]:
-                        run_ok = False
-                        break
+                    if run_mask & bits:
+                        run_mask &= prefix[k][start + value * (k - a)]
             run_keys, run_product = keys, product
             if ranked:
                 run_keys += count * packed[value]
                 run_product *= product_table[value] ** count
             stack.append(pair)
             if count == slots:
-                self.leaf(
-                    tuple(stack), run_verdicts, mask & above[b][s], run_ok, run_keys, run_product
-                )
+                self.leaf(tuple(stack), run_verdicts, run_mask, run_keys, run_product)
             else:
                 self.below(slots - count, remaining - count * value, value - 1, run_head,
-                           run_verdicts, mask & above[b][s], run_ok, run_keys, run_product)
+                           run_verdicts, run_mask, run_keys, run_product)
             stack.pop()
 
-    def leaf(self, runs, verdicts, mask, min_ok, keys, product):
+    def leaf(self, runs, verdicts, mask, keys, product):
         """The checks of one candidate; a member also goes into the report and the extremes."""
         self.candidates += 1
         validate_runs(runs, self.n)
@@ -779,18 +751,14 @@ class _Walk:
             return
         self.members += 1
         if self.family is not None:
-            # Below a regular maximal of an incomparable family, a member is
-            # covered and strictly above no maximal; below none of all-regular
-            # maximals it is uncovered; else the prefix sums decide.
-            if not (mask and self.incomparable):
-                if not mask and runs[0][0] < self.place_from:
-                    self.uncovered.append(runs)
-                elif not _place(
-                    list(accumulate(expand_runs(runs))), runs, self.tops, self.incomparable,
-                    self.witnesses,
-                ):
-                    self.uncovered.append(runs)
-            if not min_ok:
+            if not mask & self.maximal_up:
+                self.uncovered.append(runs)
+            if mask & self.maximal_down:
+                strictly = mask >> self.m & ~mask  # above a maximal, and not equal to it
+                for i, top in enumerate(self.tops):
+                    if strictly >> 1 + i & 1:
+                        self.witnesses.setdefault(top, runs)
+            if mask & self.minimal_down != self.minimal_down:
                 self.below_minimal.append(runs)
         if not self.ranked:
             return
@@ -815,19 +783,17 @@ class _Walk:
 
     def result(self) -> ClassWalk:
         report = None
-        family, witnesses = self.family, self.witnesses
-        if family is not None:
-            minimal = family.minimal_runs
+        if self.family is not None:
+            witnesses = self.witnesses
             report = ExtremalityReport(
                 c=self.klass.c,
                 n=self.n,
                 sequence_count=self.members,
-                members_valid=all(map(self.is_member, family.maximal_runs))
-                and (minimal is None or self.is_member(minimal)),
+                members_valid=all(map(self.is_member, self.vectors)),
                 pairwise_incomparable=self.incomparable,
                 not_below_any_maximal=tuple(self.uncovered),
                 dominated_patterns=tuple(
-                    (top, witnesses[top]) for top in family.maximal_runs if top in witnesses
+                    (top, witnesses[top]) for top in self.tops if top in witnesses
                 ),
                 not_above_minimal=tuple(self.below_minimal),
             )

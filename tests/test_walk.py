@@ -1,5 +1,6 @@
 """The one-walk oracle of every ``--verify`` against the separate passes it replaced."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 from operator import ge
@@ -27,6 +28,7 @@ from oracles import (
     reference_equivalence_check,
     reference_extremality_report,
     reference_verify_bounds,
+    transfer_down,
     upside_down,
     with_a_maximal_as_minimal,
 )
@@ -45,7 +47,8 @@ def assert_same_outcomes(walk, reports, population):
 
 
 def damaged(family):
-    """Damaged families, each reaching the walk's fallback to prefix sums."""
+    """Damaged families: upside down, a maximal as the minimal, the last maximal
+    dropped, and the last maximal repeated."""
     yield upside_down(family)
     yield with_a_maximal_as_minimal(family)
     yield replace(family, maximal_runs=family.maximal_runs[:-1])  # the last maximal dropped
@@ -60,6 +63,42 @@ def lowered(runs, i):
     seq[i] -= 1
     seq[last] += 1
     return runs_of(seq) if i < last and all(map(ge, seq, seq[1:])) else None
+
+
+def random_family(rng, klass, population):
+    """A family of 0-4 maximals and a minimal (or, one time in four, none).
+
+    Each vector is positive and of order n, drawn from a random member: the
+    member itself, the member balanced by :func:`transfer_down`, or the member
+    after a few unit moves, left where they fall or shuffled.  About one in
+    six is then moved one unit off the class total.  Some families repeat a
+    maximal.
+    """
+    n = klass.n
+
+    def vector():
+        seq = list(expand_runs(rng.choice(population)))
+        kind = rng.randrange(4)
+        if kind == 1:
+            seq = list(transfer_down(rng, seq))
+        elif kind > 1:
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if seq[i] > 1:
+                    seq[i] -= 1
+                    seq[j] += 1
+            if kind == 3:
+                rng.shuffle(seq)
+        if rng.randrange(6) == 0:
+            i = rng.randrange(n)
+            seq[i] += 1 if seq[i] == 1 or rng.randrange(2) else -1
+        return runs_of(seq)
+
+    maximals = [vector() for _ in range(rng.randint(0, 4))]
+    if 0 < len(maximals) < 4 and rng.randrange(4) == 0:
+        maximals.append(rng.choice(maximals))
+    minimal = None if rng.randrange(4) == 0 else vector()
+    return ExtremalFamily(klass, tuple(maximals), minimal)
 
 
 def swapped(runs):
@@ -121,14 +160,27 @@ class TestWalkMatchesSeparatePasses:
             report = walk_class(klass, 8, family).extremality
             assert report == reference_extremality_report(family, population), family
 
+    def test_random_families(self):
+        # Sorted, shuffled and off-total vectors, repeated maximals, members
+        # as maximals and no minimal, each judged as the reference judges it.
+        rng = random.Random(22)
+        for c in range(9):
+            for n in range(min_order(c), 11):
+                klass = CyclomaticClass(c=c, n=n)
+                population = enumerate_sequences(klass, n)
+                for _ in range(15):
+                    family = random_family(rng, klass, population)
+                    report = walk_class(klass, n, family).extremality
+                    assert report == reference_extremality_report(family, population), family
+
     @pytest.mark.parametrize("c", range(3, 9))
-    def test_coverage_from_the_mask(self, c):
+    def test_lowered_and_swapped_patterns(self, c):
         # Patterns lowered at their first entry (to n - 2) or their second
-        # (keeping n - 1) are regular: a member below none of them is placed
-        # only from a first entry at least one of theirs, and each lowered
-        # pattern is strictly majorized by the pattern it came from.  A
-        # swapped pattern beside them is out of order on the class total,
-        # which leaves every member the mask does not settle to be placed.
+        # (keeping n - 1) stay in order, and each is strictly majorized by
+        # the pattern it came from, so each has a witness.  Some members lie
+        # below none of them with a first entry below all of theirs.  A
+        # swapped pattern beside them is out of order on the class total: its
+        # entries rise after the first, a kink where coverage is tested.
         unplaced = 0  # uncovered members with a first entry below every maximal's
         for n in range(min_order(c), 15):
             klass = CyclomaticClass(c=c, n=n)

@@ -35,7 +35,9 @@ holds runs only.
 The oracle of every ``--verify``, and the one extremality check, is
 :func:`walk_class`: one walk of the candidate tree per class, holding no
 population, whose every push of a run updates the state its subtree shares
-(:class:`_Walk`).  At each leaf the candidate gets :func:`validate_runs`, the
+(:class:`_Walk`).  A rest of all ones, a node's one choice, is pushed in its
+parent's loop rather than by a call of its own, and the run-choice memo is
+read inline.  At each leaf the candidate gets :func:`validate_runs`, the
 table verdicts and the Erdos-Gallai core :func:`_erdos_gallai`, which is
 :func:`is_graphical` without the screen no candidate fails.  Extremality is
 one prefix-sum rule: each push carries whether the prefix sums of each vector
@@ -306,11 +308,12 @@ def _run_choices(choices: dict, slots: int, remaining: int, bound: int) -> list:
     """Each next run ``(value, count)``, value <= ``bound``, that leaves the rest completable.
 
     The rest is ``slots`` entries summing to ``remaining``; runs come in
-    descending lexicographic order.  The one copy of this arithmetic, read
-    by :func:`candidate_sequences` and :func:`walk_class`.  Many prefixes
-    share a rest, so each enumeration keeps its answers in ``choices``, as
-    lists: freed tuples of many lengths would fill the interpreter's tuple
-    free lists, which a long-running process keeps.
+    descending lexicographic order.  The one copy of this arithmetic:
+    :func:`walk_class` calls it only when its inline read of ``choices``
+    misses, and never for a rest of all ones, which it pushes itself.
+    Many prefixes share a rest, so each enumeration keeps its answers in
+    ``choices``, as lists: freed tuples of many lengths would fill the
+    interpreter's tuple free lists, which a long-running process keeps.
     """
     key = (slots, remaining, bound)
     runs = choices.get(key)
@@ -604,7 +607,8 @@ def walk_class(
     the :class:`~ccyclic.indices.Extremes` of the members' ranking keys;
     with ``spread``, also over the members with at least c + 2 entries >= 2,
     for a refined upper bound.  With no ``indices`` no key is carried or
-    ranked.  Raises :class:`EnumerationCapError` above the cap.
+    ranked.  A forced final run of ones is pushed in its parent's loop, by
+    no call of its own.  Raises :class:`EnumerationCapError` above the cap.
     """
     check_cap(klass, cap)
     walk = _Walk(klass, family, indices, spread)
@@ -629,13 +633,17 @@ class _Walk:
     any vector: the up bit at the kinks where its entries rise, the down bit
     where they fall.  A member is covered when a maximal's up bit is held,
     strictly majorizes each maximal whose down bit alone is held, and lies
-    below the minimal when the minimal's down bit is not held.
+    below the minimal when the minimal's down bit is not held.  A push that
+    leaves a rest of all ones pushes that run too, a pair shared by every
+    leaf (``ones``): it completes the head, tests the kinks past its start
+    and adds its keys; its end, at n, holds every bit.
     """
 
     def __init__(self, klass: CyclomaticClass, family, indices, spread: bool):
         n, total = klass.n, klass.degree_total
         self.klass, self.n, self.total, self.family = klass, n, total, family
         self.stack, self.choices = [], {}
+        self.ones = [(1, k) for k in range(n + 1)]  # shared: a leaf's runs hold these pairs
         self.head_size = min(_HEAD_SIZE, n)
         self.candidates = self.members = 0
         self.failures, self.uncovered, self.below_minimal, self.witnesses = [], [], [], {}
@@ -702,14 +710,19 @@ class _Walk:
         )
 
     def below(self, slots, remaining, bound, head, verdicts, mask, keys, product):
-        """Push every run :func:`_run_choices` allows, then the runs below it, to the leaves."""
+        """Push every run :func:`_run_choices` allows, then the runs below it, to the leaves.
+
+        The memo is read inline.  A rest of all ones is pushed in the same iteration.
+        """
         klass, stack, prefix = self.klass, self.stack, self.prefix
         packed, product_table, ranked = self.packed, self.product_table, self.ranked
         a = self.n - slots
         start = self.total - remaining
         tested, kinks = self.kinks[a]
         room = self.head_size - a  # entries the head still lacks
-        for pair in _run_choices(self.choices, slots, remaining, bound):
+        choices, key = self.choices, (slots, remaining, bound)
+        # A node's choices are never empty, so a hit of the memo costs no call.
+        for pair in choices.get(key) or _run_choices(choices, slots, remaining, bound):
             value, count = pair
             b = a + count
             s = start + value * count
@@ -732,10 +745,26 @@ class _Walk:
                 run_keys += count * packed[value]
                 run_product *= product_table[value] ** count
             stack.append(pair)
-            if count == slots:
+            rest = slots - count
+            if not rest:
                 self.leaf(tuple(stack), run_verdicts, run_mask, run_keys, run_product)
+            elif remaining - count * value == rest:
+                # The rest is all ones, its one choice: push it here, not in a call.
+                if run_verdicts is None:
+                    run_head += (1,) * (room - count)
+                    run_verdicts = (_conditions_hold(run_head, klass), _rows_hold(run_head, klass))
+                ones_tested, ones_kinks = self.kinks[b]
+                if run_mask & ones_tested:
+                    for k, bits in ones_kinks:
+                        if run_mask & bits:
+                            run_mask &= prefix[k][s + k - b]
+                if ranked:  # ones leave the degree product as it is
+                    run_keys += rest * packed[1]
+                stack.append(self.ones[rest])
+                self.leaf(tuple(stack), run_verdicts, run_mask, run_keys, run_product)
+                stack.pop()
             else:
-                self.below(slots - count, remaining - count * value, value - 1, run_head,
+                self.below(rest, remaining - count * value, value - 1, run_head,
                            run_verdicts, run_mask, run_keys, run_product)
             stack.pop()
 

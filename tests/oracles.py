@@ -253,10 +253,13 @@ def per_coordinate_compare(left, right):
 
 
 def prefix_sum_relation(left, right):
-    """The order of two equal-length tuples' prefix sums, taken as given, sorted or not.
+    """The order of two tuples' prefix sums, taken as given, sorted or not.
 
-    One gap per entry, left minus right; the last is the difference of the totals.
+    One gap per entry, left minus right; the last is the difference of the
+    totals.  Tuples of different lengths are incomparable.
     """
+    if len(left) != len(right):
+        return Relation.INCOMPARABLE
     gaps = list(accumulate(map(sub, left, right)))
     if not any(gaps):
         return Relation.EQUAL

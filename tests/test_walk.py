@@ -101,6 +101,33 @@ def random_family(rng, klass, population):
     return ExtremalFamily(klass, tuple(maximals), minimal)
 
 
+def off_order(runs, step):
+    """A vector on the same total, one entry longer (``step`` 1: a trailing 0) or
+    shorter (``step`` -1: the last entry added to the first)."""
+    seq = list(expand_runs(runs))
+    if step > 0:
+        seq.append(0)
+    else:
+        seq[0] += seq.pop()
+    return runs_of(seq)
+
+
+def emptied(runs):
+    """A vector with its last entry moved onto its first: it ends in a 0, a fall."""
+    seq = list(expand_runs(runs))
+    seq[0] += seq[-1]
+    seq[-1] = 0
+    return runs_of(seq)
+
+
+def tipped(runs):
+    """A vector with one unit moved from its last entry but one to its last: a rise."""
+    seq = list(expand_runs(runs))
+    seq[-2] -= 1
+    seq[-1] += 1
+    return runs_of(seq)
+
+
 def swapped(runs):
     """A maximal with its first two entries swapped: on the class total, but out of order."""
     seq = list(expand_runs(runs))
@@ -159,6 +186,52 @@ class TestWalkMatchesSeparatePasses:
         for family in families:
             report = walk_class(klass, 8, family).extremality
             assert report == reference_extremality_report(family, population), family
+
+    def test_families_of_another_order(self):
+        # A vector of order n + 1 or n - 1 is incomparable with every member:
+        # a maximal of another order covers none, and a minimal of another
+        # order puts every member below it.
+        for c in range(7):
+            for n in range(min_order(c), 11):
+                klass = CyclomaticClass(c=c, n=n)
+                family = extremal_family(klass)
+                _, _, population = reference_equivalence_check(klass, n)
+                first, *others = family.maximal_runs
+                longer, shorter = off_order(first, 1), off_order(first, -1)
+                families = [
+                    replace(family, maximal_runs=(longer, *others)),
+                    replace(family, maximal_runs=(shorter, *others)),
+                    replace(family, maximal_runs=(longer, shorter)),
+                    replace(family, minimal_runs=off_order(family.minimal_runs, 1)),
+                    replace(family, minimal_runs=off_order(family.minimal_runs, -1)),
+                ]
+                for other in families:
+                    report = walk_class(klass, n, other).extremality
+                    assert report == reference_extremality_report(other, population), (c, n, other)
+                    assert not report.members_valid
+                assert len(report.not_above_minimal) == len(population)
+                report = walk_class(klass, n, families[2]).extremality
+                assert len(report.not_below_any_maximal) == len(population)
+
+    def test_families_with_kinks_in_the_ones(self):
+        # Vectors of order n on the class total, with a kink past a member's
+        # last run end: a fall to 0, or a rise at n - 1.  Within a final run
+        # of ones, only such a kink can flip a bit.
+        for c in range(7):
+            for n in range(max(min_order(c), 3), 13):
+                klass = CyclomaticClass(c=c, n=n)
+                family = extremal_family(klass)
+                _, _, population = reference_equivalence_check(klass, n)
+                first, *others = family.maximal_runs
+                families = [
+                    replace(family, maximal_runs=(tipped(first), *others)),
+                    replace(family, maximal_runs=(emptied(first), *others)),
+                    replace(family, minimal_runs=tipped(family.minimal_runs)),
+                    replace(family, minimal_runs=emptied(family.minimal_runs)),
+                ]
+                for other in families:
+                    report = walk_class(klass, n, other).extremality
+                    assert report == reference_extremality_report(other, population), (c, n, other)
 
     def test_random_families(self):
         # Sorted, shuffled and off-total vectors, repeated maximals, members
@@ -260,6 +333,7 @@ class TestWalkMatchesSeparatePasses:
         least, rows = degree_sequences._INEQUALITIES[5]
         tightened = (least, rows[:-1] + ((5, 2, 2, 15),))
         monkeypatch.setitem(degree_sequences._INEQUALITIES, 5, tightened)
+        in_ones = set()  # short and long orders with a failure whose head ends in its ones
         for c in (5, 6):
             for n in range(min_order(c), 13):
                 klass = CyclomaticClass(c=c, n=n)
@@ -269,7 +343,11 @@ class TestWalkMatchesSeparatePasses:
                     count, tuple(failures), len(population)
                 ), (c, n)
                 assert walk.extremality is None and walk.extremes == ()
+                for (*_, (last, ones)), *_ in walk.failures:
+                    if last == 1 and n - ones < min(n, degree_sequences._HEAD_SIZE):
+                        in_ones.add(n < degree_sequences._HEAD_SIZE)
         assert walk.failures
+        assert in_ones == {True, False}
 
     def test_cap_refused_before_the_walk_starts(self, monkeypatch):
         def started(*args):
@@ -302,3 +380,52 @@ class TestWalkMatchesSeparatePasses:
             population = enumerate_sequences(klass, n)
             report = walk_class(klass, n, family).extremality
             assert report == reference_extremality_report(family, population), (c, n)
+
+
+def below_calls(choices, slots, remaining, bound):
+    """``(calls, forced)`` under a node of the candidate tree: one call for it and
+    for each node below whose rest is not all ones, and how many rests are."""
+    calls, forced = 1, 0
+    for value, count in degree_sequences._run_choices(choices, slots, remaining, bound):
+        rest, left = slots - count, remaining - count * value
+        if rest and rest == left:
+            forced += 1
+        elif rest:
+            more = below_calls(choices, rest, left, value - 1)
+            calls, forced = calls + more[0], forced + more[1]
+    return calls, forced
+
+
+class TestForcedOnes:
+    """A rest of all ones is pushed in its parent's loop, not in a call of its own."""
+
+    @pytest.mark.parametrize("c, n", [(7, 12), (6, 14), (0, 10)])
+    def test_one_call_per_node_whose_rest_is_not_all_ones(self, monkeypatch, c, n):
+        calls = []
+        below = degree_sequences._Walk.below
+
+        def counted(walk, *args):
+            calls.append(args[:2])
+            return below(walk, *args)
+
+        monkeypatch.setattr(degree_sequences._Walk, "below", counted)
+        klass = CyclomaticClass(c=c, n=n)
+        walk = walk_class(klass, n)
+        expected, forced = below_calls({}, n, klass.degree_total, n - 1)
+        assert forced > 0 and len(calls) == expected
+        assert not any(slots == remaining for slots, remaining in calls)
+        assert walk.candidates == sum(1 for _ in class_candidates(klass, n))
+
+    def test_ones_pairs_are_shared(self, monkeypatch):
+        # Each leaf's final run of ones is one object per length, not a new tuple.
+        held = []
+        leaf = degree_sequences._Walk.leaf
+
+        def kept(walk, runs, *state):
+            held.append(runs[-1])
+            return leaf(walk, runs, *state)
+
+        monkeypatch.setattr(degree_sequences._Walk, "leaf", kept)
+        walk_class(CyclomaticClass(c=6, n=12), 12)
+        ones = {pair: id(pair) for pair in held if pair[0] == 1}
+        assert ones and all(id(pair) == ones[pair] for pair in held if pair[0] == 1)

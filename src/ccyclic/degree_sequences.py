@@ -30,7 +30,7 @@ per-member step costs O(runs), not O(n).  A caller holding a tuple converts it
 once with ``runs_of``.  :func:`is_ccyclic_sequence` validates its input
 (:func:`validate_runs`); the other membership tests take a valid form as given,
 which the generator's output is by construction.  :class:`ExtremalFamily`
-holds runs only.
+holds candidates of its class only, as runs.
 
 The oracle of every ``--verify``, and the one extremality check, is
 :func:`walk_class`: one walk of the candidate tree per class, holding no
@@ -396,11 +396,21 @@ def graphical_class_sequences(klass: CyclomaticClass, cap: int = DEFAULT_ENUMERA
 
 @dataclass(frozen=True)
 class ExtremalFamily:
-    """Maximal degree sequences (pairwise incomparable) and the unique minimal one, as runs."""
+    """Maximal degree sequences (pairwise incomparable) and the unique minimal one, as runs.
+
+    Each is a candidate of the class, or making the family raises ``ValueError``.
+    """
 
     klass: CyclomaticClass
     maximal_runs: tuple
     minimal_runs: Optional[tuple]  # None only where a closed-form minimal pattern is undefined
+
+    def __post_init__(self):
+        minimal = () if self.minimal_runs is None else (self.minimal_runs,)
+        for runs in (*self.maximal_runs, *minimal):
+            validate_runs(runs, self.klass.n)
+            if sum(d * count for d, count in runs) != self.klass.degree_total:
+                raise ValueError(f"family sequence {runs} is off the total of {self.klass}")
 
 
 def class_boxes(klass: CyclomaticClass) -> list:
@@ -488,8 +498,8 @@ def parametric_extremal_family(c: int, n: int) -> ExtremalFamily:
 
     Proven extremal for c <= 6 and a conjecture beyond.  A pattern whose
     exponents turn negative is omitted; the minimal one (else None) also needs
-    c >= 1 and 2c - 2 <= n.  These guards make every pattern a sequence of the
-    class, which each call checks, raising ``AssertionError`` if not.
+    c >= 1 and 2c - 2 <= n.  These guards make every pattern a candidate of
+    the class, which each call checks, raising ``AssertionError`` if not.
     """
     klass = CyclomaticClass(c=c, n=n)
     maximals = []
@@ -503,14 +513,10 @@ def parametric_extremal_family(c: int, n: int) -> ExtremalFamily:
     minimal = None
     if c >= 1 and 2 * c - 2 <= n:
         minimal = coalesce_runs(((3, 2 * c - 2), (2, n - 2 * c + 2)))
-    for runs in maximals + (() if minimal is None else (minimal,)):
-        try:
-            validate_runs(runs, n)
-        except ValueError as exc:
-            raise AssertionError(f"closed-form pattern {runs} at {klass}: {exc}") from None
-        if sum(d * count for d, count in runs) != klass.degree_total:
-            raise AssertionError(f"closed-form pattern {runs} is off the total of {klass}")
-    return ExtremalFamily(klass, maximals, minimal)
+    try:
+        return ExtremalFamily(klass, maximals, minimal)
+    except ValueError as exc:
+        raise AssertionError(f"closed-form pattern at {klass}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +540,7 @@ class ExtremalityReport:
     c: int
     n: int
     sequence_count: int
-    members_valid: bool
+    members_valid: bool  # every family sequence is graphical (each is a class candidate)
     pairwise_incomparable: bool
     not_below_any_maximal: tuple
     dominated_patterns: tuple  # (maximal, first strictly majorizing witness) pairs
@@ -608,13 +614,17 @@ def walk_class(
     with ``spread``, also over the members with at least c + 2 entries >= 2,
     for a refined upper bound.  With no ``indices`` no key is carried or
     ranked.  A forced final run of ones is pushed in its parent's loop, by
-    no call of its own.  Raises :class:`EnumerationCapError` above the cap.
+    no call of its own.  Raises :class:`EnumerationCapError` above the cap,
+    and ``ValueError`` for a family of another class, before any candidate.
     """
+    if family is not None and family.klass != klass:
+        raise ValueError(f"a family of {family.klass} cannot be checked over {klass}")
     check_cap(klass, cap)
     walk = _Walk(klass, family, indices, spread)
-    # With no table row the verdicts start as (), so no head is built.
+    # With no table row the verdicts start as (), so no head is built.  The
+    # empty prefix holds every bit of the mask (-1).
     verdicts = None if klass.c in _COUNT_CONDITIONS else ()
-    walk.below(klass.n, klass.degree_total, klass.n - 1, (), verdicts, walk.held, 0, 1)
+    walk.below(klass.n, klass.degree_total, klass.n - 1, (), verdicts, -1, 0, 1)
     return walk.result()
 
 
@@ -626,17 +636,18 @@ class _Walk:
     to ``s``, and updates the state its whole subtree shares: the head the
     two tables read (their verdicts once it is complete), the index keys
     (only when an index is ranked), and one mask of bits of the family's
-    vectors, none for a vector of another order or total: a vector's up bit
-    is held while its prefix sums are at least the member's, its down bit
-    while they are at most.  Both prefix sums are linear between the
-    member's run ends and the vector's kinks, so testing there is exact for
-    any vector: the up bit at the kinks where its entries rise, the down bit
-    where they fall.  A member is covered when a maximal's up bit is held,
+    vectors, each a candidate of the class: a vector's up bit is held while
+    its prefix sums are at least the member's, its down bit while they are
+    at most.  Within a member's run its prefix sums are linear and the
+    vector's are concave, bending only where its entries fall, so the up bit
+    is tested at the member's run ends and the down bit there and at the
+    vector's falls.  A member is covered when a maximal's up bit is held,
     strictly majorizes each maximal whose down bit alone is held, and lies
     below the minimal when the minimal's down bit is not held.  A push that
     leaves a rest of all ones pushes that run too, a pair shared by every
-    leaf (``ones``): it completes the head, tests the kinks past its start
-    and adds its keys; its end, at n, holds every bit.
+    leaf (``ones``): it completes the head and adds its keys, and tests no
+    bit, as a vector's prefix sums gain at least the member's 1 a step there
+    and both end at the total.
     """
 
     def __init__(self, klass: CyclomaticClass, family, indices, spread: bool):
@@ -677,22 +688,16 @@ class _Walk:
         # least s, and the down bits of those whose is at most s.  Each bit is
         # spread over the sums below its mark, an up bit's at the prefix sum, a
         # down bit's one below it, where it says "above s" until it is flipped.
-        marks = [[0] * (total + 2) for _ in range(n + 1)]
-        self.held, sums, kinks = 0, [], {}  # kinks: position -> the bits tested there
+        marks = [[0] * (total + 1) for _ in range(n + 1)]
+        sums, kinks = [], {}  # kinks: position -> the down bits tested there
         for i, runs in enumerate(self.vectors):
             up, down = (2 << i, 2 << m + i) if i < m else (0, 1)
-            entries = expand_runs(runs)
-            sums.append(list(accumulate(entries)))
-            if len(entries) != n or sums[-1][-1] != total:
-                continue
-            self.held |= up | down
+            sums.append(list(accumulate(expand_runs(runs))))
             for k, top in enumerate(sums[-1], start=1):
-                if top >= 0:
-                    marks[k][min(top, total + 1)] |= up
-                if top >= 1:
-                    marks[k][min(top - 1, total + 1)] |= down
-                if k < n and entries[k - 1] != entries[k]:  # up at a rise, down at a fall
-                    kinks[k] = kinks.get(k, 0) | (down if entries[k - 1] > entries[k] else up)
+                marks[k][top] |= up
+                marks[k][top - 1] |= down
+            for k in accumulate(count for _, count in runs[:-1]):  # its falls, at its run ends
+                kinks[k] = kinks.get(k, 0) | down
         flip = self.maximal_down | self.minimal_down
         self.prefix = [
             list(map(xor, accumulate(row[::-1], or_), repeat(flip)))[::-1] for row in marks
@@ -704,10 +709,8 @@ class _Walk:
             if a in kinks:
                 tested, past = tested | kinks[a], ((a, kinks[a]), *past)
         self.kinks.reverse()
-        self.incomparable = not any(  # comparable: one order and total, no prefix sum above
-            len(a) == len(b) and a[-1] == b[-1] and all(map(le, a, b))
-            for a, b in permutations(sums[:m], 2)
-        )
+        # Two maximals are comparable when no prefix sum of the one is above the other's.
+        self.incomparable = not any(all(map(le, a, b)) for a, b in permutations(sums[:m], 2))
 
     def below(self, slots, remaining, bound, head, verdicts, mask, keys, product):
         """Push every run :func:`_run_choices` allows, then the runs below it, to the leaves.
@@ -753,11 +756,6 @@ class _Walk:
                 if run_verdicts is None:
                     run_head += (1,) * (room - count)
                     run_verdicts = (_conditions_hold(run_head, klass), _rows_hold(run_head, klass))
-                ones_tested, ones_kinks = self.kinks[b]
-                if run_mask & ones_tested:
-                    for k, bits in ones_kinks:
-                        if run_mask & bits:
-                            run_mask &= prefix[k][s + k - b]
                 if ranked:  # ones leave the degree product as it is
                     run_keys += rest * packed[1]
                 stack.append(self.ones[rest])
@@ -802,27 +800,18 @@ class _Walk:
         for table, extremes in floats:
             extremes.add(sum([m * table[d] for d, m in runs]), runs)
 
-    def is_member(self, runs) -> bool:
-        """Whether a run-length form is a candidate of the class that Erdos-Gallai accepts."""
-        try:
-            validate_runs(runs, self.n)
-        except ValueError:
-            return False
-        return sum(d * count for d, count in runs) == self.total and is_graphical(runs)
-
     def result(self) -> ClassWalk:
         report = None
         if self.family is not None:
-            witnesses = self.witnesses
             report = ExtremalityReport(
                 c=self.klass.c,
                 n=self.n,
                 sequence_count=self.members,
-                members_valid=all(map(self.is_member, self.vectors)),
+                members_valid=all(map(is_graphical, self.vectors)),
                 pairwise_incomparable=self.incomparable,
                 not_below_any_maximal=tuple(self.uncovered),
                 dominated_patterns=tuple(
-                    (top, witnesses[top]) for top in self.tops if top in witnesses
+                    (top, self.witnesses[top]) for top in self.tops if top in self.witnesses
                 ),
                 not_above_minimal=tuple(self.below_minimal),
             )

@@ -512,8 +512,7 @@ def expanded_family(family):
 def reference_extremality_report(family, population):
     """The extremality report by one :func:`prefix_sum_relation` per member and maximal.
 
-    On expanded tuples, taken as given: for a family out of order, or off the
-    class total, the prefix sums decide as they do for a sorted one.
+    On expanded tuples; a member is a family vector found in the population.
     """
     maximals, minimal = expanded_family(family)
     members_valid = all(runs in population for runs in family.maximal_runs) and (

@@ -159,6 +159,21 @@ class TestBounds:
         code, _, err = run(capsys, "bounds", "--n", "8", "--c", "2", "--alpha", "1")
         assert code == 1
 
+    def test_negative_alpha_as_its_own_token(self, capsys):
+        # argparse alone reads -1/2 as an option and stops: expected one argument
+        argv = ("bounds", "--n", "9", "--c", "1..6", "--alpha", "-1/2", "--verify")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / "bounds-alpha-minus-half.out").read_bytes()
+
+    def test_negative_alpha_beyond_a_float_as_its_own_token(self):
+        split = run_isolated("bounds", "--n", "10", "--c", "1", "--alpha", "-1e400")
+        joined = run_isolated("bounds", "--n", "10", "--c", "1", "--alpha=-1e400")
+        assert (split.returncode, split.stdout, split.stderr) == (
+            joined.returncode, joined.stdout, joined.stderr
+        )
+        assert split.stderr.startswith("error: exponent too large")
+
     def test_mult_zagreb_log(self, capsys):
         code, out, _ = run(
             capsys, "bounds", "--n", "8", "--c", "2", "--index", "mult-zagreb-log"

@@ -424,24 +424,23 @@ class TestExtremalityReportMatchesReference:
                 assert report == reference_extremality_report(family, population), picks
 
     def test_family_with_a_wrong_total(self):
-        # A maximal and a minimal two above the class total: incomparable
-        # with every member, so nothing lies below the one or above the other.
-        # Each case: (c, n), the maximal, the minimal, and a member maximal.
+        # A maximal and a minimal two above the class total are refused, beside
+        # a member maximal or alone.  Each case: (c, n), the maximal, the
+        # minimal, and a member maximal.
         cases = [
             (3, 8, (7, 4, 3, 2, 2, 1, 1, 1), (3, 3, 3, 3, 3, 3, 2, 2), (7, 3, 3, 3, 1, 1, 1, 1)),
             (8, 10, (9, 9, 3, 3) + (2,) * 6, (4,) * 6 + (3,) * 4, (9, 9) + (2,) * 8),
         ]
         for c, n, wrong_top, wrong_least, member in cases:
             klass = CyclomaticClass(c=c, n=n)
-            population = enumerate_sequences(klass, n)
-            wrong_top, wrong_least = runs_of(wrong_top), runs_of(wrong_least)
-            for maximal_runs in ((wrong_top,), (wrong_top, runs_of(member))):
-                family = ExtremalFamily(klass, maximal_runs, wrong_least)
-                report = walk_class(klass, n, family).extremality
-                assert report == reference_extremality_report(family, population), (c, n)
-                assert not report.members_valid
-                assert len(report.not_above_minimal) == len(population)
-            assert report.pairwise_incomparable and len(report.not_below_any_maximal) > 0
+            wrong_top, wrong_least, member = map(runs_of, (wrong_top, wrong_least, member))
+            for maximal_runs, minimal_runs in (
+                ((wrong_top,), wrong_least),
+                ((wrong_top, member), None),
+                ((member,), wrong_least),
+            ):
+                with pytest.raises(ValueError, match="off the total"):
+                    ExtremalFamily(klass, maximal_runs, minimal_runs)
 
 
 class TestParametricPatterns:

@@ -65,14 +65,27 @@ def lowered(runs, i):
     return runs_of(seq) if i < last and all(map(ge, seq, seq[1:])) else None
 
 
+def is_candidate(seq, klass):
+    """Whether a tuple is a candidate of the class: n nonincreasing entries in [1, n-1]
+    with the class total."""
+    n = klass.n
+    return (
+        len(seq) == n
+        and sum(seq) == klass.degree_total
+        and all(map(ge, seq, seq[1:]))
+        and 1 <= seq[-1] <= seq[0] <= n - 1
+    )
+
+
 def random_family(rng, klass, population):
     """A family of 0-4 maximals and a minimal (or, one time in four, none).
 
-    Each vector is positive and of order n, drawn from a random member: the
+    Each vector is a candidate of the class, drawn from a random member: the
     member itself, the member balanced by :func:`transfer_down`, or the member
-    after a few unit moves, left where they fall or shuffled.  About one in
-    six is then moved one unit off the class total.  Some families repeat a
-    maximal.
+    after a few unit moves, left where they fall or sorted.  About one in six
+    draws is then moved one unit off the class total.  A draw that is no
+    candidate is asserted refused as a family vector, and drawn again.  Some
+    families repeat a maximal.
     """
     n = klass.n
 
@@ -88,11 +101,15 @@ def random_family(rng, klass, population):
                     seq[i] -= 1
                     seq[j] += 1
             if kind == 3:
-                rng.shuffle(seq)
+                seq.sort(reverse=True)
         if rng.randrange(6) == 0:
             i = rng.randrange(n)
             seq[i] += 1 if seq[i] == 1 or rng.randrange(2) else -1
-        return runs_of(seq)
+        if is_candidate(seq, klass):
+            return runs_of(seq)
+        with pytest.raises(ValueError):
+            ExtremalFamily(klass, (runs_of(seq),), None)
+        return vector()
 
     maximals = [vector() for _ in range(rng.randint(0, 4))]
     if 0 < len(maximals) < 4 and rng.randrange(4) == 0:
@@ -109,6 +126,25 @@ def off_order(runs, step):
         seq.append(0)
     else:
         seq[0] += seq.pop()
+    return runs_of(seq)
+
+
+def off_total(runs, step):
+    """A vector in order one unit above the total (``step`` 1: the first entry of the
+    last run raised) or below it (``step`` -1: the last entry of the first run lowered)."""
+    seq = list(expand_runs(runs))
+    seq[len(seq) - runs[-1][1] if step > 0 else runs[0][1] - 1] += step
+    return runs_of(seq)
+
+
+def overfull(runs):
+    """A vector in order on the same total whose first entry is n, one more than a
+    degree can be: the units come from its last entries above 1."""
+    seq = list(expand_runs(runs))
+    total = sum(seq)
+    seq[0] = len(seq)
+    while sum(seq) > total:
+        seq[max(i for i, d in enumerate(seq) if d > 1)] -= 1
     return runs_of(seq)
 
 
@@ -172,70 +208,107 @@ class TestWalkMatchesSeparatePasses:
                 assert report == reference_extremality_report(family, population), (c, n, family)
 
     def test_families_off_the_class(self):
-        # Off the total, and out of order: no regular maximal covers a member,
-        # and the minimal's order makes its run ends matter.
+        # Off the total, and out of order: refused as family vectors.  The
+        # empty family is judged as the reference judges it.
         klass = CyclomaticClass(c=3, n=8)
         _, _, population = reference_equivalence_check(klass, 8)
         top, least = runs_of((7, 4, 2, 2, 2, 1, 1, 1)), runs_of((3, 3, 3, 3, 2, 2, 1, 1))
-        families = [
-            ExtremalFamily(klass, (runs_of((7, 4, 3, 2, 2, 1, 1, 1)),), runs_of((3,) * 6 + (2, 2))),
-            ExtremalFamily(klass, (top,), ((2, 2), (3, 4), (2, 2))),
-            ExtremalFamily(klass, (((1, 1), (7, 1), (4, 1), (2, 3), (1, 2)), top), least),
-            ExtremalFamily(klass, (), None),
+        refused = [
+            ((runs_of((7, 4, 3, 2, 2, 1, 1, 1)),), runs_of((3,) * 6 + (2, 2)), "off the total"),
+            ((top,), ((2, 2), (3, 4), (2, 2)), "decreasing runs"),
+            ((((1, 1), (7, 1), (4, 1), (2, 3), (1, 2)), top), least, "decreasing runs"),
         ]
-        for family in families:
-            report = walk_class(klass, 8, family).extremality
-            assert report == reference_extremality_report(family, population), family
+        for maximal_runs, minimal_runs, message in refused:
+            with pytest.raises(ValueError, match=message):
+                ExtremalFamily(klass, maximal_runs, minimal_runs)
+        family = ExtremalFamily(klass, (), None)
+        report = walk_class(klass, 8, family).extremality
+        assert report == reference_extremality_report(family, population)
 
     def test_families_of_another_order(self):
-        # A vector of order n + 1 or n - 1 is incomparable with every member:
-        # a maximal of another order covers none, and a minimal of another
-        # order puts every member below it.
+        # A vector of order n + 1 or n - 1 is refused, as a maximal or as the minimal.
         for c in range(7):
             for n in range(min_order(c), 11):
-                klass = CyclomaticClass(c=c, n=n)
-                family = extremal_family(klass)
-                _, _, population = reference_equivalence_check(klass, n)
+                family = extremal_family(CyclomaticClass(c=c, n=n))
                 first, *others = family.maximal_runs
                 longer, shorter = off_order(first, 1), off_order(first, -1)
-                families = [
-                    replace(family, maximal_runs=(longer, *others)),
-                    replace(family, maximal_runs=(shorter, *others)),
-                    replace(family, maximal_runs=(longer, shorter)),
-                    replace(family, minimal_runs=off_order(family.minimal_runs, 1)),
-                    replace(family, minimal_runs=off_order(family.minimal_runs, -1)),
-                ]
-                for other in families:
-                    report = walk_class(klass, n, other).extremality
-                    assert report == reference_extremality_report(other, population), (c, n, other)
-                    assert not report.members_valid
-                assert len(report.not_above_minimal) == len(population)
-                report = walk_class(klass, n, families[2]).extremality
-                assert len(report.not_below_any_maximal) == len(population)
+                for changes in (
+                    {"maximal_runs": (longer, *others)},
+                    {"maximal_runs": (shorter, *others)},
+                    {"maximal_runs": (longer, shorter)},
+                    {"minimal_runs": off_order(family.minimal_runs, 1)},
+                    {"minimal_runs": off_order(family.minimal_runs, -1)},
+                ):
+                    with pytest.raises(ValueError):
+                        replace(family, **changes)
 
     def test_families_with_kinks_in_the_ones(self):
-        # Vectors of order n on the class total, with a kink past a member's
-        # last run end: a fall to 0, or a rise at n - 1.  Within a final run
-        # of ones, only such a kink can flip a bit.
+        # Vectors of order n on the class total with a kink past a member's
+        # last run end, a fall to 0 or a rise at n - 1, are refused.
         for c in range(7):
             for n in range(max(min_order(c), 3), 13):
-                klass = CyclomaticClass(c=c, n=n)
-                family = extremal_family(klass)
-                _, _, population = reference_equivalence_check(klass, n)
+                family = extremal_family(CyclomaticClass(c=c, n=n))
                 first, *others = family.maximal_runs
-                families = [
-                    replace(family, maximal_runs=(tipped(first), *others)),
-                    replace(family, maximal_runs=(emptied(first), *others)),
-                    replace(family, minimal_runs=tipped(family.minimal_runs)),
-                    replace(family, minimal_runs=emptied(family.minimal_runs)),
-                ]
-                for other in families:
-                    report = walk_class(klass, n, other).extremality
-                    assert report == reference_extremality_report(other, population), (c, n, other)
+                for changes in (
+                    {"maximal_runs": (tipped(first), *others)},
+                    {"maximal_runs": (emptied(first), *others)},
+                    {"minimal_runs": tipped(family.minimal_runs)},
+                    {"minimal_runs": emptied(family.minimal_runs)},
+                ):
+                    with pytest.raises(ValueError):
+                        replace(family, **changes)
+
+    @pytest.mark.parametrize("which", ["maximal", "minimal"])
+    def test_a_family_holds_class_candidates_only(self, which):
+        # Each damage leaves a vector that is no candidate of the class, for one
+        # reason.  From one above the least order, where no vector is all n - 1.
+        damages = [
+            (lambda runs: off_order(runs, 1), "expected"),
+            (lambda runs: off_order(runs, -1), r"expected|\[1, n-1\]"),
+            (lambda runs: off_total(runs, 1), "off the total"),
+            (lambda runs: off_total(runs, -1), "off the total"),
+            (swapped, "decreasing runs"),
+            (tipped, "decreasing runs"),
+            (emptied, r"\[1, n-1\]"),
+            (overfull, r"\[1, n-1\]"),
+        ]
+        tried = set()
+        for c in range(1, 7):
+            for n in range(min_order(c) + 1, 13):
+                family = extremal_family(CyclomaticClass(c=c, n=n))
+                first, *others = family.maximal_runs
+                vector = first if which == "maximal" else family.minimal_runs
+                for i, (damage, message) in enumerate(damages):
+                    damaged_vector = damage(vector)
+                    if damaged_vector == vector:  # swapped on two equal entries
+                        continue
+                    tried.add(i)
+                    changes = (
+                        {"maximal_runs": (damaged_vector, *others)}
+                        if which == "maximal"
+                        else {"minimal_runs": damaged_vector}
+                    )
+                    with pytest.raises(ValueError, match=message):
+                        replace(family, **changes)
+        assert len(tried) == len(damages)
+
+    def test_a_family_of_another_class_is_refused(self, monkeypatch):
+        def started(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(degree_sequences, "_run_choices", started)
+        klass = CyclomaticClass(c=3, n=9)
+        for other in (CyclomaticClass(c=3, n=8), CyclomaticClass(c=4, n=9)):
+            with pytest.raises(ValueError, match="cannot be checked over"):
+                walk_class(klass, 9, extremal_family(other))
+        with pytest.raises(AssertionError, match="the walk started"):
+            walk_class(klass, 9, extremal_family(klass))
 
     def test_random_families(self):
-        # Sorted, shuffled and off-total vectors, repeated maximals, members
-        # as maximals and no minimal, each judged as the reference judges it.
+        # Members, balanced members and moved members (sorted or not), a few
+        # off the total, repeated maximals, members as maximals and no
+        # minimal; a draw that is no candidate is refused and drawn again.
+        # Each family is judged as the reference judges it.
         rng = random.Random(22)
         for c in range(9):
             for n in range(min_order(c), 11):
@@ -252,8 +325,8 @@ class TestWalkMatchesSeparatePasses:
         # (keeping n - 1) stay in order, and each is strictly majorized by
         # the pattern it came from, so each has a witness.  Some members lie
         # below none of them with a first entry below all of theirs.  A
-        # swapped pattern beside them is out of order on the class total: its
-        # entries rise after the first, a kink where coverage is tested.
+        # swapped pattern beside them, out of order on the class total where
+        # its first two entries differ, is refused.
         unplaced = 0  # uncovered members with a first entry below every maximal's
         for n in range(min_order(c), 15):
             klass = CyclomaticClass(c=c, n=n)
@@ -269,9 +342,10 @@ class TestWalkMatchesSeparatePasses:
                 assert len(report.dominated_patterns) == len(tops), (c, n, i)
                 first = min(runs[0][0] for runs in tops)
                 unplaced += sum(runs[0][0] < first for runs in report.not_below_any_maximal)
-                family = replace(family, maximal_runs=tops + (swapped(patterns.maximal_runs[0]),))
-                report = walk_class(klass, n, family).extremality
-                assert report == reference_extremality_report(family, population), (c, n, i)
+                top = patterns.maximal_runs[0]
+                if swapped(top) != top:
+                    with pytest.raises(ValueError, match="decreasing runs"):
+                        replace(family, maximal_runs=tops + (swapped(top),))
         assert unplaced
 
     @pytest.mark.parametrize("c", range(7))

@@ -68,11 +68,13 @@ class Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise :class:`UsageError`."""
 
     def parse_known_args(self, args=None, namespace=None):
-        # argparse reads "-1/2" or "-1e400" as an option: join it to an --alpha before it
+        # argparse reads "-1/2" or "-1e400" as an option: join it to an --alpha
+        # before it, or to any abbreviation of it that argparse accepts (--a on)
         args = list(sys.argv[1:] if args is None else args)
         for i in range(len(args) - 1, 0, -1):
-            if args[i - 1] == "--alpha" and re.match(r"-[\d.]", args[i]):
-                args[i - 1 : i + 1] = [f"--alpha={args[i]}"]
+            flag = args[i - 1]
+            if len(flag) >= 3 and "--alpha".startswith(flag) and re.match(r"-[\d.]", args[i]):
+                args[i - 1 : i + 1] = [f"{flag}={args[i]}"]
         return super().parse_known_args(args, namespace)
 
     def error(self, message):  # map argparse's default exit(2) onto exit code 1

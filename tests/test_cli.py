@@ -160,11 +160,14 @@ class TestBounds:
         assert code == 1
 
     def test_negative_alpha_as_its_own_token(self, capsys):
-        # argparse alone reads -1/2 as an option and stops: expected one argument
-        argv = ("bounds", "--n", "9", "--c", "1..6", "--alpha", "-1/2", "--verify")
-        code, out, err = run(capsys, *argv)
+        # argparse alone reads -1/2 as an option and stops: expected one argument.
+        # Every abbreviation of --alpha that argparse accepts takes it the same way.
+        argv = ("bounds", "--n", "9", "--c", "1..6", "--verify")
+        code, out, err = run(capsys, *argv, "--alpha=-1/2")
         assert (code, err) == (0, "")
         assert out.encode() == (GOLDEN / "bounds-alpha-minus-half.out").read_bytes()
+        for flag in ("--alpha", "--alph", "--alp", "--al", "--a"):
+            assert run(capsys, *argv, flag, "-1/2") == (code, out, err), flag
 
     def test_negative_alpha_beyond_a_float_as_its_own_token(self):
         split = run_isolated("bounds", "--n", "10", "--c", "1", "--alpha", "-1e400")

@@ -60,7 +60,7 @@ from typing import Iterator, Optional
 
 from .extremal import BoxSet, integerize_runs, maximal_runs, minimal_runs
 from .indices import Extremes, key_table
-from .majorization import Relation, coalesce_runs, compare_runs, expand_runs
+from .majorization import Relation, coalesce_runs, expand_runs, relation_of_runs
 
 DEFAULT_ENUMERATION_CAP = 12
 
@@ -436,13 +436,18 @@ def class_boxes(klass: CyclomaticClass) -> list:
 def _discard_dominated(candidates: list) -> list:
     """Drop run-length sequences majorized by another distinct candidate.
 
-    Maximal runs sort as the sequences they stand for, so the survivors come
-    out in descending lexicographic order.
+    The candidates must be valid forms of one order, each with maximal runs;
+    relations are decided by the unchecked
+    :func:`~ccyclic.majorization.relation_of_runs`.  Maximal runs sort as the
+    sequences they stand for, and x below y with x != y makes x
+    lexicographically smaller (at the first entry where they differ, equal
+    prefix sums before it force x's entry to be the smaller).  So, in
+    descending lexicographic order, a candidate is compared only with the
+    survivors before it, and the survivors come out in that order.
     """
-    unique = sorted(set(candidates), reverse=True)
     kept = []
-    for seq in unique:
-        if not any(compare_runs(seq, other) is Relation.LESS_OR_EQUAL for other in unique):
+    for seq in sorted(set(candidates), reverse=True):
+        if all(relation_of_runs(seq, other) is not Relation.LESS_OR_EQUAL for other in kept):
             kept.append(seq)
     return kept
 
@@ -455,7 +460,10 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
     minimal candidates are totally ordered with the least one minorizing the
     whole class.  The survivors are checked to be class members and pairwise
     incomparable before they are returned.  All of it runs on run-length
-    forms, O(runs) per sequence.
+    forms, O(runs) per sequence.  Every candidate has passed its box's
+    membership check (order, bounds, dimension and total) when it is built,
+    so each relation is decided by the unchecked
+    :func:`~ccyclic.majorization.relation_of_runs`.
     """
     boxes = class_boxes(klass)
     maximals = _discard_dominated([maximal_runs(box) for box in boxes])
@@ -464,7 +472,7 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
     # assertion messages print the (degree, count) runs: a tuple can be huge
     least = min_candidates[0]
     for cand in min_candidates[1:]:
-        rel = compare_runs(cand, least)
+        rel = relation_of_runs(cand, least)
         if rel is Relation.LESS_OR_EQUAL:
             least = cand
         elif rel is Relation.INCOMPARABLE:
@@ -473,17 +481,17 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
             )
     below = (Relation.EQUAL, Relation.LESS_OR_EQUAL)
     for cand in min_candidates:
-        if compare_runs(least, cand) not in below:
+        if relation_of_runs(least, cand) not in below:
             raise AssertionError(f"{least} fails to minorize candidate {cand}")
 
     for seq in maximals + [least]:
         if not _counting_form_holds(seq, klass):
             raise AssertionError(f"extremal sequence {seq} is not in the class")
     for i, a in enumerate(maximals):
-        if compare_runs(least, a) not in below:
+        if relation_of_runs(least, a) not in below:
             raise AssertionError(f"minimal {least} not below maximal {a}")
         for b in maximals[i + 1 :]:
-            if compare_runs(a, b) is not Relation.INCOMPARABLE:
+            if relation_of_runs(a, b) is not Relation.INCOMPARABLE:
                 raise AssertionError(f"maximal candidates {a} and {b} are comparable")
     return ExtremalFamily(klass=klass, maximal_runs=tuple(maximals), minimal_runs=least)
 

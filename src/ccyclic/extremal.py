@@ -22,6 +22,13 @@ Each computation and membership check costs O(segments + runs), plus a
 logarithmic factor for the water level.  Tuples are built only at the edges:
 :attr:`BoxSet.lower` and :attr:`BoxSet.upper`, and the ``*_box`` and
 :func:`integerize_minimal` results.
+
+Each kernel is one loop over runs and segments.  The membership check
+(:meth:`BoxSet.contains_runs`) is one merge of the two; it is where every
+element built here is checked, once, as it is returned: the maximal, the
+fractional minimal and the rounded minimal.  The minimal element places its
+water level against the two bound values that bracket it, so each segment is
+clamped by comparing bounds, never the fractional level itself.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .majorization import aligned_runs, check_vector, coalesce_runs, expand_runs, runs_of
+from .majorization import check_vector, coalesce_runs, expand_runs, runs_of
 
 
 class InfeasibleSetError(ValueError):
@@ -98,16 +105,31 @@ class BoxSet:
         return self.contains_runs(runs_of(vec))
 
     def contains_runs(self, runs: Sequence) -> bool:
-        """:meth:`contains` for a vector in run-length form, in O(runs + segments)."""
-        if sum(length for _, length in runs) != self.n:
-            return False
-        values = [value for value, _ in runs]
-        if any(b > a for a, b in zip(values, values[1:])):
-            return False
-        pieces = aligned_runs(runs, self.segments)
-        if any(not low <= x <= high for x, (low, high), _ in pieces):
-            return False
-        return sum(value * length for value, length in runs) == self.total
+        """:meth:`contains` for a vector in run-length form, in O(runs + segments).
+
+        One merge of the runs with the segments checks the order, the bounds
+        on every piece, the dimension and the sum.
+        """
+        segments = iter(self.segments)
+        rest = mass = 0
+        previous = None
+        for value, length in runs:
+            if previous is not None and value > previous:
+                return False
+            previous = value
+            mass += value * length
+            while length > 0:
+                if not rest:
+                    segment = next(segments, None)
+                    if segment is None:  # longer than the box
+                        return False
+                    (low, high), rest = segment
+                if not low <= value <= high:
+                    return False
+                step = length if length < rest else rest
+                length -= step
+                rest -= step
+        return not rest and next(segments, None) is None and mass == self.total
 
 
 def _assert_member(box: BoxSet, runs: tuple, what: str) -> None:
@@ -165,19 +187,30 @@ def minimal_runs(box: BoxSet) -> tuple:
     segments, total = box.segments, box.total
 
     def clamped_sum(level):
-        return sum(min(high, max(low, level)) * size for (low, high), size in segments)
+        reached = 0
+        for (low, high), size in segments:
+            reached += (high if high <= level else low if low >= level else level) * size
+        return reached
 
     # clamped_sum runs from sum(lower) <= total at the least bound value to
     # sum(upper) >= total at the greatest, so this index exists
     levels = sorted({bound for bounds, _ in segments for bound in bounds})
     above = bisect_left(levels, total, key=clamped_sum)
-    level = levels[above]
+    level = bottom = top = levels[above]
     reached = clamped_sum(level)
     if reached != total:  # interpolate between the two bracketing bound values
-        below = levels[above - 1]
-        base = clamped_sum(below)
-        level = below + Fraction((total - base) * (level - below), reached - base)
-    runs = coalesce_runs((min(high, max(low, level)), size) for (low, high), size in segments)
+        bottom = levels[above - 1]
+        base = clamped_sum(bottom)
+        level = bottom + Fraction((total - base) * (top - bottom), reached - base)
+
+    # No bound value lies strictly between bottom and top, so comparing a
+    # segment's bounds with those two places the level against it.
+    def clamped(low, high):
+        if high <= bottom or low == high:
+            return high
+        return low if low >= top else level
+
+    runs = coalesce_runs((clamped(low, high), size) for (low, high), size in segments)
     _assert_member(box, runs, "minimal element")
     return runs
 
@@ -276,13 +309,13 @@ def integerize_runs(runs: Sequence, box: BoxSet) -> tuple:
     check_vector([value for value, _ in runs])
     out = []
     for value, length in runs:
-        run_sum = value * length
-        if run_sum.denominator != 1:
+        run_sum, remainder = divmod(value.numerator * length, value.denominator)
+        if remainder:
             raise InfeasibleSetError(
-                f"fractional run of {value} x{length} has non-integer sum {run_sum}"
+                f"fractional run of {value} x{length} has non-integer sum {value * length}"
             )
-        base = value // 1
-        bumped = int(run_sum) - base * length
+        base = value.numerator // value.denominator
+        bumped = run_sum - base * length
         out += [(base + 1, bumped), (base, length - bumped)]
     result = coalesce_runs(out)
     if not box.contains_runs(result):

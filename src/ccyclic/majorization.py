@@ -8,13 +8,24 @@ cone x1 >= x2 >= ... >= xn and silent sorting would mask caller bugs.
 
 A vector also has a run-length form, the ``(value, length)`` pairs of its
 maximal runs; a long degree sequence is a short head and two long runs.
+
+The order of two run-length forms is decided by one core,
+:func:`relation_of_runs`: a single merge of the two run lists that tracks the
+sign of the prefix-sum gap at each piece end, O(runs), with no check of its
+input.  Where a vector is checked depends on where it comes from.
+:func:`compare_runs` (and :func:`compare` through it) checks both forms on
+every call, then runs the core.  The extremal layer checks each vector once,
+when it is built: every box element passes its box's membership test
+(:meth:`ccyclic.extremal.BoxSet.contains_runs`), and
+:func:`ccyclic.degree_sequences.extremal_family` then relates those vectors
+with the core alone.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate, chain, groupby, repeat, starmap
-from operator import itemgetter, lt
+from itertools import chain, groupby, repeat, starmap
+from operator import lt
 from typing import Iterable, Sequence
 
 
@@ -59,9 +70,20 @@ def runs_of(vec: Iterable) -> tuple:
 
 
 def coalesce_runs(runs: Iterable) -> tuple:
-    """Drop empty runs and merge neighbours of equal value, giving maximal runs."""
-    groups = groupby((run for run in runs if run[1]), itemgetter(0))
-    return tuple((value, sum(length for _, length in group)) for value, group in groups)
+    """Drop empty runs and merge neighbours of equal value, giving maximal runs.
+
+    A merged run keeps the value of its first part, so an ``int`` stays an
+    ``int`` when an equal ``Fraction`` follows it, and the other way round.
+    """
+    out = []
+    for value, length in runs:
+        if not length:
+            continue
+        if out and out[-1][0] == value:
+            out[-1] = (out[-1][0], out[-1][1] + length)
+        else:
+            out.append((value, length))
+    return tuple(out)
 
 
 def expand_runs(runs: Iterable) -> tuple:
@@ -69,42 +91,55 @@ def expand_runs(runs: Iterable) -> tuple:
     return tuple(chain.from_iterable(starmap(repeat, runs)))
 
 
-def aligned_runs(left: Iterable, right: Iterable):
-    """Pieces ``(a, b, length)`` of two run-length forms of one dimension.
-
-    Cut at every run end of either form, so that both vectors are constant on
-    a piece: ``a`` on the left and ``b`` on the right.
-    """
-    right, rest = iter(right), 0
-    for a, length in left:
-        while length:
-            if not rest:
-                b, rest = next(right)
-            step = min(length, rest)
-            yield a, b, step
-            length, rest = length - step, rest - step
-
-
 def compare_runs(left: Sequence, right: Sequence) -> Relation:
     """:func:`compare` on run-length forms, in O(runs) instead of O(n).
 
-    Within a piece of :func:`aligned_runs` the difference of the two prefix
-    sums is linear, so its values at the piece ends decide the order exactly;
-    the last of them is the difference of the totals.
+    Both forms are checked (equal dimension, then each nonincreasing and
+    nonnegative), then :func:`relation_of_runs` decides.
     """
     sizes = [sum(length for _, length in runs) for runs in (left, right)]
     if sizes[0] != sizes[1]:
         raise ValueError(f"dimension mismatch: {sizes[0]} vs {sizes[1]}")
     for runs in (left, right):
         check_vector([value for value, _ in runs])
-    gaps = list(accumulate((a - b) * length for a, b, length in aligned_runs(left, right)))
-    if not any(gaps):
-        return Relation.EQUAL
-    if gaps[-1]:
+    return relation_of_runs(left, right)
+
+
+def relation_of_runs(left: Sequence, right: Sequence) -> Relation:
+    """The majorization relation of two run-length forms, taken as valid.
+
+    Unchecked: both forms must be nonincreasing, of one dimension.  One merge
+    cuts them at every run end of either; on each piece both vectors are
+    constant, so the gap between their prefix sums is linear there and its
+    sign at the piece ends decides the order.  The last gap is the
+    difference of the totals.  Once the gap has taken both signs the
+    vectors are incomparable, and the merge stops.
+    """
+    pieces = iter(right)
+    b = rest = gap = 0
+    above = below = False
+    for a, length in left:
+        while length:
+            if not rest:
+                b, rest = next(pieces)
+                continue
+            step = length if length < rest else rest
+            gap += (a - b) * step
+            length -= step
+            rest -= step
+            if gap > 0:
+                if below:
+                    return Relation.INCOMPARABLE
+                above = True
+            elif gap < 0:
+                if above:
+                    return Relation.INCOMPARABLE
+                below = True
+    if gap:
         return Relation.INCOMPARABLE
-    if max(gaps) <= 0:
-        return Relation.LESS_OR_EQUAL
-    return Relation.GREATER_OR_EQUAL if min(gaps) >= 0 else Relation.INCOMPARABLE
+    if above:
+        return Relation.GREATER_OR_EQUAL
+    return Relation.LESS_OR_EQUAL if below else Relation.EQUAL
 
 
 def is_majorized_by(left: Sequence, right: Sequence) -> bool:

@@ -459,6 +459,29 @@ def per_coordinate_integerize(vec):
     return tuple(out)
 
 
+def per_coordinate_family(boxes):
+    """The extremal family of a class from its boxes, entry by entry, as ``(maximals, minimal)``.
+
+    Each box is expanded into its bound tuples.  The maximals are the box
+    maximals that no other one strictly majorizes, in descending
+    lexicographic order, found by comparing every pair; the minimal is the
+    rounded box minimal majorized by all the others.  Every relation is
+    decided by :func:`per_coordinate_compare`.
+    """
+    below = (Relation.EQUAL, Relation.LESS_OR_EQUAL)
+    tops = {per_coordinate_maximal(box.lower, box.upper, box.total) for box in boxes}
+    maximals = [
+        a for a in tops
+        if not any(per_coordinate_compare(a, b) is Relation.LESS_OR_EQUAL for b in tops)
+    ]
+    bottoms = [
+        per_coordinate_integerize(per_coordinate_minimal(box.lower, box.upper, box.total))
+        for box in boxes
+    ]
+    (minimal,) = {a for a in bottoms if all(per_coordinate_compare(a, b) in below for b in bottoms)}
+    return tuple(sorted(maximals, reverse=True)), minimal
+
+
 def _reach(n, edges, start):
     """Vertices reachable from ``start``, by a breadth-first search of the whole edge set."""
     adjacency = [[] for _ in range(n)]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from ccyclic.degree_sequences import (
+    _discard_dominated,
     _erdos_gallai,
     CyclomaticClass,
     EnumerationCapError,
@@ -28,15 +29,24 @@ from ccyclic.degree_sequences import (
     walk_class,
 )
 from ccyclic.majorization import (
-    Relation, coalesce_runs, compare, expand_runs, is_majorized_by, runs_of
+    Relation,
+    coalesce_runs,
+    compare,
+    compare_runs,
+    expand_runs,
+    is_majorized_by,
+    relation_of_runs,
+    runs_of,
 )
 
 from oracles import (
     cwr_candidates,
     expanded_family,
+    per_coordinate_family,
     published_inequalities,
     reference_extremality_report,
     textbook_is_graphical,
+    transfer_down,
     tuple_candidates,
     tuple_patterns,
 )
@@ -344,6 +354,13 @@ class TestExtremalFamily:
         with pytest.raises(ValueError):
             extremal_family(CyclomaticClass(c=7, n=10))
 
+    @pytest.mark.parametrize("c", range(7))
+    def test_family_across_orders_matches_per_coordinate_build(self, c):
+        for n in range(min_order(c), 301):
+            klass = CyclomaticClass(c=c, n=n)
+            expected = per_coordinate_family(class_boxes(klass))
+            assert expanded_family(extremal_family(klass)) == expected, (c, n)
+
     def test_members_and_incomparability(self):
         for c in range(7):
             for n in range(min_order(c), 11):
@@ -378,6 +395,46 @@ class TestExtremalFamily:
         )
         assert report.members_valid and report.pairwise_incomparable
         assert not report.ok and not report.complete
+
+
+class TestDiscardDominated:
+    """Candidates are compared only with the lexicographically larger survivors."""
+
+    @staticmethod
+    def all_pairs(candidates):
+        return sorted(
+            {
+                a for a in candidates
+                if not any(compare_runs(a, b) is Relation.LESS_OR_EQUAL for b in candidates)
+            },
+            reverse=True,
+        )
+
+    def test_at_most_half_the_pairs_and_the_all_pairs_survivors(self, monkeypatch):
+        calls = []
+
+        def counted(left, right):
+            calls.append((left, right))
+            return relation_of_runs(left, right)
+
+        monkeypatch.setattr("ccyclic.degree_sequences.relation_of_runs", counted)
+        rng = random.Random(25)
+        for _ in range(400):
+            n, total = rng.randint(1, 12), rng.randint(0, 30)
+            vectors = []
+            for _ in range(rng.randint(1, 6)):  # stars and bars: n parts summing to total
+                cuts = sorted(rng.sample(range(total + n - 1), n - 1))
+                parts = map(int.__sub__, cuts + [total + n - 1], [-1] + cuts)
+                vectors.append(tuple(sorted((part - 1 for part in parts), reverse=True)))
+            vectors += [transfer_down(rng, vec) for vec in vectors]  # some pairs comparable
+            candidates = [runs_of(vec) for vec in vectors]
+            candidates += rng.sample(candidates, rng.randint(0, len(candidates)))  # repeats
+            m = len(set(candidates))
+            calls.clear()
+            kept = _discard_dominated(candidates)
+            assert len(calls) <= m * (m - 1) // 2
+            assert all(left != right for left, right in calls)
+            assert kept == self.all_pairs(candidates)
 
 
 class TestExtremalityReportMatchesReference:

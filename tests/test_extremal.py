@@ -276,9 +276,15 @@ def test_segment_computations_match_per_coordinate_oracles(box):
     assert top == per_coordinate_maximal(lower, upper, total)
     assert bottom == per_coordinate_minimal(lower, upper, total)
     flat = (Fraction(total) / len(lower),) * len(lower)  # right sum and order, maybe out of bounds
-    probes = (top, bottom, flat, top[::-1], bottom[:-1], top[:-1] + (top[-1] + 1,))
+    probes = (
+        top, bottom, flat, top[::-1], bottom[:-1], top[:-1] + (top[-1] + 1,),
+        top + (0,), bottom + bottom[-1:], top[:-1] + (top[-1] - 1, 1),  # longer than the box
+    )
     for vec in probes:
-        assert box.contains(vec) == per_coordinate_contains(lower, upper, total, vec)
+        expected = per_coordinate_contains(lower, upper, total, vec)
+        assert box.contains(vec) == expected
+        # one run per entry, with empty runs between them, reads the same
+        assert box.contains_runs(tuple(run for x in vec for run in ((x, 1), (x, 0)))) == expected
     if all(x.denominator == 1 for x in (total,) + lower + upper):
         assert integerize_minimal(bottom, box) == per_coordinate_integerize(bottom)
 

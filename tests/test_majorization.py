@@ -1,5 +1,6 @@
 """Unit and property tests for the majorization order."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ccyclic.majorization import (
     Relation,
     check_vector,
+    coalesce_runs,
     compare,
     compare_runs,
     expand_runs,
@@ -164,6 +166,28 @@ def test_run_comparison_agrees_with_compare(pair):
     assert compare_runs(runs_of(left), runs_of(right)) is expected
     # runs need not be maximal: one run per entry gives the same answer
     assert compare_runs(tuple((x, 1) for x in left), runs_of(right)) is expected
+    # nor free of empty runs and equal neighbours, which coalesce_runs removes
+    padded = tuple(run for x in left for run in ((x, 0), (x, 1))) + ((0, 0),)
+    assert compare_runs(runs_of(right), padded) is per_coordinate_compare(right, left)
+    assert coalesce_runs(padded) == runs_of(left)
+    # an int equal to a Fraction merges with it, and the first part's value is kept
+    mixed = tuple((int(x) if i % 2 and x.denominator == 1 else x, 1) for i, x in enumerate(left))
+    firsts = [x for i, (x, _) in enumerate(mixed) if i == 0 or x != mixed[i - 1][0]]
+    assert coalesce_runs(mixed) == runs_of(left)
+    assert [type(x) for x, _ in coalesce_runs(mixed)] == list(map(type, firsts))
+    # unequal totals
+    raised = (left[0] + 1,) + left[1:]
+    assert compare_runs(runs_of(raised), runs_of(right)) is per_coordinate_compare(raised, right)
+    # unsorted or negative: the same exception as the per-coordinate form
+    for bad in (left[::-1], left[:-1] + (-1,)):
+        for pair in ((bad, right), (right, bad)):
+            try:
+                relation = per_coordinate_compare(*pair)
+            except ValueError as reference:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(reference))}$"):
+                    compare_runs(*map(runs_of, pair))
+            else:
+                assert compare_runs(*map(runs_of, pair)) is relation
 
 
 @pytest.mark.parametrize(

@@ -203,8 +203,10 @@ def minimal_runs(box: BoxSet) -> tuple:
         base = clamped_sum(bottom)
         level = bottom + Fraction((total - base) * (top - bottom), reached - base)
 
-    # No bound value lies strictly between bottom and top, so comparing a
-    # segment's bounds with those two places the level against it.
+    # min(high, max(low, level)), with no fractional comparison: no bound
+    # value lies strictly between bottom and top, so comparing a segment's
+    # bounds with those two places the level against it.  A pinned segment
+    # (low == high) keeps its upper bound, as min does.
     def clamped(low, high):
         if high <= bottom or low == high:
             return high

@@ -116,7 +116,7 @@ def relation_of_runs(left: Sequence, right: Sequence) -> Relation:
     vectors are incomparable, and the merge stops.
     """
     pieces = iter(right)
-    b = rest = gap = 0
+    rest = gap = 0
     above = below = False
     for a, length in left:
         while length:

@@ -414,7 +414,11 @@ class ExtremalFamily:
 
 
 def class_boxes(klass: CyclomaticClass) -> list:
-    """The constraint boxes live at this order, one per counting condition."""
+    """The constraint boxes live at this order, one per counting condition.
+
+    A row's thresholds fall as its counts rise, so each need ``(t, j)`` is
+    one segment, entries past the previous need's count up to j in [t, n-1].
+    """
     if klass.c > MAX_SUPPORTED_CYCLES:
         raise ValueError(
             f"extremal families are only established up to c={MAX_SUPPORTED_CYCLES}"
@@ -424,11 +428,11 @@ def class_boxes(klass: CyclomaticClass) -> list:
     for needed_order, needs in _COUNT_CONDITIONS[klass.c]:
         if n < needed_order:
             continue
-        head = [1] * max((count for _, count in needs), default=0)
+        segments, covered = [], 0
         for threshold, count in needs:
-            for i in range(count):
-                head[i] = max(head[i], threshold)
-        segments = [((low, n - 1), 1) for low in head] + [((1, n - 1), n - len(head))]
+            segments.append(((threshold, n - 1), count - covered))
+            covered = count
+        segments.append(((1, n - 1), n - covered))
         boxes.append(BoxSet(total=klass.degree_total, segments=segments))
     return boxes
 
@@ -436,63 +440,56 @@ def class_boxes(klass: CyclomaticClass) -> list:
 def _discard_dominated(candidates: list) -> list:
     """Drop run-length sequences majorized by another distinct candidate.
 
-    The candidates must be valid forms of one order, each with maximal runs;
-    relations are decided by the unchecked
-    :func:`~ccyclic.majorization.relation_of_runs`.  Maximal runs sort as the
-    sequences they stand for, and x below y with x != y makes x
-    lexicographically smaller (at the first entry where they differ, equal
-    prefix sums before it force x's entry to be the smaller).  So, in
-    descending lexicographic order, a candidate is compared only with the
-    survivors before it, and the survivors come out in that order.
+    The candidates must be valid forms of one order, each with maximal runs,
+    which sort as the sequences they stand for.  The lexicographic lemma: x
+    below y with x != y makes x lexicographically smaller (at the first entry
+    where they differ, equal prefix sums before it force x's entry to be the
+    smaller).  So, in descending lexicographic order, a candidate is related
+    (by the unchecked :func:`~ccyclic.majorization.relation_of_runs`) only to
+    the survivors before it, and must be below or incomparable with each, else
+    ``AssertionError``; the survivors come out pairwise incomparable, in order.
     """
     kept = []
     for seq in sorted(set(candidates), reverse=True):
-        if all(relation_of_runs(seq, other) is not Relation.LESS_OR_EQUAL for other in kept):
+        for other in kept:
+            rel = relation_of_runs(seq, other)
+            if rel is Relation.LESS_OR_EQUAL:
+                break
+            if rel is not Relation.INCOMPARABLE:
+                raise AssertionError(f"maximal candidates {seq} and {other} are {rel.value}")
+        else:
             kept.append(seq)
     return kept
 
 
 def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
-    """Majorization-extremal degree sequences of the class.
+    """Majorization-extremal degree sequences of the class, each relation decided once.
 
     Each live constraint box contributes one maximal and one integer minimal
-    element; maximal candidates dominated by another are discarded, and the
-    minimal candidates are totally ordered with the least one minorizing the
-    whole class.  The survivors are checked to be class members and pairwise
-    incomparable before they are returned.  All of it runs on run-length
-    forms, O(runs) per sequence.  Every candidate has passed its box's
-    membership check (order, bounds, dimension and total) when it is built,
-    so each relation is decided by the unchecked
-    :func:`~ccyclic.majorization.relation_of_runs`.
+    element, run-length forms that passed its box's membership check (order,
+    bounds, dimension and total) when built, so the unchecked
+    :func:`~ccyclic.majorization.relation_of_runs` relates them, O(runs)
+    each.  :func:`_discard_dominated` keeps the maximals and checks them
+    pairwise incomparable.  By its lexicographic lemma only the least minimal
+    candidate can minorize the others, and here it is checked to; then every
+    family sequence is checked a class member by the counting form, and the
+    minimal below every maximal.  :class:`ExtremalFamily` checks the rest.
     """
     boxes = class_boxes(klass)
     maximals = _discard_dominated([maximal_runs(box) for box in boxes])
-    min_candidates = [integerize_runs(minimal_runs(box), box) for box in boxes]
+    least, *rest = sorted({integerize_runs(minimal_runs(box), box) for box in boxes})
 
     # assertion messages print the (degree, count) runs: a tuple can be huge
-    least = min_candidates[0]
-    for cand in min_candidates[1:]:
-        rel = relation_of_runs(cand, least)
-        if rel is Relation.LESS_OR_EQUAL:
-            least = cand
-        elif rel is Relation.INCOMPARABLE:
-            raise AssertionError(
-                f"incomparable minimal candidates {cand} and {least} for {klass}"
-            )
     below = (Relation.EQUAL, Relation.LESS_OR_EQUAL)
-    for cand in min_candidates:
+    for cand in rest:
         if relation_of_runs(least, cand) not in below:
             raise AssertionError(f"{least} fails to minorize candidate {cand}")
-
     for seq in maximals + [least]:
         if not _counting_form_holds(seq, klass):
             raise AssertionError(f"extremal sequence {seq} is not in the class")
-    for i, a in enumerate(maximals):
-        if relation_of_runs(least, a) not in below:
-            raise AssertionError(f"minimal {least} not below maximal {a}")
-        for b in maximals[i + 1 :]:
-            if relation_of_runs(a, b) is not Relation.INCOMPARABLE:
-                raise AssertionError(f"maximal candidates {a} and {b} are comparable")
+    for top in maximals:
+        if relation_of_runs(least, top) not in below:
+            raise AssertionError(f"minimal {least} not below maximal {top}")
     return ExtremalFamily(klass=klass, maximal_runs=tuple(maximals), minimal_runs=least)
 
 

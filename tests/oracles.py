@@ -459,6 +459,23 @@ def per_coordinate_integerize(vec):
     return tuple(out)
 
 
+def per_entry_class_bounds(klass):
+    """The ``(lower, upper)`` bound tuples of each live counting row, read entry by entry.
+
+    Entry i (from 0) of a row's box is at least the largest threshold t of a
+    need ``(t, j)`` with i < j, or 1 if no need covers it, and at most n - 1.
+    """
+    n = klass.n
+    return [
+        (
+            tuple(max([t for t, j in needs if i < j], default=1) for i in range(n)),
+            (n - 1,) * n,
+        )
+        for needed_order, needs in degree_sequences._COUNT_CONDITIONS[klass.c]
+        if n >= needed_order
+    ]
+
+
 def per_coordinate_family(boxes):
     """The extremal family of a class from its boxes, entry by entry, as ``(maximals, minimal)``.
 

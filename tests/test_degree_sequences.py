@@ -1,6 +1,8 @@
 """Tests for class membership, enumeration, and extremal families."""
 
 import random
+import re
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations_with_replacement
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from ccyclic.degree_sequences import (
+    _COUNT_CONDITIONS,
     _discard_dominated,
     _erdos_gallai,
     CyclomaticClass,
@@ -43,6 +46,7 @@ from oracles import (
     cwr_candidates,
     expanded_family,
     per_coordinate_family,
+    per_entry_class_bounds,
     published_inequalities,
     reference_extremality_report,
     textbook_is_graphical,
@@ -437,6 +441,47 @@ class TestDiscardDominated:
             assert kept == self.all_pairs(candidates)
 
 
+class TestEachRelationOnce:
+    """``extremal_family`` decides each relation once, and its checks still fire."""
+
+    @staticmethod
+    def counted(monkeypatch, lie=lambda left, right: None):
+        """Record the core's calls; ``lie`` gives a false answer for the pairs it chooses."""
+        calls = []
+
+        def core(left, right):
+            calls.append((left, right))
+            return lie(left, right) or relation_of_runs(left, right)
+
+        monkeypatch.setattr("ccyclic.degree_sequences.relation_of_runs", core)
+        return calls
+
+    def test_no_pair_is_related_twice(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        for c in range(7):
+            for n in [*range(min_order(c), 61), 1000]:
+                calls.clear()
+                extremal_family(CyclomaticClass(c=c, n=n))
+                repeats = Counter(frozenset(pair) for pair in calls)
+                assert max(repeats.values()) == 1, (c, n)
+        assert len(calls) <= 17  # the family at (6, 1000)
+
+    def test_a_comparable_maximal_pair_raises(self, monkeypatch):
+        klass = CyclomaticClass(c=3, n=8)
+        earlier, later = extremal_family(klass).maximal_runs  # descending lexicographic
+        ranked = {(later, earlier): Relation.GREATER_OR_EQUAL}
+        self.counted(monkeypatch, lambda left, right: ranked.get((left, right)))
+        with pytest.raises(AssertionError, match=re.escape(f"{later} and {earlier}")):
+            extremal_family(klass)
+
+    def test_a_minimal_that_fails_to_minorize_raises(self, monkeypatch):
+        klass = CyclomaticClass(c=6, n=1000)  # three distinct minimal candidates
+        least = extremal_family(klass).minimal_runs
+        self.counted(monkeypatch, lambda left, right: left == least and Relation.INCOMPARABLE)
+        with pytest.raises(AssertionError, match=f"{re.escape(str(least))} fails to minorize"):
+            extremal_family(klass)
+
+
 class TestExtremalityReportMatchesReference:
     """The walk's report equals the former pairwise report, field for field."""
 
@@ -628,3 +673,19 @@ def test_class_boxes_counts():
     assert len(class_boxes(CyclomaticClass(c=6, n=6))) == 3
     assert len(class_boxes(CyclomaticClass(c=6, n=7))) == 4
     assert len(class_boxes(CyclomaticClass(c=6, n=8))) == 5
+
+
+def test_count_condition_rows_fall_and_rise():
+    # class_boxes makes one segment per need on this form of the rows
+    for conditions in _COUNT_CONDITIONS.values():
+        for _, needs in conditions:
+            for (t, j), (u, k) in zip(needs, needs[1:]):
+                assert t > u and j < k, needs
+
+
+@pytest.mark.parametrize("c", range(7))
+def test_class_boxes_match_a_per_entry_reading(c):
+    for n in range(min_order(c), 301):
+        klass = CyclomaticClass(c=c, n=n)
+        boxes = [(box.lower, box.upper) for box in class_boxes(klass)]
+        assert boxes == per_entry_class_bounds(klass), (c, n)

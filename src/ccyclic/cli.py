@@ -1,4 +1,4 @@
-"""Command line interface: extremal families, index bounds, verification, realization.
+"""Command line interface: extremal families, index bounds, verification, realization, tables.
 
 Exit codes: 0 success, 1 domain or usage error, 2 verification mismatch,
 3 enumeration cap exceeded.  All output is deterministic byte for byte for a
@@ -23,10 +23,13 @@ from .bounds import (
     SKIPPED,
     annotate_orientation,
     bounds,
+    bounds_table,
+    closed_form_inverse_degree,
     oracle_outcome,
     refined_inverse_degree_upper,
     report_to_json_dict,
     reports_to_csv,
+    verify_class,
     with_verification,
 )
 from .degree_sequences import (
@@ -406,6 +409,71 @@ def cmd_realize(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# tables
+# ---------------------------------------------------------------------------
+
+
+def cmd_tables(args) -> int:
+    """The extremal sequences, inverse-degree bounds and general-Zagreb bounds of c = 0..6."""
+    n, alpha = args.n, args.alpha
+    if n < 8:
+        raise UsageError(f"--n must be at least 8 (n >= c + 2 for c <= 6), got {n}")
+    cap = checked_cap(args.cap)
+    # The last table's bounds come first, so that an exponent the index
+    # rejects stops the run before any other work.
+    zagreb_rows = bounds_table(n, alpha)
+    classes = [CyclomaticClass(c=c, n=n) for c in range(7)]
+    closed_rows = [closed_form_inverse_degree(klass) for klass in classes]
+    # The verified rows of each class; c = 0 has no general-Zagreb row.
+    rows = [[closed] + [row for row in zagreb_rows if row.klass.c == c]
+            for c, closed in enumerate(closed_rows)]
+    # Each class is walked once, with the indices of all its rows.  The
+    # classes share one order, so the first is above the cap when all are.
+    statuses = [[SKIPPED] * len(each) for each in rows]
+    if args.verify:
+        try:
+            statuses = [[outcome.status for outcome in verify_class(each, cap)] for each in rows]
+        except EnumerationCapError:
+            pass
+    lines = [f"extremal degree sequences at n={n}", "-" * 72]
+    for klass in classes:
+        family = extremal_family(klass)
+        tops = ", ".join(format_sequence(runs) for runs in family.maximal_runs)
+        lines.append(f"c={klass.c}  maximal: {tops}")
+        lines.append(f"      minimal: {format_sequence(family.minimal_runs)}")
+
+    lines += ["", f"inverse-degree bounds at n={n}", "-" * 72]
+    for klass, closed in zip(classes, closed_rows):
+        line = (
+            f"c={klass.c}  {format_index_value(closed.lower)} <= rho <= "
+            f"{format_index_value(closed.upper)}"
+        )
+        if klass.c >= 3:
+            refined = refined_inverse_degree_upper(klass)
+            line += f"  [refined upper {format_index_value(refined)}]"
+        if args.verify:
+            line += f"  ({statuses[klass.c][0]})"
+        lines.append(line)
+
+    lines += ["", f"general-Zagreb bounds at n={n}, alpha={alpha}", "-" * 72]
+    for c, row in enumerate(zagreb_rows, 1):
+        line = (
+            f"c={c}  lower {format_index_value(row.lower)} at "
+            f"{format_sequence(row.lower_attainer)}; upper "
+            f"{format_index_value(row.upper)} at {format_sequence(row.upper_attainer)}"
+        )
+        if args.verify:
+            line += f"  ({statuses[c][1]})"
+        lines.append(line)
+        lines += [f"      note: {note}" for note in row.notes]
+    # Every row is rendered before the first line is printed, so that an
+    # exponent the index rejects, or a value too long to print, stops the
+    # run with nothing on stdout.
+    _emit("\n".join(lines) + "\n", None)
+    return exit_code(status for each in statuses for status in each) if args.verify else EXIT_OK
+
+
+# ---------------------------------------------------------------------------
 # parser wiring
 # ---------------------------------------------------------------------------
 
@@ -466,6 +534,16 @@ def _build_parser() -> Parser:
     p.add_argument("--label", help="label embedded in the DOT output")
     p.add_argument("--output")
     p.set_defaults(handler=cmd_realize)
+
+    p = sub.add_parser("tables", help="the paper's tables for c = 0..6, with --verify verdicts")
+    p.add_argument("--n", type=int, default=11, help="order of every class, at least 8")
+    p.add_argument("--alpha", type=int, default=2,
+                   help="general-Zagreb exponent (an integer, not 0 or 1)")
+    p.add_argument("--verify", action="store_true",
+                   help="compare each bound against exhaustive enumeration")
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                   help="enumeration cap for --verify")
+    p.set_defaults(handler=cmd_tables)
     return parser
 
 

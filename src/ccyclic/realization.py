@@ -116,7 +116,7 @@ def _lay_off(degrees) -> list:
 
 
 def realize(seq) -> SimpleGraph:
-    """Build a connected simple graph whose sorted degree list equals ``seq``.
+    """Build a connected simple graph in which vertex i has degree ``seq[i]``.
 
     Raises :class:`RealizationError` when the sequence is not graphical, has
     an entry below 1, or has too small a sum for any connected graph.  The
@@ -136,8 +136,8 @@ def realize(seq) -> SimpleGraph:
         raise RealizationError("fewer edge endpoints than any spanning tree needs")
 
     graph = SimpleGraph(n=n, edges=frozenset(_lay_off(degrees)))
-    if graph.degree_sequence() != degrees:
-        raise AssertionError("construction changed the degree multiset")
+    if graph.vertex_degrees() != list(degrees):
+        raise AssertionError("construction gave a vertex a degree other than its entry")
     if not is_connected(graph):
         raise AssertionError("construction left the graph disconnected")
     return graph

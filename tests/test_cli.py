@@ -38,6 +38,13 @@ def test_every_exported_name_resolves():
     assert [name for name in ccyclic.__all__ if not hasattr(ccyclic, name)] == []
 
 
+def test_console_script_prints_the_paper_tables(capsys):
+    # the entry point pyproject.toml installs as ``ccyclic``
+    code, out, err = run(capsys, "tables", "--n", "9", "--verify")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "tables.out").read_bytes()
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
     original = cli._build_parser
     built = []
@@ -220,11 +227,11 @@ def run_isolated(*argv, **env):
     )
 
 
-def run_in_384_mib(*command):
-    """Run ``python *command`` in a child process with 384 MiB of address space."""
+def run_in_384_mib(*argv):
+    """Run the CLI in a child process with 384 MiB of address space."""
     limit = 384 << 20
     return subprocess.run(
-        [sys.executable, *command],
+        [sys.executable, "-m", "ccyclic.cli", *argv],
         capture_output=True,
         text=True,
         timeout=60,
@@ -383,7 +390,7 @@ class TestLargeOrder:
         # the refined attainer is the first closed-form pattern, built as runs
         n = 10**9
         result = run_in_384_mib(
-            "-m", "ccyclic.cli", "bounds", "--n", str(n), "--c", "3..6",
+            "bounds", "--n", str(n), "--c", "3..6",
             "--index", "inverse-degree", "--refined",
         )
         assert (result.returncode, result.stderr) == (0, "")
@@ -399,8 +406,8 @@ class TestLargeOrder:
             for c in range(3, 7)
         ]
 
-    def test_reproduce_tables_at_a_billion_vertices(self):
-        result = run_in_384_mib(str(ROOT / "scripts" / "reproduce_tables.py"), "--n", str(10**9))
+    def test_tables_at_a_billion_vertices(self):
+        result = run_in_384_mib("tables", "--n", str(10**9))
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout.count("[refined upper ") == 4
 
@@ -743,21 +750,21 @@ class TestDeterminismAndOutput:
         assert err == f"error: cannot write {target}: No such file or directory\n"
 
     @pytest.mark.parametrize(
-        "command",
+        "argv",
         [
-            ["-m", "ccyclic.cli", "extremal", "--n", "100000", "--c", "6", "--format", "json"],
-            [str(ROOT / "scripts" / "reproduce_tables.py")],
+            ["extremal", "--n", "100000", "--c", "6", "--format", "json"],
+            ["tables"],
         ],
-        ids=["cli", "reproduce-tables"],
+        ids=["cli", "tables"],
     )
-    def test_closed_stdout_is_one_error_line(self, command):
+    def test_closed_stdout_is_one_error_line(self, argv):
         # the read end is closed before the child starts, so its first write fails
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             result = subprocess.run(
-                [sys.executable, *command], stdout=write_end, stderr=subprocess.PIPE,
-                text=True, timeout=60, env={"PYTHONPATH": str(SRC)},
+                [sys.executable, "-m", "ccyclic.cli", *argv], stdout=write_end,
+                stderr=subprocess.PIPE, text=True, timeout=60, env={"PYTHONPATH": str(SRC)},
             )
         finally:
             os.close(write_end)

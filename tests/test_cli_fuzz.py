@@ -2,14 +2,15 @@
 
 Every run must return an exit code in {0, 1, 2, 3} without an exception
 escaping ``main``, and a second run of the same argv must print the same
-stdout.  ``extremal``, and ``bounds`` without ``--verify``, also draw
-n from {100, 1000, 5000}: their cost grows with the runs of the extremal
-sequences, not with n.  ``realize`` also draws sequences of those orders:
-path-like, hub-like, all 2s, or two hubs over leaves, which is not graphical.
-``verify`` and ``bounds --verify`` stay at n <= 9 because the CLI has no work
-budget yet: the enumeration cap bounds the order, not the number of
-candidates visited (ROADMAP item 5).  The bound keeps this test under a few
-seconds; it does not mean larger orders are handled well there.
+stdout.  ``extremal``, and ``bounds`` and ``tables`` without ``--verify``,
+also draw n from {100, 1000, 5000}: their cost grows with the runs of the
+extremal sequences, not with n.  ``realize`` also draws sequences of those
+orders: path-like, hub-like, all 2s, or two hubs over leaves, which is not
+graphical.  ``verify``, ``bounds --verify`` and ``tables --verify`` stay at
+n <= 9 because the CLI has no work budget yet: the enumeration cap bounds
+the order, not the number of candidates visited (ROADMAP item 5).  The
+bound keeps this test under a few seconds; it does not mean larger orders
+are handled well there.
 """
 
 import contextlib
@@ -84,7 +85,7 @@ def _flag(draw, name):
 
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(["extremal", "bounds", "verify", "realize"]))
+    command = draw(st.sampled_from(["extremal", "bounds", "verify", "realize", "tables"]))
     argv = [command]
     if command == "extremal":
         argv += [f"--n={draw(ALL_ORDERS)}", f"--c={draw(st.one_of(CYCLES, HOSTILE_TEXT))}"]
@@ -100,6 +101,10 @@ def argvs(draw):
         argv += _option(draw, "c", CYCLE_TEXT)
         argv += _flag(draw, "equivalence-only") + _flag(draw, "conjecture")
         argv += _option(draw, "cap", CAPS)
+    elif command == "tables":
+        verify = _flag(draw, "verify")
+        argv += [f"--n={draw(ORDERS if verify else ALL_ORDERS)}"] + verify
+        argv += _option(draw, "alpha", ALPHAS) + _option(draw, "cap", CAPS)
     else:
         argv += [f"--seq={draw(SEQUENCES)}"]
         argv += _option(draw, "check-c", CYCLES)

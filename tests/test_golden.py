@@ -1,4 +1,4 @@
-"""Golden files: the exact bytes every subcommand and script prints.
+"""Golden files: the exact bytes every subcommand prints.
 
 Each case runs in-process and must reproduce the recorded stdout byte for
 byte (``golden/<case>.out``) and the recorded exit code and stderr
@@ -7,7 +7,6 @@ meant to alter output, with ``python tests/golden/record.py``.
 """
 
 import contextlib
-import importlib.util
 import io
 import json
 import re
@@ -22,11 +21,10 @@ from ccyclic.indices import Extremes
 
 from oracles import walks_without_population, with_a_maximal_as_minimal
 
-ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RESULTS = GOLDEN / "results.json"
 
-#: case name -> argv; an argv starting with ``scripts/`` runs that script's main()
+#: case name -> argv
 CASES = {
     "extremal-text": ["extremal", "--n", "8", "--c", "3"],
     "extremal-csv": ["extremal", "--n", "7", "--c", "6", "--format", "csv"],
@@ -77,26 +75,16 @@ CASES = {
     "realize-label": ["realize", "--seq", "3,3,2,2,2", "--label", "house"],
     "realize-non-graphical": ["realize", "--seq", "3,1,1"],
     "realize-check-c-mismatch": ["realize", "--seq", "2,2,2", "--check-c", "2"],
-    "script-reproduce-tables": ["scripts/reproduce_tables.py", "--n", "9", "--verify"],
-    "script-reproduce-tables-small-n": ["scripts/reproduce_tables.py", "--n", "5"],
+    "tables": ["tables", "--n", "9", "--verify"],
+    "tables-small-n": ["tables", "--n", "5"],
 }
-
-
-def _script_main(relpath: str):
-    spec = importlib.util.spec_from_file_location(Path(relpath).stem, ROOT / relpath)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.main
 
 
 def run_case(argv: list) -> tuple:
     """(exit code, stdout, stderr) of one in-process run."""
-    entry = cli_main
-    if argv[0].startswith("scripts/"):
-        entry, argv = _script_main(argv[0]), argv[1:]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = entry(list(argv))
+        code = cli_main(list(argv))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -123,15 +111,15 @@ def test_output_file_equals_stdout(tmp_path):
     assert target.read_bytes() == (GOLDEN / "bounds-csv.out").read_bytes()
 
 
-def test_reproduce_tables_exits_3_on_a_skipped_row():
-    argv = CASES["script-reproduce-tables"] + ["--cap", "8"]
+def test_tables_exits_3_on_a_skipped_row():
+    argv = CASES["tables"] + ["--cap", "8"]
     code, out, err = run_case(argv)
     assert (code, err) == (3, "")
-    verified = (GOLDEN / "script-reproduce-tables.out").read_text()
+    verified = (GOLDEN / "tables.out").read_text()
     assert out == verified.replace("(exact-match)", "(skipped)")
 
 
-def test_reproduce_tables_exits_2_on_a_mismatch(monkeypatch):
+def test_tables_exits_2_on_a_mismatch(monkeypatch):
     # each index's extremes miss the class's first member: they move for 9 of 13 rows
     original = Extremes.add
 
@@ -141,7 +129,7 @@ def test_reproduce_tables_exits_2_on_a_mismatch(monkeypatch):
         extremes.skipped_first = True
 
     monkeypatch.setattr(Extremes, "add", add_all_but_the_first)
-    code, out, err = run_case(CASES["script-reproduce-tables"])
+    code, out, err = run_case(CASES["tables"])
     assert (code, err) == (2, "")
     assert out.count("(mismatch)") == 9
     assert out.count("(exact-match)") == 4
@@ -149,7 +137,7 @@ def test_reproduce_tables_exits_2_on_a_mismatch(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(name for name, argv in CASES.items() if "--verify" in argv))
 def test_verify_walks_each_class_once_and_builds_no_population(name, monkeypatch):
-    # bounds --verify walks each class of its --c range, the tables script c = 0..6
+    # bounds --verify walks each class of its --c range, tables c = 0..6
     walked = walks_without_population(monkeypatch)
     argv = CASES[name]
     code, out, err = run_case(argv)
@@ -215,7 +203,7 @@ CAP_FRONT_ENDS = [
         ["bounds", "--n", "7", "--c", "1", "--index", "inverse-degree", "--verify"], 7,
         id="bounds-verify",
     ),
-    pytest.param(["scripts/reproduce_tables.py", "--n", "8", "--verify"], 8, id="reproduce-tables"),
+    pytest.param(["tables", "--n", "8", "--verify"], 8, id="tables"),
 ]
 
 
@@ -233,14 +221,14 @@ def test_class_at_the_cap_runs_and_one_above_is_skipped(argv, n):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["scripts/reproduce_tables.py", "--alpha", "1"], "exponents 0 and 1 are excluded by definition"),
-        (["scripts/reproduce_tables.py", "--alpha", "0"], "exponents 0 and 1 are excluded by definition"),
-        (["scripts/reproduce_tables.py", "--alpha", "400"], "exponent too large: the power sum overflows a float"),
-        (["scripts/reproduce_tables.py", "--cap", "-1", "--verify"], "--cap must be nonnegative, got -1"),
-        (["scripts/reproduce_tables.py", "--alpha", "1/2"], "argument --alpha: invalid int value: '1/2'"),
-        (["scripts/reproduce_tables.py", "--alpha=-3000"], "exact value too long to print: more than 4300 digits"),
+        (["tables", "--alpha", "1"], "exponents 0 and 1 are excluded by definition"),
+        (["tables", "--alpha", "0"], "exponents 0 and 1 are excluded by definition"),
+        (["tables", "--alpha", "400"], "exponent too large: the power sum overflows a float"),
+        (["tables", "--cap", "-1", "--verify"], "--cap must be nonnegative, got -1"),
+        (["tables", "--alpha", "1/2"], "argument --alpha: invalid int value: '1/2'"),
+        (["tables", "--alpha=-3000"], "exact value too long to print: more than 4300 digits"),
     ],
 )
-def test_script_usage_error_is_one_line_and_exit_1(argv, message):
+def test_tables_usage_error_is_one_line_and_exit_1(argv, message):
     """A rejected argument prints nothing on stdout: no table is left half done."""
     assert run_case(argv) == (1, "", f"error: {message}\n")

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from ccyclic import realization
 from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, min_order
 from ccyclic.majorization import expand_runs
 from ccyclic.realization import (
@@ -55,6 +56,15 @@ class TestRealize:
         graph = realize((2, 2, 2, 2, 2, 2))
         assert is_connected(graph)
         assert graph.degree_sequence() == (2,) * 6
+
+    def test_a_vertex_given_another_entrys_degree_is_caught(self, monkeypatch):
+        # swapping vertices 0 and 4 keeps the degree multiset: only a per-vertex check sees it
+        original, swap = realization._lay_off, {0: 4, 4: 0}
+        monkeypatch.setattr(realization, "_lay_off", lambda degrees: [
+            tuple(sorted((swap.get(u, u), swap.get(v, v)))) for u, v in original(degrees)
+        ])
+        with pytest.raises(AssertionError, match="a degree other than its entry"):
+            realize((3, 2, 2, 2, 1))
 
 
 class TestCyclomaticNumber:

@@ -17,8 +17,6 @@ known to be at least 2.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Real
@@ -32,10 +30,8 @@ from .degree_sequences import (
     parametric_extremal_family,
     walk_class,
 )
-from .formatting import format_decimal, format_fraction, plain_sequence, printable
 from .indices import GENERAL_ZAGREB, INVERSE_DEGREE, IndexSpec, SchurClass, evaluate, same_value
 from .indices import Extremes
-from .majorization import expand_runs
 
 ORIENTATION_NOTE = (
     "orientation fixed by Schur-convexity (minimal sequence -> lower bound for "
@@ -255,7 +251,7 @@ def with_verification(
 
 
 # ---------------------------------------------------------------------------
-# Whole-table reports and serialization
+# Whole-table reports
 # ---------------------------------------------------------------------------
 
 
@@ -286,79 +282,3 @@ def bounds_table(n: int, alpha) -> list:
         for c in range(1, 7)
     ]
 
-
-CSV_FIELDS = (
-    "n",
-    "c",
-    "index",
-    "alpha",
-    "lower_exact",
-    "lower_decimal",
-    "upper_exact",
-    "upper_decimal",
-    "lower_attainer",
-    "upper_attainer",
-    "verified",
-)
-
-
-def report_row(report: BoundsReport) -> dict:
-    """Flatten a report into the line-oriented schema (all values strings)."""
-    index = report.index
-    row = {
-        "n": str(report.klass.n),
-        "c": str(report.klass.c),
-        "index": index.kind,
-        "alpha": "" if index.alpha is None else format_fraction(index.alpha),
-        "lower_exact": "" if isinstance(report.lower, float) else format_fraction(report.lower),
-        "lower_decimal": format_decimal(report.lower),
-        "upper_exact": "" if isinstance(report.upper, float) else format_fraction(report.upper),
-        "upper_decimal": format_decimal(report.upper),
-        "lower_attainer": plain_sequence(report.lower_attainer),
-        "upper_attainer": plain_sequence(report.upper_attainer),
-        "verified": report.verified or "",
-    }
-    if report.refined_upper is not None:
-        row["refined_upper_exact"] = format_fraction(report.refined_upper)
-        row["refined_upper_decimal"] = format_decimal(report.refined_upper)
-    return row
-
-
-def reports_to_csv(reports) -> str:
-    """CSV document with a header row; the refined column appears when any report has it."""
-    rows = [report_row(report) for report in reports]
-    fields = CSV_FIELDS
-    if any("refined_upper_exact" in row for row in rows):
-        fields += ("refined_upper_exact", "refined_upper_decimal")
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def report_to_json_dict(report: BoundsReport) -> dict:
-    """Structured-document form of a report (lists for sequences, strings for numbers)."""
-    row = report_row(report)
-    doc = {
-        "n": report.klass.n,
-        "c": report.klass.c,
-        "index": report.index.kind,
-        "alpha": row["alpha"] or None,
-        "lower_exact": row["lower_exact"] or None,
-        "lower_decimal": row["lower_decimal"],
-        "upper_exact": row["upper_exact"] or None,
-        "upper_decimal": row["upper_decimal"],
-        "lower_attainer": list(expand_runs(printable(report.lower_attainer))),
-        "upper_attainer": list(expand_runs(printable(report.upper_attainer))),
-        "candidates": [
-            {"sequence": list(expand_runs(printable(runs))), "decimal": format_decimal(val)}
-            for runs, val in report.candidates
-        ],
-        "verified": report.verified,
-        "notes": list(report.notes),
-    }
-    if report.refined_upper is not None:
-        doc["refined_upper"] = row["refined_upper_exact"]
-        doc["refined_upper_decimal"] = row["refined_upper_decimal"]
-    return doc

@@ -1,9 +1,9 @@
 """Command line interface: extremal families, index bounds, verification, realization, tables.
 
 Exit codes: 0 success, 1 domain or usage error, 2 verification mismatch,
-3 enumeration cap exceeded.  All output is deterministic byte for byte for a
-given invocation; exact rationals render as ``p/q`` with a 12-significant-
-digit decimal alongside.
+3 enumeration cap exceeded.  Every format (text, CSV and JSON) is rendered
+here, deterministically byte for byte for a given invocation; exact rationals
+render as ``p/q`` with a 12-significant-digit decimal alongside.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 
 from .bounds import (
     EXACT_MATCH,
@@ -27,8 +27,6 @@ from .bounds import (
     closed_form_inverse_degree,
     oracle_outcome,
     refined_inverse_degree_upper,
-    report_to_json_dict,
-    reports_to_csv,
     verify_class,
     with_verification,
 )
@@ -43,8 +41,7 @@ from .degree_sequences import (
     min_order,
     walk_class,
 )
-from .formatting import format_index_value, format_sequence, plain_sequence, printable
-from .indices import INVERSE_DEGREE, IndexSpec, SchurClass
+from .indices import INVERSE_DEGREE, MAX_EXACT_DIGITS, IndexSpec, SchurClass
 from .majorization import expand_runs, runs_of
 from .realization import cyclomatic_number, export_dot, realize
 
@@ -54,6 +51,9 @@ EXIT_MISMATCH = 2
 EXIT_CAP = 3
 
 OK = "ok"
+
+_TOO_LONG = 10**MAX_EXACT_DIGITS  # the least int with more than MAX_EXACT_DIGITS digits
+MAX_PRINTED_ENTRIES = 10**6  # longest sequence written out entry by entry (CSV and JSON)
 
 VERIFY_INDICES = (
     IndexSpec.inverse_degree(),
@@ -165,6 +165,66 @@ def exit_code(statuses) -> int:
     return EXIT_OK
 
 
+def format_fraction(value) -> str:
+    """Exact rational as ``p/q`` (or plain ``p`` for integers).
+
+    A numerator or denominator longer than ``MAX_EXACT_DIGITS`` digits is
+    refused with a ``ValueError``, whatever the interpreter's own limit on
+    printing ints, so the output never depends on that setting.
+    """
+    frac = Fraction(value)
+    if abs(frac.numerator) >= _TOO_LONG or frac.denominator >= _TOO_LONG:
+        raise ValueError(f"exact value too long to print: more than {MAX_EXACT_DIGITS} digits")
+    if frac.denominator == 1:
+        return str(frac.numerator)
+    return f"{frac.numerator}/{frac.denominator}"
+
+
+def format_decimal(value) -> str:
+    """Decimal rendering with 12 significant digits."""
+    return f"{float(value):.12g}"
+
+
+def _exact(value) -> str:
+    """The exact column of a value: ``p/q``, or empty for a float."""
+    return "" if isinstance(value, float) else format_fraction(value)
+
+
+def format_index_value(value) -> str:
+    """A float as its decimal; an exact value as ``p/q`` with its decimal alongside."""
+    exact = _exact(value)
+    return f"{exact} ({format_decimal(value)})" if exact else format_decimal(value)
+
+
+def format_sequence(runs) -> str:
+    """Rendering of maximal runs: ((7, 1), (4, 1), (2, 3), (1, 3)) -> ``[7, 4, 2^3, 1^3]``."""
+    parts = (f"{value}^{count}" if count > 1 else f"{value}" for value, count in runs)
+    return "[" + ", ".join(parts) + "]"
+
+
+def printable(runs):
+    """The runs, or a ``ValueError`` when they hold more than ``MAX_PRINTED_ENTRIES`` entries."""
+    size = sum(count for _, count in runs)
+    if size > MAX_PRINTED_ENTRIES:
+        raise ValueError(f"sequence too long to print: {size} entries")
+    return runs
+
+
+def plain_sequence(runs) -> str:
+    """Space-separated rendering of every entry, used inside CSV fields."""
+    return " ".join(" ".join(repeat(str(value), count)) for value, count in printable(runs))
+
+
+def _entries(runs) -> list:
+    """Every entry of the runs, as a JSON list."""
+    return list(expand_runs(printable(runs)))
+
+
+def _csv(rows) -> str:
+    """Rows of fields joined with commas, unquoted: no field holds a comma, a quote or a newline."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # extremal
 # ---------------------------------------------------------------------------
@@ -178,17 +238,16 @@ def cmd_extremal(args) -> int:
             "n": klass.n,
             "c": klass.c,
             "degree_total": klass.degree_total,
-            "maximals": [list(expand_runs(printable(runs))) for runs in family.maximal_runs],
-            "minimal": list(expand_runs(printable(family.minimal_runs))),
+            "maximals": [_entries(runs) for runs in family.maximal_runs],
+            "minimal": _entries(family.minimal_runs),
             "maximals_pairwise_incomparable": len(family.maximal_runs) > 1,
         }
         _emit(_json_chunks(doc), args.output)
     elif args.format == "csv":
-        lines = ["n,c,role,sequence"]
-        for runs in family.maximal_runs:
-            lines.append(f"{klass.n},{klass.c},maximal,{plain_sequence(runs)}")
-        lines.append(f"{klass.n},{klass.c},minimal,{plain_sequence(family.minimal_runs)}")
-        _emit("\n".join(lines) + "\n", args.output)
+        rows = [("n", "c", "role", "sequence")]
+        rows += [(klass.n, klass.c, "maximal", plain_sequence(r)) for r in family.maximal_runs]
+        rows.append((klass.n, klass.c, "minimal", plain_sequence(family.minimal_runs)))
+        _emit(_csv(rows), args.output)
     else:
         lines = [f"n={klass.n} c={klass.c} degree-total={klass.degree_total}"]
         for i, runs in enumerate(family.maximal_runs, start=1):
@@ -203,6 +262,60 @@ def cmd_extremal(args) -> int:
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
+
+
+CSV_FIELDS = (
+    "n", "c", "index", "alpha", "lower_exact", "lower_decimal", "upper_exact",
+    "upper_decimal", "lower_attainer", "upper_attainer", "verified",
+)
+REFINED_FIELDS = ("refined_upper_exact", "refined_upper_decimal")
+
+
+def reports_to_csv(reports) -> str:
+    """CSV document with a header row; the refined columns appear when any report has them."""
+    refined = any(report.refined_upper is not None for report in reports)
+    rows = [CSV_FIELDS + REFINED_FIELDS if refined else CSV_FIELDS]
+    for report in reports:
+        alpha, refined_upper = report.index.alpha, report.refined_upper
+        rows.append([
+            report.klass.n, report.klass.c, report.index.kind,
+            "" if alpha is None else format_fraction(alpha),
+            _exact(report.lower), format_decimal(report.lower),
+            _exact(report.upper), format_decimal(report.upper),
+            plain_sequence(report.lower_attainer), plain_sequence(report.upper_attainer),
+            report.verified or "",
+        ])
+        if refined_upper is not None:
+            rows[-1] += [format_fraction(refined_upper), format_decimal(refined_upper)]
+        elif refined:
+            rows[-1] += ["", ""]
+    return _csv(rows)
+
+
+def report_to_json_dict(report) -> dict:
+    """Structured-document form of a report (lists for sequences, strings for numbers)."""
+    doc = {
+        "n": report.klass.n,
+        "c": report.klass.c,
+        "index": report.index.kind,
+        "alpha": None if report.index.alpha is None else format_fraction(report.index.alpha),
+        "lower_exact": _exact(report.lower) or None,
+        "lower_decimal": format_decimal(report.lower),
+        "upper_exact": _exact(report.upper) or None,
+        "upper_decimal": format_decimal(report.upper),
+        "lower_attainer": _entries(report.lower_attainer),
+        "upper_attainer": _entries(report.upper_attainer),
+        "candidates": [
+            {"sequence": _entries(runs), "decimal": format_decimal(val)}
+            for runs, val in report.candidates
+        ],
+        "verified": report.verified,
+        "notes": list(report.notes),
+    }
+    if report.refined_upper is not None:
+        doc["refined_upper"] = format_fraction(report.refined_upper)
+        doc["refined_upper_decimal"] = format_decimal(report.refined_upper)
+    return doc
 
 
 def _render_bounds_text(report) -> list:
@@ -250,8 +363,7 @@ def cmd_bounds(args) -> int:
         reports.append(report)
 
     if args.format == "json":
-        docs = [report_to_json_dict(report) for report in reports]
-        _emit(_json_chunks(docs), args.output)
+        _emit(_json_chunks([report_to_json_dict(report) for report in reports]), args.output)
     elif args.format == "csv":
         _emit(reports_to_csv(reports), args.output)
     else:

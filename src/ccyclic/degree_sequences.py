@@ -403,7 +403,7 @@ class ExtremalFamily:
 
     klass: CyclomaticClass
     maximal_runs: tuple
-    minimal_runs: Optional[tuple]  # None only where a closed-form minimal pattern is undefined
+    minimal_runs: Optional[tuple]  # None only in a family built without one
 
     def __post_init__(self):
         minimal = () if self.minimal_runs is None else (self.minimal_runs,)
@@ -501,10 +501,13 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
 def parametric_extremal_family(c: int, n: int) -> ExtremalFamily:
     """Instantiate the closed-form extremal patterns at (c, n), as runs: O(1) in n.
 
-    Proven extremal for c <= 6 and a conjecture beyond.  A pattern whose
-    exponents turn negative is omitted; the minimal one (else None) also needs
-    c >= 1 and 2c - 2 <= n.  These guards make every pattern a candidate of
-    the class, which each call checks, raising ``AssertionError`` if not.
+    The maximals are proven extremal for c <= 6 and a conjecture beyond; a
+    pattern whose exponents turn negative is omitted, which makes every one a
+    candidate of the class.  The minimal is the balanced sequence, each entry
+    floor(2(n + c - 1) / n) or one more, at every order: every other sequence
+    with that length and total majorizes it.  It is ``3^(2c-2) 2^(n-2c+2)``
+    wherever that pattern is defined (c >= 1 and 2c - 2 <= n).  Each call
+    checks every pattern a candidate, raising ``AssertionError`` if not.
     """
     klass = CyclomaticClass(c=c, n=n)
     maximals = []
@@ -515,9 +518,8 @@ def parametric_extremal_family(c: int, n: int) -> ExtremalFamily:
     if c >= 5 and n - c >= 0:
         maximals.append(((n - 1, 1), (c - 1, 1), (4, 1), (3, 2), (2, c - 5), (1, n - c)))
     maximals = tuple(map(coalesce_runs, maximals))
-    minimal = None
-    if c >= 1 and 2 * c - 2 <= n:
-        minimal = coalesce_runs(((3, 2 * c - 2), (2, n - 2 * c + 2)))
+    base, extra = divmod(klass.degree_total, n)  # ``extra`` entries of base + 1, the rest base
+    minimal = coalesce_runs(((base + 1, extra), (base, n - extra)))
     try:
         return ExtremalFamily(klass, maximals, minimal)
     except ValueError as exc:

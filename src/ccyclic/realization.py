@@ -69,9 +69,6 @@ class SimpleGraph:
             degrees[v] += 1
         return degrees
 
-    def degree_sequence(self) -> tuple:
-        return tuple(sorted(self.vertex_degrees(), reverse=True))
-
 
 def is_connected(graph: SimpleGraph) -> bool:
     """Whether a search from vertex 0 reaches every vertex; the empty graph is not connected."""

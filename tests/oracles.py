@@ -15,10 +15,14 @@ is the former tuple builder of the closed-form patterns, kept as a reference.
 the three membership tests per candidate; with the two references above it
 is the separate-pass oracle that ``walk_class`` is checked against.
 :func:`walks_without_population` makes a front end prove that it walks.
+:func:`reference_reports_to_csv` is the former ``csv.DictWriter`` writer of
+bounds reports, kept as a reference for the comma-joined one.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import sys
 from collections import deque
@@ -29,6 +33,7 @@ from operator import sub
 
 from ccyclic import degree_sequences
 from ccyclic.bounds import EXACT_MATCH, MISMATCH, OracleOutcome
+from ccyclic.cli import format_decimal, format_fraction, plain_sequence
 from ccyclic.degree_sequences import (
     ExtremalityReport,
     class_candidates,
@@ -688,3 +693,53 @@ def walks_without_population(monkeypatch):
                 if callable(value) and value in replaced:
                     monkeypatch.setattr(module, attr, replaced[value])
     return walked
+
+
+REFERENCE_CSV_FIELDS = (
+    "n",
+    "c",
+    "index",
+    "alpha",
+    "lower_exact",
+    "lower_decimal",
+    "upper_exact",
+    "upper_decimal",
+    "lower_attainer",
+    "upper_attainer",
+    "verified",
+)
+
+
+def reference_report_row(report):
+    """A report as a dict of strings, the refined fields only when it has them."""
+    index = report.index
+    row = {
+        "n": str(report.klass.n),
+        "c": str(report.klass.c),
+        "index": index.kind,
+        "alpha": "" if index.alpha is None else format_fraction(index.alpha),
+        "lower_exact": "" if isinstance(report.lower, float) else format_fraction(report.lower),
+        "lower_decimal": format_decimal(report.lower),
+        "upper_exact": "" if isinstance(report.upper, float) else format_fraction(report.upper),
+        "upper_decimal": format_decimal(report.upper),
+        "lower_attainer": plain_sequence(report.lower_attainer),
+        "upper_attainer": plain_sequence(report.upper_attainer),
+        "verified": report.verified or "",
+    }
+    if report.refined_upper is not None:
+        row["refined_upper_exact"] = format_fraction(report.refined_upper)
+        row["refined_upper_decimal"] = format_decimal(report.refined_upper)
+    return row
+
+
+def reference_reports_to_csv(reports):
+    """The CSV document of bounds reports, written by ``csv.DictWriter``."""
+    rows = [reference_report_row(report) for report in reports]
+    fields = REFERENCE_CSV_FIELDS
+    if any("refined_upper_exact" in row for row in rows):
+        fields += ("refined_upper_exact", "refined_upper_decimal")
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()

@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import operator
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,26 +15,25 @@ from ccyclic.bounds import (
     MISMATCH,
     ORIENTATION_NOTE,
     SKIPPED,
+    annotate_orientation,
     bounds,
     bounds_table,
     closed_form_inverse_degree,
     oracle_outcome,
     refined_inverse_degree_upper,
-    report_to_json_dict,
-    reports_to_csv,
     verify_bounds,
     with_verification,
 )
 from ccyclic import degree_sequences
 from ccyclic.degree_sequences import CyclomaticClass, enumerate_sequences, min_order, walk_class
-from ccyclic.cli import VERIFY_INDICES
+from ccyclic.cli import VERIFY_INDICES, report_to_json_dict, reports_to_csv
 from ccyclic.indices import (
     INVERSE_DEGREE, MULT_ZAGREB_LOG, Extremes, IndexSpec, SchurClass, evaluate, key_table,
     same_value,
 )
 from ccyclic.majorization import runs_of
 
-from oracles import reference_verify_bounds
+from oracles import reference_reports_to_csv, reference_verify_bounds
 
 
 def F(*args):
@@ -343,6 +343,57 @@ class TestSerialization:
         row = text.strip().splitlines()[1].split(",")
         assert row[4] == "" and row[6] == ""
         assert row[5] != "" and row[7] != ""
+
+
+def serialization_grid():
+    """Reports of every index kind, at exponents of both signs and at the float limit.
+
+    General-Zagreb exponents 2, 3, -1, -1/2 and 1/2 at n = 10 and 1000, plus
+    323 at n = 10, whose largest value, 1.66e308, is just below the largest
+    float; refined inverse-degree reports for c >= 3; float values at both
+    ends of the float range; and each of the oracle's verdicts on every report.
+    """
+    indices = [IndexSpec.inverse_degree(), IndexSpec.mult_zagreb_log()] + [
+        IndexSpec.general_zagreb(alpha) for alpha in (2, 3, -1, F(-1, 2), F(1, 2))
+    ]
+    cases = [(index, n) for index in indices for n in (10, 1000)]
+    cases.append((IndexSpec.general_zagreb(323), 10))
+    reports = []
+    for index, n in cases:
+        for klass in (CyclomaticClass(c=c, n=n) for c in (0, 1, 3, 6)):
+            report = annotate_orientation(bounds(klass, index))
+            reports.append(report)
+            if index.kind == INVERSE_DEGREE and klass.c >= 3:
+                reports.append(replace(report, refined_upper=refined_inverse_degree_upper(klass)))
+            if index.kind == MULT_ZAGREB_LOG:
+                reports.append(replace(report, lower=5e-324, upper=sys.float_info.max))
+    verdicts = (None, EXACT_MATCH, MISMATCH, SKIPPED)
+    return [replace(report, verified=verdict) for report in reports for verdict in verdicts]
+
+
+def csv_lines(write, reports):
+    # compared as lists of lines: a failing comparison of long strings is slow to explain
+    return write(reports).splitlines(keepends=True)
+
+
+class TestCsvWriter:
+    def test_grid_reaches_the_float_limit(self):
+        uppers = [float(report.upper) for report in serialization_grid()]
+        assert 1.6e308 < max(u for u in uppers if u != sys.float_info.max) < sys.float_info.max
+
+    def test_each_report_equals_the_dictwriter_reference(self):
+        for report in serialization_grid():
+            expected = csv_lines(reference_reports_to_csv, [report])
+            assert csv_lines(reports_to_csv, [report]) == expected, report
+
+    def test_whole_grid_equals_the_dictwriter_reference(self):
+        # refined and plain reports in one document: the plain rows get empty refined fields
+        reports = serialization_grid()
+        expected = csv_lines(reference_reports_to_csv, reports)
+        assert csv_lines(reports_to_csv, reports) == expected
+
+    def test_empty_document_is_the_header(self):
+        assert reports_to_csv([]) == reference_reports_to_csv([])
 
 
 #: the oracle's indices plus exponents of every kind: fractional and integer, both signs

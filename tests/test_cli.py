@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import ccyclic
-from ccyclic import cli, degree_sequences, formatting
+from ccyclic import cli, degree_sequences
 from ccyclic.bounds import (
     EXACT_MATCH, MISMATCH, ORIENTATION_NOTE, SKIPPED, bounds, with_verification
 )
@@ -204,6 +204,21 @@ class TestBounds:
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+
+
+@pytest.mark.parametrize("name", ["bounds-json", "bounds-json-refined-verify", "extremal-json"])
+def test_json_writes_no_csv_field(capsys, monkeypatch, name):
+    # JSON lists every entry from the runs; a space-joined CSV field would be built and dropped
+    def refuse(runs):
+        raise AssertionError("a JSON document built a CSV field")
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("ccyclic.") and hasattr(module, "plain_sequence"):
+            monkeypatch.setattr(module, "plain_sequence", refuse)
+    argv = json.loads((GOLDEN / "results.json").read_text())[name]["argv"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def _limit_memory():
@@ -400,7 +415,7 @@ class TestLargeOrder:
             if line.startswith("  refined upper")
         ]
         assert refined == [
-            formatting.format_index_value(
+            cli.format_index_value(
                 (n - c) + Fraction(1, n - 1) + Fraction(c * c - 3 * c - 2, 2 * (c + 1))
             )
             for c in range(3, 7)
@@ -424,11 +439,11 @@ class TestLargeOrder:
         assert result.stderr == "error: sequence too long to print: 1000000000 entries\n"
 
     def test_print_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(formatting, "MAX_PRINTED_ENTRIES", 10)
+        monkeypatch.setattr(cli, "MAX_PRINTED_ENTRIES", 10)
         runs = ((9, 1), (2, 1), (1, 8))
-        assert formatting.plain_sequence(runs) == "9 2 1 1 1 1 1 1 1 1"
-        assert formatting.printable(runs) is runs
-        for render in (formatting.plain_sequence, formatting.printable):
+        assert cli.plain_sequence(runs) == "9 2 1 1 1 1 1 1 1 1"
+        assert cli.printable(runs) is runs
+        for render in (cli.plain_sequence, cli.printable):
             with pytest.raises(ValueError, match="too long to print: 11 entries"):
                 render(runs + ((0, 1),))
 

@@ -567,11 +567,11 @@ class TestParametricPatterns:
     def test_tree_pattern(self):
         maximals, minimal = expanded_family(parametric_extremal_family(0, 6))
         assert maximals == ((5, 1, 1, 1, 1, 1),)
-        assert minimal is None  # path pattern is not the 3..2 form
+        assert minimal == (2, 2, 2, 2, 1, 1)  # the path, not the 3..2 form
 
-    def test_minimal_omitted_when_n_small(self):
+    def test_minimal_balanced_when_n_small(self):
         family = parametric_extremal_family(5, 7)
-        assert family.minimal_runs is None
+        assert family.minimal_runs == ((4, 1), (3, 6))  # 2c - 2 = 8 > n: no 3..2 form
         assert len(family.maximal_runs) == 3
 
     def test_patterns_equal_the_tuple_reference(self):
@@ -580,16 +580,29 @@ class TestParametricPatterns:
                 family = parametric_extremal_family(c, n)
                 maximals, minimal = tuple_patterns(c, n)
                 assert family.maximal_runs == tuple(map(runs_of, maximals)), (c, n)
-                assert family.minimal_runs == (None if minimal is None else runs_of(minimal)), (c, n)
+                if minimal is not None:  # the 3..2 form, where it is defined
+                    assert family.minimal_runs == runs_of(minimal), (c, n)
+                # at every order, the balanced sequence: n entries that differ by at most one
+                seq = expand_runs(family.minimal_runs)
+                assert len(seq) == n and sum(seq) == 2 * (n + c - 1), (c, n)
+                assert seq[0] - seq[-1] <= 1, (c, n)
+
+    def test_minimal_equals_the_box_minimal(self):
+        # the closed form against the general computation, at every order to 59 and far past it
+        for c in range(7):
+            for n in [*range(min_order(c), 60), 1000, 10**6]:
+                klass = CyclomaticClass(c=c, n=n)
+                family = parametric_extremal_family(c, n)
+                assert family.minimal_runs == extremal_family(klass).minimal_runs, (c, n)
 
     def test_patterns_cost_no_entry_per_vertex(self):
         # c = 7 at every order to 20,000, past any enumeration cap, and at 10**12
         small = {
-            6: ((), None),
-            7: ((((6, 2), (4, 1), (3, 2), (2, 2)),), None),
+            6: ((), ((4, 6),)),
+            7: ((((6, 2), (4, 1), (3, 2), (2, 2)),), ((4, 5), (3, 2))),
             8: (
                 (((7, 2), (3, 2), (2, 4)), ((7, 1), (6, 1), (4, 1), (3, 2), (2, 2), (1, 1))),
-                None,
+                ((4, 4), (3, 4)),
             ),
             9: (
                 (
@@ -597,7 +610,7 @@ class TestParametricPatterns:
                     ((8, 1), (7, 1), (3, 2), (2, 4), (1, 1)),
                     ((8, 1), (6, 1), (4, 1), (3, 2), (2, 2), (1, 2)),
                 ),
-                None,
+                ((4, 3), (3, 6)),
             ),
         }
         assert min_order(7) == 6
@@ -609,7 +622,8 @@ class TestParametricPatterns:
                     ((n - 1, 1), (7, 1), (3, 2), (2, 4), (1, n - 8)),
                     ((n - 1, 1), (6, 1), (4, 1), (3, 2), (2, 2), (1, n - 7)),
                 ),
-                None if n < 12 else ((3, 12),) if n == 12 else ((3, 12), (2, n - 12)),
+                ((4, 12 - n), (3, 2 * n - 12)) if n < 12
+                else ((3, 12),) if n == 12 else ((3, 12), (2, n - 12)),
             )
             assert (family.maximal_runs, family.minimal_runs) == expected, n
 
@@ -635,8 +649,7 @@ class TestParametricPatterns:
                 family = extremal_family(CyclomaticClass(c=c, n=n))
                 for runs in patterns.maximal_runs:
                     assert runs in family.maximal_runs, (c, n, runs)
-                if patterns.minimal_runs is not None:
-                    assert patterns.minimal_runs == family.minimal_runs
+                assert patterns.minimal_runs == family.minimal_runs
 
     def test_pattern_extremality_check_holds_for_proven_c(self):
         for c in (5, 6):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from ccyclic.formatting import format_fraction
+from ccyclic.cli import format_fraction
 from ccyclic.indices import MAX_EXACT_DIGITS, IndexSpec, SchurClass, evaluate, same_value
 from ccyclic.majorization import expand_runs, runs_of
 

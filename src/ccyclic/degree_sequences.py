@@ -35,11 +35,11 @@ holds candidates of its class only, as runs.
 The oracle of every ``--verify``, and the one extremality check, is
 :func:`walk_class`: one walk of the candidate tree per class, holding no
 population, whose every push of a run updates the state its subtree shares
-(:class:`_Walk`).  A rest of all ones, a node's one choice, is pushed in its
-parent's loop rather than by a call of its own, and the run-choice memo is
-read inline.  At each leaf the candidate gets :func:`validate_runs`, the
-table verdicts and the Erdos-Gallai core :func:`_erdos_gallai`, which is
-:func:`is_graphical` without the screen no candidate fails.  Extremality is
+(:class:`_Walk`).  A rest of all ones is pushed in its parent's loop, and a
+full stack reaches one leaf block there, by no call of its own: the
+candidate gets :func:`validate_runs`, the verdicts of the tables, compiled
+once per walk (:func:`_class_tables`), and the Erdos-Gallai core
+:func:`_erdos_gallai`, :func:`is_graphical` without its screen.  Extremality is
 one prefix-sum rule: each push carries whether the prefix sums of each vector
 of the family still lie above the member's, and whether below, and a
 member's verdicts are read off those bits (see :class:`_Walk`).
@@ -174,40 +174,44 @@ def _head(runs) -> tuple:
     return head
 
 
-def _conditions_hold(head: tuple, klass: CyclomaticClass) -> bool:
-    """The counting table on a nonincreasing head: at least j entries are >= t when the j-th is."""
-    for needed_order, needs in _COUNT_CONDITIONS[klass.c]:
-        if klass.n < needed_order:
-            continue
+def _class_tables(klass: CyclomaticClass) -> tuple:
+    """The two tables compiled for a class with c <= 6, by their one reader, at each call.
+
+    The counting rows live at its order, as their needs; the inequality rows
+    as ``(k, j, a n + b)``, k and j at most n (a head's longest), or below the
+    least edge count as the one row 0 <= -1, which no sequence holds.
+    """
+    n, c = klass.n, klass.c
+    least, rows = _INEQUALITIES[c]
+    conditions = [needs for needed_order, needs in _COUNT_CONDITIONS[c] if n >= needed_order]
+    if n + c - 1 < least:
+        return conditions, [(0, 0, -1)]
+    return conditions, [(k if k < n else n, j if j < n else n, a * n + b) for k, j, a, b in rows]
+
+
+def _conditions_hold(head: tuple, conditions: list) -> bool:
+    """The compiled counting rows on a nonincreasing head holding each count: the j-th is >= t."""
+    for needs in conditions:
         for t, j in needs:
-            if j > len(head) or head[j - 1] < t:
+            if head[j - 1] < t:
                 break
         else:
             return True
     return False
 
 
-def _rows_hold(head: tuple, klass: CyclomaticClass) -> bool:
-    """The inequality table on a head: the least edge count, then every prefix-sum row.
-
-    Missing entries count as zero in the longer rows.
-    """
-    least, rows = _INEQUALITIES[klass.c]
-    if klass.n + klass.c - 1 < least:
-        return False
+def _rows_hold(head: tuple, rows) -> bool:
+    """The compiled inequality rows on the head of a sequence, as far as they read it."""
     prefix = [0, *accumulate(head)]
-    prefix += prefix[-1:] * (_HEAD_SIZE - len(head))
-    for k, j, a, b in rows:
-        if prefix[k] + prefix[j] > a * klass.n + b:
+    for k, j, limit in rows:
+        if prefix[k] + prefix[j] > limit:
             return False
     return True
 
 
-def _counting_form_holds(runs, klass: CyclomaticClass) -> bool:
-    """Counting-form test of a valid run-length degree sequence."""
-    if sum(d * count for d, count in runs) != klass.degree_total:
-        return False
-    return _conditions_hold(_head(runs), klass)
+def _counting_form_holds(runs, total: int, conditions: list) -> bool:
+    """Counting-form test of a valid run-length degree sequence, on the compiled rows."""
+    return sum(d * m for d, m in runs) == total and _conditions_hold(_head(runs), conditions)
 
 
 def is_ccyclic_sequence(runs, klass: CyclomaticClass) -> bool:
@@ -218,10 +222,8 @@ def is_ccyclic_sequence(runs, klass: CyclomaticClass) -> bool:
     """
     validate_runs(runs, klass.n)
     if klass.c > MAX_SUPPORTED_CYCLES:
-        raise ValueError(
-            f"no characterization implemented beyond c={MAX_SUPPORTED_CYCLES}"
-        )
-    return _counting_form_holds(runs, klass)
+        raise ValueError(f"no characterization implemented beyond c={MAX_SUPPORTED_CYCLES}")
+    return _counting_form_holds(runs, klass.degree_total, _class_tables(klass)[0])
 
 
 def is_ccyclic_sequence_via_inequalities(runs, klass: CyclomaticClass) -> bool:
@@ -235,7 +237,7 @@ def is_ccyclic_sequence_via_inequalities(runs, klass: CyclomaticClass) -> bool:
         raise ValueError(f"no inequality characterization implemented for c={klass.c}")
     if sum(degree * count for degree, count in runs) != klass.degree_total:
         return False
-    return _rows_hold(_head(runs), klass)
+    return _rows_hold(_head(runs), _class_tables(klass)[1])
 
 
 def is_graphical(runs) -> bool:
@@ -403,37 +405,31 @@ class ExtremalFamily:
 
     klass: CyclomaticClass
     maximal_runs: tuple
-    minimal_runs: Optional[tuple]  # None only in a family built without one
+    minimal_runs: tuple
 
     def __post_init__(self):
-        minimal = () if self.minimal_runs is None else (self.minimal_runs,)
-        for runs in (*self.maximal_runs, *minimal):
+        for runs in (*self.maximal_runs, self.minimal_runs):
             validate_runs(runs, self.klass.n)
             if sum(d * count for d, count in runs) != self.klass.degree_total:
                 raise ValueError(f"family sequence {runs} is off the total of {self.klass}")
 
 
-def class_boxes(klass: CyclomaticClass) -> list:
-    """The constraint boxes live at this order, one per counting condition.
+def class_boxes(klass: CyclomaticClass, conditions: list) -> list:
+    """The constraint boxes of the class, one per counting row live at its order.
 
-    A row's thresholds fall as its counts rise, so each need ``(t, j)`` is
-    one segment, entries past the previous need's count up to j in [t, n-1].
+    ``conditions`` are those rows, as :func:`_class_tables` compiles them.  A
+    row's thresholds fall as its counts rise, so each need ``(t, j)`` is one
+    segment, entries past the previous need's count up to j in [t, n-1].
     """
-    if klass.c > MAX_SUPPORTED_CYCLES:
-        raise ValueError(
-            f"extremal families are only established up to c={MAX_SUPPORTED_CYCLES}"
-        )
-    n = klass.n
+    n, total = klass.n, klass.degree_total
     boxes = []
-    for needed_order, needs in _COUNT_CONDITIONS[klass.c]:
-        if n < needed_order:
-            continue
+    for needs in conditions:
         segments, covered = [], 0
         for threshold, count in needs:
             segments.append(((threshold, n - 1), count - covered))
             covered = count
         segments.append(((1, n - 1), n - covered))
-        boxes.append(BoxSet(total=klass.degree_total, segments=segments))
+        boxes.append(BoxSet(total=total, segments=segments))
     return boxes
 
 
@@ -475,7 +471,10 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
     family sequence is checked a class member by the counting form, and the
     minimal below every maximal.  :class:`ExtremalFamily` checks the rest.
     """
-    boxes = class_boxes(klass)
+    if klass.c > MAX_SUPPORTED_CYCLES:
+        raise ValueError(f"extremal families are only established up to c={MAX_SUPPORTED_CYCLES}")
+    conditions, total = _class_tables(klass)[0], klass.degree_total
+    boxes = class_boxes(klass, conditions)
     maximals = _discard_dominated([maximal_runs(box) for box in boxes])
     least, *rest = sorted({integerize_runs(minimal_runs(box), box) for box in boxes})
 
@@ -485,7 +484,7 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
         if relation_of_runs(least, cand) not in below:
             raise AssertionError(f"{least} fails to minorize candidate {cand}")
     for seq in maximals + [least]:
-        if not _counting_form_holds(seq, klass):
+        if not _counting_form_holds(seq, total, conditions):
             raise AssertionError(f"extremal sequence {seq} is not in the class")
     for top in maximals:
         if relation_of_runs(least, top) not in below:
@@ -614,24 +613,24 @@ def walk_class(
     screen of :func:`is_graphical` would pass every candidate.  The members
     are the candidates the core accepts.  Where the tables have a row for
     c (c <= 6), each candidate also gets the counting form and the
-    inequalities, and a disagreement among the three verdicts is recorded.
-    With ``family``, the walk makes the family's :class:`ExtremalityReport`
-    over the members (see :class:`_Walk`).  For each of ``indices`` it keeps
-    the :class:`~ccyclic.indices.Extremes` of the members' ranking keys;
-    with ``spread``, also over the members with at least c + 2 entries >= 2,
-    for a refined upper bound.  With no ``indices`` no key is carried or
-    ranked.  A forced final run of ones is pushed in its parent's loop, by
-    no call of its own.  Raises :class:`EnumerationCapError` above the cap,
-    and ``ValueError`` for a family of another class, before any candidate.
+    inequalities, compiled once per walk (:func:`_class_tables`), and a
+    disagreement among the three verdicts is recorded.  With ``family``,
+    the walk makes the family's :class:`ExtremalityReport` over the members
+    (see :class:`_Walk`).  For each of ``indices`` it keeps the
+    :class:`~ccyclic.indices.Extremes` of the members' ranking keys; with
+    ``spread``, also over the members with at least c + 2 entries >= 2, for
+    a refined upper bound.  With no ``indices`` no key is carried or ranked.
+    A forced final run of ones is pushed in its parent's loop, and every
+    candidate meets the checks in one leaf block there, by no call of its
+    own.  Raises :class:`EnumerationCapError` above the cap, and
+    ``ValueError`` for a family of another class, before any candidate.
     """
     if family is not None and family.klass != klass:
         raise ValueError(f"a family of {family.klass} cannot be checked over {klass}")
     check_cap(klass, cap)
     walk = _Walk(klass, family, indices, spread)
-    # With no table row the verdicts start as (), so no head is built.  The
-    # empty prefix holds every bit of the mask (-1).
-    verdicts = None if klass.c in _COUNT_CONDITIONS else ()
-    walk.below(klass.n, klass.degree_total, klass.n - 1, (), verdicts, -1, 0, 1)
+    # The empty prefix holds every bit of the mask (-1).
+    walk.below(klass.n, klass.degree_total, klass.n - 1, (), walk.verdicts, -1, 0, 1)
     return walk.result()
 
 
@@ -654,49 +653,53 @@ class _Walk:
     leaves a rest of all ones pushes that run too, a pair shared by every
     leaf (``ones``): it completes the head and adds its keys, and tests no
     bit, as a vector's prefix sums gain at least the member's 1 a step there
-    and both end at the total.
+    and both end at the total.  Either way a full stack reaches the one leaf
+    block, with no call of its own, and becomes a tuple only where its runs
+    are kept.  An exact key strictly between its extremes cannot move or tie
+    them, so it skips :meth:`~ccyclic.indices.Extremes.add`.
     """
 
     def __init__(self, klass: CyclomaticClass, family, indices, spread: bool):
         n, total = klass.n, klass.degree_total
-        self.klass, self.n, self.total, self.family = klass, n, total, family
-        self.stack, self.choices = [], {}
-        self.ones = [(1, k) for k in range(n + 1)]  # shared: a leaf's runs hold these pairs
-        self.head_size = min(_HEAD_SIZE, n)
+        self.klass, self.n, self.family = klass, n, family
+        tabled = klass.c in _COUNT_CONDITIONS
+        conditions, rows = _class_tables(klass) if tabled else (None, None)
+        self.verdicts = None if tabled else ()  # with no table row no head is built
         self.candidates = self.members = 0
         self.failures, self.uncovered, self.below_minimal, self.witnesses = [], [], [], {}
+        ones = [(1, k) for k in range(n + 1)]  # shared: a leaf's runs hold these pairs
         # The exact sum keys travel packed in one int, a field of `width` bits
         # each: a key is at most n times its largest term, so no field carries
         # into the next.  Product keys share one table (d -> d), so they are
-        # one key.  Float keys are summed at the leaf, as `evaluate` sums them.
+        # one key, which a leaf puts above the fields.  Float keys are summed at
+        # the leaf, as `evaluate` sums them.
         tables = [key_table(index, n - 1) for index in indices]
         exact = [t for t, product in tables if not (product or isinstance(t[1], float))]
         width = max((n * max(table)).bit_length() for table in exact) if exact else 0
-        self.packed = [sum(t[d] << i * width for i, t in enumerate(exact)) for d in range(n)]
-        self.product_table = next((table for table, product in tables if product), [1] * n)
+        packed = [sum(t[d] << i * width for i, t in enumerate(exact)) for d in range(n)]
+        product_table = next((table for table, product in tables if product), [1] * n)
+        product_shift = len(exact) * width
         self.extremes = tuple(Extremes() for _ in indices)
-        self.ranks = _ranks(tables, self.extremes, width)
+        ranks = _ranks(tables, self.extremes, width, product_shift)
         self.spread = tuple(Extremes() for _ in indices) if spread else ()
-        more = _ranks(tables, self.spread, width)  # a spread member's keys go to both
-        self.spread_ranks = tuple(mine + extra for mine, extra in zip(self.ranks, more))
-        self.ranked = bool(indices)  # else a push carries no keys and a leaf ranks nothing
+        more = _ranks(tables, self.spread, width, product_shift)  # spread members go to both
+        spread_ranks = tuple(mine + extra for mine, extra in zip(ranks, more))
+        most_ones = n - klass.c - 2 if spread else -1  # in a spread member
 
         self.tops = () if family is None else family.maximal_runs
-        minimal = () if family is None or family.minimal_runs is None else (family.minimal_runs,)
-        self.vectors = (*self.tops, *minimal)
+        self.vectors = () if family is None else (*self.tops, family.minimal_runs)
         # Bit 0 is the minimal's down bit (its up bit is never read); maximal i
         # has up bit 1 + i and down bit 1 + m + i.  The bits held most often are
         # the lowest, so that most masks are small ints, which are not allocated.
         self.m = m = len(self.tops)
-        self.maximal_up = (1 << m) - 1 << 1
-        self.maximal_down = self.maximal_up << m
-        self.minimal_down = len(minimal)  # 0 without a minimal
+        maximal_up = (1 << m) - 1 << 1
+        maximal_down = maximal_up << m
         # prefix[k][s]: the up bits of the vectors whose prefix sum at k is at
         # least s, and the down bits of those whose is at most s.  Each bit is
         # spread over the sums below its mark, an up bit's at the prefix sum, a
         # down bit's one below it, where it says "above s" until it is flipped.
         marks = [[0] * (total + 1) for _ in range(n + 1)]
-        sums, kinks = [], {}  # kinks: position -> the down bits tested there
+        sums, falls = [], {}  # falls: position -> the down bits tested there
         for i, runs in enumerate(self.vectors):
             up, down = (2 << i, 2 << m + i) if i < m else (0, 1)
             sums.append(list(accumulate(expand_runs(runs))))
@@ -704,45 +707,48 @@ class _Walk:
                 marks[k][top] |= up
                 marks[k][top - 1] |= down
             for k in accumulate(count for _, count in runs[:-1]):  # its falls, at its run ends
-                kinks[k] = kinks.get(k, 0) | down
-        flip = self.maximal_down | self.minimal_down
-        self.prefix = [
-            list(map(xor, accumulate(row[::-1], or_), repeat(flip)))[::-1] for row in marks
-        ]
+                falls[k] = falls.get(k, 0) | down
+        flip = maximal_down | 1
+        prefix = [list(map(xor, accumulate(row[::-1], or_), repeat(flip)))[::-1] for row in marks]
         # Past each position: the bits tested at some kink, and each kink with its bits.
-        self.kinks, tested, past = [], 0, ()
+        kinks, tested, past = [], 0, ()
         for a in range(n, -1, -1):
-            self.kinks.append((tested, past))
-            if a in kinks:
-                tested, past = tested | kinks[a], ((a, kinks[a]), *past)
-        self.kinks.reverse()
+            kinks.append((tested, past))
+            if a in falls:
+                tested, past = tested | falls[a], ((a, falls[a]), *past)
+        kinks.reverse()
         # Two maximals are comparable when no prefix sum of the one is above the other's.
         self.incomparable = not any(all(map(le, a, b)) for a, b in permutations(sums[:m], 2))
+        # What `below` reads, unpacked at once per call.  With no index ranked
+        # a push carries no keys and a leaf ranks nothing.
+        self.constants = (
+            n, total, [], {}, ones, min(_HEAD_SIZE, n), conditions, rows, prefix, kinks, packed,
+            product_table, bool(indices), product_shift, ranks, spread_ranks, most_ones, family,
+            maximal_up, maximal_down,
+        )
 
     def below(self, slots, remaining, bound, head, verdicts, mask, keys, product):
-        """Push every run :func:`_run_choices` allows, then the runs below it, to the leaves.
-
-        The memo is read inline.  A rest of all ones is pushed in the same iteration.
-        """
-        klass, stack, prefix = self.klass, self.stack, self.prefix
-        packed, product_table, ranked = self.packed, self.product_table, self.ranked
-        a = self.n - slots
-        start = self.total - remaining
-        tested, kinks = self.kinks[a]
-        room = self.head_size - a  # entries the head still lacks
-        choices, key = self.choices, (slots, remaining, bound)
+        """Push each run :func:`_run_choices` allows (the memo read inline), then the runs below."""
+        (n, total, stack, choices, ones, head_size, conditions, rows, prefix, kink_table, packed,
+         product_table, ranked, product_shift, ranks, spread_ranks, most_ones, family, maximal_up,
+         maximal_down) = self.constants
+        depth, a, start = len(stack), n - slots, total - remaining
+        tested, kinks = kink_table[a]
+        room = head_size - a  # entries the head still lacks
+        key = (slots, remaining, bound)
+        leaves = members = 0
         # A node's choices are never empty, so a hit of the memo costs no call.
         for pair in choices.get(key) or _run_choices(choices, slots, remaining, bound):
             value, count = pair
-            b = a + count
-            s = start + value * count
+            rest, left = slots - count, remaining - count * value
+            run_head, run_verdicts = head, verdicts
             if verdicts is None:
                 run_head = head + (value,) * (count if count < room else room)
-                run_verdicts = None
-                if count >= room:
-                    run_verdicts = (_conditions_hold(run_head, klass), _rows_hold(run_head, klass))
-            else:
-                run_head, run_verdicts = head, verdicts
+                if count >= room or rest == left:  # complete, with a rest of all ones
+                    run_head += (1,) * (room - count)
+                    run_verdicts = (_conditions_hold(run_head, conditions),
+                                    _rows_hold(run_head, rows))
+            b, s = a + count, start + value * count
             run_mask = mask & prefix[b][s]
             if run_mask & tested:
                 for k, bits in kinks:
@@ -751,61 +757,54 @@ class _Walk:
                     if run_mask & bits:
                         run_mask &= prefix[k][start + value * (k - a)]
             run_keys, run_product = keys, product
-            if ranked:
-                run_keys += count * packed[value]
+            if ranked:  # a rest of all ones leaves the degree product as it is
+                run_keys += count * packed[value] + (rest * packed[1] if rest == left else 0)
                 run_product *= product_table[value] ** count
             stack.append(pair)
-            rest = slots - count
-            if not rest:
-                self.leaf(tuple(stack), run_verdicts, run_mask, run_keys, run_product)
-            elif remaining - count * value == rest:
-                # The rest is all ones, its one choice: push it here, not in a call.
-                if run_verdicts is None:
-                    run_head += (1,) * (room - count)
-                    run_verdicts = (_conditions_hold(run_head, klass), _rows_hold(run_head, klass))
-                if ranked:  # ones leave the degree product as it is
-                    run_keys += rest * packed[1]
-                stack.append(self.ones[rest])
-                self.leaf(tuple(stack), run_verdicts, run_mask, run_keys, run_product)
+            if rest != left:
+                self.below(rest, left, value - 1, run_head, run_verdicts, run_mask, run_keys,
+                           run_product)
                 stack.pop()
-            else:
-                self.below(rest, remaining - count * value, value - 1, run_head,
-                           run_verdicts, run_mask, run_keys, run_product)
-            stack.pop()
-
-    def leaf(self, runs, verdicts, mask, keys, product):
-        """The checks of one candidate; a member also goes into the report and the extremes."""
-        self.candidates += 1
-        validate_runs(runs, self.n)
-        # The walk keeps to the class total, which is even: only the core is left.
-        graphical = _erdos_gallai(runs, self.n)
-        if verdicts and verdicts != (graphical, graphical):
-            self.failures.append((runs, *verdicts, graphical))
-        if not graphical:
-            return
-        self.members += 1
-        if self.family is not None:
-            if not mask & self.maximal_up:
-                self.uncovered.append(runs)
-            if mask & self.maximal_down:
-                strictly = mask >> self.m & ~mask  # above a maximal, and not equal to it
-                for i, top in enumerate(self.tops):
-                    if strictly >> 1 + i & 1:
-                        self.witnesses.setdefault(top, runs)
-            if mask & self.minimal_down != self.minimal_down:
-                self.below_minimal.append(runs)
-        if not self.ranked:
-            return
-        fields, products, floats = self.ranks
-        # Entries >= 2 are all but a final run of ones.
-        if self.spread and self.n - (runs[-1][1] if runs[-1][0] == 1 else 0) >= self.klass.c + 2:
-            fields, products, floats = self.spread_ranks
-        for shift, field, extremes in fields:
-            extremes.add(keys >> shift & field, runs)
-        for extremes in products:
-            extremes.add(product, runs)
-        for table, extremes in floats:
-            extremes.add(sum([m * table[d] for d, m in runs]), runs)
+                continue
+            if rest:  # the rest is all ones, its one choice: pushed here, not in a call
+                stack.append(ones[rest])
+            # The leaf.  The walk keeps to the class total, which is even: only the core is left.
+            leaves += 1
+            validate_runs(stack, n)
+            graphical = _erdos_gallai(stack, n)
+            runs = ()  # the candidate as a tuple, made where it is kept
+            if run_verdicts and run_verdicts != ((False, False), (True, True))[graphical]:
+                runs = tuple(stack)
+                self.failures.append((runs, *run_verdicts, graphical))
+            if graphical:
+                members += 1
+                if family is not None:
+                    if not run_mask & maximal_up:
+                        self.uncovered.append(runs := runs or tuple(stack))
+                    if run_mask & maximal_down:
+                        strictly = run_mask >> self.m & ~run_mask  # above a maximal, not equal
+                        for i, top in enumerate(self.tops):
+                            if strictly >> 1 + i & 1 and top not in self.witnesses:
+                                runs = self.witnesses[top] = runs or tuple(stack)
+                    if not run_mask & 1:
+                        self.below_minimal.append(runs := runs or tuple(stack))
+                if ranked:
+                    run_keys += run_product << product_shift  # the exact key, whole
+                    fields, floats = ranks
+                    # Entries >= 2 are all but a final run of ones.
+                    if (stack[-1][1] if stack[-1][0] == 1 else 0) <= most_ones:
+                        fields, floats = spread_ranks
+                    for shift, field, extremes in fields:
+                        rank = run_keys >> shift & field
+                        low = extremes.low
+                        if low is None or not low < rank < extremes.high:
+                            extremes.add(rank, runs := runs or tuple(stack))
+                    for table, extremes in floats:
+                        runs = runs or tuple(stack)
+                        extremes.add(sum([m * table[d] for d, m in runs]), runs)
+            del stack[depth:]
+        self.candidates += leaves
+        self.members += members
 
     def result(self) -> ClassWalk:
         report = None
@@ -827,14 +826,15 @@ class _Walk:
         )
 
 
-def _ranks(tables, extremes, width) -> tuple:
-    """Where the key of each index, by its key table, goes: a packed field, the product or a sum."""
-    fields, products, floats = [], [], []
+def _ranks(tables, extremes, width, top) -> tuple:
+    """Where each index's key goes: a field of the exact key (the product's from ``top``), a sum."""
+    fields, floats, shift = [], [], 0
     for (table, product), each in zip(tables, extremes):
         if product:
-            products.append(each)
-        elif not isinstance(table[1], float):
-            fields.append((len(fields) * width, (1 << width) - 1, each))
-        else:
+            fields.append((top, -1, each))
+        elif isinstance(table[1], float):
             floats.append((table, each))
-    return fields, products, floats
+        else:
+            fields.append((shift, (1 << width) - 1, each))
+            shift += width
+    return fields, floats

@@ -14,6 +14,8 @@ is the former tuple builder of the closed-form patterns, kept as a reference.
 :func:`reference_equivalence_check` is the former first pass of ``verify``,
 the three membership tests per candidate; with the two references above it
 is the separate-pass oracle that ``walk_class`` is checked against.
+:func:`reference_extremes` is the former ranking of the walk's leaves, one
+``Extremes.add`` per member.
 :func:`walks_without_population` makes a front end prove that it walks.
 :func:`reference_reports_to_csv` is the former ``csv.DictWriter`` writer of
 bounds reports, kept as a reference for the comma-joined one.
@@ -41,7 +43,7 @@ from ccyclic.degree_sequences import (
     is_ccyclic_sequence_via_inequalities,
     is_graphical,
 )
-from ccyclic.indices import INVERSE_DEGREE, evaluate, same_value
+from ccyclic.indices import INVERSE_DEGREE, Extremes, evaluate, key_table, same_value
 from ccyclic.majorization import Relation, check_vector, expand_runs
 
 
@@ -546,12 +548,8 @@ def rescanning_lay_off(degrees):
 
 
 def expanded_family(family):
-    """The family as ``(maximals, minimal or None)``, each sequence expanded into a tuple."""
-    minimal = family.minimal_runs
-    return (
-        tuple(map(expand_runs, family.maximal_runs)),
-        None if minimal is None else expand_runs(minimal),
-    )
+    """The family as ``(maximals, minimal)``, each sequence expanded into a tuple."""
+    return tuple(map(expand_runs, family.maximal_runs)), expand_runs(family.minimal_runs)
 
 
 def reference_extremality_report(family, population):
@@ -560,9 +558,7 @@ def reference_extremality_report(family, population):
     On expanded tuples; a member is a family vector found in the population.
     """
     maximals, minimal = expanded_family(family)
-    members_valid = all(runs in population for runs in family.maximal_runs) and (
-        minimal is None or family.minimal_runs in population
-    )
+    members_valid = all(runs in population for runs in (*family.maximal_runs, family.minimal_runs))
     incomparable = all(
         prefix_sum_relation(a, b) is Relation.INCOMPARABLE
         for i, a in enumerate(maximals)
@@ -589,9 +585,7 @@ def reference_extremality_report(family, population):
                     break
         if not covered:
             uncovered.append(runs)
-        if minimal is not None and prefix_sum_relation(minimal, seq) not in (
-            Relation.EQUAL, Relation.LESS_OR_EQUAL
-        ):
+        if prefix_sum_relation(minimal, seq) not in (Relation.EQUAL, Relation.LESS_OR_EQUAL):
             below.append(runs)
     return ExtremalityReport(
         c=family.klass.c,
@@ -663,6 +657,34 @@ def reference_equivalence_check(klass, cap):
         if graphical:
             members.append(runs)
     return count, failures, members
+
+
+def extremes_record(extremes):
+    """An ``Extremes`` as ``(low, high, least holders, largest holders)``."""
+    return extremes.low, extremes.high, extremes.holders(False), extremes.holders(True)
+
+
+def reference_extremes(klass, indices, population, spread):
+    """The :func:`extremes_record` of each index over the population, as the walk
+    keeps them, by one ``Extremes.add`` per member in population order.
+
+    With ``spread``, the records follow over the members with at least c + 2
+    entries >= 2.  A member's key is the sum of its terms by ``key_table``,
+    or their product for the log form.
+    """
+    groups = [population]
+    if spread:
+        groups.append([s for s in population if sum(m for d, m in s if d >= 2) >= klass.c + 2])
+    records = []
+    for group in groups:
+        for index in indices:
+            table, product = key_table(index, klass.n - 1)
+            extremes = Extremes()
+            for runs in group:
+                terms = [table[d] ** m if product else m * table[d] for d, m in runs]
+                extremes.add(math.prod(terms) if product else sum(terms), runs)
+            records.append(extremes_record(extremes))
+    return records
 
 
 def walks_without_population(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from ccyclic.degree_sequences import (
     _COUNT_CONDITIONS,
+    _class_tables,
     _discard_dominated,
     _erdos_gallai,
     CyclomaticClass,
@@ -362,7 +363,7 @@ class TestExtremalFamily:
     def test_family_across_orders_matches_per_coordinate_build(self, c):
         for n in range(min_order(c), 301):
             klass = CyclomaticClass(c=c, n=n)
-            expected = per_coordinate_family(class_boxes(klass))
+            expected = per_coordinate_family(boxes_of(klass))
             assert expanded_family(extremal_family(klass)) == expected, (c, n)
 
     def test_members_and_incomparability(self):
@@ -538,7 +539,7 @@ class TestExtremalityReportMatchesReference:
             wrong_top, wrong_least, member = map(runs_of, (wrong_top, wrong_least, member))
             for maximal_runs, minimal_runs in (
                 ((wrong_top,), wrong_least),
-                ((wrong_top, member), None),
+                ((wrong_top, member), member),
                 ((member,), wrong_least),
             ):
                 with pytest.raises(ValueError, match="off the total"):
@@ -677,21 +678,28 @@ def test_counting_form_matches_inequality_form(seq):
     )
 
 
+def boxes_of(klass):
+    """The class's boxes, from its counting rows as compiled for it."""
+    return class_boxes(klass, _class_tables(klass)[0])
+
+
 def test_class_boxes_counts():
     # live constraint boxes per order mirror the published case split
-    assert len(class_boxes(CyclomaticClass(c=5, n=5))) == 1
-    assert len(class_boxes(CyclomaticClass(c=5, n=6))) == 2
-    assert len(class_boxes(CyclomaticClass(c=5, n=7))) == 3
-    assert len(class_boxes(CyclomaticClass(c=6, n=5))) == 1
-    assert len(class_boxes(CyclomaticClass(c=6, n=6))) == 3
-    assert len(class_boxes(CyclomaticClass(c=6, n=7))) == 4
-    assert len(class_boxes(CyclomaticClass(c=6, n=8))) == 5
+    assert len(boxes_of(CyclomaticClass(c=5, n=5))) == 1
+    assert len(boxes_of(CyclomaticClass(c=5, n=6))) == 2
+    assert len(boxes_of(CyclomaticClass(c=5, n=7))) == 3
+    assert len(boxes_of(CyclomaticClass(c=6, n=5))) == 1
+    assert len(boxes_of(CyclomaticClass(c=6, n=6))) == 3
+    assert len(boxes_of(CyclomaticClass(c=6, n=7))) == 4
+    assert len(boxes_of(CyclomaticClass(c=6, n=8))) == 5
 
 
 def test_count_condition_rows_fall_and_rise():
-    # class_boxes makes one segment per need on this form of the rows
+    # class_boxes makes one segment per need on this form of the rows, and a
+    # row live at an order never counts more entries than the order holds
     for conditions in _COUNT_CONDITIONS.values():
-        for _, needs in conditions:
+        for needed_order, needs in conditions:
+            assert all(j <= needed_order for _, j in needs), needs
             for (t, j), (u, k) in zip(needs, needs[1:]):
                 assert t > u and j < k, needs
 
@@ -700,5 +708,5 @@ def test_count_condition_rows_fall_and_rise():
 def test_class_boxes_match_a_per_entry_reading(c):
     for n in range(min_order(c), 301):
         klass = CyclomaticClass(c=c, n=n)
-        boxes = [(box.lower, box.upper) for box in class_boxes(klass)]
+        boxes = [(box.lower, box.upper) for box in boxes_of(klass)]
         assert boxes == per_entry_class_bounds(klass), (c, n)

@@ -25,8 +25,10 @@ from ccyclic.indices import IndexSpec
 from ccyclic.majorization import expand_runs, runs_of
 
 from oracles import (
+    extremes_record,
     reference_equivalence_check,
     reference_extremality_report,
+    reference_extremes,
     reference_verify_bounds,
     transfer_down,
     upside_down,
@@ -78,7 +80,7 @@ def is_candidate(seq, klass):
 
 
 def random_family(rng, klass, population):
-    """A family of 0-4 maximals and a minimal (or, one time in four, none).
+    """A family of 0-4 maximals and a minimal (one time in four, the balanced candidate).
 
     Each vector is a candidate of the class, drawn from a random member: the
     member itself, the member balanced by :func:`transfer_down`, or the member
@@ -108,13 +110,14 @@ def random_family(rng, klass, population):
         if is_candidate(seq, klass):
             return runs_of(seq)
         with pytest.raises(ValueError):
-            ExtremalFamily(klass, (runs_of(seq),), None)
+            ExtremalFamily(klass, (runs_of(seq),), population[0])
         return vector()
 
     maximals = [vector() for _ in range(rng.randint(0, 4))]
     if 0 < len(maximals) < 4 and rng.randrange(4) == 0:
         maximals.append(rng.choice(maximals))
-    minimal = None if rng.randrange(4) == 0 else vector()
+    balanced = parametric_extremal_family(klass.c, n).minimal_runs
+    minimal = balanced if rng.randrange(4) == 0 else vector()
     return ExtremalFamily(klass, tuple(maximals), minimal)
 
 
@@ -221,7 +224,7 @@ class TestWalkMatchesSeparatePasses:
         for maximal_runs, minimal_runs, message in refused:
             with pytest.raises(ValueError, match=message):
                 ExtremalFamily(klass, maximal_runs, minimal_runs)
-        family = ExtremalFamily(klass, (), None)
+        family = ExtremalFamily(klass, (), runs_of((3,) * 4 + (2,) * 4))
         report = walk_class(klass, 8, family).extremality
         assert report == reference_extremality_report(family, population)
 
@@ -306,9 +309,9 @@ class TestWalkMatchesSeparatePasses:
 
     def test_random_families(self):
         # Members, balanced members and moved members (sorted or not), a few
-        # off the total, repeated maximals, members as maximals and no
-        # minimal; a draw that is no candidate is refused and drawn again.
-        # Each family is judged as the reference judges it.
+        # off the total, repeated maximals, members as maximals and the
+        # balanced minimal; a draw that is no candidate is refused and drawn
+        # again.  Each family is judged as the reference judges it.
         rng = random.Random(22)
         for c in range(9):
             for n in range(min_order(c), 11):
@@ -423,6 +426,30 @@ class TestWalkMatchesSeparatePasses:
         assert walk.failures
         assert in_ones == {True, False}
 
+    def test_tables_are_compiled_per_walk(self, monkeypatch):
+        # A table changed between two walks in one process takes effect at the
+        # second: no walk reads rows compiled at import or by an earlier walk.
+        klass = CyclomaticClass(c=6, n=10)
+        assert walk_class(klass, 10).failures == ()
+        loosened = degree_sequences._COUNT_CONDITIONS[6][:-1] + ((5, ((4, 4),)),)
+        monkeypatch.setitem(degree_sequences._COUNT_CONDITIONS, 6, loosened)
+        assert walk_class(klass, 10).failures
+
+    def test_every_leaf_is_validated(self, monkeypatch):
+        # A run of length 0 among the root's choices reaches the leaves below
+        # it, and validate_runs refuses the first of them.
+        run_choices = degree_sequences._run_choices
+
+        def with_an_empty_run(choices, slots, remaining, bound):
+            runs = run_choices(choices, slots, remaining, bound)
+            if bound == 7:  # only the root allows n - 1; the memo keeps its answer
+                runs.insert(0, (bound, 0))
+            return runs
+
+        monkeypatch.setattr(degree_sequences, "_run_choices", with_an_empty_run)
+        with pytest.raises(ValueError, match="every run needs a positive length"):
+            walk_class(CyclomaticClass(c=3, n=8), 8)
+
     def test_cap_refused_before_the_walk_starts(self, monkeypatch):
         def started(*args):
             raise AssertionError("the walk started")
@@ -445,6 +472,29 @@ class TestWalkMatchesSeparatePasses:
                 assert (walk.candidates, walk.failures, walk.members) == (
                     count, (), len(enumerate_sequences(klass, n))
                 ), (c, n)
+
+    @pytest.mark.parametrize("c", range(13))
+    def test_every_record_to_14(self, c):
+        # Candidates, failures, members, the report, and each extreme's low,
+        # high and holders, with the family (the patterns past c = 6), exact,
+        # product and float keys, and the spread extremes.
+        indices = VERIFY_INDICES + (IndexSpec.general_zagreb(F(1, 2)),)
+        for n in range(min_order(c), 15):
+            klass = CyclomaticClass(c=c, n=n)
+            if c <= 6:
+                family = extremal_family(klass)
+                count, failures, population = reference_equivalence_check(klass, n)
+            else:
+                family = parametric_extremal_family(c, n)
+                count, failures = sum(1 for _ in class_candidates(klass, n)), []
+                population = enumerate_sequences(klass, n)
+            walk = walk_class(klass, n, family, indices, spread=True)
+            assert (walk.candidates, walk.failures, walk.members) == (
+                count, tuple(failures), len(population)
+            ), (c, n)
+            assert walk.extremality == reference_extremality_report(family, population), (c, n)
+            records = list(map(extremes_record, walk.extremes + walk.spread))
+            assert records == reference_extremes(klass, indices, population, True), (c, n)
 
     @pytest.mark.parametrize("c", range(13))
     def test_pattern_reports_to_14(self, c):
@@ -490,16 +540,13 @@ class TestForcedOnes:
         assert not any(slots == remaining for slots, remaining in calls)
         assert walk.candidates == sum(1 for _ in class_candidates(klass, n))
 
-    def test_ones_pairs_are_shared(self, monkeypatch):
-        # Each leaf's final run of ones is one object per length, not a new tuple.
-        held = []
-        leaf = degree_sequences._Walk.leaf
-
-        def kept(walk, runs, *state):
-            held.append(runs[-1])
-            return leaf(walk, runs, *state)
-
-        monkeypatch.setattr(degree_sequences._Walk, "leaf", kept)
-        walk_class(CyclomaticClass(c=6, n=12), 12)
+    def test_ones_pairs_are_shared(self):
+        # Each kept member's final run of ones is one object per length, not a
+        # new tuple.  With no maximal, the report keeps every member's runs.
+        klass = CyclomaticClass(c=6, n=12)
+        family = ExtremalFamily(klass, (), extremal_family(klass).minimal_runs)
+        kept = walk_class(klass, 12, family).extremality.not_below_any_maximal
+        assert len(kept) == len(enumerate_sequences(klass, 12))
+        held = [runs[-1] for runs in kept]
         ones = {pair: id(pair) for pair in held if pair[0] == 1}
         assert ones and all(id(pair) == ones[pair] for pair in held if pair[0] == 1)

@@ -71,12 +71,14 @@ class Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise :class:`UsageError`."""
 
     def parse_known_args(self, args=None, namespace=None):
-        # argparse reads "-1/2" or "-1e400" as an option: join it to an --alpha
-        # before it, or to any abbreviation of it that argparse accepts (--a on)
+        # argparse reads "-1/2", "-1e400" or "-1,1" as an option: join it to an
+        # --alpha or --seq before it, or to any abbreviation of one that
+        # argparse accepts (--a and --s on)
         args = list(sys.argv[1:] if args is None else args)
         for i in range(len(args) - 1, 0, -1):
             flag = args[i - 1]
-            if len(flag) >= 3 and "--alpha".startswith(flag) and re.match(r"-[\d.]", args[i]):
+            if (len(flag) >= 3 and ("--alpha".startswith(flag) or "--seq".startswith(flag))
+                    and re.match(r"-[\d.]", args[i])):
                 args[i - 1 : i + 1] = [f"{flag}={args[i]}"]
         return super().parse_known_args(args, namespace)
 
@@ -96,11 +98,11 @@ def _parse_range(text: str) -> range:
     return range(start, stop + 1)
 
 
-def checked_cap(cap: int) -> int:
-    """The enumeration cap, or a :class:`UsageError` when it is negative."""
-    if cap < 0:
-        raise UsageError(f"--cap must be nonnegative, got {cap}")
-    return cap
+def nonnegative(value: int, flag: str) -> int:
+    """The value given to ``flag``, or a :class:`UsageError` when it is negative."""
+    if value < 0:
+        raise UsageError(f"{flag} must be nonnegative, got {value}")
+    return value
 
 
 def _parse_sequence(text: str) -> tuple:
@@ -351,7 +353,7 @@ def cmd_bounds(args) -> int:
     index = _index_from_args(args)
     if args.refined and index.kind != INVERSE_DEGREE:
         raise UsageError("--refined applies only to --index inverse-degree")
-    cap = checked_cap(args.cap)
+    cap = nonnegative(args.cap, "--cap")
     reports = []
     for c in _parse_range(args.c):
         klass = CyclomaticClass(c=c, n=args.n)
@@ -465,7 +467,7 @@ def cmd_verify(args) -> int:
         raise UsageError("give either --n or --n-max, not both")
     if args.conjecture and args.equivalence_only:
         raise UsageError("--equivalence-only applies to proven classes, not --conjecture")
-    cap = checked_cap(args.cap)
+    cap = nonnegative(args.cap, "--cap")
     cycles = _parse_range(args.c)
     # Refuse the whole range before enumerating any class of it.
     if not args.conjecture and cycles[-1] > MAX_SUPPORTED_CYCLES:
@@ -504,6 +506,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    if args.check_c is not None:
+        nonnegative(args.check_c, "--check-c")
     seq = _parse_sequence(args.seq)
     graph = realize(seq)
     if args.check_c is not None:
@@ -530,7 +534,7 @@ def cmd_tables(args) -> int:
     n, alpha = args.n, args.alpha
     if n < 8:
         raise UsageError(f"--n must be at least 8 (n >= c + 2 for c <= 6), got {n}")
-    cap = checked_cap(args.cap)
+    cap = nonnegative(args.cap, "--cap")
     # The last table's bounds come first, so that an exponent the index
     # rejects stops the run before any other work.
     zagreb_rows = bounds_table(n, alpha)

@@ -42,7 +42,8 @@ once per walk (:func:`_class_tables`), and the Erdos-Gallai core
 :func:`_erdos_gallai`, :func:`is_graphical` without its screen.  Extremality is
 one prefix-sum rule: each push carries whether the prefix sums of each vector
 of the family still lie above the member's, and whether below, and a
-member's verdicts are read off those bits (see :class:`_Walk`).
+member's verdicts are read off those bits (see :class:`_Walk`).  Exact index
+extremes start at the balanced member's key, and one packed test skips them.
 
 Index-notation caveat: two of the published block descriptions carry
 overlapping subscripts for where the "degree >= 2" block ends; the counting
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, permutations, repeat
-from math import isqrt
+from math import isqrt, prod
 from operator import le, or_, xor
 from typing import Iterator, Optional
 
@@ -497,6 +498,12 @@ def extremal_family(klass: CyclomaticClass) -> ExtremalFamily:
 # ---------------------------------------------------------------------------
 
 
+def _balanced_runs(n: int, total: int) -> tuple:
+    """The lexicographically least n entries summing to ``total``, each its floor mean or more."""
+    base, extra = divmod(total, n)  # ``extra`` entries of base + 1, the rest base
+    return coalesce_runs(((base + 1, extra), (base, n - extra)))
+
+
 def parametric_extremal_family(c: int, n: int) -> ExtremalFamily:
     """Instantiate the closed-form extremal patterns at (c, n), as runs: O(1) in n.
 
@@ -517,10 +524,8 @@ def parametric_extremal_family(c: int, n: int) -> ExtremalFamily:
     if c >= 5 and n - c >= 0:
         maximals.append(((n - 1, 1), (c - 1, 1), (4, 1), (3, 2), (2, c - 5), (1, n - c)))
     maximals = tuple(map(coalesce_runs, maximals))
-    base, extra = divmod(klass.degree_total, n)  # ``extra`` entries of base + 1, the rest base
-    minimal = coalesce_runs(((base + 1, extra), (base, n - extra)))
     try:
-        return ExtremalFamily(klass, maximals, minimal)
+        return ExtremalFamily(klass, maximals, _balanced_runs(n, klass.degree_total))
     except ValueError as exc:
         raise AssertionError(f"closed-form pattern at {klass}: {exc}") from None
 
@@ -619,10 +624,10 @@ def walk_class(
     (see :class:`_Walk`).  For each of ``indices`` it keeps the
     :class:`~ccyclic.indices.Extremes` of the members' ranking keys; with
     ``spread``, also over the members with at least c + 2 entries >= 2, for
-    a refined upper bound.  With no ``indices`` no key is carried or ranked.
-    A forced final run of ones is pushed in its parent's loop, and every
-    candidate meets the checks in one leaf block there, by no call of its
-    own.  Raises :class:`EnumerationCapError` above the cap, and
+    a refined upper bound.  With no ``indices`` no key is carried or ranked;
+    with some, exact extremes are seeded by the balanced member's key and
+    each member meets them in one packed test (see :class:`_Walk`).  Raises
+    :class:`EnumerationCapError` above the cap, and
     ``ValueError`` for a family of another class, before any candidate.
     """
     if family is not None and family.klass != klass:
@@ -655,8 +660,11 @@ class _Walk:
     bit, as a vector's prefix sums gain at least the member's 1 a step there
     and both end at the total.  Either way a full stack reaches the one leaf
     block, with no call of its own, and becomes a tuple only where its runs
-    are kept.  An exact key strictly between its extremes cannot move or tie
-    them, so it skips :meth:`~ccyclic.indices.Extremes.add`.
+    are kept.  Most members would move an exact extreme, as the balanced
+    sequence (:func:`_balanced_runs`) comes last: its key seeds each, when
+    it is a (spread) member.  A member strictly inside all exact extremes of
+    its set skips them (:func:`_packed_bounds`); a spread member's set is
+    the spread one, whose interval lies inside the other's.
     """
 
     def __init__(self, klass: CyclomaticClass, family, indices, spread: bool):
@@ -669,22 +677,31 @@ class _Walk:
         self.failures, self.uncovered, self.below_minimal, self.witnesses = [], [], [], {}
         ones = [(1, k) for k in range(n + 1)]  # shared: a leaf's runs hold these pairs
         # The exact sum keys travel packed in one int, a field of `width` bits
-        # each: a key is at most n times its largest term, so no field carries
-        # into the next.  Product keys share one table (d -> d), so they are
-        # one key, which a leaf puts above the fields.  Float keys are summed at
-        # the leaf, as `evaluate` sums them.
+        # each and a 0 guard bit: a key is at most n times its largest term, so
+        # no field carries into the next.  Product keys share one table (d -> d),
+        # so they are one key, which a leaf puts above the fields.  Float keys
+        # are summed at the leaf, as `evaluate` sums them.
         tables = [key_table(index, n - 1) for index in indices]
         exact = [t for t, product in tables if not (product or isinstance(t[1], float))]
         width = max((n * max(table)).bit_length() for table in exact) if exact else 0
-        packed = [sum(t[d] << i * width for i, t in enumerate(exact)) for d in range(n)]
+        packed = [sum(t[d] << i * (width + 1) for i, t in enumerate(exact)) for d in range(n)]
         product_table = next((table for table, product in tables if product), [1] * n)
-        product_shift = len(exact) * width
+        product_shift = len(exact) * (width + 1)
         self.extremes = tuple(Extremes() for _ in indices)
         ranks = _ranks(tables, self.extremes, width, product_shift)
         self.spread = tuple(Extremes() for _ in indices) if spread else ()
         more = _ranks(tables, self.spread, width, product_shift)  # spread members go to both
-        spread_ranks = tuple(mine + extra for mine, extra in zip(ranks, more))
+        spread_ranks = [ranks[0] + more[0], ranks[1] + more[1], None]
+        self.sets = ((ranks, ranks[0]), (spread_ranks, more[0]))  # bounds of its own fields
         most_ones = n - klass.c - 2 if spread else -1  # in a spread member
+        balanced = _balanced_runs(n, total)  # the last candidate, ranked when it is a member
+        if indices and is_graphical(balanced):
+            key = sum(m * packed[d] for d, m in balanced)
+            key += prod(product_table[d] ** m for d, m in balanced) << product_shift
+            spread_member = (balanced[-1][1] if balanced[-1][0] == 1 else 0) <= most_ones
+            for shift, field, extremes in ranks[0] + (more[0] if spread_member else []):
+                extremes.seed(key >> shift & field)
+        self.rebound()
 
         self.tops = () if family is None else family.maximal_runs
         self.vectors = () if family is None else (*self.tops, family.minimal_runs)
@@ -789,22 +806,29 @@ class _Walk:
                     if not run_mask & 1:
                         self.below_minimal.append(runs := runs or tuple(stack))
                 if ranked:
-                    run_keys += run_product << product_shift  # the exact key, whole
-                    fields, floats = ranks
+                    fields, floats, bounds = ranks
                     # Entries >= 2 are all but a final run of ones.
                     if (stack[-1][1] if stack[-1][0] == 1 else 0) <= most_ones:
-                        fields, floats = spread_ranks
-                    for shift, field, extremes in fields:
-                        rank = run_keys >> shift & field
-                        low = extremes.low
-                        if low is None or not low < rank < extremes.high:
-                            extremes.add(rank, runs := runs or tuple(stack))
+                        fields, floats, bounds = spread_ranks
+                    low, high, guards, product_low, product_high = bounds
+                    if ((run_keys | guards) - low & high - run_keys & guards != guards
+                            or not product_low < run_product < product_high):
+                        run_keys += run_product << product_shift  # the exact key, whole
+                        runs = runs or tuple(stack)
+                        for shift, field, extremes in fields:
+                            extremes.add(run_keys >> shift & field, runs)
+                        self.rebound()
                     for table, extremes in floats:
                         runs = runs or tuple(stack)
                         extremes.add(sum([m * table[d] for d, m in runs]), runs)
             del stack[depth:]
         self.candidates += leaves
         self.members += members
+
+    def rebound(self) -> None:
+        """Pack each set's bounds afresh, as its extremes may have moved."""
+        for ranks, fields in self.sets:
+            ranks[2] = _packed_bounds(fields)
 
     def result(self) -> ClassWalk:
         report = None
@@ -827,7 +851,7 @@ class _Walk:
 
 
 def _ranks(tables, extremes, width, top) -> tuple:
-    """Where each index's key goes: a field of the exact key (the product's from ``top``), a sum."""
+    """Each key's field of the exact key (the product's at ``top``) or float sum; no bounds yet."""
     fields, floats, shift = [], [], 0
     for (table, product), each in zip(tables, extremes):
         if product:
@@ -836,5 +860,25 @@ def _ranks(tables, extremes, width, top) -> tuple:
             floats.append((table, each))
         else:
             fields.append((shift, (1 << width) - 1, each))
-            shift += width
-    return fields, floats
+            shift += width + 1  # and a guard bit
+    return [fields, floats, None]
+
+
+def _packed_bounds(fields) -> tuple:
+    """``(L, H, G, plow, phigh)``: a key is strictly inside every exact extreme of a set when
+    ``(key | G) - L & H - key & G == G`` and ``plow < product < phigh``.  G holds each sum
+    field's guard bit, L its low + 1, H its high - 1 plus G: for w value bits, key + 2^w - low
+    - 1 lies in [0, 2^(w+1)), so no borrow crosses a field, with the guard iff key > low; H -
+    key keeps it iff key < high.
+    """
+    low, high, guards, plow, phigh = 0, 0, 0, 0, 2  # with no product ranked, every product is 1
+    for shift, field, extremes in fields:
+        if extremes.low is None:
+            return 0, 0, 0, 0, 0  # no product lies inside
+        if field < 0:
+            plow, phigh = extremes.low, extremes.high
+        else:
+            guards += field + 1 << shift
+            low += extremes.low + 1 << shift
+            high += extremes.high - 1 << shift
+    return low, high + guards, guards, plow, phigh

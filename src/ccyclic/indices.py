@@ -194,13 +194,9 @@ class Extremes:
 
     def add(self, key, runs) -> None:
         if self.low is None:
-            self._exact = not isinstance(key, float)
-            self._near = (
-                operator.eq if self._exact else partial(math.isclose, rel_tol=2 * FLOAT_TOLERANCE)
-            )
+            exact = not isinstance(key, float)
+            self._near = operator.eq if exact else partial(math.isclose, rel_tol=2 * FLOAT_TOLERANCE)
             self.low = self.high = key
-        elif self._exact and self.low < key < self.high:
-            return
         near = self._near
         if key < self.low:
             self.low = key
@@ -212,6 +208,11 @@ class Extremes:
             self._highs = [pair for pair in self._highs if near(pair[0], key)]
         if near(key, self.high):
             self._highs.append((key, runs))
+
+    def seed(self, key) -> None:
+        """Start at an exact key held by no member yet: one added later must tie and hold it."""
+        self._near = operator.eq
+        self.low = self.high = key
 
     def holders(self, largest: bool) -> tuple:
         """The members whose key ties the least (or the largest) key."""

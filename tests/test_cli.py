@@ -733,6 +733,18 @@ class TestRealize:
         )
         assert code == 2
 
+    def test_negative_sequence_as_its_own_token(self, capsys):
+        # argparse alone reads -1,1 as an option and stops: expected one argument.
+        # Every abbreviation of --seq that argparse accepts takes it the same way.
+        code, out, err = run(capsys, "realize", "--seq=-1,1")
+        assert (code, out, err) == (1, "", "error: degrees must be sorted nonincreasing\n")
+        for flag in ("--seq", "--se", "--s"):
+            assert run(capsys, "realize", flag, "-1,1") == (code, out, err), flag
+
+    def test_negative_check_c_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "realize", "--seq", "2,2,2", "--check-c", "-5")
+        assert (code, out, err) == (1, "", "error: --check-c must be nonnegative, got -5\n")
+
 
 class TestDeterminismAndOutput:
     def test_byte_identical_reruns(self, capsys):

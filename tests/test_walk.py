@@ -3,9 +3,12 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import product
 from operator import ge
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccyclic import degree_sequences
 from ccyclic.bounds import bounds, oracle_outcome
@@ -21,7 +24,7 @@ from ccyclic.degree_sequences import (
     parametric_extremal_family,
     walk_class,
 )
-from ccyclic.indices import IndexSpec
+from ccyclic.indices import Extremes, IndexSpec
 from ccyclic.majorization import expand_runs, runs_of
 
 from oracles import (
@@ -474,11 +477,22 @@ class TestWalkMatchesSeparatePasses:
                 ), (c, n)
 
     @pytest.mark.parametrize("c", range(13))
-    def test_every_record_to_14(self, c):
+    def test_every_record_to_14(self, monkeypatch, c):
         # Candidates, failures, members, the report, and each extreme's low,
-        # high and holders, with the family (the patterns past c = 6), exact,
-        # product and float keys, and the spread extremes.
-        indices = VERIFY_INDICES + (IndexSpec.general_zagreb(F(1, 2)),)
+        # high and holders, on every path a key takes: with the family (the
+        # patterns past c = 6), exact, product and float keys, and the spread
+        # extremes; the product key alone; a negative exponent alone; a float
+        # key beside one packed key; no family; and extremes left unseeded,
+        # whose packed bounds come from the running extremes.
+        half = IndexSpec.general_zagreb(F(1, 2))
+        cases = [  # (indices, with the family, spread, seeded)
+            (VERIFY_INDICES + (half,), True, True, True),
+            ((IndexSpec.mult_zagreb_log(),), True, True, True),
+            ((IndexSpec.general_zagreb(-2),), True, True, True),
+            ((half, IndexSpec.general_zagreb(2)), True, True, True),
+            (VERIFY_INDICES, False, True, True),
+            (VERIFY_INDICES + (half,), True, True, False),
+        ]
         for n in range(min_order(c), 15):
             klass = CyclomaticClass(c=c, n=n)
             if c <= 6:
@@ -488,13 +502,20 @@ class TestWalkMatchesSeparatePasses:
                 family = parametric_extremal_family(c, n)
                 count, failures = sum(1 for _ in class_candidates(klass, n)), []
                 population = enumerate_sequences(klass, n)
-            walk = walk_class(klass, n, family, indices, spread=True)
-            assert (walk.candidates, walk.failures, walk.members) == (
-                count, tuple(failures), len(population)
-            ), (c, n)
-            assert walk.extremality == reference_extremality_report(family, population), (c, n)
-            records = list(map(extremes_record, walk.extremes + walk.spread))
-            assert records == reference_extremes(klass, indices, population, True), (c, n)
+            for indices, with_family, spread, seeded in cases:
+                with monkeypatch.context() as patched:
+                    if not seeded:
+                        patched.setattr(Extremes, "seed", lambda extremes, key: None)
+                    given = family if with_family else None
+                    walk = walk_class(klass, n, given, indices, spread=spread)
+                where = (c, n, indices, with_family, seeded)
+                assert (walk.candidates, walk.failures, walk.members) == (
+                    count, tuple(failures), len(population)
+                ), where
+                report = reference_extremality_report(family, population) if with_family else None
+                assert walk.extremality == report, where
+                records = list(map(extremes_record, walk.extremes + walk.spread))
+                assert records == reference_extremes(klass, indices, population, spread), where
 
     @pytest.mark.parametrize("c", range(13))
     def test_pattern_reports_to_14(self, c):
@@ -550,3 +571,89 @@ class TestForcedOnes:
         held = [runs[-1] for runs in kept]
         ones = {pair: id(pair) for pair in held if pair[0] == 1}
         assert ones and all(id(pair) == ones[pair] for pair in held if pair[0] == 1)
+
+
+def packed_inside(bounds, key, degree_product):
+    """The leaf's one test of a member against a set's packed bounds: strictly inside
+    every exact extreme."""
+    low, high, guards, product_low, product_high = bounds
+    return (key | guards) - low & high - key & guards == guards and (
+        product_low < degree_product < product_high
+    )
+
+
+def packed_set(width, sums, products=None):
+    """The packed bounds and the field shifts of one set of exact extremes: a sum index
+    per ``(low, high)`` of ``sums`` and, given ``products``, the degree product with
+    those bounds, laid out by the walk's own ``_ranks``."""
+    tables = [([0, 1], False)] * len(sums) + [([0, 1], True)] * (products is not None)
+    extremes = [Extremes() for _ in tables]
+    for each, (low, high) in zip(extremes, sums + ([products] if products else [])):
+        each.low, each.high = low, high
+    fields, _, _ = degree_sequences._ranks(tables, extremes, width, 0)
+    shifts = [shift for shift, field, _ in fields if field >= 0]
+    return degree_sequences._packed_bounds(fields), shifts
+
+
+def assert_packed_agrees(width, sums, products, keys, degree_product):
+    bounds, shifts = packed_set(width, sums, products)
+    key = sum(k << shift for k, shift in zip(keys, shifts, strict=True))
+    plow, phigh = products or (0, 2)
+    expected = all(low < k < high for (low, high), k in zip(sums, keys))
+    expected = expected and plow < degree_product < phigh
+    assert packed_inside(bounds, key, degree_product) is expected, (sums, products, keys)
+
+
+@st.composite
+def packed_cases(draw):
+    """A width, 1-4 sum fields with bounds and a key each (0, the largest value a field
+    holds and the bounds themselves drawn often), and maybe a product with its bounds."""
+    width = draw(st.integers(1, 24))
+    top = (1 << width) - 1
+    value = st.one_of(st.sampled_from([0, 1, top - 1, top]), st.integers(0, top))
+    sums, keys = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        low, high = sorted((draw(value), draw(value)))
+        sums.append((low, high))
+        keys.append(draw(st.one_of(st.sampled_from([low, high, low + 1, high - 1]), value)))
+    keys = [max(0, min(top, k)) for k in keys]
+    products = None
+    degree_product = 1
+    if draw(st.booleans()):
+        plow, phigh = sorted((draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))))
+        products = (plow, phigh)
+        degree_product = draw(st.sampled_from([plow, phigh, plow + 1, phigh - 1]))
+    return width, sums, products, keys, degree_product
+
+
+class TestPackedBounds:
+    """One packed test of a member against a set's exact extremes agrees with a strict
+    comparison on each field."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_every_value_at_small_widths(self, width):
+        values = range(1 << width)
+        pairs = [(low, high) for low in values for high in values if low <= high]
+        for sums in product(pairs, repeat=2):
+            for products in (None, (1, 1), (1, 3), (2, 4)):
+                for keys in product(values, repeat=2):
+                    for degree_product in range(6) if products else (1,):
+                        assert_packed_agrees(width, list(sums), products, keys, degree_product)
+
+    @settings(max_examples=300)
+    @given(packed_cases())
+    def test_wide_fields(self, case):
+        assert_packed_agrees(*case)
+
+    def test_the_product_alone_and_no_field(self):
+        for plow, phigh in [(2, 2), (2, 5), (1, 10**30)]:
+            for degree_product in (plow - 1, plow, plow + 1, phigh - 1, phigh, phigh + 1):
+                assert_packed_agrees(3, [], (plow, phigh), [], degree_product)
+        assert packed_inside(packed_set(5, [])[0], 0, 1)  # nothing to move: every key inside
+
+    def test_nothing_lies_inside_an_empty_extreme(self):
+        held, empty = Extremes(), Extremes()
+        held.seed(3)
+        fields, _, _ = degree_sequences._ranks([([0, 1], False)] * 2, [held, empty], 4, 0)
+        bounds = degree_sequences._packed_bounds(fields)
+        assert not any(packed_inside(bounds, key, 1) for key in range(1 << 10))

@@ -1,96 +1,5 @@
-"""Majorization-extremal degree sequences of c-cyclic graphs and index bounds."""
+"""Majorization-extremal degree sequences of c-cyclic graphs and index bounds.
 
-from .bounds import (
-    BoundsReport,
-    OracleOutcome,
-    bounds,
-    bounds_table,
-    closed_form_inverse_degree,
-    refined_inverse_degree_upper,
-    verify_bounds,
-    with_verification,
-)
-from .degree_sequences import (
-    CyclomaticClass,
-    EnumerationCapError,
-    ExtremalFamily,
-    ExtremalityReport,
-    check_family_extremality,
-    check_pattern_extremality,
-    enumerate_sequences,
-    extremal_family,
-    graphical_class_sequences,
-    is_ccyclic_sequence,
-    is_ccyclic_sequence_via_inequalities,
-    is_graphical,
-    min_order,
-    parametric_extremal_family,
-)
-from .extremal import (
-    BoxSet,
-    InfeasibleSetError,
-    UnsupportedCaseError,
-    integerize_minimal,
-    maximal_box,
-    maximal_two_block,
-    minimal_box,
-    minimal_two_block,
-)
-from .indices import IndexSpec, SchurClass, evaluate, same_value
-from .majorization import Relation, compare, expand_runs, is_majorized_by, runs_of
-from .realization import (
-    RealizationError,
-    SimpleGraph,
-    cyclomatic_number,
-    export_dot,
-    realize,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BoundsReport",
-    "BoxSet",
-    "CyclomaticClass",
-    "EnumerationCapError",
-    "ExtremalFamily",
-    "ExtremalityReport",
-    "IndexSpec",
-    "InfeasibleSetError",
-    "OracleOutcome",
-    "RealizationError",
-    "Relation",
-    "SchurClass",
-    "SimpleGraph",
-    "UnsupportedCaseError",
-    "bounds",
-    "bounds_table",
-    "check_family_extremality",
-    "check_pattern_extremality",
-    "closed_form_inverse_degree",
-    "compare",
-    "cyclomatic_number",
-    "enumerate_sequences",
-    "evaluate",
-    "expand_runs",
-    "export_dot",
-    "extremal_family",
-    "graphical_class_sequences",
-    "integerize_minimal",
-    "is_ccyclic_sequence",
-    "is_ccyclic_sequence_via_inequalities",
-    "is_graphical",
-    "is_majorized_by",
-    "maximal_box",
-    "maximal_two_block",
-    "min_order",
-    "minimal_box",
-    "minimal_two_block",
-    "parametric_extremal_family",
-    "realize",
-    "refined_inverse_degree_upper",
-    "runs_of",
-    "same_value",
-    "verify_bounds",
-    "with_verification",
-]
+Each name is imported from its module: ``majorization``, ``extremal``,
+``degree_sequences``, ``indices``, ``bounds``, ``realization`` or ``cli``.
+"""

@@ -41,7 +41,7 @@ from .degree_sequences import (
     min_order,
     walk_class,
 )
-from .indices import INVERSE_DEGREE, MAX_EXACT_DIGITS, IndexSpec, SchurClass
+from .indices import GENERAL_ZAGREB, INVERSE_DEGREE, KINDS, MAX_EXACT_DIGITS, IndexSpec, SchurClass
 from .majorization import expand_runs, runs_of
 from .realization import cyclomatic_number, export_dot, realize
 
@@ -71,14 +71,14 @@ class Parser(argparse.ArgumentParser):
     """An argument parser whose errors raise :class:`UsageError`."""
 
     def parse_known_args(self, args=None, namespace=None):
-        # argparse reads "-1/2", "-1e400" or "-1,1" as an option: join it to an
-        # --alpha or --seq before it, or to any abbreviation of one that
-        # argparse accepts (--a and --s on)
+        # argparse reads "-1/2", "-1e400", "-1,1" or "-1..2" as an option: join
+        # it to an --alpha, --c or --seq before it, or to any abbreviation of
+        # one that argparse accepts (--a and --s on)
         args = list(sys.argv[1:] if args is None else args)
         for i in range(len(args) - 1, 0, -1):
             flag = args[i - 1]
-            if (len(flag) >= 3 and ("--alpha".startswith(flag) or "--seq".startswith(flag))
-                    and re.match(r"-[\d.]", args[i])):
+            takes_value = any(name.startswith(flag) for name in ("--alpha", "--c", "--seq"))
+            if len(flag) >= 3 and takes_value and re.match(r"-[\d.]", args[i]):
                 args[i - 1 : i + 1] = [f"{flag}={args[i]}"]
         return super().parse_known_args(args, namespace)
 
@@ -113,7 +113,7 @@ def _parse_sequence(text: str) -> tuple:
 
 
 def _index_from_args(args) -> IndexSpec:
-    if args.index == "general-zagreb":
+    if args.index == GENERAL_ZAGREB:
         if args.alpha is None:
             raise UsageError("--alpha is required for --index general-zagreb")
         try:
@@ -123,7 +123,7 @@ def _index_from_args(args) -> IndexSpec:
         return IndexSpec.general_zagreb(alpha)
     if args.alpha is not None:
         raise UsageError("--alpha only applies to --index general-zagreb")
-    if args.index == "inverse-degree":
+    if args.index == INVERSE_DEGREE:
         return IndexSpec.inverse_degree()
     return IndexSpec.mult_zagreb_log()
 
@@ -617,8 +617,8 @@ def _build_parser() -> Parser:
     p.add_argument("--c", required=True, help="single value or inclusive range like 1..6")
     p.add_argument(
         "--index",
-        choices=("general-zagreb", "inverse-degree", "mult-zagreb-log"),
-        default="general-zagreb",
+        choices=KINDS,
+        default=GENERAL_ZAGREB,
     )
     p.add_argument("--alpha", help="exponent for general-zagreb (rational, not 0 or 1)")
     p.add_argument("--refined", action="store_true",

@@ -39,7 +39,7 @@ GENERAL_ZAGREB = "general-zagreb"
 INVERSE_DEGREE = "inverse-degree"
 MULT_ZAGREB_LOG = "mult-zagreb-log"
 
-_KINDS = (GENERAL_ZAGREB, INVERSE_DEGREE, MULT_ZAGREB_LOG)
+KINDS = (GENERAL_ZAGREB, INVERSE_DEGREE, MULT_ZAGREB_LOG)
 
 
 class SchurClass(Enum):
@@ -55,7 +55,7 @@ class IndexSpec:
     alpha: Optional[Fraction] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ValueError(f"unknown index kind {self.kind!r}")
         if self.kind == GENERAL_ZAGREB:
             if self.alpha is None:

@@ -19,6 +19,8 @@ is the separate-pass oracle that ``walk_class`` is checked against.
 :func:`walks_without_population` makes a front end prove that it walks.
 :func:`reference_reports_to_csv` is the former ``csv.DictWriter`` writer of
 bounds reports, kept as a reference for the comma-joined one.
+:func:`connected_degree_sequences` works on graphs, not sequences: it lists
+edge sets and calls nothing of the library.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import sys
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from operator import sub
 
 from ccyclic import degree_sequences
@@ -504,6 +506,31 @@ def per_coordinate_family(boxes):
     ]
     (minimal,) = {a for a in bottoms if all(per_coordinate_compare(a, b) in below for b in bottoms)}
     return tuple(sorted(maximals, reverse=True)), minimal
+
+
+def connected_degree_sequences(n, m):
+    """The nonincreasing degree sequences of the connected graphs with n vertices and m edges.
+
+    Lists every m-subset of the edges of the complete graph K_n and keeps it
+    when a search over adjacency bitmasks from vertex 0 reaches every vertex.
+    """
+    everyone = (1 << n) - 1
+    found = set()
+    for edges in combinations(combinations(range(n), 2), m):
+        adjacency = [0] * n
+        for u, v in edges:
+            adjacency[u] |= 1 << v
+            adjacency[v] |= 1 << u
+        reached = frontier = 1
+        while frontier:
+            grown = reached
+            for v in range(n):
+                if frontier >> v & 1:
+                    grown |= adjacency[v]
+            reached, frontier = grown, grown & ~reached
+        if reached == everyone:
+            found.add(tuple(sorted((mask.bit_count() for mask in adjacency), reverse=True)))
+    return found
 
 
 def _reach(n, edges, start):

@@ -1,6 +1,5 @@
 """Tests for the bounds engine, closed forms, oracle verification, and serialization."""
 
-import importlib
 import json
 import math
 import operator
@@ -10,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import ccyclic.bounds as bounds_module
 from ccyclic.bounds import (
     EXACT_MATCH,
     MISMATCH,
@@ -41,9 +41,6 @@ def F(*args):
 
 
 RHO = IndexSpec.inverse_degree()
-
-#: the module: the package's ``bounds`` attribute is the function
-bounds_module = importlib.import_module("ccyclic.bounds")
 
 
 class TestBounds:

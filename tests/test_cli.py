@@ -1,8 +1,10 @@
 """CLI behavior: output formats, determinism, and exit codes."""
 
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import resource
 import subprocess
@@ -34,8 +36,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_every_exported_name_resolves():
-    assert [name for name in ccyclic.__all__ if not hasattr(ccyclic, name)] == []
+def test_every_module_is_the_package_attribute_of_its_name():
+    # a name imported into the package would hide the module of that name
+    names = [module.name for module in pkgutil.iter_modules(ccyclic.__path__)]
+    assert "bounds" in names
+    for name in names:
+        assert getattr(ccyclic, name) is importlib.import_module(f"ccyclic.{name}"), name
 
 
 def test_console_script_prints_the_paper_tables(capsys):
@@ -104,6 +110,13 @@ class TestExtremal:
         assert code == 1
         assert "error" in err
 
+    def test_negative_range_as_its_own_token(self, capsys):
+        # argparse alone reads -1..2 as an option and stops: expected one argument.
+        # --c here takes one integer, so the range is an invalid int.
+        code, out, err = run(capsys, "extremal", "--n", "10", "--c", "-1..2")
+        assert (code, out, err) == (1, "", "error: argument --c: invalid int value: '-1..2'\n")
+        assert run(capsys, "extremal", "--n", "10", "--c=-1..2") == (code, out, err)
+
 
 class TestBounds:
     def test_unicyclic_inverse_degree(self, capsys):
@@ -165,6 +178,13 @@ class TestBounds:
     def test_excluded_alpha(self, capsys):
         code, _, err = run(capsys, "bounds", "--n", "8", "--c", "2", "--alpha", "1")
         assert code == 1
+
+    def test_negative_range_as_its_own_token(self, capsys):
+        # argparse alone reads -1..2 as an option and stops: expected one argument.
+        argv = ("bounds", "--n", "10", "--alpha", "2")
+        code, out, err = run(capsys, *argv, "--c", "-1..2")
+        assert (code, out, err) == (1, "", "error: cyclomatic number must be nonnegative\n")
+        assert run(capsys, *argv, "--c=-1..2") == (code, out, err)
 
     def test_negative_alpha_as_its_own_token(self, capsys):
         # argparse alone reads -1/2 as an option and stops: expected one argument.
@@ -646,6 +666,12 @@ class TestVerify:
     def test_needs_an_order(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 1
+
+    def test_negative_range_as_its_own_token(self, capsys):
+        # argparse alone reads -1..2 as an option and stops: expected one argument.
+        code, out, err = run(capsys, "verify", "--n", "5", "--c", "-1..2")
+        assert (code, out, err) == (1, "", "error: cyclomatic number must be nonnegative\n")
+        assert run(capsys, "verify", "--n", "5", "--c=-1..2") == (code, out, err)
 
     def test_negative_cap_is_a_usage_error(self, capsys):
         for argv in (

@@ -77,10 +77,13 @@ def bounds(klass: CyclomaticClass, index: IndexSpec, family=None) -> BoundsRepor
     """Bounds from the extremal family plus the index's Schur classification.
 
     ``family`` is the class's :func:`extremal_family`, for a caller that
-    already holds it; it is built when not given.
+    already holds it; it is built when not given.  Raises ``ValueError`` for
+    a family of another class.
     """
     if family is None:
         family = extremal_family(klass)
+    if family.klass != klass:
+        raise ValueError(f"a family of {family.klass} cannot bound {klass}")
     maximal_values = [(runs, evaluate(index, runs)) for runs in family.maximal_runs]
     minimal_value = evaluate(index, family.minimal_runs)
     if index.schur_class is SchurClass.CONVEX:
@@ -190,11 +193,15 @@ def verify_class(reports, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
     """The oracle's outcome for each of a class's reports, from one walk of the class.
 
     A disagreement the walk records among the membership tests makes every
-    outcome a mismatch.  Raises :class:`EnumerationCapError` above the cap.
+    outcome a mismatch.  Raises :class:`EnumerationCapError` above the cap,
+    and ``ValueError`` for no reports or reports of more than one class.
     """
+    classes = {report.klass for report in reports}
+    if len(classes) != 1:
+        raise ValueError(f"one walk verifies the reports of one class, not {len(classes)}")
     refined = any(report.refined_upper is not None for report in reports)
     walk = walk_class(
-        reports[0].klass, cap, indices=[report.index for report in reports], spread=refined
+        classes.pop(), cap, indices=[report.index for report in reports], spread=refined
     )
     spreads = walk.spread or [None] * len(reports)
     outcomes = [oracle_outcome(*each) for each in zip(reports, walk.extremes, spreads)]

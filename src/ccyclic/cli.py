@@ -123,9 +123,7 @@ def _index_from_args(args) -> IndexSpec:
         return IndexSpec.general_zagreb(alpha)
     if args.alpha is not None:
         raise UsageError("--alpha only applies to --index general-zagreb")
-    if args.index == INVERSE_DEGREE:
-        return IndexSpec.inverse_degree()
-    return IndexSpec.mult_zagreb_log()
+    return IndexSpec(kind=args.index)
 
 
 def _emit(chunks, output) -> None:
@@ -273,20 +271,29 @@ CSV_FIELDS = (
 REFINED_FIELDS = ("refined_upper_exact", "refined_upper_decimal")
 
 
+def _shared_fields(report, sequence, empty) -> list:
+    """The fields that CSV and JSON both write, in ``CSV_FIELDS`` order up to ``verified``.
+
+    ``sequence`` renders an attainer; ``empty`` stands for an absent alpha
+    and for the exact column of a float.
+    """
+    alpha = report.index.alpha
+    return [
+        report.klass.n, report.klass.c, report.index.kind,
+        empty if alpha is None else format_fraction(alpha),
+        _exact(report.lower) or empty, format_decimal(report.lower),
+        _exact(report.upper) or empty, format_decimal(report.upper),
+        sequence(report.lower_attainer), sequence(report.upper_attainer),
+    ]
+
+
 def reports_to_csv(reports) -> str:
     """CSV document with a header row; the refined columns appear when any report has them."""
     refined = any(report.refined_upper is not None for report in reports)
     rows = [CSV_FIELDS + REFINED_FIELDS if refined else CSV_FIELDS]
     for report in reports:
-        alpha, refined_upper = report.index.alpha, report.refined_upper
-        rows.append([
-            report.klass.n, report.klass.c, report.index.kind,
-            "" if alpha is None else format_fraction(alpha),
-            _exact(report.lower), format_decimal(report.lower),
-            _exact(report.upper), format_decimal(report.upper),
-            plain_sequence(report.lower_attainer), plain_sequence(report.upper_attainer),
-            report.verified or "",
-        ])
+        rows.append(_shared_fields(report, plain_sequence, "") + [report.verified or ""])
+        refined_upper = report.refined_upper
         if refined_upper is not None:
             rows[-1] += [format_fraction(refined_upper), format_decimal(refined_upper)]
         elif refined:
@@ -296,24 +303,13 @@ def reports_to_csv(reports) -> str:
 
 def report_to_json_dict(report) -> dict:
     """Structured-document form of a report (lists for sequences, strings for numbers)."""
-    doc = {
-        "n": report.klass.n,
-        "c": report.klass.c,
-        "index": report.index.kind,
-        "alpha": None if report.index.alpha is None else format_fraction(report.index.alpha),
-        "lower_exact": _exact(report.lower) or None,
-        "lower_decimal": format_decimal(report.lower),
-        "upper_exact": _exact(report.upper) or None,
-        "upper_decimal": format_decimal(report.upper),
-        "lower_attainer": _entries(report.lower_attainer),
-        "upper_attainer": _entries(report.upper_attainer),
-        "candidates": [
-            {"sequence": _entries(runs), "decimal": format_decimal(val)}
-            for runs, val in report.candidates
-        ],
-        "verified": report.verified,
-        "notes": list(report.notes),
-    }
+    doc = dict(zip(CSV_FIELDS, _shared_fields(report, _entries, None)))
+    doc["candidates"] = [
+        {"sequence": _entries(runs), "decimal": format_decimal(val)}
+        for runs, val in report.candidates
+    ]
+    doc["verified"] = report.verified
+    doc["notes"] = list(report.notes)
     if report.refined_upper is not None:
         doc["refined_upper"] = format_fraction(report.refined_upper)
         doc["refined_upper_decimal"] = format_decimal(report.refined_upper)
@@ -540,6 +536,11 @@ def cmd_tables(args) -> int:
     zagreb_rows = bounds_table(n, alpha)
     classes = [CyclomaticClass(c=c, n=n) for c in range(7)]
     closed_rows = [closed_form_inverse_degree(klass) for klass in classes]
+    # From c = 3 on, the inverse-degree row carries the refined upper bound,
+    # which the walk of its class checks with the rest of the row.
+    for klass in classes[3:]:
+        refined = refined_inverse_degree_upper(klass)
+        closed_rows[klass.c] = replace(closed_rows[klass.c], refined_upper=refined)
     # The verified rows of each class; c = 0 has no general-Zagreb row.
     rows = [[closed] + [row for row in zagreb_rows if row.klass.c == c]
             for c, closed in enumerate(closed_rows)]
@@ -564,9 +565,8 @@ def cmd_tables(args) -> int:
             f"c={klass.c}  {format_index_value(closed.lower)} <= rho <= "
             f"{format_index_value(closed.upper)}"
         )
-        if klass.c >= 3:
-            refined = refined_inverse_degree_upper(klass)
-            line += f"  [refined upper {format_index_value(refined)}]"
+        if closed.refined_upper is not None:
+            line += f"  [refined upper {format_index_value(closed.refined_upper)}]"
         if args.verify:
             line += f"  ({statuses[klass.c][0]})"
         lines.append(line)

@@ -79,12 +79,20 @@ class IndexSpec:
         return cls(kind=MULT_ZAGREB_LOG)
 
     @property
+    def exponent(self) -> Optional[Fraction]:
+        """The power of the power sum this index is: ``alpha``, -1 for the inverse degree.
+
+        ``None`` for the log form.  Evaluation, key tables and the Schur class
+        read this, not the kind.
+        """
+        return Fraction(-1) if self.kind == INVERSE_DEGREE else self.alpha
+
+    @property
     def schur_class(self) -> SchurClass:
-        if self.kind == GENERAL_ZAGREB:
-            return SchurClass.CONCAVE if 0 < self.alpha < 1 else SchurClass.CONVEX
-        if self.kind == INVERSE_DEGREE:
-            return SchurClass.CONVEX
-        return SchurClass.CONCAVE
+        exponent = self.exponent
+        if exponent is None or 0 < exponent < 1:
+            return SchurClass.CONCAVE
+        return SchurClass.CONVEX
 
     @property
     def label(self) -> str:
@@ -110,16 +118,15 @@ def evaluate(index: IndexSpec, runs) -> Real:
     degrees = [degree for degree, _ in runs]
     if not degrees or min(degrees) < 1:
         raise ValueError("index evaluation needs positive degrees")
-    if index.kind == INVERSE_DEGREE:
-        return _exact_power_sum(runs, degrees, -1)
-    if index.kind == MULT_ZAGREB_LOG:
+    alpha = index.exponent
+    if alpha is None:
         return 2.0 * sum(count * math.log(d) for d, count in runs)
     top = max(degrees)
-    if index.alpha > 0:
+    if alpha > 0:
         # Every report prints a float, so a power sum beyond the float range is
         # rejected, before any exact power: Fraction(9) ** 10**400 never returns.
         try:
-            exponent = float(index.alpha)
+            exponent = float(alpha)
             bound = sum(count for _, count in runs) * top**exponent
             finite = bound < math.inf or math.fsum(
                 count * d**exponent for d, count in runs
@@ -128,8 +135,8 @@ def evaluate(index: IndexSpec, runs) -> Real:
             finite = False
         if not finite:
             raise ValueError("exponent too large: the power sum overflows a float")
-    if index.alpha.denominator == 1:
-        power = int(index.alpha)
+    if alpha.denominator == 1:
+        power = int(alpha)
         # Every report prints the exact value, so a power too long to print is
         # rejected before it is taken: Fraction(9) ** -10**400 never returns.
         if top > 1 and abs(power) > MAX_EXACT_DIGITS / math.log10(top):
@@ -138,7 +145,7 @@ def evaluate(index: IndexSpec, runs) -> Real:
             )
         return _exact_power_sum(runs, degrees, power)
     try:
-        exponent = float(index.alpha)
+        exponent = float(alpha)
     except OverflowError:
         raise ValueError("exponent too large: it overflows a float") from None
     return sum(count * d**exponent for d, count in runs)
@@ -168,9 +175,9 @@ def key_table(index: IndexSpec, top: int) -> tuple:
     """
     evaluate(index, ((1, 1), (top, 1)))
     span = range(1, top + 1)
-    if index.kind == MULT_ZAGREB_LOG:
+    power = index.exponent
+    if power is None:
         return [0, *span], True
-    power = -1 if index.kind == INVERSE_DEGREE else index.alpha
     if power.denominator != 1:
         return [0.0] + [d ** float(power) for d in span], False
     common = math.lcm(*span)

@@ -22,6 +22,7 @@ from ccyclic.bounds import (
     oracle_outcome,
     refined_inverse_degree_upper,
     verify_bounds,
+    verify_class,
     with_verification,
 )
 from ccyclic import degree_sequences
@@ -79,6 +80,11 @@ class TestBounds:
                         assert report.upper_attainer in family_max
                     else:
                         assert report.lower_attainer in family_max
+
+    def test_refuses_a_family_of_another_class(self):
+        family = degree_sequences.extremal_family(CyclomaticClass(c=3, n=12))
+        with pytest.raises(ValueError, match="cannot bound"):
+            bounds(CyclomaticClass(c=3, n=10), IndexSpec.general_zagreb(2), family)
 
 
 class TestClosedForms:
@@ -187,6 +193,18 @@ class TestVerifyBounds:
         outcome = verify_bounds(bounds(klass, IndexSpec.general_zagreb(2)))
         assert outcome.status == EXACT_MATCH
         assert outcome.minimizers == (runs_of((3, 3, 3, 3, 3, 3, 3, 3, 2)),)
+
+    def test_verify_class_refuses_no_reports(self):
+        with pytest.raises(ValueError, match="not 0"):
+            verify_class([])
+
+    def test_verify_class_refuses_reports_of_two_classes(self, monkeypatch):
+        walked = []
+        monkeypatch.setattr(bounds_module, "walk_class", lambda *args, **kwargs: walked.append(1))
+        reports = [bounds(CyclomaticClass(c=c, n=8), RHO) for c in (2, 3)]
+        with pytest.raises(ValueError, match="not 2"):
+            verify_class(reports)
+        assert walked == []
 
     def test_cap_yields_skipped(self):
         report = with_verification(bounds(CyclomaticClass(c=1, n=20), RHO), cap=12)

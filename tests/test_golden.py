@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ccyclic import degree_sequences
+from ccyclic import cli, degree_sequences
 from ccyclic.cli import _parse_range
 from ccyclic.cli import main as cli_main
 from ccyclic.indices import Extremes
@@ -120,7 +120,8 @@ def test_tables_exits_3_on_a_skipped_row():
 
 
 def test_tables_exits_2_on_a_mismatch(monkeypatch):
-    # each index's extremes miss the class's first member: they move for 9 of 13 rows
+    # each index's extremes miss the class's first member: they move for 9 of
+    # 13 rows, and the spread maxima of c = 3..6 move for the other 4
     original = Extremes.add
 
     def add_all_but_the_first(extremes, key, runs):
@@ -131,8 +132,20 @@ def test_tables_exits_2_on_a_mismatch(monkeypatch):
     monkeypatch.setattr(Extremes, "add", add_all_but_the_first)
     code, out, err = run_case(CASES["tables"])
     assert (code, err) == (2, "")
-    assert out.count("(mismatch)") == 9
-    assert out.count("(exact-match)") == 4
+    assert out.count("(mismatch)") == 13
+    assert out.count("(exact-match)") == 0
+
+
+def test_tables_checks_the_refined_upper_bound(monkeypatch):
+    original = cli.refined_inverse_degree_upper
+    monkeypatch.setattr(
+        cli, "refined_inverse_degree_upper", lambda klass: original(klass) + (klass.c == 4)
+    )
+    code, out, err = run_case(CASES["tables"])
+    assert (code, err) == (2, "")
+    (line,) = [line for line in out.splitlines() if "(mismatch)" in line]
+    assert line.startswith("c=4 ") and "[refined upper" in line
+    assert out.count("(exact-match)") == 12
 
 
 @pytest.mark.parametrize("name", sorted(name for name, argv in CASES.items() if "--verify" in argv))

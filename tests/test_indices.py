@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from ccyclic.cli import format_fraction
-from ccyclic.indices import MAX_EXACT_DIGITS, IndexSpec, SchurClass, evaluate, same_value
+from ccyclic.indices import (
+    MAX_EXACT_DIGITS, IndexSpec, SchurClass, evaluate, key_table, same_value,
+)
 from ccyclic.majorization import expand_runs, runs_of
 
 from oracles import (
@@ -135,6 +137,44 @@ class TestSchurClass:
     def test_kind_alpha_mismatch(self):
         with pytest.raises(ValueError):
             IndexSpec(kind="inverse-degree", alpha=Fraction(2))
+
+
+class TestExponent:
+    """The inverse degree is the power sum at alpha = -1; the log form has no exponent."""
+
+    ALPHAS = (-2, -1, Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2), 2, 3)
+
+    def test_each_kind(self):
+        assert IndexSpec.inverse_degree().exponent == -1
+        assert type(IndexSpec.inverse_degree().exponent) is Fraction
+        assert IndexSpec.mult_zagreb_log().exponent is None
+        for alpha in self.ALPHAS:
+            assert IndexSpec.general_zagreb(alpha).exponent == alpha
+
+    def test_cannot_be_set(self):
+        with pytest.raises(AttributeError):
+            IndexSpec.inverse_degree().exponent = Fraction(2)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_schur_class_of_a_power_sum(self, alpha):
+        expected = SchurClass.CONCAVE if 0 < alpha < 1 else SchurClass.CONVEX
+        assert IndexSpec.general_zagreb(alpha).schur_class is expected
+
+    def test_schur_class_of_the_other_kinds(self):
+        assert IndexSpec.inverse_degree().schur_class is SchurClass.CONVEX
+        assert IndexSpec.mult_zagreb_log().schur_class is SchurClass.CONCAVE
+
+    def test_inverse_degree_is_general_zagreb_at_minus_one(self):
+        rho, minus_one = IndexSpec.inverse_degree(), IndexSpec.general_zagreb(-1)
+        rng = random.Random(32)
+        for _ in range(200):
+            runs = tuple(
+                (rng.randint(1, 60), rng.randint(1, 500)) for _ in range(rng.randint(1, 6))
+            )
+            value = evaluate(rho, runs)
+            assert type(value) is Fraction and value == evaluate(minus_one, runs), runs
+        for top in (1, 2, 7, 30, 61):
+            assert key_table(rho, top) == key_table(minus_one, top), top
 
 
 def test_order_preservation_random_chains():

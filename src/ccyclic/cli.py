@@ -461,6 +461,10 @@ def cmd_verify(args) -> int:
         raise UsageError("verify needs --n or --n-max")
     if args.n is not None and args.n_max is not None:
         raise UsageError("give either --n or --n-max, not both")
+    if args.n is not None:
+        nonnegative(args.n, "--n")
+    else:
+        nonnegative(args.n_max, "--n-max")
     if args.conjecture and args.equivalence_only:
         raise UsageError("--equivalence-only applies to proven classes, not --conjecture")
     cap = nonnegative(args.cap, "--cap")

@@ -38,12 +38,13 @@ population, whose every push of a run updates the state its subtree shares
 (:class:`_Walk`).  A rest of all ones is pushed in its parent's loop, and a
 full stack reaches one leaf block there, by no call of its own: the
 candidate gets :func:`validate_runs`, the verdicts of the tables, compiled
-once per walk (:func:`_class_tables`), and the Erdos-Gallai core
-:func:`_erdos_gallai`, :func:`is_graphical` without its screen.  Extremality is
-one prefix-sum rule: each push carries whether the prefix sums of each vector
-of the family still lie above the member's, and whether below, and a
-member's verdicts are read off those bits (see :class:`_Walk`).  Exact index
-extremes start at the balanced member's key, and one packed test skips them.
+once per walk (:func:`_class_tables`), and the Erdos-Gallai verdict, one
+test of the class's slack that each push carries (:func:`_slack_tables`),
+with no call of :func:`is_graphical`.  Extremality is one prefix-sum rule:
+each push carries whether the prefix sums of each vector of the family still
+lie above the member's, and whether below, and a member's verdicts are read
+off those bits (see :class:`_Walk`).  Exact index extremes start at the
+balanced member's key, and one packed test skips them.
 
 Index-notation caveat: two of the published block descriptions carry
 overlapping subscripts for where the "degree >= 2" block ends; the counting
@@ -56,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, permutations, repeat
 from math import isqrt, prod
-from operator import le, or_, xor
+from operator import add, le, or_, xor
 from typing import Iterator, Optional
 
 from .extremal import BoxSet, integerize_runs, maximal_runs, minimal_runs
@@ -261,16 +262,15 @@ def is_graphical(runs) -> bool:
 def _erdos_gallai(runs, n: int) -> bool:
     """The Erdos-Gallai inequalities on nonempty runs of n degrees in [0, n-1], with an even sum.
 
-    The caller vouches for that screen, as :func:`is_graphical` and the
-    leaves of :func:`walk_class` do.  O(runs).  Only k with d_k >= k are
-    tested: for d_k < k the k-th inequality follows from the (k-1)-th, since
-    its right side grows by at least 2(k - 1) - 2 d_k >= 0 more than its left
-    side.  Within one run, on those k, the slack (right side minus left side)
-    is concave in k, so it suffices to test the last such k of each run
-    (Tripathi & Vijay 2003).  The right side ``k(k - 1) + sum(min(d_i, k))``
-    over i > k is ``k(above - 1)`` plus the degree sum beyond the entries
-    >= k, which end at ``above``; that end only moves back as k grows, one
-    run at a time.
+    The caller vouches for that screen, as :func:`is_graphical` does.
+    O(runs).  Only k with d_k >= k are tested: for d_k < k the k-th
+    inequality follows from the (k-1)-th, since its right side grows by at
+    least 2(k - 1) - 2 d_k >= 0 more than its left side.  Within one run, on
+    those k, the slack (right side minus left side) is concave in k, so it
+    suffices to test the last such k of each run (Tripathi & Vijay 2003).
+    The right side ``k(k - 1) + sum(min(d_i, k))`` over i > k is
+    ``k(above - 1)`` plus the degree sum beyond the entries >= k, which end
+    at ``above``; that end only moves back as k grows, one run at a time.
     """
     last = len(runs) - 1  # the last run of degrees >= k
     above, tail = n, 0  # entries through that run, and the degree sum after it
@@ -291,6 +291,47 @@ def _erdos_gallai(runs, n: int) -> bool:
         start += count
         head += degree * count
     return True
+
+
+def _slack_tables(klass: CyclomaticClass) -> tuple:
+    """``(table, G, L)``: the Erdos-Gallai slack of the class, packed for :class:`_Walk`.
+
+    The lemma: a positive sequence d_1 >= ... >= d_n with the class total
+    2(n + c - 1) meets the k-th Erdos-Gallai inequality exactly when
+    R_k >= L_k, where R_k is the sum of g_k(d_i) over i > k, g_k(d) = d +
+    min(d, k) - 2 and L_k = 2c - 2 + 3k - k^2.  Proof: the inequality bounds
+    the sum of the first k entries by k(k - 1) plus the sum of min(d_i, k)
+    over i > k; that prefix is the total less the rest, so moving it to the
+    right side and taking 2 from each of the n - k terms there leaves
+    L_k <= R_k.  At k = 1 it says d_1 <= n - 1, which every candidate
+    keeps.  As g_k >= 0 and g_k(1) = 0, only a k >= 2 with L_k > 0 can fail,
+    and a final run of ones adds nothing.  L_k falls from k = 2 on, and
+    L_n <= 0 (with R_n = 0) exactly when (n - 1)(n - 2) / 2 >= c, that is
+    from the class's least order on, so each such k lies below n.
+
+    Field j of a packed slack holds R_k for the j-th such k, in
+    w = (2 total).bit_length() + 1 bits, the top one a guard (G holds the
+    guards, L each L_k in its field).  ``table[p][d]`` is the sum over j of
+    max(0, p - k_j) g_{k_j}(d) << j w, so a run of d from position a to b
+    adds ``table[b][d] - table[a][d]``.  As R_k <= 2 total < 2^(w-1) and
+    L_k <= 2c, ``(slack | G) - L & G == G`` keeps every guard, with no
+    borrow across a field, exactly when each R_k >= L_k: when the sequence
+    is graphical.
+    """
+    n, c = klass.n, klass.c
+    width = (2 * klass.degree_total).bit_length() + 1
+    fields = [(k, 2 * c - 2 + 3 * k - k * k) for k in range(2, n)]
+    fields = [(k, low) for k, low in fields if low > 0]  # each k that can fail, with its L_k
+    guards = sum(1 << j * width + width - 1 for j in range(len(fields)))
+    needs = sum(low << j * width for j, (_, low) in enumerate(fields))
+    # Row p is row p - 1 plus `step`: each entry d's g_k(d), in its field, for each k below p.
+    table, step = [[0] * n], [0] * n
+    for p in range(1, n + 1):
+        for j, (k, _) in enumerate(fields):
+            if k == p - 1:
+                step = [s + (d + min(d, k) - 2 << j * width) for d, s in enumerate(step)]
+        table.append(list(map(add, table[-1], step)))
+    return table, guards, needs
 
 
 def candidate_sequences(n: int, total: int) -> Iterator[tuple]:
@@ -599,7 +640,7 @@ class ClassWalk:
     """What :func:`walk_class` finds over the candidates of a class."""
 
     candidates: int
-    failures: tuple  # (runs, counting, inequalities, graphical) wherever the three tests disagree
+    failures: tuple  # (runs, counting, inequalities, graphical by the slack) where they disagree
     members: int
     extremality: Optional[ExtremalityReport]  # None when no family was given
     extremes: tuple  # an indices.Extremes per index, over the members
@@ -612,14 +653,16 @@ def walk_class(
 ) -> ClassWalk:
     """The oracle over a class in one walk of its candidates, holding no population.
 
-    Each candidate gets :func:`validate_runs` and the Erdos-Gallai core
-    :func:`_erdos_gallai`, which is exact here: the walk fixes the order and
-    the class total, and :func:`validate_runs` the degree range, so the
-    screen of :func:`is_graphical` would pass every candidate.  The members
-    are the candidates the core accepts.  Where the tables have a row for
-    c (c <= 6), each candidate also gets the counting form and the
-    inequalities, compiled once per walk (:func:`_class_tables`), and a
-    disagreement among the three verdicts is recorded.  With ``family``,
+    Each candidate gets :func:`validate_runs` and the Erdos-Gallai verdict
+    of its packed slack, which each push updates (:func:`_slack_tables`).
+    That verdict is :func:`is_graphical`'s: the walk fixes the order and the
+    class total, and :func:`validate_runs` the degree range, so its screen
+    would pass every candidate, and on those the lemma of
+    :func:`_slack_tables` is Erdos-Gallai.  The members are the candidates
+    it accepts (``graphical``).  Where the tables have a row for c (c <= 6),
+    each candidate also gets the counting form and the inequalities,
+    compiled once per walk (:func:`_class_tables`), and a disagreement
+    among the three verdicts is recorded.  With ``family``,
     the walk makes the family's :class:`ExtremalityReport` over the members
     (see :class:`_Walk`).  For each of ``indices`` it keeps the
     :class:`~ccyclic.indices.Extremes` of the members' ranking keys; with
@@ -635,36 +678,37 @@ def walk_class(
     check_cap(klass, cap)
     walk = _Walk(klass, family, indices, spread)
     # The empty prefix holds every bit of the mask (-1).
-    walk.below(klass.n, klass.degree_total, klass.n - 1, (), walk.verdicts, -1, 0, 1)
+    walk.below(klass.n, klass.degree_total, klass.n - 1, (), walk.verdicts, -1, 0, 1, 0)
     return walk.result()
 
 
 class _Walk:
     """The constants and tallies of one :func:`walk_class`; :meth:`below` is the recursion.
 
-    A push of a run ``(value, count)`` onto the candidate stack moves the
-    run's end from position ``a`` to ``b`` and the prefix sum from ``start``
-    to ``s``, and updates the state its whole subtree shares: the head the
-    two tables read (their verdicts once it is complete), the index keys
-    (only when an index is ranked), and one mask of bits of the family's
-    vectors, each a candidate of the class: a vector's up bit is held while
-    its prefix sums are at least the member's, its down bit while they are
-    at most.  Within a member's run its prefix sums are linear and the
-    vector's are concave, bending only where its entries fall, so the up bit
-    is tested at the member's run ends and the down bit there and at the
-    vector's falls.  A member is covered when a maximal's up bit is held,
-    strictly majorizes each maximal whose down bit alone is held, and lies
-    below the minimal when the minimal's down bit is not held.  A push that
-    leaves a rest of all ones pushes that run too, a pair shared by every
-    leaf (``ones``): it completes the head and adds its keys, and tests no
-    bit, as a vector's prefix sums gain at least the member's 1 a step there
-    and both end at the total.  Either way a full stack reaches the one leaf
-    block, with no call of its own, and becomes a tuple only where its runs
-    are kept.  Most members would move an exact extreme, as the balanced
-    sequence (:func:`_balanced_runs`) comes last: its key seeds each, when
-    it is a (spread) member.  A member strictly inside all exact extremes of
-    its set skips them (:func:`_packed_bounds`); a spread member's set is
-    the spread one, whose interval lies inside the other's.
+    A push of a run ``(value, count)`` onto the candidate stack moves the run's
+    end from position ``a`` to ``b`` and the prefix sum from ``start`` to
+    ``s``, and updates the state its whole subtree shares: the head the two
+    tables read (their verdicts once it is complete), the Erdos-Gallai slack
+    (:func:`_slack_tables`: one table difference, so the leaf's verdict is one
+    guard-bit test), the index keys (only when an index is ranked), and one
+    mask of bits of the family's vectors, each a candidate of the class: a
+    vector's up bit is held while its prefix sums are at least the member's,
+    its down bit while they are at most.  Within a member's run its prefix sums
+    are linear and the vector's are concave, bending only where its entries
+    fall, so the up bit is tested at the member's run ends and the down bit
+    there and at the vector's falls.  A member is covered when a maximal's up
+    bit is held, strictly majorizes each maximal whose down bit alone is held,
+    and lies below the minimal when the minimal's down bit is not held.  A push
+    that leaves a rest of all ones pushes that run too, a pair shared by every
+    leaf (``ones``): it completes the head and adds its keys, adds no slack,
+    and tests no bit, as a vector's prefix sums gain at least the member's 1 a
+    step there and both end at the total.  Either way a full stack reaches the
+    one leaf block, with no call of its own, and becomes a tuple only where its
+    runs are kept.  Most members would move an exact extreme, as the balanced
+    sequence (:func:`_balanced_runs`) comes last: its key seeds each, when it
+    is a (spread) member.  A member strictly inside all exact extremes of its
+    set skips them (:func:`_packed_bounds`); a spread member's set is the
+    spread one, whose interval lies inside the other's.
     """
 
     def __init__(self, klass: CyclomaticClass, family, indices, spread: bool):
@@ -741,16 +785,17 @@ class _Walk:
         self.constants = (
             n, total, [], {}, ones, min(_HEAD_SIZE, n), conditions, rows, prefix, kinks, packed,
             product_table, bool(indices), product_shift, ranks, spread_ranks, most_ones, family,
-            maximal_up, maximal_down,
+            maximal_up, maximal_down, *_slack_tables(klass),
         )
 
-    def below(self, slots, remaining, bound, head, verdicts, mask, keys, product):
+    def below(self, slots, remaining, bound, head, verdicts, mask, keys, product, slack):
         """Push each run :func:`_run_choices` allows (the memo read inline), then the runs below."""
         (n, total, stack, choices, ones, head_size, conditions, rows, prefix, kink_table, packed,
          product_table, ranked, product_shift, ranks, spread_ranks, most_ones, family, maximal_up,
-         maximal_down) = self.constants
+         maximal_down, slack_table, slack_guards, slack_needs) = self.constants
         depth, a, start = len(stack), n - slots, total - remaining
         tested, kinks = kink_table[a]
+        slack_here = slack_table[a]
         room = head_size - a  # entries the head still lacks
         key = (slots, remaining, bound)
         leaves = members = 0
@@ -773,6 +818,7 @@ class _Walk:
                         break
                     if run_mask & bits:
                         run_mask &= prefix[k][start + value * (k - a)]
+            run_slack = slack + slack_table[b][value] - slack_here[value]  # a rest of ones adds 0
             run_keys, run_product = keys, product
             if ranked:  # a rest of all ones leaves the degree product as it is
                 run_keys += count * packed[value] + (rest * packed[1] if rest == left else 0)
@@ -780,15 +826,15 @@ class _Walk:
             stack.append(pair)
             if rest != left:
                 self.below(rest, left, value - 1, run_head, run_verdicts, run_mask, run_keys,
-                           run_product)
+                           run_product, run_slack)
                 stack.pop()
                 continue
             if rest:  # the rest is all ones, its one choice: pushed here, not in a call
                 stack.append(ones[rest])
-            # The leaf.  The walk keeps to the class total, which is even: only the core is left.
+            # The leaf.  A valid candidate of the class is graphical when its slack holds.
             leaves += 1
             validate_runs(stack, n)
-            graphical = _erdos_gallai(stack, n)
+            graphical = (run_slack | slack_guards) - slack_needs & slack_guards == slack_guards
             runs = ()  # the candidate as a tuple, made where it is kept
             if run_verdicts and run_verdicts != ((False, False), (True, True))[graphical]:
                 runs = tuple(stack)

@@ -683,6 +683,24 @@ class TestVerify:
             assert (code, out) == (1, "")
             assert err == "error: --cap must be nonnegative, got -1\n"
 
+    def test_negative_order_is_a_usage_error(self, capsys):
+        for argv, flag, value in (
+            (["verify", "--n", "-4"], "--n", -4),
+            (["verify", "--n-max", "-1", "--conjecture", "--c", "7"], "--n-max", -1),
+            (["verify", "--n", "-1", "--cap", "-1"], "--n", -1),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), argv
+            assert err == f"error: {flag} must be nonnegative, got {value}\n"
+
+    def test_orders_below_the_least_order_check_nothing(self, capsys):
+        # From 0 up to below the least order no class exists: nothing is checked.
+        for argv in (["--n", "0"], ["--n", "2", "--c", "1"], ["--n-max", "0"]):
+            assert run(capsys, "verify", *argv) == (
+                0, "summary: 0 checks, 0 ok, 0 mismatched, skipped=no\n", ""
+            ), argv
+        assert run(capsys, "verify", "--n-max", "5", "--conjecture", "--c", "7") == (0, "", "")
+
     def test_enumerates_each_class_once(self, capsys, monkeypatch):
         # A class is enumerated by the candidate generator or by one walk.
         generate, walk = degree_sequences.candidate_sequences, degree_sequences.walk_class

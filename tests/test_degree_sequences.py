@@ -164,7 +164,7 @@ class TestGraphical:
 
     @pytest.mark.parametrize("c", range(16))
     def test_core_matches_on_every_class_candidate(self, c):
-        # The walk's leaves run the core alone, on candidates of order n and the class total.
+        # The core without its screen, on candidates of order n and the class total.
         for n in range(min_order(c), 15):
             for runs in class_candidates(CyclomaticClass(c=c, n=n), n):
                 expected = textbook_is_graphical(expand_runs(runs))

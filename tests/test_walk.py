@@ -20,6 +20,7 @@ from ccyclic.degree_sequences import (
     class_candidates,
     enumerate_sequences,
     extremal_family,
+    is_graphical,
     min_order,
     parametric_extremal_family,
     walk_class,
@@ -453,6 +454,27 @@ class TestWalkMatchesSeparatePasses:
         with pytest.raises(ValueError, match="every run needs a positive length"):
             walk_class(CyclomaticClass(c=3, n=8), 8)
 
+    @pytest.mark.parametrize("c, n", [(0, 10), (1, 10), (3, 11), (6, 12), (7, 12), (15, 14)])
+    def test_no_erdos_gallai_call(self, monkeypatch, c, n):
+        # The packed slack decides every leaf: the core, made to raise, is never reached.
+        klass = CyclomaticClass(c=c, n=n)
+        if c <= 6:
+            count, failures, population = reference_equivalence_check(klass, n)
+        else:
+            count, failures = sum(1 for _ in class_candidates(klass, n)), []
+            population = enumerate_sequences(klass, n)
+
+        def called(runs, n):
+            raise AssertionError("the walk called _erdos_gallai")
+
+        monkeypatch.setattr(degree_sequences, "_erdos_gallai", called)
+        walk = walk_class(klass, n)
+        assert (walk.candidates, walk.failures, walk.members) == (
+            count, tuple(failures), len(population)
+        )
+        with pytest.raises(AssertionError, match="called _erdos_gallai"):
+            is_graphical(population[0])
+
     def test_cap_refused_before_the_walk_starts(self, monkeypatch):
         def started(*args):
             raise AssertionError("the walk started")
@@ -571,6 +593,89 @@ class TestForcedOnes:
         held = [runs[-1] for runs in kept]
         ones = {pair: id(pair) for pair in held if pair[0] == 1}
         assert ones and all(id(pair) == ones[pair] for pair in held if pair[0] == 1)
+
+
+def slack_holds(slack, guards, needs):
+    """The leaf's one test of a candidate's packed Erdos-Gallai slack: every R_k >= L_k."""
+    return (slack | guards) - needs & guards == guards
+
+
+def packed_slack(runs, table):
+    """A candidate's packed slack, summed from the table differences its runs push."""
+    slack = a = 0
+    for value, count in runs:
+        slack += table[a + count][value] - table[a][value]
+        a += count
+    return slack
+
+
+def check_slack_agreement(c_max, n_max):
+    """``(classes, candidates)``: on every candidate of each class with c <= ``c_max`` and
+    n <= ``n_max``, the packed slack decides what :func:`is_graphical` decides."""
+    classes = candidates = 0
+    for c in range(c_max + 1):
+        for n in range(min_order(c), n_max + 1):
+            klass = CyclomaticClass(c=c, n=n)
+            table, guards, needs = degree_sequences._slack_tables(klass)
+            classes += 1
+            for runs in class_candidates(klass, n):
+                candidates += 1
+                assert slack_holds(packed_slack(runs, table), guards, needs) == is_graphical(
+                    runs
+                ), (c, n, runs)
+    return classes, candidates
+
+
+class TestPackedSlack:
+    """The class's Erdos-Gallai slack, packed one field per k that can fail, decides
+    membership by one guard-bit test."""
+
+    def test_every_candidate_to_14(self):
+        assert check_slack_agreement(15, 14) == (153, 205845)
+
+    @pytest.mark.parametrize("c", range(16))
+    def test_each_field_at_its_need(self, c):
+        # Field j keeps its guard at R_k = L_k and at its largest value, and
+        # loses it at L_k - 1, with every other field at 0 or at its largest
+        # value: each other field keeps its guard as it would alone, so no
+        # borrow crosses a field, and the test holds when every guard is kept.
+        for n in (min_order(c), min_order(c) + 1, 20):
+            klass = CyclomaticClass(c=c, n=n)
+            _, guards, needs = degree_sequences._slack_tables(klass)
+            width = (2 * klass.degree_total).bit_length() + 1
+            lows = [2 * c - 2 + 3 * k - k * k for k in range(2, n)]
+            lows = [low for low in lows if low > 0]
+            assert guards == sum(1 << j * width + width - 1 for j in range(len(lows)))
+            assert needs == sum(low << j * width for j, low in enumerate(lows))
+            top = (1 << width - 1) - 1  # the largest value below the guard
+            assert 2 * klass.degree_total <= top
+            for j, low in enumerate(lows):
+                guard = 1 << j * width + width - 1
+                for others in (0, top):
+                    rest = sum(others << i * width for i in range(len(lows)) if i != j)
+                    kept = sum(  # the other fields' guards that hold alone
+                        1 << i * width + width - 1
+                        for i, other in enumerate(lows) if i != j and others >= other
+                    )
+                    for value, holds in ((low, True), (low - 1, False), (top, True)):
+                        slack = rest + (value << j * width)
+                        where = (c, n, j, others, value)
+                        assert (slack | guards) - needs & guards == kept + guard * holds, where
+                        assert slack_holds(slack, guards, needs) is (
+                            holds and kept + guard == guards
+                        ), where
+            assert slack_holds(0, guards, needs) is (not lows)  # a slack of 0 fails any field
+
+    def test_the_fields_that_can_fail(self):
+        # L_2 = 2c, so a tree has no field, and the last k with L_k > 0 is 4 at
+        # c = 6 and 6 at c = 15: one field for each k from 2.
+        for c, fields in ((0, 0), (1, 1), (6, 3), (15, 5)):
+            guards = degree_sequences._slack_tables(CyclomaticClass(c=c, n=30))[1]
+            assert bin(guards).count("1") == fields, c
+
+    def test_a_final_run_of_ones_adds_nothing(self):
+        table = degree_sequences._slack_tables(CyclomaticClass(c=15, n=22))[0]
+        assert all(row[1] == 0 for row in table)
 
 
 def packed_inside(bounds, key, degree_product):

@@ -39,12 +39,14 @@ population, whose every push of a run updates the state its subtree shares
 full stack reaches one leaf block there, by no call of its own: the
 candidate gets :func:`validate_runs`, the verdicts of the tables, compiled
 once per walk (:func:`_class_tables`), and the Erdos-Gallai verdict, one
-test of the class's slack that each push carries (:func:`_slack_tables`),
-with no call of :func:`is_graphical`.  Extremality is one prefix-sum rule:
-each push carries whether the prefix sums of each vector of the family still
-lie above the member's, and whether below, and a member's verdicts are read
-off those bits (see :class:`_Walk`).  Exact index extremes start at the
-balanced member's key, and one packed test skips them.
+test of the class's slack, with no call of :func:`is_graphical`.  Each push
+carries that slack and the exact index keys in one int, from one table
+(:func:`_slack_tables`).  Extremality is one prefix-sum rule: each push
+carries whether the prefix sums of each vector of the family still lie
+above the member's, and whether below, and a member's verdicts are read off
+those bits (see :class:`_Walk`).  Exact index extremes start at the
+balanced member's key, read off the same table, and one packed test skips
+them.
 
 Index-notation caveat: two of the published block descriptions carry
 overlapping subscripts for where the "degree >= 2" block ends; the counting
@@ -293,7 +295,7 @@ def _erdos_gallai(runs, n: int) -> bool:
     return True
 
 
-def _slack_tables(klass: CyclomaticClass) -> tuple:
+def _slack_tables(klass: CyclomaticClass, keys=(), shift: int = 0) -> tuple:
     """``(table, G, L)``: the Erdos-Gallai slack of the class, packed for :class:`_Walk`.
 
     The lemma: a positive sequence d_1 >= ... >= d_n with the class total
@@ -310,26 +312,31 @@ def _slack_tables(klass: CyclomaticClass) -> tuple:
     from the class's least order on, so each such k lies below n.
 
     Field j of a packed slack holds R_k for the j-th such k, in
-    w = (2 total).bit_length() + 1 bits, the top one a guard (G holds the
-    guards, L each L_k in its field).  ``table[p][d]`` is the sum over j of
-    max(0, p - k_j) g_{k_j}(d) << j w, so a run of d from position a to b
-    adds ``table[b][d] - table[a][d]``.  As R_k <= 2 total < 2^(w-1) and
-    L_k <= 2c, ``(slack | G) - L & G == G`` keeps every guard, with no
-    borrow across a field, exactly when each R_k >= L_k: when the sequence
-    is graphical.
+    w = (2 total).bit_length() + 1 bits from bit ``shift`` + j w, the top
+    one a guard (G holds the guards, L each L_k in its field).
+    ``table[p][d]`` is p ``keys[d]`` (each entry's packed key, which takes
+    the bits below ``shift``; none by default) plus the sum over j of
+    max(0, p - k_j) g_{k_j}(d) in field j, so a run of d from position a to
+    b adds ``table[b][d] - table[a][d]`` to the keys and the slack at once.
+    As R_k <= 2 total < 2^(w-1) and L_k <= 2c, ``(slack | G) - L & G == G``
+    keeps every guard, with no borrow across a field, exactly when each
+    R_k >= L_k: when the sequence is graphical.  The keys below ``shift``
+    leave that verdict as it is, as L has no bit there, and the slack leaves
+    theirs (:func:`_packed_bounds`), as the low bits of a difference depend
+    on no higher bit.
     """
     n, c = klass.n, klass.c
     width = (2 * klass.degree_total).bit_length() + 1
     fields = [(k, 2 * c - 2 + 3 * k - k * k) for k in range(2, n)]
     fields = [(k, low) for k, low in fields if low > 0]  # each k that can fail, with its L_k
-    guards = sum(1 << j * width + width - 1 for j in range(len(fields)))
-    needs = sum(low << j * width for j, (_, low) in enumerate(fields))
-    # Row p is row p - 1 plus `step`: each entry d's g_k(d), in its field, for each k below p.
-    table, step = [[0] * n], [0] * n
+    guards = sum(1 << shift + j * width + width - 1 for j in range(len(fields)))
+    needs = sum(low << shift + j * width for j, (_, low) in enumerate(fields))
+    # Row p is row p - 1 plus `step`: each entry d's key, and its g_k(d) for each k below p.
+    table, step = [[0] * n], [*keys] or [0] * n
     for p in range(1, n + 1):
         for j, (k, _) in enumerate(fields):
             if k == p - 1:
-                step = [s + (d + min(d, k) - 2 << j * width) for d, s in enumerate(step)]
+                step = [s + (d + min(d, k) - 2 << shift + j * width) for d, s in enumerate(step)]
         table.append(list(map(add, table[-1], step)))
     return table, guards, needs
 
@@ -582,10 +589,10 @@ class ExtremalityReport:
 
     ``ok`` says the candidates are genuine extremal elements: members of the
     class, pairwise incomparable maximals, no enumerated sequence strictly
-    majorizing any maximal, and the minimal (when defined) minorizing every
-    enumerated sequence.  ``complete`` also asks every enumerated sequence to
-    lie below some maximal, which the closed-form patterns need not achieve
-    (already for c = 6 a fourth maximal exists beyond the three closed forms).
+    majorizing any maximal, and the minimal minorizing every enumerated
+    sequence.  ``complete`` also asks every enumerated sequence to lie below
+    some maximal, which the closed-form patterns need not achieve (already
+    for c = 6 a fourth maximal exists beyond the three closed forms).
     Sequences in the report are maximal runs.
     """
 
@@ -654,7 +661,8 @@ def walk_class(
     """The oracle over a class in one walk of its candidates, holding no population.
 
     Each candidate gets :func:`validate_runs` and the Erdos-Gallai verdict
-    of its packed slack, which each push updates (:func:`_slack_tables`).
+    of its packed slack, which each push updates with its index keys
+    (:func:`_slack_tables`).
     That verdict is :func:`is_graphical`'s: the walk fixes the order and the
     class total, and :func:`validate_runs` the degree range, so its screen
     would pass every candidate, and on those the lemma of
@@ -678,7 +686,7 @@ def walk_class(
     check_cap(klass, cap)
     walk = _Walk(klass, family, indices, spread)
     # The empty prefix holds every bit of the mask (-1).
-    walk.below(klass.n, klass.degree_total, klass.n - 1, (), walk.verdicts, -1, 0, 1, 0)
+    walk.below(klass.n, klass.degree_total, klass.n - 1, (), walk.verdicts, -1, 0, 1)
     return walk.result()
 
 
@@ -688,10 +696,11 @@ class _Walk:
     A push of a run ``(value, count)`` onto the candidate stack moves the run's
     end from position ``a`` to ``b`` and the prefix sum from ``start`` to
     ``s``, and updates the state its whole subtree shares: the head the two
-    tables read (their verdicts once it is complete), the Erdos-Gallai slack
-    (:func:`_slack_tables`: one table difference, so the leaf's verdict is one
-    guard-bit test), the index keys (only when an index is ranked), and one
-    mask of bits of the family's vectors, each a candidate of the class: a
+    tables read (their verdicts once it is complete), one int that holds the
+    exact index keys and the Erdos-Gallai slack above them (one difference of
+    the walk's table, :func:`_slack_tables`, so the leaf's verdict is one
+    guard-bit test), the degree product (only when an index is ranked), and
+    one mask of bits of the family's vectors, each a candidate of the class: a
     vector's up bit is held while its prefix sums are at least the member's,
     its down bit while they are at most.  Within a member's run its prefix sums
     are linear and the vector's are concave, bending only where its entries
@@ -705,10 +714,14 @@ class _Walk:
     step there and both end at the total.  Either way a full stack reaches the
     one leaf block, with no call of its own, and becomes a tuple only where its
     runs are kept.  Most members would move an exact extreme, as the balanced
-    sequence (:func:`_balanced_runs`) comes last: its key seeds each, when it
-    is a (spread) member.  A member strictly inside all exact extremes of its
-    set skips them (:func:`_packed_bounds`); a spread member's set is the
-    spread one, whose interval lies inside the other's.
+    sequence (:func:`_balanced_runs`) comes last: pushed through the same
+    table, its key seeds each when the leaf's own slack test admits it, so
+    when it is a member the walk adds later (a spread one for the spread
+    extremes).  A member strictly inside all exact extremes of its set skips
+    them (:func:`_packed_bounds`), a test that reads only the key bits; a
+    spread member's set is the spread one, whose interval lies inside the
+    other's.  A member that does not skip them puts its degree product above
+    the slack's top guard, and each key is read off its field.
     """
 
     def __init__(self, klass: CyclomaticClass, family, indices, spread: bool):
@@ -720,17 +733,21 @@ class _Walk:
         self.candidates = self.members = 0
         self.failures, self.uncovered, self.below_minimal, self.witnesses = [], [], [], {}
         ones = [(1, k) for k in range(n + 1)]  # shared: a leaf's runs hold these pairs
-        # The exact sum keys travel packed in one int, a field of `width` bits
-        # each and a 0 guard bit: a key is at most n times its largest term, so
-        # no field carries into the next.  Product keys share one table (d -> d),
-        # so they are one key, which a leaf puts above the fields.  Float keys
-        # are summed at the leaf, as `evaluate` sums them.
+        # The exact sum keys travel packed in the low bits of one int, a field
+        # of `width` bits each and a 0 guard bit: a key is at most n times its
+        # largest term, so no field carries into the next.  The class's slack
+        # sits above them, and one table pushes both (`_slack_tables`).
+        # Product keys share one table (d -> d), so they are one key, which a
+        # leaf puts above the slack's top guard.  Float keys are summed at the
+        # leaf, as `evaluate` sums them.
         tables = [key_table(index, n - 1) for index in indices]
         exact = [t for t, product in tables if not (product or isinstance(t[1], float))]
         width = max((n * max(table)).bit_length() for table in exact) if exact else 0
         packed = [sum(t[d] << i * (width + 1) for i, t in enumerate(exact)) for d in range(n)]
         product_table = next((table for table, product in tables if product), [1] * n)
-        product_shift = len(exact) * (width + 1)
+        key_bits = len(exact) * (width + 1)
+        pushes, slack_guards, slack_needs = self.layout = _slack_tables(klass, packed, key_bits)
+        product_shift = slack_guards.bit_length() or key_bits  # above the slack's top guard
         self.extremes = tuple(Extremes() for _ in indices)
         ranks = _ranks(tables, self.extremes, width, product_shift)
         self.spread = tuple(Extremes() for _ in indices) if spread else ()
@@ -739,9 +756,10 @@ class _Walk:
         self.sets = ((ranks, ranks[0]), (spread_ranks, more[0]))  # bounds of its own fields
         most_ones = n - klass.c - 2 if spread else -1  # in a spread member
         balanced = _balanced_runs(n, total)  # the last candidate, ranked when it is a member
-        if indices and is_graphical(balanced):
-            key = sum(m * packed[d] for d, m in balanced)
-            key += prod(product_table[d] ** m for d, m in balanced) << product_shift
+        # Its pushes, an entry at a time, then the leaf's own test of its slack.
+        state = sum(pushes[i + 1][d] - pushes[i][d] for i, d in enumerate(expand_runs(balanced)))
+        if indices and (state | slack_guards) - slack_needs & slack_guards == slack_guards:
+            key = state + (prod(product_table[d] ** m for d, m in balanced) << product_shift)
             spread_member = (balanced[-1][1] if balanced[-1][0] == 1 else 0) <= most_ones
             for shift, field, extremes in ranks[0] + (more[0] if spread_member else []):
                 extremes.seed(key >> shift & field)
@@ -781,21 +799,21 @@ class _Walk:
         # Two maximals are comparable when no prefix sum of the one is above the other's.
         self.incomparable = not any(all(map(le, a, b)) for a, b in permutations(sums[:m], 2))
         # What `below` reads, unpacked at once per call.  With no index ranked
-        # a push carries no keys and a leaf ranks nothing.
+        # the state is the slack alone and a leaf ranks nothing.
         self.constants = (
-            n, total, [], {}, ones, min(_HEAD_SIZE, n), conditions, rows, prefix, kinks, packed,
+            n, total, [], {}, ones, min(_HEAD_SIZE, n), conditions, rows, prefix, kinks, packed[1],
             product_table, bool(indices), product_shift, ranks, spread_ranks, most_ones, family,
-            maximal_up, maximal_down, *_slack_tables(klass),
+            maximal_up, maximal_down, pushes, slack_guards, slack_needs,
         )
 
-    def below(self, slots, remaining, bound, head, verdicts, mask, keys, product, slack):
+    def below(self, slots, remaining, bound, head, verdicts, mask, state, product):
         """Push each run :func:`_run_choices` allows (the memo read inline), then the runs below."""
-        (n, total, stack, choices, ones, head_size, conditions, rows, prefix, kink_table, packed,
+        (n, total, stack, choices, ones, head_size, conditions, rows, prefix, kink_table, one,
          product_table, ranked, product_shift, ranks, spread_ranks, most_ones, family, maximal_up,
-         maximal_down, slack_table, slack_guards, slack_needs) = self.constants
+         maximal_down, pushes, slack_guards, slack_needs) = self.constants
         depth, a, start = len(stack), n - slots, total - remaining
         tested, kinks = kink_table[a]
-        slack_here = slack_table[a]
+        here = pushes[a]
         room = head_size - a  # entries the head still lacks
         key = (slots, remaining, bound)
         leaves = members = 0
@@ -818,23 +836,22 @@ class _Walk:
                         break
                     if run_mask & bits:
                         run_mask &= prefix[k][start + value * (k - a)]
-            run_slack = slack + slack_table[b][value] - slack_here[value]  # a rest of ones adds 0
-            run_keys, run_product = keys, product
+            run_state, run_product = state + pushes[b][value] - here[value], product
             if ranked:  # a rest of all ones leaves the degree product as it is
-                run_keys += count * packed[value] + (rest * packed[1] if rest == left else 0)
                 run_product *= product_table[value] ** count
             stack.append(pair)
             if rest != left:
-                self.below(rest, left, value - 1, run_head, run_verdicts, run_mask, run_keys,
-                           run_product, run_slack)
+                self.below(rest, left, value - 1, run_head, run_verdicts, run_mask, run_state,
+                           run_product)
                 stack.pop()
                 continue
             if rest:  # the rest is all ones, its one choice: pushed here, not in a call
                 stack.append(ones[rest])
+                run_state += rest * one  # its keys, as a run of ones adds no slack
             # The leaf.  A valid candidate of the class is graphical when its slack holds.
             leaves += 1
             validate_runs(stack, n)
-            graphical = (run_slack | slack_guards) - slack_needs & slack_guards == slack_guards
+            graphical = (run_state | slack_guards) - slack_needs & slack_guards == slack_guards
             runs = ()  # the candidate as a tuple, made where it is kept
             if run_verdicts and run_verdicts != ((False, False), (True, True))[graphical]:
                 runs = tuple(stack)
@@ -857,12 +874,12 @@ class _Walk:
                     if (stack[-1][1] if stack[-1][0] == 1 else 0) <= most_ones:
                         fields, floats, bounds = spread_ranks
                     low, high, guards, product_low, product_high = bounds
-                    if ((run_keys | guards) - low & high - run_keys & guards != guards
+                    if ((run_state | guards) - low & high - run_state & guards != guards
                             or not product_low < run_product < product_high):
-                        run_keys += run_product << product_shift  # the exact key, whole
+                        run_state += run_product << product_shift  # the exact key, whole
                         runs = runs or tuple(stack)
                         for shift, field, extremes in fields:
-                            extremes.add(run_keys >> shift & field, runs)
+                            extremes.add(run_state >> shift & field, runs)
                         self.rebound()
                     for table, extremes in floats:
                         runs = runs or tuple(stack)
@@ -877,20 +894,18 @@ class _Walk:
             ranks[2] = _packed_bounds(fields)
 
     def result(self) -> ClassWalk:
-        report = None
-        if self.family is not None:
-            report = ExtremalityReport(
-                c=self.klass.c,
-                n=self.n,
-                sequence_count=self.members,
-                members_valid=all(map(is_graphical, self.vectors)),
-                pairwise_incomparable=self.incomparable,
-                not_below_any_maximal=tuple(self.uncovered),
-                dominated_patterns=tuple(
-                    (top, self.witnesses[top]) for top in self.tops if top in self.witnesses
-                ),
-                not_above_minimal=tuple(self.below_minimal),
-            )
+        report = None if self.family is None else ExtremalityReport(
+            c=self.klass.c,
+            n=self.n,
+            sequence_count=self.members,
+            members_valid=all(map(is_graphical, self.vectors)),
+            pairwise_incomparable=self.incomparable,
+            not_below_any_maximal=tuple(self.uncovered),
+            dominated_patterns=tuple(
+                (top, self.witnesses[top]) for top in self.tops if top in self.witnesses
+            ),
+            not_above_minimal=tuple(self.below_minimal),
+        )
         return ClassWalk(
             self.candidates, tuple(self.failures), self.members, report, self.extremes, self.spread
         )

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
+from math import prod
 from operator import ge
 
 import pytest
@@ -25,7 +26,7 @@ from ccyclic.degree_sequences import (
     parametric_extremal_family,
     walk_class,
 )
-from ccyclic.indices import Extremes, IndexSpec
+from ccyclic.indices import Extremes, IndexSpec, key_table
 from ccyclic.majorization import expand_runs, runs_of
 
 from oracles import (
@@ -600,30 +601,76 @@ def slack_holds(slack, guards, needs):
     return (slack | guards) - needs & guards == guards
 
 
-def packed_slack(runs, table):
-    """A candidate's packed slack, summed from the table differences its runs push."""
-    slack = a = 0
+def pushed_state(runs, table):
+    """A candidate's packed keys and slack, summed from the table differences its runs push."""
+    state = a = 0
     for value, count in runs:
-        slack += table[a + count][value] - table[a][value]
+        state += table[a + count][value] - table[a][value]
         a += count
-    return slack
+    return state
+
+
+def walk_layout(klass, indices=VERIFY_INDICES):
+    """``(table, guards, needs, keys)``: the push table a walk of the class builds for
+    ``indices``, its slack's guards and needs, and each exact sum key's ``(shift, mask,
+    terms)``, read off the walk's own fields."""
+    walk = degree_sequences._Walk(klass, None, indices, False)
+    index_of = {id(extremes): i for i, extremes in enumerate(walk.extremes)}
+    keys = [
+        (shift, mask, key_table(indices[index_of[id(extremes)]], klass.n - 1)[0])
+        for shift, mask, extremes in walk.sets[0][1]  # the fields of the members' set
+        if mask >= 0  # the degree product is put above the slack at the leaf, not pushed
+    ]
+    return (*walk.layout, keys)
 
 
 def check_slack_agreement(c_max, n_max):
     """``(classes, candidates)``: on every candidate of each class with c <= ``c_max`` and
-    n <= ``n_max``, the packed slack decides what :func:`is_graphical` decides."""
+    n <= ``n_max``, the state summed from the push table a walk builds for
+    ``VERIFY_INDICES`` holds each exact key in its field, as the sum of its terms, and a
+    slack above them that decides what :func:`is_graphical` decides."""
     classes = candidates = 0
     for c in range(c_max + 1):
         for n in range(min_order(c), n_max + 1):
             klass = CyclomaticClass(c=c, n=n)
-            table, guards, needs = degree_sequences._slack_tables(klass)
+            table, guards, needs, keys = walk_layout(klass)
             classes += 1
             for runs in class_candidates(klass, n):
                 candidates += 1
-                assert slack_holds(packed_slack(runs, table), guards, needs) == is_graphical(
-                    runs
-                ), (c, n, runs)
+                state = pushed_state(runs, table)
+                assert slack_holds(state, guards, needs) == is_graphical(runs), (c, n, runs)
+                for shift, mask, terms in keys:
+                    assert state >> shift & mask == sum([m * terms[d] for d, m in runs]), (
+                        c, n, runs, shift
+                    )
     return classes, candidates
+
+
+class TestBalancedSeed:
+    """Every ranked walk seeds its exact extremes with the balanced member's key."""
+
+    def test_the_balanced_sequence_is_graphical(self):
+        for c in range(41):
+            for n in range(min_order(c), 121):
+                balanced = degree_sequences._balanced_runs(n, 2 * (n + c - 1))
+                assert is_graphical(balanced), (c, n)
+
+    def test_the_walk_admits_and_seeds_it(self):
+        # The leaf's own guard test on the walk's table admits the balanced
+        # sequence, and each exact extreme starts at its key.
+        for c in range(16):
+            for n in range(min_order(c), 41):
+                klass = CyclomaticClass(c=c, n=n)
+                balanced = degree_sequences._balanced_runs(n, klass.degree_total)
+                walk = degree_sequences._Walk(klass, None, VERIFY_INDICES, False)
+                table, guards, needs = walk.layout
+                assert slack_holds(pushed_state(balanced, table), guards, needs), (c, n)
+                for index, extremes in zip(VERIFY_INDICES, walk.extremes):
+                    terms, multiplies = key_table(index, n - 1)
+                    key = (prod if multiplies else sum)(
+                        terms[d] ** m if multiplies else m * terms[d] for d, m in balanced
+                    )
+                    assert extremes.low == extremes.high == key, (c, n, index)
 
 
 class TestPackedSlack:
@@ -674,8 +721,88 @@ class TestPackedSlack:
             assert bin(guards).count("1") == fields, c
 
     def test_a_final_run_of_ones_adds_nothing(self):
-        table = degree_sequences._slack_tables(CyclomaticClass(c=15, n=22))[0]
-        assert all(row[1] == 0 for row in table)
+        # Nothing to its slack: the walk's table grows only the keys of a 1,
+        # which sit below the slack's fields.
+        klass = CyclomaticClass(c=15, n=22)
+        assert all(row[1] == 0 for row in degree_sequences._slack_tables(klass)[0])
+        table, guards, needs, keys = walk_layout(klass)
+        key_bits = sum(mask.bit_length() + 1 for _, mask, _ in keys)
+        assert keys and guards and all(row[1] >> key_bits == 0 for row in table)
+        assert all(row[1] == p * table[1][1] for p, row in enumerate(table))
+        assert [table[1][1] >> shift & mask for shift, mask, _ in keys] == [
+            terms[1] for _, _, terms in keys
+        ]
+
+
+class TestOneState:
+    """The walk carries its exact keys and the class's slack in one int: the keys in
+    the low bits, as ``_ranks`` lays them out, the slack directly above, and, at a
+    leaf that ranks, the degree product above the slack's top guard."""
+
+    @pytest.mark.parametrize("c, n", [(0, 9), (1, 3), (6, 8), (6, 20), (15, 7), (15, 22)])
+    def test_the_layout(self, c, n):
+        klass = CyclomaticClass(c=c, n=n)
+        walk = degree_sequences._Walk(klass, None, VERIFY_INDICES, False)
+        fields = walk.sets[0][1]  # the fields of the members' set
+        ((product_shift, _, _),) = [field for field in fields if field[1] < 0]
+        sums = [(shift, mask) for shift, mask, _ in fields if mask >= 0]
+        width = sums[0][1].bit_length()
+        assert sums == [(i * (width + 1), (1 << width) - 1) for i in range(len(sums))]
+        key_bits = len(sums) * (width + 1)
+        table, guards, needs = walk.layout
+        slack_width = (2 * klass.degree_total).bit_length() + 1
+        lows = [low for low in (2 * c - 2 + 3 * k - k * k for k in range(2, n)) if low > 0]
+        assert guards == sum(1 << key_bits + (j + 1) * slack_width - 1 for j in range(len(lows)))
+        assert needs == sum(low << key_bits + j * slack_width for j, low in enumerate(lows))
+        assert product_shift == key_bits + len(lows) * slack_width
+        assert table[0] == [0] * n and len(table) == n + 1
+
+    @staticmethod
+    def boundary_slacks(c, n, shift):
+        """The class's guards and needs with the slack at ``shift``, and each boundary
+        slack there with its verdict: one field at 0, L_k - 1, L_k or its largest value,
+        every other field at 0 or at its largest value."""
+        klass = CyclomaticClass(c=c, n=n)
+        _, guards, needs = degree_sequences._slack_tables(klass, [0] * n, shift)
+        width = (2 * klass.degree_total).bit_length() + 1
+        lows = [low for low in (2 * c - 2 + 3 * k - k * k for k in range(2, n)) if low > 0]
+        top = (1 << width - 1) - 1
+        slacks = []
+        for j, low in enumerate(lows):
+            for others in (0, top):
+                rest = sum(others << i * width for i in range(len(lows)) if i != j)
+                for value in (0, low - 1, low, top):
+                    holds = value >= low and all(
+                        others >= other for i, other in enumerate(lows) if i != j
+                    )
+                    slacks.append((rest + (value << j * width) << shift, holds))
+        return guards, needs, slacks
+
+    @pytest.mark.parametrize("c, n", [(1, 3), (6, 8), (15, 7)])
+    def test_the_key_test_ignores_the_slack_above(self, c, n):
+        values = range(4)  # two key fields of width 2, below the slack
+        pairs = [(low, high) for low in values for high in values if low <= high]
+        _, _, slacks = self.boundary_slacks(c, n, 2 * 3)
+        assert slacks
+        for sums in product(pairs, repeat=2):
+            bounds, shifts = packed_set(2, list(sums))
+            for keys in product(values, repeat=2):
+                key = sum(k << shift for k, shift in zip(keys, shifts))
+                inside = packed_inside(bounds, key, 1)
+                assert inside is all(low < k < high for (low, high), k in zip(sums, keys))
+                for slack, _ in slacks:
+                    assert packed_inside(bounds, key + slack, 1) is inside, (sums, keys, slack)
+
+    @pytest.mark.parametrize("c, n", [(1, 3), (6, 8), (6, 20), (15, 7), (15, 22)])
+    def test_the_slack_test_ignores_the_keys_below(self, c, n):
+        width = 5  # three key fields, each at a boundary of its bounds
+        bounds, shifts = packed_set(width, [(3, 17)] * 3)
+        guards, needs, slacks = self.boundary_slacks(c, n, 3 * (width + 1))
+        values = (0, 3, 4, 16, 17, (1 << width) - 1)
+        for keys in product(values, repeat=3):
+            key = sum(k << shift for k, shift in zip(keys, shifts))
+            for slack, holds in slacks:
+                assert slack_holds(key + slack, guards, needs) is holds, (keys, slack)
 
 
 def packed_inside(bounds, key, degree_product):

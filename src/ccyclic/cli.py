@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -181,8 +182,18 @@ def format_fraction(value) -> str:
 
 
 def format_decimal(value) -> str:
-    """Decimal rendering with 12 significant digits."""
-    return f"{float(value):.12g}"
+    """Decimal rendering with 12 significant digits.
+
+    An exact value beyond the float range is refused with a ``ValueError``
+    that gives its size, a power of ten read off its numerator and denominator.
+    """
+    try:
+        return f"{float(value):.12g}"
+    except OverflowError:
+        size = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        raise ValueError(
+            f"exact value too large for a float: about {10 ** (size % 1):.3g}e+{int(size)}"
+        ) from None
 
 
 def _exact(value) -> str:
@@ -476,28 +487,31 @@ def cmd_verify(args) -> int:
     checks, label = (
         (_conjecture_checks, "CONJECTURE") if args.conjecture else (_proven_checks, "equivalence")
     )
-    records = []
-    for c in cycles:
-        orders = _verify_orders(args, c)
-        if not orders:  # min_order is nondecreasing in c: no later c has an order either
-            break
-        for n in orders:
-            try:  # a class above the cap raises before its first check
-                records += checks(CyclomaticClass(c=c, n=n), args)
-            except EnumerationCapError:
-                line = f"{label} c={c} n={n}: skipped (enumeration cap {cap})"
-                records.append(CheckRecord(line, SKIPPED))
+    counts = dict.fromkeys((OK, MISMATCH, SKIPPED), 0)  # all the summary and exit code need
 
-    lines = [record.line for record in records]
-    if not args.conjecture:
-        run = [record for record in records if record.status != SKIPPED]
-        ok_count = sum(record.status == OK for record in run)
-        lines.append(
-            f"summary: {len(run)} checks, {ok_count} ok, {len(run) - ok_count} mismatched, "
-            f"skipped={'yes' if len(run) < len(records) else 'no'}"
-        )
-    _emit("".join(line + "\n" for line in lines), args.output)  # no orders: empty output
-    return exit_code(record.status for record in records)
+    def lines():
+        """Each check's lines as it is made, then the summary: no record is kept."""
+        for c in cycles:
+            orders = _verify_orders(args, c)
+            if not orders:  # min_order is nondecreasing in c: no later c has an order either
+                break
+            for n in orders:
+                try:  # a class above the cap raises before its first check
+                    for record in checks(CyclomaticClass(c=c, n=n), args):
+                        counts[record.status] += 1
+                        yield record.line + "\n"
+                except EnumerationCapError:
+                    counts[SKIPPED] += 1
+                    yield f"{label} c={c} n={n}: skipped (enumeration cap {cap})\n"
+        if not args.conjecture:
+            run = counts[OK] + counts[MISMATCH]
+            yield (
+                f"summary: {run} checks, {counts[OK]} ok, {counts[MISMATCH]} mismatched, "
+                f"skipped={'yes' if counts[SKIPPED] else 'no'}\n"
+            )
+
+    _emit(lines(), args.output)  # no orders: empty output
+    return exit_code(status for status, count in counts.items() if count)
 
 
 # ---------------------------------------------------------------------------

@@ -34,19 +34,19 @@ holds candidates of its class only, as runs.
 
 The oracle of every ``--verify``, and the one extremality check, is
 :func:`walk_class`: one walk of the candidate tree per class, holding no
-population, whose every push of a run updates the state its subtree shares
-(:class:`_Walk`).  A rest of all ones is pushed in its parent's loop, and a
-full stack reaches one leaf block there, by no call of its own: the
-candidate gets :func:`validate_runs`, the verdicts of the tables, compiled
-once per walk (:func:`_class_tables`), and the Erdos-Gallai verdict, one
-test of the class's slack, with no call of :func:`is_graphical`.  Each push
-carries that slack and the exact index keys in one int, from one table
-(:func:`_slack_tables`).  Extremality is one prefix-sum rule: each push
-carries whether the prefix sums of each vector of the family still lie
-above the member's, and whether below, and a member's verdicts are read off
-those bits (see :class:`_Walk`).  Exact index extremes start at the
-balanced member's key, read off the same table, and one packed test skips
-them.
+population, whose every push of a run updates the state its subtree shares.
+A rest of all ones is pushed in its parent's loop, and a full stack reaches
+one leaf block there, by no call of its own: the candidate gets
+:func:`validate_runs`, the verdicts of the tables, compiled once per walk
+(:func:`_class_tables`), and the Erdos-Gallai verdict, one test of the
+class's slack, with no call of :func:`is_graphical`.  Each push carries that
+slack, the exact index keys and, with a family, the member's threshold sums
+in one int, from one table (:func:`_walk_layout`, :func:`_slack_tables`).
+Extremality is one threshold-sum rule: a member lies below a vector of the
+family exactly when none of its threshold sums exceeds the vector's, so
+each of its verdicts is one guard-bit test at the leaf.  Exact index
+extremes start at the balanced member's key, read off the same table, and
+one packed test skips them.
 
 Index-notation caveat: two of the published block descriptions carry
 overlapping subscripts for where the "degree >= 2" block ends; the counting
@@ -57,9 +57,9 @@ first eight for the widest c=6 set).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, permutations, repeat
+from itertools import accumulate, permutations
 from math import isqrt, prod
-from operator import add, le, or_, xor
+from operator import add
 from typing import Iterator, Optional
 
 from .extremal import BoxSet, integerize_runs, maximal_runs, minimal_runs
@@ -296,7 +296,7 @@ def _erdos_gallai(runs, n: int) -> bool:
 
 
 def _slack_tables(klass: CyclomaticClass, keys=(), shift: int = 0) -> tuple:
-    """``(table, G, L)``: the Erdos-Gallai slack of the class, packed for :class:`_Walk`.
+    """``(table, G, L)``: the Erdos-Gallai slack of the class, packed for :func:`walk_class`.
 
     The lemma: a positive sequence d_1 >= ... >= d_n with the class total
     2(n + c - 1) meets the k-th Erdos-Gallai inequality exactly when
@@ -314,8 +314,9 @@ def _slack_tables(klass: CyclomaticClass, keys=(), shift: int = 0) -> tuple:
     Field j of a packed slack holds R_k for the j-th such k, in
     w = (2 total).bit_length() + 1 bits from bit ``shift`` + j w, the top
     one a guard (G holds the guards, L each L_k in its field).
-    ``table[p][d]`` is p ``keys[d]`` (each entry's packed key, which takes
-    the bits below ``shift``; none by default) plus the sum over j of
+    ``table[p][d]`` is p ``keys[d]`` (each entry's packed index keys and
+    threshold terms, :func:`_walk_layout`, which take the bits below
+    ``shift``; none by default) plus the sum over j of
     max(0, p - k_j) g_{k_j}(d) in field j, so a run of d from position a to
     b adds ``table[b][d] - table[a][d]`` to the keys and the slack at once.
     As R_k <= 2 total < 2^(w-1) and L_k <= 2c, ``(slack | G) - L & G == G``
@@ -660,164 +661,105 @@ def walk_class(
 ) -> ClassWalk:
     """The oracle over a class in one walk of its candidates, holding no population.
 
-    Each candidate gets :func:`validate_runs` and the Erdos-Gallai verdict
-    of its packed slack, which each push updates with its index keys
-    (:func:`_slack_tables`).
-    That verdict is :func:`is_graphical`'s: the walk fixes the order and the
-    class total, and :func:`validate_runs` the degree range, so its screen
-    would pass every candidate, and on those the lemma of
-    :func:`_slack_tables` is Erdos-Gallai.  The members are the candidates
-    it accepts (``graphical``).  Where the tables have a row for c (c <= 6),
-    each candidate also gets the counting form and the inequalities,
-    compiled once per walk (:func:`_class_tables`), and a disagreement
-    among the three verdicts is recorded.  With ``family``,
-    the walk makes the family's :class:`ExtremalityReport` over the members
-    (see :class:`_Walk`).  For each of ``indices`` it keeps the
+    A push of a run ``(value, count)`` onto the candidate stack moves the
+    run's end from position ``a`` to ``a + count`` and updates the state its
+    whole subtree shares: the head the two tables read (their verdicts once
+    it is complete), one int that holds the exact index keys, the threshold
+    sums against the family and the Erdos-Gallai slack (one difference of the
+    walk's table, :func:`_walk_layout`), and the degree product (only when an
+    index is ranked).  A push that leaves a rest of all ones pushes that run
+    too, a pair shared by every leaf: it completes the head and adds its
+    keys, and no slack and no threshold sum.  Either way a full stack reaches
+    the one leaf block, with no call of its own, and becomes a tuple only
+    where its runs are kept.  ``below`` is the recursion, and reads the
+    walk's tables as free variables.
+
+    Each candidate gets :func:`validate_runs` and the Erdos-Gallai verdict of
+    its slack, one guard-bit test (:func:`_slack_tables`).  That verdict is
+    :func:`is_graphical`'s: the walk fixes the order and the class total, and
+    :func:`validate_runs` the degree range, so its screen would pass every
+    candidate, and on those the lemma of :func:`_slack_tables` is
+    Erdos-Gallai.  The members are the candidates it accepts.  Where the
+    tables have a row for c (c <= 6), each candidate also gets the counting
+    form and the inequalities, compiled once per walk (:func:`_class_tables`),
+    and a disagreement among the three verdicts is recorded.
+
+    With ``family``, the walk makes the family's :class:`ExtremalityReport`
+    over the members.  By the lemma of :func:`_walk_layout` a member lies
+    below a vector exactly when none of its threshold sums exceeds the
+    vector's, and above it when none falls short, each one guard-bit test.
+    It is covered when it lies below a maximal, a witness against each
+    maximal it lies above and not below, and below the minimal when it does
+    not lie above it.  Three lemmas skip tests.  A covered member of a
+    pairwise-incomparable family strictly majorizes no maximal: x below v
+    and strictly above v' puts v' below v and v' != v.  A member above a
+    maximal has each sum at least the maximals' least, so one test against
+    those least sums comes first.  Every candidate lies above the balanced
+    sequence (:func:`_balanced_runs`), so a balanced minimal needs no test.
+
+    For each of ``indices`` the walk keeps the
     :class:`~ccyclic.indices.Extremes` of the members' ranking keys; with
     ``spread``, also over the members with at least c + 2 entries >= 2, for
-    a refined upper bound.  With no ``indices`` no key is carried or ranked;
-    with some, exact extremes are seeded by the balanced member's key and
-    each member meets them in one packed test (see :class:`_Walk`).  Raises
-    :class:`EnumerationCapError` above the cap, and
+    a refined upper bound.  With no ``indices`` no key is ranked.  Most
+    members would move an exact extreme, as the balanced sequence comes last:
+    pushed through the same table, its key seeds each when the leaf's own
+    slack test admits it, so when it is a member the walk adds later (a
+    spread one for the spread extremes).  A member strictly inside all exact
+    extremes of its set skips them (:func:`_packed_bounds`), a test that
+    reads only the key bits; a spread member's set is the spread one, whose
+    interval lies inside the other's.  A member that does not skip them puts
+    its degree product above the slack's top guard, and each key is read off
+    its field.  Raises :class:`EnumerationCapError` above the cap, and
     ``ValueError`` for a family of another class, before any candidate.
     """
     if family is not None and family.klass != klass:
         raise ValueError(f"a family of {family.klass} cannot be checked over {klass}")
     check_cap(klass, cap)
-    walk = _Walk(klass, family, indices, spread)
-    # The empty prefix holds every bit of the mask (-1).
-    walk.below(klass.n, klass.degree_total, klass.n - 1, (), walk.verdicts, -1, 0, 1)
-    return walk.result()
+    n, total = klass.n, klass.degree_total
+    tables, width, product_shift, pushes, guards, needs, fence, floor, marks = _walk_layout(
+        klass, indices, family
+    )
+    tabled = klass.c in _COUNT_CONDITIONS
+    conditions, rows = _class_tables(klass) if tabled else (None, None)
+    stack, choices, ones = [], {}, [(1, k) for k in range(n + 1)]  # a leaf's runs share ones
+    head_size, one = min(_HEAD_SIZE, n), pushes[1][1]  # the keys of an entry 1, all it adds
+    product_table = next((table for table, product in tables if product), [1] * n)
+    ranked, failures, candidates, members = bool(indices), [], 0, 0
+    extremes = tuple(Extremes() for _ in indices)
+    spread_extremes = tuple(Extremes() for _ in indices) if spread else ()
+    ranks = _ranks(tables, extremes, width, product_shift)
+    more = _ranks(tables, spread_extremes, width, product_shift)  # spread members go to both
+    spread_ranks = [ranks[0] + more[0], ranks[1] + more[1], None]
+    sets = ((ranks, ranks[0]), (spread_ranks, more[0]))  # bounds of its own fields
+    most_ones = n - klass.c - 2 if spread else -1  # in a spread member
+    balanced = _balanced_runs(n, total)  # the last candidate, ranked when it is a member
+    # Its pushes, an entry at a time, then the leaf's own test of its slack.
+    state = sum(pushes[i + 1][d] - pushes[i][d] for i, d in enumerate(expand_runs(balanced)))
+    if ranked and (state | guards) - needs & guards == guards:
+        key = state + (prod(product_table[d] ** m for d, m in balanced) << product_shift)
+        spread_member = (balanced[-1][1] if balanced[-1][0] == 1 else 0) <= most_ones
+        for shift, field, each in ranks[0] + (more[0] if spread_member else []):
+            each.seed(key >> shift & field)
+    for bounded, fields in sets:
+        bounded[2] = _packed_bounds(fields)
 
+    tops = () if family is None else family.maximal_runs
+    covers = [mark for _, mark in marks[:-1]]
+    # Two maximals are comparable when one lies below the other.
+    incomparable = not any(
+        marks[j][1] - marks[i][0] & fence == fence for i, j in permutations(range(len(tops)), 2)
+    )
+    least = marks[-1][0] if family is not None and family.minimal_runs != balanced else None
+    uncovered, below_minimal, witnesses = [], [], {}
 
-class _Walk:
-    """The constants and tallies of one :func:`walk_class`; :meth:`below` is the recursion.
-
-    A push of a run ``(value, count)`` onto the candidate stack moves the run's
-    end from position ``a`` to ``b`` and the prefix sum from ``start`` to
-    ``s``, and updates the state its whole subtree shares: the head the two
-    tables read (their verdicts once it is complete), one int that holds the
-    exact index keys and the Erdos-Gallai slack above them (one difference of
-    the walk's table, :func:`_slack_tables`, so the leaf's verdict is one
-    guard-bit test), the degree product (only when an index is ranked), and
-    one mask of bits of the family's vectors, each a candidate of the class: a
-    vector's up bit is held while its prefix sums are at least the member's,
-    its down bit while they are at most.  Within a member's run its prefix sums
-    are linear and the vector's are concave, bending only where its entries
-    fall, so the up bit is tested at the member's run ends and the down bit
-    there and at the vector's falls.  A member is covered when a maximal's up
-    bit is held, strictly majorizes each maximal whose down bit alone is held,
-    and lies below the minimal when the minimal's down bit is not held.  A push
-    that leaves a rest of all ones pushes that run too, a pair shared by every
-    leaf (``ones``): it completes the head and adds its keys, adds no slack,
-    and tests no bit, as a vector's prefix sums gain at least the member's 1 a
-    step there and both end at the total.  Either way a full stack reaches the
-    one leaf block, with no call of its own, and becomes a tuple only where its
-    runs are kept.  Most members would move an exact extreme, as the balanced
-    sequence (:func:`_balanced_runs`) comes last: pushed through the same
-    table, its key seeds each when the leaf's own slack test admits it, so
-    when it is a member the walk adds later (a spread one for the spread
-    extremes).  A member strictly inside all exact extremes of its set skips
-    them (:func:`_packed_bounds`), a test that reads only the key bits; a
-    spread member's set is the spread one, whose interval lies inside the
-    other's.  A member that does not skip them puts its degree product above
-    the slack's top guard, and each key is read off its field.
-    """
-
-    def __init__(self, klass: CyclomaticClass, family, indices, spread: bool):
-        n, total = klass.n, klass.degree_total
-        self.klass, self.n, self.family = klass, n, family
-        tabled = klass.c in _COUNT_CONDITIONS
-        conditions, rows = _class_tables(klass) if tabled else (None, None)
-        self.verdicts = None if tabled else ()  # with no table row no head is built
-        self.candidates = self.members = 0
-        self.failures, self.uncovered, self.below_minimal, self.witnesses = [], [], [], {}
-        ones = [(1, k) for k in range(n + 1)]  # shared: a leaf's runs hold these pairs
-        # The exact sum keys travel packed in the low bits of one int, a field
-        # of `width` bits each and a 0 guard bit: a key is at most n times its
-        # largest term, so no field carries into the next.  The class's slack
-        # sits above them, and one table pushes both (`_slack_tables`).
-        # Product keys share one table (d -> d), so they are one key, which a
-        # leaf puts above the slack's top guard.  Float keys are summed at the
-        # leaf, as `evaluate` sums them.
-        tables = [key_table(index, n - 1) for index in indices]
-        exact = [t for t, product in tables if not (product or isinstance(t[1], float))]
-        width = max((n * max(table)).bit_length() for table in exact) if exact else 0
-        packed = [sum(t[d] << i * (width + 1) for i, t in enumerate(exact)) for d in range(n)]
-        product_table = next((table for table, product in tables if product), [1] * n)
-        key_bits = len(exact) * (width + 1)
-        pushes, slack_guards, slack_needs = self.layout = _slack_tables(klass, packed, key_bits)
-        product_shift = slack_guards.bit_length() or key_bits  # above the slack's top guard
-        self.extremes = tuple(Extremes() for _ in indices)
-        ranks = _ranks(tables, self.extremes, width, product_shift)
-        self.spread = tuple(Extremes() for _ in indices) if spread else ()
-        more = _ranks(tables, self.spread, width, product_shift)  # spread members go to both
-        spread_ranks = [ranks[0] + more[0], ranks[1] + more[1], None]
-        self.sets = ((ranks, ranks[0]), (spread_ranks, more[0]))  # bounds of its own fields
-        most_ones = n - klass.c - 2 if spread else -1  # in a spread member
-        balanced = _balanced_runs(n, total)  # the last candidate, ranked when it is a member
-        # Its pushes, an entry at a time, then the leaf's own test of its slack.
-        state = sum(pushes[i + 1][d] - pushes[i][d] for i, d in enumerate(expand_runs(balanced)))
-        if indices and (state | slack_guards) - slack_needs & slack_guards == slack_guards:
-            key = state + (prod(product_table[d] ** m for d, m in balanced) << product_shift)
-            spread_member = (balanced[-1][1] if balanced[-1][0] == 1 else 0) <= most_ones
-            for shift, field, extremes in ranks[0] + (more[0] if spread_member else []):
-                extremes.seed(key >> shift & field)
-        self.rebound()
-
-        self.tops = () if family is None else family.maximal_runs
-        self.vectors = () if family is None else (*self.tops, family.minimal_runs)
-        # Bit 0 is the minimal's down bit (its up bit is never read); maximal i
-        # has up bit 1 + i and down bit 1 + m + i.  The bits held most often are
-        # the lowest, so that most masks are small ints, which are not allocated.
-        self.m = m = len(self.tops)
-        maximal_up = (1 << m) - 1 << 1
-        maximal_down = maximal_up << m
-        # prefix[k][s]: the up bits of the vectors whose prefix sum at k is at
-        # least s, and the down bits of those whose is at most s.  Each bit is
-        # spread over the sums below its mark, an up bit's at the prefix sum, a
-        # down bit's one below it, where it says "above s" until it is flipped.
-        marks = [[0] * (total + 1) for _ in range(n + 1)]
-        sums, falls = [], {}  # falls: position -> the down bits tested there
-        for i, runs in enumerate(self.vectors):
-            up, down = (2 << i, 2 << m + i) if i < m else (0, 1)
-            sums.append(list(accumulate(expand_runs(runs))))
-            for k, top in enumerate(sums[-1], start=1):
-                marks[k][top] |= up
-                marks[k][top - 1] |= down
-            for k in accumulate(count for _, count in runs[:-1]):  # its falls, at its run ends
-                falls[k] = falls.get(k, 0) | down
-        flip = maximal_down | 1
-        prefix = [list(map(xor, accumulate(row[::-1], or_), repeat(flip)))[::-1] for row in marks]
-        # Past each position: the bits tested at some kink, and each kink with its bits.
-        kinks, tested, past = [], 0, ()
-        for a in range(n, -1, -1):
-            kinks.append((tested, past))
-            if a in falls:
-                tested, past = tested | falls[a], ((a, falls[a]), *past)
-        kinks.reverse()
-        # Two maximals are comparable when no prefix sum of the one is above the other's.
-        self.incomparable = not any(all(map(le, a, b)) for a, b in permutations(sums[:m], 2))
-        # What `below` reads, unpacked at once per call.  With no index ranked
-        # the state is the slack alone and a leaf ranks nothing.
-        self.constants = (
-            n, total, [], {}, ones, min(_HEAD_SIZE, n), conditions, rows, prefix, kinks, packed[1],
-            product_table, bool(indices), product_shift, ranks, spread_ranks, most_ones, family,
-            maximal_up, maximal_down, pushes, slack_guards, slack_needs,
-        )
-
-    def below(self, slots, remaining, bound, head, verdicts, mask, state, product):
+    def below(slots, remaining, bound, head, verdicts, state, product):
         """Push each run :func:`_run_choices` allows (the memo read inline), then the runs below."""
-        (n, total, stack, choices, ones, head_size, conditions, rows, prefix, kink_table, one,
-         product_table, ranked, product_shift, ranks, spread_ranks, most_ones, family, maximal_up,
-         maximal_down, pushes, slack_guards, slack_needs) = self.constants
-        depth, a, start = len(stack), n - slots, total - remaining
-        tested, kinks = kink_table[a]
-        here = pushes[a]
-        room = head_size - a  # entries the head still lacks
-        key = (slots, remaining, bound)
-        leaves = members = 0
+        nonlocal candidates, members
+        depth, a = len(stack), n - slots
+        here, room = pushes[a], head_size - a  # room: entries the head still lacks
+        leaves = found = 0
         # A node's choices are never empty, so a hit of the memo costs no call.
+        key = (slots, remaining, bound)
         for pair in choices.get(key) or _run_choices(choices, slots, remaining, bound):
             value, count = pair
             rest, left = slots - count, remaining - count * value
@@ -828,87 +770,130 @@ class _Walk:
                     run_head += (1,) * (room - count)
                     run_verdicts = (_conditions_hold(run_head, conditions),
                                     _rows_hold(run_head, rows))
-            b, s = a + count, start + value * count
-            run_mask = mask & prefix[b][s]
-            if run_mask & tested:
-                for k, bits in kinks:
-                    if k >= b:
-                        break
-                    if run_mask & bits:
-                        run_mask &= prefix[k][start + value * (k - a)]
-            run_state, run_product = state + pushes[b][value] - here[value], product
+            run_state, run_product = state + pushes[a + count][value] - here[value], product
             if ranked:  # a rest of all ones leaves the degree product as it is
                 run_product *= product_table[value] ** count
             stack.append(pair)
             if rest != left:
-                self.below(rest, left, value - 1, run_head, run_verdicts, run_mask, run_state,
-                           run_product)
+                below(rest, left, value - 1, run_head, run_verdicts, run_state, run_product)
                 stack.pop()
                 continue
             if rest:  # the rest is all ones, its one choice: pushed here, not in a call
                 stack.append(ones[rest])
-                run_state += rest * one  # its keys, as a run of ones adds no slack
+                run_state += rest * one
             # The leaf.  A valid candidate of the class is graphical when its slack holds.
             leaves += 1
             validate_runs(stack, n)
-            graphical = (run_state | slack_guards) - slack_needs & slack_guards == slack_guards
+            graphical = (run_state | guards) - needs & guards == guards
             runs = ()  # the candidate as a tuple, made where it is kept
             if run_verdicts and run_verdicts != ((False, False), (True, True))[graphical]:
                 runs = tuple(stack)
-                self.failures.append((runs, *run_verdicts, graphical))
+                failures.append((runs, *run_verdicts, graphical))
             if graphical:
-                members += 1
+                found += 1
                 if family is not None:
-                    if not run_mask & maximal_up:
-                        self.uncovered.append(runs := runs or tuple(stack))
-                    if run_mask & maximal_down:
-                        strictly = run_mask >> self.m & ~run_mask  # above a maximal, not equal
-                        for i, top in enumerate(self.tops):
-                            if strictly >> 1 + i & 1 and top not in self.witnesses:
-                                runs = self.witnesses[top] = runs or tuple(stack)
-                    if not run_mask & 1:
-                        self.below_minimal.append(runs := runs or tuple(stack))
+                    lifted = run_state | fence  # less a vector's sums: above it where guards stay
+                    for mark in covers:
+                        if mark - run_state & fence == fence:  # below this maximal
+                            hunt = not incomparable
+                            break
+                    else:
+                        hunt = True
+                        uncovered.append(runs := runs or tuple(stack))
+                    if hunt and lifted - floor & fence == fence:
+                        for top, (sums, mark) in zip(tops, marks):
+                            if (lifted - sums & fence == fence and mark - run_state & fence != fence
+                                    and top not in witnesses):
+                                runs = witnesses[top] = runs or tuple(stack)
+                    if least is not None and lifted - least & fence != fence:
+                        below_minimal.append(runs := runs or tuple(stack))
                 if ranked:
                     fields, floats, bounds = ranks
                     # Entries >= 2 are all but a final run of ones.
                     if (stack[-1][1] if stack[-1][0] == 1 else 0) <= most_ones:
                         fields, floats, bounds = spread_ranks
-                    low, high, guards, product_low, product_high = bounds
-                    if ((run_state | guards) - low & high - run_state & guards != guards
+                    low, high, inside, product_low, product_high = bounds
+                    if ((run_state | inside) - low & high - run_state & inside != inside
                             or not product_low < run_product < product_high):
                         run_state += run_product << product_shift  # the exact key, whole
                         runs = runs or tuple(stack)
-                        for shift, field, extremes in fields:
-                            extremes.add(run_state >> shift & field, runs)
-                        self.rebound()
-                    for table, extremes in floats:
+                        for shift, field, each in fields:
+                            each.add(run_state >> shift & field, runs)
+                        for bounded, held in sets:  # the extremes may have moved
+                            bounded[2] = _packed_bounds(held)
+                    for table, each in floats:
                         runs = runs or tuple(stack)
-                        extremes.add(sum([m * table[d] for d, m in runs]), runs)
+                        each.add(sum([m * table[d] for d, m in runs]), runs)
             del stack[depth:]
-        self.candidates += leaves
-        self.members += members
+        candidates += leaves
+        members += found
 
-    def rebound(self) -> None:
-        """Pack each set's bounds afresh, as its extremes may have moved."""
-        for ranks, fields in self.sets:
-            ranks[2] = _packed_bounds(fields)
+    below(n, total, n - 1, (), None if tabled else (), 0, 1)  # no head is built past the tables
+    below = None  # the walk is done: no cycle is left to hold its tables
+    report = None if family is None else ExtremalityReport(
+        c=klass.c,
+        n=n,
+        sequence_count=members,
+        members_valid=all(map(is_graphical, (*tops, family.minimal_runs))),
+        pairwise_incomparable=incomparable,
+        not_below_any_maximal=tuple(uncovered),
+        dominated_patterns=tuple((top, witnesses[top]) for top in tops if top in witnesses),
+        not_above_minimal=tuple(below_minimal),
+    )
+    return ClassWalk(candidates, tuple(failures), members, report, extremes, spread_extremes)
 
-    def result(self) -> ClassWalk:
-        report = None if self.family is None else ExtremalityReport(
-            c=self.klass.c,
-            n=self.n,
-            sequence_count=self.members,
-            members_valid=all(map(is_graphical, self.vectors)),
-            pairwise_incomparable=self.incomparable,
-            not_below_any_maximal=tuple(self.uncovered),
-            dominated_patterns=tuple(
-                (top, self.witnesses[top]) for top in self.tops if top in self.witnesses
-            ),
-            not_above_minimal=tuple(self.below_minimal),
-        )
-        return ClassWalk(
-            self.candidates, tuple(self.failures), self.members, report, self.extremes, self.spread
-        )
+
+def _walk_layout(klass: CyclomaticClass, indices=(), family=None) -> tuple:
+    """``(tables, width, top, table, G, L, F, floor, marks)``: the one int of a :func:`walk_class`.
+
+    ``tables`` holds each index's :func:`~ccyclic.indices.key_table`.  The
+    exact sum keys take the low bits, a field of ``width`` bits each and a 0
+    guard bit, as :func:`_ranks` lays them out: a key is at most n times its
+    largest term, so no field carries into the next.  Product keys share one
+    table (d -> d), so they are one key, which a leaf puts at bit ``top``,
+    above every pushed field.  Float keys are summed at the leaf, as
+    :func:`~ccyclic.indices.evaluate` sums them.
+
+    With ``family``, each entry's key also holds its threshold term (d - t)+
+    for each t = 2..n-2, in a field of w = total.bit_length() + 1 bits above
+    the index keys whose top one is a guard (F holds the guards), so the
+    pushes sum a member's threshold sums S_t.  The lemma: n entries x in
+    [1, n-1] lie below n entries v in [1, n-1] with the same total (x is
+    majorized by v) exactly when S_t(x) <= S_t(v) for each such t.  Proof:
+    S_t(x) is the largest P_k(x) - kt over k, where P_k is the sum of the k
+    largest entries (the entries above t add a positive term, the others
+    none), so P_k(x) <= P_k(v) for each k gives each S_t(x) <= S_t(v).
+    Conversely, at t = v_k, P_k(x) - kt <= S_t(x) <= S_t(v) = P_k(v) - kt;
+    S_t is the total less nt for both at t <= 1, and 0 for both at t >= n - 1,
+    so only t = 2..n-2 is tested.  ``marks`` holds, for each maximal and then
+    the minimal, its packed sums V and V | F with every bit below them set: a
+    state X lies below the vector when ``(V | F | low) - X & F == F`` and
+    above it when ``(X | F) - V & F == F``, as each field then holds its
+    guard plus a difference of two sums at most the total, and no borrow
+    crosses a field.  ``floor`` packs each sum's least value over the
+    maximals (0 with none).  The class's slack sits above the sums: ``table``,
+    ``G`` and ``L`` are its :func:`_slack_tables`.
+    """
+    n, total = klass.n, klass.degree_total
+    tables = [key_table(index, n - 1) for index in indices]
+    exact = [t for t, product in tables if not (product or isinstance(t[1], float))]
+    width = max((n * max(table)).bit_length() for table in exact) if exact else 0
+    base, step = len(exact) * (width + 1), total.bit_length() + 1
+    shifts = range(base, base + (n - 3) * step, step) if family is not None else ()  # t = 2..n-2
+    fence = sum(1 << shift + step - 1 for shift in shifts)
+    keys = [
+        sum(table[d] << i * (width + 1) for i, table in enumerate(exact))
+        + sum(max(d - t, 0) << shift for t, shift in enumerate(shifts, start=2))
+        for d in range(n)
+    ]
+    vectors = () if family is None else (*family.maximal_runs, family.minimal_runs)
+    sums = [sum(m * keys[d] for d, m in runs) >> base << base for runs in vectors]
+    floor = sum(min([v >> shift & (1 << step) - 1 for v in sums[:-1]], default=0) << shift
+                for shift in shifts)
+    marks = [(v, v | fence | (1 << base) - 1) for v in sums]
+    top = base + len(shifts) * step
+    table, guards, needs = _slack_tables(klass, keys, top)
+    return tables, width, guards.bit_length() or top, table, guards, needs, fence, floor, marks
 
 
 def _ranks(tables, extremes, width, top) -> tuple:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,6 +35,7 @@ from typing import Optional
 
 FLOAT_TOLERANCE = 1e-12
 MAX_EXACT_DIGITS = 4300  # longest exact power evaluated or value printed (Python's default int print limit)
+_ORDER_OVERFLOW = "order too large: the index value overflows a float"
 
 GENERAL_ZAGREB = "general-zagreb"
 INVERSE_DEGREE = "inverse-degree"
@@ -113,21 +115,30 @@ def evaluate(index: IndexSpec, runs) -> Real:
 
     An int for a positive integer exponent, a ``Fraction`` for a negative one
     and for the inverse degree, a float otherwise.  One term per run; every
-    degree must be >= 1.  The runs need be neither maximal nor sorted.
+    degree must be >= 1.  The runs need be neither maximal nor sorted.  A
+    float value, and a positive power sum (which every report prints as a
+    float), is refused with a ``ValueError`` beyond the float range.
     """
     degrees = [degree for degree, _ in runs]
     if not degrees or min(degrees) < 1:
         raise ValueError("index evaluation needs positive degrees")
-    alpha = index.exponent
+    alpha, order = index.exponent, sum(count for _, count in runs)
+    # Each float path below turns the counts into floats, which fails past
+    # the float range; the log form's sum can pass that range as well.
+    if (alpha is None or alpha > 0 or alpha.denominator != 1) and order > sys.float_info.max:
+        raise ValueError(_ORDER_OVERFLOW)
     if alpha is None:
-        return 2.0 * sum(count * math.log(d) for d, count in runs)
+        value = 2.0 * sum(count * math.log(d) for d, count in runs)
+        if value == math.inf:
+            raise ValueError(_ORDER_OVERFLOW)
+        return value
     top = max(degrees)
     if alpha > 0:
         # Every report prints a float, so a power sum beyond the float range is
         # rejected, before any exact power: Fraction(9) ** 10**400 never returns.
         try:
             exponent = float(alpha)
-            bound = sum(count for _, count in runs) * top**exponent
+            bound = order * top**exponent
             finite = bound < math.inf or math.fsum(
                 count * d**exponent for d, count in runs
             ) < math.inf

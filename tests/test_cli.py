@@ -441,6 +441,27 @@ class TestLargeOrder:
             for c in range(3, 7)
         ]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--index", "inverse-degree"), "exact value too large for a float: about 5e+399"),
+            (("--alpha=-2",), "exact value too large for a float: about 2.5e+399"),
+            (("--alpha=-2", "--format", "csv"), "exact value too large for a float: about 2.5e+399"),
+            (("--index", "inverse-degree", "--format", "json"),
+             "exact value too large for a float: about 5e+399"),
+            (("--index", "mult-zagreb-log"), "order too large: the index value overflows a float"),
+            (("--alpha", "1/2"), "order too large: the index value overflows a float"),
+            (("--alpha=-1/2",), "order too large: the index value overflows a float"),
+            (("--alpha", "2"), "order too large: the index value overflows a float"),
+        ],
+    )
+    def test_an_order_beyond_the_float_range_is_one_error_line(self, argv, message):
+        # Every report prints each value as a decimal: past the float range
+        # the value that has none is named, and nothing is printed.
+        result = run_isolated("bounds", "--n", str(10**400), "--c", "0", *argv)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"error: {message}\n"
+
     def test_tables_at_a_billion_vertices(self):
         result = run_in_384_mib("tables", "--n", str(10**9))
         assert (result.returncode, result.stderr) == (0, "")
@@ -533,6 +554,30 @@ class TestHugeCycleRanges:
 
 
 class TestVerify:
+    def test_lines_are_written_as_they_are_made(self, tmp_path):
+        # 400,000 orders of a tree, all but two above the cap: a record kept
+        # per line, and the whole text joined at the end, would not fit in
+        # 128 MiB of address space.
+        limit = 128 << 20
+        out = tmp_path / "out"
+        with open(out, "w") as stream:
+            result = subprocess.run(
+                [sys.executable, "-m", "ccyclic.cli", "verify", "--n-max", "400000", "--c", "0",
+                 "--cap", "3"],
+                stdout=stream,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+                env={"PYTHONPATH": str(SRC)},
+            )
+        assert (result.returncode, result.stderr) == (3, "")
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 * 6 + 399997 + 1  # n = 2, 3: six checks each; skips; summary
+        assert lines[12] == "equivalence c=0 n=4: skipped (enumeration cap 3)"
+        assert lines[-2] == "equivalence c=0 n=400000: skipped (enumeration cap 3)"
+        assert lines[-1] == "summary: 12 checks, 12 ok, 0 mismatched, skipped=yes"
+
     def test_small_grid_all_match(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "6", "--c", "0..6")
         assert code == 0

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from ccyclic.cli import format_fraction
+from ccyclic.cli import format_decimal, format_fraction
 from ccyclic.indices import (
     MAX_EXACT_DIGITS, IndexSpec, SchurClass, evaluate, key_table, same_value,
 )
@@ -225,6 +225,25 @@ def test_exactness_flags(seq):
     assert not isinstance(evaluate(IndexSpec.general_zagreb(3), runs_of(seq)), float)
     assert not isinstance(evaluate(IndexSpec.inverse_degree(), runs_of(seq)), float)
     assert isinstance(evaluate(IndexSpec.mult_zagreb_log(), runs_of(seq)), float)
+
+
+def test_float_values_past_the_float_range_are_refused():
+    # Each count of these runs converts to a float, but the log form's sum
+    # does not fit one; past the float range no count converts at all.
+    big = 10**308
+    with pytest.raises(ValueError, match="order too large"):
+        evaluate(IndexSpec.mult_zagreb_log(), ((3, big),))
+    assert evaluate(IndexSpec.mult_zagreb_log(), ((3, big // 10),)) < math.inf
+    for index in (IndexSpec.mult_zagreb_log(), IndexSpec.general_zagreb(Fraction(1, 2)),
+                  IndexSpec.general_zagreb(Fraction(-1, 2)), IndexSpec.general_zagreb(2)):
+        with pytest.raises(ValueError, match="order too large"):
+            evaluate(index, ((2, 10**309), (1, 2)))
+    # Exact values stay exact, and only their decimal is refused.
+    value = evaluate(IndexSpec.inverse_degree(), ((2, 10**309), (1, 2)))
+    assert value == Fraction(10**309, 2) + 2
+    with pytest.raises(ValueError, match=r"too large for a float: about 5e\+308"):
+        format_decimal(value)
+    assert format_decimal(Fraction(10**308, 2)) == "5e+307"
 
 
 def test_format_fraction_refuses_values_too_long_to_print():

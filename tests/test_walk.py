@@ -1,11 +1,14 @@
 """The one-walk oracle of every ``--verify`` against the separate passes it replaced."""
 
+import gc
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from math import prod
 from operator import ge
+from types import CodeType
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,7 @@ from ccyclic.degree_sequences import (
     walk_class,
 )
 from ccyclic.indices import Extremes, IndexSpec, key_table
-from ccyclic.majorization import expand_runs, runs_of
+from ccyclic.majorization import Relation, expand_runs, relation_of_runs, runs_of
 
 from oracles import (
     extremes_record,
@@ -568,21 +571,41 @@ class TestForcedOnes:
     """A rest of all ones is pushed in its parent's loop, not in a call of its own."""
 
     @pytest.mark.parametrize("c, n", [(7, 12), (6, 14), (0, 10)])
-    def test_one_call_per_node_whose_rest_is_not_all_ones(self, monkeypatch, c, n):
+    def test_one_call_per_node_whose_rest_is_not_all_ones(self, c, n):
         calls = []
-        below = degree_sequences._Walk.below
+        below = next(
+            code for code in walk_class.__code__.co_consts
+            if isinstance(code, CodeType) and code.co_name == "below"
+        )
 
-        def counted(walk, *args):
-            calls.append(args[:2])
-            return below(walk, *args)
+        def counted(frame, event, arg):  # each frame of the walk's recursion, as it starts
+            if event == "call" and frame.f_code is below:
+                calls.append((frame.f_locals["slots"], frame.f_locals["remaining"]))
 
-        monkeypatch.setattr(degree_sequences._Walk, "below", counted)
         klass = CyclomaticClass(c=c, n=n)
-        walk = walk_class(klass, n)
+        sys.setprofile(counted)
+        try:
+            walk = walk_class(klass, n)
+        finally:
+            sys.setprofile(None)
         expected, forced = below_calls({}, n, klass.degree_total, n - 1)
         assert forced > 0 and len(calls) == expected
         assert not any(slots == remaining for slots, remaining in calls)
         assert walk.candidates == sum(1 for _ in class_candidates(klass, n))
+
+    def test_a_finished_walk_leaves_no_cycle(self):
+        # The recursion is a closure that reads itself; the walk drops it when
+        # done, so nothing the walk built waits for the garbage collector.
+        klass = CyclomaticClass(c=6, n=12)
+        family = extremal_family(klass)
+        gc.collect()
+        gc.disable()
+        try:
+            walk = walk_class(klass, 12, family, VERIFY_INDICES, spread=True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert walk.members and walk.extremality.complete
 
     def test_ones_pairs_are_shared(self):
         # Each kept member's final run of ones is one object per length, not a
@@ -610,30 +633,66 @@ def pushed_state(runs, table):
     return state
 
 
-def walk_layout(klass, indices=VERIFY_INDICES):
-    """``(table, guards, needs, keys)``: the push table a walk of the class builds for
-    ``indices``, its slack's guards and needs, and each exact sum key's ``(shift, mask,
-    terms)``, read off the walk's own fields."""
-    walk = degree_sequences._Walk(klass, None, indices, False)
-    index_of = {id(extremes): i for i, extremes in enumerate(walk.extremes)}
-    keys = [
-        (shift, mask, key_table(indices[index_of[id(extremes)]], klass.n - 1)[0])
-        for shift, mask, extremes in walk.sets[0][1]  # the fields of the members' set
-        if mask >= 0  # the degree product is put above the slack at the leaf, not pushed
+def member_fields(tables, width, top):
+    """Each ranked key's ``(shift, mask, i)`` in the members' set, ``i`` its index's place
+    in ``tables``, laid out by the walk's own ``_ranks``: a mask of -1 is the degree
+    product, which the leaf puts at ``top``."""
+    return degree_sequences._ranks(tables, range(len(tables)), width, top)[0]
+
+
+def walk_layout(klass, indices=VERIFY_INDICES, family=None):
+    """``(table, guards, needs, keys, fence, floor, marks)``: the push table that the walk
+    of the class compiles for ``indices`` and ``family``, its slack's guards and needs,
+    each exact sum key's ``(shift, mask, terms)``, and the guards, least sums and marks of
+    the family's threshold sums."""
+    tables, width, top, table, guards, needs, fence, floor, marks = (
+        degree_sequences._walk_layout(klass, indices, family)
+    )
+    keys = [  # the degree product is put above the slack at the leaf, not pushed
+        (shift, mask, tables[i][0]) for shift, mask, i in member_fields(tables, width, top)
+        if mask >= 0
     ]
-    return (*walk.layout, keys)
+    return table, guards, needs, keys, fence, floor, marks
+
+
+def class_family(klass):
+    """The box family of the class for c <= 6, the closed-form patterns beyond."""
+    if klass.c <= 6:
+        return extremal_family(klass)
+    return parametric_extremal_family(klass.c, klass.n)
+
+
+#: what the threshold tests say, (below the vector, above it), for each relation
+THRESHOLD_VERDICTS = {
+    Relation.EQUAL: (True, True),
+    Relation.LESS_OR_EQUAL: (True, False),
+    Relation.GREATER_OR_EQUAL: (False, True),
+    Relation.INCOMPARABLE: (False, False),
+}
+
+
+def threshold_verdicts(state, fence, mark):
+    """The leaf's two tests of a state against a vector's packed threshold sums:
+    whether it lies below the vector, and whether above."""
+    sums, lifted = mark
+    return lifted - state & fence == fence, (state | fence) - sums & fence == fence
 
 
 def check_slack_agreement(c_max, n_max):
-    """``(classes, candidates)``: on every candidate of each class with c <= ``c_max`` and
-    n <= ``n_max``, the state summed from the push table a walk builds for
-    ``VERIFY_INDICES`` holds each exact key in its field, as the sum of its terms, and a
-    slack above them that decides what :func:`is_graphical` decides."""
-    classes = candidates = 0
+    """``(classes, candidates, comparisons)``: on every candidate of each class with c <=
+    ``c_max`` and n <= ``n_max``, the state summed from the push table a walk builds for
+    ``VERIFY_INDICES`` and the class's family (:func:`class_family`) holds each exact key
+    in its field, as the sum of its terms, a slack above them that decides what
+    :func:`is_graphical` decides, and threshold sums whose two tests against each
+    family vector say what ``relation_of_runs`` says; above a maximal, it is above
+    their least sums."""
+    classes = candidates = comparisons = 0
     for c in range(c_max + 1):
         for n in range(min_order(c), n_max + 1):
             klass = CyclomaticClass(c=c, n=n)
-            table, guards, needs, keys = walk_layout(klass)
+            family = class_family(klass)
+            vectors = (*family.maximal_runs, family.minimal_runs)
+            table, guards, needs, keys, fence, floor, marks = walk_layout(klass, family=family)
             classes += 1
             for runs in class_candidates(klass, n):
                 candidates += 1
@@ -643,7 +702,15 @@ def check_slack_agreement(c_max, n_max):
                     assert state >> shift & mask == sum([m * terms[d] for d, m in runs]), (
                         c, n, runs, shift
                     )
-    return classes, candidates
+                for vector, mark in zip(vectors, marks, strict=True):
+                    comparisons += 1
+                    verdicts = threshold_verdicts(state, fence, mark)
+                    assert verdicts == THRESHOLD_VERDICTS[relation_of_runs(runs, vector)], (
+                        c, n, runs, vector
+                    )
+                    if verdicts[1] and vector is not vectors[-1]:
+                        assert threshold_verdicts(state, fence, (floor, 0))[1], (c, n, runs)
+    return classes, candidates, comparisons
 
 
 class TestBalancedSeed:
@@ -655,15 +722,18 @@ class TestBalancedSeed:
                 balanced = degree_sequences._balanced_runs(n, 2 * (n + c - 1))
                 assert is_graphical(balanced), (c, n)
 
-    def test_the_walk_admits_and_seeds_it(self):
+    def test_the_walk_admits_and_seeds_it(self, monkeypatch):
         # The leaf's own guard test on the walk's table admits the balanced
-        # sequence, and each exact extreme starts at its key.
+        # sequence, and each exact extreme starts at its key: with no choice
+        # at the root, a walk visits no candidate and returns its seeds.
+        monkeypatch.setattr(degree_sequences, "_run_choices", lambda *args: [])
         for c in range(16):
             for n in range(min_order(c), 41):
                 klass = CyclomaticClass(c=c, n=n)
                 balanced = degree_sequences._balanced_runs(n, klass.degree_total)
-                walk = degree_sequences._Walk(klass, None, VERIFY_INDICES, False)
-                table, guards, needs = walk.layout
+                walk = walk_class(klass, n, None, VERIFY_INDICES)
+                table, guards, needs, *_ = walk_layout(klass)
+                assert walk.candidates == 0
                 assert slack_holds(pushed_state(balanced, table), guards, needs), (c, n)
                 for index, extremes in zip(VERIFY_INDICES, walk.extremes):
                     terms, multiplies = key_table(index, n - 1)
@@ -678,7 +748,7 @@ class TestPackedSlack:
     membership by one guard-bit test."""
 
     def test_every_candidate_to_14(self):
-        assert check_slack_agreement(15, 14) == (153, 205845)
+        assert check_slack_agreement(15, 14) == (153, 205845, 484440)
 
     @pytest.mark.parametrize("c", range(16))
     def test_each_field_at_its_need(self, c):
@@ -723,15 +793,18 @@ class TestPackedSlack:
     def test_a_final_run_of_ones_adds_nothing(self):
         # Nothing to its slack: the walk's table grows only the keys of a 1,
         # which sit below the slack's fields.
+        # Nor to its threshold sums, which sit between the keys and the slack.
         klass = CyclomaticClass(c=15, n=22)
         assert all(row[1] == 0 for row in degree_sequences._slack_tables(klass)[0])
-        table, guards, needs, keys = walk_layout(klass)
-        key_bits = sum(mask.bit_length() + 1 for _, mask, _ in keys)
-        assert keys and guards and all(row[1] >> key_bits == 0 for row in table)
-        assert all(row[1] == p * table[1][1] for p, row in enumerate(table))
-        assert [table[1][1] >> shift & mask for shift, mask, _ in keys] == [
-            terms[1] for _, _, terms in keys
-        ]
+        for family in (None, class_family(klass)):
+            table, guards, needs, keys, fence, _, _ = walk_layout(klass, family=family)
+            key_bits = sum(mask.bit_length() + 1 for _, mask, _ in keys)
+            assert keys and guards and all(row[1] >> key_bits == 0 for row in table)
+            assert all(row[1] == p * table[1][1] for p, row in enumerate(table))
+            assert [table[1][1] >> shift & mask for shift, mask, _ in keys] == [
+                terms[1] for _, _, terms in keys
+            ]
+            assert (fence > 0) is (family is not None)
 
 
 class TestOneState:
@@ -742,20 +815,92 @@ class TestOneState:
     @pytest.mark.parametrize("c, n", [(0, 9), (1, 3), (6, 8), (6, 20), (15, 7), (15, 22)])
     def test_the_layout(self, c, n):
         klass = CyclomaticClass(c=c, n=n)
-        walk = degree_sequences._Walk(klass, None, VERIFY_INDICES, False)
-        fields = walk.sets[0][1]  # the fields of the members' set
+        tables, width, top, table, guards, needs, fence, _, _ = degree_sequences._walk_layout(
+            klass, VERIFY_INDICES
+        )
+        assert fence == 0  # no family: no threshold sum
+        fields = member_fields(tables, width, top)
         ((product_shift, _, _),) = [field for field in fields if field[1] < 0]
         sums = [(shift, mask) for shift, mask, _ in fields if mask >= 0]
         width = sums[0][1].bit_length()
         assert sums == [(i * (width + 1), (1 << width) - 1) for i in range(len(sums))]
         key_bits = len(sums) * (width + 1)
-        table, guards, needs = walk.layout
         slack_width = (2 * klass.degree_total).bit_length() + 1
         lows = [low for low in (2 * c - 2 + 3 * k - k * k for k in range(2, n)) if low > 0]
         assert guards == sum(1 << key_bits + (j + 1) * slack_width - 1 for j in range(len(lows)))
         assert needs == sum(low << key_bits + j * slack_width for j, low in enumerate(lows))
         assert product_shift == key_bits + len(lows) * slack_width
         assert table[0] == [0] * n and len(table) == n + 1
+
+    @pytest.mark.parametrize("c, n", [(0, 4), (1, 3), (1, 9), (6, 8), (6, 20), (15, 22)])
+    def test_the_layout_with_a_family(self, c, n):
+        # With a family, one field per threshold t = 2..n-2 directly above the
+        # keys, total.bit_length() + 1 bits each with its guard on top, and
+        # the slack and the product's bit moved up past them.  Each entry d
+        # adds (d - t)+ to field t; each vector's mark is its sums, and its
+        # sums with the guards and every key bit set; the floor is the
+        # maximals' least sum in each field.
+        klass = CyclomaticClass(c=c, n=n)
+        family = class_family(klass)
+        _, _, plain_top, plain_table, plain_guards, plain_needs, _, _, _ = (
+            degree_sequences._walk_layout(klass, VERIFY_INDICES)
+        )
+        tables, width, top, table, guards, needs, fence, floor, marks = (
+            degree_sequences._walk_layout(klass, VERIFY_INDICES, family)
+        )
+        key_bits = sum(mask.bit_length() + 1 for _, mask, _ in walk_layout(klass)[3])
+        step, fields = klass.degree_total.bit_length() + 1, max(n - 3, 0)
+        shifts = [key_bits + j * step for j in range(fields)]
+        assert fence == sum(1 << shift + step - 1 for shift in shifts)
+        assert (guards, needs) == (plain_guards << fields * step, plain_needs << fields * step)
+        assert top == plain_top + fields * step
+        assert member_fields(tables, width, top)[:-1] == member_fields(tables, width, plain_top)[:-1]
+
+        def packed(sums):
+            return sum(value << shift for value, shift in zip(sums, shifts, strict=True))
+
+        def threshold_sums(runs):
+            return [sum(m * max(d - t, 0) for d, m in runs) for t in range(2, n - 1)]
+
+        assert table[1] == [key + packed(threshold_sums(((d, 1),))) for d, key in enumerate(plain_table[1])]
+        vectors = (*family.maximal_runs, family.minimal_runs)
+        assert marks == [
+            (packed(threshold_sums(runs)), packed(threshold_sums(runs)) | fence | (1 << key_bits) - 1)
+            for runs in vectors
+        ]
+        least = [min(each) for each in zip(*map(threshold_sums, family.maximal_runs))]
+        assert floor == packed(least or [0] * fields)
+
+    @pytest.mark.parametrize("c, n", [(0, 4), (3, 8), (6, 12), (15, 22)])
+    def test_each_threshold_field_at_its_boundary(self, c, n):
+        # A member's sum equal to a vector's keeps that field's guard in the
+        # test below the vector and in the test above it; one more loses it
+        # below, one less above.  The other fields at 0 or at the total, and
+        # the key and slack bits clear or set, move no guard: no borrow
+        # crosses a field.
+        klass = CyclomaticClass(c=c, n=n)
+        total = klass.degree_total
+        layout = degree_sequences._walk_layout(klass, VERIFY_INDICES, class_family(klass))
+        top, fence = layout[2], layout[6]
+        step = total.bit_length() + 1
+        shifts = [bit - step + 1 for bit in range(fence.bit_length()) if fence >> bit & 1]
+        assert len(shifts) == n - 3
+        keys = (1 << shifts[0]) - 1  # every key bit
+        slack = (1 << top) - (1 << shifts[-1] + step)  # every slack bit
+        for j, shift in enumerate(shifts):
+            for others in (0, total):
+                rest = sum(others << s for i, s in enumerate(shifts) if i != j)
+                for value in (0, 1, total - 1, total):
+                    sums = rest + (value << shift)
+                    mark = (sums, sums | fence | keys)
+                    for delta in (-1, 0, 1):
+                        if not 0 <= value + delta <= total:
+                            continue
+                        for noise in (0, keys, slack, keys + slack):
+                            state = rest + (value + delta << shift) + noise
+                            assert threshold_verdicts(state, fence, mark) == (
+                                delta <= 0, delta >= 0
+                            ), (j, others, value, delta, noise)
 
     @staticmethod
     def boundary_slacks(c, n, shift):

@@ -37,11 +37,13 @@ The oracle of every ``--verify``, and the one extremality check, is
 population, whose every push of a run updates the state its subtree shares.
 A rest of all ones is pushed in its parent's loop, and a full stack reaches
 one leaf block there, by no call of its own: the candidate gets
-:func:`validate_runs`, the verdicts of the tables, compiled once per walk
-(:func:`_class_tables`), and the Erdos-Gallai verdict, one test of the
-class's slack, with no call of :func:`is_graphical`.  Each push carries that
-slack, the exact index keys and, with a family, the member's threshold sums
-in one int, from one table (:func:`_walk_layout`, :func:`_slack_tables`).
+:func:`validate_runs` and guard-bit tests of one packed int, the
+Erdos-Gallai verdict of the class's slack, with no call of
+:func:`is_graphical`, and, for c <= 6, one test per row of the two tables,
+compiled once per walk (:func:`_class_tables`), with no call of their
+readers.  Each push carries that slack, the tables' counts and inequality
+sums, the exact index keys and, with a family, the member's threshold sums
+in that int, from one table (:func:`_walk_layout`, :func:`_slack_tables`).
 Extremality is one threshold-sum rule: a member lies below a vector of the
 family exactly when none of its threshold sums exceeds the vector's, so
 each of its verdicts is one guard-bit test at the leaf.  Exact index
@@ -161,7 +163,7 @@ def validate_runs(runs, n: int) -> None:
         raise ValueError("degrees must lie in [1, n-1]")
 
 
-#: the longest head (largest entries) that either table reads
+#: the longest head (largest entries) that either table reads, for the public membership tests
 _HEAD_SIZE = max(
     [j for conditions in _COUNT_CONDITIONS.values() for _, needs in conditions for _, j in needs]
     + [k for _, rows in _INEQUALITIES.values() for k, _, _, _ in rows]
@@ -169,7 +171,11 @@ _HEAD_SIZE = max(
 
 
 def _head(runs) -> tuple:
-    """The first ``_HEAD_SIZE`` entries of a run-length sequence (all of them, when fewer)."""
+    """The first ``_HEAD_SIZE`` entries of a run-length sequence (all of them, when fewer).
+
+    The public membership tests read the tables off it; :func:`walk_class`
+    reads them off its packed state, and builds no head.
+    """
     head = ()
     for degree, count in runs:
         if len(head) >= _HEAD_SIZE:
@@ -179,11 +185,14 @@ def _head(runs) -> tuple:
 
 
 def _class_tables(klass: CyclomaticClass) -> tuple:
-    """The two tables compiled for a class with c <= 6, by their one reader, at each call.
+    """The two tables compiled for a class with c <= 6, at each call.
 
     The counting rows live at its order, as their needs; the inequality rows
     as ``(k, j, a n + b)``, k and j at most n (a head's longest), or below the
-    least edge count as the one row 0 <= -1, which no sequence holds.
+    least edge count as the one row 0 <= -1, which no sequence holds.  Two
+    readers take them: :func:`_conditions_hold` and :func:`_rows_hold` on a
+    head, for the public membership tests, and :func:`_walk_layout`, which
+    packs them into the state of :func:`walk_class`, once per walk.
     """
     n, c = klass.n, klass.c
     least, rows = _INEQUALITIES[c]
@@ -295,8 +304,8 @@ def _erdos_gallai(runs, n: int) -> bool:
     return True
 
 
-def _slack_tables(klass: CyclomaticClass, keys=(), shift: int = 0) -> tuple:
-    """``(table, G, L)``: the Erdos-Gallai slack of the class, packed for :func:`walk_class`.
+def _slack_tables(klass: CyclomaticClass, keys=(), shift: int = 0, rows=()) -> tuple:
+    """``(table, G, L, M)``: the class's Erdos-Gallai slack and inequality rows, packed.
 
     The lemma: a positive sequence d_1 >= ... >= d_n with the class total
     2(n + c - 1) meets the k-th Erdos-Gallai inequality exactly when
@@ -313,33 +322,49 @@ def _slack_tables(klass: CyclomaticClass, keys=(), shift: int = 0) -> tuple:
 
     Field j of a packed slack holds R_k for the j-th such k, in
     w = (2 total).bit_length() + 1 bits from bit ``shift`` + j w, the top
-    one a guard (G holds the guards, L each L_k in its field).
-    ``table[p][d]`` is p ``keys[d]`` (each entry's packed index keys and
-    threshold terms, :func:`_walk_layout`, which take the bits below
-    ``shift``; none by default) plus the sum over j of
-    max(0, p - k_j) g_{k_j}(d) in field j, so a run of d from position a to
-    b adds ``table[b][d] - table[a][d]`` to the keys and the slack at once.
-    As R_k <= 2 total < 2^(w-1) and L_k <= 2c, ``(slack | G) - L & G == G``
-    keeps every guard, with no borrow across a field, exactly when each
-    R_k >= L_k: when the sequence is graphical.  The keys below ``shift``
-    leave that verdict as it is, as L has no bit there, and the slack leaves
-    theirs (:func:`_packed_bounds`), as the low bits of a difference depend
-    on no higher bit.
+    one a guard (G holds the guards, L each L_k in its field).  Above them
+    lies one more such field for each compiled inequality row ``(k, j, a n +
+    b)`` of ``rows`` (:func:`_class_tables`): the sum of the entries past
+    position k plus those past position j, which is 2 total - (P_k + P_j),
+    where P_k is the sum of the first k entries.  With the total fixed, the
+    row holds exactly when its field is at least 2 total - (a n + b), its
+    need in M (0 when negative).  The row 0 <= -1 needs 2 total + 1, above
+    any field's value, so it never holds.  G holds these guards too.
+    ``table[p][d]`` is p ``keys[d]`` (each entry's packed index keys,
+    threshold terms and counts, :func:`_walk_layout`, which take the bits
+    below ``shift``; none by default) plus, in each field, its term of d
+    for each of the first p positions past its k: g_k(d), or, for a row, d
+    past its k and d more past its j.  So a run of d from position a to b
+    adds ``table[b][d] - table[a][d]`` to the keys, the slack and the rows
+    at once.  As each field is at most 2 total < 2^(w-1) and each need at
+    most 2 total + 1, ``(slack | G) - L & G == G`` keeps every guard, with
+    no borrow across a field, exactly when each R_k >= L_k: when the
+    sequence is graphical; the rows' fields need 0 in L, so their guards
+    stay.  ``(slack | G) - M & G == G`` is the rows' verdict in the same
+    way.  The keys below ``shift`` leave those verdicts as they are, as L
+    and M have no bit there, and the slack leaves theirs
+    (:func:`_packed_bounds`), as the low bits of a difference depend on no
+    higher bit.
     """
-    n, c = klass.n, klass.c
-    width = (2 * klass.degree_total).bit_length() + 1
+    n, c, total = klass.n, klass.c, klass.degree_total
+    width = (2 * total).bit_length() + 1
     fields = [(k, 2 * c - 2 + 3 * k - k * k) for k in range(2, n)]
     fields = [(k, low) for k, low in fields if low > 0]  # each k that can fail, with its L_k
-    guards = sum(1 << shift + j * width + width - 1 for j in range(len(fields)))
-    needs = sum(low << shift + j * width for j, (_, low) in enumerate(fields))
-    # Row p is row p - 1 plus `step`: each entry d's key, and its g_k(d) for each k below p.
+    bits = [shift + i * width for i in range(len(fields) + len(rows))]  # each field's lowest
+    row_bits = bits[len(fields):]
+    guards = sum(1 << bit + width - 1 for bit in bits)
+    needs = sum(low << bit for (_, low), bit in zip(fields, bits))
+    row_needs = sum(max(2 * total - limit, 0) << bit for (*_, limit), bit in zip(rows, row_bits))
+    # Each (k, bit, terms): from position k on, an entry d adds terms[d] at `bit`.
+    onsets = [(k, bit, [d + min(d, k) - 2 for d in range(n)]) for (k, _), bit in zip(fields, bits)]
+    onsets += [(past, bit, range(n)) for (k, j, _), bit in zip(rows, row_bits) for past in (k, j)]
     table, step = [[0] * n], [*keys] or [0] * n
-    for p in range(1, n + 1):
-        for j, (k, _) in enumerate(fields):
-            if k == p - 1:
-                step = [s + (d + min(d, k) - 2 << shift + j * width) for d, s in enumerate(step)]
+    for p in range(n):  # row p + 1 is row p plus `step`, which takes each term from p on
+        for k, bit, terms in onsets:
+            if k == p:
+                step = [s + (term << bit) for s, term in zip(step, terms)]
         table.append(list(map(add, table[-1], step)))
-    return table, guards, needs
+    return table, guards, needs, row_needs
 
 
 def candidate_sequences(n: int, total: int) -> Iterator[tuple]:
@@ -663,16 +688,16 @@ def walk_class(
 
     A push of a run ``(value, count)`` onto the candidate stack moves the
     run's end from position ``a`` to ``a + count`` and updates the state its
-    whole subtree shares: the head the two tables read (their verdicts once
-    it is complete), one int that holds the exact index keys, the threshold
-    sums against the family and the Erdos-Gallai slack (one difference of the
-    walk's table, :func:`_walk_layout`), and the degree product (only when an
-    index is ranked).  A push that leaves a rest of all ones pushes that run
-    too, a pair shared by every leaf: it completes the head and adds its
-    keys, and no slack and no threshold sum.  Either way a full stack reaches
-    the one leaf block, with no call of its own, and becomes a tuple only
-    where its runs are kept.  ``below`` is the recursion, and reads the
-    walk's tables as free variables.
+    whole subtree shares: one int that holds the exact index keys, the counts
+    and inequality sums the two tables read, the threshold sums against the
+    family and the Erdos-Gallai slack (one difference of the walk's table,
+    :func:`_walk_layout`), and the degree product (only when an index is
+    ranked).  A push that leaves a rest of all ones pushes that run too, a
+    pair shared by every leaf: one more table difference adds its keys and
+    its inequality terms, and no slack, no threshold sum and no count.
+    Either way a full stack reaches the one leaf block, with no call of its
+    own, and becomes a tuple only where its runs are kept.  ``below`` is the
+    recursion, and reads the walk's tables as free variables.
 
     Each candidate gets :func:`validate_runs` and the Erdos-Gallai verdict of
     its slack, one guard-bit test (:func:`_slack_tables`).  That verdict is
@@ -680,9 +705,12 @@ def walk_class(
     :func:`validate_runs` the degree range, so its screen would pass every
     candidate, and on those the lemma of :func:`_slack_tables` is
     Erdos-Gallai.  The members are the candidates it accepts.  Where the
-    tables have a row for c (c <= 6), each candidate also gets the counting
-    form and the inequalities, compiled once per walk (:func:`_class_tables`),
-    and a disagreement among the three verdicts is recorded.
+    tables have a row for c (c <= 6), each candidate also gets the verdicts
+    of the counting form and of the inequalities, compiled once per walk
+    (:func:`_class_tables`) into the same int: a guard-bit test per row, the
+    counting form holding when one of its rows does, with no call of
+    :func:`_conditions_hold` or :func:`_rows_hold`.  A disagreement among
+    the three verdicts is recorded.
 
     With ``family``, the walk makes the family's :class:`ExtremalityReport`
     over the members.  By the lemma of :func:`_walk_layout` a member lies
@@ -708,21 +736,19 @@ def walk_class(
     extremes of its set skips them (:func:`_packed_bounds`), a test that
     reads only the key bits; a spread member's set is the spread one, whose
     interval lies inside the other's.  A member that does not skip them puts
-    its degree product above the slack's top guard, and each key is read off
-    its field.  Raises :class:`EnumerationCapError` above the cap, and
+    its degree product above the top guard, and each key is read off its
+    field.  Raises :class:`EnumerationCapError` above the cap, and
     ``ValueError`` for a family of another class, before any candidate.
     """
     if family is not None and family.klass != klass:
         raise ValueError(f"a family of {family.klass} cannot be checked over {klass}")
     check_cap(klass, cap)
     n, total = klass.n, klass.degree_total
-    tables, width, product_shift, pushes, guards, needs, fence, floor, marks = _walk_layout(
-        klass, indices, family
+    tables, width, product_shift, pushes, guards, needs, tabled, fence, floor, marks = (
+        _walk_layout(klass, indices, family)
     )
-    tabled = klass.c in _COUNT_CONDITIONS
-    conditions, rows = _class_tables(klass) if tabled else (None, None)
+    row_needs, counts = tabled or (0, ())
     stack, choices, ones = [], {}, [(1, k) for k in range(n + 1)]  # a leaf's runs share ones
-    head_size, one = min(_HEAD_SIZE, n), pushes[1][1]  # the keys of an entry 1, all it adds
     product_table = next((table for table, product in tables if product), [1] * n)
     ranked, failures, candidates, members = bool(indices), [], 0, 0
     extremes = tuple(Extremes() for _ in indices)
@@ -752,43 +778,43 @@ def walk_class(
     least = marks[-1][0] if family is not None and family.minimal_runs != balanced else None
     uncovered, below_minimal, witnesses = [], [], {}
 
-    def below(slots, remaining, bound, head, verdicts, state, product):
+    def below(slots, remaining, bound, state, product):
         """Push each run :func:`_run_choices` allows (the memo read inline), then the runs below."""
         nonlocal candidates, members
         depth, a = len(stack), n - slots
-        here, room = pushes[a], head_size - a  # room: entries the head still lacks
-        leaves = found = 0
+        here, leaves, found = pushes[a], 0, 0
         # A node's choices are never empty, so a hit of the memo costs no call.
         key = (slots, remaining, bound)
         for pair in choices.get(key) or _run_choices(choices, slots, remaining, bound):
             value, count = pair
             rest, left = slots - count, remaining - count * value
-            run_head, run_verdicts = head, verdicts
-            if verdicts is None:
-                run_head = head + (value,) * (count if count < room else room)
-                if count >= room or rest == left:  # complete, with a rest of all ones
-                    run_head += (1,) * (room - count)
-                    run_verdicts = (_conditions_hold(run_head, conditions),
-                                    _rows_hold(run_head, rows))
             run_state, run_product = state + pushes[a + count][value] - here[value], product
             if ranked:  # a rest of all ones leaves the degree product as it is
                 run_product *= product_table[value] ** count
             stack.append(pair)
             if rest != left:
-                below(rest, left, value - 1, run_head, run_verdicts, run_state, run_product)
+                below(rest, left, value - 1, run_state, run_product)
                 stack.pop()
                 continue
             if rest:  # the rest is all ones, its one choice: pushed here, not in a call
                 stack.append(ones[rest])
-                run_state += rest * one
+                run_state += pushes[n][1] - pushes[a + count][1]
             # The leaf.  A valid candidate of the class is graphical when its slack holds.
             leaves += 1
             validate_runs(stack, n)
-            graphical = (run_state | guards) - needs & guards == guards
+            guarded = run_state | guards  # a verdict keeps every guard where its rows hold
+            graphical = guarded - needs & guards == guards
             runs = ()  # the candidate as a tuple, made where it is kept
-            if run_verdicts and run_verdicts != ((False, False), (True, True))[graphical]:
-                runs = tuple(stack)
-                failures.append((runs, *run_verdicts, graphical))
+            if tabled:
+                counting = False
+                for need in counts:
+                    if guarded - need & guards == guards:
+                        counting = True
+                        break
+                rows_hold = guarded - row_needs & guards == guards
+                if counting is not graphical or rows_hold is not graphical:
+                    runs = tuple(stack)
+                    failures.append((runs, counting, rows_hold, graphical))
             if graphical:
                 found += 1
                 if family is not None:
@@ -828,7 +854,7 @@ def walk_class(
         candidates += leaves
         members += found
 
-    below(n, total, n - 1, (), None if tabled else (), 0, 1)  # no head is built past the tables
+    below(n, total, n - 1, 0, 1)
     below = None  # the walk is done: no cycle is left to hold its tables
     report = None if family is None else ExtremalityReport(
         c=klass.c,
@@ -844,7 +870,7 @@ def walk_class(
 
 
 def _walk_layout(klass: CyclomaticClass, indices=(), family=None) -> tuple:
-    """``(tables, width, top, table, G, L, F, floor, marks)``: the one int of a :func:`walk_class`.
+    """``(tables, width, top, table, G, L, tabled, F, floor, marks)``: the one int of a walk.
 
     ``tables`` holds each index's :func:`~ccyclic.indices.key_table`.  The
     exact sum keys take the low bits, a field of ``width`` bits each and a 0
@@ -854,9 +880,21 @@ def _walk_layout(klass: CyclomaticClass, indices=(), family=None) -> tuple:
     above every pushed field.  Float keys are summed at the leaf, as
     :func:`~ccyclic.indices.evaluate` sums them.
 
+    Where the tables have a row for c (c <= 6), each entry's key also holds
+    [d >= t] for each threshold t of the counting rows that
+    :func:`_class_tables` compiles, in a field of b = n.bit_length() + 1
+    bits above the index keys whose top one is a guard, so the pushes count
+    N_t, the entries >= t.  A row's needs "at least j entries are >= t" say
+    N_t >= j: its J packs each j in t's field, and as N_t <= n < 2^(b-1)
+    and each j is at most the row's least order, ``(X | G) - J & G == G``
+    exactly when the row holds.  The counting verdict holds when one row
+    does, and with no row live it fails.  The inequality rows take fields
+    above the slack, each with its need in M (:func:`_slack_tables`), and
+    ``tabled`` is ``(M, [J, ...])``, or None past the tables.
+
     With ``family``, each entry's key also holds its threshold term (d - t)+
     for each t = 2..n-2, in a field of w = total.bit_length() + 1 bits above
-    the index keys whose top one is a guard (F holds the guards), so the
+    the counts whose top one is a guard (F holds the guards), so the
     pushes sum a member's threshold sums S_t.  The lemma: n entries x in
     [1, n-1] lie below n entries v in [1, n-1] with the same total (x is
     majorized by v) exactly when S_t(x) <= S_t(v) for each such t.  Proof:
@@ -871,18 +909,27 @@ def _walk_layout(klass: CyclomaticClass, indices=(), family=None) -> tuple:
     above it when ``(X | F) - V & F == F``, as each field then holds its
     guard plus a difference of two sums at most the total, and no borrow
     crosses a field.  ``floor`` packs each sum's least value over the
-    maximals (0 with none).  The class's slack sits above the sums: ``table``,
-    ``G`` and ``L`` are its :func:`_slack_tables`.
+    maximals (0 with none).  The class's slack and the inequality rows sit
+    above the sums: ``table``, ``L`` and M are their :func:`_slack_tables`,
+    and ``G`` holds their guards and the counts'.  Each field of G that a
+    test's needs leave at 0 keeps its guard, so every test reads the same
+    X | G: the slack's against L, the rows' against M, each counting row's
+    against its J.
     """
     n, total = klass.n, klass.degree_total
+    tabled = klass.c in _COUNT_CONDITIONS
+    conditions, rows = _class_tables(klass) if tabled else ([], [])
     tables = [key_table(index, n - 1) for index in indices]
     exact = [t for t, product in tables if not (product or isinstance(t[1], float))]
     width = max((n * max(table)).bit_length() for table in exact) if exact else 0
-    base, step = len(exact) * (width + 1), total.bit_length() + 1
+    size, thresholds = n.bit_length() + 1, sorted({t for row in conditions for t, _ in row})
+    counts = {t: len(exact) * (width + 1) + i * size for i, t in enumerate(thresholds)}
+    base, step = len(exact) * (width + 1) + len(counts) * size, total.bit_length() + 1
     shifts = range(base, base + (n - 3) * step, step) if family is not None else ()  # t = 2..n-2
     fence = sum(1 << shift + step - 1 for shift in shifts)
     keys = [
         sum(table[d] << i * (width + 1) for i, table in enumerate(exact))
+        + sum((d >= t) << bit for t, bit in counts.items())
         + sum(max(d - t, 0) << shift for t, shift in enumerate(shifts, start=2))
         for d in range(n)
     ]
@@ -892,8 +939,12 @@ def _walk_layout(klass: CyclomaticClass, indices=(), family=None) -> tuple:
                 for shift in shifts)
     marks = [(v, v | fence | (1 << base) - 1) for v in sums]
     top = base + len(shifts) * step
-    table, guards, needs = _slack_tables(klass, keys, top)
-    return tables, width, guards.bit_length() or top, table, guards, needs, fence, floor, marks
+    table, guards, needs, row_needs = _slack_tables(klass, keys, top, rows)
+    top = guards.bit_length() or top  # above every pushed field
+    guards += sum(1 << bit + size - 1 for bit in counts.values())
+    verdicts = (row_needs, [sum(j << counts[t] for t, j in row) for row in conditions])
+    verdicts = verdicts if tabled else None
+    return tables, width, top, table, guards, needs, verdicts, fence, floor, marks
 
 
 def _ranks(tables, extremes, width, top) -> tuple:

@@ -5,7 +5,7 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 from operator import ge
 from types import CodeType
@@ -24,6 +24,7 @@ from ccyclic.degree_sequences import (
     class_candidates,
     enumerate_sequences,
     extremal_family,
+    is_ccyclic_sequence_via_inequalities,
     is_graphical,
     min_order,
     parametric_extremal_family,
@@ -479,6 +480,46 @@ class TestWalkMatchesSeparatePasses:
         with pytest.raises(AssertionError, match="called _erdos_gallai"):
             is_graphical(population[0])
 
+    def test_no_call_of_the_table_readers(self, monkeypatch):
+        # The walk reads both tables off its packed int and builds no head: with
+        # their readers made to raise, its candidates, failures and members are
+        # the reference's, with the tables as they are and damaged as above.
+        below = next(
+            code for code in walk_class.__code__.co_consts
+            if isinstance(code, CodeType) and code.co_name == "below"
+        )
+        assert below.co_varnames[:below.co_argcount] == (
+            "slots", "remaining", "bound", "state", "product"
+        )
+
+        def called(*args):
+            raise AssertionError("the walk called a table reader")
+
+        loosened = degree_sequences._COUNT_CONDITIONS[6][:-1] + ((5, ((4, 4),)),)
+        least, rows = degree_sequences._INEQUALITIES[5]
+        seen = set()  # whether some class had a failure, for each state of the tables
+        for damage in (False, True):
+            with monkeypatch.context() as tables:
+                if damage:
+                    tables.setitem(degree_sequences._COUNT_CONDITIONS, 6, loosened)
+                    tightened = (least, rows[:-1] + ((5, 2, 2, 15),))
+                    tables.setitem(degree_sequences._INEQUALITIES, 5, tightened)
+                for c in range(7):
+                    for n in range(min_order(c), 12):
+                        klass = CyclomaticClass(c=c, n=n)
+                        count, failures, population = reference_equivalence_check(klass, n)
+                        with monkeypatch.context() as readers:
+                            readers.setattr(degree_sequences, "_conditions_hold", called)
+                            readers.setattr(degree_sequences, "_rows_hold", called)
+                            walk = walk_class(klass, n, None, VERIFY_INDICES)
+                            with pytest.raises(AssertionError, match="called a table reader"):
+                                is_ccyclic_sequence_via_inequalities(population[0], klass)
+                        assert (walk.candidates, walk.failures, walk.members) == (
+                            count, tuple(failures), len(population)
+                        ), (damage, c, n)
+                        seen.add((damage, bool(failures)))
+        assert seen == {(False, False), (True, False), (True, True)}
+
     def test_cap_refused_before_the_walk_starts(self, monkeypatch):
         def started(*args):
             raise AssertionError("the walk started")
@@ -641,18 +682,19 @@ def member_fields(tables, width, top):
 
 
 def walk_layout(klass, indices=VERIFY_INDICES, family=None):
-    """``(table, guards, needs, keys, fence, floor, marks)``: the push table that the walk
-    of the class compiles for ``indices`` and ``family``, its slack's guards and needs,
-    each exact sum key's ``(shift, mask, terms)``, and the guards, least sums and marks of
-    the family's threshold sums."""
-    tables, width, top, table, guards, needs, fence, floor, marks = (
+    """``(table, guards, needs, keys, fence, floor, marks, tabled)``: the push table that
+    the walk of the class compiles for ``indices`` and ``family``, the guards of its
+    verdicts and its slack's needs, each exact sum key's ``(shift, mask, terms)``, the
+    guards, least sums and marks of the family's threshold sums, and the needs of the
+    tables' rows (None past the tables)."""
+    tables, width, top, table, guards, needs, tabled, fence, floor, marks = (
         degree_sequences._walk_layout(klass, indices, family)
     )
     keys = [  # the degree product is put above the slack at the leaf, not pushed
         (shift, mask, tables[i][0]) for shift, mask, i in member_fields(tables, width, top)
         if mask >= 0
     ]
-    return table, guards, needs, keys, fence, floor, marks
+    return table, guards, needs, keys, fence, floor, marks, tabled
 
 
 def class_family(klass):
@@ -678,26 +720,49 @@ def threshold_verdicts(state, fence, mark):
     return lifted - state & fence == fence, (state | fence) - sums & fence == fence
 
 
+def table_verdicts(state, guards, tabled):
+    """The leaf's tests of a state against the two tables' packed rows: (counting,
+    inequalities), the first holding when one of its rows does."""
+    row_needs, counts = tabled
+    held = state | guards
+    return (
+        any(held - need & guards == guards for need in counts),
+        held - row_needs & guards == guards,
+    )
+
+
 def check_slack_agreement(c_max, n_max):
-    """``(classes, candidates, comparisons)``: on every candidate of each class with c <=
-    ``c_max`` and n <= ``n_max``, the state summed from the push table a walk builds for
-    ``VERIFY_INDICES`` and the class's family (:func:`class_family`) holds each exact key
-    in its field, as the sum of its terms, a slack above them that decides what
-    :func:`is_graphical` decides, and threshold sums whose two tests against each
-    family vector say what ``relation_of_runs`` says; above a maximal, it is above
-    their least sums."""
-    classes = candidates = comparisons = 0
+    """``(classes, candidates, comparisons, tabled)``: on every candidate of each class
+    with c <= ``c_max`` and n <= ``n_max``, the state summed from the push table a walk
+    builds for ``VERIFY_INDICES`` and the class's family (:func:`class_family`) holds
+    each exact key in its field, as the sum of its terms, a slack above them that decides
+    what :func:`is_graphical` decides, and threshold sums whose two tests against each
+    family vector say what ``relation_of_runs`` says; above a maximal, it is above their
+    least sums.  On the ``tabled`` candidates, those with c <= 6, its counting and
+    inequality verdicts are those of ``_conditions_hold`` and ``_rows_hold`` on its head."""
+    classes = candidates = comparisons = checked = 0
     for c in range(c_max + 1):
         for n in range(min_order(c), n_max + 1):
             klass = CyclomaticClass(c=c, n=n)
             family = class_family(klass)
             vectors = (*family.maximal_runs, family.minimal_runs)
-            table, guards, needs, keys, fence, floor, marks = walk_layout(klass, family=family)
+            table, guards, needs, keys, fence, floor, marks, tabled = walk_layout(
+                klass, family=family
+            )
+            assert (tabled is None) is (c > 6), (c, n)
+            conditions, rows = degree_sequences._class_tables(klass) if tabled else ((), ())
             classes += 1
             for runs in class_candidates(klass, n):
                 candidates += 1
                 state = pushed_state(runs, table)
                 assert slack_holds(state, guards, needs) == is_graphical(runs), (c, n, runs)
+                if tabled:
+                    checked += 1
+                    head = degree_sequences._head(runs)
+                    assert table_verdicts(state, guards, tabled) == (
+                        degree_sequences._conditions_hold(head, conditions),
+                        degree_sequences._rows_hold(head, rows),
+                    ), (c, n, runs)
                 for shift, mask, terms in keys:
                     assert state >> shift & mask == sum([m * terms[d] for d, m in runs]), (
                         c, n, runs, shift
@@ -710,7 +775,20 @@ def check_slack_agreement(c_max, n_max):
                     )
                     if verdicts[1] and vector is not vectors[-1]:
                         assert threshold_verdicts(state, fence, (floor, 0))[1], (c, n, runs)
-    return classes, candidates, comparisons
+    return classes, candidates, comparisons, checked
+
+
+def row_fields(klass, family=None):
+    """Each compiled inequality row ``(k, j, limit)`` of the class with the lowest bit of
+    its field in the walk's layout for ``VERIFY_INDICES`` and ``family``: fields of the
+    slack's width, the last ending where the leaf puts the degree product (none past the
+    tables)."""
+    if klass.c > 6:
+        return []
+    rows = degree_sequences._class_tables(klass)[1]
+    top = degree_sequences._walk_layout(klass, VERIFY_INDICES, family)[2]
+    width = (2 * klass.degree_total).bit_length() + 1
+    return [(*row, top - (len(rows) - i) * width) for i, row in enumerate(rows)]
 
 
 class TestBalancedSeed:
@@ -748,7 +826,7 @@ class TestPackedSlack:
     membership by one guard-bit test."""
 
     def test_every_candidate_to_14(self):
-        assert check_slack_agreement(15, 14) == (153, 205845, 484440)
+        assert check_slack_agreement(15, 14) == (153, 205845, 484440, 11864)
 
     @pytest.mark.parametrize("c", range(16))
     def test_each_field_at_its_need(self, c):
@@ -758,7 +836,8 @@ class TestPackedSlack:
         # borrow crosses a field, and the test holds when every guard is kept.
         for n in (min_order(c), min_order(c) + 1, 20):
             klass = CyclomaticClass(c=c, n=n)
-            _, guards, needs = degree_sequences._slack_tables(klass)
+            _, guards, needs, row_needs = degree_sequences._slack_tables(klass)
+            assert row_needs == 0  # no inequality row is given
             width = (2 * klass.degree_total).bit_length() + 1
             lows = [2 * c - 2 + 3 * k - k * k for k in range(2, n)]
             lows = [low for low in lows if low > 0]
@@ -794,65 +873,217 @@ class TestPackedSlack:
         # Nothing to its slack: the walk's table grows only the keys of a 1,
         # which sit below the slack's fields.
         # Nor to its threshold sums, which sit between the keys and the slack.
-        klass = CyclomaticClass(c=15, n=22)
-        assert all(row[1] == 0 for row in degree_sequences._slack_tables(klass)[0])
-        for family in (None, class_family(klass)):
-            table, guards, needs, keys, fence, _, _ = walk_layout(klass, family=family)
-            key_bits = sum(mask.bit_length() + 1 for _, mask, _ in keys)
-            assert keys and guards and all(row[1] >> key_bits == 0 for row in table)
-            assert all(row[1] == p * table[1][1] for p, row in enumerate(table))
-            assert [table[1][1] >> shift & mask for shift, mask, _ in keys] == [
-                terms[1] for _, _, terms in keys
-            ]
-            assert (fence > 0) is (family is not None)
+        # Nor to its counts, as a 1 is below every threshold t >= 2.  Past
+        # the tables (c = 15) that is all; for c <= 6, a 1 at position p adds
+        # [p >= k] + [p >= j] to the field of each inequality row (k, j),
+        # its share of the entries past k and past j.
+        for klass in (CyclomaticClass(c=15, n=22), CyclomaticClass(c=6, n=22)):
+            assert all(row[1] == 0 for row in degree_sequences._slack_tables(klass)[0])
+            for family in (None, class_family(klass)):
+                table, guards, needs, keys, fence, _, _, tabled = walk_layout(klass, family=family)
+                key_bits = sum(mask.bit_length() + 1 for _, mask, _ in keys)
+                one = sum(terms[1] << shift for shift, _, terms in keys)  # the keys of a 1
+                rows = row_fields(klass, family)
+                assert keys and guards and (tabled is None) is (not rows) is (klass.c > 6)
+                below_rows = (1 << rows[0][3]) - 1 if rows else -1  # every bit below the rows
+                assert all(row[1] & below_rows == p * one for p, row in enumerate(table))
+                assert all(
+                    row[1] - p * one
+                    == sum(max(p - k, 0) + max(p - j, 0) << bit for k, j, _, bit in rows)
+                    for p, row in enumerate(table)
+                )
+                if not rows:
+                    assert all(row[1] >> key_bits == 0 for row in table)
+                    assert all(row[1] == p * table[1][1] for p, row in enumerate(table))
+                assert [table[1][1] >> shift & mask for shift, mask, _ in keys] == [
+                    terms[1] for _, _, terms in keys
+                ]
+                assert (fence > 0) is (family is not None)
+
+
+class TestPackedTables:
+    """The paper's two tables, packed in the walk's one int for c <= 6: a count N_t of
+    the entries >= t per threshold, and a field per inequality row holding 2 total -
+    (P_k + P_j), each row's verdict one guard-bit test of the same guards."""
+
+    @pytest.mark.parametrize("c, n", [(1, 3), (3, 4), (4, 9), (5, 6), (6, 5), (6, 8), (6, 20)])
+    def test_each_count_field_at_its_need(self, c, n):
+        # A need (t, j) keeps t's guard at N_t = j and at N_t = n, and loses it
+        # at j - 1, with every other count at 0 or n and every bit outside the
+        # counts clear or set: each other guard stays as it would alone, so
+        # no borrow crosses a field, and the row holds when every guard stays.
+        klass = CyclomaticClass(c=c, n=n)
+        _, guards, _, keys, _, _, _, (_, needs) = walk_layout(klass)
+        key_bits = sum(mask.bit_length() + 1 for _, mask, _ in keys)
+        size, counts = count_fields(klass, key_bits)
+        conditions = degree_sequences._class_tables(klass)[0]
+        assert needs == [sum(j << counts[t] for t, j in row) for row in conditions]
+        assert all(j <= n < 1 << size - 1 for row in conditions for _, j in row)
+        field_bits = sum((1 << size) - 1 << shift for shift in counts.values())
+        noises = (0, (1 << guards.bit_length()) - 1 & ~field_bits & ~guards)
+        for row, need in zip(conditions, needs):
+            wants = dict(row)
+            for t, j in row:
+                for others in (0, n):
+                    for value, holds in ((j, True), (j - 1, False), (n, True)):
+                        held = {u: value if u == t else others for u in counts}
+                        state = sum(held[u] << shift for u, shift in counts.items())
+                        kept = guards - sum(
+                            1 << shift + size - 1
+                            for u, shift in counts.items() if held[u] < wants.get(u, 0)
+                        )
+                        for noise in noises:
+                            where = (row, t, others, value, noise)
+                            assert (state + noise | guards) - need & guards == kept, where
+                            assert (kept == guards) is (holds and all(
+                                others >= wants.get(u, 0) for u in counts if u != t
+                            )), where
+
+    @pytest.mark.parametrize("c, n", [(1, 3), (2, 7), (4, 9), (5, 5), (6, 5), (6, 11)])
+    def test_each_row_field_at_its_limit(self, c, n):
+        # A row's field holds 2 total - (P_k + P_j), the entries past k and
+        # past j, on every candidate.  It keeps its guard at P_k + P_j = a n +
+        # b and at 0, and loses it at a n + b + 1, with every other row's
+        # field at 0 or 2 total and every bit below the rows clear or set.
+        klass = CyclomaticClass(c=c, n=n)
+        total = klass.degree_total
+        table, guards, _, _, _, _, _, (needs, _) = walk_layout(klass)
+        rows = row_fields(klass)
+        width = (2 * total).bit_length() + 1
+        assert rows and needs == sum(2 * total - limit << bit for _, _, limit, bit in rows)
+        assert all(0 <= 2 * total - limit < 1 << width - 1 for _, _, limit, _ in rows)
+        for runs in class_candidates(klass, n):
+            prefix = [0, *accumulate(expand_runs(runs))]
+            state = pushed_state(runs, table)
+            for k, j, _, bit in rows:
+                assert state >> bit & (1 << width) - 1 == 2 * total - prefix[k] - prefix[j], runs
+        noises = (0, (1 << rows[0][3]) - 1)
+        for i, (_, _, limit, bit) in enumerate(rows):
+            for others in (0, 2 * total):
+                rest = sum(others << b for h, (*_, b) in enumerate(rows) if h != i)
+                lost = sum(
+                    1 << b + width - 1 for h, (*_, cap, b) in enumerate(rows)
+                    if h != i and others < 2 * total - cap
+                )
+                for prefixes, holds in ((limit, True), (limit + 1, False), (0, True)):
+                    for noise in noises:
+                        state = rest + (2 * total - prefixes << bit) + noise
+                        where = (i, others, prefixes, noise)
+                        assert (state | guards) - needs & guards == guards - lost - (
+                            0 if holds else 1 << bit + width - 1
+                        ), where
+
+    def test_a_tree_has_no_inequality_row(self):
+        # At c = 0 the inequality verdict is the constant True, as is the
+        # counting one: its one live row has no need.
+        for n in range(min_order(0), 13):
+            klass = CyclomaticClass(c=0, n=n)
+            table, guards, _, _, _, _, _, tabled = walk_layout(klass)
+            assert degree_sequences._class_tables(klass) == ([()], [])
+            assert tabled == (0, [0])
+            states = [pushed_state(runs, table) for runs in class_candidates(klass, n)]
+            for state in states + [0, (1 << guards.bit_length() + 1) - 1]:
+                assert table_verdicts(state, guards, tabled) == (True, True), (n, state)
+            assert walk_class(klass, n).failures == ()
+
+    @pytest.mark.parametrize("c", range(1, 7))
+    def test_below_the_tables_least_orders(self, monkeypatch, c):
+        # Below the least edge count the one row 0 <= -1 is the constant
+        # False, and with no counting row live so is the counting verdict:
+        # every member is a failure, as the reference finds it.
+        least, rows = degree_sequences._INEQUALITIES[c]
+        monkeypatch.setitem(degree_sequences._INEQUALITIES, c, (least + 100, rows))
+        conditions = degree_sequences._COUNT_CONDITIONS[c]
+        raised = tuple((order + 100, needs) for order, needs in conditions)
+        monkeypatch.setitem(degree_sequences._COUNT_CONDITIONS, c, raised)
+        for n in range(min_order(c), 11):
+            klass = CyclomaticClass(c=c, n=n)
+            table, guards, _, _, _, _, _, tabled = walk_layout(klass)
+            total = klass.degree_total
+            assert degree_sequences._class_tables(klass) == ([], [(0, 0, -1)])
+            ((*_, bit),) = row_fields(klass)
+            assert tabled == (2 * total + 1 << bit, [])
+            states = [pushed_state(runs, table) for runs in class_candidates(klass, n)]
+            for state in states + [0, (2 * total + 1 << bit) - 1]:  # its field at 2 total
+                assert table_verdicts(state, guards, tabled) == (False, False), (n, state)
+            walk = walk_class(klass, n)
+            count, failures, population = reference_equivalence_check(klass, n)
+            assert (walk.candidates, walk.failures) == (count, tuple(failures))
+            assert len(walk.failures) == walk.members == len(population) > 0
+
+
+def count_fields(klass, key_bits):
+    """``(size, {t: shift})``: the count fields of the class's tables directly above
+    ``key_bits`` bits of keys, one per threshold that its live counting rows read, in
+    ascending t (none past the tables), each of ``size`` bits with its guard on top."""
+    conditions = degree_sequences._class_tables(klass)[0] if klass.c <= 6 else []
+    size = klass.n.bit_length() + 1
+    thresholds = sorted({t for row in conditions for t, _ in row})
+    return size, {t: key_bits + i * size for i, t in enumerate(thresholds)}
 
 
 class TestOneState:
-    """The walk carries its exact keys and the class's slack in one int: the keys in
-    the low bits, as ``_ranks`` lays them out, the slack directly above, and, at a
-    leaf that ranks, the degree product above the slack's top guard."""
+    """The walk carries its exact keys, the tables' counts, the class's slack and the
+    tables' inequality fields in one int: the keys in the low bits, as ``_ranks`` lays
+    them out, the counts directly above, the slack and the inequality fields above them,
+    and, at a leaf that ranks, the degree product above the top guard."""
 
     @pytest.mark.parametrize("c, n", [(0, 9), (1, 3), (6, 8), (6, 20), (15, 7), (15, 22)])
     def test_the_layout(self, c, n):
         klass = CyclomaticClass(c=c, n=n)
-        tables, width, top, table, guards, needs, fence, _, _ = degree_sequences._walk_layout(
-            klass, VERIFY_INDICES
+        tables, width, top, table, guards, needs, tabled, fence, _, _ = (
+            degree_sequences._walk_layout(klass, VERIFY_INDICES)
         )
         assert fence == 0  # no family: no threshold sum
+        assert (tabled is None) is (c > 6)
         fields = member_fields(tables, width, top)
         ((product_shift, _, _),) = [field for field in fields if field[1] < 0]
         sums = [(shift, mask) for shift, mask, _ in fields if mask >= 0]
         width = sums[0][1].bit_length()
         assert sums == [(i * (width + 1), (1 << width) - 1) for i in range(len(sums))]
         key_bits = len(sums) * (width + 1)
+        size, counts = count_fields(klass, key_bits)
+        assert list(counts) == {0: [], 1: [2], 6: [2, 3, 4], 15: []}[c]
+        slack_at = key_bits + len(counts) * size
+        rows = len(degree_sequences._class_tables(klass)[1]) if c <= 6 else 0
         slack_width = (2 * klass.degree_total).bit_length() + 1
         lows = [low for low in (2 * c - 2 + 3 * k - k * k for k in range(2, n)) if low > 0]
-        assert guards == sum(1 << key_bits + (j + 1) * slack_width - 1 for j in range(len(lows)))
-        assert needs == sum(low << key_bits + j * slack_width for j, low in enumerate(lows))
-        assert product_shift == key_bits + len(lows) * slack_width
+        assert guards == sum(1 << shift + size - 1 for shift in counts.values()) + sum(
+            1 << slack_at + (j + 1) * slack_width - 1 for j in range(len(lows) + rows)
+        )
+        assert needs == sum(low << slack_at + j * slack_width for j, low in enumerate(lows))
+        assert product_shift == slack_at + (len(lows) + rows) * slack_width
         assert table[0] == [0] * n and len(table) == n + 1
 
     @pytest.mark.parametrize("c, n", [(0, 4), (1, 3), (1, 9), (6, 8), (6, 20), (15, 22)])
     def test_the_layout_with_a_family(self, c, n):
         # With a family, one field per threshold t = 2..n-2 directly above the
-        # keys, total.bit_length() + 1 bits each with its guard on top, and
-        # the slack and the product's bit moved up past them.  Each entry d
-        # adds (d - t)+ to field t; each vector's mark is its sums, and its
-        # sums with the guards and every key bit set; the floor is the
-        # maximals' least sum in each field.
+        # keys and counts, total.bit_length() + 1 bits each with its guard on
+        # top, and the slack, the inequality fields and the product's bit
+        # moved up past them.  Each entry d adds (d - t)+ to field t; each
+        # vector's mark is its sums, and its sums with the guards and every
+        # key and count bit set; the floor is the maximals' least sum in each
+        # field.
         klass = CyclomaticClass(c=c, n=n)
         family = class_family(klass)
-        _, _, plain_top, plain_table, plain_guards, plain_needs, _, _, _ = (
+        _, _, plain_top, plain_table, plain_guards, plain_needs, plain_tabled, _, _, _ = (
             degree_sequences._walk_layout(klass, VERIFY_INDICES)
         )
-        tables, width, top, table, guards, needs, fence, floor, marks = (
+        tables, width, top, table, guards, needs, tabled, fence, floor, marks = (
             degree_sequences._walk_layout(klass, VERIFY_INDICES, family)
         )
         key_bits = sum(mask.bit_length() + 1 for _, mask, _ in walk_layout(klass)[3])
+        size, counts = count_fields(klass, key_bits)
+        base = key_bits + len(counts) * size  # the counts stay below the threshold sums
         step, fields = klass.degree_total.bit_length() + 1, max(n - 3, 0)
-        shifts = [key_bits + j * step for j in range(fields)]
+        shifts = [base + j * step for j in range(fields)]
+
+        def moved(bits):  # the bits above the counts moved up past the threshold sums
+            return (bits & (1 << base) - 1) + (bits >> base << base + fields * step)
+
         assert fence == sum(1 << shift + step - 1 for shift in shifts)
-        assert (guards, needs) == (plain_guards << fields * step, plain_needs << fields * step)
+        assert (guards, needs) == (moved(plain_guards), moved(plain_needs))
+        assert tabled == (plain_tabled and (moved(plain_tabled[0]), plain_tabled[1]))
         assert top == plain_top + fields * step
         assert member_fields(tables, width, top)[:-1] == member_fields(tables, width, plain_top)[:-1]
 
@@ -862,10 +1093,12 @@ class TestOneState:
         def threshold_sums(runs):
             return [sum(m * max(d - t, 0) for d, m in runs) for t in range(2, n - 1)]
 
-        assert table[1] == [key + packed(threshold_sums(((d, 1),))) for d, key in enumerate(plain_table[1])]
+        assert table[1] == [
+            moved(key) + packed(threshold_sums(((d, 1),))) for d, key in enumerate(plain_table[1])
+        ]
         vectors = (*family.maximal_runs, family.minimal_runs)
         assert marks == [
-            (packed(threshold_sums(runs)), packed(threshold_sums(runs)) | fence | (1 << key_bits) - 1)
+            (packed(threshold_sums(runs)), packed(threshold_sums(runs)) | fence | (1 << base) - 1)
             for runs in vectors
         ]
         least = [min(each) for each in zip(*map(threshold_sums, family.maximal_runs))]
@@ -876,17 +1109,17 @@ class TestOneState:
         # A member's sum equal to a vector's keeps that field's guard in the
         # test below the vector and in the test above it; one more loses it
         # below, one less above.  The other fields at 0 or at the total, and
-        # the key and slack bits clear or set, move no guard: no borrow
-        # crosses a field.
+        # the key, count, slack and inequality bits clear or set, move no
+        # guard: no borrow crosses a field.
         klass = CyclomaticClass(c=c, n=n)
         total = klass.degree_total
         layout = degree_sequences._walk_layout(klass, VERIFY_INDICES, class_family(klass))
-        top, fence = layout[2], layout[6]
+        top, fence = layout[2], layout[7]
         step = total.bit_length() + 1
         shifts = [bit - step + 1 for bit in range(fence.bit_length()) if fence >> bit & 1]
         assert len(shifts) == n - 3
-        keys = (1 << shifts[0]) - 1  # every key bit
-        slack = (1 << top) - (1 << shifts[-1] + step)  # every slack bit
+        keys = (1 << shifts[0]) - 1  # every key and count bit
+        slack = (1 << top) - (1 << shifts[-1] + step)  # every slack and inequality bit
         for j, shift in enumerate(shifts):
             for others in (0, total):
                 rest = sum(others << s for i, s in enumerate(shifts) if i != j)
@@ -908,7 +1141,7 @@ class TestOneState:
         slack there with its verdict: one field at 0, L_k - 1, L_k or its largest value,
         every other field at 0 or at its largest value."""
         klass = CyclomaticClass(c=c, n=n)
-        _, guards, needs = degree_sequences._slack_tables(klass, [0] * n, shift)
+        _, guards, needs, _ = degree_sequences._slack_tables(klass, [0] * n, shift)
         width = (2 * klass.degree_total).bit_length() + 1
         lows = [low for low in (2 * c - 2 + 3 * k - k * k for k in range(2, n)) if low > 0]
         top = (1 << width - 1) - 1

@@ -29,17 +29,18 @@ as :func:`~ccyclic.majorization.runs_of` gives it for a nonincreasing tuple.
 per-member step costs O(runs), not O(n).  A caller holding a tuple converts it
 once with ``runs_of``.  :func:`is_ccyclic_sequence` validates its input
 (:func:`validate_runs`); the other membership tests take a valid form as given,
-which the generator's output is by construction.  :class:`ExtremalFamily`
-holds candidates of its class only, as runs.
+which the generator's output is, built of run choices checked once per choice
+list (:func:`_checked_choices`).  :class:`ExtremalFamily` holds candidates of
+its class only, as runs.
 
 The oracle of every ``--verify``, and the one extremality check, is
 :func:`walk_class`: one walk of the candidate tree per class, holding no
 population, whose every push of a run updates the state its subtree shares.
 A rest of all ones is pushed in its parent's loop, and a full stack reaches
-one leaf block there, by no call of its own: the candidate gets
-:func:`validate_runs` and guard-bit tests of one packed int, the
-Erdos-Gallai verdict of the class's slack, with no call of
-:func:`is_graphical`, and, for c <= 6, one test per row of the two tables,
+one leaf block there, by no call of its own, and is valid by its runs'
+checks, made once per choice list.  The candidate gets guard-bit tests of
+one packed int, the Erdos-Gallai verdict of the class's slack, with no call
+of :func:`is_graphical`, and, for c <= 6, one test per row of the two tables,
 compiled once per walk (:func:`_class_tables`), with no call of their
 readers.  Each push carries that slack, the tables' counts and inequality
 sums, the exact index keys and, with a family, the member's threshold sums
@@ -230,8 +231,8 @@ def _counting_form_holds(runs, total: int, conditions: list) -> bool:
 def is_ccyclic_sequence(runs, klass: CyclomaticClass) -> bool:
     """Counting-form membership test for the degree sequences of the class.
 
-    ``runs`` is checked by :func:`validate_runs`, the one check a candidate
-    gets: the other membership tests take its validity as given.
+    ``runs`` is checked by :func:`validate_runs`: the other membership tests
+    take its validity as given.
     """
     validate_runs(runs, klass.n)
     if klass.c > MAX_SUPPORTED_CYCLES:
@@ -386,8 +387,9 @@ def _run_choices(choices: dict, slots: int, remaining: int, bound: int) -> list:
 
     The rest is ``slots`` entries summing to ``remaining``; runs come in
     descending lexicographic order.  The one copy of this arithmetic:
-    :func:`walk_class` calls it only when its inline read of ``choices``
-    misses, and never for a rest of all ones, which it pushes itself.
+    :func:`_checked_choices` calls it, for :func:`walk_class` and
+    :func:`_runs_below`, only when their inline read of ``choices`` misses,
+    and the walk never for a rest of all ones, which it pushes itself.
     Many prefixes share a rest, so each enumeration keeps its answers in
     ``choices``, as lists: freed tuples of many lengths would fill the
     interpreter's tuple free lists, which a long-running process keeps.
@@ -410,13 +412,42 @@ def _run_choices(choices: dict, slots: int, remaining: int, bound: int) -> list:
     return runs
 
 
+def _checked_choices(choices: dict, slots: int, remaining: int, bound: int) -> list:
+    """:func:`_run_choices`'s list for a rest, each run checked: the memo's one miss path.
+
+    Each ``(value, count)`` must have ``count >= 1``, ``1 <= value <=
+    bound``, ``count <= slots``, and leave a completable rest: ``rest <= left
+    <= rest (value - 1)`` for the ``rest = slots - count`` entries left to
+    sum to ``left = remaining - count value``, each in [1, value - 1].
+    Else ``ValueError``, with :func:`validate_runs`'s message where it has
+    one.  A walk calls this once per memo entry, when the read of
+    ``choices`` misses, so a stack of checked runs needs no check of its own.
+    """
+    runs = _run_choices(choices, slots, remaining, bound)
+    for value, count in runs:
+        rest, left = slots - count, remaining - count * value
+        if count < 1:
+            raise ValueError("every run needs a positive length")
+        if value < 1:
+            raise ValueError("degrees must lie in [1, n-1]")
+        if value > bound:
+            raise ValueError("degrees not in decreasing runs")
+        if rest < 0:
+            raise ValueError(f"a run of {count} is longer than the {slots} entries left")
+        if not rest <= left <= rest * (value - 1):
+            raise ValueError(f"no {rest} entries in [1, {value - 1}] sum to {left}")
+    return runs
+
+
 def _runs_below(stack: list, choices: dict, slots: int, remaining: int, bound: int) -> Iterator:
     """Extend ``stack`` by runs of values <= ``bound``: ``slots`` entries summing to ``remaining``.
 
     A module-level recursion, not a closure, so a finished enumeration
     leaves no reference cycle holding ``choices`` for the garbage collector.
+    The runs are :func:`_checked_choices`'s, checked once per memo entry.
     """
-    for pair in _run_choices(choices, slots, remaining, bound):
+    key = (slots, remaining, bound)
+    for pair in choices.get(key) or _checked_choices(choices, slots, remaining, bound):
         value, count = pair
         stack.append(pair)
         if count == slots:
@@ -699,18 +730,23 @@ def walk_class(
     own, and becomes a tuple only where its runs are kept.  ``below`` is the
     recursion, and reads the walk's tables as free variables.
 
-    Each candidate gets :func:`validate_runs` and the Erdos-Gallai verdict of
-    its slack, one guard-bit test (:func:`_slack_tables`).  That verdict is
-    :func:`is_graphical`'s: the walk fixes the order and the class total, and
-    :func:`validate_runs` the degree range, so its screen would pass every
-    candidate, and on those the lemma of :func:`_slack_tables` is
-    Erdos-Gallai.  The members are the candidates it accepts.  Where the
-    tables have a row for c (c <= 6), each candidate also gets the verdicts
-    of the counting form and of the inequalities, compiled once per walk
-    (:func:`_class_tables`) into the same int: a guard-bit test per row, the
-    counting form holding when one of its rows does, with no call of
-    :func:`_conditions_hold` or :func:`_rows_hold`.  A disagreement among
-    the three verdicts is recorded.
+    Each candidate is valid by induction, with no check of its own: every
+    run the walk takes from the memo was checked once, when the memo made
+    its list (:func:`_checked_choices`: a positive count, a value in [1,
+    bound] below the run before it, and a completable rest, which makes a
+    run of 1 the last), the walk pushes a run of ones itself only after a
+    run of value >= 2, and the slot count makes every leaf exactly n long.
+    Each candidate gets the Erdos-Gallai verdict of its slack, one guard-bit
+    test (:func:`_slack_tables`).  That verdict is :func:`is_graphical`'s:
+    the walk fixes the order and the class total, and the checked choices
+    the degree range [1, n - 1], so its screen would pass every candidate,
+    and on those the lemma of :func:`_slack_tables` is Erdos-Gallai.  The
+    members are the candidates it accepts.  Where the tables have a row for
+    c (c <= 6), each candidate also gets the verdicts of the counting form
+    and of the inequalities, compiled once per walk (:func:`_class_tables`)
+    into the same int: a guard-bit test per row, the counting form holding
+    when one of its rows does, with no call of :func:`_conditions_hold` or
+    :func:`_rows_hold`.  A disagreement among the three verdicts is recorded.
 
     With ``family``, the walk makes the family's :class:`ExtremalityReport`
     over the members.  By the lemma of :func:`_walk_layout` a member lies
@@ -779,13 +815,13 @@ def walk_class(
     uncovered, below_minimal, witnesses = [], [], {}
 
     def below(slots, remaining, bound, state, product):
-        """Push each run :func:`_run_choices` allows (the memo read inline), then the runs below."""
+        """Push each run the checked memo allows (read inline), then the runs below."""
         nonlocal candidates, members
         depth, a = len(stack), n - slots
         here, leaves, found = pushes[a], 0, 0
         # A node's choices are never empty, so a hit of the memo costs no call.
         key = (slots, remaining, bound)
-        for pair in choices.get(key) or _run_choices(choices, slots, remaining, bound):
+        for pair in choices.get(key) or _checked_choices(choices, slots, remaining, bound):
             value, count = pair
             rest, left = slots - count, remaining - count * value
             run_state, run_product = state + pushes[a + count][value] - here[value], product
@@ -801,7 +837,6 @@ def walk_class(
                 run_state += pushes[n][1] - pushes[a + count][1]
             # The leaf.  A valid candidate of the class is graphical when its slack holds.
             leaves += 1
-            validate_runs(stack, n)
             guarded = run_state | guards  # a verdict keeps every guard where its rows hold
             graphical = guarded - needs & guards == guards
             runs = ()  # the candidate as a tuple, made where it is kept

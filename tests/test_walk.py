@@ -57,6 +57,14 @@ def assert_same_outcomes(walk, reports, population):
         assert_same_outcome(report, extremes, population)
 
 
+def walk_record(walk):
+    """A :class:`ClassWalk` with each of its extremes as its record, so two walks compare."""
+    return (
+        walk.candidates, walk.failures, walk.members, walk.extremality,
+        list(map(extremes_record, walk.extremes + walk.spread)),
+    )
+
+
 def damaged(family):
     """Damaged families: upside down, a maximal as the minimal, the last maximal
     dropped, and the last maximal repeated."""
@@ -459,6 +467,69 @@ class TestWalkMatchesSeparatePasses:
         with pytest.raises(ValueError, match="every run needs a positive length"):
             walk_class(CyclomaticClass(c=3, n=8), 8)
 
+    @pytest.mark.parametrize("pair, message", [
+        (lambda slots, bound: (bound + 1, 1), "degrees not in decreasing runs"),
+        (lambda slots, bound: (0, 1), r"degrees must lie in \[1, n-1\]"),
+        (lambda slots, bound: (1, slots + 1), "a run of 8 is longer than the 7 entries left"),
+        (lambda slots, bound: (2, 1), r"no 6 entries in \[1, 1\] sum to 11"),
+    ], ids=["repeated degree", "degree 0", "longer than its slots", "incompletable rest"])
+    def test_every_run_choice_is_checked(self, monkeypatch, pair, message):
+        # A bad run among the choices of the node below the root's (7, 1), at
+        # (c, n) = (3, 8), is refused by the walk and by the generator alike.
+        run_choices = degree_sequences._run_choices
+
+        def with_a_bad_run(choices, slots, remaining, bound):
+            runs = run_choices(choices, slots, remaining, bound)
+            if (slots, remaining, bound) == (7, 13, 6) and pair(slots, bound) not in runs:
+                runs.insert(0, pair(slots, bound))
+            return runs
+
+        monkeypatch.setattr(degree_sequences, "_run_choices", with_a_bad_run)
+        with pytest.raises(ValueError, match=message):
+            walk_class(CyclomaticClass(c=3, n=8), 8)
+        with pytest.raises(ValueError, match=message):
+            list(degree_sequences.candidate_sequences(8, 20))
+
+    @pytest.mark.parametrize("c, n", [(0, 10), (3, 11), (6, 12), (7, 12), (15, 14)])
+    def test_no_leaf_calls_validate_runs(self, monkeypatch, c, n):
+        # The checked run choices make every leaf valid: with validate_runs made
+        # to raise, the walk finds what it finds with it, the reference's counts.
+        klass = CyclomaticClass(c=c, n=n)
+        family = extremal_family(klass) if c <= 6 else parametric_extremal_family(c, n)
+        count, members = sum(1 for _ in class_candidates(klass, n)), enumerate_sequences(klass, n)
+        expected = walk_record(walk_class(klass, n, family, VERIFY_INDICES, spread=True))
+
+        def called(runs, n):
+            raise AssertionError("the walk called validate_runs")
+
+        monkeypatch.setattr(degree_sequences, "validate_runs", called)
+        walk = walk_class(klass, n, family, VERIFY_INDICES, spread=True)
+        assert walk_record(walk) == expected
+        assert (walk.candidates, walk.members) == (count, len(members))
+        with pytest.raises(AssertionError, match="called validate_runs"):
+            degree_sequences.is_ccyclic_sequence(members[0], klass)
+
+    @pytest.mark.parametrize("c, n", [(6, 18), (10, 16), (15, 18)])
+    def test_each_choice_list_is_checked_once(self, monkeypatch, c, n):
+        # The check runs once per memo entry, one per distinct (slots,
+        # remaining, bound) of a node the walk calls below for, and the
+        # generator's likewise: far fewer than the candidates.
+        checked_choices, keys = degree_sequences._checked_choices, []
+
+        def counted(choices, *key):
+            keys.append(key)
+            return checked_choices(choices, *key)
+
+        monkeypatch.setattr(degree_sequences, "_checked_choices", counted)
+        klass, memo = CyclomaticClass(c=c, n=n), {}
+        below_calls(memo, n, klass.degree_total, n - 1)
+        walk = walk_class(klass, n)
+        assert len(keys) == len(set(keys)) == len(memo) and set(keys) == set(memo)
+        assert 5 * len(keys) < walk.candidates
+        keys.clear()
+        assert sum(1 for _ in class_candidates(klass, n)) == walk.candidates
+        assert len(keys) == len(set(keys)) and 5 * len(keys) < walk.candidates
+
     @pytest.mark.parametrize("c, n", [(0, 10), (1, 10), (3, 11), (6, 12), (7, 12), (15, 14)])
     def test_no_erdos_gallai_call(self, monkeypatch, c, n):
         # The packed slack decides every leaf: the core, made to raise, is never reached.
@@ -739,7 +810,9 @@ def check_slack_agreement(c_max, n_max):
     what :func:`is_graphical` decides, and threshold sums whose two tests against each
     family vector say what ``relation_of_runs`` says; above a maximal, it is above their
     least sums.  On the ``tabled`` candidates, those with c <= 6, its counting and
-    inequality verdicts are those of ``_conditions_hold`` and ``_rows_hold`` on its head."""
+    inequality verdicts are those of ``_conditions_hold`` and ``_rows_hold`` on its head.
+    Every candidate passes ``validate_runs``, the reference for the checked run choices
+    that make each leaf of a walk valid with no check of its own."""
     classes = candidates = comparisons = checked = 0
     for c in range(c_max + 1):
         for n in range(min_order(c), n_max + 1):
@@ -754,6 +827,7 @@ def check_slack_agreement(c_max, n_max):
             classes += 1
             for runs in class_candidates(klass, n):
                 candidates += 1
+                degree_sequences.validate_runs(runs, n)
                 state = pushed_state(runs, table)
                 assert slack_holds(state, guards, needs) == is_graphical(runs), (c, n, runs)
                 if tabled:

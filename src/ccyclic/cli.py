@@ -16,6 +16,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from itertools import islice, repeat
 
 from .bounds import (
@@ -612,6 +613,7 @@ def cmd_tables(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # built on the first call, then reused: parsing leaves it unchanged
 def _build_parser() -> Parser:
     parser = Parser(
         prog="ccyclic",
@@ -681,15 +683,9 @@ def _build_parser() -> Parser:
     return parser
 
 
-_parser = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:  # built on the first call, then reused: parsing leaves it unchanged
-        _parser = _build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

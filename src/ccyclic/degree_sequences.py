@@ -29,9 +29,10 @@ as :func:`~ccyclic.majorization.runs_of` gives it for a nonincreasing tuple.
 per-member step costs O(runs), not O(n).  A caller holding a tuple converts it
 once with ``runs_of``.  :func:`is_ccyclic_sequence` validates its input
 (:func:`validate_runs`); the other membership tests take a valid form as given,
-which the generator's output is, built of run choices checked once per choice
-list (:func:`_checked_choices`).  :class:`ExtremalFamily` holds candidates of
-its class only, as runs.
+which the generator's output is, built of run choices that one process-wide
+cache holds, each list checked once per process, when the cache makes it
+(:func:`_checked_choices`).  :class:`ExtremalFamily` holds candidates of its
+class only, as runs.
 
 The oracle of every ``--verify``, and the one extremality check, is
 :func:`walk_class`: one walk of the candidate tree per class, holding no
@@ -60,6 +61,7 @@ first eight for the widest c=6 set).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, permutations
 from math import isqrt, prod
 from operator import add
@@ -373,57 +375,54 @@ def candidate_sequences(n: int, total: int) -> Iterator[tuple]:
 
     Each is yielded as its run-length form ``((degree, count), ...)``, in
     descending lexicographic order of the sequences.  One shared stack of
-    runs is extended by the runs :func:`_run_choices` allows, so no branch
-    dead-ends, and only the yielded forms are copied.  The ``(degree,
-    count)`` pairs are made once per call and rest, and shared by every form
-    that holds them, so a kept form costs one tuple of references.
+    runs is extended by the runs :func:`_checked_choices` allows, so no
+    branch dead-ends, and only the yielded forms are copied.  The ``(degree,
+    count)`` pairs are made once per process and rest, and shared by every
+    form that holds them, so a kept form costs one tuple of references.
     """
     if n >= 1:
-        yield from _runs_below([], {}, n, total, n - 1)
+        yield from _runs_below([], n, total, n - 1)
 
 
-def _run_choices(choices: dict, slots: int, remaining: int, bound: int) -> list:
+def _run_choices(slots: int, remaining: int, bound: int) -> list:
     """Each next run ``(value, count)``, value <= ``bound``, that leaves the rest completable.
 
     The rest is ``slots`` entries summing to ``remaining``; runs come in
-    descending lexicographic order.  The one copy of this arithmetic:
-    :func:`_checked_choices` calls it, for :func:`walk_class` and
-    :func:`_runs_below`, only when their inline read of ``choices`` misses,
-    and the walk never for a rest of all ones, which it pushes itself.
-    Many prefixes share a rest, so each enumeration keeps its answers in
-    ``choices``, as lists: freed tuples of many lengths would fill the
-    interpreter's tuple free lists, which a long-running process keeps.
+    descending lexicographic order, in a fresh list.  The one copy of this
+    arithmetic: :func:`_checked_choices` calls it once per rest and process,
+    for :func:`walk_class` and :func:`_runs_below`, and the walk never for a
+    rest of all ones, which it pushes itself.
     """
-    key = (slots, remaining, bound)
-    runs = choices.get(key)
-    if runs is None:
-        high = min(bound, remaining - slots + 1)  # the rest are at least 1
-        low = max(-(-remaining // slots), 1)  # the rest are at most the next value
-        runs = choices[key] = [
-            (value, count)
-            for value in range(high, low - 1, -1)
-            # After `count` copies of the value, the rest lie in [1, value - 1] or are none.
-            for count in range(
-                slots if value == 1 else min(slots, (remaining - slots) // (value - 1)),
-                max(remaining - slots * (value - 1), 1) - 1,
-                -1,
-            )
-        ]
-    return runs
+    high = min(bound, remaining - slots + 1)  # the rest are at least 1
+    low = max(-(-remaining // slots), 1)  # the rest are at most the next value
+    return [
+        (value, count)
+        for value in range(high, low - 1, -1)
+        # After `count` copies of the value, the rest lie in [1, value - 1] or are none.
+        for count in range(
+            slots if value == 1 else min(slots, (remaining - slots) // (value - 1)),
+            max(remaining - slots * (value - 1), 1) - 1,
+            -1,
+        )
+    ]
 
 
-def _checked_choices(choices: dict, slots: int, remaining: int, bound: int) -> list:
-    """:func:`_run_choices`'s list for a rest, each run checked: the memo's one miss path.
+@cache
+def _checked_choices(slots: int, remaining: int, bound: int) -> tuple:
+    """:func:`_run_choices`'s list for a rest, each run checked, as a tuple the process keeps.
 
     Each ``(value, count)`` must have ``count >= 1``, ``1 <= value <=
     bound``, ``count <= slots``, and leave a completable rest: ``rest <= left
     <= rest (value - 1)`` for the ``rest = slots - count`` entries left to
     sum to ``left = remaining - count value``, each in [1, value - 1].
     Else ``ValueError``, with :func:`validate_runs`'s message where it has
-    one.  A walk calls this once per memo entry, when the read of
-    ``choices`` misses, so a stack of checked runs needs no check of its own.
+    one, and the cache keeps nothing.  The choices at a rest depend on
+    nothing else, so one cache serves every walk and enumeration: each list
+    is checked once per process, when the cache makes it, and a stack of
+    checked runs needs no check of its own.  The tuple is shared, so no
+    caller can change it.
     """
-    runs = _run_choices(choices, slots, remaining, bound)
+    runs = tuple(_run_choices(slots, remaining, bound))
     for value, count in runs:
         rest, left = slots - count, remaining - count * value
         if count < 1:
@@ -439,23 +438,18 @@ def _checked_choices(choices: dict, slots: int, remaining: int, bound: int) -> l
     return runs
 
 
-def _runs_below(stack: list, choices: dict, slots: int, remaining: int, bound: int) -> Iterator:
+def _runs_below(stack: list, slots: int, remaining: int, bound: int) -> Iterator:
     """Extend ``stack`` by runs of values <= ``bound``: ``slots`` entries summing to ``remaining``.
 
-    A module-level recursion, not a closure, so a finished enumeration
-    leaves no reference cycle holding ``choices`` for the garbage collector.
-    The runs are :func:`_checked_choices`'s, checked once per memo entry.
+    The runs are :func:`_checked_choices`'s, checked once per process and rest.
     """
-    key = (slots, remaining, bound)
-    for pair in choices.get(key) or _checked_choices(choices, slots, remaining, bound):
+    for pair in _checked_choices(slots, remaining, bound):
         value, count = pair
         stack.append(pair)
         if count == slots:
             yield tuple(stack)
         else:
-            yield from _runs_below(
-                stack, choices, slots - count, remaining - count * value, value - 1
-            )
+            yield from _runs_below(stack, slots - count, remaining - count * value, value - 1)
         stack.pop()
 
 
@@ -731,11 +725,12 @@ def walk_class(
     recursion, and reads the walk's tables as free variables.
 
     Each candidate is valid by induction, with no check of its own: every
-    run the walk takes from the memo was checked once, when the memo made
-    its list (:func:`_checked_choices`: a positive count, a value in [1,
-    bound] below the run before it, and a completable rest, which makes a
-    run of 1 the last), the walk pushes a run of ones itself only after a
-    run of value >= 2, and the slot count makes every leaf exactly n long.
+    run the walk takes from the cache was checked once per process, when
+    the cache made its list (:func:`_checked_choices`: a positive count, a
+    value in [1, bound] below the run before it, and a completable rest,
+    which makes a run of 1 the last), the walk pushes a run of ones itself
+    only after a run of value >= 2, and the slot count makes every leaf
+    exactly n long.
     Each candidate gets the Erdos-Gallai verdict of its slack, one guard-bit
     test (:func:`_slack_tables`).  That verdict is :func:`is_graphical`'s:
     the walk fixes the order and the class total, and the checked choices
@@ -784,7 +779,7 @@ def walk_class(
         _walk_layout(klass, indices, family)
     )
     row_needs, counts = tabled or (0, ())
-    stack, choices, ones = [], {}, [(1, k) for k in range(n + 1)]  # a leaf's runs share ones
+    stack, ones = [], [(1, k) for k in range(n + 1)]  # a leaf's runs share ones
     product_table = next((table for table, product in tables if product), [1] * n)
     ranked, failures, candidates, members = bool(indices), [], 0, 0
     extremes = tuple(Extremes() for _ in indices)
@@ -815,13 +810,11 @@ def walk_class(
     uncovered, below_minimal, witnesses = [], [], {}
 
     def below(slots, remaining, bound, state, product):
-        """Push each run the checked memo allows (read inline), then the runs below."""
+        """Push each run the checked choices allow, then the runs below."""
         nonlocal candidates, members
         depth, a = len(stack), n - slots
         here, leaves, found = pushes[a], 0, 0
-        # A node's choices are never empty, so a hit of the memo costs no call.
-        key = (slots, remaining, bound)
-        for pair in choices.get(key) or _checked_choices(choices, slots, remaining, bound):
+        for pair in _checked_choices(slots, remaining, bound):
             value, count = pair
             rest, left = slots - count, remaining - count * value
             run_state, run_product = state + pushes[a + count][value] - here[value], product

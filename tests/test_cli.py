@@ -51,22 +51,14 @@ def test_console_script_prints_the_paper_tables(capsys):
     assert out.encode() == (GOLDEN / "tables.out").read_bytes()
 
 
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
-    original = cli._build_parser
-    built = []
-
-    def counting():
-        built.append(1)
-        return original()
-
-    monkeypatch.setattr(cli, "_build_parser", counting)
-    monkeypatch.setattr(cli, "_parser", None)
+def test_parser_is_built_once_per_process(capsys):
+    cli._build_parser.cache_clear()
     ok = ("extremal", "--n", "8", "--c", "3")
     first = run(capsys, *ok)
     usage = run(capsys, "extremal", "--n", "8")
     again = run(capsys, *ok)
     other = run(capsys, "bounds", "--n", "8", "--c", "3", "--index", "inverse-degree")
-    assert len(built) == 1
+    assert cli._build_parser.cache_info().misses == 1
     assert first == again == (0, (GOLDEN / "extremal-text.out").read_text(), "")
     assert usage == (1, "", "error: the following arguments are required: --c\n")
     assert other[0] == 0 and other[1].startswith("n=8 c=3 index=inverse-degree\n")

@@ -453,13 +453,14 @@ class TestWalkMatchesSeparatePasses:
         assert walk_class(klass, 10).failures
 
     def test_every_leaf_is_validated(self, monkeypatch):
-        # A run of length 0 among the root's choices reaches the leaves below
-        # it, and validate_runs refuses the first of them.
+        # A run of length 0 among the root's choices would reach every leaf
+        # below it: _checked_choices refuses the root's list when it is made,
+        # before any leaf.
         run_choices = degree_sequences._run_choices
 
-        def with_an_empty_run(choices, slots, remaining, bound):
-            runs = run_choices(choices, slots, remaining, bound)
-            if bound == 7:  # only the root allows n - 1; the memo keeps its answer
+        def with_an_empty_run(slots, remaining, bound):
+            runs = run_choices(slots, remaining, bound)
+            if bound == 7:  # only the root allows n - 1
                 runs.insert(0, (bound, 0))
             return runs
 
@@ -478,8 +479,8 @@ class TestWalkMatchesSeparatePasses:
         # (c, n) = (3, 8), is refused by the walk and by the generator alike.
         run_choices = degree_sequences._run_choices
 
-        def with_a_bad_run(choices, slots, remaining, bound):
-            runs = run_choices(choices, slots, remaining, bound)
+        def with_a_bad_run(slots, remaining, bound):
+            runs = run_choices(slots, remaining, bound)
             if (slots, remaining, bound) == (7, 13, 6) and pair(slots, bound) not in runs:
                 runs.insert(0, pair(slots, bound))
             return runs
@@ -511,24 +512,68 @@ class TestWalkMatchesSeparatePasses:
 
     @pytest.mark.parametrize("c, n", [(6, 18), (10, 16), (15, 18)])
     def test_each_choice_list_is_checked_once(self, monkeypatch, c, n):
-        # The check runs once per memo entry, one per distinct (slots,
-        # remaining, bound) of a node the walk calls below for, and the
-        # generator's likewise: far fewer than the candidates.
-        checked_choices, keys = degree_sequences._checked_choices, []
-
-        def counted(choices, *key):
-            keys.append(key)
-            return checked_choices(choices, *key)
-
-        monkeypatch.setattr(degree_sequences, "_checked_choices", counted)
-        klass, memo = CyclomaticClass(c=c, n=n), {}
-        below_calls(memo, n, klass.degree_total, n - 1)
+        # The cache misses, each a call of _run_choices and its check, once
+        # per distinct (slots, remaining, bound) of a node the walk calls
+        # below for, and the generator's likewise from a cold cache: far
+        # fewer than the candidates.
+        keys = counted_run_choices(monkeypatch)
+        klass = CyclomaticClass(c=c, n=n)
+        below_calls(n, klass.degree_total, n - 1)  # every node's rest, uncached
+        rests = set(keys)
+        keys.clear()
         walk = walk_class(klass, n)
-        assert len(keys) == len(set(keys)) == len(memo) and set(keys) == set(memo)
+        assert len(keys) == len(set(keys)) == len(rests) and set(keys) == rests
         assert 5 * len(keys) < walk.candidates
         keys.clear()
+        degree_sequences._checked_choices.cache_clear()
         assert sum(1 for _ in class_candidates(klass, n)) == walk.candidates
         assert len(keys) == len(set(keys)) and 5 * len(keys) < walk.candidates
+
+    @pytest.mark.parametrize("c, n", [(6, 14), (10, 14)])
+    def test_a_second_walk_makes_no_choice_list(self, monkeypatch, c, n):
+        # The cache is the process's: a second walk of the class finds every
+        # list made, and finds what the first found.
+        keys = counted_run_choices(monkeypatch)
+        klass = CyclomaticClass(c=c, n=n)
+        family = extremal_family(klass) if c <= 6 else parametric_extremal_family(c, n)
+        first = walk_record(walk_class(klass, n, family, VERIFY_INDICES, spread=True))
+        assert keys
+        keys.clear()
+        assert walk_record(walk_class(klass, n, family, VERIFY_INDICES, spread=True)) == first
+        assert keys == []
+
+    def test_a_refused_list_is_never_cached(self, monkeypatch):
+        # A repeated degree among the choices of the node below the root's
+        # (7, 1), at (c, n) = (3, 8), is refused at every walk; once the bad
+        # choices are gone, the walk finds what it finds without them, so no
+        # refused list was kept.
+        klass = CyclomaticClass(c=3, n=8)
+        family = extremal_family(klass)
+        expected = walk_record(walk_class(klass, 8, family, VERIFY_INDICES))
+        degree_sequences._checked_choices.cache_clear()
+        run_choices = degree_sequences._run_choices
+
+        def with_a_bad_run(slots, remaining, bound):
+            runs = run_choices(slots, remaining, bound)
+            if (slots, remaining, bound) == (7, 13, 6):
+                runs.insert(0, (7, 1))
+            return runs
+
+        with monkeypatch.context() as patched:
+            patched.setattr(degree_sequences, "_run_choices", with_a_bad_run)
+            for _ in range(3):
+                with pytest.raises(ValueError, match="degrees not in decreasing runs"):
+                    walk_class(klass, 8, family, VERIFY_INDICES)
+        keys = counted_run_choices(monkeypatch)
+        assert walk_record(walk_class(klass, 8, family, VERIFY_INDICES)) == expected
+        assert (7, 13, 6) in keys
+
+    def test_checked_choices_are_a_shared_tuple(self):
+        # No caller can change a list that every later walk reads.
+        runs = degree_sequences._checked_choices(7, 13, 6)
+        assert type(runs) is tuple
+        assert runs == tuple(degree_sequences._run_choices(7, 13, 6))
+        assert degree_sequences._checked_choices(7, 13, 6) is runs
 
     @pytest.mark.parametrize("c, n", [(0, 10), (1, 10), (3, 11), (6, 12), (7, 12), (15, 14)])
     def test_no_erdos_gallai_call(self, monkeypatch, c, n):
@@ -665,16 +710,28 @@ class TestWalkMatchesSeparatePasses:
             assert report == reference_extremality_report(family, population), (c, n)
 
 
-def below_calls(choices, slots, remaining, bound):
+def counted_run_choices(monkeypatch) -> list:
+    """Patch ``_run_choices`` to note each rest it is called for, the cache's misses."""
+    run_choices, keys = degree_sequences._run_choices, []
+
+    def counted(*key):
+        keys.append(key)
+        return run_choices(*key)
+
+    monkeypatch.setattr(degree_sequences, "_run_choices", counted)
+    return keys
+
+
+def below_calls(slots, remaining, bound):
     """``(calls, forced)`` under a node of the candidate tree: one call for it and
     for each node below whose rest is not all ones, and how many rests are."""
     calls, forced = 1, 0
-    for value, count in degree_sequences._run_choices(choices, slots, remaining, bound):
+    for value, count in degree_sequences._run_choices(slots, remaining, bound):
         rest, left = slots - count, remaining - count * value
         if rest and rest == left:
             forced += 1
         elif rest:
-            more = below_calls(choices, rest, left, value - 1)
+            more = below_calls(rest, left, value - 1)
             calls, forced = calls + more[0], forced + more[1]
     return calls, forced
 
@@ -700,7 +757,7 @@ class TestForcedOnes:
             walk = walk_class(klass, n)
         finally:
             sys.setprofile(None)
-        expected, forced = below_calls({}, n, klass.degree_total, n - 1)
+        expected, forced = below_calls(n, klass.degree_total, n - 1)
         assert forced > 0 and len(calls) == expected
         assert not any(slots == remaining for slots, remaining in calls)
         assert walk.candidates == sum(1 for _ in class_candidates(klass, n))

@@ -192,10 +192,11 @@ def _class_tables(klass: CyclomaticClass) -> tuple:
 
     The counting rows live at its order, as their needs; the inequality rows
     as ``(k, j, a n + b)``, k and j at most n (a head's longest), or below the
-    least edge count as the one row 0 <= -1, which no sequence holds.  Two
-    readers take them: :func:`_conditions_hold` and :func:`_rows_hold` on a
-    head, for the public membership tests, and :func:`_walk_layout`, which
-    packs them into the state of :func:`walk_class`, once per walk.
+    least edge count as the one row 0 <= -1, which no sequence holds.  Three
+    readers take them: :func:`_counting_form_holds` and
+    :func:`is_ccyclic_sequence_via_inequalities` on a head, one table each,
+    and :func:`_walk_layout`, which packs both into the state of
+    :func:`walk_class`, once per walk.
     """
     n, c = klass.n, klass.c
     least, rows = _INEQUALITIES[c]
@@ -205,29 +206,18 @@ def _class_tables(klass: CyclomaticClass) -> tuple:
     return conditions, [(k if k < n else n, j if j < n else n, a * n + b) for k, j, a, b in rows]
 
 
-def _conditions_hold(head: tuple, conditions: list) -> bool:
-    """The compiled counting rows on a nonincreasing head holding each count: the j-th is >= t."""
+def _counting_form_holds(runs, total: int, conditions: list) -> bool:
+    """Counting-form test of a valid run-length degree sequence, on the compiled rows."""
+    if sum(d * m for d, m in runs) != total:
+        return False
+    head = _head(runs)
     for needs in conditions:
         for t, j in needs:
-            if head[j - 1] < t:
+            if head[j - 1] < t:  # fewer than j entries are >= t
                 break
         else:
             return True
     return False
-
-
-def _rows_hold(head: tuple, rows) -> bool:
-    """The compiled inequality rows on the head of a sequence, as far as they read it."""
-    prefix = [0, *accumulate(head)]
-    for k, j, limit in rows:
-        if prefix[k] + prefix[j] > limit:
-            return False
-    return True
-
-
-def _counting_form_holds(runs, total: int, conditions: list) -> bool:
-    """Counting-form test of a valid run-length degree sequence, on the compiled rows."""
-    return sum(d * m for d, m in runs) == total and _conditions_hold(_head(runs), conditions)
 
 
 def is_ccyclic_sequence(runs, klass: CyclomaticClass) -> bool:
@@ -253,7 +243,11 @@ def is_ccyclic_sequence_via_inequalities(runs, klass: CyclomaticClass) -> bool:
         raise ValueError(f"no inequality characterization implemented for c={klass.c}")
     if sum(degree * count for degree, count in runs) != klass.degree_total:
         return False
-    return _rows_hold(_head(runs), _class_tables(klass)[1])
+    prefix = [0, *accumulate(_head(runs))]
+    for k, j, limit in _class_tables(klass)[1]:
+        if prefix[k] + prefix[j] > limit:
+            return False
+    return True
 
 
 def is_graphical(runs) -> bool:
@@ -262,7 +256,15 @@ def is_graphical(runs) -> bool:
     ``runs`` is the ``(degree, count)`` form of a nonincreasing sequence, as
     :func:`~ccyclic.majorization.runs_of` gives it; False for an empty
     sequence, an odd degree sum or a degree outside [0, n-1].  That screen
-    passed, :func:`_erdos_gallai` decides.  O(runs).
+    passed, the Erdos-Gallai inequalities decide.  O(runs).  Only k with
+    d_k >= k are tested: for d_k < k the k-th inequality follows from the
+    (k-1)-th, since its right side grows by at least 2(k - 1) - 2 d_k >= 0
+    more than its left side.  Within one run, on those k, the slack (right
+    side minus left side) is concave in k, so it suffices to test the last
+    such k of each run (Tripathi & Vijay 2003).  The right side ``k(k - 1) +
+    sum(min(d_i, k))`` over i > k is ``k(above - 1)`` plus the degree sum
+    beyond the entries >= k, which end at ``above``; that end only moves back
+    as k grows, one run at a time.
     """
     n = total = 0
     for degree, count in runs:
@@ -270,22 +272,6 @@ def is_graphical(runs) -> bool:
         total += degree * count
     if n == 0 or total % 2 or runs[-1][0] < 0 or runs[0][0] > n - 1:
         return False
-    return _erdos_gallai(runs, n)
-
-
-def _erdos_gallai(runs, n: int) -> bool:
-    """The Erdos-Gallai inequalities on nonempty runs of n degrees in [0, n-1], with an even sum.
-
-    The caller vouches for that screen, as :func:`is_graphical` does.
-    O(runs).  Only k with d_k >= k are tested: for d_k < k the k-th
-    inequality follows from the (k-1)-th, since its right side grows by at
-    least 2(k - 1) - 2 d_k >= 0 more than its left side.  Within one run, on
-    those k, the slack (right side minus left side) is concave in k, so it
-    suffices to test the last such k of each run (Tripathi & Vijay 2003).
-    The right side ``k(k - 1) + sum(min(d_i, k))`` over i > k is
-    ``k(above - 1)`` plus the degree sum beyond the entries >= k, which end
-    at ``above``; that end only moves back as k grows, one run at a time.
-    """
     last = len(runs) - 1  # the last run of degrees >= k
     above, tail = n, 0  # entries through that run, and the degree sum after it
     start = head = 0  # entries and degree sum before the current run
@@ -376,9 +362,10 @@ def candidate_sequences(n: int, total: int) -> Iterator[tuple]:
     Each is yielded as its run-length form ``((degree, count), ...)``, in
     descending lexicographic order of the sequences.  One shared stack of
     runs is extended by the runs :func:`_checked_choices` allows, so no
-    branch dead-ends, and only the yielded forms are copied.  The ``(degree,
-    count)`` pairs are made once per process and rest, and shared by every
-    form that holds them, so a kept form costs one tuple of references.
+    branch dead-ends, and only the yielded forms are copied.  Each ``(degree,
+    count)`` pair is made once per process, and shared by every form and
+    every list of choices that holds it, so a kept form costs one tuple of
+    references.
     """
     if n >= 1:
         yield from _runs_below([], n, total, n - 1)
@@ -407,6 +394,10 @@ def _run_choices(slots: int, remaining: int, bound: int) -> list:
     ]
 
 
+#: each ``(value, count)`` pair that :func:`_checked_choices` has made, as the one copy it shares
+_PAIRS: dict = {}
+
+
 @cache
 def _checked_choices(slots: int, remaining: int, bound: int) -> tuple:
     """:func:`_run_choices`'s list for a rest, each run checked, as a tuple the process keeps.
@@ -420,9 +411,10 @@ def _checked_choices(slots: int, remaining: int, bound: int) -> tuple:
     nothing else, so one cache serves every walk and enumeration: each list
     is checked once per process, when the cache makes it, and a stack of
     checked runs needs no check of its own.  The tuple is shared, so no
-    caller can change it.
+    caller can change it, and so is each pair in it, taken from ``_PAIRS``:
+    the lists of all rests hold one object per distinct pair.
     """
-    runs = tuple(_run_choices(slots, remaining, bound))
+    runs = tuple(_PAIRS.setdefault(pair, pair) for pair in _run_choices(slots, remaining, bound))
     for value, count in runs:
         rest, left = slots - count, remaining - count * value
         if count < 1:
@@ -740,8 +732,9 @@ def walk_class(
     c (c <= 6), each candidate also gets the verdicts of the counting form
     and of the inequalities, compiled once per walk (:func:`_class_tables`)
     into the same int: a guard-bit test per row, the counting form holding
-    when one of its rows does, with no call of :func:`_conditions_hold` or
-    :func:`_rows_hold`.  A disagreement among the three verdicts is recorded.
+    when one of its rows does, with no call of :func:`is_ccyclic_sequence`
+    or :func:`is_ccyclic_sequence_via_inequalities`.  A disagreement among
+    the three verdicts is recorded.
 
     With ``family``, the walk makes the family's :class:`ExtremalityReport`
     over the members.  By the lemma of :func:`_walk_layout` a member lies

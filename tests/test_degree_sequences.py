@@ -13,7 +13,6 @@ from ccyclic.degree_sequences import (
     _COUNT_CONDITIONS,
     _class_tables,
     _discard_dominated,
-    _erdos_gallai,
     CyclomaticClass,
     EnumerationCapError,
     ExtremalFamily,
@@ -164,18 +163,16 @@ class TestGraphical:
 
     @pytest.mark.parametrize("c", range(16))
     def test_core_matches_on_every_class_candidate(self, c):
-        # The core without its screen, on candidates of order n and the class total.
+        # Candidates of order n and the class total all pass the screen: the core decides.
         for n in range(min_order(c), 15):
             for runs in class_candidates(CyclomaticClass(c=c, n=n), n):
                 expected = textbook_is_graphical(expand_runs(runs))
-                assert _erdos_gallai(runs, n) == is_graphical(runs) == expected, runs
+                assert is_graphical(runs) == expected, runs
 
     def test_screen_rejects_what_the_core_is_never_given(self):
         # An empty sequence, an odd sum, a degree >= n and a negative degree.
         for runs in ((), ((2, 1), (1, 3)), ((5, 1), (1, 3)), ((1, 2), (0, 1), (-2, 1))):
             assert not is_graphical(runs), runs
-        # The core alone takes the odd sum: the screen is what rejects it.
-        assert _erdos_gallai(((2, 1), (1, 3)), 4)
 
 
 def test_characterizations_agree_exhaustively():

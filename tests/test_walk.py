@@ -21,9 +21,11 @@ from ccyclic.degree_sequences import (
     CyclomaticClass,
     EnumerationCapError,
     ExtremalFamily,
+    candidate_sequences,
     class_candidates,
     enumerate_sequences,
     extremal_family,
+    is_ccyclic_sequence,
     is_ccyclic_sequence_via_inequalities,
     is_graphical,
     min_order,
@@ -575,9 +577,18 @@ class TestWalkMatchesSeparatePasses:
         assert runs == tuple(degree_sequences._run_choices(7, 13, 6))
         assert degree_sequences._checked_choices(7, 13, 6) is runs
 
+    def test_checked_choices_share_one_object_per_pair(self):
+        # A pair that two rests both allow is one object, and so is each pair of a yielded form.
+        first = degree_sequences._checked_choices(6, 12, 5)[0]
+        assert first == (5, 1)
+        assert first is degree_sequences._checked_choices(7, 13, 5)[0]
+        for runs in candidate_sequences(10, 26):
+            for pair in runs:
+                assert pair is degree_sequences._PAIRS[pair], runs
+
     @pytest.mark.parametrize("c, n", [(0, 10), (1, 10), (3, 11), (6, 12), (7, 12), (15, 14)])
     def test_no_erdos_gallai_call(self, monkeypatch, c, n):
-        # The packed slack decides every leaf: the core, made to raise, is never reached.
+        # The packed slack decides every leaf: is_graphical, made to raise, is never reached.
         klass = CyclomaticClass(c=c, n=n)
         if c <= 6:
             count, failures, population = reference_equivalence_check(klass, n)
@@ -585,16 +596,16 @@ class TestWalkMatchesSeparatePasses:
             count, failures = sum(1 for _ in class_candidates(klass, n)), []
             population = enumerate_sequences(klass, n)
 
-        def called(runs, n):
-            raise AssertionError("the walk called _erdos_gallai")
+        def called(runs):
+            raise AssertionError("the walk called is_graphical")
 
-        monkeypatch.setattr(degree_sequences, "_erdos_gallai", called)
+        monkeypatch.setattr(degree_sequences, "is_graphical", called)
         walk = walk_class(klass, n)
         assert (walk.candidates, walk.failures, walk.members) == (
             count, tuple(failures), len(population)
         )
-        with pytest.raises(AssertionError, match="called _erdos_gallai"):
-            is_graphical(population[0])
+        with pytest.raises(AssertionError, match="called is_graphical"):
+            degree_sequences._members(klass, n)
 
     def test_no_call_of_the_table_readers(self, monkeypatch):
         # The walk reads both tables off its packed int and builds no head: with
@@ -625,11 +636,13 @@ class TestWalkMatchesSeparatePasses:
                         klass = CyclomaticClass(c=c, n=n)
                         count, failures, population = reference_equivalence_check(klass, n)
                         with monkeypatch.context() as readers:
-                            readers.setattr(degree_sequences, "_conditions_hold", called)
-                            readers.setattr(degree_sequences, "_rows_hold", called)
+                            readers.setattr(degree_sequences, "_counting_form_holds", called)
+                            readers.setattr(
+                                degree_sequences, "is_ccyclic_sequence_via_inequalities", called
+                            )
                             walk = walk_class(klass, n, None, VERIFY_INDICES)
                             with pytest.raises(AssertionError, match="called a table reader"):
-                                is_ccyclic_sequence_via_inequalities(population[0], klass)
+                                is_ccyclic_sequence(population[0], klass)
                         assert (walk.candidates, walk.failures, walk.members) == (
                             count, tuple(failures), len(population)
                         ), (damage, c, n)
@@ -867,7 +880,8 @@ def check_slack_agreement(c_max, n_max):
     what :func:`is_graphical` decides, and threshold sums whose two tests against each
     family vector say what ``relation_of_runs`` says; above a maximal, it is above their
     least sums.  On the ``tabled`` candidates, those with c <= 6, its counting and
-    inequality verdicts are those of ``_conditions_hold`` and ``_rows_hold`` on its head.
+    inequality verdicts are those of :func:`is_ccyclic_sequence` and
+    :func:`is_ccyclic_sequence_via_inequalities`.
     Every candidate passes ``validate_runs``, the reference for the checked run choices
     that make each leaf of a walk valid with no check of its own."""
     classes = candidates = comparisons = checked = 0
@@ -880,7 +894,6 @@ def check_slack_agreement(c_max, n_max):
                 klass, family=family
             )
             assert (tabled is None) is (c > 6), (c, n)
-            conditions, rows = degree_sequences._class_tables(klass) if tabled else ((), ())
             classes += 1
             for runs in class_candidates(klass, n):
                 candidates += 1
@@ -889,10 +902,9 @@ def check_slack_agreement(c_max, n_max):
                 assert slack_holds(state, guards, needs) == is_graphical(runs), (c, n, runs)
                 if tabled:
                     checked += 1
-                    head = degree_sequences._head(runs)
                     assert table_verdicts(state, guards, tabled) == (
-                        degree_sequences._conditions_hold(head, conditions),
-                        degree_sequences._rows_hold(head, rows),
+                        is_ccyclic_sequence(runs, klass),
+                        is_ccyclic_sequence_via_inequalities(runs, klass),
                     ), (c, n, runs)
                 for shift, mask, terms in keys:
                     assert state >> shift & mask == sum([m * terms[d] for d, m in runs]), (

@@ -73,8 +73,29 @@ def _pick(pairs, want_max: bool):
     return max(pairs, key=lambda pair: (sign * pair[1], pair[0]))
 
 
+def annotate_orientation(report: BoundsReport) -> BoundsReport:
+    """Attach the column-orientation diagnostic to the rows it concerns.
+
+    The note documents that for the 1- and 2-cycle classes some published
+    tabulations of the power-sum bounds swap the two columns; the engine's
+    orientation comes from Schur-convexity and is oracle-verified.  A report
+    that carries the note already is returned as it is.
+    """
+    if report.index.kind == GENERAL_ZAGREB and report.klass.c in (1, 2):
+        if ORIENTATION_NOTE not in report.notes:
+            return replace(report, notes=report.notes + (ORIENTATION_NOTE,))
+    return report
+
+
 def bounds(klass: CyclomaticClass, index: IndexSpec, family=None) -> BoundsReport:
     """Bounds from the extremal family plus the index's Schur classification.
+
+    A Schur-convex index is least at the minimal sequence and greatest at the
+    binding maximal; a Schur-concave one is the reverse.  This is the one
+    place that orientation is decided, and the report carries the
+    orientation note where it applies (:func:`annotate_orientation`).
+    Raises ``AssertionError`` when the lower bound exceeds the upper, unless
+    two floats tie within :func:`same_value`'s tolerance.
 
     ``family`` is the class's :func:`extremal_family`, for a caller that
     already holds it; it is built when not given.  Raises ``ValueError`` for
@@ -85,16 +106,14 @@ def bounds(klass: CyclomaticClass, index: IndexSpec, family=None) -> BoundsRepor
     if family.klass != klass:
         raise ValueError(f"a family of {family.klass} cannot bound {klass}")
     maximal_values = [(runs, evaluate(index, runs)) for runs in family.maximal_runs]
-    minimal_value = evaluate(index, family.minimal_runs)
-    if index.schur_class is SchurClass.CONVEX:
-        upper_attainer, upper = _pick(maximal_values, want_max=True)
-        lower_attainer, lower = family.minimal_runs, minimal_value
-    else:
-        lower_attainer, lower = _pick(maximal_values, want_max=False)
-        upper_attainer, upper = family.minimal_runs, minimal_value
-    if lower > upper:
+    minimal = (family.minimal_runs, evaluate(index, family.minimal_runs))
+    convex = index.schur_class is SchurClass.CONVEX
+    binding = _pick(maximal_values, want_max=convex)
+    sides = (minimal, binding) if convex else (binding, minimal)
+    (lower_attainer, lower), (upper_attainer, upper) = sides
+    if lower > upper and not same_value(lower, upper):
         raise AssertionError("bound orientation inverted")
-    return BoundsReport(
+    report = BoundsReport(
         klass=klass,
         index=index,
         lower=lower,
@@ -103,6 +122,7 @@ def bounds(klass: CyclomaticClass, index: IndexSpec, family=None) -> BoundsRepor
         upper_attainer=upper_attainer,
         candidates=tuple(maximal_values),
     )
+    return annotate_orientation(report)
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +282,6 @@ def with_verification(
 # ---------------------------------------------------------------------------
 
 
-def annotate_orientation(report: BoundsReport) -> BoundsReport:
-    """Attach the column-orientation diagnostic to the rows it concerns.
-
-    The note documents that for the 1- and 2-cycle classes some published
-    tabulations of the power-sum bounds swap the two columns; the engine's
-    orientation comes from Schur-convexity and is oracle-verified.
-    """
-    if report.index.kind == GENERAL_ZAGREB and report.klass.c in (1, 2):
-        if ORIENTATION_NOTE not in report.notes:
-            return replace(report, notes=report.notes + (ORIENTATION_NOTE,))
-    return report
-
-
 def bounds_table(n: int, alpha) -> list:
     """General-Zagreb bounds for every class c = 1..6 at one exponent.
 
@@ -284,8 +291,5 @@ def bounds_table(n: int, alpha) -> list:
     if n < 8:
         raise ValueError("the six-row table needs n >= c + 2 for every c, i.e. n >= 8")
     index = IndexSpec.general_zagreb(alpha)
-    return [
-        annotate_orientation(bounds(CyclomaticClass(c=c, n=n), index))
-        for c in range(1, 7)
-    ]
+    return [bounds(CyclomaticClass(c=c, n=n), index) for c in range(1, 7)]
 

@@ -23,7 +23,6 @@ from .bounds import (
     EXACT_MATCH,
     MISMATCH,
     SKIPPED,
-    annotate_orientation,
     bounds,
     bounds_table,
     closed_form_inverse_degree,
@@ -43,7 +42,7 @@ from .degree_sequences import (
     min_order,
     walk_class,
 )
-from .indices import GENERAL_ZAGREB, INVERSE_DEGREE, KINDS, MAX_EXACT_DIGITS, IndexSpec, SchurClass
+from .indices import GENERAL_ZAGREB, INVERSE_DEGREE, KINDS, MAX_EXACT_DIGITS, IndexSpec
 from .majorization import expand_runs, runs_of
 from .realization import cyclomatic_number, export_dot, realize
 
@@ -335,14 +334,10 @@ def _render_bounds_text(report) -> list:
         f"  upper: {format_index_value(report.upper)} at {format_sequence(report.upper_attainer)}",
     ]
     if len(report.candidates) > 1:
-        binding = (
-            report.upper_attainer
-            if report.index.schur_class is SchurClass.CONVEX
-            else report.lower_attainer
-        )
+        # the minimal lies strictly below every maximal here, so it is not a candidate
         rendered = []
         for runs, val in report.candidates:
-            mark = " [binding]" if runs == binding else ""
+            mark = " [binding]" if runs in (report.lower_attainer, report.upper_attainer) else ""
             rendered.append(f"{format_sequence(runs)} -> {format_index_value(val)}{mark}")
         lines.append("  candidates: " + "; ".join(rendered))
     if report.refined_upper is not None:
@@ -365,7 +360,7 @@ def cmd_bounds(args) -> int:
     reports = []
     for c in _parse_range(args.c):
         klass = CyclomaticClass(c=c, n=args.n)
-        report = annotate_orientation(bounds(klass, index))
+        report = bounds(klass, index)
         if args.refined:
             report = replace(report, refined_upper=refined_inverse_degree_upper(klass))
         if args.verify:

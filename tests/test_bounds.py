@@ -81,6 +81,36 @@ class TestBounds:
                     else:
                         assert report.lower_attainer in family_max
 
+    @pytest.mark.parametrize("alpha", ["0.9999999999999999", "1.0000000000000002"])
+    def test_power_sums_tied_by_rounding_keep_their_orientation(self, alpha):
+        # the maximal's float sum may round a few ulps past the minimal's
+        index = IndexSpec.general_zagreb(F(alpha))
+        for c in range(7):
+            for n in range(min_order(c), 41):
+                report = bounds(CyclomaticClass(c=c, n=n), index)
+                assert report.lower <= report.upper or same_value(report.lower, report.upper)
+
+    def test_an_inverted_exact_orientation_raises(self, monkeypatch):
+        schur_class = IndexSpec.schur_class.fget
+        swapped = {SchurClass.CONVEX: SchurClass.CONCAVE, SchurClass.CONCAVE: SchurClass.CONVEX}
+
+        def wrong_for_alpha_two(index):
+            return swapped[schur_class(index)] if index.alpha == 2 else schur_class(index)
+
+        monkeypatch.setattr(IndexSpec, "schur_class", property(wrong_for_alpha_two))
+        with pytest.raises(AssertionError, match="^bound orientation inverted$"):
+            bounds(CyclomaticClass(c=1, n=9), IndexSpec.general_zagreb(2))
+        bounds(CyclomaticClass(c=1, n=9), IndexSpec.general_zagreb(3))
+
+    def test_the_report_carries_the_orientation_note(self):
+        for c in (1, 2):
+            report = bounds(CyclomaticClass(c=c, n=9), IndexSpec.general_zagreb(2))
+            assert report.notes == (ORIENTATION_NOTE,)
+            assert annotate_orientation(report) == report
+        assert bounds(CyclomaticClass(c=3, n=9), IndexSpec.general_zagreb(2)).notes == ()
+        for c in (1, 2):
+            assert bounds(CyclomaticClass(c=c, n=9), RHO).notes == ()
+
     def test_refuses_a_family_of_another_class(self):
         family = degree_sequences.extremal_family(CyclomaticClass(c=3, n=12))
         with pytest.raises(ValueError, match="cannot bound"):

@@ -153,6 +153,15 @@ class TestBounds:
         assert code == 0
         assert "verified: exact-match" in out
 
+    def test_power_sums_tied_by_rounding_end_in_an_exact_match(self, capsys):
+        # at this exponent every member's power sum is within a few ulps of
+        # twice the edge count, and the maximal's may round above the minimal's
+        code, out, err = run(
+            capsys, "bounds", "--n", "9", "--c", "1", "--alpha", "0.9999999999999999", "--verify"
+        )
+        assert (code, err) == (0, "")
+        assert "  verified: exact-match\n" in out
+
     def test_verify_cap_exit(self, capsys):
         code, out, _ = run(
             capsys,

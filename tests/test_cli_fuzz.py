@@ -16,7 +16,7 @@ are handled well there.
 import contextlib
 import io
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from ccyclic.cli import main
@@ -31,7 +31,10 @@ CYCLE_TEXT = st.one_of(
     st.tuples(st.integers(-1, 8), st.integers(-1, 8)).map(lambda ab: f"{ab[0]}..{ab[1]}"),
     HOSTILE_TEXT,
 )
-ALPHAS = st.sampled_from(["0", "1", "x", "1e400", "1000000/3", "-1/2", "2", "1/2", "-1"])
+ALPHAS = st.sampled_from([
+    "0", "1", "x", "1e400", "1000000/3", "-1/2", "2", "1/2", "-1",
+    "0.9999999999999999", "1.0000000000000002",
+])
 CAPS = st.integers(-1, 9).map(str)
 
 
@@ -121,6 +124,8 @@ def _run(argv):
 
 @settings(derandomize=True, deadline=None, max_examples=800)
 @given(argvs())
+# a class whose power sums tie to within rounding, which the draws need not reach
+@example(["bounds", "--verify", "--alpha=0.9999999999999999", "--c=1", "--n=9"])
 def test_any_argv_ends_in_a_documented_exit_code(argv):
     code, out, err = _run(argv)
     event(f"{argv[0]} exit {code}")

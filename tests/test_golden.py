@@ -51,6 +51,10 @@ CASES = {
     "bounds-json": ["bounds", "--n", "10", "--alpha", "3", "--c", "1..6", "--format", "json"],
     "bounds-alpha-half": ["bounds", "--n", "9", "--c", "1..6", "--alpha", "1/2", "--verify"],
     "bounds-alpha-minus-half": ["bounds", "--n", "9", "--c", "1..6", "--alpha=-1/2", "--verify"],
+    # the power sums of all members tie to within rounding: lower and upper print equal
+    "bounds-alpha-near-one": [
+        "bounds", "--n", "9", "--c", "1..2", "--alpha=0.9999999999999999", "--verify",
+    ],
     "bounds-mult-zagreb-log": [
         "bounds", "--n", "8", "--c", "0..6", "--index", "mult-zagreb-log", "--verify",
     ],
